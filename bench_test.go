@@ -205,8 +205,12 @@ func BenchmarkAblationIncrementalEngine(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eng := faultsim.New(ts, m.Values, nil)
-			if got := eng.Coverage(universe); got != len(universe) {
+			eng := faultsim.NewGolden(ts, nil).NewEvaluator(m.Values)
+			got, err := eng.Coverage(context.Background(), universe)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got != len(universe) {
 				b.Fatalf("coverage %d/%d", got, len(universe))
 			}
 		}

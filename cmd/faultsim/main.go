@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -98,7 +99,7 @@ func run(in string, jsonIn bool, archFlag, kindFlag string, bits int, listUndete
 	}
 
 	values := fault.PaperValues(ts.Params.Theta)
-	eng := faultsim.New(ts, values, transform)
+	eng := faultsim.NewGolden(ts, transform).NewEvaluator(values)
 
 	kinds := fault.Kinds()
 	if !strings.EqualFold(kindFlag, "all") {
@@ -120,7 +121,10 @@ func run(in string, jsonIn bool, archFlag, kindFlag string, bits int, listUndete
 	for _, k := range kinds {
 		universe := fault.Universe(arch, k)
 		start := time.Now()
-		missed := eng.Undetected(universe)
+		missed, err := eng.Undetected(context.Background(), universe)
+		if err != nil {
+			return err
+		}
 		detected := len(universe) - len(missed)
 		fmt.Printf("%-5v %8d faults: %8d detected (%6.2f%%) in %v\n",
 			k, len(universe), detected,

@@ -27,6 +27,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -162,13 +163,16 @@ func Generate(name string, kind fault.Kind, opt Options) (*pattern.TestSet, erro
 		}
 	}
 
-	// Detection matrix via the incremental engine.
-	eng := faultsim.New(candidates, opt.Values, nil)
-	nItems := eng.NumItems()
+	// Detection matrix via the packed fault-simulation kernel.
+	rows, err := faultsim.NewGolden(candidates, nil).NewEvaluator(opt.Values).DetectsMatrix(context.TODO(), sample)
+	if err != nil {
+		return nil, fmt.Errorf("baseline: detection matrix: %w", err)
+	}
+	nItems := len(candidates.Items)
 	detects := make([][]int, nItems) // item -> indices of sample faults it detects
-	for fi, f := range sample {
+	for fi, row := range rows {
 		for it := 0; it < nItems; it++ {
-			if eng.DetectsOnItem(f, it) {
+			if row[it/64]&(1<<uint(it%64)) != 0 {
 				detects[it] = append(detects[it], fi)
 			}
 		}

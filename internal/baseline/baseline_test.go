@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -117,12 +118,15 @@ func TestSelectedItemsActuallyDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := faultsim.New(ts, opt.Values, nil)
 	universe := fault.Universe(opt.Arch, fault.SWF)
+	rows, err := faultsim.NewGolden(ts, nil).NewEvaluator(opt.Values).DetectsMatrix(context.Background(), universe)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range ts.Items {
 		any := false
-		for _, f := range universe {
-			if eng.DetectsOnItem(f, i) {
+		for _, row := range rows {
+			if row[i/64]&(1<<uint(i%64)) != 0 {
 				any = true
 				break
 			}
@@ -143,9 +147,11 @@ func TestBaselineCoverageBelowDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := faultsim.New(ts, opt.Values, nil)
 		universe := fault.Universe(opt.Arch, kind)
-		got := eng.Coverage(universe)
+		got, err := faultsim.NewGolden(ts, nil).NewEvaluator(opt.Values).Coverage(context.Background(), universe)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got == 0 {
 			t.Errorf("%v: baseline detects nothing", kind)
 		}

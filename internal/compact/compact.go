@@ -15,6 +15,8 @@
 package compact
 
 import (
+	"context"
+
 	"neurotest/internal/fault"
 	"neurotest/internal/faultsim"
 	"neurotest/internal/pattern"
@@ -37,16 +39,17 @@ type Stats struct {
 // target chip would (compaction decisions must match deployment
 // conditions). Unreferenced configurations are dropped from the result.
 func Compact(ts *pattern.TestSet, values fault.Values, transform faultsim.ConfigTransform, universe []fault.Fault) (*pattern.TestSet, Stats) {
-	eng := faultsim.New(ts, values, transform)
-	n := eng.NumItems()
+	//lint:ignore unchecked-error context.TODO() never cancels, and cancellation is the only error DetectsMatrix returns
+	rows, _ := faultsim.NewGolden(ts, transform).NewEvaluator(values).DetectsMatrix(context.TODO(), universe)
+	n := len(ts.Items)
 	st := Stats{ItemsBefore: n, ConfigsBefore: ts.NumConfigs()}
 
 	// Detection lists and per-fault multiplicity.
 	detects := make([][]int, n) // item -> universe indices it detects
 	mult := make([]int, len(universe))
-	for fi, f := range universe {
+	for fi, row := range rows {
 		for it := 0; it < n; it++ {
-			if eng.DetectsOnItem(f, it) {
+			if row[it/64]&(1<<uint(it%64)) != 0 {
 				detects[it] = append(detects[it], fi)
 				mult[fi]++
 			}

@@ -1,6 +1,7 @@
 package compact
 
 import (
+	"context"
 	"testing"
 
 	"neurotest/internal/baseline"
@@ -57,7 +58,7 @@ func TestProposedPerKindIrredundancy(t *testing.T) {
 		if st.Detected != len(universe) {
 			t.Fatalf("%v HSF: %d/%d detected", arch, st.Detected, len(universe))
 		}
-		if got := faultsim.New(compacted, g.Options().Values, nil).Coverage(universe); got != len(universe) {
+		if got := coverage(t, compacted, g.Options().Values, universe); got != len(universe) {
 			t.Errorf("%v HSF: compaction lost coverage (%d/%d)", arch, got, len(universe))
 		}
 	}
@@ -75,7 +76,7 @@ func TestMergedProgramCompaction(t *testing.T) {
 	if st.ItemsAfter > st.ItemsBefore {
 		t.Fatalf("compaction grew the program: %+v", st)
 	}
-	if got := faultsim.New(compacted, g.Options().Values, nil).Coverage(universe); got != len(universe) {
+	if got := coverage(t, compacted, g.Options().Values, universe); got != len(universe) {
 		t.Errorf("compacted program covers %d/%d", got, len(universe))
 	}
 }
@@ -107,8 +108,7 @@ func TestCompactRemovesDuplicates(t *testing.T) {
 	}
 
 	// Coverage preserved exactly.
-	eng := faultsim.New(compacted, g.Options().Values, nil)
-	if got := eng.Coverage(universe); got != st.Detected {
+	if got := coverage(t, compacted, g.Options().Values, universe); got != st.Detected {
 		t.Errorf("coverage after compaction %d, want %d", got, st.Detected)
 	}
 	if st.Detected != len(universe) {
@@ -130,9 +130,9 @@ func TestCompactBaselineSet(t *testing.T) {
 	}
 	universe := fault.Universe(arch, fault.SWF)
 
-	before := faultsim.New(ts, values, nil).Coverage(universe)
+	before := coverage(t, ts, values, universe)
 	compacted, st := Compact(ts, values, nil, universe)
-	after := faultsim.New(compacted, values, nil).Coverage(universe)
+	after := coverage(t, compacted, values, universe)
 	if before != after {
 		t.Errorf("coverage changed: %d -> %d", before, after)
 	}
@@ -155,4 +155,15 @@ func TestCompactPreservesOrderAndMetadata(t *testing.T) {
 			t.Errorf("item %d metadata changed: %+v vs %+v", i, a, b)
 		}
 	}
+}
+
+// coverage fault-simulates universe against ts and returns how many faults
+// it detects.
+func coverage(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) int {
+	t.Helper()
+	n, err := faultsim.NewGolden(ts, nil).NewEvaluator(values).Coverage(context.Background(), universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"neurotest/internal/fault"
 	"neurotest/internal/faultsim"
+	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
 )
 
@@ -89,9 +91,8 @@ func TestFullCoverageSmallModels(t *testing.T) {
 			g := testGenerator(t, arch, regime)
 			for _, kind := range fault.Kinds() {
 				ts := g.Generate(kind)
-				eng := faultsim.New(ts, g.Options().Values, nil)
 				universe := fault.Universe(arch, kind)
-				missed := eng.Undetected(universe)
+				missed := undetected(t, ts, g.Options().Values, universe)
 				if len(missed) > 0 {
 					t.Errorf("%v %v %v: %d/%d faults undetected, first: %v",
 						arch, regime, kind, len(missed), len(universe), missed[0])
@@ -191,10 +192,14 @@ func TestGenerateAllMergesSharedAlwaysSpikeConfig(t *testing.T) {
 		t.Errorf("merged has %d items, want %d", merged.NumPatterns(), wantItems)
 	}
 	// The merged set must still cover every fault of every model.
-	eng := faultsim.New(merged, g.Options().Values, nil)
+	eng := faultsim.NewGolden(merged, nil).NewEvaluator(g.Options().Values)
 	for _, kind := range fault.Kinds() {
 		universe := fault.Universe(snn.Arch{6, 5, 4}, kind)
-		if got := eng.Coverage(universe); got != len(universe) {
+		got, err := eng.Coverage(context.Background(), universe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != len(universe) {
 			t.Errorf("merged set covers %d/%d %v faults", got, len(universe), kind)
 		}
 	}
@@ -251,4 +256,26 @@ func TestPickAncillaries(t *testing.T) {
 		}
 	}()
 	pickAncillaries(2, []int{0, 1}, 1)
+}
+
+// coverage fault-simulates universe against ts and returns how many faults
+// it detects.
+func coverage(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) int {
+	t.Helper()
+	n, err := faultsim.NewGolden(ts, nil).NewEvaluator(values).Coverage(context.Background(), universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// undetected fault-simulates universe against ts and returns the faults no
+// item detects.
+func undetected(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) []fault.Fault {
+	t.Helper()
+	missed, err := faultsim.NewGolden(ts, nil).NewEvaluator(values).Undetected(context.Background(), universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return missed
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"neurotest/internal/fault"
-	"neurotest/internal/faultsim"
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
 )
@@ -76,9 +75,8 @@ func TestNuLimitedSetsStillCover(t *testing.T) {
 	}
 	for _, kind := range fault.Kinds() {
 		ts := g.Generate(kind)
-		eng := faultsim.New(ts, values, nil)
 		universe := fault.Universe(arch, kind)
-		if got := eng.Coverage(universe); got != len(universe) {
+		if got := coverage(t, ts, values, universe); got != len(universe) {
 			t.Errorf("%v with ν=4: %d/%d covered", kind, got, len(universe))
 		}
 	}
@@ -102,9 +100,8 @@ func TestNuOneDegenerates(t *testing.T) {
 		if err := ts.Validate(); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		eng := faultsim.New(ts, values, nil)
 		universe := fault.Universe(arch, kind)
-		if got := eng.Coverage(universe); got != len(universe) {
+		if got := coverage(t, ts, values, universe); got != len(universe) {
 			t.Errorf("%v with ν=1: %d/%d covered", kind, got, len(universe))
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"neurotest/internal/fault"
-	"neurotest/internal/faultsim"
 	"neurotest/internal/snn"
 )
 
@@ -27,9 +26,8 @@ func TestFullCoverageResetSubtract(t *testing.T) {
 		}
 		for _, kind := range fault.Kinds() {
 			ts := g.Generate(kind)
-			eng := faultsim.New(ts, g.Options().Values, nil)
 			universe := fault.Universe(arch, kind)
-			missed := eng.Undetected(universe)
+			missed := undetected(t, ts, g.Options().Values, universe)
 			if len(missed) > 0 {
 				t.Errorf("%v %v under reset-subtract: %d/%d undetected, first %v",
 					arch, kind, len(missed), len(universe), missed[0])

@@ -11,6 +11,7 @@
 package diagnose
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -143,21 +144,17 @@ type Dictionary struct {
 // Unlike coverage measurement, dictionary construction cannot early-exit:
 // the full per-item signature is what distinguishes faults.
 func Build(ts *pattern.TestSet, values fault.Values, transform faultsim.ConfigTransform, universe []fault.Fault) *Dictionary {
-	eng := faultsim.New(ts, values, transform)
-	n := eng.NumItems()
+	//lint:ignore unchecked-error context.TODO() never cancels, and cancellation is the only error DetectsMatrix returns
+	rows, _ := faultsim.NewGolden(ts, transform).NewEvaluator(values).DetectsMatrix(context.TODO(), universe)
 	d := &Dictionary{
 		ts:      ts,
 		entries: make(map[string][]fault.Fault),
 		sigs:    make(map[string]Signature),
 		total:   len(universe),
 	}
-	for _, f := range universe {
-		sig := NewSignature(n)
-		for i := 0; i < n; i++ {
-			if eng.DetectsOnItem(f, i) {
-				sig.SetFail(i)
-			}
-		}
+	for fi, f := range universe {
+		// A matrix row is laid out exactly like a signature's words.
+		sig := Signature{words: rows[fi], n: len(ts.Items)}
 		if sig.AnyFail() {
 			d.detected++
 		}

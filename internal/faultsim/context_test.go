@@ -10,8 +10,9 @@ import (
 	"neurotest/internal/snn"
 )
 
-// contextEngine builds a tiny engine with a hand-made two-item set.
-func contextEngine(t *testing.T) (*Engine, fault.Fault) {
+// contextEvaluator builds an evaluator over a hand-made two-item set on
+// which f is detected by both items.
+func contextEvaluator(t *testing.T) (*Evaluator, fault.Fault) {
 	t.Helper()
 	arch := snn.Arch{3, 2}
 	params := snn.DefaultParams()
@@ -27,32 +28,44 @@ func contextEngine(t *testing.T) (*Engine, fault.Fault) {
 	ts.AddItem(pattern.Item{Label: "b", ConfigIndex: ci, Pattern: p.Clone(), Timesteps: 4})
 	values := fault.PaperValues(params.Theta)
 	f := fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 1, Index: 0})
-	return New(ts, values, nil), f
+	return NewGolden(ts, nil).NewEvaluator(values), f
 }
 
+// TestDetectsContextMatchesPlain: under a live context both drivers return
+// the oracle's verdicts — per fault for DetectsBatch, per item for
+// DetectsMatrix.
 func TestDetectsContextMatchesPlain(t *testing.T) {
-	e, f := contextEngine(t)
-	det, err := e.DetectsContext(context.Background(), f)
+	e, f := contextEvaluator(t)
+	oracle := newScalarOracle(NewGolden(e.g.ts, nil).NewEvaluator(e.values))
+	det, err := e.DetectsBatch(context.Background(), []fault.Fault{f})
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if det != e.Detects(f) {
-		t.Fatalf("DetectsContext = %v, Detects = %v", det, e.Detects(f))
+	if !det[0] || !oracle.Detects(f) {
+		t.Fatalf("DetectsBatch = %v, oracle = %v; fixture expects detection", det[0], oracle.Detects(f))
 	}
+	rows, err := e.DetectsMatrix(context.Background(), []fault.Fault{f})
+	if err != nil {
+		t.Fatalf("unexpected error: %v", err)
+	}
+	assertMatrixMatchesOracle(t, rows, oracle, []fault.Fault{f})
 }
 
+// TestDetectsContextPreCancelled: a cancelled context makes both drivers
+// return ctx.Err() and report no detection.
 func TestDetectsContextPreCancelled(t *testing.T) {
-	e, f := contextEngine(t)
+	e, f := contextEvaluator(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	det, err := e.DetectsContext(ctx, f)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	det, err := e.DetectsBatch(ctx, []fault.Fault{f})
+	if !errors.Is(err, context.Canceled) || det != nil {
+		t.Fatalf("DetectsBatch = (%v, %v), want (nil, context.Canceled)", det, err)
 	}
-	if det {
-		t.Fatal("cancelled scan must not report a detection")
+	rows, err := e.DetectsMatrix(ctx, []fault.Fault{f})
+	if !errors.Is(err, context.Canceled) || rows != nil {
+		t.Fatalf("DetectsMatrix = (%v, %v), want (nil, context.Canceled)", rows, err)
 	}
-	if i, err := e.DetectingItemContext(ctx, f); i != -1 || !errors.Is(err, context.Canceled) {
-		t.Fatalf("DetectingItemContext = (%d, %v), want (-1, context.Canceled)", i, err)
+	if n, err := e.Coverage(ctx, []fault.Fault{f}); n != 0 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Coverage = (%d, %v), want (0, context.Canceled)", n, err)
 	}
 }

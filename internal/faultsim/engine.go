@@ -31,13 +31,16 @@
 //     worker pool builds one per slot and discards it freely — for example
 //     after recovering a panic — without losing the goldens or the memo.
 //
-// New keeps the historical single-goroutine Engine shape as a thin wrapper:
-// one Golden plus one Evaluator.
+// Evaluation runs on one kernel, the bit-parallel packed kernel of
+// packed.go, with two drivers: DetectsBatch (per-fault verdicts with
+// cross-item early exit, behind Coverage and Undetected) and DetectsMatrix
+// (the full fault × item detection matrix for dictionaries, compaction and
+// greedy selection). The fault-at-a-time scalar kernel survives only as the
+// differential test oracle.
 package faultsim
 
 import (
 	"context"
-	"math/bits"
 	"sync"
 
 	"neurotest/internal/fault"
@@ -183,12 +186,6 @@ func goldenPotentials(net *snn.Network, trace *snn.Trace) [][]float64 {
 // second, identical simulation of each item.
 func (g *Golden) Result(i int) snn.Result { return g.items[i].golden }
 
-// NumItems returns the number of items in the golden's test set.
-func (g *Golden) NumItems() int { return len(g.items) }
-
-// TestSet returns the test set the golden was built from.
-func (g *Golden) TestSet() *pattern.TestSet { return g.ts }
-
 // Evaluator evaluates faults against a shared Golden. It holds only the
 // scratch buffers of one in-flight evaluation, so it is cheap to build and
 // to throw away, but — unlike the Golden it reads — it must stay confined
@@ -196,17 +193,13 @@ func (g *Golden) TestSet() *pattern.TestSet { return g.ts }
 type Evaluator struct {
 	g      *Golden
 	values fault.Values
-	// scratch buffers for downstream re-simulation and delta integration
-	mp     [][]float64
-	spikes [][]bool
-	delta  []float64
-	counts []int
-	// ps is the packed-kernel scratch (see packed.go), allocated on the
-	// first batched evaluation and reused after that.
-	ps *packedScratch
+	// delta is faultSite's per-timestep input-delta scratch.
+	delta []float64
+	// ps is the packed kernel's scratch (see packed.go).
+	ps packedScratch
 	// evaluator-local memo statistics, flushed to the obs counters once per
-	// fault evaluation (evaluators are single-goroutine worker scratch, so
-	// plain ints suffice on the hot path)
+	// call (evaluators are single-goroutine worker scratch, so plain ints
+	// suffice on the hot path)
 	pendingMemoHits   int
 	pendingMemoMisses int
 }
@@ -215,114 +208,49 @@ type Evaluator struct {
 // fault models (θ̂, ω̂); the golden traces and the memo are independent of
 // them, so evaluators with different values may share one Golden.
 func (g *Golden) NewEvaluator(values fault.Values) *Evaluator {
-	arch := g.ts.Arch
-	L := arch.Layers()
-	e := &Evaluator{g: g, values: values}
-	e.mp = make([][]float64, L)
-	e.spikes = make([][]bool, L)
-	for k := 0; k < L; k++ {
-		e.mp[k] = make([]float64, arch[k])
-		e.spikes[k] = make([]bool, arch[k])
-	}
-	e.delta = make([]float64, snn.MaxTimesteps)
-	e.counts = make([]int, arch[L-1])
+	e := &Evaluator{g: g, values: values, delta: make([]float64, snn.MaxTimesteps)}
+	e.ps.init(g.ts.Arch)
 	return e
 }
-
-// Engine is the historical single-goroutine view of the simulator: a
-// Golden and an Evaluator rolled into one value. It is an alias of
-// Evaluator, so every existing call site keeps compiling and behaving
-// bit-identically; parallel campaigns should build one Golden and one
-// Evaluator per worker instead.
-type Engine = Evaluator
 
 // ConfigTransform optionally rewrites each test configuration before
 // simulation — e.g. quantizing it the way the chip's weight memory would.
 // nil means "use the configuration as generated".
 type ConfigTransform func(*snn.Network) *snn.Network
 
-// New builds an engine: it runs and caches the good-chip simulation of every
-// item in ts. transform, when non-nil, is applied once per configuration.
-func New(ts *pattern.TestSet, values fault.Values, transform ConfigTransform) *Engine {
-	return NewGolden(ts, transform).NewEvaluator(values)
-}
-
-// Golden returns the shared golden half the evaluator reads.
-func (e *Evaluator) Golden() *Golden { return e.g }
-
-// DetectsOnItem reports whether item idx alone detects f. The baseline
-// generators use this to build detection matrices for greedy selection.
-func (e *Evaluator) DetectsOnItem(f fault.Fault, idx int) bool {
-	defer e.flushObs()
-	return e.detectsOn(&e.g.items[idx], f)
-}
-
-// NumItems returns the number of items in the evaluator's test set.
-func (e *Evaluator) NumItems() int { return e.g.NumItems() }
-
-// TestSet returns the test set the evaluator simulates.
-func (e *Evaluator) TestSet() *pattern.TestSet { return e.g.ts }
-
-// Detects reports whether any item of the test set detects f.
-func (e *Evaluator) Detects(f fault.Fault) bool { return e.DetectingItem(f) >= 0 }
-
-// DetectingItem returns the index of the first item that detects f, or -1.
-func (e *Evaluator) DetectingItem(f fault.Fault) int {
-	//lint:ignore unchecked-error context.Background() never cancels, and cancellation is the only error DetectingItemContext returns
-	i, _ := e.DetectingItemContext(context.Background(), f)
-	return i
-}
-
-// DetectsContext is Detects with cooperative cancellation: the item scan
-// checks ctx between items, so a long campaign stops promptly when its
-// context is cancelled. The returned error is ctx.Err() on cancellation and
-// nil otherwise.
-func (e *Evaluator) DetectsContext(ctx context.Context, f fault.Fault) (bool, error) {
-	i, err := e.DetectingItemContext(ctx, f)
-	return i >= 0, err
-}
-
-// DetectingItemContext is DetectingItem with cooperative cancellation. On
-// cancellation it returns (-1, ctx.Err()) without finishing the scan.
-func (e *Evaluator) DetectingItemContext(ctx context.Context, f fault.Fault) (int, error) {
-	defer e.flushObs()
-	for i := range e.g.items {
-		if err := ctx.Err(); err != nil {
-			return -1, err
-		}
-		if e.detectsOn(&e.g.items[i], f) {
-			return i, nil
+// Coverage returns how many of the given faults the test set detects. On
+// cancellation it returns (0, ctx.Err()).
+func (e *Evaluator) Coverage(ctx context.Context, faults []fault.Fault) (int, error) {
+	det, err := e.DetectsBatch(ctx, faults)
+	n := 0
+	for _, d := range det {
+		if d {
+			n++
 		}
 	}
-	return -1, nil
-}
-
-// Coverage returns how many of the given faults the test set detects. It
-// routes through the packed bit-parallel kernel (see packed.go); the
-// fault-at-a-time Detects scan remains available as the reference path.
-func (e *Evaluator) Coverage(faults []fault.Fault) int {
-	return e.CoverageBatch(faults)
+	return n, err
 }
 
 // Undetected returns the subset of faults no item detects, preserving
-// order. Like Coverage it evaluates with the packed kernel.
-func (e *Evaluator) Undetected(faults []fault.Fault) []fault.Fault {
+// order. On cancellation it returns (nil, ctx.Err()).
+func (e *Evaluator) Undetected(ctx context.Context, faults []fault.Fault) ([]fault.Fault, error) {
+	det, err := e.DetectsBatch(ctx, faults)
 	var out []fault.Fault
-	for i, det := range e.DetectsBatch(faults) {
-		if !det {
+	for i, d := range det {
+		if !d {
 			out = append(out, faults[i])
 		}
 	}
-	return out
+	return out, err
 }
 
 // faultSite resolves a fault against one cached item: the deviating
 // neuron's (layer, index) and its faulty spike train. ok is false when the
 // fault is behaviourally inert on this item (input-layer threshold faults,
 // stuck-at-programmed-value weights, always-on zero weights) — the caller
-// must report it undetected without touching the trace. Both the scalar
-// reference path (detectsOn) and the packed kernel go through here, so the
-// five fault models have exactly one semantic definition.
+// must report it undetected without touching the trace. This is the one
+// semantic definition of the five fault models; the packed kernel and the
+// test-only scalar oracle both go through it.
 func (e *Evaluator) faultSite(ic *goldenItem, f fault.Fault) (layer, index int, faultyTrain uint64, ok bool) {
 	T := ic.item.Timesteps
 
@@ -382,36 +310,6 @@ func (e *Evaluator) faultSite(ic *goldenItem, f fault.Fault) (layer, index int, 
 	return layer, index, faultyTrain, true
 }
 
-// detectsOn evaluates one fault against one cached item. This is the scalar
-// reference path the packed kernel is differentially tested against.
-func (e *Evaluator) detectsOn(ic *goldenItem, f fault.Fault) bool {
-	layer, index, faultyTrain, ok := e.faultSite(ic, f)
-	if !ok {
-		return false
-	}
-
-	// A faulty train identical to the recorded golden train is behaviourally
-	// inert on this item: nothing downstream can change, so report
-	// undetected without running (or memoizing) a no-op propagation.
-	goodTrain := ic.trace.X[layer][index]
-	if faultyTrain == goodTrain {
-		return false
-	}
-
-	// NASF may sit on an input neuron in principle; the paper's universe
-	// excludes input neurons, but keep the engine total.
-	if layer == 0 {
-		return e.downstream(ic, 0, index, faultyTrain)
-	}
-	L := e.g.ts.Arch.Layers()
-	if layer == L-1 {
-		// The deviating neuron is a primary output: detection compares
-		// spike counts directly.
-		return bits.OnesCount64(faultyTrain) != bits.OnesCount64(goodTrain)
-	}
-	return e.downstream(ic, layer, index, faultyTrain)
-}
-
 // reintegrate recomputes the spike train of neuron (layer, index) from the
 // recorded weighted input sums, with an optional per-timestep input delta
 // and the given threshold. Cost is O(T).
@@ -439,102 +337,6 @@ func (e *Evaluator) reintegrate(ic *goldenItem, layer, index int, theta float64,
 		}
 	}
 	return train
-}
-
-// downstream re-simulates layers layer+1..L-1 with neuron (layer, index)
-// forced to faultyTrain and every other neuron of that layer replaying its
-// recorded good train, then compares primary-output counts against the
-// golden result. Results are memoized per item, shared across every
-// evaluator of the Golden.
-func (e *Evaluator) downstream(ic *goldenItem, layer, index int, faultyTrain uint64) bool {
-	key := memoKey{layer: layer, index: index, train: faultyTrain}
-	if det, ok := ic.memo.lookup(key); ok {
-		e.pendingMemoHits++
-		return det
-	}
-	e.pendingMemoMisses++
-
-	arch := e.g.ts.Arch
-	L := arch.Layers()
-	T := ic.item.Timesteps
-	theta := ic.net.Params.Theta
-	leak := ic.net.Params.Leak
-	subtract := ic.net.Params.Reset == snn.ResetSubtract
-
-	for k := layer + 1; k < L; k++ {
-		for j := range e.mp[k] {
-			e.mp[k][j] = 0
-		}
-	}
-	counts := e.counts
-	for j := range counts {
-		counts[j] = 0
-	}
-	golden := ic.golden.SpikeCounts
-	goodX := ic.trace.X[layer]
-
-	for t := 0; t < T; t++ {
-		bit := uint64(1) << uint(t)
-		// Source layer: recorded good trains with the faulty neuron patched.
-		src := e.spikes[layer]
-		for i := range src {
-			src[i] = goodX[i]&bit != 0
-		}
-		src[index] = faultyTrain&bit != 0
-
-		for k := layer + 1; k < L; k++ {
-			nIn, nOut := arch[k-1], arch[k]
-			w := ic.net.W[k-1]
-			pre := e.spikes[k-1]
-			mp := e.mp[k]
-			out := e.spikes[k]
-			// Leak first, then integrate contributions of firing inputs.
-			for j := 0; j < nOut; j++ {
-				mp[j] *= leak
-			}
-			for i := 0; i < nIn; i++ {
-				if !pre[i] {
-					continue
-				}
-				snn.AddInto(mp, w[i*nOut:(i+1)*nOut])
-			}
-			for j := 0; j < nOut; j++ {
-				if mp[j] > theta {
-					out[j] = true
-					if subtract {
-						mp[j] -= theta
-					} else {
-						mp[j] = 0
-					}
-				} else {
-					out[j] = false
-				}
-			}
-		}
-		for j, sp := range e.spikes[L-1] {
-			if sp {
-				counts[j]++
-				if counts[j] > golden[j] {
-					// Output spike counts are monotone nondecreasing in t,
-					// so an overshoot can never fall back to the golden
-					// count: the remaining timesteps cannot change the
-					// verdict.
-					ic.memo.store(key, true)
-					return true
-				}
-			}
-		}
-	}
-
-	detected := false
-	for j, c := range counts {
-		if c != golden[j] {
-			detected = true
-			break
-		}
-	}
-	ic.memo.store(key, detected)
-	return detected
 }
 
 // fullMask returns a mask with the low T bits set.

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -56,7 +57,7 @@ func randomTestSet(arch snn.Arch, nConfigs, patternsPer int, seed uint64) *patte
 }
 
 // TestBruteForceEquivalence is the load-bearing cross-validation: the
-// incremental engine must agree with full simulation on EVERY fault of every
+// packed kernel must agree with full simulation on EVERY fault of every
 // model over random configurations and patterns.
 func TestBruteForceEquivalence(t *testing.T) {
 	values := fault.PaperValues(0.5)
@@ -68,13 +69,12 @@ func TestBruteForceEquivalence(t *testing.T) {
 	}
 	for ai, arch := range arches {
 		ts := randomTestSet(arch, 3, 4, uint64(100+ai))
-		eng := New(ts, values, nil)
+		eng := NewGolden(ts, nil).NewEvaluator(values)
 		for _, kind := range fault.Kinds() {
-			for _, f := range fault.Universe(arch, kind) {
-				want := bruteForce(ts, values, f)
-				got := eng.Detects(f)
-				if got != want {
-					t.Errorf("%v %v: engine=%v brute=%v", arch, f, got, want)
+			universe := fault.Universe(arch, kind)
+			for i, got := range detectsBatch(t, eng, universe) {
+				if want := bruteForce(ts, values, universe[i]); got != want {
+					t.Errorf("%v %v: engine=%v brute=%v", arch, universe[i], got, want)
 				}
 			}
 		}
@@ -88,10 +88,11 @@ func TestBruteForceEquivalenceQuick(t *testing.T) {
 	arch := snn.Arch{4, 3, 3, 2}
 	f := func(seed uint64) bool {
 		ts := randomTestSet(arch, 2, 3, seed)
-		eng := New(ts, values, nil)
+		eng := NewGolden(ts, nil).NewEvaluator(values)
 		for _, kind := range fault.Kinds() {
-			for _, flt := range fault.Universe(arch, kind) {
-				if eng.Detects(flt) != bruteForce(ts, values, flt) {
+			universe := fault.Universe(arch, kind)
+			for i, got := range detectsBatch(t, eng, universe) {
+				if got != bruteForce(ts, values, universe[i]) {
 					return false
 				}
 			}
@@ -103,25 +104,25 @@ func TestBruteForceEquivalenceQuick(t *testing.T) {
 	}
 }
 
+// TestDetectingItemOrder pins the matrix row order: the lowest item set in
+// a DetectsMatrix row is the first item the oracle's in-order scan finds.
 func TestDetectingItemOrder(t *testing.T) {
-	// DetectingItem returns the FIRST item that detects; verify against the
-	// per-item API.
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{4, 3, 2}
 	ts := randomTestSet(arch, 3, 3, 7)
-	eng := New(ts, values, nil)
-	for _, f := range fault.Universe(arch, SWFKindForTest()) {
-		idx := eng.DetectingItem(f)
-		if idx < 0 {
-			continue
-		}
-		for i := 0; i < idx; i++ {
-			if eng.DetectsOnItem(f, i) {
-				t.Fatalf("%v: item %d detects but DetectingItem returned %d", f, i, idx)
+	universe := fault.Universe(arch, SWFKindForTest())
+	rows := detectsMatrix(t, NewGolden(ts, nil).NewEvaluator(values), universe)
+	oracle := newScalarOracle(NewGolden(ts, nil).NewEvaluator(values))
+	for fi, f := range universe {
+		first := -1
+		for i := range ts.Items {
+			if matrixHas(rows[fi], i) {
+				first = i
+				break
 			}
 		}
-		if !eng.DetectsOnItem(f, idx) {
-			t.Fatalf("%v: DetectingItem %d does not detect via DetectsOnItem", f, idx)
+		if want := oracle.DetectingItem(f); first != want {
+			t.Fatalf("%v: first matrix item %d, oracle DetectingItem %d", f, first, want)
 		}
 	}
 }
@@ -139,10 +140,10 @@ func TestStuckAtProgrammedValueUndetectable(t *testing.T) {
 	cfg.Fill(1.0) // every weight already equals ω̂
 	ci := ts.AddConfig(cfg)
 	ts.AddItem(pattern.Item{Label: "p", ConfigIndex: ci, Pattern: snn.OnesPattern(2), Timesteps: 3, Repeat: 1})
-	eng := New(ts, values, nil)
-	for _, f := range fault.Universe(arch, fault.SWF) {
-		if eng.Detects(f) {
-			t.Errorf("%v detected despite no behavioural change", f)
+	universe := fault.Universe(arch, fault.SWF)
+	for i, det := range detectsBatch(t, NewGolden(ts, nil).NewEvaluator(values), universe) {
+		if det {
+			t.Errorf("%v detected despite no behavioural change", universe[i])
 		}
 	}
 }
@@ -155,10 +156,10 @@ func TestZeroWeightSASFUndetectable(t *testing.T) {
 	cfg := snn.New(arch, params) // all-zero weights
 	ci := ts.AddConfig(cfg)
 	ts.AddItem(pattern.Item{Label: "p", ConfigIndex: ci, Pattern: snn.OnesPattern(2), Timesteps: 3, Repeat: 1})
-	eng := New(ts, values, nil)
-	for _, f := range fault.Universe(arch, fault.SASF) {
-		if eng.Detects(f) {
-			t.Errorf("%v detected despite zero weight", f)
+	universe := fault.Universe(arch, fault.SASF)
+	for i, det := range detectsBatch(t, NewGolden(ts, nil).NewEvaluator(values), universe) {
+		if det {
+			t.Errorf("%v detected despite zero weight", universe[i])
 		}
 	}
 }
@@ -167,14 +168,23 @@ func TestUndetectedAndCoverage(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{3, 2, 2}
 	ts := randomTestSet(arch, 2, 3, 5)
-	eng := New(ts, values, nil)
+	eng := NewGolden(ts, nil).NewEvaluator(values)
 	universe := fault.Universe(arch, fault.SWF)
-	missed := eng.Undetected(universe)
-	if got := eng.Coverage(universe); got != len(universe)-len(missed) {
+	ctx := context.Background()
+	missed, err := eng.Undetected(ctx, universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Coverage(ctx, universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != len(universe)-len(missed) {
 		t.Errorf("Coverage = %d, universe %d, missed %d", got, len(universe), len(missed))
 	}
+	oracle := newScalarOracle(eng)
 	for _, f := range missed {
-		if eng.Detects(f) {
+		if oracle.Detects(f) {
 			t.Errorf("%v both missed and detected", f)
 		}
 	}
@@ -192,33 +202,41 @@ func TestTransformAppliesToConfigs(t *testing.T) {
 		c.Fill(0)
 		return c
 	}
-	eng := New(ts, values, zero)
-	for _, f := range fault.Universe(arch, fault.SWF) {
+	eng := NewGolden(ts, zero).NewEvaluator(values)
+	swf := fault.Universe(arch, fault.SWF)
+	swfDet := detectsBatch(t, eng, swf)
+	for i, f := range swf {
 		// SWF: weight stuck at ω̂=1 from zero → detectable only via firing
 		// chain; charge of 1 > θ on first hop, but propagation weights are
 		// all zero, so only faults feeding output neurons detect.
 		if f.Synapse.Boundary == arch.Boundaries()-1 {
 			continue // may legitimately detect on output neurons
 		}
-		if eng.Detects(f) {
+		if swfDet[i] {
 			t.Errorf("%v detected through zeroed network", f)
 		}
 	}
-	for _, f := range fault.Universe(arch, fault.NASF) {
+	nasf := fault.Universe(arch, fault.NASF)
+	for i, got := range detectsBatch(t, eng, nasf) {
+		f := nasf[i]
 		want := f.Neuron.Layer == len(arch)-1 // only output-layer NASF observable
-		if got := eng.Detects(f); got != want {
+		if got != want {
 			t.Errorf("NASF %v: detect=%v, want %v", f, got, want)
 		}
 	}
 }
 
-func TestNumItems(t *testing.T) {
-	ts := randomTestSet(snn.Arch{3, 2}, 2, 4, 1)
-	eng := New(ts, fault.PaperValues(0.5), nil)
-	if eng.NumItems() != 8 {
-		t.Errorf("NumItems = %d, want 8", eng.NumItems())
-	}
-	if eng.TestSet() != ts {
-		t.Errorf("TestSet identity lost")
+// TestMatrixShape pins the DetectsMatrix layout on a set wider than one
+// word: one row per fault, ceil(items/64) words per row, no bit beyond the
+// last item, and every (fault, item) bit equal to the oracle's verdict.
+func TestMatrixShape(t *testing.T) {
+	values := fault.PaperValues(0.5)
+	arch := snn.Arch{3, 3, 2}
+	ts := randomTestSet(arch, 5, 14, 1) // 70 items: two words per row
+	universe := fullUniverse(arch)
+	rows := detectsMatrix(t, NewGolden(ts, nil).NewEvaluator(values), universe)
+	assertMatrixMatchesOracle(t, rows, newScalarOracle(NewGolden(ts, nil).NewEvaluator(values)), universe)
+	if rows, err := NewGolden(ts, nil).NewEvaluator(values).DetectsMatrix(context.Background(), nil); err != nil || len(rows) != 0 {
+		t.Errorf("empty universe: %d rows, err %v", len(rows), err)
 	}
 }

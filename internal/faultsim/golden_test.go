@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -18,48 +19,51 @@ func statsDelta(after, before Stats) Stats {
 	}
 }
 
-// TestDetectsOnItemFlushesObs pins the accounting fix: DetectsOnItem used to
-// bypass flushObs, so a matrix-building workload (the greedy generators'
-// access pattern) under-reported faults simulated and leaked memo statistics
-// in the evaluator's pending fields. A DetectsOnItem-only workload over a
-// one-item set must publish exactly what the equivalent DetectingItem
-// workload publishes.
-func TestDetectsOnItemFlushesObs(t *testing.T) {
+// TestMatrixFlushesObs pins the matrix accounting (see flushObsN): one
+// DetectsMatrix call flushes once, counts every fault exactly once however
+// many items it ran on, leaves no pending memo statistics, and over a
+// one-item set publishes exactly the memo traffic of a coverage call.
+func TestMatrixFlushesObs(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{4, 3, 2}
-	ts := randomTestSet(arch, 1, 1, 11)
 	universe := fault.Universe(arch, fault.SWF)
 
-	e1 := New(ts, values, nil)
+	multi := NewGolden(randomTestSet(arch, 2, 3, 11), nil).NewEvaluator(values)
 	before := Snapshot()
-	for _, f := range universe {
-		e1.DetectsOnItem(f, 0)
+	detectsMatrix(t, multi, universe)
+	if d := statsDelta(Snapshot(), before); d.FaultsSimulated != int64(len(universe)) {
+		t.Errorf("faults simulated = %d over 6 items, want %d (one per fault)", d.FaultsSimulated, len(universe))
 	}
-	onItem := statsDelta(Snapshot(), before)
+
+	ts := randomTestSet(arch, 1, 1, 11)
+	e1 := NewGolden(ts, nil).NewEvaluator(values)
+	before = Snapshot()
+	detectsMatrix(t, e1, universe)
+	matrix := statsDelta(Snapshot(), before)
 	if e1.pendingMemoHits != 0 || e1.pendingMemoMisses != 0 {
 		t.Errorf("pending stats not flushed: hits=%d misses=%d",
 			e1.pendingMemoHits, e1.pendingMemoMisses)
 	}
-	if onItem.FaultsSimulated != int64(len(universe)) {
-		t.Errorf("faults simulated = %d, want %d (one per DetectsOnItem call)",
-			onItem.FaultsSimulated, len(universe))
+	if matrix.FaultsSimulated != int64(len(universe)) {
+		t.Errorf("faults simulated = %d, want %d (one per fault)",
+			matrix.FaultsSimulated, len(universe))
 	}
 
-	// Same workload through the scanning API on a fresh engine: with a single
-	// item the two paths do identical work, so the published memo statistics
-	// must agree.
-	e2 := New(ts, values, nil)
+	// The same workload through the coverage driver on a fresh Golden: with
+	// a single item the two drivers do identical work, so the published
+	// memo statistics must agree.
+	e2 := NewGolden(ts, nil).NewEvaluator(values)
 	before = Snapshot()
-	for _, f := range universe {
-		e2.DetectingItem(f)
+	if _, err := e2.Coverage(context.Background(), universe); err != nil {
+		t.Fatal(err)
 	}
-	scan := statsDelta(Snapshot(), before)
-	if onItem.MemoHits != scan.MemoHits || onItem.MemoMisses != scan.MemoMisses {
-		t.Errorf("DetectsOnItem published hits=%d misses=%d; DetectingItem published hits=%d misses=%d",
-			onItem.MemoHits, onItem.MemoMisses, scan.MemoHits, scan.MemoMisses)
+	cov := statsDelta(Snapshot(), before)
+	if matrix.MemoHits != cov.MemoHits || matrix.MemoMisses != cov.MemoMisses {
+		t.Errorf("DetectsMatrix published hits=%d misses=%d; Coverage published hits=%d misses=%d",
+			matrix.MemoHits, matrix.MemoMisses, cov.MemoHits, cov.MemoMisses)
 	}
-	if onItem.FaultsSimulated != scan.FaultsSimulated {
-		t.Errorf("faults simulated: on-item %d != scan %d", onItem.FaultsSimulated, scan.FaultsSimulated)
+	if matrix.FaultsSimulated != cov.FaultsSimulated {
+		t.Errorf("faults simulated: matrix %d != coverage %d", matrix.FaultsSimulated, cov.FaultsSimulated)
 	}
 }
 
@@ -73,16 +77,20 @@ func TestInputLayerThresholdFaultsUndetectable(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{4, 3, 2}
 	ts := randomTestSet(arch, 2, 3, 23)
-	eng := New(ts, values, nil)
+	eng := NewGolden(ts, nil).NewEvaluator(values)
+	var input []fault.Fault
 	for _, kind := range []fault.Kind{fault.ESF, fault.HSF} {
 		for i := 0; i < arch[0]; i++ {
-			f := fault.NewNeuronFault(kind, snn.NeuronID{Layer: 0, Index: i})
-			if eng.Detects(f) {
-				t.Errorf("%v: input-layer threshold fault reported detected", f)
-			}
-			if bruteForce(ts, values, f) {
-				t.Errorf("%v: brute force disagrees that the fault is inert", f)
-			}
+			input = append(input, fault.NewNeuronFault(kind, snn.NeuronID{Layer: 0, Index: i}))
+		}
+	}
+	for i, det := range detectsBatch(t, eng, input) {
+		f := input[i]
+		if det {
+			t.Errorf("%v: input-layer threshold fault reported detected", f)
+		}
+		if bruteForce(ts, values, f) {
+			t.Errorf("%v: brute force disagrees that the fault is inert", f)
 		}
 	}
 }
@@ -90,7 +98,7 @@ func TestInputLayerThresholdFaultsUndetectable(t *testing.T) {
 // TestConcurrentEvaluatorsShareGolden is the shared-Golden contract: one
 // NewGolden call, many evaluators on separate goroutines racing over the
 // same items and memo shards, and every verdict identical to a serial
-// engine. Run under -race this also gates the memo's locking discipline.
+// oracle. Run under -race this also gates the memo's locking discipline.
 func TestConcurrentEvaluatorsShareGolden(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{5, 4, 3, 2}
@@ -100,11 +108,7 @@ func TestConcurrentEvaluatorsShareGolden(t *testing.T) {
 		universe = append(universe, fault.Universe(arch, kind)...)
 	}
 
-	serial := New(ts, values, nil)
-	want := make([]bool, len(universe))
-	for i, f := range universe {
-		want[i] = serial.Detects(f)
-	}
+	want := detectsEach(newScalarOracle(NewGolden(ts, nil).NewEvaluator(values)), universe)
 
 	before := Snapshot()
 	g := NewGolden(ts, nil)
@@ -116,10 +120,16 @@ func TestConcurrentEvaluatorsShareGolden(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			e := g.NewEvaluator(values)
-			// Strided split: workers interleave over the universe so every
-			// worker touches every item's memo shard.
+			// Strided split into single-fault batches: workers interleave
+			// over the universe so every worker touches every item's memo
+			// shard.
 			for i := w; i < len(universe); i += workers {
-				got[i] = e.Detects(universe[i])
+				det, err := e.DetectsBatch(context.Background(), universe[i:i+1])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = det[0]
 			}
 		}(w)
 	}

@@ -6,10 +6,11 @@ import (
 	"neurotest/internal/obs"
 )
 
-// Package-level instruments in the process-wide obs default registry. The
-// engine accumulates memo statistics in plain per-engine fields (engines are
-// single-goroutine worker scratch) and flushes them here once per fault
-// evaluation, so the hot downstream path never touches an atomic.
+// Package-level instruments in the process-wide obs default registry. An
+// evaluator accumulates memo statistics in plain fields (evaluators are
+// single-goroutine worker scratch) and flushes them here once per
+// DetectsBatch or DetectsMatrix call, so the hot downstream path never
+// touches an atomic.
 var (
 	obsOnce sync.Once
 
@@ -25,7 +26,7 @@ func ensureObs() {
 	obsOnce.Do(func() {
 		r := obs.Default()
 		faultsSimulated = r.Counter("faultsim_faults_simulated_total",
-			"fault evaluations run by incremental engines")
+			"faults evaluated by the packed kernel, one per fault per call")
 		memoHits = r.Counter("faultsim_memo_hits_total",
 			"downstream re-simulations avoided by the (layer, neuron, train) memo")
 		memoMisses = r.Counter("faultsim_memo_misses_total",
@@ -81,14 +82,15 @@ func Snapshot() Stats {
 	}
 }
 
-// flushObs publishes one evaluation's accumulated memo statistics.
-func (e *Evaluator) flushObs() { e.flushObsN(1) }
-
-// flushObsN publishes the accumulated memo statistics of a batch of n
-// completed fault evaluations. Batch entry points (DetectsBatch, Coverage,
-// Undetected) flush exactly once per call — n faults and whatever memo
-// traffic the batch generated — so the process-wide counters account for
-// batched and fault-at-a-time campaigns identically.
+// flushObsN publishes the accumulated statistics of one DetectsBatch or
+// DetectsMatrix call that resolved n faults. Each call flushes exactly once:
+//
+//   - faults simulated rises by one per fault that reached a verdict — a
+//     matrix call counts a fault once, not once per item it was run on;
+//   - memo hits and misses count (fault, item) lookups of the downstream
+//     memo, so a matrix call and a coverage call over a one-item test set
+//     publish identical traffic;
+//   - the evaluator's pending counters are zero afterwards.
 func (e *Evaluator) flushObsN(n int) {
 	ensureObs()
 	if n > 0 {

@@ -16,9 +16,12 @@
 //     corrections only for presynaptic neurons whose lane word differs from
 //     the golden train in this timestep.
 //
-// The scalar path (detectsOn/downstream) is retained as the reference
-// implementation; differential and fuzz tests assert the two agree with
-// each other and with brute force on every fault kind.
+// This is the package's only fault-evaluation kernel. evalItem runs one
+// group on one item; DetectsBatch and DetectsMatrix are its two drivers. A
+// fault-at-a-time scalar kernel lives in the tests as the differential
+// oracle: differential and fuzz tests assert the packed verdicts — per fault
+// and per (fault, item) — agree with it and with brute force on every fault
+// kind.
 
 package faultsim
 
@@ -32,7 +35,7 @@ import (
 
 // sourceLayer returns the layer whose spike trains a fault deviates — the
 // lane-grouping key of the packed kernel. Unknown kinds map to -1; their
-// groups fail in faultSite exactly like the scalar path.
+// groups fail in faultSite.
 func sourceLayer(f fault.Fault) int {
 	switch f.Kind {
 	case fault.NASF, fault.ESF, fault.HSF:
@@ -69,7 +72,7 @@ func PackGroups(faults []fault.Fault) [][]int {
 }
 
 // packedScratch is the per-evaluator working state of the packed kernel,
-// allocated once on first batched call and reused across groups and items.
+// allocated with the evaluator and reused across groups and items.
 type packedScratch struct {
 	// per-lane fault state for the current (group, item) evaluation
 	site   [64]int
@@ -112,14 +115,9 @@ func (ps *packedScratch) selFor(n int) []float64 {
 	return ps.sel[:n*64]
 }
 
-// packed returns the evaluator's kernel scratch, allocating it on first use.
-func (e *Evaluator) packed() *packedScratch {
-	if e.ps != nil {
-		return e.ps
-	}
-	arch := e.g.ts.Arch
+// init sizes the scratch for arch.
+func (ps *packedScratch) init(arch snn.Arch) {
 	L := arch.Layers()
-	ps := &packedScratch{}
 	ps.mp = make([][]float64, L)
 	ps.dirty = make([][]uint64, L)
 	maxW := 0
@@ -141,46 +139,79 @@ func (e *Evaluator) packed() *packedScratch {
 	ps.nxtSub = make([]uint64, maxW)
 	ps.devIdx = make([]int, 0, maxW)
 	ps.nxtIdx = make([]int, 0, maxW)
-	e.ps = ps
-	return ps
 }
 
 // DetectsBatch evaluates every fault with the packed kernel and returns the
-// per-fault verdicts, index-aligned with faults. It is equivalent to calling
-// Detects once per fault, but amortizes the downstream re-simulation across
-// up to 64 faults per pass and flushes the obs accounting once per call.
-func (e *Evaluator) DetectsBatch(faults []fault.Fault) []bool {
-	//lint:ignore unchecked-error context.Background() never cancels, and cancellation is the only error DetectsBatchContext returns
-	out, _ := e.DetectsBatchContext(context.Background(), faults)
-	return out
-}
-
-// DetectsBatchContext is DetectsBatch with cooperative cancellation: the
-// per-group item scans check ctx between items. On cancellation it returns
-// ctx.Err() with the partial verdict slice — verdicts of faults whose scan
-// had not concluded are false and must be discarded by the caller.
-func (e *Evaluator) DetectsBatchContext(ctx context.Context, faults []fault.Fault) ([]bool, error) {
+// per-fault verdicts, index-aligned with faults: verdict i is true when any
+// item of the test set detects faults[i]. Up to 64 faults share each
+// downstream pass, a group's item scan stops once all its faults are
+// detected, and the obs accounting is flushed once per call. The scan
+// checks ctx between items; on cancellation it returns (nil, ctx.Err()).
+func (e *Evaluator) DetectsBatch(ctx context.Context, faults []fault.Fault) ([]bool, error) {
 	out := make([]bool, len(faults))
 	resolved := 0
 	defer func() { e.flushObsN(resolved) }()
+	var groups [][]int
 	if pregrouped(faults) {
 		// Already one packed group (the shape the tester's campaign pool
 		// always sends): skip the grouping map.
-		r, err := e.evalGroup(ctx, faults, identity64[:len(faults)], out)
-		resolved += r
-		return out, err
+		groups = [][]int{identity64[:len(faults)]}
+	} else {
+		groups = PackGroups(faults)
 	}
-	for _, idx := range PackGroups(faults) {
-		r, err := e.evalGroup(ctx, faults, idx, out)
-		resolved += r
-		if err != nil {
-			return out, err
+	for _, idx := range groups {
+		pending := fullMask(len(idx))
+		for it := range e.g.items {
+			if pending == 0 {
+				break
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			det := e.evalItem(&e.g.items[it], faults, idx, pending)
+			pending &^= det
+			resolved += bits.OnesCount64(det)
+			for ; det != 0; det &= det - 1 {
+				out[idx[bits.TrailingZeros64(det)]] = true
+			}
 		}
+		resolved += bits.OnesCount64(pending)
 	}
 	return out, nil
 }
 
-// identity64 is the identity index slice backing pregrouped fast paths.
+// DetectsMatrix evaluates every fault on every item with the packed kernel
+// and returns, index-aligned with faults, the set of items detecting each
+// fault as a bitset: item i detects faults[f] when bit i%64 of
+// rows[f][i/64] is set. Unlike DetectsBatch it never ends a scan early —
+// fault dictionaries, compaction and greedy selection need every item's
+// verdict. The obs accounting is flushed once per call. The scan checks ctx
+// between items; on cancellation it returns (nil, ctx.Err()).
+func (e *Evaluator) DetectsMatrix(ctx context.Context, faults []fault.Fault) ([][]uint64, error) {
+	words := (len(e.g.items) + 63) / 64
+	flat := make([]uint64, len(faults)*words)
+	rows := make([][]uint64, len(faults))
+	for f := range rows {
+		rows[f] = flat[f*words : (f+1)*words : (f+1)*words]
+	}
+	resolved := 0
+	defer func() { e.flushObsN(resolved) }()
+	for _, idx := range PackGroups(faults) {
+		lanes := fullMask(len(idx))
+		for it := range e.g.items {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for det := e.evalItem(&e.g.items[it], faults, idx, lanes); det != 0; det &= det - 1 {
+				rows[idx[bits.TrailingZeros64(det)]][it/64] |= 1 << uint(it%64)
+			}
+		}
+		resolved += len(idx)
+	}
+	return rows, nil
+}
+
+// identity64 is the identity index slice backing the pregrouped fast path.
 var identity64 = func() (id [64]int) {
 	for i := range id {
 		id[i] = i
@@ -203,112 +234,76 @@ func pregrouped(faults []fault.Fault) bool {
 	return true
 }
 
-// CoverageBatch returns how many of the given faults the test set detects,
-// evaluated with the packed kernel.
-func (e *Evaluator) CoverageBatch(faults []fault.Fault) int {
-	n := 0
-	for _, det := range e.DetectsBatch(faults) {
-		if det {
-			n++
-		}
-	}
-	return n
-}
-
-// evalGroup runs one packed group (same kind, same source layer, ≤64 lanes)
-// through the item scan, setting out[idx[lane]] for detected faults. It
-// returns how many of the group's faults reached a verdict — all of them,
-// unless ctx cancelled the scan early.
+// evalItem evaluates the lanes of one packed group (same kind, same source
+// layer, ≤64 lanes) on one item: lane l is faults[idx[l]], and only the
+// lanes set in lanes are evaluated. It returns the detected-lane word.
 //
-// Per lane and item the semantics mirror detectsOn exactly: behaviourally
+// Per lane the semantics are the scalar oracle's exactly: behaviourally
 // inert faults and faulty trains equal to the golden train never reach the
 // memo; primary-output deviations compare spike counts directly; everything
-// else consults the shared memo and falls to the packed downstream pass.
-func (e *Evaluator) evalGroup(ctx context.Context, faults []fault.Fault, idx []int, out []bool) (resolved int, err error) {
-	ps := e.packed()
-	n := len(idx)
-	pending := fullMask(n)
+// else consults the item's shared memo, and the misses share one packed
+// downstream pass whose verdicts are memoized.
+func (e *Evaluator) evalItem(ic *goldenItem, faults []fault.Fault, idx []int, lanes uint64) (detected uint64) {
+	ps := &e.ps
 	L := e.g.ts.Arch.Layers()
-	for it := range e.g.items {
-		if pending == 0 {
-			break
+	var run uint64
+	runLayer := 0
+	for ; lanes != 0; lanes &= lanes - 1 {
+		l := bits.TrailingZeros64(lanes)
+		layer, index, train, ok := e.faultSite(ic, faults[idx[l]])
+		if !ok {
+			continue // inert on this item
 		}
-		if err := ctx.Err(); err != nil {
-			return resolved, err
+		good := ic.trace.X[layer][index]
+		if train == good {
+			continue // no behavioural deviation on this item
 		}
-		ic := &e.g.items[it]
-		var run uint64
-		runLayer := 0
-		for lanes := pending; lanes != 0; {
-			l := bits.TrailingZeros64(lanes)
-			lanes &= lanes - 1
-			layer, index, train, ok := e.faultSite(ic, faults[idx[l]])
-			if !ok {
-				continue // inert on this item
+		lane := uint64(1) << uint(l)
+		if layer == L-1 && layer != 0 {
+			if bits.OnesCount64(train) != bits.OnesCount64(good) {
+				detected |= lane
 			}
-			good := ic.trace.X[layer][index]
-			if train == good {
-				continue // no behavioural deviation on this item
-			}
-			if layer == L-1 && layer != 0 {
-				if bits.OnesCount64(train) != bits.OnesCount64(good) {
-					out[idx[l]] = true
-					pending &^= 1 << uint(l)
-					resolved++
-				}
-				continue
-			}
-			if det, hit := ic.memo.lookup(memoKey{layer: layer, index: index, train: train}); hit {
-				e.pendingMemoHits++
-				if det {
-					out[idx[l]] = true
-					pending &^= 1 << uint(l)
-					resolved++
-				}
-				continue
-			}
-			// Two lanes of one group can deviate the same neuron with the
-			// same train (e.g. SWF faults on different synapses producing
-			// identical deltas). The scalar scan would find the second one
-			// memoized; count it as a hit so batched and scalar accounting
-			// agree, and let the duplicate lane ride along in the pass.
-			dup := false
-			for prior := run; prior != 0; {
-				p := bits.TrailingZeros64(prior)
-				prior &= prior - 1
-				if ps.site[p] == index && ps.trains[p] == train {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				e.pendingMemoHits++
-			} else {
-				e.pendingMemoMisses++
-			}
-			ps.site[l] = index
-			ps.trains[l] = train
-			run |= 1 << uint(l)
-			runLayer = layer
-		}
-		if run == 0 {
 			continue
 		}
-		det := e.downstreamPacked(ic, runLayer, run)
-		for lanes := run; lanes != 0; {
-			l := bits.TrailingZeros64(lanes)
-			lanes &= lanes - 1
-			d := det&(1<<uint(l)) != 0
-			ic.memo.store(memoKey{layer: runLayer, index: ps.site[l], train: ps.trains[l]}, d)
-			if d {
-				out[idx[l]] = true
-				pending &^= 1 << uint(l)
-				resolved++
+		if det, hit := ic.memo.lookup(memoKey{layer: layer, index: index, train: train}); hit {
+			e.pendingMemoHits++
+			if det {
+				detected |= lane
+			}
+			continue
+		}
+		// Two lanes of one group can deviate the same neuron with the same
+		// train (e.g. SWF faults on different synapses producing identical
+		// deltas). A fault-at-a-time scan would find the second one
+		// memoized; count it as a hit so the accounting does not depend on
+		// lane packing, and let the duplicate lane ride along in the pass.
+		dup := false
+		for prior := run; prior != 0; prior &= prior - 1 {
+			p := bits.TrailingZeros64(prior)
+			if ps.site[p] == index && ps.trains[p] == train {
+				dup = true
+				break
 			}
 		}
+		if dup {
+			e.pendingMemoHits++
+		} else {
+			e.pendingMemoMisses++
+		}
+		ps.site[l] = index
+		ps.trains[l] = train
+		run |= lane
+		runLayer = layer
 	}
-	resolved += bits.OnesCount64(pending)
-	return resolved, nil
+	if run == 0 {
+		return detected
+	}
+	det := e.downstreamPacked(ic, runLayer, run)
+	for r := run; r != 0; r &= r - 1 {
+		l := bits.TrailingZeros64(r)
+		ic.memo.store(memoKey{layer: runLayer, index: ps.site[l], train: ps.trains[l]}, det&(1<<uint(l)) != 0)
+	}
+	return detected | det
 }
 
 // downstreamPacked re-simulates layers runLayer+1..L-1 for every lane in
@@ -323,10 +318,10 @@ func (e *Evaluator) evalGroup(ctx context.Context, faults []fault.Fault, idx []i
 // potential has diverged ("dirty") integrate every timestep from the SoA
 // scratch; all other lanes' spike bits are broadcast from the golden train
 // without touching a float. Output-layer deviations maintain per-lane
-// spike-count differences against the golden counts, with the same monotone
-// overshoot early-exit as the scalar path.
+// spike-count differences against the golden counts, with a per-lane
+// monotone overshoot early exit.
 func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) uint64 {
-	ps := e.ps
+	ps := &e.ps
 	arch := e.g.ts.Arch
 	L := arch.Layers()
 	T := ic.item.Timesteps
@@ -483,7 +478,7 @@ func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) u
 					diff[dbase+lane]++
 					// Output spike counts are monotone nondecreasing in t:
 					// a lane whose count exceeds the golden total can never
-					// fall back — the scalar path's early exit, per lane.
+					// fall back, so the lane's verdict is final.
 					if gs+int(diff[dbase+lane]) > gtot {
 						detected |= 1 << uint(lane)
 					}
@@ -651,7 +646,7 @@ func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) u
 					diff[dbase+lane]++
 					// Output spike counts are monotone nondecreasing in t:
 					// a lane whose count exceeds the golden total can never
-					// fall back — the scalar path's early exit, per lane.
+					// fall back, so the lane's verdict is final.
 					if gs+int(diff[dbase+lane]) > gtot {
 						detected |= 1 << uint(lane)
 					}

@@ -54,8 +54,8 @@ var benchDetected int
 // BenchmarkKernel isolates the fault-simulation kernel: the Golden (good-chip
 // traces + packed trace store) is built outside the timed loop, and the cold
 // variants use a fresh evaluator per iteration so every verdict is fully
-// re-simulated (empty memo). scalar walks the universe through Detects;
-// packed runs the same universe through DetectsBatch. The warm variants reuse
+// re-simulated (empty memo). scalar walks the universe through the test
+// oracle's Detects; packed runs the same universe through DetectsBatch. The warm variants reuse
 // one evaluator, so they measure the memoized steady state instead.
 //
 // The universe is the threshold-fault kinds (ESF/HSF): their site trains
@@ -87,7 +87,7 @@ func BenchmarkKernel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			flushMemos()
-			e := g.NewEvaluator(values)
+			e := newScalarOracle(g.NewEvaluator(values))
 			b.StartTimer()
 			n := 0
 			for _, f := range universe {
@@ -106,7 +106,7 @@ func BenchmarkKernel(b *testing.B) {
 			e := g.NewEvaluator(values)
 			b.StartTimer()
 			n := 0
-			for _, v := range e.DetectsBatch(universe) {
+			for _, v := range detectsBatch(b, e, universe) {
 				if v {
 					n++
 				}
@@ -115,7 +115,7 @@ func BenchmarkKernel(b *testing.B) {
 		}
 	})
 
-	scalarWarm := g.NewEvaluator(values)
+	scalarWarm := newScalarOracle(g.NewEvaluator(values))
 	for _, f := range universe {
 		scalarWarm.Detects(f)
 	}
@@ -132,12 +132,12 @@ func BenchmarkKernel(b *testing.B) {
 		}
 	})
 	packedWarm := g.NewEvaluator(values)
-	packedWarm.DetectsBatch(universe)
+	detectsBatch(b, packedWarm, universe)
 	b.Run("packed/warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			n := 0
-			for _, v := range packedWarm.DetectsBatch(universe) {
+			for _, v := range detectsBatch(b, packedWarm, universe) {
 				if v {
 					n++
 				}

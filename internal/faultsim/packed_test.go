@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"math/bits"
 	"testing"
 
@@ -50,18 +51,20 @@ func fullUniverse(arch snn.Arch) []fault.Fault {
 	return universe
 }
 
-// assertPackedAgrees runs the whole universe through the packed kernel, the
-// scalar reference evaluator and brute-force simulation and fails on any
-// verdict disagreement.
+// assertPackedAgrees runs the whole universe through both packed drivers,
+// the scalar oracle and brute-force simulation and fails on any verdict
+// disagreement: per fault for DetectsBatch, per (fault, item) for
+// DetectsMatrix. The oracle runs on its own Golden, so it never reads a
+// verdict the packed kernel memoized.
 func assertPackedAgrees(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) {
 	t.Helper()
-	g := NewGolden(ts, nil)
-	scalar := g.NewEvaluator(values)
-	packed := g.NewEvaluator(values)
-	got := packed.DetectsBatch(universe)
+	scalar := newScalarOracle(NewGolden(ts, nil).NewEvaluator(values))
+	packed := NewGolden(ts, nil).NewEvaluator(values)
+	got := detectsBatch(t, packed, universe)
 	if len(got) != len(universe) {
 		t.Fatalf("DetectsBatch returned %d verdicts for %d faults", len(got), len(universe))
 	}
+	assertMatrixMatchesOracle(t, detectsMatrix(t, packed, universe), scalar, universe)
 	for i, f := range universe {
 		want := scalar.Detects(f)
 		if got[i] != want {
@@ -76,7 +79,8 @@ func assertPackedAgrees(t *testing.T, ts *pattern.TestSet, values fault.Values, 
 // TestPackedMatchesScalarAndBrute is the packed kernel's load-bearing
 // differential test: on random configurations and patterns, every fault of
 // every model must get the same verdict from the packed kernel, the scalar
-// evaluator and full brute-force simulation.
+// oracle and full brute-force simulation, and the detection matrix must
+// match the oracle on every (fault, item) pair.
 func TestPackedMatchesScalarAndBrute(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arches := []snn.Arch{
@@ -101,7 +105,7 @@ func TestPackedSharesMemoWithScalar(t *testing.T) {
 	universe := fault.Universe(arch, fault.ESF)
 
 	g := NewGolden(ts, nil)
-	scalar := g.NewEvaluator(values)
+	scalar := newScalarOracle(g.NewEvaluator(values))
 	want := make([]bool, len(universe))
 	for i, f := range universe {
 		want[i] = scalar.Detects(f)
@@ -109,7 +113,7 @@ func TestPackedSharesMemoWithScalar(t *testing.T) {
 
 	before := Snapshot()
 	packed := g.NewEvaluator(values)
-	got := packed.DetectsBatch(universe)
+	got := detectsBatch(t, packed, universe)
 	d := statsDelta(Snapshot(), before)
 	for i := range universe {
 		if got[i] != want[i] {
@@ -253,7 +257,7 @@ func TestInertTrainSkipsMemo(t *testing.T) {
 		t.Fatal("fixture broken: no boundary-0 SWF faults")
 	}
 
-	eng := New(ts, values, nil)
+	eng := NewGolden(ts, nil).NewEvaluator(values)
 	// Precondition: the faults are NOT value-inert (ω̂ differs from the
 	// programmed weight), their trains just happen to match the golden.
 	ic := &eng.g.items[0]
@@ -267,8 +271,8 @@ func TestInertTrainSkipsMemo(t *testing.T) {
 		}
 	}
 
-	scalarVerdicts := detectsEach(eng, hidden)
-	packedVerdicts := eng.DetectsBatch(hidden)
+	scalarVerdicts := detectsEach(newScalarOracle(eng), hidden)
+	packedVerdicts := detectsBatch(t, eng, hidden)
 	for i, f := range hidden {
 		if scalarVerdicts[i] {
 			t.Errorf("scalar: %v detected despite an inert train", f)
@@ -284,14 +288,14 @@ func TestInertTrainSkipsMemo(t *testing.T) {
 	// The shortcut's observable contract: no downstream pass ran, nothing
 	// was memoized.
 	before := Snapshot()
-	fresh := New(ts, values, nil)
+	fresh := NewGolden(ts, nil).NewEvaluator(values)
+	freshOracle := newScalarOracle(fresh)
 	for _, f := range hidden {
-		if fresh.Detects(f) {
+		if freshOracle.Detects(f) {
 			t.Errorf("%v detected on fresh engine", f)
 		}
 	}
-	freshPacked := fresh.g.NewEvaluator(values)
-	freshPacked.DetectsBatch(hidden)
+	detectsBatch(t, fresh.g.NewEvaluator(values), hidden)
 	d := statsDelta(Snapshot(), before)
 	if d.MemoMisses != 0 || d.MemoHits != 0 {
 		t.Errorf("inert trains touched the memo: hits=%d misses=%d (want 0, 0)", d.MemoHits, d.MemoMisses)
@@ -301,28 +305,28 @@ func TestInertTrainSkipsMemo(t *testing.T) {
 	}
 }
 
-// detectsEach runs the scalar Detects per fault.
-func detectsEach(e *Evaluator, faults []fault.Fault) []bool {
+// detectsEach runs the oracle's Detects per fault.
+func detectsEach(o *scalarOracle, faults []fault.Fault) []bool {
 	out := make([]bool, len(faults))
 	for i, f := range faults {
-		out[i] = e.Detects(f)
+		out[i] = o.Detects(f)
 	}
 	return out
 }
 
-// TestBatchFlushesObs mirrors TestDetectsOnItemFlushesObs for the batch
-// entry points: one DetectsBatch call over a one-item set must flush the
+// TestBatchFlushesObs mirrors TestMatrixFlushesObs for the batch entry
+// points: one DetectsBatch call over a one-item set must flush the
 // evaluator-local memo statistics, count every fault exactly once, and
-// publish the same memo traffic as the equivalent scalar scan.
+// publish the same memo traffic as the equivalent fault-at-a-time scan.
 func TestBatchFlushesObs(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{4, 3, 2}
 	ts := randomTestSet(arch, 1, 1, 11)
 	universe := fault.Universe(arch, fault.SWF)
 
-	e1 := New(ts, values, nil)
+	e1 := NewGolden(ts, nil).NewEvaluator(values)
 	before := Snapshot()
-	e1.DetectsBatch(universe)
+	detectsBatch(t, e1, universe)
 	batch := statsDelta(Snapshot(), before)
 	if e1.pendingMemoHits != 0 || e1.pendingMemoMisses != 0 {
 		t.Errorf("pending stats not flushed: hits=%d misses=%d",
@@ -335,11 +339,9 @@ func TestBatchFlushesObs(t *testing.T) {
 
 	// The same workload fault-at-a-time on a fresh engine: identical work,
 	// so the published memo statistics must agree.
-	e2 := New(ts, values, nil)
+	e2 := newScalarOracle(NewGolden(ts, nil).NewEvaluator(values))
 	before = Snapshot()
-	for _, f := range universe {
-		e2.Detects(f)
-	}
+	detectsEach(e2, universe)
 	scan := statsDelta(Snapshot(), before)
 	if batch.MemoHits != scan.MemoHits || batch.MemoMisses != scan.MemoMisses {
 		t.Errorf("batch published hits=%d misses=%d; scan published hits=%d misses=%d",
@@ -350,10 +352,14 @@ func TestBatchFlushesObs(t *testing.T) {
 	}
 
 	// Coverage and Undetected route through the batch path and flush too.
-	e3 := New(ts, values, nil)
+	e3 := NewGolden(ts, nil).NewEvaluator(values)
 	before = Snapshot()
-	e3.Coverage(universe)
-	e3.Undetected(universe)
+	if _, err := e3.Coverage(context.Background(), universe); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e3.Undetected(context.Background(), universe); err != nil {
+		t.Fatal(err)
+	}
 	cov := statsDelta(Snapshot(), before)
 	if e3.pendingMemoHits != 0 || e3.pendingMemoMisses != 0 {
 		t.Errorf("Coverage/Undetected left pending stats: hits=%d misses=%d",
@@ -364,8 +370,8 @@ func TestBatchFlushesObs(t *testing.T) {
 	}
 }
 
-// TestCoverageBatchMatchesScalarCount cross-checks the counting APIs on a
-// larger mixed universe.
+// TestCoverageBatchMatchesScalarCount cross-checks the counting APIs, both
+// derived from DetectsBatch, against the oracle on a larger mixed universe.
 func TestCoverageBatchMatchesScalarCount(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{5, 4, 3, 2}
@@ -373,17 +379,21 @@ func TestCoverageBatchMatchesScalarCount(t *testing.T) {
 	universe := fullUniverse(arch)
 
 	g := NewGolden(ts, nil)
-	scalar := g.NewEvaluator(values)
+	scalar := newScalarOracle(NewGolden(ts, nil).NewEvaluator(values))
 	n := 0
 	for _, f := range universe {
 		if scalar.Detects(f) {
 			n++
 		}
 	}
-	if got := g.NewEvaluator(values).CoverageBatch(universe); got != n {
-		t.Errorf("CoverageBatch = %d, scalar count = %d", got, n)
+	ctx := context.Background()
+	if got, err := g.NewEvaluator(values).Coverage(ctx, universe); err != nil || got != n {
+		t.Errorf("Coverage = %d (err %v), scalar count = %d", got, err, n)
 	}
-	missed := g.NewEvaluator(values).Undetected(universe)
+	missed, err := g.NewEvaluator(values).Undetected(ctx, universe)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(missed) != len(universe)-n {
 		t.Errorf("Undetected = %d faults, want %d", len(missed), len(universe)-n)
 	}
@@ -391,7 +401,8 @@ func TestCoverageBatchMatchesScalarCount(t *testing.T) {
 
 // FuzzPackedEquivalence fuzzes the packed-vs-scalar-vs-brute agreement over
 // random seeds, window lengths (including the 64-timestep boundary) and
-// input modes.
+// input modes, per fault for DetectsBatch and per (fault, item) for
+// DetectsMatrix.
 func FuzzPackedEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(5), false)
 	f.Add(uint64(2), uint8(64), true)
@@ -403,10 +414,10 @@ func FuzzPackedEquivalence(f *testing.F) {
 		T := 1 + int(t8)%snn.MaxTimesteps
 		ts := randomTestSetT(arch, 2, 2, seed, T, hold)
 		universe := fullUniverse(arch)
-		g := NewGolden(ts, nil)
-		scalar := g.NewEvaluator(values)
-		packed := g.NewEvaluator(values)
-		got := packed.DetectsBatch(universe)
+		scalar := newScalarOracle(NewGolden(ts, nil).NewEvaluator(values))
+		packed := NewGolden(ts, nil).NewEvaluator(values)
+		got := detectsBatch(t, packed, universe)
+		assertMatrixMatchesOracle(t, detectsMatrix(t, packed, universe), scalar, universe)
 		for i, flt := range universe {
 			want := scalar.Detects(flt)
 			if got[i] != want {
@@ -426,12 +437,12 @@ func TestPackedNASFInputLayer(t *testing.T) {
 	arch := snn.Arch{4, 3, 2}
 	ts := randomTestSet(arch, 2, 3, 55)
 	g := NewGolden(ts, nil)
-	scalar := g.NewEvaluator(values)
+	scalar := newScalarOracle(g.NewEvaluator(values))
 	var universe []fault.Fault
 	for i := 0; i < arch[0]; i++ {
 		universe = append(universe, fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 0, Index: i}))
 	}
-	got := g.NewEvaluator(values).DetectsBatch(universe)
+	got := detectsBatch(t, g.NewEvaluator(values), universe)
 	for i, f := range universe {
 		if want := scalar.Detects(f); got[i] != want {
 			t.Errorf("%v: packed=%v scalar=%v", f, got[i], want)

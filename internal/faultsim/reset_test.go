@@ -42,14 +42,11 @@ func TestBruteForceEquivalenceResetSubtract(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		arch := snn.Arch{5, 4, 3, 2}
 		ts := randomTestSetMode(arch, 2, 3, 200+seed, snn.ResetSubtract)
-		eng := New(ts, values, nil)
-		for _, kind := range fault.Kinds() {
-			for _, f := range fault.Universe(arch, kind) {
-				want := bruteForce(ts, values, f)
-				got := eng.Detects(f)
-				if got != want {
-					t.Fatalf("seed %d %v: engine=%v brute=%v", seed, f, got, want)
-				}
+		eng := NewGolden(ts, nil).NewEvaluator(values)
+		universe := fullUniverse(arch)
+		for i, got := range detectsBatch(t, eng, universe) {
+			if want := bruteForce(ts, values, universe[i]); got != want {
+				t.Fatalf("seed %d %v: engine=%v brute=%v", seed, universe[i], got, want)
 			}
 		}
 	}
@@ -80,14 +77,11 @@ func TestBruteForceEquivalenceHeldPatterns(t *testing.T) {
 		for i := range ts.Items {
 			ts.Items[i].Hold = true
 		}
-		eng := New(ts, values, nil)
-		for _, kind := range fault.Kinds() {
-			for _, f := range fault.Universe(arch, kind) {
-				want := bruteForceMode(ts, values, f)
-				got := eng.Detects(f)
-				if got != want {
-					t.Fatalf("seed %d %v (held): engine=%v brute=%v", seed, f, got, want)
-				}
+		eng := NewGolden(ts, nil).NewEvaluator(values)
+		universe := fullUniverse(arch)
+		for i, got := range detectsBatch(t, eng, universe) {
+			if want := bruteForceMode(ts, values, universe[i]); got != want {
+				t.Fatalf("seed %d %v (held): engine=%v brute=%v", seed, universe[i], got, want)
 			}
 		}
 	}

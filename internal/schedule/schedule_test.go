@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"testing"
 
 	"neurotest/internal/fault"
@@ -82,9 +83,9 @@ func TestGroupPreservesCoverage(t *testing.T) {
 	ts := interleavedSet(t)
 	values := fault.PaperValues(0.5)
 	universe := fault.Universe(ts.Arch, fault.SWF)
-	before := faultsim.New(ts, values, nil).Coverage(universe)
+	before := coverage(t, ts, values, universe)
 	out := Group(ts)
-	after := faultsim.New(out, values, nil).Coverage(universe)
+	after := coverage(t, out, values, universe)
 	if before != after {
 		t.Errorf("coverage changed: %d -> %d", before, after)
 	}
@@ -118,4 +119,15 @@ func TestAlreadyGroupedIsNoop(t *testing.T) {
 	if err := Verify(grouped, again); err != nil {
 		t.Errorf("idempotent grouping broke: %v", err)
 	}
+}
+
+// coverage fault-simulates universe against ts and returns how many faults
+// it detects.
+func coverage(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) int {
+	t.Helper()
+	n, err := faultsim.NewGolden(ts, nil).NewEvaluator(values).Coverage(context.Background(), universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

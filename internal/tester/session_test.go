@@ -272,6 +272,36 @@ func TestMeasureCoveragePanicSurfaces(t *testing.T) {
 	}
 }
 
+// TestMeasureCoveragePanicInsideGroup puts the bogus fault inside an
+// otherwise valid packed group (same kind, same source layer), so the
+// group's batch panics and is re-run as size-1 groups: exactly the bogus
+// fault must surface as an error and every other member must still be
+// tallied.
+func TestMeasureCoveragePanicInsideGroup(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	g, merged := smallSuite(t, arch, core.NoVariation())
+	ate := New(merged, nil)
+	faults := fault.Universe(arch, fault.NASF)
+	bogus := fault.Fault{Kind: fault.NASF, Neuron: snn.NeuronID{Layer: 1, Index: 99}}
+	mixed := append(append([]fault.Fault{}, faults[:2]...), bogus)
+	mixed = append(mixed, faults[2:]...)
+	if faults[0].Neuron.Layer != 1 {
+		t.Fatalf("fixture broken: first NASF fault %v is not on layer 1", faults[0])
+	}
+
+	res := ate.MeasureCoverage(mixed, g.Options().Values)
+	if len(res.Errors) != 1 {
+		t.Fatalf("errors = %v", res.Errors)
+	}
+	var we *WorkerError
+	if !errors.As(res.Errors[0], &we) || we.Op != "coverage" || we.Fault == nil || *we.Fault != bogus {
+		t.Errorf("worker error context: %v", res.Errors[0])
+	}
+	if res.Total != len(mixed) || res.Detected != len(faults) || len(res.Undetected) != 0 {
+		t.Errorf("group members mis-tallied: %v", res)
+	}
+}
+
 func TestCampaignPanicContextOnCaller(t *testing.T) {
 	// The float64 convenience wrappers re-raise worker panics on the
 	// caller's goroutine with context — recoverable, not process-fatal.

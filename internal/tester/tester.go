@@ -367,10 +367,9 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 	}
 	// The pool claims faults in packed groups (same kind, same deviated
 	// layer, ≤64 per group): each group runs one bit-parallel downstream
-	// pass through the packed kernel instead of one scalar pass per fault.
-	// A group that panics falls back to fault-at-a-time scalar evaluation,
-	// so only the offending fault lands in Errors and the rest of its group
-	// still gets verdicts — the per-fault semantics of the scalar pool.
+	// pass through the packed kernel. A group that panics is re-run through
+	// the same kernel as size-1 groups, so only the offending fault lands in
+	// Errors and the rest of its group still gets verdicts.
 	groups := faultsim.PackGroups(faults)
 	evals := make([]*faultsim.Evaluator, poolWorkers(len(groups)))
 	type groupVerdict struct {
@@ -388,7 +387,7 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 			defer func() {
 				if p := recover(); p != nil {
 					// Only the worker's scratch can be mid-mutation: discard
-					// the evaluator and isolate the culprit fault-at-a-time.
+					// the evaluator and isolate the culprit in size-1 groups.
 					evals[w] = nil
 					ok = false
 				}
@@ -396,7 +395,7 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 			if evals[w] == nil {
 				evals[w] = golden.NewEvaluator(values)
 			}
-			out, err = evals[w].DetectsBatchContext(ctx, sub)
+			out, err = evals[w].DetectsBatch(ctx, sub)
 			return out, err, true
 		}
 		if out, err, ok := batch(); ok {
@@ -426,18 +425,18 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 				if evals[w] == nil {
 					evals[w] = golden.NewEvaluator(values)
 				}
-				det, err := evals[w].DetectsContext(ctx, sub[k])
+				det, err := evals[w].DetectsBatch(ctx, sub[k:k+1])
 				if err != nil {
 					return // cancelled: leave evaluated[k] false
 				}
-				v.detected[k] = det
+				v.detected[k] = det[0]
 				v.evaluated[k] = true
 			}()
 		}
 		return v
 	})
 	// Scatter the group verdicts back to global fault order, so Detected,
-	// Undetected and Errors aggregate exactly like the scalar pool did.
+	// Undetected and Errors aggregate in input order.
 	detected := make([]bool, len(faults))
 	evaluated := make([]bool, len(faults))
 	errAt := make([]error, len(faults))
