@@ -60,13 +60,14 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPackedEquivalence -fuzztime=10s ./internal/faultsim
 
 # bench runs the performance suite — the paper-evaluation benchmarks in the
-# root package plus the internal/obs instrument and internal/snn simulator
+# root package plus the internal/obs instrument, internal/snn simulator,
+# internal/faultsim kernel and internal/tester sampling and die-session
 # micro-benches — and records the machine-readable Go benchmark output under
 # results/bench.txt. Narrow with BENCH (regexp) or shorten with BENCHTIME
 # (e.g. 10x).
 BENCH ?= .
 BENCHTIME ?= 1s
-BENCHPKGS ?= . ./internal/obs ./internal/snn ./internal/faultsim
+BENCHPKGS ?= . ./internal/obs ./internal/snn ./internal/faultsim ./internal/tester
 bench:
 	@mkdir -p results
 	$(GO) test -run='^$$' -bench='$(BENCH)' -benchtime=$(BENCHTIME) -benchmem $(BENCHPKGS) | tee results/bench.txt

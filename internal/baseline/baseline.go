@@ -152,15 +152,17 @@ func Generate(name string, kind fault.Kind, opt Options) (*pattern.TestSet, erro
 		}
 	}
 
-	// Guidance sample of the fault universe.
-	universe := fault.Universe(opt.Arch, kind)
-	sample := universe
-	if opt.FaultSample > 0 && opt.FaultSample < len(universe) {
-		perm := rng.Perm(len(universe))
+	// Guidance sample of the fault universe, drawn by index so a sampled
+	// universe is never built.
+	var sample []fault.Fault
+	if n := fault.UniverseSize(opt.Arch, kind); opt.FaultSample > 0 && opt.FaultSample < n {
+		perm := rng.Perm(n)
 		sample = make([]fault.Fault, opt.FaultSample)
 		for i := range sample {
-			sample[i] = universe[perm[i]]
+			sample[i], _ = fault.UniverseAt(opt.Arch, kind, perm[i])
 		}
+	} else {
+		sample = fault.Universe(opt.Arch, kind)
 	}
 
 	// Detection matrix via the packed fault-simulation kernel.

@@ -157,27 +157,46 @@ func (f Fault) Modifiers(v Values) *snn.Modifiers {
 	return m
 }
 
-// Universe enumerates every fault of one model for an architecture, in a
-// fixed deterministic order (layer-major, then neuron / pre / post index).
+// Universe enumerates every fault of one model for an architecture, in the
+// order UniverseAt defines (layer-major, then neuron / pre / post index).
 func Universe(arch snn.Arch, kind Kind) []Fault {
-	var out []Fault
+	n := UniverseSize(arch, kind)
+	if n <= 0 {
+		return nil
+	}
+	out := make([]Fault, n)
+	for i := range out {
+		out[i], _ = UniverseAt(arch, kind, i)
+	}
+	return out
+}
+
+// UniverseAt returns the i-th fault of Universe(arch, kind) without
+// materialising the universe. The order is layer-major, then neuron index
+// for neuron faults and (pre, post) index for synapse faults. ok is false
+// when i lies outside [0, UniverseSize(arch, kind)).
+func UniverseAt(arch snn.Arch, kind Kind, i int) (f Fault, ok bool) {
+	if i < 0 {
+		return Fault{}, false
+	}
 	if kind.IsNeuronFault() {
 		// Neuron faults occur in all neurons except input neurons.
 		for k := 1; k < arch.Layers(); k++ {
-			for i := 0; i < arch[k]; i++ {
-				out = append(out, NewNeuronFault(kind, snn.NeuronID{Layer: k, Index: i}))
+			if i < arch[k] {
+				return NewNeuronFault(kind, snn.NeuronID{Layer: k, Index: i}), true
 			}
+			i -= arch[k]
 		}
-		return out
+		return Fault{}, false
 	}
 	for b := 0; b < arch.Boundaries(); b++ {
-		for i := 0; i < arch[b]; i++ {
-			for j := 0; j < arch[b+1]; j++ {
-				out = append(out, NewSynapseFault(kind, snn.SynapseID{Boundary: b, Pre: i, Post: j}))
-			}
+		nOut := arch[b+1]
+		if i < arch[b]*nOut {
+			return NewSynapseFault(kind, snn.SynapseID{Boundary: b, Pre: i / nOut, Post: i % nOut}), true
 		}
+		i -= arch[b] * nOut
 	}
-	return out
+	return Fault{}, false
 }
 
 // UniverseSize returns len(Universe(arch, kind)) without materialising it.

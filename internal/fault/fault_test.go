@@ -97,6 +97,53 @@ func TestUniverseDeterministicOrder(t *testing.T) {
 	}
 }
 
+// enumerate is the nested-loop enumeration Universe used before UniverseAt
+// defined the order, kept as an independent reference for it.
+func enumerate(arch snn.Arch, kind Kind) []Fault {
+	var out []Fault
+	if kind.IsNeuronFault() {
+		for k := 1; k < arch.Layers(); k++ {
+			for i := 0; i < arch[k]; i++ {
+				out = append(out, NewNeuronFault(kind, snn.NeuronID{Layer: k, Index: i}))
+			}
+		}
+		return out
+	}
+	for b := 0; b < arch.Boundaries(); b++ {
+		for i := 0; i < arch[b]; i++ {
+			for j := 0; j < arch[b+1]; j++ {
+				out = append(out, NewSynapseFault(kind, snn.SynapseID{Boundary: b, Pre: i, Post: j}))
+			}
+		}
+	}
+	return out
+}
+
+func TestUniverseAt(t *testing.T) {
+	for _, arch := range []snn.Arch{{3, 2, 2}, {6, 5, 4}, {10, 8, 6, 3}, {4, 1, 3}, {2, 7}} {
+		for _, k := range Kinds() {
+			u := Universe(arch, k)
+			ref := enumerate(arch, k)
+			if len(u) != len(ref) || len(u) != UniverseSize(arch, k) {
+				t.Fatalf("%v %v: Universe has %d faults, reference %d, UniverseSize %d",
+					arch, k, len(u), len(ref), UniverseSize(arch, k))
+			}
+			for i := range u {
+				f, ok := UniverseAt(arch, k, i)
+				if !ok || f != u[i] || u[i] != ref[i] {
+					t.Fatalf("%v %v [%d]: UniverseAt = %v, %v; Universe %v; reference %v",
+						arch, k, i, f, ok, u[i], ref[i])
+				}
+			}
+			for _, i := range []int{-1, len(u), len(u) + 1} {
+				if f, ok := UniverseAt(arch, k, i); ok || f != (Fault{}) {
+					t.Errorf("%v %v: UniverseAt(%d) = %v, %v; want zero fault, false", arch, k, i, f, ok)
+				}
+			}
+		}
+	}
+}
+
 func TestConstructors(t *testing.T) {
 	nf := NewNeuronFault(ESF, snn.NeuronID{Layer: 1, Index: 2})
 	if nf.Kind != ESF || nf.Neuron.Index != 2 {

@@ -129,21 +129,15 @@ func (a *ATE) RunChipSession(mods *snn.Modifiers, prof unreliable.Profile, vary 
 	if !vary.Zero() {
 		errs = vary.SampleError(a.ts.Arch, stats.NewRNG(seed^varySalt))
 	}
+	d := a.newDie(errs)
 	rep := SessionReport{Outcome: Pass, FailedItem: -1, BaselineItems: len(a.ts.Items)}
 	budget := policy.MaxRetests
-
-	currentCfg := -1
-	var sim *snn.Simulator
 
 	// apply runs one application of item i through the unreliable chip:
 	// intermittence gates the defect, then the readout channel corrupts
 	// (or drops) the simulated response.
 	apply := func(i int, it pattern.Item, first bool) (snn.Result, error) {
-		if it.ConfigIndex != currentCfg {
-			net := errs.ApplyTo(a.nets[it.ConfigIndex])
-			sim = snn.NewSimulator(net)
-			currentCfg = it.ConfigIndex
-		}
+		sim := d.program(it.ConfigIndex)
 		m := mods
 		if !sess.FaultActive() {
 			m = nil

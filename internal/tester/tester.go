@@ -223,19 +223,10 @@ func (a *ATE) RunChip(mods *snn.Modifiers, vary variation.Model, rng *stats.RNG)
 		//lint:ignore no-panic documented API contract on RunChip: non-zero variation requires an RNG
 		panic("tester: variation requires an RNG")
 	}
-	errs := vary.SampleError(a.ts.Arch, rng)
+	d := a.newDie(vary.SampleError(a.ts.Arch, rng))
 	v := Verdict{Passed: true, FailedItem: -1}
-	// Items are applied in order; a configuration is (re)programmed when
-	// first encountered, then reused for consecutive items sharing it.
-	currentCfg := -1
-	var sim *snn.Simulator
 	for i, it := range a.ts.Items {
-		if it.ConfigIndex != currentCfg {
-			net := errs.ApplyTo(a.nets[it.ConfigIndex])
-			sim = snn.NewSimulator(net)
-			currentCfg = it.ConfigIndex
-		}
-		res := sim.Run(it.Pattern, it.Timesteps, it.Mode(), mods)
+		res := d.program(it.ConfigIndex).Run(it.Pattern, it.Timesteps, it.Mode(), mods)
 		v.ItemsRun++
 		if !a.matches(res, a.goldenResult(i)) {
 			v.Passed = false
@@ -244,6 +235,45 @@ func (a *ATE) RunChip(mods *snn.Modifiers, vary variation.Model, rng *stats.RNG)
 		}
 	}
 	return v
+}
+
+// die is one chip under test as the ATE programs it. Items are applied in
+// order; a configuration is (re)programmed when first encountered, then
+// reused for consecutive items sharing it.
+//
+// A die without variation runs the ATE's shared configurations directly. A
+// die with an error tensor owns one network, allocated at its first
+// programming: every configuration is written into it in place as
+// config + E, so a die costs one network however many configurations its
+// test program holds, and the shared configurations are only ever read.
+type die struct {
+	nets []*snn.Network // the ATE's programmed configurations, read-only
+	errs *variation.ErrorTensor
+	cfg  int // configuration currently programmed, or -1
+	sim  *snn.Simulator
+}
+
+// newDie returns a blank die whose synapses deviate by errs (nil for none).
+func (a *ATE) newDie(errs *variation.ErrorTensor) *die {
+	return &die{nets: a.nets, errs: errs, cfg: -1}
+}
+
+// program returns a simulator of configuration ci as programmed into the
+// die.
+func (d *die) program(ci int) *snn.Simulator {
+	if ci == d.cfg {
+		return d.sim
+	}
+	d.cfg = ci
+	switch {
+	case d.errs == nil:
+		d.sim = snn.NewSimulator(d.nets[ci])
+	case d.sim == nil:
+		d.sim = snn.NewSimulator(d.errs.ApplyTo(d.nets[ci]))
+	default:
+		d.errs.ApplyInto(d.sim.Network(), d.nets[ci])
+	}
+	return d.sim
 }
 
 // WorkerError is a structured error recording a recovered panic from a
@@ -712,6 +742,10 @@ func runWorkersCtx[T any](ctx context.Context, n int, fn func(i, w int) T) (out 
 // budget the kinds are served one fault each in listed order until the
 // budget runs out. With max <= 0 or max >= total it returns the full
 // concatenated universes.
+//
+// A bounded sample builds no universe: each partly sampled kind costs one
+// RNG permutation of its universe size, and the kept indices are mapped to
+// faults through fault.UniverseAt.
 func SampleFaults(arch snn.Arch, kinds []fault.Kind, max int, seed uint64) []fault.Fault {
 	sizes := make([]int, len(kinds))
 	total := 0
@@ -719,27 +753,22 @@ func SampleFaults(arch snn.Arch, kinds []fault.Kind, max int, seed uint64) []fau
 		sizes[i] = fault.UniverseSize(arch, k)
 		total += sizes[i]
 	}
-	var out []fault.Fault
-	if max <= 0 || max >= total {
-		for _, k := range kinds {
-			out = append(out, fault.Universe(arch, k)...)
-		}
-		return out
+	want, n := sizes, total
+	if max > 0 && max < total {
+		want, n = sampleAllocation(sizes, max, total), max
 	}
 	rng := stats.NewRNG(seed)
-	want := sampleAllocation(sizes, max, total)
+	out := make([]fault.Fault, 0, n)
 	for i, k := range kinds {
-		if want[i] == 0 {
-			continue
-		}
-		u := fault.Universe(arch, k)
-		if want[i] >= len(u) {
-			out = append(out, u...)
-			continue
-		}
-		perm := rng.Perm(len(u))
-		for _, idx := range perm[:want[i]] {
-			out = append(out, u[idx])
+		switch {
+		case want[i] == 0:
+		case want[i] >= sizes[i]:
+			out = append(out, fault.Universe(arch, k)...)
+		default:
+			for _, idx := range rng.Perm(sizes[i])[:want[i]] {
+				f, _ := fault.UniverseAt(arch, k, idx)
+				out = append(out, f)
+			}
 		}
 	}
 	return out

@@ -12,7 +12,7 @@ import (
 	"neurotest/internal/variation"
 )
 
-func smallSuite(t *testing.T, arch snn.Arch, regime core.Regime) (*core.Generator, *pattern.TestSet) {
+func smallSuite(t testing.TB, arch snn.Arch, regime core.Regime) (*core.Generator, *pattern.TestSet) {
 	t.Helper()
 	params := snn.DefaultParams()
 	g, err := core.NewGenerator(core.Options{

@@ -41,48 +41,27 @@ func (m Model) String() string {
 	return fmt.Sprintf("σ=%g", m.Sigma)
 }
 
-// Perturb adds an independent N(0, σ²) error to every weight of net in
-// place — the paper's exact CUT model (Section 5.3: "we modify each weight
-// of the CUT by adding a random variable of a zero-mean normal
-// distribution").
+// ErrorTensor is one chip's frozen per-synapse weight deviation: device i
+// always stores its programmed weight shifted by E_i — the paper's CUT model
+// (Section 5.3: "we modify each weight of the CUT by adding a random
+// variable of a zero-mean normal distribution"). Sampling the tensor once
+// per chip and applying it to every programmed configuration models a die
+// whose synapse devices each carry a fixed programming offset; a die that
+// owns one network can take every configuration in place with ApplyInto,
+// so programming it allocates nothing after the first configuration.
 //
 // Deliberately NO clamping to [ωmin, ωmax]: clamping would bias every
 // saturated weight toward zero (a weight at -ωmax can only move up), which
 // systematically shifts the Ω sums of test configurations built from
 // saturated weights and fabricates overkill the unbiased model does not
 // have. The chip package separately models physical range limits.
-func (m Model) Perturb(net *snn.Network, rng *stats.RNG) {
-	if m.Zero() {
-		return
-	}
-	for b := range net.W {
-		row := net.W[b]
-		for i := range row {
-			row[i] += m.Sigma * rng.NormFloat64()
-		}
-	}
-}
-
-// PerturbedClone returns a freshly perturbed copy of net, leaving the
-// original untouched.
-func (m Model) PerturbedClone(net *snn.Network, rng *stats.RNG) *snn.Network {
-	c := net.Clone()
-	m.Perturb(c, rng)
-	return c
-}
-
-// ErrorTensor is one chip's frozen per-synapse weight deviation: device i
-// always stores its programmed weight shifted by E_i. Sampling the tensor
-// once per chip and applying it to every programmed configuration models a
-// die whose synapse devices each carry a fixed programming offset, and makes
-// whole-test-program simulation ~|configs|× cheaper than redrawing noise per
-// programming.
 type ErrorTensor struct {
 	E [][]float64 // same shape as Network.W
 }
 
-// SampleError draws a chip's error tensor for an architecture. A zero model
-// returns nil, meaning "no deviation".
+// SampleError draws a chip's error tensor for an architecture: an
+// independent N(0, σ²) error per synapse. A zero model returns nil, meaning
+// "no deviation".
 func (m Model) SampleError(arch snn.Arch, rng *stats.RNG) *ErrorTensor {
 	if m.Zero() {
 		return nil
@@ -98,22 +77,30 @@ func (m Model) SampleError(arch snn.Arch, rng *stats.RNG) *ErrorTensor {
 	return e
 }
 
-// ApplyTo returns a clone of net with the tensor added to every weight. A
-// nil tensor returns net itself (no copy needed — the caller must not
-// mutate it).
+// ApplyTo returns a new network holding net with the tensor added to every
+// weight (see ApplyInto). A nil tensor returns net itself (no copy needed —
+// the caller must not mutate it).
 func (e *ErrorTensor) ApplyTo(net *snn.Network) *snn.Network {
 	if e == nil {
 		return net
 	}
-	c := net.Clone()
-	for b := range c.W {
-		row := c.W[b]
-		err := e.E[b]
+	c := snn.New(net.Arch, net.Params)
+	e.ApplyInto(c, net)
+	return c
+}
+
+// ApplyInto programs src into dst through the tensor: dst takes src's
+// parameters and every weight becomes dst = src + E. dst must have src's
+// architecture and the tensor must be non-nil. src is only read, so one
+// shared configuration can be programmed into many dies concurrently.
+func (e *ErrorTensor) ApplyInto(dst, src *snn.Network) {
+	dst.Params = src.Params
+	for b, row := range dst.W {
+		w, err := src.W[b], e.E[b]
 		for i := range row {
-			row[i] += err[i]
+			row[i] = w[i] + err[i]
 		}
 	}
-	return c
 }
 
 // Nu returns the paper's ν for this regime: the maximum number of

@@ -28,33 +28,37 @@ func TestModelBasics(t *testing.T) {
 	}
 }
 
-func TestPerturbMoments(t *testing.T) {
+// applied samples one tensor for net's architecture and returns net
+// programmed through it.
+func applied(m Model, net *snn.Network, seed uint64) *snn.Network {
+	return m.SampleError(net.Arch, stats.NewRNG(seed)).ApplyTo(net)
+}
+
+func TestSampleErrorMoments(t *testing.T) {
 	net := snn.New(snn.Arch{100, 100}, snn.DefaultParams())
 	net.Fill(1)
-	m := Model{Sigma: 0.2}
-	m.Perturb(net, stats.NewRNG(9))
+	out := applied(Model{Sigma: 0.2}, net, 9)
 	xs := make([]float64, 0, 10000)
-	for _, w := range net.W[0] {
+	for _, w := range out.W[0] {
 		xs = append(xs, w)
 	}
 	if mean := stats.Mean(xs); math.Abs(mean-1) > 0.01 {
-		t.Errorf("perturbed mean = %g, want ≈ 1 (unbiased)", mean)
+		t.Errorf("programmed mean = %g, want ≈ 1 (unbiased)", mean)
 	}
 	if sd := stats.StdDev(xs); math.Abs(sd-0.2) > 0.01 {
-		t.Errorf("perturbed stddev = %g, want ≈ 0.2", sd)
+		t.Errorf("programmed stddev = %g, want ≈ 0.2", sd)
 	}
 }
 
-func TestPerturbNoClampBias(t *testing.T) {
+func TestErrorNoClampBias(t *testing.T) {
 	// The regression that produced phantom overkill: weights saturated at
-	// ±ωmax must stay zero-mean after perturbation (no clamping).
+	// ±ωmax must stay zero-mean after variation (no clamping).
 	net := snn.New(snn.Arch{100, 100}, snn.DefaultParams())
 	net.Fill(-10) // ωmin
-	m := Model{Sigma: 0.5}
-	m.Perturb(net, stats.NewRNG(10))
+	out := applied(Model{Sigma: 0.5}, net, 10)
 	xs := make([]float64, 0, 10000)
 	below := 0
-	for _, w := range net.W[0] {
+	for _, w := range out.W[0] {
 		xs = append(xs, w)
 		if w < -10 {
 			below++
@@ -68,24 +72,20 @@ func TestPerturbNoClampBias(t *testing.T) {
 	}
 }
 
-func TestPerturbZeroIsNoop(t *testing.T) {
-	net := snn.New(snn.Arch{3, 2}, snn.DefaultParams())
-	net.Fill(2)
-	None().Perturb(net, nil) // nil RNG must be fine for zero model
-	for _, w := range net.W[0] {
-		if w != 2 {
-			t.Errorf("zero model changed weight to %g", w)
-		}
-	}
-}
-
-func TestPerturbedCloneLeavesOriginal(t *testing.T) {
+// TestApplyLeavesSource pins that programming only reads the source
+// configuration, through both ApplyTo and ApplyInto, and that ApplyInto
+// overwrites every weight of its destination.
+func TestApplyLeavesSource(t *testing.T) {
 	net := snn.New(snn.Arch{3, 2}, snn.DefaultParams())
 	net.Fill(1)
-	c := Model{Sigma: 0.1}.PerturbedClone(net, stats.NewRNG(3))
+	e := Model{Sigma: 0.1}.SampleError(net.Arch, stats.NewRNG(3))
+	c := e.ApplyTo(net)
+	dst := snn.New(net.Arch, snn.Params{Theta: 1, Leak: 0.5, WMax: 4})
+	dst.Fill(7)
+	e.ApplyInto(dst, net)
 	for _, w := range net.W[0] {
 		if w != 1 {
-			t.Fatalf("original mutated: %g", w)
+			t.Fatalf("source mutated: %g", w)
 		}
 	}
 	changed := false
@@ -93,9 +93,15 @@ func TestPerturbedCloneLeavesOriginal(t *testing.T) {
 		if w != net.W[0][i] {
 			changed = true
 		}
+		if math.Float64bits(dst.W[0][i]) != math.Float64bits(w) {
+			t.Errorf("ApplyInto weight %d = %g, ApplyTo %g", i, dst.W[0][i], w)
+		}
 	}
 	if !changed {
-		t.Errorf("clone not perturbed")
+		t.Errorf("programmed copy shows no variation")
+	}
+	if dst.Params != net.Params {
+		t.Errorf("ApplyInto kept destination params %+v, want %+v", dst.Params, net.Params)
 	}
 }
 
@@ -138,6 +144,17 @@ func TestErrorTensor(t *testing.T) {
 	}
 }
 
+func TestPerturbZeroIsNoop(t *testing.T) {
+	net := snn.New(snn.Arch{3, 2}, snn.DefaultParams())
+	net.Fill(2)
+	out := None().SampleError(net.Arch, nil).ApplyTo(net) // nil RNG must be fine for zero model
+	for _, w := range out.W[0] {
+		if w != 2 {
+			t.Errorf("zero model changed weight to %g", w)
+		}
+	}
+}
+
 func TestErrorTensorNil(t *testing.T) {
 	if None().SampleError(snn.Arch{2, 2}, nil) != nil {
 		t.Errorf("zero model produced a tensor")
@@ -167,17 +184,23 @@ func TestNuAndNegligible(t *testing.T) {
 	}
 }
 
-func TestPerturbDeterministicQuick(t *testing.T) {
-	f := func(seed uint64) bool {
-		arch := snn.Arch{3, 3}
+// TestSampleErrorDeterministicQuick pins that a seed fixes the tensor and
+// that programming in place (ApplyInto, into a reused network) produces the
+// same weights, bit for bit, as programming a fresh copy (ApplyTo).
+func TestSampleErrorDeterministicQuick(t *testing.T) {
+	arch := snn.Arch{3, 4, 2}
+	scratch := snn.New(arch, snn.DefaultParams())
+	f := func(seed uint64, fill float64) bool {
 		m := Model{Sigma: 0.3}
-		a := snn.New(arch, snn.DefaultParams())
-		b := snn.New(arch, snn.DefaultParams())
-		m.Perturb(a, stats.NewRNG(seed))
-		m.Perturb(b, stats.NewRNG(seed))
+		net := snn.New(arch, snn.DefaultParams())
+		net.Fill(fill)
+		a := applied(m, net, seed)
+		b := applied(m, net, seed)
+		m.SampleError(arch, stats.NewRNG(seed)).ApplyInto(scratch, net)
 		for k := range a.W {
 			for i := range a.W[k] {
-				if a.W[k][i] != b.W[k][i] {
+				bits := math.Float64bits(a.W[k][i])
+				if math.Float64bits(b.W[k][i]) != bits || math.Float64bits(scratch.W[k][i]) != bits {
 					return false
 				}
 			}
