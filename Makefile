@@ -26,6 +26,7 @@ neurolint:
 # lint-self turns the suite on its own implementation: the analyzer
 # framework and the command must satisfy every invariant they enforce
 # (fixture trees under testdata/ are skipped by Expand, as everywhere).
+# A partial load, it skips dead-code, which the neurolint target covers.
 lint-self:
 	$(GO) run ./cmd/neurolint ./internal/lint/... ./cmd/neurolint
 
@@ -50,7 +51,7 @@ race:
 
 # fuzz smokes the codec and service fuzz targets for a few seconds each —
 # not a soak, just enough to catch regressions in the corners the corpus
-# already maps.
+# already maps. CI's fuzz smoke runs this target, so this is the one list.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzServedSuites -fuzztime=10s ./internal/pattern
 	$(GO) test -run='^$$' -fuzz=FuzzReadBinary -fuzztime=10s ./internal/pattern
@@ -68,6 +69,10 @@ fuzz:
 BENCH ?= .
 BENCHTIME ?= 1s
 BENCHPKGS ?= . ./internal/obs ./internal/snn ./internal/faultsim ./internal/tester
+# pipefail keeps a failing benchmark failing the target through the tee
+# (CI's bench smoke runs this target).
+bench: SHELL := /bin/bash
+bench: .SHELLFLAGS := -o pipefail -c
 bench:
 	@mkdir -p results
 	$(GO) test -run='^$$' -bench='$(BENCH)' -benchtime=$(BENCHTIME) -benchmem $(BENCHPKGS) | tee results/bench.txt

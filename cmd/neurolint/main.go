@@ -7,8 +7,9 @@
 //
 // Packages default to ./... relative to the enclosing module. All
 // requested packages are loaded before any analyzer runs, so the
-// module-wide analyzers (the call-graph determinism closure) see every
-// cross-package edge of the requested world.
+// module-wide analyzers (the call-graph determinism closure and
+// dead-code) see every cross-package edge of the requested world;
+// dead-code reports only when that world is the whole ./... expansion.
 //
 // -json emits the findings as a machine-readable report with a stable
 // field order and module-root-relative paths. -baseline filters the

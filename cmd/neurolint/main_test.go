@@ -107,11 +107,20 @@ func TestListNamesEveryCheck(t *testing.T) {
 	for _, check := range []string{
 		"exhaustive-fault-switch", "determinism", "float-eq", "no-panic",
 		"ctx-goroutine", "unchecked-error", "lock-balance", "resource-close",
-		"interprocedural-determinism",
+		"interprocedural-determinism", "dead-code",
 	} {
 		if !strings.Contains(out, check) {
 			t.Errorf("-list output missing %s", check)
 		}
+	}
+}
+
+// TestPartialLoadSkipsDeadCode pins that a run over part of the module
+// stays silent on dead code: it sees only some of the callers.
+func TestPartialLoadSkipsDeadCode(t *testing.T) {
+	code, out, stderr := runCLI(t, "./internal/fault")
+	if code != 0 || strings.Contains(out, "dead-code") {
+		t.Errorf("exit = %d, stdout = %q, stderr = %q; want a clean run", code, out, stderr)
 	}
 }
 

@@ -47,18 +47,6 @@ func New(workers []string, o Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Workers returns the ring members' base URLs in ring order.
-func (c *Coordinator) Workers() []string {
-	out := make([]string, len(c.clients))
-	for i, cl := range c.clients {
-		out[i] = cl.Base
-	}
-	return out
-}
-
-// Client returns the client for worker i (health probes, cache peering).
-func (c *Coordinator) Client(i int) *Client { return c.clients[i] }
-
 // Assign maps every key to its owning worker and returns, per worker, the
 // ascending list of key indices it owns. Exposed for tests and for callers
 // that want to inspect balance; Run uses it internally.

@@ -66,12 +66,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Len returns the number of nodes on the ring.
-func (r *Ring) Len() int { return len(r.nodes) }
-
-// Node returns the name of node i.
-func (r *Ring) Node(i int) string { return r.nodes[i] }
-
 // Owner returns the index of the node owning key, or -1 on an empty ring.
 func (r *Ring) Owner(key string) int {
 	if len(r.points) == 0 {

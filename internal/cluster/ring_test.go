@@ -81,7 +81,7 @@ func TestRingEmptyAndSingle(t *testing.T) {
 			t.Fatalf("single-node ring Owner(%q) = %d, want 0", k, one.Owner(k))
 		}
 	}
-	if one.Len() != 1 || one.Node(0) != "http://solo:1" {
-		t.Errorf("Len/Node: %d %q", one.Len(), one.Node(0))
+	if len(one.nodes) != 1 || one.nodes[0] != "http://solo:1" {
+		t.Errorf("nodes: %q", one.nodes)
 	}
 }

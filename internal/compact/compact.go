@@ -101,10 +101,3 @@ func Compact(ts *pattern.TestSet, values fault.Values, transform faultsim.Config
 	st.ConfigsAfter = out.NumConfigs()
 	return out, st
 }
-
-// Irredundant reports whether compaction against universe would keep every
-// item of ts — i.e. each item is the sole detector of at least one fault.
-func Irredundant(ts *pattern.TestSet, values fault.Values, transform faultsim.ConfigTransform, universe []fault.Fault) bool {
-	_, st := Compact(ts, values, transform, universe)
-	return st.ItemsAfter == st.ItemsBefore
-}

@@ -106,6 +106,8 @@ func NewGenerator(opt Options) (*Generator, error) {
 }
 
 // Options returns the generator's (defaulted) options.
+//
+//lint:ignore dead-code tests in compact, core, diagnose, online, repair and tester read fault values and params of their suites through it
 func (g *Generator) Options() Options { return g.opt }
 
 // Generate emits the test set for one fault model.

@@ -94,23 +94,6 @@ func (s Signature) SubsetOf(t Signature) bool {
 	return true
 }
 
-// SignatureFromBytes builds an n-item signature whose fail bits are taken
-// from b (bit i of the signature is bit i%8 of b[i/8]; missing bytes read
-// as zero, excess bits are ignored). It gives fuzzers and codecs a way to
-// materialise arbitrary observed signatures.
-func SignatureFromBytes(b []byte, n int) Signature {
-	if n < 0 {
-		n = 0
-	}
-	s := NewSignature(n)
-	for i := 0; i < n; i++ {
-		if i/8 < len(b) && b[i/8]&(1<<uint(i%8)) != 0 {
-			s.SetFail(i)
-		}
-	}
-	return s
-}
-
 // String renders the signature as a 0/1 string, item 0 first.
 func (s Signature) String() string {
 	var sb strings.Builder
@@ -171,9 +154,6 @@ func Build(ts *pattern.TestSet, values fault.Values, transform faultsim.ConfigTr
 	}
 	return d
 }
-
-// TestSet returns the test set the dictionary was built for.
-func (d *Dictionary) TestSet() *pattern.TestSet { return d.ts }
 
 // Classes returns the number of distinct signatures observed (including
 // the all-pass class when some faults are undetectable).

@@ -281,20 +281,6 @@ func TestSubsetOfAndFromBytes(t *testing.T) {
 	if !empty.SubsetOf(a) {
 		t.Errorf("empty signature must be subset of everything")
 	}
-
-	s := SignatureFromBytes([]byte{0x05}, 10) // bits 0 and 2
-	if !s.Fails(0) || s.Fails(1) || !s.Fails(2) || s.CountFails() != 2 {
-		t.Errorf("FromBytes = %s", s)
-	}
-	if got := SignatureFromBytes(nil, 5); got.AnyFail() {
-		t.Errorf("missing bytes must read as zero")
-	}
-	if got := SignatureFromBytes([]byte{0xff, 0xff}, 3); got.CountFails() != 3 {
-		t.Errorf("excess bits must be ignored: %s", got)
-	}
-	if got := SignatureFromBytes([]byte{0xff}, -1); got.AnyFail() {
-		t.Errorf("negative n must clamp to empty")
-	}
 }
 
 // TestResolutionEdgeCases pins Resolution on the three boundary shapes:

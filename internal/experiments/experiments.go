@@ -257,9 +257,6 @@ func NewRunner(cfg Config) *Runner {
 // Config returns the normalized configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// Values returns the fault parameters of the run.
-func (r *Runner) Values() fault.Values { return r.values }
-
 func (r *Runner) progress(format string, args ...any) {
 	if r.Progress != nil {
 		r.Progress(fmt.Sprintf(format, args...))

@@ -39,9 +39,6 @@ func Kinds() []Kind { return []Kind{NASF, ESF, HSF, SWF, SASF} }
 // NeuronKinds lists the fault models that attach to neurons.
 func NeuronKinds() []Kind { return []Kind{NASF, ESF, HSF} }
 
-// SynapseKinds lists the fault models that attach to synapses.
-func SynapseKinds() []Kind { return []Kind{SASF, SWF} }
-
 // String returns the paper's abbreviation for the fault model.
 func (k Kind) String() string {
 	switch k {

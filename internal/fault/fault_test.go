@@ -12,7 +12,7 @@ func TestKindClassification(t *testing.T) {
 			t.Errorf("%v misclassified", k)
 		}
 	}
-	for _, k := range SynapseKinds() {
+	for _, k := range []Kind{SASF, SWF} {
 		if !k.IsSynapseFault() || k.IsNeuronFault() {
 			t.Errorf("%v misclassified", k)
 		}
@@ -60,7 +60,7 @@ func TestUniverseSizes(t *testing.T) {
 			t.Errorf("%v UniverseSize = %d", k, got)
 		}
 	}
-	for _, k := range SynapseKinds() {
+	for _, k := range []Kind{SASF, SWF} {
 		if got := len(Universe(arch, k)); got != 155968 {
 			t.Errorf("%v universe = %d, paper says 155968", k, got)
 		}

@@ -220,6 +220,8 @@ type ConfigTransform func(*snn.Network) *snn.Network
 
 // Coverage returns how many of the given faults the test set detects. On
 // cancellation it returns (0, ctx.Err()).
+//
+//lint:ignore dead-code coverage oracle of the neurotest, baseline, compact, core and faultsim tests
 func (e *Evaluator) Coverage(ctx context.Context, faults []fault.Fault) (int, error) {
 	det, err := e.DetectsBatch(ctx, faults)
 	n := 0

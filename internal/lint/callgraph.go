@@ -10,7 +10,7 @@ import (
 
 // CallGraph is a static, module-wide call graph over a set of loaded
 // packages. Nodes are functions identified by their go/types full name
-// ("neurotest/internal/stats.Mean", "(*neurotest/internal/obs.Registry).Counter"),
+// ("neurotest/internal/stats.Quantile", "(*neurotest/internal/obs.Registry).Counter"),
 // which is stable across the separately type-checked package views the
 // Loader produces — the same function seen through its own package and
 // through an importer's cache yields the same key.
@@ -176,8 +176,8 @@ func (g *CallGraph) Chain(key string, next map[string]string, sinkLabel func(str
 }
 
 // displayKey shortens a full-name key for messages: package paths are
-// reduced to their last element ("neurotest/internal/stats.Mean" →
-// "stats.Mean", "(*neurotest/internal/obs.Registry).Counter" →
+// reduced to their last element ("neurotest/internal/stats.Quantile" →
+// "stats.Quantile", "(*neurotest/internal/obs.Registry).Counter" →
 // "(*obs.Registry).Counter").
 func displayKey(key string) string {
 	shorten := func(qual string) string {

@@ -290,22 +290,6 @@ done:
 	}
 }
 
-func TestReaches(t *testing.T) {
-	g, at := parseFunc(t, `
-	x := acquire() // mark:a
-	if cond() {
-		use(x)
-	}
-	done()
-`)
-	if !g.Reaches(at("a"), callNamed("use")) {
-		t.Error("use is reachable on the then-branch")
-	}
-	if g.Reaches(at("a"), callNamed("acquire")) {
-		t.Error("the start node itself must be excluded")
-	}
-}
-
 func TestOsExitIsPanicExit(t *testing.T) {
 	g, at := parseFunc(t, `
 	acquire() // mark:a

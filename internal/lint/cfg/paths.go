@@ -120,46 +120,3 @@ func (q *pathQuery) walk(b *Block) *pathState {
 	st.verdict = 1
 	return st
 }
-
-// Reaches reports whether any execution path from start (exclusive)
-// encounters a node satisfying sat — the existential dual of Satisfied,
-// used by analyzers to ask "is this value ever used again?".
-func (g *Graph) Reaches(start ast.Node, sat func(ast.Node) bool) bool {
-	if g.Incomplete {
-		return true
-	}
-	blk := g.byNode[start]
-	if blk == nil {
-		return true
-	}
-	for _, n := range blk.Nodes[g.indexOf[start]+1:] {
-		if sat(n) {
-			return true
-		}
-	}
-	seen := map[*Block]bool{blk: true}
-	var visit func(b *Block) bool
-	visit = func(b *Block) bool {
-		if seen[b] {
-			return false
-		}
-		seen[b] = true
-		for _, n := range b.Nodes {
-			if sat(n) {
-				return true
-			}
-		}
-		for _, s := range b.Succs {
-			if visit(s) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, s := range blk.Succs {
-		if visit(s) {
-			return true
-		}
-	}
-	return false
-}

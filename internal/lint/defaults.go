@@ -6,7 +6,7 @@ package lint
 
 // DeterministicPaths are the packages whose output feeds the SHA-256
 // artifact keys of the content-addressed cache: the suite generator and its
-// building blocks, the codec, the compaction/scheduling rewrites, the
+// building blocks, the codec, the compaction rewrite, the
 // report and waveform encoders, and the service layer that hashes and
 // serves the artifacts. internal/cluster is included because shard
 // assignment must be a pure function of the item keys and the ring — a
@@ -36,7 +36,6 @@ func DeterministicPaths() []string {
 		"neurotest/internal/pattern",
 		"neurotest/internal/repair",
 		"neurotest/internal/report",
-		"neurotest/internal/schedule",
 		"neurotest/internal/service",
 		"neurotest/internal/vcd",
 	}
@@ -125,9 +124,9 @@ func DefaultResourceClose() ResourceCloseConfig {
 }
 
 // DefaultAnalyzers returns the project invariants at production scope:
-// the five syntactic/per-package checks from PR 3 plus the flow-aware
-// suite — unchecked-error, the CFG-backed lock-balance and
-// resource-close, and the call-graph determinism closure.
+// the five syntactic/per-package checks plus the flow-aware and
+// module-wide suite — unchecked-error, the CFG-backed lock-balance and
+// resource-close, the call-graph determinism closure and dead-code.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		NewExhaustiveFaultSwitch("neurotest/internal/fault", "Kind"),
@@ -139,5 +138,6 @@ func DefaultAnalyzers() []*Analyzer {
 		NewLockBalance(),
 		NewResourceClose(DefaultResourceClose()),
 		NewInterproceduralDeterminism(DeterministicPaths()...),
+		NewDeadCode(),
 	}
 }

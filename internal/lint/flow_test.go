@@ -31,36 +31,6 @@ func loadFixtures(t *testing.T, names []string) []*Package {
 	return pkgs
 }
 
-// checkModuleFixture is checkFixture for module-wide analyzers: it loads
-// several fixture packages, runs the analyzers over all of them at once
-// (so RunModule hooks see every cross-package call edge) and matches the
-// surviving findings against the union of the fixtures' want comments.
-func checkModuleFixture(t *testing.T, names []string, analyzers ...*Analyzer) {
-	t.Helper()
-	pkgs := loadFixtures(t, names)
-	var wants []want
-	for _, pkg := range pkgs {
-		wants = append(wants, collectWants(t, pkg)...)
-	}
-	findings := (&Runner{Analyzers: analyzers}).Packages(pkgs)
-	matched := make([]bool, len(wants))
-outer:
-	for _, f := range findings {
-		for i, w := range wants {
-			if !matched[i] && w.file == filepath.Base(f.Pos.Filename) && w.line == f.Pos.Line && w.re.MatchString(f.Msg) {
-				matched[i] = true
-				continue outer
-			}
-		}
-		t.Errorf("unexpected finding: %s", f)
-	}
-	for i, w := range wants {
-		if !matched[i] {
-			t.Errorf("%s:%d: no finding matching %q", w.file, w.line, w.re)
-		}
-	}
-}
-
 func TestUncheckedErrorFixture(t *testing.T) {
 	checkFixture(t, "uncheckederr",
 		NewUncheckedError(fixtureBase+"uncheckederr.exempt"))
@@ -91,7 +61,7 @@ func TestResourceCloseIgnoresUntrackedTypes(t *testing.T) {
 }
 
 func TestInterproceduralDeterminismFixture(t *testing.T) {
-	checkModuleFixture(t, []string{"interdet", "interdet/impure"},
+	checkPackages(t, loadFixtures(t, []string{"interdet", "interdet/impure"}),
 		NewInterproceduralDeterminism(fixtureBase+"interdet"))
 }
 

@@ -2,9 +2,10 @@
 // suite behind the neurolint command. It enforces the repository invariants
 // that the paper's headline claims depend on — exhaustive handling of the
 // five fault models, bit-deterministic artifact generation, explicit
-// floating-point comparison semantics, panic-free library code and
-// supervised concurrency — using only the standard library's go/parser,
-// go/ast, go/types and go/token (no golang.org/x/tools).
+// floating-point comparison semantics, panic-free library code,
+// supervised concurrency and no function nothing calls — using only the
+// standard library's go/parser, go/ast, go/types and go/token (no
+// golang.org/x/tools).
 //
 // Findings can be suppressed, one site at a time, with a directive comment
 // on the offending line or the line above it:
@@ -195,13 +196,6 @@ func (p *ModulePass) Suppressed(pos token.Pos) bool {
 // Runner applies a set of analyzers to packages.
 type Runner struct {
 	Analyzers []*Analyzer
-}
-
-// Package runs every analyzer over one loaded package and returns the
-// surviving (un-suppressed) findings sorted by position. Module-wide
-// analyzers see a single-package module.
-func (r *Runner) Package(pkg *Package) []Finding {
-	return r.Packages([]*Package{pkg})
 }
 
 // Packages runs the analyzers over every package — per-package hooks once

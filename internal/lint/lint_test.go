@@ -3,6 +3,7 @@ package lint
 import (
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,6 +12,13 @@ import (
 // packages under testdata/src; analyzer configurations in these tests use
 // it to scope checks to the fixture under test.
 const fixtureBase = "neurotest/internal/lint/testdata/src/"
+
+// Package runs every analyzer over one loaded package and returns the
+// surviving (un-suppressed) findings sorted by position. Module-wide
+// analyzers see a single-package module.
+func (r *Runner) Package(pkg *Package) []Finding {
+	return r.Packages([]*Package{pkg})
+}
 
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
@@ -74,9 +82,19 @@ func collectWants(t *testing.T, pkg *Package) []want {
 // want must be hit, every finding must be wanted.
 func checkFixture(t *testing.T, name string, analyzers ...*Analyzer) {
 	t.Helper()
-	pkg := loadFixture(t, name)
-	findings := (&Runner{Analyzers: analyzers}).Package(pkg)
-	wants := collectWants(t, pkg)
+	checkPackages(t, []*Package{loadFixture(t, name)}, analyzers...)
+}
+
+// checkPackages runs the analyzers over pkgs at once (so RunModule hooks see
+// every cross-package reference) and matches the surviving findings against
+// the union of the packages' want comments.
+func checkPackages(t *testing.T, pkgs []*Package, analyzers ...*Analyzer) {
+	t.Helper()
+	var wants []want
+	for _, pkg := range pkgs {
+		wants = append(wants, collectWants(t, pkg)...)
+	}
+	findings := (&Runner{Analyzers: analyzers}).Packages(pkgs)
 	matched := make([]bool, len(wants))
 outer:
 	for _, f := range findings {
@@ -193,6 +211,23 @@ func TestExpandSkipsTestdata(t *testing.T) {
 	}
 	if !sawSelf {
 		t.Errorf("Expand over ./... missed internal/lint itself: %v", dirs)
+	}
+}
+
+// TestExpandIncludesPerfbench pins that "./..." descends into the nested
+// perfbench module, which the go tool would skip: its calls into the
+// module are references the dead-code check counts.
+func TestExpandIncludesPerfbench(t *testing.T) {
+	loader, err := NewLoader("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := loader.Expand([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(dirs, filepath.Join(loader.ModuleRoot, "perfbench")) {
+		t.Errorf("Expand over ./... missed perfbench: %v", dirs)
 	}
 }
 

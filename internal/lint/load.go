@@ -30,6 +30,8 @@ type Package struct {
 	// Types and Info carry the go/types view of the package.
 	Types *types.Package
 	Info  *types.Info
+
+	loader *Loader
 }
 
 // Loader locates, parses and type-checks module packages using only the
@@ -105,7 +107,9 @@ func modulePath(file string) (string, error) {
 // Supported patterns are "./..." (every package under the module root, or
 // under the pattern's prefix directory), a plain directory like
 // "./internal/fault", and an import path inside the module. testdata,
-// vendor and hidden directories are skipped, matching the go tool.
+// vendor, hidden and _-prefixed directories are skipped, as the go tool
+// skips them. Unlike the go tool, the walk descends into nested modules:
+// "./..." includes perfbench, whose callers the dead-code check must see.
 func (l *Loader) Expand(patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var dirs []string
@@ -228,6 +232,8 @@ func (l *Loader) Load(dir string) (*Package, error) {
 		Files: files,
 		Types: pkg,
 		Info:  info,
+
+		loader: l,
 	}, nil
 }
 

@@ -103,12 +103,3 @@ func (b *Baseline) Filter(findings []Finding, rel func(string) string) []Finding
 	}
 	return out
 }
-
-// Size reports how many accepted findings the baseline holds.
-func (b *Baseline) Size() int {
-	n := 0
-	for _, v := range b.allowed {
-		n += v
-	}
-	return n
-}

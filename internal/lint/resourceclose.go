@@ -301,25 +301,6 @@ func isResourceIdent(pass *Pass, e ast.Expr, obj types.Object) bool {
 	return used == obj
 }
 
-// usesResource reports whether the resource identifier appears anywhere
-// in e — as itself or under selectors (resp.Body inside a composite or
-// return escapes the body with the response).
-func usesResource(pass *Pass, e ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if used := pass.Info.Uses[id]; used == obj {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
 // hasCloseCall reports whether node n contains the closing call for the
 // acquisition: <var>.Close() or <var>.<CloseVia>.Close(), plain or
 // deferred (closure bodies are searched only under defer, mirroring

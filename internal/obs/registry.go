@@ -102,15 +102,10 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return r.instrument(name, help, "histogram", labels, func() metric { return newHistogram(buckets) }).(*Histogram)
 }
 
-// WriteText renders the registry in the Prometheus text exposition format
-// (version 0.0.4): families sorted by name, series sorted by label
-// signature, one # HELP/# TYPE pair per family. Output is byte-stable for
-// fixed instrument values.
-func (r *Registry) WriteText(w io.Writer) error {
-	return WriteText(w, r)
-}
-
-// WriteText renders several registries as one exposition, merging families
+// WriteText renders one or more registries in the Prometheus text
+// exposition format (version 0.0.4) as one exposition: families sorted by
+// name, series sorted by label signature, one # HELP/# TYPE pair per
+// family; output is byte-stable for fixed instrument values. Families merge
 // by name (first registry's help/type wins on a shared name, series merge).
 // The server uses it to serve its own registry and the library Default in
 // one scrape.
@@ -193,19 +188,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(floatBits(v))
-}
-
-// Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+delta)) {
-			return
-		}
-	}
 }
 
 // Value returns the current value.

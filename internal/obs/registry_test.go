@@ -19,7 +19,7 @@ func TestCounterAndGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("g", "a gauge")
 	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if g.Value() != 1.5 {
 		t.Errorf("gauge = %g, want 1.5", g.Value())
 	}
@@ -32,7 +32,6 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
 		t.Error("nil instruments must read as zero")
@@ -178,10 +177,10 @@ lat_seconds_count 3
 	for _, reverse := range []bool{false, true} {
 		r := goldenRegistry(reverse)
 		var first, second strings.Builder
-		if err := r.WriteText(&first); err != nil {
+		if err := WriteText(&first, r); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.WriteText(&second); err != nil {
+		if err := WriteText(&second, r); err != nil {
 			t.Fatal(err)
 		}
 		if first.String() != second.String() {
@@ -213,7 +212,7 @@ func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("esc_total", "escaping", L("path", "a\"b\\c\nd")).Add(1)
 	var out strings.Builder
-	if err := r.WriteText(&out); err != nil {
+	if err := WriteText(&out, r); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), `esc_total{path="a\"b\\c\nd"} 1`) {
@@ -237,7 +236,7 @@ func TestRuntimeGaugesRender(t *testing.T) {
 	RegisterRuntimeGauges(r)
 	RegisterRuntimeGauges(r) // idempotent
 	var out strings.Builder
-	if err := r.WriteText(&out); err != nil {
+	if err := WriteText(&out, r); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"go_goroutines", "go_heap_alloc_bytes", "go_gc_cycles_total"} {

@@ -119,12 +119,6 @@ func NewDetector(g *Golden, cfg Config) (*Detector, error) {
 	}, nil
 }
 
-// Config returns the detector's normalized configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
-// Observations returns how many observations the detector has consumed.
-func (d *Detector) Observations() int { return d.n }
-
 // Decision is the outcome of folding one observation into the detector.
 type Decision struct {
 	// Observation is the 1-based index of the observation that produced

@@ -174,7 +174,7 @@ func TestDetectorZAlarmAfterWarmUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := det.Config().WarmUp
+	warm := det.cfg.WarmUp
 	for i := 0; i < warm; i++ {
 		// A huge shift inside the warm-up window must stay silent.
 		dec, err := det.Observe([]int{100})

@@ -11,6 +11,29 @@ import (
 	"neurotest/internal/snn"
 )
 
+// maxConfigWeights bounds the weights of one decoded configuration, the
+// service's default per-configuration limit. Decoders allocate a
+// configuration before reading its weights, so a header claiming an
+// absurd architecture must be refused before it reaches the allocator.
+const maxConfigWeights = 1 << 24
+
+// validateArch checks a decoded architecture, refusing more than
+// maxConfigWeights weights per configuration without overflowing on
+// absurd widths.
+func validateArch(arch snn.Arch) error {
+	if err := arch.Validate(); err != nil {
+		return err
+	}
+	weights := 0
+	for b := 0; b < arch.Boundaries(); b++ {
+		if arch[b] > (maxConfigWeights-weights)/arch[b+1] {
+			return fmt.Errorf("pattern: architecture %v has more than %d weights per configuration", arch, maxConfigWeights)
+		}
+		weights += arch[b] * arch[b+1]
+	}
+	return nil
+}
+
 // jsonTestSet is the stable on-disk JSON shape of a TestSet.
 type jsonTestSet struct {
 	Name    string        `json:"name"`
@@ -67,7 +90,7 @@ func ReadJSON(r io.Reader) (*TestSet, error) {
 		return nil, fmt.Errorf("pattern: decoding JSON test set: %w", err)
 	}
 	arch := snn.Arch(in.Arch)
-	if err := arch.Validate(); err != nil {
+	if err := validateArch(arch); err != nil {
 		return nil, err
 	}
 	params := snn.Params{Theta: in.Theta, Leak: in.Leak, WMax: in.WMax}
@@ -243,7 +266,7 @@ func ReadBinary(r io.Reader) (*TestSet, error) {
 	for k := range arch {
 		arch[k] = readU32()
 	}
-	if err := arch.Validate(); err != nil {
+	if err := validateArch(arch); err != nil {
 		return nil, err
 	}
 	params := snn.Params{Theta: readF64(), Leak: readF64(), WMax: readF64()}

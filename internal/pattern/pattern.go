@@ -131,19 +131,6 @@ func (ts *TestSet) Merge(other *TestSet) {
 	}
 }
 
-// Clone returns a deep copy.
-func (ts *TestSet) Clone() *TestSet {
-	c := NewTestSet(ts.Name, ts.Arch, ts.Params)
-	for _, cfg := range ts.Configs {
-		c.Configs = append(c.Configs, cfg.Clone())
-	}
-	for _, it := range ts.Items {
-		it.Pattern = it.Pattern.Clone()
-		c.Items = append(c.Items, it)
-	}
-	return c
-}
-
 // Validate checks internal consistency (indices, widths, windows). A test
 // set freshly produced by a generator always validates; the check guards
 // deserialized data.

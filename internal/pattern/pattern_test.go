@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -99,19 +100,6 @@ func TestMerge(t *testing.T) {
 	})
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := sampleSet(t, 3)
-	c := a.Clone()
-	c.Configs[0].SetEntry(0, 0, 0, 99)
-	c.Items[0].Pattern[0] = !c.Items[0].Pattern[0]
-	if a.Configs[0].Entry(0, 0, 0) == 99 {
-		t.Errorf("clone shares configs")
-	}
-	if a.Items[0].Pattern[0] == c.Items[0].Pattern[0] {
-		t.Errorf("clone shares patterns")
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	ts := sampleSet(t, 4)
 	ts.Items[0].ConfigIndex = 42
@@ -176,11 +164,21 @@ func TestBinaryIsSmallerThanJSON(t *testing.T) {
 }
 
 func TestReadBinaryRejectsGarbage(t *testing.T) {
+	// A valid header for one configuration of an absurd 3,959,422,980-3-2
+	// architecture and no weights: it must fail before the allocation.
+	var huge bytes.Buffer
+	for _, v := range []any{[4]byte{'N', 'T', 'S', '3'}, uint32(1), byte('q'), uint32(3),
+		uint32(0xEC000004), uint32(3), uint32(2), 0.5, 0.9, 10.0, uint32(0), uint32(1)} {
+		if err := binary.Write(&huge, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := [][]byte{
 		nil,
 		[]byte("XXXX"),
 		[]byte("NTS3"), // truncated after magic
 		append([]byte("NTS3"), 0xFF, 0xFF, 0xFF, 0xFF), // absurd name length
+		huge.Bytes(),
 	}
 	for i, in := range cases {
 		if _, err := ReadBinary(bytes.NewReader(in)); err == nil {
@@ -197,6 +195,8 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 		`{"name":"x","arch":[3,2],"theta":-1,"leak":0.9,"wmax":10}`,                                                                            // bad params
 		`{"name":"x","arch":[3,2],"theta":0.5,"leak":0.9,"wmax":10,"configs":[[[1]]]}`,                                                         // short weights
 		`{"name":"x","arch":[3,2],"theta":0.5,"leak":0.9,"wmax":10,"items":[{"label":"i","config":0,"pattern":[9],"timesteps":1,"repeat":1}]}`, // bad input index
+		`{"name":"x","arch":[4000000000,3,2],"theta":0.5,"leak":0.9,"wmax":10,"configs":[[[],[]]]}`,                                            // absurd arch
+		`{"name":"x","arch":[4294967296,4294967296],"theta":0.5,"leak":0.9,"wmax":10}`,                                                         // overflowing arch
 	}
 	for i, in := range cases {
 		if _, err := ReadJSON(strings.NewReader(in)); err == nil {

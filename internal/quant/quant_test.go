@@ -9,15 +9,6 @@ import (
 	"neurotest/internal/stats"
 )
 
-func mustNew(t *testing.T, bits int, max float64) Quantizer {
-	t.Helper()
-	q, err := New(bits, max)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
-}
-
 func mustScheme(t *testing.T, bits int, gran Granularity) Scheme {
 	t.Helper()
 	s, err := NewScheme(bits, gran)
@@ -27,96 +18,100 @@ func mustScheme(t *testing.T, bits int, gran Granularity) Scheme {
 	return s
 }
 
+// TestQuantizerBasics pins the grid of one group: 8 bits give 2·127+1
+// levels, grid points (the extremes and zero included) stay where they
+// are, and values beyond the range saturate at the top level.
 func TestQuantizerBasics(t *testing.T) {
-	q := mustNew(t, 8, 10)
-	if got := q.Levels(); got != 255 {
-		t.Errorf("Levels = %d, want 255", got)
+	s := mustScheme(t, 8, PerNetwork)
+	if got := s.halfLevels(); got != 127 {
+		t.Errorf("halfLevels = %g, want 127 (255 levels)", got)
 	}
-	if got := q.Step(); math.Abs(got-10.0/127) > 1e-12 {
-		t.Errorf("Step = %g", got)
-	}
-	// Extremes land exactly on the grid.
-	if got := q.Quantize(10); got != 10 {
-		t.Errorf("Quantize(10) = %g", got)
-	}
-	if got := q.Quantize(-10); got != -10 {
-		t.Errorf("Quantize(-10) = %g", got)
-	}
-	if got := q.Quantize(0); got != 0 {
-		t.Errorf("Quantize(0) = %g", got)
-	}
-	// Saturation beyond the range.
-	if got := q.Quantize(50); got != 10 {
-		t.Errorf("Quantize(50) = %g", got)
-	}
-	if got := q.Quantize(-50); got != -10 {
-		t.Errorf("Quantize(-50) = %g", got)
+	for _, tc := range []struct{ w, want float64 }{
+		{10, 10}, {-10, -10}, {0, 0}, {50, 10}, {-50, -10},
+	} {
+		if got := s.snap(tc.w, 10); got != tc.want {
+			t.Errorf("snap(%g) on a ±10 grid = %g, want %g", tc.w, got, tc.want)
+		}
 	}
 }
 
 func TestQuantizerErrors(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		bits int
-		max  float64
-	}{
-		{"bits too small", 1, 10},
-		{"bits too large", 17, 10},
-		{"bad range", 8, 0},
-	} {
-		if _, err := New(tc.bits, tc.max); err == nil {
-			t.Errorf("%s: expected error", tc.name)
+	for _, bits := range []int{1, 17} {
+		if _, err := NewScheme(bits, PerChannel); err == nil {
+			t.Errorf("bit width %d accepted", bits)
 		}
 	}
-	if _, err := New(8, 10); err != nil {
-		t.Errorf("valid quantizer rejected: %v", err)
+	if _, err := NewScheme(8, PerChannel); err != nil {
+		t.Errorf("valid scheme rejected: %v", err)
 	}
 }
 
+// TestQuantizeErrorBound is the property behind every snap: at each
+// granularity a weight moves by at most half a step of its group's grid
+// (step = group max |w| / (2^(Bits-1)-1)) and never leaves [-max, max].
 func TestQuantizeErrorBound(t *testing.T) {
-	// Property: snap error is at most half a step inside the range, and
-	// quantization is idempotent.
-	q := mustNew(t, 6, 10)
-	f := func(seed uint64) bool {
+	f := func(seed uint64, granPick uint8) bool {
+		gran := Granularity(int(granPick) % 3)
+		s := mustScheme(t, 6, gran)
+		net := snn.New(snn.Arch{4, 3, 2}, snn.DefaultParams())
 		r := stats.NewRNG(seed)
-		w := -10 + 20*r.Float64()
-		qw := q.Quantize(w)
-		if q.Error(w) > q.Step()/2+1e-12 {
-			return false
+		for b := range net.W {
+			for i := range net.W[b] {
+				net.W[b][i] = -10 + 20*r.Float64()
+			}
 		}
-		return q.Quantize(qw) == qw
+		q, worst := s.QuantizedClone(net)
+		for b := range net.W {
+			for i, w := range net.W[b] {
+				maxAbs := groupMaxAbs(net, gran, b, i%net.Arch[b+1])
+				e := math.Abs(q.W[b][i] - w)
+				if e > maxAbs/s.halfLevels()/2+1e-12 || e > worst || math.Abs(q.W[b][i]) > maxAbs+1e-12 {
+					return false
+				}
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// groupMaxAbs is the calibration maximum of the group holding column col
+// of boundary b under gran.
+func groupMaxAbs(net *snn.Network, gran Granularity, b, col int) float64 {
+	m := 0.0
+	for bb := range net.W {
+		if gran != PerNetwork && bb != b {
+			continue
+		}
+		for i, w := range net.W[bb] {
+			if gran == PerChannel && i%net.Arch[bb+1] != col {
+				continue
+			}
+			m = math.Max(m, math.Abs(w))
+		}
+	}
+	return m
 }
 
 func TestQuantizeNetworkInPlace(t *testing.T) {
 	net := snn.New(snn.Arch{2, 2}, snn.DefaultParams())
 	net.SetEntry(0, 0, 0, 3.33)
+	net.SetEntry(0, 1, 0, 1)
 	net.SetEntry(0, 1, 1, -7.77)
-	q := mustNew(t, 4, 10)
-	worst := q.QuantizeNetwork(net)
-	if worst > q.Step()/2+1e-12 {
-		t.Errorf("worst error %g exceeds half step %g", worst, q.Step()/2)
+	s := mustScheme(t, 4, PerBoundary)
+	step := 7.77 / s.halfLevels()
+	worst := s.QuantizeNetwork(net)
+	if worst > step/2+1e-12 {
+		t.Errorf("worst error %g exceeds half step %g", worst, step/2)
 	}
 	for b := range net.W {
 		for _, w := range net.W[b] {
-			if q.Error(w) > 1e-12 {
+			if lv := w / step; math.Abs(lv-math.Round(lv)) > 1e-9 {
 				t.Errorf("weight %g not on grid", w)
 			}
 		}
-	}
-}
-
-func TestRepresentable(t *testing.T) {
-	q := mustNew(t, 4, 10)
-	step := q.Step()
-	if !q.Representable(3*step, 1e-12) {
-		t.Errorf("grid point not representable")
-	}
-	if q.Representable(3.4*step, 1e-12) {
-		t.Errorf("off-grid value representable")
 	}
 }
 

@@ -1,3 +1,15 @@
+// Package quant implements data-driven uniform symmetric weight
+// quantization, replacing the Brevitas substrate of the paper. A Scheme
+// snaps weights to a signed grid of 2^Bits-1 levels whose top level is the
+// largest magnitude of each group (max-abs calibration); the Granularity
+// decides whether the whole network, each layer boundary or each output
+// channel forms a group.
+//
+// The paper's key observation (Section 3.1) is that generated test
+// configurations use at most six distinct weight levels — 0, ±ωmax, ±ωmax/2
+// and (θ+θ̂)/2 — so quantization at 4 bits or more leaves test behaviour
+// intact. QuantizeNetwork makes that property measurable: it returns the
+// worst-case snap error of a configuration.
 package quant
 
 import (

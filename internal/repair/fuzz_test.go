@@ -60,6 +60,19 @@ func fuzzSetup(f *testing.F) {
 	})
 }
 
+// signatureFromBytes builds an n-item signature whose fail bits are taken
+// from b (bit i of the signature is bit i%8 of b[i/8]; missing bytes read
+// as zero, excess bits are ignored).
+func signatureFromBytes(b []byte, n int) diagnose.Signature {
+	s := diagnose.NewSignature(n)
+	for i := 0; i < n; i++ {
+		if i/8 < len(b) && b[i/8]&(1<<uint(i%8)) != 0 {
+			s.SetFail(i)
+		}
+	}
+	return s
+}
+
 // FuzzRepairPlan feeds arbitrary observed-signature bytes through diagnosis
 // and planning: whatever a flaky tester hands the loop, the planner must
 // never panic and every emitted plan must validate against its chip.
@@ -70,7 +83,7 @@ func FuzzRepairPlan(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0x01, 0x80, 0x55, 0xaa})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sig := diagnose.SignatureFromBytes(data, fuzzN)
+		sig := signatureFromBytes(data, fuzzN)
 		cands := fuzzDict.Candidates(sig)
 		plan, err := fuzzPl.Plan(cands)
 		if err != nil {

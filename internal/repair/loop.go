@@ -239,9 +239,6 @@ func New(cfg Config) (*Loop, error) {
 // Dictionary returns the fault dictionary the loop diagnoses against.
 func (l *Loop) Dictionary() *diagnose.Dictionary { return l.dict }
 
-// Chip returns the loop's programmed chip (spare budgets, geometry).
-func (l *Loop) Chip() *chip.Chip { return l.chip }
-
 // GoldenAccuracy returns the fault-free application accuracy baseline.
 func (l *Loop) GoldenAccuracy() float64 { return l.golden }
 

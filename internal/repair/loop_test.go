@@ -111,7 +111,7 @@ func TestClosedLoopRepairsInjectedCluster(t *testing.T) {
 	if plan.Empty() {
 		t.Errorf("repair without actions")
 	}
-	if err := plan.Validate(l.Chip()); err != nil {
+	if err := plan.Validate(l.chip); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
 }

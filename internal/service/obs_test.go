@@ -220,7 +220,7 @@ func TestRetryAfterDerivedFromObservedLatency(t *testing.T) {
 	// must tell the client to come back in depth × mean / workers = 10s.
 	release := make(chan struct{})
 	defer close(release)
-	park := func(ctx context.Context) (any, error) {
+	park := func(ctx context.Context, _ *Job) (any, error) {
 		select {
 		case <-release:
 			return nil, nil
@@ -228,12 +228,12 @@ func TestRetryAfterDerivedFromObservedLatency(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	running, err := s.queue.Submit("park", park)
+	running, err := s.queue.SubmitJob("park", park)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, running, JobRunning)
-	if _, err := s.queue.Submit("park", park); err != nil {
+	if _, err := s.queue.SubmitJob("park", park); err != nil {
 		t.Fatal(err)
 	}
 	s.metrics.JobRunSeconds.Observe(10)

@@ -10,11 +10,11 @@ import (
 	"neurotest/internal/obs"
 )
 
-// ErrQueueFull is returned by Submit when the bounded queue has no slot;
+// ErrQueueFull is returned by SubmitJob when the bounded queue has no slot;
 // the HTTP layer maps it to 503 + Retry-After (backpressure, not failure).
 var ErrQueueFull = errors.New("service: job queue full")
 
-// ErrQueueClosed is returned by Submit after Close.
+// ErrQueueClosed is returned by SubmitJob after Close.
 var ErrQueueClosed = errors.New("service: job queue closed")
 
 // JobState is the lifecycle of a campaign job.
@@ -159,24 +159,9 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Done reports whether the job reached a terminal state.
-func (j *Job) Done() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.Terminal()
-}
-
-// watch returns the current status and a channel closed on the next change
-// (state transition or published event) — the streaming endpoint's wait
-// primitive.
-func (j *Job) watch() (JobStatus, <-chan struct{}) {
-	j.mu.Lock()
-	ch := j.changed
-	j.mu.Unlock()
-	return j.Status(), ch
-}
-
-// watchFrom is watch plus the events published since index n.
+// watchFrom returns the current status, the events published since index
+// n and a channel closed on the next change (state transition or published
+// event) — the streaming endpoint's wait primitive.
 func (j *Job) watchFrom(n int) (JobStatus, []any, <-chan struct{}) {
 	j.mu.Lock()
 	ch := j.changed
@@ -253,7 +238,7 @@ func (j *Job) Cancel() bool {
 	return true
 }
 
-// Queue is the bounded job queue plus its worker pool. Submit applies
+// Queue is the bounded job queue plus its worker pool. SubmitJob applies
 // backpressure by failing fast when the buffer is full — the service's
 // contract is "queue or refuse", never unbounded memory growth.
 type Queue struct {
@@ -290,14 +275,9 @@ func NewQueue(capacity, workers int, m *Metrics) *Queue {
 	return q
 }
 
-// Submit enqueues a job whose body is run. It never blocks: a full queue
-// returns ErrQueueFull immediately so the HTTP layer can 503.
-func (q *Queue) Submit(kind string, run func(ctx context.Context) (any, error)) (*Job, error) {
-	return q.SubmitJob(kind, func(ctx context.Context, _ *Job) (any, error) { return run(ctx) })
-}
-
-// SubmitJob is Submit for bodies that publish progress events: the body
-// receives its own Job handle to Publish on while it runs.
+// SubmitJob enqueues a job whose body is run; the body receives its own Job
+// handle to Publish progress events on while it runs. It never blocks: a
+// full queue returns ErrQueueFull immediately so the HTTP layer can 503.
 func (q *Queue) SubmitJob(kind string, run func(ctx context.Context, j *Job) (any, error)) (*Job, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{

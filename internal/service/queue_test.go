@@ -10,8 +10,8 @@ import (
 
 // blockingJob returns a job body that parks until release is closed (or the
 // job is cancelled), so tests can hold a worker busy deterministically.
-func blockingJob(release <-chan struct{}) func(ctx context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
+func blockingJob(release <-chan struct{}) func(ctx context.Context, _ *Job) (any, error) {
+	return func(ctx context.Context, _ *Job) (any, error) {
 		select {
 		case <-release:
 			return "released", nil
@@ -39,7 +39,7 @@ func TestQueueRunsJobs(t *testing.T) {
 	q := NewQueue(4, 2, m)
 	defer q.Close()
 
-	j, err := q.Submit("test", func(ctx context.Context) (any, error) { return 42, nil })
+	j, err := q.SubmitJob("test", func(ctx context.Context, _ *Job) (any, error) { return 42, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,16 +65,16 @@ func TestQueueBackpressure(t *testing.T) {
 
 	// First job occupies the single worker (waitState guarantees it left the
 	// buffer), second fills the single buffer slot, third must be refused.
-	running, err := q.Submit("block", blockingJob(release))
+	running, err := q.SubmitJob("block", blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, running, JobRunning)
-	if _, err := q.Submit("block", blockingJob(release)); err != nil {
+	if _, err := q.SubmitJob("block", blockingJob(release)); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := q.Submit("overflow", blockingJob(release)); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.SubmitJob("overflow", blockingJob(release)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: %v, want ErrQueueFull", err)
 	}
 	if got := m.JobsRejected.Load(); got != 1 {
@@ -89,12 +89,12 @@ func TestQueueCancelWhileQueued(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 
-	running, err := q.Submit("block", blockingJob(release))
+	running, err := q.SubmitJob("block", blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, running, JobRunning)
-	queued, err := q.Submit("victim", blockingJob(release))
+	queued, err := q.SubmitJob("victim", blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestQueueCancelRunning(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 
-	j, err := q.Submit("block", blockingJob(release))
+	j, err := q.SubmitJob("block", blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestQueuePanicBecomesFailed(t *testing.T) {
 	q := NewQueue(2, 1, m)
 	defer q.Close()
 
-	j, err := q.Submit("boom", func(ctx context.Context) (any, error) { panic("kaput") })
+	j, err := q.SubmitJob("boom", func(ctx context.Context, _ *Job) (any, error) { panic("kaput") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestQueuePanicBecomesFailed(t *testing.T) {
 	}
 
 	// The worker survived the panic and still runs jobs.
-	ok, err := q.Submit("after", func(ctx context.Context) (any, error) { return "fine", nil })
+	ok, err := q.SubmitJob("after", func(ctx context.Context, _ *Job) (any, error) { return "fine", nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,16 +162,19 @@ func TestQueueCloseRefusesAndDrains(t *testing.T) {
 	q := NewQueue(2, 1, m)
 	release := make(chan struct{})
 	defer close(release)
-	j, err := q.Submit("block", blockingJob(release))
+	j, err := q.SubmitJob("block", blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, j, JobRunning)
 	q.Close()
-	if !j.Done() {
+	j.mu.Lock()
+	live := !j.state.Terminal()
+	j.mu.Unlock()
+	if live {
 		t.Error("Close returned with a job still live")
 	}
-	if _, err := q.Submit("late", blockingJob(release)); !errors.Is(err, ErrQueueClosed) {
+	if _, err := q.SubmitJob("late", blockingJob(release)); !errors.Is(err, ErrQueueClosed) {
 		t.Errorf("submit after close: %v, want ErrQueueClosed", err)
 	}
 }

@@ -107,10 +107,6 @@ func (s *Server) registerGauges() {
 	obs.RegisterRuntimeGauges(s.registry)
 }
 
-// Registry exposes the server's instrument registry (shutdown reporting,
-// tests).
-func (s *Server) Registry() *obs.Registry { return s.registry }
-
 // Recorder exposes the server's span recorder (shutdown trace drain, tests).
 func (s *Server) Recorder() *obs.Recorder { return s.recorder }
 

@@ -292,7 +292,7 @@ func TestServiceBackpressure(t *testing.T) {
 	// the next submission over HTTP must be refused.
 	release := make(chan struct{})
 	defer close(release)
-	park := func(ctx context.Context) (any, error) {
+	park := func(ctx context.Context, _ *Job) (any, error) {
 		select {
 		case <-release:
 			return nil, nil
@@ -300,12 +300,12 @@ func TestServiceBackpressure(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	running, err := s.queue.Submit("park", park)
+	running, err := s.queue.SubmitJob("park", park)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, running, JobRunning)
-	if _, err := s.queue.Submit("park", park); err != nil {
+	if _, err := s.queue.SubmitJob("park", park); err != nil {
 		t.Fatal(err)
 	}
 

@@ -116,16 +116,6 @@ func (n *Network) Clone() *Network {
 	return c
 }
 
-// Weight returns the weight of synapse s.
-func (n *Network) Weight(s SynapseID) float64 {
-	return n.W[s.Boundary][s.Pre*n.Arch[s.Boundary+1]+s.Post]
-}
-
-// SetWeight sets the weight of synapse s.
-func (n *Network) SetWeight(s SynapseID, w float64) {
-	n.W[s.Boundary][s.Pre*n.Arch[s.Boundary+1]+s.Post] = w
-}
-
 // FillBoundary sets every weight of boundary b to w.
 func (n *Network) FillBoundary(b int, w float64) {
 	row := n.W[b]
@@ -161,36 +151,6 @@ func (n *Network) SetEntry(b, i, j int, w float64) {
 // Entry returns the single weight from neuron i of layer b to neuron j.
 func (n *Network) Entry(b, i, j int) float64 {
 	return n.W[b][i*n.Arch[b+1]+j]
-}
-
-// ClampWeights clips every weight into the programmable range
-// [ωmin, ωmax]. Variation injection can push weights outside the range a
-// physical crossbar could hold; the chip model clamps the same way.
-func (n *Network) ClampWeights() {
-	lo, hi := n.Params.WMin(), n.Params.WMax
-	for b := range n.W {
-		row := n.W[b]
-		for i, w := range row {
-			if w < lo {
-				row[i] = lo
-			} else if w > hi {
-				row[i] = hi
-			}
-		}
-	}
-}
-
-// DistinctWeightLevels returns the number of distinct weight values used in
-// the network. The paper exploits that generated configurations use at most
-// six levels, which makes them exactly representable after quantization.
-func (n *Network) DistinctWeightLevels() int {
-	seen := make(map[float64]struct{})
-	for b := range n.W {
-		for _, w := range n.W[b] {
-			seen[w] = struct{}{}
-		}
-	}
-	return len(seen)
 }
 
 // MaxAbsWeight returns the largest |w| in the network.

@@ -43,7 +43,7 @@ func TestResetSubtractWithLeak(t *testing.T) {
 	sim := NewSimulator(net)
 	_, trace := sim.RunTrace(Pattern{true}, 3, ApplyOnce, nil)
 	// t=0: mp 1.2 > 0.5 fire, mp 0.7. t=1: mp 0.35, silent. t=2: 0.175.
-	if got := trace.SpikeTrain(NeuronID{Layer: 1, Index: 0}); got != 0b001 {
+	if got := trace.X[1][0]; got != 0b001 {
 		t.Errorf("train = %b, want 001", got)
 	}
 }

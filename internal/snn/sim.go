@@ -2,7 +2,6 @@ package snn
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 )
 
@@ -164,19 +163,6 @@ type Trace struct {
 	// Y[k] holds the weighted input sums of layer k (k >= 1), indexed
 	// t*width+j: the paper's y^{k+1,j} at timestep t.
 	Y [][]float64
-}
-
-// SpikeTrain returns the spike train bitmask of a neuron.
-func (tr *Trace) SpikeTrain(id NeuronID) uint64 { return tr.X[id.Layer][id.Index] }
-
-// OutputResult derives the observable Result from the trace.
-func (tr *Trace) OutputResult() Result {
-	out := tr.X[len(tr.X)-1]
-	counts := make([]int, len(out))
-	for i, train := range out {
-		counts[i] = bits.OnesCount64(train)
-	}
-	return Result{SpikeCounts: counts}
 }
 
 // Simulator runs time-stepped LIF simulation of one network. It is

@@ -1,7 +1,7 @@
 package snn
 
 import (
-	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -84,7 +84,7 @@ func TestLeakAccumulation(t *testing.T) {
 	net.SetEntry(1, 0, 0, 10)
 	sim := NewSimulator(net)
 	_, trace := sim.RunTrace(Pattern{true, false}, 3, ApplyHold, nil)
-	train := trace.SpikeTrain(NeuronID{Layer: 1, Index: 0})
+	train := trace.X[1][0]
 	// t=0: 0.3 (no), t=1: 0.57 (fire, reset), t=2: 0.3 (no)
 	if train != 0b010 {
 		t.Errorf("hidden train = %b, want 010", train)
@@ -97,7 +97,7 @@ func TestResetAfterFire(t *testing.T) {
 	net.SetEntry(1, 0, 0, 10)
 	sim := NewSimulator(net)
 	_, trace := sim.RunTrace(Pattern{true, false}, 4, ApplyHold, nil)
-	train := trace.SpikeTrain(NeuronID{Layer: 1, Index: 0})
+	train := trace.X[1][0]
 	// Fires every timestep: input held, 0.6 > 0.5 each step after reset.
 	if train != 0b1111 {
 		t.Errorf("train = %b, want 1111", train)
@@ -244,8 +244,10 @@ func TestTraceMatchesResult(t *testing.T) {
 	sim := NewSimulator(net)
 	p := Pattern{true, false, true}
 	res, trace := sim.RunTrace(p, 6, ApplyOnce, nil)
-	if got := trace.OutputResult(); !got.Equal(res) {
-		t.Errorf("trace output %v != result %v", got.SpikeCounts, res.SpikeCounts)
+	for i, train := range trace.X[len(trace.X)-1] {
+		if got := bits.OnesCount64(train); got != res.SpikeCounts[i] {
+			t.Errorf("output %d: trace holds %d spikes, result counts %d", i, got, res.SpikeCounts[i])
+		}
 	}
 	// Input trains mirror the pattern at t=0 only.
 	if trace.X[0][0] != 1 || trace.X[0][1] != 0 || trace.X[0][2] != 1 {
@@ -341,10 +343,9 @@ func TestQuickFirstStepChargeMonotone(t *testing.T) {
 
 func TestNetworkHelpers(t *testing.T) {
 	net := tinyNet(t)
-	s := SynapseID{Boundary: 0, Pre: 1, Post: 0}
-	net.SetWeight(s, 3.5)
-	if got := net.Weight(s); got != 3.5 {
-		t.Errorf("Weight = %g", got)
+	net.SetEntry(0, 1, 0, 3.5)
+	if got := net.Entry(0, 1, 0); got != 3.5 {
+		t.Errorf("Entry = %g", got)
 	}
 	net.Fill(2)
 	if net.Entry(1, 0, 0) != 2 || net.Entry(0, 1, 1) != 2 {
@@ -362,21 +363,8 @@ func TestNetworkHelpers(t *testing.T) {
 	if net.Entry(0, 0, 0) == 9 {
 		t.Errorf("clone aliases original")
 	}
-	if got := net.DistinctWeightLevels(); got != 2 {
-		t.Errorf("DistinctWeightLevels = %d, want 2", got)
-	}
 	if got := net.MaxAbsWeight(); got != 4 {
 		t.Errorf("MaxAbsWeight = %g, want 4", got)
-	}
-	net.SetEntry(0, 0, 0, 99)
-	net.ClampWeights()
-	if got := net.Entry(0, 0, 0); got != 10 {
-		t.Errorf("ClampWeights: %g, want 10", got)
-	}
-	net.SetEntry(0, 0, 0, math.Inf(-1))
-	net.ClampWeights()
-	if got := net.Entry(0, 0, 0); got != -10 {
-		t.Errorf("ClampWeights low: %g, want -10", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolbox the test-generation
 // flow depends on: a deterministic pseudo-random source, Gaussian sampling,
-// the error function and its inverse, summary statistics, and the ν
-// ("nu") margin calculation from Section 4.1 of the paper.
+// streaming and order statistics (Welford, Quantile), and the ν ("nu")
+// margin calculation from Section 4.1 of the paper.
 //
 // Everything here is hand-rolled on purpose: the reproduction is stdlib-only
 // and must be bit-for-bit deterministic across runs, so we fix the RNG
@@ -90,76 +90,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Fork derives an independent generator from the current one. Used to give
-// each simulated chip instance its own stream without correlations.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() ^ 0xA5A5A5A55A5A5A5A)
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation (n-1 denominator) of xs.
-// It returns 0 for slices with fewer than two elements.
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n-1))
-}
-
-// NormalCDF returns P(X <= x) for X ~ N(mu, sigma^2). For sigma == 0 it
-// returns the degenerate step function.
-func NormalCDF(x, mu, sigma float64) float64 {
-	//lint:ignore float-eq degenerate-distribution guard wants exact zero; margin would import-cycle through snn
-	if sigma == 0 {
-		if x < mu {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
-}
-
-// ConfidenceC converts a two-sided confidence level (e.g. 0.997) into the
-// corresponding number of standard deviations c such that
-// P(|X| < c·sigma) = level. The paper uses c = 3 for 99.7 %.
-func ConfidenceC(level float64) float64 {
-	if level <= 0 {
-		return 0
-	}
-	if level >= 1 {
-		return math.Inf(1)
-	}
-	// Solve erf(c/sqrt2) = level for c with bisection; erf is monotone.
-	lo, hi := 0.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if math.Erf(mid/math.Sqrt2) < level {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // Nu computes ν from Eq. 4 of the paper: the maximum number of simultaneously
 // stimulated neurons in a layer such that the accumulated weight error keeps
 // every neuron's output unchanged with confidence determined by c.
@@ -187,35 +117,6 @@ func Nu(omegaMax, sigma, c float64) int {
 // MaxNu is the sentinel returned by Nu when variation is zero: effectively
 // "no limit on simultaneously stimulated neurons".
 const MaxNu = int(1) << 40
-
-// Binomial returns P(X = k) for X ~ Bin(n, p), computed in log space for
-// numerical stability. Used by the baseline repetition analysis.
-func Binomial(n, k int, p float64) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if p <= 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if p >= 1 {
-		if k == n {
-			return 1
-		}
-		return 0
-	}
-	lg := lchoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p)
-	return math.Exp(lg)
-}
-
-func lchoose(n, k int) float64 {
-	lg, _ := math.Lgamma(float64(n + 1))
-	lk, _ := math.Lgamma(float64(k + 1))
-	lnk, _ := math.Lgamma(float64(n - k + 1))
-	return lg - lk - lnk
-}
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation. xs should be sorted ascending; unsorted input is detected

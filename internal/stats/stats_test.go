@@ -102,55 +102,28 @@ func TestNormFloat64Tails(t *testing.T) {
 	}
 }
 
-func TestFork(t *testing.T) {
-	r := NewRNG(6)
-	f1 := r.Fork()
-	f2 := r.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Errorf("forked streams coincide")
-	}
-}
-
+// TestMeanStdDev pins Welford's summary conventions: mean 0 before any
+// observation, a sample (n-1) standard deviation that is 0 for a single
+// observation.
 func TestMeanStdDev(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Errorf("Mean(nil) != 0")
+	welford := func(xs ...float64) *Welford {
+		var w Welford
+		for _, x := range xs {
+			w.Add(x)
+		}
+		return &w
 	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
+	if welford().Mean() != 0 {
+		t.Errorf("empty mean != 0")
+	}
+	if got := welford(1, 2, 3).Mean(); got != 2 {
 		t.Errorf("Mean = %g", got)
 	}
-	if StdDev([]float64{5}) != 0 {
+	if welford(5).StdDev() != 0 {
 		t.Errorf("StdDev single != 0")
 	}
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2.138) > 0.01 {
+	if got := welford(2, 4, 4, 4, 5, 5, 7, 9).StdDev(); math.Abs(got-2.138) > 0.01 {
 		t.Errorf("StdDev = %g", got)
-	}
-}
-
-func TestNormalCDF(t *testing.T) {
-	if got := NormalCDF(0, 0, 1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("CDF(0) = %g", got)
-	}
-	if got := NormalCDF(1.96, 0, 1); math.Abs(got-0.975) > 0.001 {
-		t.Errorf("CDF(1.96) = %g", got)
-	}
-	if NormalCDF(-1, 0, 0) != 0 || NormalCDF(1, 0, 0) != 1 {
-		t.Errorf("degenerate CDF wrong")
-	}
-}
-
-func TestConfidenceC(t *testing.T) {
-	// The paper's example: c = 3 for 99.7 %.
-	if got := ConfidenceC(0.997); math.Abs(got-2.968) > 0.01 {
-		t.Errorf("ConfidenceC(0.997) = %g, want ≈ 2.97", got)
-	}
-	if got := ConfidenceC(0.95); math.Abs(got-1.96) > 0.01 {
-		t.Errorf("ConfidenceC(0.95) = %g, want ≈ 1.96", got)
-	}
-	if ConfidenceC(0) != 0 {
-		t.Errorf("ConfidenceC(0) != 0")
-	}
-	if !math.IsInf(ConfidenceC(1), 1) {
-		t.Errorf("ConfidenceC(1) not +Inf")
 	}
 }
 
@@ -184,25 +157,6 @@ func TestNuMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBinomial(t *testing.T) {
-	if got := Binomial(4, 2, 0.5); math.Abs(got-0.375) > 1e-12 {
-		t.Errorf("Binomial(4,2,0.5) = %g", got)
-	}
-	if Binomial(4, 5, 0.5) != 0 || Binomial(4, -1, 0.5) != 0 {
-		t.Errorf("out-of-range k not zero")
-	}
-	if Binomial(3, 0, 0) != 1 || Binomial(3, 3, 1) != 1 {
-		t.Errorf("degenerate p wrong")
-	}
-	sum := 0.0
-	for k := 0; k <= 10; k++ {
-		sum += Binomial(10, k, 0.3)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("pmf sums to %g", sum)
 	}
 }
 

@@ -6,8 +6,8 @@ import "math"
 // (Welford's online algorithm). The in-field online monitor folds one
 // spike-count observation at a time into one Welford per monitored channel,
 // so golden statistics are captured in a single streaming pass with no
-// retained sample buffer — the point of the algorithm over the batch
-// Mean/StdDev helpers, which need the whole slice resident.
+// retained sample buffer — the point of the algorithm over a two-pass
+// mean and deviation, which needs the whole slice resident.
 //
 // The zero value is an empty accumulator, ready to use. Add is a pure
 // function of the accumulator state and its argument, so equal observation
@@ -26,15 +26,11 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations accumulated.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running arithmetic mean, or 0 before any observation —
-// the same empty-input convention as the batch Mean.
+// Mean returns the running arithmetic mean, or 0 before any observation.
 func (w *Welford) Mean() float64 { return w.mean }
 
 // Variance returns the running sample variance (n-1 denominator), or 0 for
-// fewer than two observations — matching the batch StdDev convention.
+// fewer than two observations.
 func (w *Welford) Variance() float64 {
 	if w.n < 2 {
 		return 0

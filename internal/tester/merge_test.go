@@ -11,12 +11,12 @@ import (
 	"neurotest/internal/variation"
 )
 
-// The merge helpers are the cluster coordinator's correctness foundation:
-// a campaign sharded K ways and re-assembled must equal the single-node
-// campaign *bit-identically* — integer tallies AND the derived float rates.
-// These property-style tests sweep shard counts and partition shapes
-// (contiguous and strided, including empty and single shards) and compare
-// with == / != on the floats on purpose: "no float drift" is the property.
+// A campaign sharded K ways and re-assembled must equal the single-node
+// campaign *bit-identically* — integer tallies AND the derived float rates;
+// the cluster coordinator depends on it. These property-style tests sweep
+// shard counts and partition shapes (contiguous and strided, including
+// empty and single shards) and compare with == / != on the floats on
+// purpose: "no float drift" is the property.
 
 // partitionContiguous splits [0, n) into k contiguous slices (some possibly
 // empty when k > n).
@@ -50,6 +50,12 @@ func partitions(n, k int) map[string][][]int {
 	}
 }
 
+// TestMergeCoveragePartitionsExactly campaigns over every shard of a
+// partition and sums the shard results, as the coordinator does with its
+// workers' replies: the sums, and the set of undetected faults, equal the
+// whole campaign's. Shards pack different faults into the kernel's lane
+// groups, so this pins that a fault's verdict does not depend on which
+// faults share its group.
 func TestMergeCoveragePartitionsExactly(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
@@ -67,15 +73,18 @@ func TestMergeCoveragePartitionsExactly(t *testing.T) {
 	for k := 1; k <= 5; k++ {
 		for shape, shards := range partitions(len(faults), k) {
 			t.Run(fmt.Sprintf("%s-k%d", shape, k), func(t *testing.T) {
-				parts := make([]CoverageResult, 0, k)
+				var got CoverageResult
 				for _, idx := range shards {
 					sub := make([]fault.Fault, len(idx))
 					for j, i := range idx {
 						sub[j] = faults[i]
 					}
-					parts = append(parts, ate.MeasureCoverage(sub, values))
+					part := ate.MeasureCoverage(sub, values)
+					got.Total += part.Total
+					got.Detected += part.Detected
+					got.Undetected = append(got.Undetected, part.Undetected...)
+					got.Errors = append(got.Errors, part.Errors...)
 				}
-				got := MergeCoverage(parts...)
 				if got.Total != whole.Total || got.Detected != whole.Detected {
 					t.Fatalf("merged tally %d/%d, want %d/%d",
 						got.Detected, got.Total, whole.Detected, whole.Total)
@@ -88,107 +97,20 @@ func TestMergeCoveragePartitionsExactly(t *testing.T) {
 					t.Fatalf("merged %d undetected, want %d",
 						len(got.Undetected), len(whole.Undetected))
 				}
+				missed := make(map[fault.Fault]bool, len(whole.Undetected))
+				for _, f := range whole.Undetected {
+					missed[f] = true
+				}
+				for _, f := range got.Undetected {
+					if !missed[f] {
+						t.Fatalf("%v undetected in its shard, detected in the whole campaign", f)
+					}
+				}
 				if len(got.Errors) != len(whole.Errors) {
 					t.Fatalf("merged %d errors, want %d", len(got.Errors), len(whole.Errors))
 				}
 			})
 		}
-	}
-}
-
-func TestMergeCoverageEdges(t *testing.T) {
-	if got := MergeCoverage(); got.Total != 0 || got.Detected != 0 || got.Coverage() != 0 {
-		t.Errorf("zero-shard merge = %+v", got)
-	}
-	one := CoverageResult{Total: 7, Detected: 5, Undetected: []fault.Fault{{}, {}}}
-	if got := MergeCoverage(one); got.Total != one.Total || got.Detected != one.Detected ||
-		got.Coverage() != one.Coverage() || len(got.Undetected) != 2 {
-		t.Errorf("single-shard merge = %+v, want %+v", got, one)
-	}
-	empty := CoverageResult{}
-	if got := MergeCoverage(empty, one, empty); got.Coverage() != one.Coverage() {
-		t.Errorf("empty shards disturbed the merge: %+v", got)
-	}
-}
-
-func TestMergeChipTalliesEscapeExactly(t *testing.T) {
-	arch := snn.Arch{6, 5, 4}
-	g, merged := smallSuite(t, arch, core.NoVariation())
-	ate := New(merged, nil)
-	faults := fault.Universe(arch, fault.SWF)
-	values := g.Options().Values
-	vary := variation.Model{Sigma: 0.2}
-	const seed = 99
-
-	whole := ate.EscapeTally(faults, values, vary, seed)
-	if whole.Clean != len(faults) {
-		t.Fatalf("whole campaign: %d clean of %d", whole.Clean, len(faults))
-	}
-	pct, errs := ate.EscapeCampaign(faults, values, vary, seed)
-	if len(errs) != 0 || pct != whole.Pct() {
-		t.Fatalf("EscapeTally.Pct() = %v, EscapeCampaign = %v (errs %v)", whole.Pct(), pct, errs)
-	}
-
-	for k := 1; k <= 5; k++ {
-		for shape, shards := range partitions(len(faults), k) {
-			t.Run(fmt.Sprintf("%s-k%d", shape, k), func(t *testing.T) {
-				parts := make([]ChipTally, 0, k)
-				for _, idx := range shards {
-					parts = append(parts, ate.EscapeTallyAt(faults, values, idx, vary, seed))
-				}
-				got := MergeChipTallies(parts...)
-				if got.Hit != whole.Hit || got.Clean != whole.Clean {
-					t.Fatalf("merged tally %d/%d, want %d/%d", got.Hit, got.Clean, whole.Hit, whole.Clean)
-				}
-				if got.Pct() != whole.Pct() {
-					t.Fatalf("merged Pct() = %v, want bit-identical %v", got.Pct(), whole.Pct())
-				}
-			})
-		}
-	}
-}
-
-func TestMergeChipTalliesOverkillExactly(t *testing.T) {
-	arch := snn.Arch{6, 5, 4}
-	_, merged := smallSuite(t, arch, core.NoVariation())
-	ate := New(merged, nil)
-	vary := variation.Model{Sigma: 0.6}
-	const nChips, seed = 40, 7
-
-	whole := ate.OverkillTally(nChips, vary, seed)
-	if whole.Clean != nChips {
-		t.Fatalf("whole campaign: %d clean of %d", whole.Clean, nChips)
-	}
-	for k := 1; k <= 4; k++ {
-		for shape, shards := range partitions(nChips, k) {
-			t.Run(fmt.Sprintf("%s-k%d", shape, k), func(t *testing.T) {
-				parts := make([]ChipTally, 0, k)
-				for _, idx := range shards {
-					parts = append(parts, ate.OverkillTallyAt(idx, vary, seed))
-				}
-				got := MergeChipTallies(parts...)
-				if got.Hit != whole.Hit || got.Clean != whole.Clean || got.Pct() != whole.Pct() {
-					t.Fatalf("merged = %d/%d (%v%%), want %d/%d (%v%%)",
-						got.Hit, got.Clean, got.Pct(), whole.Hit, whole.Clean, whole.Pct())
-				}
-			})
-		}
-	}
-}
-
-func TestMergeChipTalliesEdges(t *testing.T) {
-	if got := MergeChipTallies(); got.Hit != 0 || got.Clean != 0 || got.Pct() != 0 {
-		t.Errorf("zero-shard merge = %+v", got)
-	}
-	one := ChipTally{Hit: 3, Clean: 9}
-	if got := MergeChipTallies(one); got.Hit != 3 || got.Clean != 9 || len(got.Errors) != 0 {
-		t.Errorf("single-shard merge = %+v", got)
-	}
-	if got := MergeChipTallies(ChipTally{}, one, ChipTally{}); got.Pct() != one.Pct() {
-		t.Errorf("empty shards disturbed the merge: %+v", got)
-	}
-	if (ChipTally{Hit: 5}).Pct() != 0 {
-		t.Errorf("Pct with zero clean chips must be 0")
 	}
 }
 

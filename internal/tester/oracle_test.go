@@ -56,7 +56,7 @@ func oracleSampleFaults(universes map[fault.Kind][]fault.Fault, kinds []fault.Ki
 
 func TestSampleFaultsMatchesOracle(t *testing.T) {
 	archs := []snn.Arch{{6, 5, 4}, {10, 8, 6, 3}, {576, 256, 32, 10}, {576, 256, 64, 32, 10}}
-	kindSets := [][]fault.Kind{fault.Kinds(), fault.SynapseKinds(), fault.NeuronKinds(), {fault.SWF}}
+	kindSets := [][]fault.Kind{fault.Kinds(), {fault.SASF, fault.SWF}, fault.NeuronKinds(), {fault.SWF}}
 	seeds := []uint64{1, 7, 41, 90210}
 	for _, arch := range archs {
 		t.Run(arch.String(), func(t *testing.T) {
@@ -313,8 +313,8 @@ func TestSharedConfigsUntouched(t *testing.T) {
 		run("sessions", func() []error {
 			return a.MeasureSessions(16, mods, prof, vary, RetestPolicy{MaxRetests: 2}, 3).Errors
 		})
-		run("escape", func() []error { return a.EscapeTally(faults, values, vary, 4).Errors })
-		run("overkill", func() []error { return a.OverkillTally(16, vary, 5).Errors })
+		run("escape", func() []error { _, errs := a.EscapeCampaign(faults, values, vary, 4); return errs })
+		run("overkill", func() []error { _, errs := a.OverkillCampaign(16, vary, 5); return errs })
 		run("coverage", func() []error { return a.MeasureCoverage(faults, values).Errors })
 	}
 	wg.Wait()

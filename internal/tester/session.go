@@ -91,16 +91,6 @@ type SessionReport struct {
 	BudgetSpent int
 }
 
-// Amplification is the retest amplification of the session: extra items
-// run ÷ baseline items. 0 for a reliable chip under any policy; the flaky
-// experiment sweeps how it grows with intermittence and retest budget.
-func (r SessionReport) Amplification() float64 {
-	if r.BaselineItems == 0 {
-		return 0
-	}
-	return float64(r.Retests) / float64(r.BaselineItems)
-}
-
 // String renders the session one-line, e.g. "FAIL@3 items=7 (+2 retests)".
 func (r SessionReport) String() string {
 	s := r.Outcome.String()

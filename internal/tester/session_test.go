@@ -35,7 +35,7 @@ func TestReliableSessionIsRunChip(t *testing.T) {
 		if got.Outcome != wantOutcome || got.FailedItem != want.FailedItem || got.ItemsRun != want.ItemsRun {
 			t.Errorf("%s: session %+v, RunChip %+v", name, got, want)
 		}
-		if got.Retests != 0 || got.DroppedReads != 0 || got.Amplification() != 0 {
+		if got.Retests != 0 || got.DroppedReads != 0 {
 			t.Errorf("%s: reliable session did extra work: %+v", name, got)
 		}
 	}
@@ -331,12 +331,6 @@ func TestOutcomeAndReportStrings(t *testing.T) {
 	rep := SessionReport{Outcome: Fail, FailedItem: 3, ItemsRun: 7, BaselineItems: 10, Retests: 2}
 	if !strings.Contains(rep.String(), "FAIL@3") {
 		t.Errorf("report string %q", rep.String())
-	}
-	if rep.Amplification() != 0.2 {
-		t.Errorf("amplification %g", rep.Amplification())
-	}
-	if (SessionReport{}).Amplification() != 0 {
-		t.Errorf("zero report amplification")
 	}
 }
 

@@ -324,25 +324,6 @@ func (c CoverageResult) Coverage() float64 {
 	return 100 * float64(c.Detected) / float64(c.Total)
 }
 
-// MergeCoverage folds K partial coverage results over disjoint fault shards
-// into the whole-campaign result. All tallies are integers, so merging K
-// disjoint shards equals the whole-universe campaign exactly — Coverage()
-// is bit-identical, not approximately equal — which is what lets the
-// cluster coordinator re-assemble sharded campaigns without float drift.
-// Undetected faults and errors concatenate in argument order; callers that
-// need the single-node ordering (the coordinator) pass shards sorted by
-// their faults' global universe indices.
-func MergeCoverage(parts ...CoverageResult) CoverageResult {
-	var out CoverageResult
-	for _, p := range parts {
-		out.Total += p.Total
-		out.Detected += p.Detected
-		out.Undetected = append(out.Undetected, p.Undetected...)
-		out.Errors = append(out.Errors, p.Errors...)
-	}
-	return out
-}
-
 // String renders like the paper's tables, e.g. "100.00%".
 func (c CoverageResult) String() string {
 	s := fmt.Sprintf("%.2f%% (%d/%d)", c.Coverage(), c.Detected, c.Total)
@@ -549,92 +530,15 @@ func (a *ATE) EscapeCampaign(faults []fault.Fault, values fault.Values, vary var
 	}, seed)
 }
 
-// ChipTally is the integer accounting of a population campaign (escape or
-// overkill): how many chips satisfied the campaign predicate out of how many
-// evaluated cleanly. Keeping the tally in integers — rather than the
-// percentage the Measure* conveniences return — is what makes partial
-// tallies over disjoint chip shards mergeable without float drift: the
-// merged Pct() is bit-identical to the whole-population campaign.
-type ChipTally struct {
-	// Hit counts chips satisfying the predicate (escaped faulty chips for
-	// escape campaigns, failed good chips for overkill).
-	Hit int
-	// Clean counts chips that evaluated without a worker error.
-	Clean int
-	// Errors holds structured worker failures; errored chips count in
-	// neither Hit nor Clean.
-	Errors []error
-}
-
-// Pct returns 100·Hit/Clean, or 0 when nothing evaluated cleanly.
-func (t ChipTally) Pct() float64 {
-	if t.Clean == 0 {
-		return 0
-	}
-	return 100 * float64(t.Hit) / float64(t.Clean)
-}
-
-// MergeChipTallies folds K partial tallies over disjoint chip shards into
-// the whole-population tally. Integer sums only, so the merge is exact.
-func MergeChipTallies(parts ...ChipTally) ChipTally {
-	var out ChipTally
-	for _, p := range parts {
-		out.Hit += p.Hit
-		out.Clean += p.Clean
-		out.Errors = append(out.Errors, p.Errors...)
-	}
-	return out
-}
-
-// EscapeTally is EscapeCampaign returning the raw integer tally instead of
-// the percentage, for callers that merge shards (the cluster coordinator).
-func (a *ATE) EscapeTally(faults []fault.Fault, values fault.Values, vary variation.Model, seed uint64) ChipTally {
-	return a.EscapeTallyAt(faults, values, identityIndices(len(faults)), vary, seed)
-}
-
-// EscapeTallyAt evaluates only the faulty chips whose global indices are
-// listed in idx (each an index into faults). Chip i's RNG seed derives from
-// its global index, never from its position in idx or the worker that runs
-// it, so a sharded campaign over a partition of the indices merges to the
-// bit-identical whole-population tally.
-func (a *ATE) EscapeTallyAt(faults []fault.Fault, values fault.Values, idx []int, vary variation.Model, seed uint64) ChipTally {
-	return a.tallyChipsAt("escape", idx, func(i int, rng *stats.RNG) bool {
-		return a.RunChip(faults[i].Modifiers(values), vary, rng).Passed
-	}, seed)
-}
-
-// OverkillTally is OverkillCampaign returning the raw integer tally.
-func (a *ATE) OverkillTally(nChips int, vary variation.Model, seed uint64) ChipTally {
-	return a.OverkillTallyAt(identityIndices(nChips), vary, seed)
-}
-
-// OverkillTallyAt evaluates only the good chips whose global population
-// indices are listed in idx, with the same global-index seed derivation as
-// EscapeTallyAt.
-func (a *ATE) OverkillTallyAt(idx []int, vary variation.Model, seed uint64) ChipTally {
-	return a.tallyChipsAt("overkill", idx, func(i int, rng *stats.RNG) bool {
-		return !a.RunChip(nil, vary, rng).Passed
-	}, seed)
-}
-
-// countChips evaluates pred for n independent chips in parallel and returns
-// the percentage that satisfied it, over the chips that evaluated cleanly.
-// Chip i always receives the same derived seed. Worker panics are recovered
-// into structured errors instead of killing the process.
+// countChips evaluates pred for every chip index in [0, n) on the worker
+// pool and returns the percentage that satisfied it, over the chips that
+// evaluated cleanly. Chip i's RNG seed derives from its index, never from
+// the worker that runs it. Worker panics are recovered into structured
+// errors instead of killing the process; errored chips count in neither
+// the numerator nor the denominator.
 func (a *ATE) countChips(op string, n int, pred func(i int, rng *stats.RNG) bool, seed uint64) (float64, []error) {
-	t := a.tallyChipsAt(op, identityIndices(n), pred, seed)
-	return t.Pct(), t.Errors
-}
-
-// tallyChipsAt evaluates pred for every global chip index in idx on the
-// worker pool and tallies the hits. pred receives the global index, and the
-// per-chip RNG seed derives from that global index, so any partition of a
-// population across calls (or cluster nodes) reproduces the exact
-// whole-population accounting.
-func (a *ATE) tallyChipsAt(op string, idx []int, pred func(i int, rng *stats.RNG) bool, seed uint64) ChipTally {
-	var tally ChipTally
-	if len(idx) == 0 {
-		return tally
+	if n == 0 {
+		return 0, nil
 	}
 	ensureObs()
 	timer := obs.StartTimer()
@@ -643,8 +547,7 @@ func (a *ATE) tallyChipsAt(op string, idx []int, pred func(i int, rng *stats.RNG
 		hit bool
 		err error
 	}
-	verdicts := runWorkers(len(idx), func(k, w int) (v verdict) {
-		i := idx[k]
+	verdicts := runWorkers(n, func(i, w int) (v verdict) {
 		defer func() {
 			if p := recover(); p != nil {
 				v.err = &WorkerError{Op: op, Worker: w, Chip: i, Panic: p}
@@ -653,17 +556,22 @@ func (a *ATE) tallyChipsAt(op string, idx []int, pred func(i int, rng *stats.RNG
 		v.hit = pred(i, stats.NewRNG(chipSeed(seed, i)))
 		return v
 	})
+	hit, clean := 0, 0
+	var errs []error
 	for _, v := range verdicts {
 		if v.err != nil {
-			tally.Errors = append(tally.Errors, v.err)
+			errs = append(errs, v.err)
 			continue
 		}
-		tally.Clean++
+		clean++
 		if v.hit {
-			tally.Hit++
+			hit++
 		}
 	}
-	return tally
+	if clean == 0 {
+		return 0, errs
+	}
+	return 100 * float64(hit) / float64(clean), errs
 }
 
 // identityIndices returns [0, n).

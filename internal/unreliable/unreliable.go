@@ -1,14 +1,13 @@
 // Package unreliable models chips under test that do not answer the same
 // way twice. The paper's evaluation (Sections 5.2–5.3) assumes a fault is
 // either present or absent and that the ATE reads spike counts perfectly;
-// production test floors face intermittent faults, flaky readout channels
-// and single-event upsets in weight memories. This package supplies those
-// reliability models as composable, deterministic functions of an injected
-// RNG, so that every simulated test session is reproducible bit-for-bit
-// from its seed — the same discipline internal/stats imposes on variation
-// sampling.
+// production test floors face intermittent faults and flaky readout
+// channels. This package supplies those reliability models as composable,
+// deterministic functions of an injected RNG, so that every simulated test
+// session is reproducible bit-for-bit from its seed — the same discipline
+// internal/stats imposes on variation sampling.
 //
-// Three models are provided:
+// Two models are provided:
 //
 //   - Intermittence gates a die's physical defect per applied test item,
 //     either independently (active with probability P on every item) or as
@@ -18,8 +17,6 @@
 //   - Readout corrupts what the tester observes: per-output spike-count
 //     jitter (±k with probability JitterP per channel) and dropped
 //     readouts, where a read returns ErrDropped instead of a Result.
-//   - Upset (see upset.go) flips one stored weight-memory bit of a
-//     chip.Chip — a single-event transient in the configuration SRAM.
 //
 // A Profile composes intermittence and readout; a Session is one chip's
 // realisation of a profile, holding private RNG streams so that readout
@@ -108,11 +105,6 @@ type Profile struct {
 // the tester package asserts it reproduces plain RunChip verdicts exactly.
 func Reliable() Profile { return Profile{Intermittence: Always()} }
 
-// Reliable reports whether the profile injects no unreliability at all.
-func (p Profile) Reliable() bool {
-	return p.Intermittence.P >= 1 && !p.Intermittence.Burst && p.Readout.Perfect()
-}
-
 // String renders the profile for reports.
 func (p Profile) String() string {
 	return fmt.Sprintf("%v, %v", p.Intermittence, p.Readout)
@@ -155,9 +147,6 @@ func (p Profile) NewSession(seed uint64) *Session {
 		read: stats.NewRNG(seed ^ readSalt),
 	}
 }
-
-// Profile returns the session's reliability profile.
-func (s *Session) Profile() Profile { return s.prof }
 
 // FaultActive advances the activation process by one applied item and
 // reports whether the die's defect is active during it. Call exactly once

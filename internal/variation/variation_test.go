@@ -38,14 +38,14 @@ func TestSampleErrorMoments(t *testing.T) {
 	net := snn.New(snn.Arch{100, 100}, snn.DefaultParams())
 	net.Fill(1)
 	out := applied(Model{Sigma: 0.2}, net, 9)
-	xs := make([]float64, 0, 10000)
+	var acc stats.Welford
 	for _, w := range out.W[0] {
-		xs = append(xs, w)
+		acc.Add(w)
 	}
-	if mean := stats.Mean(xs); math.Abs(mean-1) > 0.01 {
+	if mean := acc.Mean(); math.Abs(mean-1) > 0.01 {
 		t.Errorf("programmed mean = %g, want ≈ 1 (unbiased)", mean)
 	}
-	if sd := stats.StdDev(xs); math.Abs(sd-0.2) > 0.01 {
+	if sd := acc.StdDev(); math.Abs(sd-0.2) > 0.01 {
 		t.Errorf("programmed stddev = %g, want ≈ 0.2", sd)
 	}
 }
@@ -56,15 +56,15 @@ func TestErrorNoClampBias(t *testing.T) {
 	net := snn.New(snn.Arch{100, 100}, snn.DefaultParams())
 	net.Fill(-10) // ωmin
 	out := applied(Model{Sigma: 0.5}, net, 10)
-	xs := make([]float64, 0, 10000)
+	var acc stats.Welford
 	below := 0
 	for _, w := range out.W[0] {
-		xs = append(xs, w)
+		acc.Add(w)
 		if w < -10 {
 			below++
 		}
 	}
-	if mean := stats.Mean(xs); math.Abs(mean+10) > 0.02 {
+	if mean := acc.Mean(); math.Abs(mean+10) > 0.02 {
 		t.Errorf("saturated weights biased: mean = %g, want ≈ -10", mean)
 	}
 	if below == 0 {
