@@ -169,16 +169,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", rec.Len(), *traceOut)
 	}
 	// Fault-simulation efficiency for the whole run: how many shared
-	// goldens were built (one per campaign, independent of worker count)
-	// and how well the downstream memo amortized re-simulation.
+	// goldens were built (one per campaign, independent of worker count),
+	// how many equivalence classes the evaluated faults collapsed into, and
+	// how well the downstream memo amortized the representatives'
+	// re-simulation.
 	sim := faultsim.Snapshot()
 	sim.GoldenBuilds -= simBefore.GoldenBuilds
 	sim.FaultsSimulated -= simBefore.FaultsSimulated
+	sim.Classes -= simBefore.Classes
 	sim.MemoHits -= simBefore.MemoHits
 	sim.MemoMisses -= simBefore.MemoMisses
 	if sim.FaultsSimulated > 0 {
-		fmt.Fprintf(os.Stderr, "faultsim: %d goldens built, %d faults evaluated, memo hit ratio %.1f%%\n",
-			sim.GoldenBuilds, sim.FaultsSimulated, 100*sim.HitRatio())
+		fmt.Fprintf(os.Stderr, "faultsim: %d goldens built, %d faults evaluated in %d classes, memo hit ratio %.1f%%\n",
+			sim.GoldenBuilds, sim.FaultsSimulated, sim.Classes, 100*sim.HitRatio())
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Second))
 }

@@ -6,12 +6,18 @@
 // universes. The simulator here exploits the single-fault assumption
 // instead:
 //
-//  1. For each test item it simulates the good chip once, recording every
+//  1. It collapses the fault list into exact equivalence classes
+//     (collapse.go). Faults whose effect is provably identical on every item
+//     — synapse faults that share kind, boundary, post neuron, presynaptic
+//     golden train and weight bits, or neuron faults listed twice — form
+//     one class; only one representative per class is simulated, and its
+//     verdict is broadcast to the other members.
+//  2. For each test item it simulates the good chip once, recording every
 //     neuron's spike train and per-timestep weighted input sum.
-//  2. A fault perturbs exactly one neuron's integration (NASF/ESF/HSF) or
+//  3. A fault perturbs exactly one neuron's integration (NASF/ESF/HSF) or
 //     one synapse's contribution (SWF/SASF), so the faulty spike train of
 //     the affected neuron is recomputable from the recorded sums in O(T).
-//  3. Only when that train differs from the good train does the fault reach
+//  4. Only when that train differs from the good train does the fault reach
 //     the rest of the network; the downstream layers are then re-simulated —
 //     memoized on (layer, neuron, faulty train), because every fault that
 //     deviates the same neuron in the same way produces the same outputs.
@@ -22,9 +28,11 @@
 // The work splits across two types so parallel campaigns never repeat it:
 //
 //   - Golden holds everything derived from the test set alone — transformed
-//     configurations, per-item activity traces, golden results and the
-//     downstream memo. It is built once per campaign, is immutable except
-//     for the memo (sharded per item, mutex-guarded), and is safe for any
+//     configurations, per-item activity traces, golden results, the
+//     downstream memo and the collapse index (interned presynaptic trains
+//     and the distinct item networks, built on first use). It is built once
+//     per campaign, is immutable except for the memo (sharded per item,
+//     mutex-guarded) and the once-built collapse index, and is safe for any
 //     number of concurrent readers.
 //   - Evaluator holds the per-goroutine scratch buffers one fault
 //     evaluation needs. Evaluators are cheap (a handful of slices), so a
@@ -35,8 +43,8 @@
 // packed.go, with two drivers: DetectsBatch (per-fault verdicts with
 // cross-item early exit, behind Coverage and Undetected) and DetectsMatrix
 // (the full fault × item detection matrix for dictionaries, compaction and
-// greedy selection). The fault-at-a-time scalar kernel survives only as the
-// differential test oracle.
+// greedy selection). Both collapse their input first. The fault-at-a-time
+// scalar kernel survives only as the differential test oracle.
 package faultsim
 
 import (
@@ -106,6 +114,10 @@ type goldenItem struct {
 type Golden struct {
 	ts    *pattern.TestSet
 	items []goldenItem
+	// collapse is the Golden-derived part of fault collapsing (collapse.go),
+	// built on first use under collapseOnce.
+	collapseOnce sync.Once
+	collapse     *collapseIndex
 }
 
 // NewGolden runs and caches the good-chip simulation of every item in ts.
@@ -252,7 +264,9 @@ func (e *Evaluator) Undetected(ctx context.Context, faults []fault.Fault) ([]fau
 // stuck-at-programmed-value weights, always-on zero weights) — the caller
 // must report it undetected without touching the trace. This is the one
 // semantic definition of the five fault models; the packed kernel and the
-// test-only scalar oracle both go through it.
+// test-only scalar oracle both go through it. Collapse's synapse class
+// key (collapse.go) is exactly what this function reads of a synapse fault
+// and an item, so any new input here must join that key.
 func (e *Evaluator) faultSite(ic *goldenItem, f fault.Fault) (layer, index int, faultyTrain uint64, ok bool) {
 	T := ic.item.Timesteps
 

@@ -14,6 +14,7 @@ func statsDelta(after, before Stats) Stats {
 	return Stats{
 		GoldenBuilds:    after.GoldenBuilds - before.GoldenBuilds,
 		FaultsSimulated: after.FaultsSimulated - before.FaultsSimulated,
+		Classes:         after.Classes - before.Classes,
 		MemoHits:        after.MemoHits - before.MemoHits,
 		MemoMisses:      after.MemoMisses - before.MemoMisses,
 	}

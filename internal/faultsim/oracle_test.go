@@ -36,13 +36,13 @@ func newScalarOracle(e *Evaluator) *scalarOracle {
 
 // DetectsOnItem reports whether item idx alone detects f.
 func (o *scalarOracle) DetectsOnItem(f fault.Fault, idx int) bool {
-	defer o.e.flushObsN(1)
+	defer o.e.flushObsN(1, 1)
 	return o.detectsOn(&o.e.g.items[idx], f)
 }
 
 // DetectingItem returns the index of the first item that detects f, or -1.
 func (o *scalarOracle) DetectingItem(f fault.Fault) int {
-	defer o.e.flushObsN(1)
+	defer o.e.flushObsN(1, 1)
 	for i := range o.e.g.items {
 		if o.detectsOn(&o.e.g.items[i], f) {
 			return i

@@ -17,11 +17,12 @@
 //     the golden train in this timestep.
 //
 // This is the package's only fault-evaluation kernel. evalItem runs one
-// group on one item; DetectsBatch and DetectsMatrix are its two drivers. A
-// fault-at-a-time scalar kernel lives in the tests as the differential
-// oracle: differential and fuzz tests assert the packed verdicts — per fault
-// and per (fault, item) — agree with it and with brute force on every fault
-// kind.
+// group on one item; DetectsBatch and DetectsMatrix are its two drivers,
+// and they pack only the representatives of the faults' equivalence
+// classes (collapse.go). A fault-at-a-time scalar kernel lives in the tests
+// as the differential oracle: differential and fuzz tests assert the packed
+// verdicts — per fault and per (fault, item) — agree with it and with brute
+// force on every fault kind.
 
 package faultsim
 
@@ -51,14 +52,27 @@ func sourceLayer(f fault.Fault) int {
 // one kind deviating one layer, at most 64 per group (one bit-lane each).
 // Groups and their members preserve first-seen input order, so batched
 // evaluation is byte-stable regardless of map iteration.
-func PackGroups(faults []fault.Fault) [][]int {
+func PackGroups(faults []fault.Fault) [][]int { return packGroups(faults, nil) }
+
+// packGroups is PackGroups over the faults at the listed indices only, or
+// over every fault when idx is nil.
+func packGroups(faults []fault.Fault, idx []int32) [][]int {
 	type groupKey struct {
 		kind  fault.Kind
 		layer int
 	}
+	n := len(faults)
+	if idx != nil {
+		n = len(idx)
+	}
 	pos := make(map[groupKey]int)
 	var groups [][]int
-	for i, f := range faults {
+	for r := 0; r < n; r++ {
+		i := r
+		if idx != nil {
+			i = int(idx[r])
+		}
+		f := faults[i]
 		k := groupKey{kind: f.Kind, layer: sourceLayer(f)}
 		gi, ok := pos[k]
 		if !ok || len(groups[gi]) == 64 {
@@ -143,21 +157,29 @@ func (ps *packedScratch) init(arch snn.Arch) {
 
 // DetectsBatch evaluates every fault with the packed kernel and returns the
 // per-fault verdicts, index-aligned with faults: verdict i is true when any
-// item of the test set detects faults[i]. Up to 64 faults share each
-// downstream pass, a group's item scan stops once all its faults are
-// detected, and the obs accounting is flushed once per call. The scan
-// checks ctx between items; on cancellation it returns (nil, ctx.Err()).
+// item of the test set detects faults[i]. The faults are first collapsed
+// into exact equivalence classes (collapse.go); only one representative per
+// class is evaluated, and its verdict is broadcast to the other members.
+// Up to 64 representatives share each downstream pass, a group's item scan
+// stops once all its faults are detected, and the obs accounting is flushed
+// once per call. The scan checks ctx between items; on cancellation it
+// returns (nil, ctx.Err()).
 func (e *Evaluator) DetectsBatch(ctx context.Context, faults []fault.Fault) ([]bool, error) {
 	out := make([]bool, len(faults))
-	resolved := 0
-	defer func() { e.flushObsN(resolved) }()
+	cls := e.g.Collapse(faults)
+	resolved, classes := 0, 0
+	defer func() { e.flushObsN(resolved, classes) }()
+	settle := func(idx []int, lanes uint64) {
+		resolved += cls.members(idx, lanes)
+		classes += bits.OnesCount64(lanes)
+	}
 	var groups [][]int
-	if pregrouped(faults) {
-		// Already one packed group (the shape the tester's campaign pool
-		// always sends): skip the grouping map.
+	if len(cls.Reps) == len(faults) && pregrouped(faults) {
+		// Already one packed group of distinct faults (the shape the
+		// tester's campaign pool always sends): skip the grouping map.
 		groups = [][]int{identity64[:len(faults)]}
 	} else {
-		groups = PackGroups(faults)
+		groups = packGroups(faults, cls.Reps)
 	}
 	for _, idx := range groups {
 		pending := fullMask(len(idx))
@@ -170,12 +192,15 @@ func (e *Evaluator) DetectsBatch(ctx context.Context, faults []fault.Fault) ([]b
 			}
 			det := e.evalItem(&e.g.items[it], faults, idx, pending)
 			pending &^= det
-			resolved += bits.OnesCount64(det)
+			settle(idx, det)
 			for ; det != 0; det &= det - 1 {
 				out[idx[bits.TrailingZeros64(det)]] = true
 			}
 		}
-		resolved += bits.OnesCount64(pending)
+		settle(idx, pending)
+	}
+	for i, k := range cls.Of {
+		out[i] = out[cls.Reps[k]]
 	}
 	return out, nil
 }
@@ -183,10 +208,13 @@ func (e *Evaluator) DetectsBatch(ctx context.Context, faults []fault.Fault) ([]b
 // DetectsMatrix evaluates every fault on every item with the packed kernel
 // and returns, index-aligned with faults, the set of items detecting each
 // fault as a bitset: item i detects faults[f] when bit i%64 of
-// rows[f][i/64] is set. Unlike DetectsBatch it never ends a scan early —
-// fault dictionaries, compaction and greedy selection need every item's
-// verdict. The obs accounting is flushed once per call. The scan checks ctx
-// between items; on cancellation it returns (nil, ctx.Err()).
+// rows[f][i/64] is set. Like DetectsBatch it evaluates one representative
+// per equivalence class; each member's row is a copy of its
+// representative's, in its own backing array. Unlike DetectsBatch it never
+// ends a scan early — fault dictionaries, compaction and greedy selection
+// need every item's verdict. The obs accounting is flushed once per call.
+// The scan checks ctx between items; on cancellation it returns
+// (nil, ctx.Err()).
 func (e *Evaluator) DetectsMatrix(ctx context.Context, faults []fault.Fault) ([][]uint64, error) {
 	words := (len(e.g.items) + 63) / 64
 	flat := make([]uint64, len(faults)*words)
@@ -194,9 +222,10 @@ func (e *Evaluator) DetectsMatrix(ctx context.Context, faults []fault.Fault) ([]
 	for f := range rows {
 		rows[f] = flat[f*words : (f+1)*words : (f+1)*words]
 	}
-	resolved := 0
-	defer func() { e.flushObsN(resolved) }()
-	for _, idx := range PackGroups(faults) {
+	cls := e.g.Collapse(faults)
+	resolved, classes := 0, 0
+	defer func() { e.flushObsN(resolved, classes) }()
+	for _, idx := range packGroups(faults, cls.Reps) {
 		lanes := fullMask(len(idx))
 		for it := range e.g.items {
 			if err := ctx.Err(); err != nil {
@@ -206,7 +235,13 @@ func (e *Evaluator) DetectsMatrix(ctx context.Context, faults []fault.Fault) ([]
 				rows[idx[bits.TrailingZeros64(det)]][it/64] |= 1 << uint(it%64)
 			}
 		}
-		resolved += len(idx)
+		resolved += cls.members(idx, lanes)
+		classes += len(idx)
+	}
+	for i, k := range cls.Of {
+		if r := int(cls.Reps[k]); r != i {
+			copy(rows[i], rows[r])
+		}
 	}
 	return rows, nil
 }

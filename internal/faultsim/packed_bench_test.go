@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"neurotest/internal/core"
 	"neurotest/internal/fault"
 	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
@@ -145,4 +146,62 @@ func BenchmarkKernel(b *testing.B) {
 			benchDetected = n
 		}
 	})
+}
+
+// BenchmarkCollapse bounds the cost of fault collapsing itself:
+//
+//   - uniform collapses the 5-layer paper model's SWF universe against its
+//     generated SWF program, where 166,208 faults fall into 362 classes;
+//   - random collapses SWF ∪ SASF (11,008 faults) on a random-weight
+//     96-48-16-8 test set, where nothing collapses;
+//   - random-matrix runs DetectsMatrix over those faults on a fresh Golden,
+//     so the no-collapse overhead shows against the kernel it rides on.
+//
+// Goldens are built outside the timed loop. The uniform and random cases
+// reuse one Golden, so they time the per-call work only; random-matrix
+// builds a fresh Golden per iteration, so its timing includes the lazy
+// collapse index and a cold memo.
+func BenchmarkCollapse(b *testing.B) {
+	b.Run("uniform", func(b *testing.B) {
+		arch := snn.Arch{576, 256, 64, 32, 10}
+		params := snn.DefaultParams()
+		gen, err := core.NewGenerator(core.Options{Arch: arch, Params: params, Values: fault.PaperValues(params.Theta)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := NewGolden(gen.Generate(fault.SWF), nil)
+		universe := fault.Universe(arch, fault.SWF)
+		benchCollapse(b, g, universe)
+	})
+
+	arch := snn.Arch{96, 48, 16, 8}
+	ts := balancedTestSetT(arch, 2, 4, 7, 16)
+	universe := append(fault.Universe(arch, fault.SWF), fault.Universe(arch, fault.SASF)...)
+	b.Run("random", func(b *testing.B) {
+		benchCollapse(b, NewGolden(ts, nil), universe)
+	})
+	b.Run("random-matrix", func(b *testing.B) {
+		values := fault.PaperValues(ts.Params.Theta)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := NewGolden(ts, nil).NewEvaluator(values)
+			b.StartTimer()
+			benchDetected = len(detectsMatrix(b, e, universe))
+		}
+	})
+}
+
+// benchCollapse times Collapse of universe on g and reports the class
+// count.
+func benchCollapse(b *testing.B, g *Golden, universe []fault.Fault) {
+	g.collapseIndex() // built once per Golden, not per call
+	b.ReportAllocs()
+	b.ResetTimer()
+	var classes int
+	for i := 0; i < b.N; i++ {
+		classes = len(g.Collapse(universe).Reps)
+	}
+	b.ReportMetric(float64(classes), "classes")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(universe)), "ns/fault")
 }

@@ -42,6 +42,26 @@ func randomTestSetT(arch snn.Arch, nConfigs, patternsPer int, seed uint64, times
 	return ts
 }
 
+// uniformTestSetT is randomTestSetT with collapsible weights: in each
+// configuration the synapses into a neuron share one of two weights, the
+// way generated configurations share one, so synapse faults form
+// equivalence classes that random weights almost never do.
+func uniformTestSetT(arch snn.Arch, nConfigs, patternsPer int, seed uint64, timesteps int, hold bool) *pattern.TestSet {
+	ts := randomTestSetT(arch, nConfigs, patternsPer, seed, timesteps, hold)
+	rng := stats.NewRNG(^seed)
+	for _, cfg := range ts.Configs {
+		for b := range cfg.W {
+			for j := 0; j < arch[b+1]; j++ {
+				w := [2]float64{-10 + 20*rng.Float64(), -10 + 20*rng.Float64()}
+				for i := 0; i < arch[b]; i++ {
+					cfg.SetEntry(b, i, j, w[rng.Intn(4)/3])
+				}
+			}
+		}
+	}
+	return ts
+}
+
 // fullUniverse concatenates every kind's universe.
 func fullUniverse(arch snn.Arch) []fault.Fault {
 	var universe []fault.Fault
@@ -400,20 +420,26 @@ func TestCoverageBatchMatchesScalarCount(t *testing.T) {
 }
 
 // FuzzPackedEquivalence fuzzes the packed-vs-scalar-vs-brute agreement over
-// random seeds, window lengths (including the 64-timestep boundary) and
-// input modes, per fault for DetectsBatch and per (fault, item) for
-// DetectsMatrix.
+// random seeds, window lengths (including the 64-timestep boundary), input
+// modes and weight shapes, per fault for DetectsBatch and per (fault, item)
+// for DetectsMatrix. Uniform-weight configurations make the drivers'
+// fault collapsing form classes; random weights almost never do.
 func FuzzPackedEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint8(5), false)
-	f.Add(uint64(2), uint8(64), true)
-	f.Add(uint64(3), uint8(63), false)
-	f.Add(uint64(99), uint8(1), true)
+	f.Add(uint64(1), uint8(5), false, false)
+	f.Add(uint64(2), uint8(64), true, false)
+	f.Add(uint64(3), uint8(63), false, false)
+	f.Add(uint64(99), uint8(1), true, false)
+	f.Add(uint64(4), uint8(6), true, true)
+	f.Add(uint64(5), uint8(64), false, true)
 	arch := snn.Arch{4, 3, 3, 2}
 	values := fault.PaperValues(0.5)
-	f.Fuzz(func(t *testing.T, seed uint64, t8 uint8, hold bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, t8 uint8, hold, uniform bool) {
 		T := 1 + int(t8)%snn.MaxTimesteps
 		ts := randomTestSetT(arch, 2, 2, seed, T, hold)
-		universe := fullUniverse(arch)
+		if uniform {
+			ts = uniformTestSetT(arch, 2, 2, seed, T, hold)
+		}
+		universe := shuffled(fullUniverse(arch), seed)
 		scalar := newScalarOracle(NewGolden(ts, nil).NewEvaluator(values))
 		packed := NewGolden(ts, nil).NewEvaluator(values)
 		got := detectsBatch(t, packed, universe)
@@ -421,10 +447,10 @@ func FuzzPackedEquivalence(f *testing.F) {
 		for i, flt := range universe {
 			want := scalar.Detects(flt)
 			if got[i] != want {
-				t.Fatalf("seed=%d T=%d hold=%v %v: packed=%v scalar=%v", seed, T, hold, flt, got[i], want)
+				t.Fatalf("seed=%d T=%d hold=%v uniform=%v %v: packed=%v scalar=%v", seed, T, hold, uniform, flt, got[i], want)
 			}
 			if brute := bruteForceMode(ts, values, flt); want != brute {
-				t.Fatalf("seed=%d T=%d hold=%v %v: scalar=%v brute=%v", seed, T, hold, flt, want, brute)
+				t.Fatalf("seed=%d T=%d hold=%v uniform=%v %v: scalar=%v brute=%v", seed, T, hold, uniform, flt, want, brute)
 			}
 		}
 	})

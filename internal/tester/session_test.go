@@ -8,6 +8,7 @@ import (
 
 	"neurotest/internal/core"
 	"neurotest/internal/fault"
+	"neurotest/internal/faultsim"
 	"neurotest/internal/snn"
 	"neurotest/internal/unreliable"
 	"neurotest/internal/variation"
@@ -299,6 +300,46 @@ func TestMeasureCoveragePanicInsideGroup(t *testing.T) {
 	}
 	if res.Total != len(mixed) || res.Detected != len(faults) || len(res.Undetected) != 0 {
 		t.Errorf("group members mis-tallied: %v", res)
+	}
+}
+
+// TestMeasureCoveragePanicPerFaultUnderCollapse lists a bogus SWF site
+// twice inside an SWF universe that collapses to one class per post
+// neuron: a fault that could panic never joins a class, so the campaign
+// reports exactly two WorkerErrors, each naming its own copy of the fault,
+// and still tallies every valid fault through its class representative.
+func TestMeasureCoveragePanicPerFaultUnderCollapse(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	g, merged := smallSuite(t, arch, core.NoVariation())
+	ate := New(merged, nil)
+	universe := fault.Universe(arch, fault.SWF)
+	bogus := fault.Fault{Kind: fault.SWF, Synapse: snn.SynapseID{Boundary: 0, Pre: 99, Post: 0}}
+	mixed := append(append([]fault.Fault{}, universe[:7]...), bogus)
+	mixed = append(mixed, universe[7:]...)
+	mixed = append(mixed, bogus)
+
+	if cls := faultsim.NewGolden(merged, nil).Collapse(universe); len(cls.Reps) >= len(universe) {
+		t.Fatalf("fixture broken: %d SWF faults form %d classes", len(universe), len(cls.Reps))
+	}
+
+	res := ate.MeasureCoverage(mixed, g.Options().Values)
+	if len(res.Errors) != 2 {
+		t.Fatalf("errors = %v, want one per bogus copy", res.Errors)
+	}
+	var first, second *WorkerError
+	if !errors.As(res.Errors[0], &first) || !errors.As(res.Errors[1], &second) {
+		t.Fatalf("errors are not WorkerErrors: %v", res.Errors)
+	}
+	for _, we := range []*WorkerError{first, second} {
+		if we.Op != "coverage" || we.Fault == nil || *we.Fault != bogus {
+			t.Errorf("worker error context: %v", we)
+		}
+	}
+	if first.Fault == second.Fault {
+		t.Errorf("the two errors share one fault value; each must name its own")
+	}
+	if res.Total != len(mixed) || res.Detected != len(universe) || len(res.Undetected) != 0 {
+		t.Errorf("valid faults mis-tallied: %v", res)
 	}
 }
 

@@ -337,15 +337,17 @@ func (c CoverageResult) String() string {
 // program over faults and reports coverage. Variation plays no role here —
 // coverage is a property of the deterministic design, per Tables 5/6.
 //
-// Faults are evaluated in parallel over one shared, memoized
-// faultsim.Golden (good-chip traces are simulated once per test program, no
-// matter how many workers run or how many campaigns reuse the ATE) with a
-// cheap per-worker evaluator; downstream memo hits cross workers through
-// the Golden's sharded memo. A worker panic (e.g. a fault site outside the
-// architecture) is recovered into CoverageResult.Errors instead of crashing
-// the process — discarding only that worker's scratch evaluator, never the
-// goldens — and the result is identical to the serial evaluation regardless
-// of scheduling.
+// Faults are first collapsed into exact equivalence classes over one
+// shared, memoized faultsim.Golden (good-chip traces are simulated once per
+// test program, no matter how many workers run or how many campaigns reuse
+// the ATE). The class representatives are evaluated in parallel, each
+// worker with a cheap evaluator of its own, and each verdict is broadcast
+// to its class; downstream memo hits cross workers through the Golden's
+// sharded memo. A worker panic (e.g. a fault site outside the
+// architecture, which never joins a class) is recovered into
+// CoverageResult.Errors instead of crashing the process — discarding only
+// that worker's scratch evaluator, never the goldens — and the result is
+// identical to the serial evaluation regardless of scheduling.
 func (a *ATE) MeasureCoverage(faults []fault.Fault, values fault.Values) CoverageResult {
 	//lint:ignore unchecked-error context.Background() never cancels, and cancellation is the only error MeasureCoverageContext returns
 	res, _ := a.MeasureCoverageContext(context.Background(), faults, values)
@@ -356,8 +358,9 @@ func (a *ATE) MeasureCoverage(faults []fault.Fault, values fault.Values) Coverag
 // workers stop claiming faults once ctx is cancelled, and the incremental
 // engines abort their item scans between items. On cancellation it returns
 // ctx.Err() together with the partial result — Total still counts every
-// requested fault, but only faults evaluated before the cancellation appear
-// as Detected, Undetected or Errors.
+// requested fault, but only faults whose class representative was
+// evaluated before the cancellation appear as Detected, Undetected or
+// Errors.
 func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, values fault.Values) (CoverageResult, error) {
 	res := CoverageResult{Total: len(faults)}
 	if len(faults) == 0 {
@@ -376,23 +379,36 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 		res.Errors = append(res.Errors, gerr)
 		return res, ctx.Err()
 	}
-	// The pool claims faults in packed groups (same kind, same deviated
-	// layer, ≤64 per group): each group runs one bit-parallel downstream
-	// pass through the packed kernel. A group that panics is re-run through
-	// the same kernel as size-1 groups, so only the offending fault lands in
-	// Errors and the rest of its group still gets verdicts.
-	groups := faultsim.PackGroups(faults)
+	// Collapse first: faults of one exact equivalence class get identical
+	// verdicts, so the pool evaluates one representative per class and the
+	// verdicts are broadcast to the members below.
+	cls := golden.Collapse(faults)
+	span.SetAttr("classes", strconv.Itoa(len(cls.Reps)))
+	reps := faults // when nothing collapses, the faults represent themselves
+	if len(cls.Reps) < len(faults) {
+		reps = make([]fault.Fault, len(cls.Reps))
+		for k, i := range cls.Reps {
+			reps[k] = faults[i]
+		}
+	}
+	// The pool claims representatives in packed groups (same kind, same
+	// deviated layer, ≤64 per group): each group runs one bit-parallel
+	// downstream pass through the packed kernel. A group that panics is
+	// re-run through the same kernel as size-1 groups, so only the
+	// offending representative errors and the rest of its group still gets
+	// verdicts.
+	groups := faultsim.PackGroups(reps)
 	evals := make([]*faultsim.Evaluator, poolWorkers(len(groups)))
 	type groupVerdict struct {
-		detected  []bool  // aligned with groups[gi]
-		evaluated []bool  // verdict valid (not lost to cancellation)
-		errs      []error // recovered per-fault worker errors
+		detected  []bool         // aligned with groups[gi]
+		evaluated []bool         // verdict valid (not lost to cancellation)
+		errs      []*WorkerError // recovered per-representative worker errors
 	}
 	verdicts, done := runWorkersCtx(ctx, len(groups), func(gi, w int) (v groupVerdict) {
 		idx := groups[gi]
 		sub := make([]fault.Fault, len(idx))
 		for k, i := range idx {
-			sub[k] = faults[i]
+			sub[k] = reps[i]
 		}
 		batch := func() (out []bool, err error, ok bool) {
 			defer func() {
@@ -423,7 +439,7 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 		}
 		v.detected = make([]bool, len(idx))
 		v.evaluated = make([]bool, len(idx))
-		v.errs = make([]error, len(idx))
+		v.errs = make([]*WorkerError, len(idx))
 		for k := range sub {
 			func() {
 				defer func() {
@@ -446,38 +462,56 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 		}
 		return v
 	})
-	// Scatter the group verdicts back to global fault order, so Detected,
-	// Undetected and Errors aggregate in input order.
-	detected := make([]bool, len(faults))
-	evaluated := make([]bool, len(faults))
-	errAt := make([]error, len(faults))
+	// Scatter the group verdicts to their classes.
+	detected := make([]bool, len(reps))
+	evaluated := make([]bool, len(reps))
+	errAt := make([]*WorkerError, len(reps))
 	for gi, v := range verdicts {
 		if !done[gi] {
 			continue // group never claimed before cancellation
 		}
-		for k, i := range groups[gi] {
+		for k, c := range groups[gi] {
 			if v.errs != nil && v.errs[k] != nil {
-				errAt[i] = v.errs[k]
+				errAt[c] = v.errs[k]
 				continue
 			}
 			if v.evaluated != nil && v.evaluated[k] {
-				evaluated[i] = true
-				detected[i] = v.detected[k]
+				evaluated[c] = true
+				detected[c] = v.detected[k]
 			}
 		}
 	}
-	for i := range faults {
+	// Broadcast each class's outcome to its members in input order, so
+	// Detected, Undetected and Errors aggregate as if every fault had been
+	// evaluated on its own. A member of an errored class gets its own
+	// WorkerError naming its own fault.
+	broadcast := 0
+	for i, c := range cls.Of {
+		rep := int(cls.Reps[c]) == i
 		switch {
-		case errAt[i] != nil:
-			res.Errors = append(res.Errors, errAt[i])
-		case !evaluated[i]:
+		case errAt[c] != nil:
+			we := errAt[c]
+			if !rep {
+				member := *we
+				f := faults[i]
+				member.Fault = &f
+				we = &member
+			}
+			res.Errors = append(res.Errors, we)
+		case !evaluated[c]:
 			// Never evaluated (or aborted mid-scan) because of cancellation.
-		case detected[i]:
-			res.Detected++
 		default:
-			res.Undetected = append(res.Undetected, faults[i])
+			if !rep {
+				broadcast++
+			}
+			if detected[c] {
+				res.Detected++
+			} else {
+				res.Undetected = append(res.Undetected, faults[i])
+			}
 		}
 	}
+	faultsim.CountBroadcast(broadcast)
 	span.SetAttr("detected", strconv.Itoa(res.Detected))
 	return res, ctx.Err()
 }

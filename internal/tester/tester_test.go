@@ -1,10 +1,14 @@
 package tester
 
 import (
+	"context"
+	"strconv"
 	"testing"
 
 	"neurotest/internal/core"
 	"neurotest/internal/fault"
+	"neurotest/internal/faultsim"
+	"neurotest/internal/obs"
 	"neurotest/internal/pattern"
 	"neurotest/internal/quant"
 	"neurotest/internal/snn"
@@ -80,6 +84,100 @@ func TestMeasureCoverageMatchesEngine(t *testing.T) {
 		if len(res.Undetected) != 0 {
 			t.Errorf("%v undetected: %v", kind, res.Undetected)
 		}
+	}
+}
+
+// TestMeasureCoverageBroadcastMatchesChips checks the collapsed campaign
+// end to end against the ATE's own chip simulation: over a shuffled
+// universe of all five kinds, with fault values the program was not aimed
+// at (so some faults escape), a fault is undetected exactly when its
+// faulty chip passes RunChip, and Undetected lists those faults in input
+// order.
+func TestMeasureCoverageBroadcastMatchesChips(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	_, merged := smallSuite(t, arch, core.NoVariation())
+	values := fault.Values{ESFTheta: 0.4, HSFTheta: 0.6, SWFOmega: 0.2}
+	var universe []fault.Fault
+	for _, kind := range fault.Kinds() {
+		universe = append(universe, fault.Universe(arch, kind)...)
+	}
+	faults := make([]fault.Fault, len(universe))
+	for i, p := range stats.NewRNG(3).Perm(len(universe)) {
+		faults[i] = universe[p]
+	}
+	ate := New(merged, nil)
+	if cls := faultsim.NewGolden(merged, nil).Collapse(faults); len(cls.Reps) >= len(faults) {
+		t.Fatalf("fixture broken: %d faults form %d classes", len(faults), len(cls.Reps))
+	}
+
+	res := ate.MeasureCoverage(faults, values)
+	var want []fault.Fault
+	for _, f := range faults {
+		if ate.RunChip(f.Modifiers(values), variation.None(), nil).Passed {
+			want = append(want, f)
+		}
+	}
+	if len(want) == 0 || len(want) == len(faults) {
+		t.Fatalf("fixture broken: %d of %d faults escape", len(want), len(faults))
+	}
+	if res.Total != len(faults) || res.Detected != len(faults)-len(want) || len(res.Errors) != 0 {
+		t.Fatalf("coverage %v, want %d detected", res, len(faults)-len(want))
+	}
+	for i := range want {
+		if res.Undetected[i] != want[i] {
+			t.Fatalf("undetected[%d] = %v, want %v", i, res.Undetected[i], want[i])
+		}
+	}
+}
+
+// TestCoverageSpanReportsClasses: the fault-simulate span of a campaign
+// carries the class count beside the fault count.
+func TestCoverageSpanReportsClasses(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	g, merged := smallSuite(t, arch, core.NoVariation())
+	faults := fault.Universe(arch, fault.SASF)
+	rec := obs.NewRecorder(0)
+	ctx, root := obs.StartTrace(context.Background(), rec, obs.TraceID("classes"), "coverage")
+	if _, err := New(merged, nil).MeasureCoverageContext(ctx, faults, g.Options().Values); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	classes := len(faultsim.NewGolden(merged, nil).Collapse(faults).Reps)
+	if classes >= len(faults) {
+		t.Fatalf("fixture broken: %d faults form %d classes", len(faults), classes)
+	}
+	for _, span := range rec.Snapshot() {
+		if span.Name != "fault-simulate" {
+			continue
+		}
+		attrs := make(map[string]string)
+		for _, a := range span.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["faults"] != strconv.Itoa(len(faults)) || attrs["classes"] != strconv.Itoa(classes) {
+			t.Errorf("fault-simulate attrs = %+v, want faults=%d classes=%d", span.Attrs, len(faults), classes)
+		}
+		return
+	}
+	t.Fatal("no fault-simulate span recorded")
+}
+
+// TestCoverageCountsBroadcastFaults: a campaign's pool evaluates class
+// representatives only, yet faults simulated still counts every fault,
+// and fault classes one per representative.
+func TestCoverageCountsBroadcastFaults(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	g, merged := smallSuite(t, arch, core.NoVariation())
+	faults := fault.Universe(arch, fault.SWF)
+	classes := len(faultsim.NewGolden(merged, nil).Collapse(faults).Reps)
+	before := faultsim.Snapshot()
+	New(merged, nil).MeasureCoverage(faults, g.Options().Values)
+	after := faultsim.Snapshot()
+	if d := after.FaultsSimulated - before.FaultsSimulated; d != int64(len(faults)) {
+		t.Errorf("faults simulated = %d, want %d", d, len(faults))
+	}
+	if d := after.Classes - before.Classes; d != int64(classes) || classes >= len(faults) {
+		t.Errorf("classes = %d, want %d (of %d faults)", d, classes, len(faults))
 	}
 }
 
