@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt build vet neurolint lint-self lint-json test race fuzz bench serve fleet
+.PHONY: check fmt build vet inline neurolint lint-self lint-json test race fuzz bench serve fleet
 
 # check is the tier-1 gate: everything CI runs, runnable locally.
-check: fmt vet build neurolint lint-self lint-json test race
+check: fmt vet build inline neurolint lint-self lint-json test race
 
 # fmt fails (listing the offenders) when any file is not gofmt-clean.
 fmt:
@@ -14,6 +14,24 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# inline fails when the compiler stops inlining snn.Step, the one LIF
+# update, at any of its non-test call sites in internal/snn and
+# internal/faultsim. The step runs in the innermost loop of the simulator
+# and of the packed kernel, so losing its inlining is a slowdown no test
+# sees. Call sites are the source lines that call Step; each must appear in
+# the compiler's "inlining call to" report.
+inline: SHELL := /bin/bash
+inline:
+	@sites="$$(grep -nE '(^|[^A-Za-z0-9_.])(snn\.)?Step\(' internal/snn/*.go internal/faultsim/*.go \
+		| grep -v '_test\.go:' | grep -v 'func Step(' | cut -d: -f1,2 | sort -u)"; \
+	inlined="$$($(GO) build -gcflags=-m ./internal/snn ./internal/faultsim 2>&1 \
+		| grep -E 'inlining call to (snn\.)?Step$$' | cut -d: -f1,2 | sort -u)"; \
+	n="$$(printf '%s\n' "$$sites" | grep -c .)"; \
+	missing="$$(comm -23 <(printf '%s\n' "$$sites") <(printf '%s\n' "$$inlined"))"; \
+	if [ "$$n" -eq 0 ]; then echo "inline: no call sites of snn.Step found"; exit 1; fi; \
+	if [ -n "$$missing" ]; then echo "inline: snn.Step not inlined at:"; echo "$$missing"; exit 1; fi; \
+	echo "inline: snn.Step inlined at all $$n call sites"
 
 # neurolint runs the project's own static-analysis suite (internal/lint,
 # DESIGN.md §10): exhaustive fault-model switches, determinism of
@@ -62,13 +80,13 @@ fuzz:
 
 # bench runs the performance suite — the paper-evaluation benchmarks in the
 # root package plus the internal/obs instrument, internal/snn simulator,
-# internal/faultsim kernel and internal/tester sampling and die-session
-# micro-benches — and records the machine-readable Go benchmark output under
-# results/bench.txt. Narrow with BENCH (regexp) or shorten with BENCHTIME
-# (e.g. 10x).
+# internal/faultsim golden build and kernel, internal/margin analysis and
+# internal/tester sampling and die-session micro-benches — and records the
+# machine-readable Go benchmark output under results/bench.txt. Narrow with
+# BENCH (regexp) or shorten with BENCHTIME (e.g. 10x).
 BENCH ?= .
 BENCHTIME ?= 1s
-BENCHPKGS ?= . ./internal/obs ./internal/snn ./internal/faultsim ./internal/tester
+BENCHPKGS ?= . ./internal/obs ./internal/snn ./internal/faultsim ./internal/margin ./internal/tester
 # pipefail keeps a failing benchmark failing the target through the tee
 # (CI's bench smoke runs this target).
 bench: SHELL := /bin/bash

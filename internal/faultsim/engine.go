@@ -13,7 +13,8 @@
 //     one class; only one representative per class is simulated, and its
 //     verdict is broadcast to the other members.
 //  2. For each test item it simulates the good chip once, recording every
-//     neuron's spike train and per-timestep weighted input sum.
+//     neuron's spike train, per-timestep weighted input sum and pre-reset
+//     membrane potential (snn.Trace).
 //  3. A fault perturbs exactly one neuron's integration (NASF/ESF/HSF) or
 //     one synapse's contribution (SWF/SASF), so the faulty spike train of
 //     the affected neuron is recomputable from the recorded sums in O(T).
@@ -91,20 +92,32 @@ func (s *memoShard) store(k memoKey, det bool) {
 }
 
 // goldenItem holds the cached good simulation of one test item plus that
-// item's memo shard.
+// item's memo shard. The trace carries every neuron's spike train, weighted
+// input sums and pre-reset potentials; the packed kernel seeds a lane's
+// potential from it (enter) the first time the lane's input deviates from
+// the golden run.
 type goldenItem struct {
 	item   pattern.Item
 	net    *snn.Network
 	trace  *snn.Trace
 	golden snn.Result
-	// gmp is the packed-kernel half of the trace store: gmp[k][t*width+j]
-	// is the golden membrane potential of neuron (k, j) *after* timestep t
-	// (post reset), for k >= 1. Replayed from trace.Y with the exact
-	// simulator update, so the values are bit-identical to the mp the
-	// simulator held — the packed kernel seeds a lane's potential from here
-	// the first time the lane's input deviates from the golden run.
-	gmp  [][]float64
-	memo memoShard
+	memo   memoShard
+}
+
+// enter returns the golden membrane potential of neuron j of layer k
+// (k >= 1) entering timestep t: 0 at t = 0, else the recorded pre-reset
+// potential of t−1, reset through snn.Reset when the golden neuron fired
+// then — bit for bit the potential the golden simulator carried.
+func (ic *goldenItem) enter(k, j, t int) float64 {
+	if t == 0 {
+		return 0
+	}
+	v := ic.trace.V[k][(t-1)*ic.net.Arch[k]+j]
+	if ic.trace.X[k][j]&(1<<uint(t-1)) == 0 {
+		return v
+	}
+	p := ic.net.Params
+	return snn.Reset(v, p.Theta, p.Reset == snn.ResetSubtract)
 }
 
 // Golden is the shared, read-mostly half of the incremental fault
@@ -150,47 +163,10 @@ func NewGolden(ts *pattern.TestSet, transform ConfigTransform) *Golden {
 			net:    net,
 			trace:  trace,
 			golden: golden,
-			gmp:    goldenPotentials(net, trace),
 			memo:   memoShard{m: make(map[memoKey]bool)},
 		})
 	}
 	return g
-}
-
-// goldenPotentials replays the recorded weighted sums through the LIF update
-// and records every neuron's membrane potential after each timestep. The
-// per-neuron recurrence is the simulator's own (mp = leak·mp + y, threshold,
-// reset), applied to the y values the simulator recorded, so the replay is
-// bit-identical to the state the golden run held.
-func goldenPotentials(net *snn.Network, trace *snn.Trace) [][]float64 {
-	arch := net.Arch
-	L := arch.Layers()
-	T := trace.Timesteps
-	theta := net.Params.Theta
-	leak := net.Params.Leak
-	subtract := net.Params.Reset == snn.ResetSubtract
-	gmp := make([][]float64, L)
-	for k := 1; k < L; k++ {
-		width := arch[k]
-		y := trace.Y[k]
-		m := make([]float64, T*width)
-		for j := 0; j < width; j++ {
-			var mp float64
-			for t := 0; t < T; t++ {
-				mp = leak*mp + y[t*width+j]
-				if mp > theta {
-					if subtract {
-						mp -= theta
-					} else {
-						mp = 0
-					}
-				}
-				m[t*width+j] = mp
-			}
-		}
-		gmp[k] = m
-	}
-	return gmp
 }
 
 // Result returns the golden (good-chip) observable output of item i. The
@@ -338,18 +314,14 @@ func (e *Evaluator) reintegrate(ic *goldenItem, layer, index int, theta float64,
 	var mp float64
 	var train uint64
 	for t := 0; t < T; t++ {
-		v := y[t*width+index]
+		in := y[t*width+index]
 		if delta != nil {
-			v += delta[t]
+			in += delta[t]
 		}
-		mp = leak*mp + v
-		if mp > theta {
+		var fired bool
+		_, mp, fired = snn.Step(mp, in, leak, theta, subtract, false)
+		if fired {
 			train |= 1 << uint(t)
-			if subtract {
-				mp -= theta
-			} else {
-				mp = 0
-			}
 		}
 	}
 	return train

@@ -2,10 +2,12 @@ package faultsim
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
 	"neurotest/internal/fault"
+	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
 )
 
@@ -143,5 +145,84 @@ func TestConcurrentEvaluatorsShareGolden(t *testing.T) {
 	}
 	if d := Snapshot().GoldenBuilds - before.GoldenBuilds; d != 1 {
 		t.Errorf("golden builds = %d, want 1 regardless of worker count", d)
+	}
+}
+
+// goldenPotentials is the reference the packed kernel's seeds are checked
+// against: the LIF recurrence written out independently of snn.Step,
+// replayed over the recorded weighted sums, recording every neuron's
+// potential after each timestep (post reset), indexed like Trace.Y.
+func goldenPotentials(net *snn.Network, trace *snn.Trace) [][]float64 {
+	arch := net.Arch
+	L := arch.Layers()
+	T := trace.Timesteps
+	theta := net.Params.Theta
+	leak := net.Params.Leak
+	subtract := net.Params.Reset == snn.ResetSubtract
+	gmp := make([][]float64, L)
+	for k := 1; k < L; k++ {
+		width := arch[k]
+		y := trace.Y[k]
+		m := make([]float64, T*width)
+		for j := 0; j < width; j++ {
+			var mp float64
+			for t := 0; t < T; t++ {
+				mp = leak*mp + y[t*width+j]
+				if mp > theta {
+					if subtract {
+						mp -= theta
+					} else {
+						mp = 0
+					}
+				}
+				m[t*width+j] = mp
+			}
+		}
+		gmp[k] = m
+	}
+	return gmp
+}
+
+// TestSeedsMatchReplay pins the packed kernel's seed: the golden potential
+// entering timestep t+1, derived from the trace's pre-reset V and spike
+// bit, must equal the replayed post-reset potential of t bit for bit, for
+// every (layer, neuron, t) — on the 4-layer paper model's merged program
+// and on a balanced random set, in both reset modes.
+func TestSeedsMatchReplay(t *testing.T) {
+	for _, reset := range []snn.ResetMode{snn.ResetZero, snn.ResetSubtract} {
+		paper, _ := generatedSuite(t, snn.Arch{576, 256, 32, 10}, reset)
+		balanced := balancedTestSetT(snn.Arch{12, 10, 8, 4}, 2, 3, 7, 16)
+		balanced.Params.Reset = reset
+		for _, cfg := range balanced.Configs {
+			cfg.Params.Reset = reset
+		}
+		for _, ts := range []*pattern.TestSet{paper, balanced} {
+			g := NewGolden(ts, nil)
+			fired := 0
+			for i := range g.items {
+				ic := &g.items[i]
+				want := goldenPotentials(ic.net, ic.trace)
+				if math.Float64bits(ic.enter(1, 0, 0)) != 0 {
+					t.Fatalf("%v %s item %d: nonzero potential entering t=0", reset, ts.Name, i)
+				}
+				for k := 1; k < ts.Arch.Layers(); k++ {
+					width := ts.Arch[k]
+					for tt := 0; tt < ic.item.Timesteps; tt++ {
+						for j := 0; j < width; j++ {
+							got, w := ic.enter(k, j, tt+1), want[k][tt*width+j]
+							if math.Float64bits(got) != math.Float64bits(w) {
+								t.Fatalf("%v %s item %d n[%d,%d] t=%d: seed %v, replay %v", reset, ts.Name, i, k, j, tt, got, w)
+							}
+							if ic.trace.X[k][j]&(1<<uint(tt)) != 0 {
+								fired++
+							}
+						}
+					}
+				}
+			}
+			if fired == 0 {
+				t.Fatalf("%v %s: fixture broken, no golden neuron fired", reset, ts.Name)
+			}
+		}
 	}
 }

@@ -8,9 +8,9 @@
 //     arithmetic at all, its bits are broadcast from the golden train;
 //   - membrane potentials live in a per-lane structure-of-arrays scratch
 //     (mp[j*64+lane]), materialized lazily: a lane's potential is seeded
-//     from the Golden's packed trace store (goldenItem.gmp) the first
-//     timestep the lane's input deviates, and carried branchlessly into the
-//     lane word by the threshold sweep from then on;
+//     from the golden trace's recorded potentials (goldenItem.enter) the
+//     first timestep the lane's input deviates, and advanced by snn.Step,
+//     the simulator's own LIF update, from then on;
 //   - layer-to-layer propagation is deviation-sparse: instead of
 //     re-integrating every synapse, the kernel adds per-lane weight
 //     corrections only for presynaptic neurons whose lane word differs from
@@ -101,7 +101,7 @@ type packedScratch struct {
 	corr [64]float64
 	// mp[k][j*64+lane] is lane-SoA membrane potential scratch (k >= 1);
 	// dirty[k][j] flags the lanes whose potential has diverged from the
-	// golden replay and must be integrated every timestep.
+	// golden trace and must be integrated every timestep.
 	mp    [][]float64
 	dirty [][]uint64
 	// per-output-lane spike-count deviation vs the golden count so far, and
@@ -127,6 +127,40 @@ func (ps *packedScratch) selFor(n int) []float64 {
 		ps.sel = make([]float64, n*64)
 	}
 	return ps.sel[:n*64]
+}
+
+// seed marks lanes dirty at neuron j of layer k, where they first deviate
+// in timestep t, and gives each the golden potential entering t.
+func (ps *packedScratch) seed(ic *goldenItem, k, j, t int, lanes uint64) {
+	enter := ic.enter(k, j, t)
+	mp := ps.mp[k][j*64 : j*64+64]
+	for l := lanes; l != 0; l &= l - 1 {
+		mp[bits.TrailingZeros64(l)] = enter
+	}
+	ps.dirty[k][j] |= lanes
+}
+
+// countOutput folds the deviating lanes dev of output neuron j into the
+// per-lane spike-count differences — lanes in fired gained a spike, the
+// others lost one — and returns the lanes whose count now exceeds the
+// golden total gtot.
+func (ps *packedScratch) countOutput(j int, dev, fired uint64, gtot int) (over uint64) {
+	diff := ps.diff[j*64 : j*64+64]
+	gs := ps.gsofar[j]
+	for l := dev & fired; l != 0; l &= l - 1 {
+		lane := bits.TrailingZeros64(l)
+		diff[lane]++
+		// Output spike counts are monotone nondecreasing in t: a lane
+		// whose count exceeds the golden total can never fall back, so
+		// the lane's verdict is final.
+		if gs+int(diff[lane]) > gtot {
+			over |= 1 << uint(lane)
+		}
+	}
+	for l := dev &^ fired; l != 0; l &= l - 1 {
+		diff[bits.TrailingZeros64(l)]--
+	}
+	return over
 }
 
 // init sizes the scratch for arch.
@@ -343,7 +377,7 @@ func (e *Evaluator) evalItem(ic *goldenItem, faults []fault.Fault, idx []int, la
 
 // downstreamPacked re-simulates layers runLayer+1..L-1 for every lane in
 // run at once: lane l's chip has neuron (runLayer, site[l]) forced to
-// trains[l] while every other neuron of that layer replays its golden
+// trains[l] while every other neuron of that layer keeps its golden
 // train. Returns the detected-lane word; memo stores are the caller's job.
 //
 // The pass is deviation-sparse. For each timestep a front of (neuron,
@@ -425,7 +459,6 @@ func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) u
 			mpk := ps.mp[k]
 			gX := ic.trace.X[k]
 			gY := ic.trace.Y[k]
-			gmp := ic.gmp[k]
 			isOut := k == L-1
 			nxtIdx = nxtIdx[:0]
 			for j := 0; j < width; j++ {
@@ -441,19 +474,7 @@ func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) u
 					continue
 				}
 				if newDirty := devLanes &^ d; newDirty != 0 {
-					// First deviation of these lanes at this neuron: seed
-					// their potentials with the golden value entering t.
-					var enter float64
-					if t > 0 {
-						enter = gmp[(t-1)*width+j]
-					}
-					base := j * 64
-					for l := newDirty; l != 0; {
-						lane := bits.TrailingZeros64(l)
-						l &= l - 1
-						mpk[base+lane] = enter
-					}
-					dirty[j] = d | newDirty
+					ps.seed(ic, k, j, t, newDirty)
 				}
 				y := gY[t*width+j]
 				var fired uint64
@@ -462,29 +483,21 @@ func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) u
 					lane := bits.TrailingZeros64(l)
 					l &= l - 1
 					// Same summation grouping as the general hop below:
-					// leak·mp + (y + correction).
-					m := leak*mpk[base+lane] + (y + ps.sgn[lane]*wmat[ps.site[lane]*width+j])
-					if m > theta {
+					// leak·mp + (y + correction). In all three lane loops
+					// f is tested before m is stored, so the test folds
+					// into Step's firing branch (see snn.Step).
+					_, m, f := snn.Step(mpk[base+lane], y+ps.sgn[lane]*wmat[ps.site[lane]*width+j], leak, theta, subtract, false)
+					if f {
 						fired |= 1 << uint(lane)
-						if subtract {
-							m -= theta
-						} else {
-							m = 0
-						}
 					}
 					mpk[base+lane] = m
 				}
 				for l := da &^ devLanes; l != 0; {
 					lane := bits.TrailingZeros64(l)
 					l &= l - 1
-					m := leak*mpk[base+lane] + y
-					if m > theta {
+					_, m, f := snn.Step(mpk[base+lane], y, leak, theta, subtract, false)
+					if f {
 						fired |= 1 << uint(lane)
-						if subtract {
-							m -= theta
-						} else {
-							m = 0
-						}
 					}
 					mpk[base+lane] = m
 				}
@@ -504,25 +517,7 @@ func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) u
 					nxtIdx = append(nxtIdx, j)
 					continue
 				}
-				dbase := j * 64
-				gtot := goldenCounts[j]
-				gs := ps.gsofar[j]
-				for l := dev & fired; l != 0; {
-					lane := bits.TrailingZeros64(l)
-					l &= l - 1
-					diff[dbase+lane]++
-					// Output spike counts are monotone nondecreasing in t:
-					// a lane whose count exceeds the golden total can never
-					// fall back, so the lane's verdict is final.
-					if gs+int(diff[dbase+lane]) > gtot {
-						detected |= 1 << uint(lane)
-					}
-				}
-				for l := dev &^ fired; l != 0; {
-					lane := bits.TrailingZeros64(l)
-					l &= l - 1
-					diff[dbase+lane]--
-				}
+				detected |= ps.countOutput(j, dev, fired, goldenCounts[j])
 			}
 			// The first hop builds its front in the nxt buffers like every
 			// other hop; swap so the general layers consume it.
@@ -538,7 +533,6 @@ func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) u
 			mpk := ps.mp[k]
 			gX := ic.trace.X[k]
 			gY := ic.trace.Y[k]
-			gmp := ic.gmp[k]
 			isOut := k == L-1
 			act = ^detected
 			nxtIdx = nxtIdx[:0]
@@ -619,20 +613,7 @@ func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) u
 					continue
 				}
 				if newDirty := corrLanes &^ d; newDirty != 0 {
-					// First deviation of these lanes at this neuron: seed
-					// their potentials with the golden value entering t.
-					var enter float64
-					if t > 0 {
-						enter = gmp[(t-1)*width+j]
-					}
-					base := j * 64
-					for l := newDirty; l != 0; {
-						lane := bits.TrailingZeros64(l)
-						l &= l - 1
-						mpk[base+lane] = enter
-					}
-					d |= newDirty
-					dirty[j] = d
+					ps.seed(ic, k, j, t, newDirty)
 				}
 				y := gY[t*width+j]
 				var fired uint64
@@ -640,14 +621,9 @@ func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) u
 				for l := da; l != 0; {
 					lane := bits.TrailingZeros64(l)
 					l &= l - 1
-					m := leak*mpk[base+lane] + (y + ps.corr[lane])
-					if m > theta {
+					_, m, f := snn.Step(mpk[base+lane], y+ps.corr[lane], leak, theta, subtract, false)
+					if f {
 						fired |= 1 << uint(lane)
-						if subtract {
-							m -= theta
-						} else {
-							m = 0
-						}
 					}
 					mpk[base+lane] = m
 				}
@@ -672,25 +648,7 @@ func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) u
 					nxtIdx = append(nxtIdx, j)
 					continue
 				}
-				dbase := j * 64
-				gtot := goldenCounts[j]
-				gs := ps.gsofar[j]
-				for l := dev & fired; l != 0; {
-					lane := bits.TrailingZeros64(l)
-					l &= l - 1
-					diff[dbase+lane]++
-					// Output spike counts are monotone nondecreasing in t:
-					// a lane whose count exceeds the golden total can never
-					// fall back, so the lane's verdict is final.
-					if gs+int(diff[dbase+lane]) > gtot {
-						detected |= 1 << uint(lane)
-					}
-				}
-				for l := dev &^ fired; l != 0; {
-					lane := bits.TrailingZeros64(l)
-					l &= l - 1
-					diff[dbase+lane]--
-				}
+				detected |= ps.countOutput(j, dev, fired, goldenCounts[j])
 			}
 			// The consumed front is zeroed before the buffers swap, so
 			// every front array is all-zero whenever it is rebuilt.

@@ -52,8 +52,8 @@ func balancedTestSetT(arch snn.Arch, nConfigs, patternsPer int, seed uint64, tim
 // elide the benchmarked work.
 var benchDetected int
 
-// BenchmarkKernel isolates the fault-simulation kernel: the Golden (good-chip
-// traces + packed trace store) is built outside the timed loop, and the cold
+// BenchmarkKernel isolates the fault-simulation kernel: the Golden (the
+// good-chip traces) is built outside the timed loop, and the cold
 // variants use a fresh evaluator per iteration so every verdict is fully
 // re-simulated (empty memo). scalar walks the universe through the test
 // oracle's Detects; packed runs the same universe through DetectsBatch. The warm variants reuse
@@ -146,6 +146,22 @@ func BenchmarkKernel(b *testing.B) {
 			benchDetected = n
 		}
 	})
+}
+
+// benchGolden keeps the benchmarked Golden observable.
+var benchGolden *Golden
+
+// BenchmarkNewGolden times the golden build every cold campaign starts
+// with — one traced simulation per item, recording spike trains, weighted
+// sums and potentials — on the 4-layer paper model's merged program, the
+// suite perfbench's cold-campaign workload builds.
+func BenchmarkNewGolden(b *testing.B) {
+	ts, _ := generatedSuite(b, snn.Arch{576, 256, 32, 10}, snn.ResetZero)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchGolden = NewGolden(ts, nil)
+	}
 }
 
 // BenchmarkCollapse bounds the cost of fault collapsing itself:

@@ -68,8 +68,8 @@ func Analyze(ts *pattern.TestSet, c float64, k int) (Report, error) {
 	}
 	var all []NeuronMargin
 	theta := ts.Params.Theta
-	leak := ts.Params.Leak
-	subtract := ts.Params.Reset == snn.ResetSubtract
+	arch := ts.Arch
+	stim := make([]int, snn.MaxTimesteps)
 
 	sims := make(map[int]*snn.Simulator)
 	for itemIdx, it := range ts.Items {
@@ -80,13 +80,21 @@ func Analyze(ts *pattern.TestSet, c float64, k int) (Report, error) {
 		}
 		_, trace := sim.RunTrace(it.Pattern, it.Timesteps, it.Mode(), nil)
 
-		// Replay every neuron's membrane trajectory from the recorded
-		// charges, tracking the binding decision per neuron.
-		arch := ts.Arch
+		// Walk every neuron's recorded pre-reset potentials, tracking the
+		// binding decision per neuron.
 		for layer := 1; layer < arch.Layers(); layer++ {
+			// Spiking presynaptic neurons per timestep: the s of Eq. 4,
+			// shared by every neuron of the layer.
+			for t := 0; t < it.Timesteps; t++ {
+				stim[t] = 0
+				for _, x := range trace.X[layer-1] {
+					if x&(1<<uint(t)) != 0 {
+						stim[t]++
+					}
+				}
+			}
 			width := arch[layer]
 			for j := 0; j < width; j++ {
-				mp := 0.0
 				best := NeuronMargin{
 					Item:           itemIdx,
 					Neuron:         snn.NeuronID{Layer: layer, Index: j},
@@ -94,33 +102,18 @@ func Analyze(ts *pattern.TestSet, c float64, k int) (Report, error) {
 					SigmaTolerance: math.Inf(1),
 				}
 				for t := 0; t < it.Timesteps; t++ {
-					y := trace.Y[layer][t*width+j]
-					mp = leak*mp + y
-					// Count spiking presynaptic neurons at this timestep.
-					s := 0
-					for i := 0; i < arch[layer-1]; i++ {
-						if trace.X[layer-1][i]&(1<<uint(t)) != 0 {
-							s++
-						}
-					}
-					m := math.Abs(mp - theta)
+					s := stim[t]
+					m := math.Abs(trace.V[layer][t*width+j] - theta)
 					tol := math.Inf(1)
 					if s > 0 {
 						tol = m / (c * math.Sqrt(float64(s)))
 					}
 					if tol < best.SigmaTolerance {
 						best.Timestep = t
-						best.Charge = y
+						best.Charge = trace.Y[layer][t*width+j]
 						best.Margin = m
 						best.Stimulated = s
 						best.SigmaTolerance = tol
-					}
-					if mp > theta {
-						if subtract {
-							mp -= theta
-						} else {
-							mp = 0
-						}
 					}
 				}
 				if !math.IsInf(best.SigmaTolerance, 1) {

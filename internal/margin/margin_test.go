@@ -22,7 +22,7 @@ func mustAnalyze(t *testing.T, ts *pattern.TestSet, c float64, k int) margin.Rep
 	return rep
 }
 
-func suite(t *testing.T, arch snn.Arch, regime core.Regime) *pattern.TestSet {
+func suite(t testing.TB, arch snn.Arch, regime core.Regime) *pattern.TestSet {
 	t.Helper()
 	params := snn.DefaultParams()
 	g, err := core.NewGenerator(core.Options{
@@ -130,5 +130,25 @@ func TestNoVariationProgramHasThetaMargin(t *testing.T) {
 	}
 	if rep.Binding.Stimulated != 64 {
 		t.Errorf("binding stimulated = %d, want 64", rep.Binding.Stimulated)
+	}
+}
+
+// benchReport keeps the benchmarked report observable.
+var benchReport margin.Report
+
+// BenchmarkAnalyze times the margin analysis of the 5-layer paper model's
+// variation-aware program, the one `neurotest margins` analyses by default
+// for that architecture: one traced simulation per item plus the walk over
+// every neuron's recorded potentials.
+func BenchmarkAnalyze(b *testing.B) {
+	ts := suite(b, snn.Arch{576, 256, 64, 32, 10}, core.NegligibleVariation())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := margin.Analyze(ts, 3, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchReport = rep
 	}
 }

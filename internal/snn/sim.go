@@ -153,8 +153,9 @@ func (r Result) Equal(o Result) bool {
 }
 
 // Trace is the full internal activity of one simulation run, recorded by
-// Simulator.RunTrace. The incremental fault simulator replays faults against
-// a good trace instead of re-simulating the whole network.
+// Simulator.RunTrace. The incremental fault simulator evaluates faults
+// against a good trace instead of re-simulating the whole network, and the
+// margin analysis reads its potentials.
 type Trace struct {
 	Timesteps int
 	// X[k][i] is the spike train of neuron i in layer k: bit t is set when
@@ -163,6 +164,12 @@ type Trace struct {
 	// Y[k] holds the weighted input sums of layer k (k >= 1), indexed
 	// t*width+j: the paper's y^{k+1,j} at timestep t.
 	Y [][]float64
+	// V[k] holds the pre-reset membrane potentials of layer k (k >= 1),
+	// indexed like Y: Step's v for neuron j at timestep t. A forced spike
+	// records its integrated value too. The potential the neuron carried
+	// into t+1 is V itself when bit t of X[k][j] is clear, else
+	// Reset(V, th, subtract) with the neuron's threshold.
+	V [][]float64
 }
 
 // Simulator runs time-stepped LIF simulation of one network. It is
@@ -301,7 +308,8 @@ func (s *Simulator) Run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 }
 
 // RunTrace simulates like Run but additionally records the full activity
-// trace (spike trains and weighted input sums of every neuron).
+// trace (spike trains, weighted input sums and pre-reset potentials of
+// every neuron).
 func (s *Simulator) RunTrace(pattern Pattern, timesteps int, mode InputMode, mods *Modifiers) (Result, *Trace) {
 	return s.run(pattern, timesteps, mode, mods, true)
 }
@@ -328,10 +336,12 @@ func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 		trace = &Trace{Timesteps: timesteps}
 		trace.X = make([][]uint64, L)
 		trace.Y = make([][]float64, L)
+		trace.V = make([][]float64, L)
 		for k := 0; k < L; k++ {
 			trace.X[k] = make([]uint64, arch[k])
 			if k > 0 {
 				trace.Y[k] = make([]float64, timesteps*arch[k])
+				trace.V[k] = make([]float64, timesteps*arch[k])
 			}
 		}
 	}
@@ -401,23 +411,20 @@ func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 
 			mp := s.mp[k]
 			out := s.spikes[k]
+			var vt []float64
+			if wantTrace {
+				vt = trace.V[k][t*nOut : (t+1)*nOut]
+			}
 			for j := 0; j < nOut; j++ {
-				mp[j] = leak*mp[j] + y[j]
 				th := theta
 				if denseTh {
 					th = s.thOverride[k][j]
 				}
-				fired := mp[j] > th
-				if denseForce && s.force[k][j] {
-					fired = true
-				}
+				v, next, fired := Step(mp[j], y[j], leak, th, subtract, denseForce && s.force[k][j])
+				mp[j] = next
 				out[j] = fired
-				if fired {
-					if subtract {
-						mp[j] -= th
-					} else {
-						mp[j] = 0
-					}
+				if wantTrace {
+					vt[j] = v
 				}
 			}
 			if wantTrace {
