@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt build vet inline neurolint lint-self lint-json test race fuzz bench serve fleet
+.PHONY: check fmt build vet vet-arm64 inline neurolint lint-self lint-json test race fuzz bench serve fleet
 
 # check is the tier-1 gate: everything CI runs, runnable locally.
-check: fmt vet build inline neurolint lint-self lint-json test race
+check: fmt vet vet-arm64 build inline neurolint lint-self lint-json test race
 
 # fmt fails (listing the offenders) when any file is not gofmt-clean.
 fmt:
@@ -14,6 +14,15 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# vet-arm64 type-checks and vets every package and test for a non-amd64
+# target, where the snn kernels take their portable paths (axpy_other.go).
+# The other targets build for the host only, so a kernel dispatched in
+# axpy_amd64.go but missing from axpy_other.go would otherwise break every
+# other platform unseen. It needs no download: go vet cross-checks with the
+# installed toolchain.
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./...
 
 # inline fails when the compiler stops inlining snn.Step, the one LIF
 # update, at any of its non-test call sites in internal/snn and
@@ -79,14 +88,15 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPackedEquivalence -fuzztime=10s ./internal/faultsim
 
 # bench runs the performance suite — the paper-evaluation benchmarks in the
-# root package plus the internal/obs instrument, internal/snn simulator,
-# internal/faultsim golden build and kernel, internal/margin analysis and
-# internal/tester sampling and die-session micro-benches — and records the
+# root package plus the internal/obs instrument, internal/snn simulator and
+# kernels, internal/faultsim golden build and kernel, internal/margin
+# analysis, internal/tester sampling and die-session and internal/variation
+# error-tensor sampling micro-benches — and records the
 # machine-readable Go benchmark output under results/bench.txt. Narrow with
 # BENCH (regexp) or shorten with BENCHTIME (e.g. 10x).
 BENCH ?= .
 BENCHTIME ?= 1s
-BENCHPKGS ?= . ./internal/obs ./internal/snn ./internal/faultsim ./internal/margin ./internal/tester
+BENCHPKGS ?= . ./internal/obs ./internal/snn ./internal/faultsim ./internal/margin ./internal/tester ./internal/variation
 # pipefail keeps a failing benchmark failing the target through the tee
 # (CI's bench smoke runs this target).
 bench: SHELL := /bin/bash

@@ -39,6 +39,21 @@ func MulAddInto(dst, src []float64, alpha float64) {
 	mulAddInto(dst[:n], src[:n], alpha)
 }
 
+// AddSumInto accumulates the sum of two vectors: dst[i] += a[i] + b[i] for
+// i < min(len(dst), len(a), len(b)). The simulator reads weights through an
+// offset with it: a is a row of weights, b the matching row of the offset.
+// Each element is one IEEE-754 addition a[i]+b[i], rounded, then one
+// addition into dst — the two roundings of writing w+o into a network and
+// accumulating it with AddInto — so the AVX2 and portable paths match that
+// two-step scalar loop bit for bit (asserted by TestAddSumIntoBitExact).
+func AddSumInto(dst, a, b []float64) {
+	n := min(len(dst), len(a), len(b))
+	if n == 0 {
+		return
+	}
+	addSumInto(dst[:n], a[:n], b[:n])
+}
+
 // addIntoGeneric is the portable accumulation loop, unrolled 4-wide with
 // explicit slice caps so the compiler drops the per-element bounds checks.
 // len(dst) == len(src) is the callers' contract (AddInto enforces it).
@@ -55,6 +70,27 @@ func addIntoGeneric(dst, src []float64) {
 	}
 	for ; i < n; i++ {
 		dst[i] += src[i]
+	}
+}
+
+// addSumIntoGeneric is the portable summed accumulation. The right-hand
+// side of each += is evaluated first, so a[i]+b[i] rounds before it is
+// accumulated (Go fuses only multiply-adds). len(dst) == len(a) == len(b)
+// is the callers' contract (AddSumInto enforces it).
+func addSumIntoGeneric(dst, a, b []float64) {
+	n := len(dst)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d := dst[i : i+4 : i+4]
+		x := a[i : i+4 : i+4]
+		y := b[i : i+4 : i+4]
+		d[0] += x[0] + y[0]
+		d[1] += x[1] + y[1]
+		d[2] += x[2] + y[2]
+		d[3] += x[3] + y[3]
+	}
+	for ; i < n; i++ {
+		dst[i] += a[i] + b[i]
 	}
 }
 

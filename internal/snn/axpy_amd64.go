@@ -1,6 +1,6 @@
 package snn
 
-// amd64 dispatch for AddInto: prefer the AVX2 kernel when the CPU has it and
+// amd64 dispatch for AddInto, MulAddInto and AddSumInto: prefer the AVX2 kernel when the CPU has it and
 // the OS saves YMM state, otherwise fall back to the portable loop. The
 // detection runs once at package init via raw CPUID/XGETBV (stdlib-only — no
 // golang.org/x/sys dependency).
@@ -17,6 +17,13 @@ func addIntoAVX2(dst, src *float64, n int)
 //
 //go:noescape
 func mulAddIntoAVX2(dst, src *float64, alpha float64, n int)
+
+// addSumIntoAVX2 performs dst[i] += a[i] + b[i] for i in [0, n) with
+// 256-bit VADDPD: the sum rounds, then the accumulation rounds. Implemented
+// in axpy_amd64.s.
+//
+//go:noescape
+func addSumIntoAVX2(dst, a, b *float64, n int)
 
 // cpuidex executes CPUID with the given leaf and subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -63,4 +70,12 @@ func mulAddInto(dst, src []float64, alpha float64) {
 		return
 	}
 	mulAddIntoGeneric(dst, src, alpha)
+}
+
+func addSumInto(dst, a, b []float64) {
+	if useAVX2 && len(dst) >= 16 {
+		addSumIntoAVX2(&dst[0], &a[0], &b[0], len(dst))
+		return
+	}
+	addSumIntoGeneric(dst, a, b)
 }

@@ -135,6 +135,80 @@ madone:
 	VZEROUPPER
 	RET
 
+// func addSumIntoAVX2(dst, a, b *float64, n int)
+//
+// dst[i] += a[i] + b[i] for i in [0, n). Each element is one VADDPD of a
+// and b, rounded, then one VADDPD into dst, so the result is bit-identical
+// to the generic two-step loop.
+TEXT ·addSumIntoAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+	MOVQ CX, DX
+	SHRQ $4, DX
+	JZ   astail4
+
+asblk16:
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	VADDPD  (BX), Y0, Y0
+	VADDPD  32(BX), Y1, Y1
+	VADDPD  64(BX), Y2, Y2
+	VADDPD  96(BX), Y3, Y3
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, BX
+	ADDQ    $128, DI
+	DECQ    DX
+	JNZ     asblk16
+
+astail4:
+	ANDQ $15, CX
+	JZ   asdone
+	MOVQ CX, DX
+	SHRQ $2, DX
+	JZ   astail1
+
+asblk4:
+	VMOVUPD (SI), Y0
+	VADDPD  (BX), Y0, Y0
+	VADDPD  (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, BX
+	ADDQ    $32, DI
+	DECQ    DX
+	JNZ     asblk4
+
+astail1:
+	ANDQ $3, CX
+	JZ   asdone
+
+asscalar:
+	VMOVSD (SI), X0
+	VADDSD (BX), X0, X0
+	VADDSD (DI), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, BX
+	ADDQ   $8, DI
+	DECQ   CX
+	JNZ    asscalar
+
+asdone:
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

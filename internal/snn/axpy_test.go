@@ -162,6 +162,79 @@ func TestMulAddIntoLengthClamp(t *testing.T) {
 	}
 }
 
+// TestAddSumIntoBitExact asserts AddSumInto (whatever kernel the host
+// dispatches to) matches the two-rounding scalar loop bit for bit — the sum
+// rounded first, then accumulated — for every length across the unroll
+// boundaries.
+func TestAddSumIntoBitExact(t *testing.T) {
+	for n := 0; n <= 131; n++ {
+		dst := make([]float64, n)
+		a := make([]float64, n)
+		b := make([]float64, n)
+		fillPseudo(dst, uint64(n)*5+1)
+		fillPseudo(a, uint64(n)*5+2)
+		fillPseudo(b, uint64(n)*5+3)
+		want := make([]float64, n)
+		copy(want, dst)
+		for i := range want {
+			s := a[i] + b[i]
+			want[i] += s
+		}
+		AddSumInto(dst, a, b)
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: dst[%d] = %x, want %x", n, i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// TestAddSumIntoGenericBitExact pins the portable fallback independently of
+// what the host CPU dispatches to.
+func TestAddSumIntoGenericBitExact(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 4, 5, 16, 17, 63, 64, 100} {
+		dst := make([]float64, n)
+		a := make([]float64, n)
+		b := make([]float64, n)
+		fillPseudo(dst, uint64(n)+505)
+		fillPseudo(a, uint64(n)+606)
+		fillPseudo(b, uint64(n)+707)
+		want := make([]float64, n)
+		copy(want, dst)
+		for i := range want {
+			s := a[i] + b[i]
+			want[i] += s
+		}
+		addSumIntoGeneric(dst, a, b)
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: dst[%d] = %v, want %v", n, i, dst[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAddSumIntoLengthClamp asserts the min-length contract over all three
+// operands: elements past the shortest are untouched.
+func TestAddSumIntoLengthClamp(t *testing.T) {
+	cases := []struct {
+		dst, a, b, want []float64
+	}{
+		{[]float64{1, 2, 3, 4}, []float64{10, 20}, []float64{100, 200, 300}, []float64{111, 222, 3, 4}},
+		{[]float64{1, 2, 3, 4}, []float64{10, 20, 30}, []float64{100}, []float64{111, 2, 3, 4}},
+		{[]float64{5, 5}, []float64{1, 1, 1, 1}, []float64{2, 2, 2, 2}, []float64{8, 8}},
+		{[]float64{5, 5}, nil, []float64{2, 2}, []float64{5, 5}},
+	}
+	for _, tc := range cases {
+		AddSumInto(tc.dst, tc.a, tc.b)
+		for i := range tc.want {
+			if tc.dst[i] != tc.want[i] {
+				t.Fatalf("dst = %v, want %v", tc.dst, tc.want)
+			}
+		}
+	}
+}
+
 func BenchmarkAddInto(b *testing.B) {
 	for _, n := range []int{32, 256, 1024} {
 		b.Run("n"+strconv.Itoa(n), func(b *testing.B) {
@@ -173,6 +246,24 @@ func BenchmarkAddInto(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				AddInto(dst, src)
+			}
+		})
+	}
+}
+
+func BenchmarkAddSumInto(b *testing.B) {
+	for _, n := range []int{32, 256, 1024} {
+		b.Run("n"+strconv.Itoa(n), func(b *testing.B) {
+			dst := make([]float64, n)
+			w := make([]float64, n)
+			o := make([]float64, n)
+			fillPseudo(dst, 1)
+			fillPseudo(w, 2)
+			fillPseudo(o, 3)
+			b.SetBytes(int64(n * 8))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				AddSumInto(dst, w, o)
 			}
 		})
 	}

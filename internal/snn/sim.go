@@ -175,8 +175,14 @@ type Trace struct {
 // Simulator runs time-stepped LIF simulation of one network. It is
 // stateless between runs and safe to reuse; it is not safe for concurrent
 // use because it reuses internal buffers.
+//
+// A simulator may read its network through a per-weight offset (see Bind):
+// it then reads every weight as W[b][i] + offset[b][i], rounded, wherever it
+// reads one — a die programmed with a configuration plus its frozen error
+// tensor, simulated without writing the sum anywhere.
 type Simulator struct {
 	net *Network
+	off [][]float64 // per-weight offset shaped like net.W, or nil
 	// scratch state, allocated once per network shape
 	mp     [][]float64
 	spikes [][]bool
@@ -217,8 +223,10 @@ func synapseLess(a, b SynapseID) bool {
 	return a.Post < b.Post
 }
 
-// NewSimulator returns a simulator bound to net. The network may be mutated
-// between runs (weights only); architecture changes require a new simulator.
+// NewSimulator returns a simulator bound to net, with no offset. The
+// network may be mutated between runs (weights only), and Bind rebinds the
+// simulator to another network of the same architecture; a network of
+// another architecture needs a new simulator.
 func NewSimulator(net *Network) *Simulator {
 	s := &Simulator{net: net}
 	L := net.Arch.Layers()
@@ -286,6 +294,31 @@ func (s *Simulator) projectMods(mods *Modifiers, theta float64) (denseTh, denseF
 	}
 	sort.Slice(s.alwaysOn, func(i, j int) bool { return synapseLess(s.alwaysOn[i], s.alwaysOn[j]) })
 	return denseTh, denseForce
+}
+
+// Bind rebinds the simulator to net, read through offset: every run then
+// sees weight W[b][i] + offset[b][i], the sum rounded, exactly as if that
+// sum had been written into a copy of net. A nil offset reads net as it
+// is. Neither is copied or written; both may change between runs. net must
+// have the architecture the simulator was built for and offset, when
+// non-nil, exactly net's weight shape; Bind refuses anything else and
+// leaves the simulator as it was.
+func (s *Simulator) Bind(net *Network, offset [][]float64) error {
+	if !net.Arch.Equal(s.net.Arch) {
+		return fmt.Errorf("snn: cannot bind a %v network to a %v simulator", net.Arch, s.net.Arch)
+	}
+	if offset != nil {
+		if len(offset) != net.Arch.Boundaries() {
+			return fmt.Errorf("snn: offset has %d boundaries, network %v has %d", len(offset), net.Arch, net.Arch.Boundaries())
+		}
+		for b, row := range offset {
+			if want := net.Arch[b] * net.Arch[b+1]; len(row) != want {
+				return fmt.Errorf("snn: offset boundary %d has %d weights, want %d", b, len(row), want)
+			}
+		}
+	}
+	s.net, s.off = net, offset
+	return nil
 }
 
 // Network returns the network the simulator is bound to.
@@ -380,12 +413,25 @@ func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 				y[j] = 0
 			}
 			w := s.net.W[k-1]
+			var o []float64
+			if s.off != nil {
+				o = s.off[k-1]
+			}
 			pre := s.spikes[k-1]
-			for i := 0; i < nIn; i++ {
-				if !pre[i] {
-					continue
+			// The loop is chosen once per layer: without an offset it is
+			// the plain accumulation, with no per-row branch.
+			if o == nil {
+				for i := 0; i < nIn; i++ {
+					if pre[i] {
+						AddInto(y, w[i*nOut:(i+1)*nOut])
+					}
 				}
-				AddInto(y, w[i*nOut:(i+1)*nOut])
+			} else {
+				for i := 0; i < nIn; i++ {
+					if pre[i] {
+						AddSumInto(y, w[i*nOut:(i+1)*nOut], o[i*nOut:(i+1)*nOut])
+					}
+				}
 			}
 			// Sparse corrections for stuck and always-on synapses, applied
 			// in sorted SynapseID order so the float64 sums are
@@ -395,7 +441,7 @@ func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 					continue
 				}
 				if pre[e.ID.Pre] {
-					y[e.ID.Post] += e.W - w[e.ID.Pre*nOut+e.ID.Post]
+					y[e.ID.Post] += e.W - weight(w, o, e.ID.Pre*nOut+e.ID.Post)
 				}
 			}
 			for _, id := range s.alwaysOn {
@@ -405,7 +451,7 @@ func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 				// The synapse transmits a spike every timestep: when the
 				// presynaptic neuron is silent the weight still arrives.
 				if !pre[id.Pre] {
-					y[id.Post] += w[id.Pre*nOut+id.Post]
+					y[id.Post] += weight(w, o, id.Pre*nOut+id.Post)
 				}
 			}
 
@@ -445,4 +491,13 @@ func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 	}
 
 	return Result{SpikeCounts: counts}, trace
+}
+
+// weight returns weight i of a boundary as the simulator reads it: w[i]
+// plus the offset o[i], rounded, or w[i] alone when there is no offset.
+func weight(w, o []float64, i int) float64 {
+	if o == nil {
+		return w[i]
+	}
+	return w[i] + o[i]
 }

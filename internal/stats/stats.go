@@ -69,25 +69,47 @@ func (r *RNG) Perm(n int) []int {
 
 // NormFloat64 returns a standard normal variate (mean 0, stddev 1) using the
 // Marsaglia polar variant of the Box-Muller transform (no trigonometry in
-// the hot path). Variates are produced in pairs; the second is cached.
+// the hot path). Variates are produced in pairs; the second is cached. It
+// is the one-element case of FillNorm.
 func (r *RNG) NormFloat64() float64 {
-	if r.hasGauss {
+	var z [1]float64
+	r.FillNorm(z[:], 1)
+	return z[0]
+}
+
+// FillNorm fills dst with scale × standard normal variates: dst[i] is, bit
+// for bit, scale * r.NormFloat64() of the i-th call of that per-variate
+// loop, and r is left exactly as that loop leaves it (the cached second
+// variate of a pair included). It runs the polar method inline, with no
+// method call and no cache check per variate, on a local copy of the
+// generator state.
+func (r *RNG) FillNorm(dst []float64, scale float64) {
+	i := 0
+	if r.hasGauss && len(dst) > 0 {
 		r.hasGauss = false
-		return r.gauss
+		dst[0] = scale * r.gauss
+		i = 1
 	}
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
+	g := RNG{state: r.state}
+	for i < len(dst) {
+		u := 2*g.Float64() - 1
+		v := 2*g.Float64() - 1
 		s := u*u + v*v
 		//lint:ignore float-eq Marsaglia polar rejection needs the exact zero bit pattern; margin would import-cycle through snn
 		if s >= 1 || s == 0 {
 			continue
 		}
 		mag := math.Sqrt(-2 * math.Log(s) / s)
-		r.gauss = v * mag
-		r.hasGauss = true
-		return u * mag
+		dst[i] = scale * (u * mag)
+		if i+1 == len(dst) {
+			r.gauss = v * mag
+			r.hasGauss = true
+			break
+		}
+		dst[i+1] = scale * (v * mag)
+		i += 2
 	}
+	r.state = g.state
 }
 
 // Nu computes ν from Eq. 4 of the paper: the maximum number of simultaneously

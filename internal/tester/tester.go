@@ -241,21 +241,26 @@ func (a *ATE) RunChip(mods *snn.Modifiers, vary variation.Model, rng *stats.RNG)
 // order; a configuration is (re)programmed when first encountered, then
 // reused for consecutive items sharing it.
 //
-// A die without variation runs the ATE's shared configurations directly. A
-// die with an error tensor owns one network, allocated at its first
-// programming: every configuration is written into it in place as
-// config + E, so a die costs one network however many configurations its
-// test program holds, and the shared configurations are only ever read.
+// A die is a view: it keeps the ATE's shared configurations, its error
+// tensor and one simulator for its whole session. Programming a
+// configuration only rebinds the simulator to it, read through the tensor,
+// so the forward pass adds each device's offset where it reads a weight
+// (snn.Simulator.Bind). No die writes a weight, and a die without
+// variation takes the same path with a nil offset.
 type die struct {
 	nets []*snn.Network // the ATE's programmed configurations, read-only
-	errs *variation.ErrorTensor
-	cfg  int // configuration currently programmed, or -1
+	errs [][]float64    // the die's error tensor, shaped like Network.W, or nil
+	cfg  int            // configuration currently programmed, or -1
 	sim  *snn.Simulator
 }
 
 // newDie returns a blank die whose synapses deviate by errs (nil for none).
 func (a *ATE) newDie(errs *variation.ErrorTensor) *die {
-	return &die{nets: a.nets, errs: errs, cfg: -1}
+	d := &die{nets: a.nets, cfg: -1}
+	if errs != nil {
+		d.errs = errs.E
+	}
+	return d
 }
 
 // program returns a simulator of configuration ci as programmed into the
@@ -264,15 +269,18 @@ func (d *die) program(ci int) *snn.Simulator {
 	if ci == d.cfg {
 		return d.sim
 	}
-	d.cfg = ci
-	switch {
-	case d.errs == nil:
-		d.sim = snn.NewSimulator(d.nets[ci])
-	case d.sim == nil:
-		d.sim = snn.NewSimulator(d.errs.ApplyTo(d.nets[ci]))
-	default:
-		d.errs.ApplyInto(d.sim.Network(), d.nets[ci])
+	net := d.nets[ci]
+	if d.sim == nil {
+		d.sim = snn.NewSimulator(net)
 	}
+	if err := d.sim.Bind(net, d.errs); err != nil {
+		// Unreachable for a valid test set: every configuration has the
+		// test set's architecture, which the tensor was sampled for.
+		// Campaign pools recover this into a WorkerError.
+		//lint:ignore no-panic a die's shapes come from its own test set; pools recover
+		panic(err)
+	}
+	d.cfg = ci
 	return d.sim
 }
 

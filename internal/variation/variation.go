@@ -46,9 +46,10 @@ func (m Model) String() string {
 // (Section 5.3: "we modify each weight of the CUT by adding a random
 // variable of a zero-mean normal distribution"). Sampling the tensor once
 // per chip and applying it to every programmed configuration models a die
-// whose synapse devices each carry a fixed programming offset; a die that
-// owns one network can take every configuration in place with ApplyInto,
-// so programming it allocates nothing after the first configuration.
+// whose synapse devices each carry a fixed programming offset. A tester die
+// never writes the sum: its simulator reads each configuration through the
+// tensor (snn.Simulator.Bind with E as the offset), so programming a
+// configuration writes nothing and allocates nothing.
 //
 // Deliberately NO clamping to [ωmin, ωmax]: clamping would bias every
 // saturated weight toward zero (a weight at -ωmax can only move up), which
@@ -68,39 +69,29 @@ func (m Model) SampleError(arch snn.Arch, rng *stats.RNG) *ErrorTensor {
 	}
 	e := &ErrorTensor{E: make([][]float64, arch.Boundaries())}
 	for b := 0; b < arch.Boundaries(); b++ {
-		row := make([]float64, arch[b]*arch[b+1])
-		for i := range row {
-			row[i] = m.Sigma * rng.NormFloat64()
-		}
-		e.E[b] = row
+		e.E[b] = make([]float64, arch[b]*arch[b+1])
+		rng.FillNorm(e.E[b], m.Sigma)
 	}
 	return e
 }
 
 // ApplyTo returns a new network holding net with the tensor added to every
-// weight (see ApplyInto). A nil tensor returns net itself (no copy needed —
-// the caller must not mutate it).
+// weight: each weight is net's plus E, rounded, and the parameters are
+// net's. A nil tensor returns net itself (no copy needed — the caller must
+// not mutate it). net is only read. A simulator bound to net through the
+// tensor (snn.Simulator.Bind) reads the same weights without the copy.
 func (e *ErrorTensor) ApplyTo(net *snn.Network) *snn.Network {
 	if e == nil {
 		return net
 	}
 	c := snn.New(net.Arch, net.Params)
-	e.ApplyInto(c, net)
-	return c
-}
-
-// ApplyInto programs src into dst through the tensor: dst takes src's
-// parameters and every weight becomes dst = src + E. dst must have src's
-// architecture and the tensor must be non-nil. src is only read, so one
-// shared configuration can be programmed into many dies concurrently.
-func (e *ErrorTensor) ApplyInto(dst, src *snn.Network) {
-	dst.Params = src.Params
-	for b, row := range dst.W {
-		w, err := src.W[b], e.E[b]
+	for b, row := range c.W {
+		w, err := net.W[b], e.E[b]
 		for i := range row {
 			row[i] = w[i] + err[i]
 		}
 	}
+	return c
 }
 
 // Nu returns the paper's ν for this regime: the maximum number of

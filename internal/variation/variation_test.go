@@ -73,35 +73,45 @@ func TestErrorNoClampBias(t *testing.T) {
 }
 
 // TestApplyLeavesSource pins that programming only reads the source
-// configuration, through both ApplyTo and ApplyInto, and that ApplyInto
-// overwrites every weight of its destination.
+// configuration and the tensor: ApplyTo writes a fresh network carrying
+// the source's parameters, and a simulator bound to the source through the
+// tensor (the tester's view of a die) runs exactly like that network while
+// leaving both operands as they were.
 func TestApplyLeavesSource(t *testing.T) {
-	net := snn.New(snn.Arch{3, 2}, snn.DefaultParams())
+	net := snn.New(snn.Arch{3, 2}, snn.Params{Theta: 1, Leak: 0.5, WMax: 4})
 	net.Fill(1)
 	e := Model{Sigma: 0.1}.SampleError(net.Arch, stats.NewRNG(3))
+	tensor := append([]float64(nil), e.E[0]...)
 	c := e.ApplyTo(net)
-	dst := snn.New(net.Arch, snn.Params{Theta: 1, Leak: 0.5, WMax: 4})
-	dst.Fill(7)
-	e.ApplyInto(dst, net)
-	for _, w := range net.W[0] {
-		if w != 1 {
-			t.Fatalf("source mutated: %g", w)
-		}
+	if c.Params != net.Params {
+		t.Errorf("ApplyTo params %+v, want %+v", c.Params, net.Params)
 	}
 	changed := false
 	for i, w := range c.W[0] {
 		if w != net.W[0][i] {
 			changed = true
 		}
-		if math.Float64bits(dst.W[0][i]) != math.Float64bits(w) {
-			t.Errorf("ApplyInto weight %d = %g, ApplyTo %g", i, dst.W[0][i], w)
-		}
 	}
 	if !changed {
 		t.Errorf("programmed copy shows no variation")
 	}
-	if dst.Params != net.Params {
-		t.Errorf("ApplyInto kept destination params %+v, want %+v", dst.Params, net.Params)
+	view := snn.NewSimulator(net)
+	if err := view.Bind(net, e.E); err != nil {
+		t.Fatal(err)
+	}
+	p := snn.OnesPattern(3)
+	for _, T := range []int{1, 4, 16} {
+		if got, want := view.Run(p, T, snn.ApplyHold, nil), snn.NewSimulator(c).Run(p, T, snn.ApplyHold, nil); !got.Equal(want) {
+			t.Errorf("T=%d: view %v, ApplyTo copy %v", T, got, want)
+		}
+	}
+	for i, w := range net.W[0] {
+		if w != 1 {
+			t.Fatalf("source mutated: weight %d = %g", i, w)
+		}
+		if math.Float64bits(e.E[0][i]) != math.Float64bits(tensor[i]) {
+			t.Fatalf("tensor mutated: E %d = %g, was %g", i, e.E[0][i], tensor[i])
+		}
 	}
 }
 
@@ -184,23 +194,42 @@ func TestNuAndNegligible(t *testing.T) {
 	}
 }
 
-// TestSampleErrorDeterministicQuick pins that a seed fixes the tensor and
-// that programming in place (ApplyInto, into a reused network) produces the
-// same weights, bit for bit, as programming a fresh copy (ApplyTo).
+// TestSampleErrorDeterministicQuick pins that a seed fixes the tensor bit
+// for bit, and that a simulator reading a configuration through it (the
+// tester's die) records the same trace, bit for bit, as one running the
+// ApplyTo copy.
 func TestSampleErrorDeterministicQuick(t *testing.T) {
 	arch := snn.Arch{3, 4, 2}
-	scratch := snn.New(arch, snn.DefaultParams())
+	view := snn.NewSimulator(snn.New(arch, snn.DefaultParams()))
+	p := snn.OnesPattern(arch.Inputs())
 	f := func(seed uint64, fill float64) bool {
 		m := Model{Sigma: 0.3}
 		net := snn.New(arch, snn.DefaultParams())
-		net.Fill(fill)
-		a := applied(m, net, seed)
+		net.Fill(math.Mod(fill, 2))
+		e := m.SampleError(arch, stats.NewRNG(seed))
+		a := e.ApplyTo(net)
 		b := applied(m, net, seed)
-		m.SampleError(arch, stats.NewRNG(seed)).ApplyInto(scratch, net)
 		for k := range a.W {
 			for i := range a.W[k] {
-				bits := math.Float64bits(a.W[k][i])
-				if math.Float64bits(b.W[k][i]) != bits || math.Float64bits(scratch.W[k][i]) != bits {
+				if math.Float64bits(b.W[k][i]) != math.Float64bits(a.W[k][i]) {
+					return false
+				}
+			}
+		}
+		if err := view.Bind(net, e.E); err != nil {
+			return false
+		}
+		_, got := view.RunTrace(p, 8, snn.ApplyHold, nil)
+		_, want := snn.NewSimulator(a).RunTrace(p, 8, snn.ApplyHold, nil)
+		for k := 1; k < arch.Layers(); k++ {
+			for i := range want.Y[k] {
+				if math.Float64bits(got.Y[k][i]) != math.Float64bits(want.Y[k][i]) ||
+					math.Float64bits(got.V[k][i]) != math.Float64bits(want.V[k][i]) {
+					return false
+				}
+			}
+			for j := range want.X[k] {
+				if got.X[k][j] != want.X[k][j] {
 					return false
 				}
 			}
@@ -209,5 +238,52 @@ func TestSampleErrorDeterministicQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// perVariateSampleError is SampleError as it was before the row fill: one
+// σ·NormFloat64 draw per synapse, row by row. SampleError must draw the
+// same tensor and leave the generator where this loop leaves it.
+func perVariateSampleError(m Model, arch snn.Arch, rng *stats.RNG) [][]float64 {
+	e := make([][]float64, arch.Boundaries())
+	for b := range e {
+		e[b] = make([]float64, arch[b]*arch[b+1])
+		for i := range e[b] {
+			e[b][i] = m.Sigma * rng.NormFloat64()
+		}
+	}
+	return e
+}
+
+// TestSampleErrorMatchesPerVariate pins the sampler's stream: on odd-width
+// architectures (odd rows end on the cached half of a pair) and on the
+// paper's 576-256-32-10 model, from a generator with and without a cached
+// variate, SampleError matches the per-variate loop bit for bit and leaves
+// the generator in the same state (next NormFloat64 and Uint64 agree).
+func TestSampleErrorMatchesPerVariate(t *testing.T) {
+	m := OfTheta(0.10, 0.5)
+	for _, arch := range []snn.Arch{{3, 5, 7}, {1, 1}, {1, 3, 1}, {2, 3}, {576, 256, 32, 10}} {
+		for _, cached := range []bool{false, true} {
+			got, want := stats.NewRNG(271828), stats.NewRNG(271828)
+			if cached {
+				got.NormFloat64()
+				want.NormFloat64()
+			}
+			e := m.SampleError(arch, got)
+			ref := perVariateSampleError(m, arch, want)
+			for b := range ref {
+				for i, w := range ref[b] {
+					if math.Float64bits(e.E[b][i]) != math.Float64bits(w) {
+						t.Fatalf("%v cached=%v: E[%d][%d] = %v, per-variate %v", arch, cached, b, i, e.E[b][i], w)
+					}
+				}
+			}
+			if g, w := got.NormFloat64(), want.NormFloat64(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%v cached=%v: next NormFloat64 %v, per-variate %v", arch, cached, g, w)
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("%v cached=%v: next Uint64 %#x, per-variate %#x", arch, cached, g, w)
+			}
+		}
 	}
 }
