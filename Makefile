@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt build vet vet-arm64 inline neurolint lint-self lint-json test race fuzz bench serve fleet
+.PHONY: check fmt build vet vet-arm64 inline neurolint lint-self lint-json test race perfbench fuzz bench serve fleet
 
 # check is the tier-1 gate: everything CI runs, runnable locally.
-check: fmt vet vet-arm64 build inline neurolint lint-self lint-json test race
+check: fmt vet vet-arm64 build inline neurolint lint-self lint-json test race perfbench
 
 # fmt fails (listing the offenders) when any file is not gofmt-clean.
 fmt:
@@ -75,6 +75,13 @@ test:
 # exempt.
 race:
 	$(GO) test -race ./...
+
+# perfbench vets and smokes the benchmark harness. It is its own module
+# (replacing neurotest with ../), so the root's build, vet and test never
+# compile it; without this target an API change in tester or service could
+# break the harness that gates every change, unseen.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
 
 # fuzz smokes the codec and service fuzz targets for a few seconds each —
 # not a soak, just enough to catch regressions in the corners the corpus

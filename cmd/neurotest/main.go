@@ -728,7 +728,8 @@ func cmdRepair(args []string) error {
 	fmt.Printf("%s\nfault-free golden accuracy: %.4f\n", loop.Dictionary(), loop.GoldenAccuracy())
 
 	// Build the per-die defects: one explicit cluster, or a population of
-	// sampled clusters (the service's convention, so results line up).
+	// sampled clusters (tester.ClusterDefect, the convention the daemon's
+	// monitor and repair jobs use, so results line up).
 	type die struct {
 		label  string
 		defect *snn.Modifiers
@@ -748,17 +749,14 @@ func cmdRepair(args []string) error {
 		dies = []die{{label: strings.Join(names, " + "), defect: snn.MergeModifiers(mods...)}}
 	} else {
 		for i := 0; i < *chips; i++ {
-			var names []string
-			var mods []*snn.Modifiers
-			for c := 0; c < *clusters; c++ {
-				f := universe[(i*(*clusters)+c)%len(universe)]
-				mods = append(mods, f.Modifiers(m.Values))
-				names = append(names, fmt.Sprint(f))
-			}
-			d := die{label: "defect-free"}
-			if len(mods) > 0 {
+			faults, defect := tester.ClusterDefect(universe, m.Values, i, *clusters)
+			d := die{label: "defect-free", defect: defect}
+			if len(faults) > 0 {
+				names := make([]string, len(faults))
+				for k, f := range faults {
+					names[k] = fmt.Sprint(f)
+				}
 				d.label = strings.Join(names, " + ")
-				d.defect = snn.MergeModifiers(mods...)
 			}
 			dies = append(dies, d)
 		}

@@ -46,6 +46,15 @@ func (s SuiteSpec) KindName() string {
 	return s.Kind.String()
 }
 
+// Kinds expands the fault-model selection: every model for "all",
+// otherwise the one selected.
+func (s SuiteSpec) Kinds() []fault.Kind {
+	if s.KindAll {
+		return fault.Kinds()
+	}
+	return []fault.Kind{s.Kind}
+}
+
 // Model returns the paper-parameterized chip model of the spec.
 func (s SuiteSpec) Model() *neurotest.Model { return neurotest.NewModel(s.Arch...) }
 

@@ -2,31 +2,19 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"neurotest/internal/cluster"
-	"neurotest/internal/fault"
-	"neurotest/internal/obs"
-	"neurotest/internal/snn"
-	"neurotest/internal/tester"
-	"neurotest/internal/variation"
 )
 
 // This file is the service side of the distributed test floor (DESIGN.md
-// §14). A coordinator node decodes a campaign request exactly like a
-// single node would, derives the campaign's item population (the fault
-// sample, the chip population), shards the population's *global indices*
-// across the worker ring by consistent hashing, and fans shard jobs out
-// through internal/cluster. Workers run the shard endpoints below, which
-// re-derive the same population from the embedded original request and run
-// only their assigned indices; because every per-item seed in the tester
-// derives from the item's global index, the coordinator's integer merge of
-// the partial tallies is bit-identical to a single node running the whole
-// campaign.
+// §14): a node's cluster role, the artifact cache's peer tier and the
+// healthz peer sweep. A coordinator runs each campaign through the same
+// validation and merge as a single node and fans the campaign's global
+// item indices out across the worker ring (campaign.go); workers run their
+// shards through the same run.
 
 // peerFetchTimeout bounds one whole peer-tier artifact fetch (all
 // candidates); the peer tier is an optimization, so it fails fast into a
@@ -77,373 +65,6 @@ func (s *Server) fetchSuiteFromPeers(key string) ([]byte, error) {
 		lastErr = fmt.Errorf("service: no peers configured")
 	}
 	return nil, lastErr
-}
-
-// dwell simulates the physical tester fixture time a campaign job occupies
-// the equipment for (probe contact, thermal settle) before compute runs —
-// the cost component that parallelizes only by adding testers. Applied at
-// the start of every campaign and shard job body, never to the
-// coordinator's fan-out job (a coordinator holds no fixture).
-func (s *Server) dwell(ctx context.Context) error {
-	d := s.cfg.HWDwell
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// --- shard wire shapes ----------------------------------------------------
-
-// coverageShardResult is one worker's partial coverage tally. Undetected
-// faults are reported as *global* indices into the campaign's fault sample,
-// so the coordinator can restore the exact single-node reporting order
-// (ascending index) regardless of which worker ran which shard.
-type coverageShardResult struct {
-	Faults          int   `json:"faults"`
-	Detected        int   `json:"detected"`
-	UndetectedIndex []int `json:"undetected_index,omitempty"`
-	Errored         int   `json:"errored"`
-}
-
-// sessionsShardResult is one worker's partial session tally: the integer
-// fields of tester.SessionStats, which merge exactly by summation.
-type sessionsShardResult struct {
-	Chips         int `json:"chips"`
-	Pass          int `json:"pass"`
-	Fail          int `json:"fail"`
-	Quarantine    int `json:"quarantine"`
-	ItemsRun      int `json:"items_run"`
-	BaselineItems int `json:"baseline_items"`
-	Retests       int `json:"retests"`
-	DroppedReads  int `json:"dropped_reads"`
-	Errored       int `json:"errored"`
-}
-
-// sessionStats converts the wire shape back into the tester's merge domain.
-func (p sessionsShardResult) sessionStats() tester.SessionStats {
-	return tester.SessionStats{
-		Chips:         p.Chips,
-		Pass:          p.Pass,
-		Fail:          p.Fail,
-		Quarantine:    p.Quarantine,
-		ItemsRun:      p.ItemsRun,
-		BaselineItems: p.BaselineItems,
-		Retests:       p.Retests,
-		DroppedReads:  p.DroppedReads,
-	}
-}
-
-// subset gathers items[idx[k]] for every shard index, rejecting indices
-// outside the population a worker derived from the embedded request — a
-// coordinator/worker version skew would otherwise silently test the wrong
-// sites.
-func subset[T any](items []T, idx []int) ([]T, error) {
-	out := make([]T, 0, len(idx))
-	for _, i := range idx {
-		if i < 0 || i >= len(items) {
-			return nil, badf("shard index %d outside the derived population [0,%d)", i, len(items))
-		}
-		out = append(out, items[i])
-	}
-	return out, nil
-}
-
-// decodeShard parses the shard envelope plus its embedded campaign request.
-func decodeShard(sh cluster.Shard, req any) error {
-	if len(sh.Index) == 0 {
-		return badf("shard carries no item indices")
-	}
-	if err := json.Unmarshal(sh.Request, req); err != nil {
-		return badf("malformed embedded campaign request: %v", err)
-	}
-	return nil
-}
-
-// sampleKinds expands the spec's fault-model selection the same way the
-// single-node handlers do.
-func sampleKinds(spec SuiteSpec) []fault.Kind {
-	if spec.KindAll {
-		return fault.Kinds()
-	}
-	return []fault.Kind{spec.Kind}
-}
-
-// --- worker shard endpoints ----------------------------------------------
-
-// handleCoverageShard runs one coverage shard: re-derive the full fault
-// sample from the embedded request, sub-select the shard's global indices,
-// measure, and report the partial tally with undetected *global* indices.
-func (s *Server) handleCoverageShard(w http.ResponseWriter, r *http.Request) {
-	var sh cluster.Shard
-	if !s.decode(w, r, &sh) {
-		return
-	}
-	var req coverageRequest
-	if err := decodeShard(sh, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	spec, err := s.resolveSpec(req.generateRequest)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if req.Sample < 0 {
-		s.fail(w, badf("sample must be >= 0 (got %d)", req.Sample))
-		return
-	}
-	s.submitJob(w, r, "coverage-shard", func(ctx context.Context, _ *Job) (any, error) {
-		if err := s.dwell(ctx); err != nil {
-			return nil, err
-		}
-		ctx, root := obs.StartTrace(ctx, s.recorder, obs.TraceID(spec.Key()+"|coverage-shard"), "coverage-shard")
-		defer root.End()
-		root.SetAttr("items", fmt.Sprint(len(sh.Index)))
-		art, src, err := s.cache.Suite(spec)
-		if err != nil {
-			return nil, err
-		}
-		root.SetAttr("source", src.String())
-		ate, err := art.ATE()
-		if err != nil {
-			return nil, err
-		}
-		faults := tester.SampleFaults(spec.Arch, sampleKinds(spec), req.Sample, req.Seed)
-		sub, err := subset(faults, sh.Index)
-		if err != nil {
-			return nil, err
-		}
-		cov, err := ate.MeasureCoverageContext(ctx, sub, spec.Model().Values)
-		if err != nil {
-			return nil, err
-		}
-		// Map each undetected fault back to its global index. fault.String()
-		// uniquely names a fault site — the same property the ring relies on
-		// for placement.
-		pos := make(map[string]int, len(sub))
-		for k, f := range sub {
-			pos[f.String()] = sh.Index[k]
-		}
-		res := coverageShardResult{Faults: cov.Total, Detected: cov.Detected, Errored: len(cov.Errors)}
-		for _, f := range cov.Undetected {
-			res.UndetectedIndex = append(res.UndetectedIndex, pos[f.String()])
-		}
-		return res, nil
-	})
-}
-
-// handleSessionsShard runs one sessions shard: the shard's global chip
-// indices flow into MeasureSessionsAtContext, whose per-chip seeds derive
-// from the global index — the worker's partial tally is the same integers a
-// single node would have produced for those chips.
-func (s *Server) handleSessionsShard(w http.ResponseWriter, r *http.Request) {
-	var sh cluster.Shard
-	if !s.decode(w, r, &sh) {
-		return
-	}
-	var req sessionsRequest
-	if err := decodeShard(sh, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	spec, err := s.resolveSpec(req.generateRequest)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if req.Chips < 1 {
-		s.fail(w, badf("chips must be >= 1 (got %d)", req.Chips))
-		return
-	}
-	if req.Sample < 0 || req.MaxRetests < 0 || req.Tolerance < 0 || req.VariationSigma < 0 {
-		s.fail(w, badf("sample, max_retests, tolerance and variation_sigma must be >= 0"))
-		return
-	}
-	prof, err := resolveProfile(req.profileRequest)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	for _, i := range sh.Index {
-		if i < 0 || i >= req.Chips {
-			s.fail(w, badf("shard chip index %d outside population [0,%d)", i, req.Chips))
-			return
-		}
-	}
-	s.submitJob(w, r, "sessions-shard", func(ctx context.Context, _ *Job) (any, error) {
-		if err := s.dwell(ctx); err != nil {
-			return nil, err
-		}
-		ctx, root := obs.StartTrace(ctx, s.recorder, obs.TraceID(spec.Key()+"|sessions-shard"), "sessions-shard")
-		defer root.End()
-		root.SetAttr("items", fmt.Sprint(len(sh.Index)))
-		art, src, err := s.cache.Suite(spec)
-		if err != nil {
-			return nil, err
-		}
-		root.SetAttr("source", src.String())
-		base, err := art.ATE()
-		if err != nil {
-			return nil, err
-		}
-		ate, err := base.CloneWithTolerance(req.Tolerance)
-		if err != nil {
-			return nil, err
-		}
-		model := spec.Model()
-		var mods func(i int) *snn.Modifiers
-		if req.Faulty {
-			faults := tester.SampleFaults(spec.Arch, sampleKinds(spec), req.Sample, req.Seed+41)
-			if len(faults) == 0 {
-				return nil, badf("empty fault universe for %v", spec.Arch)
-			}
-			mods = func(i int) *snn.Modifiers { return faults[i%len(faults)].Modifiers(model.Values) }
-		}
-		vary := variation.None()
-		if req.VariationSigma > 0 {
-			vary = variation.OfTheta(req.VariationSigma, model.Params.Theta)
-		}
-		policy := tester.RetestPolicy{MaxRetests: req.MaxRetests, Vote: req.Vote}
-		stats, err := ate.MeasureSessionsAtContext(ctx, sh.Index, mods, prof, vary, policy, req.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return sessionsShardResult{
-			Chips:         stats.Chips,
-			Pass:          stats.Pass,
-			Fail:          stats.Fail,
-			Quarantine:    stats.Quarantine,
-			ItemsRun:      stats.ItemsRun,
-			BaselineItems: stats.BaselineItems,
-			Retests:       stats.Retests,
-			DroppedReads:  stats.DroppedReads,
-			Errored:       len(stats.Errors),
-		}, nil
-	})
-}
-
-// --- coordinator fan-out paths -------------------------------------------
-
-// submitCoverageFanout is handleCoverage in coordinator mode: the fault
-// sample's String() keys place every fault on the ring, workers measure
-// their shards, and the partial tallies merge by integer summation. The
-// undetected list is restored to ascending global-index order — exactly the
-// order a single node reports (it appends undetected faults while walking
-// the sample in order).
-func (s *Server) submitCoverageFanout(w http.ResponseWriter, r *http.Request, req coverageRequest, spec SuiteSpec) {
-	raw, err := json.Marshal(req)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.submitJob(w, r, "coverage", func(ctx context.Context, job *Job) (any, error) {
-		ctx, root := obs.StartTrace(ctx, s.recorder, obs.TraceID(spec.Key()+"|coverage"), "coverage-fanout")
-		defer root.End()
-		root.SetAttr("kind", spec.KindName())
-		faults := tester.SampleFaults(spec.Arch, sampleKinds(spec), req.Sample, req.Seed)
-		keys := make([]string, len(faults))
-		for i, f := range faults {
-			keys[i] = f.String()
-		}
-		root.SetAttr("items", fmt.Sprint(len(keys)))
-		results, err := s.coord.Run(ctx, "/v1/shards/coverage", raw, keys, job.Publish)
-		if err != nil {
-			return nil, err
-		}
-		var merged tester.CoverageResult
-		var undetected []int
-		errored := 0
-		for _, sr := range results {
-			var part coverageShardResult
-			if err := json.Unmarshal(sr.Result, &part); err != nil {
-				return nil, fmt.Errorf("service: shard %d returned malformed coverage result: %w", sr.Shard, err)
-			}
-			merged.Total += part.Faults
-			merged.Detected += part.Detected
-			errored += part.Errored
-			undetected = append(undetected, part.UndetectedIndex...)
-		}
-		sort.Ints(undetected)
-		res := coverageJobResult{
-			SuiteKey: spec.Key(),
-			Kind:     spec.KindName(),
-			Faults:   merged.Total,
-			Detected: merged.Detected,
-			Coverage: merged.Coverage(),
-			Errored:  errored,
-		}
-		for i, gi := range undetected {
-			if i >= 10 {
-				break
-			}
-			if gi >= 0 && gi < len(faults) {
-				res.Undetected = append(res.Undetected, faults[gi].String())
-			}
-		}
-		return res, nil
-	})
-}
-
-// submitSessionsFanout is handleSessions in coordinator mode: every chip in
-// the population gets a deterministic placement key, workers run their chip
-// subsets through MeasureSessionsAtContext, and the integer partials merge
-// through tester.MergeSessionStats — the same rates and amplification a
-// single node computes, because they divide the same merged integers.
-func (s *Server) submitSessionsFanout(w http.ResponseWriter, r *http.Request, req sessionsRequest, spec SuiteSpec, profName string) {
-	raw, err := json.Marshal(req)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.submitJob(w, r, "sessions", func(ctx context.Context, job *Job) (any, error) {
-		ctx, root := obs.StartTrace(ctx, s.recorder, obs.TraceID(spec.Key()+"|sessions"), "sessions-fanout")
-		defer root.End()
-		root.SetAttr("profile", profName)
-		keys := make([]string, req.Chips)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("chip|%d|%d", req.Seed, i)
-		}
-		root.SetAttr("items", fmt.Sprint(len(keys)))
-		results, err := s.coord.Run(ctx, "/v1/shards/sessions", raw, keys, job.Publish)
-		if err != nil {
-			return nil, err
-		}
-		parts := make([]tester.SessionStats, 0, len(results))
-		errored := 0
-		for _, sr := range results {
-			var part sessionsShardResult
-			if err := json.Unmarshal(sr.Result, &part); err != nil {
-				return nil, fmt.Errorf("service: shard %d returned malformed sessions result: %w", sr.Shard, err)
-			}
-			parts = append(parts, part.sessionStats())
-			errored += part.Errored
-		}
-		stats := tester.MergeSessionStats(parts...)
-		return sessionsJobResult{
-			SuiteKey:       spec.Key(),
-			Profile:        profName,
-			Chips:          stats.Chips,
-			Pass:           stats.Pass,
-			Fail:           stats.Fail,
-			Quarantine:     stats.Quarantine,
-			PassRate:       stats.PassRate(),
-			FailRate:       stats.FailRate(),
-			QuarantineRate: stats.QuarantineRate(),
-			ItemsRun:       stats.ItemsRun,
-			BaselineItems:  stats.BaselineItems,
-			Retests:        stats.Retests,
-			DroppedReads:   stats.DroppedReads,
-			Amplification:  stats.Amplification(),
-			Errored:        errored,
-		}, nil
-	})
 }
 
 // --- health ---------------------------------------------------------------

@@ -209,6 +209,47 @@ func TestTracesNDJSONAfterCampaign(t *testing.T) {
 	}
 }
 
+// TestShardJobTracesPhases checks that a worker's shard job opens through
+// the same prologue as a standalone job: its root span has the generate,
+// program and fault-simulate phases as children.
+func TestShardJobTracesPhases(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	var job JobStatus
+	body := `{"request":{"arch":[12,8,4],"kind":"SWF","sample":16,"seed":3},"index":[2,5,11]}`
+	if resp := postJSON(t, ts.URL+"/v1/shards/coverage", body, &job); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("shard submit: HTTP %d", resp.StatusCode)
+	}
+	if st := pollJob(t, ts.URL, job.ID); st.State != "done" {
+		t.Fatalf("shard job ended %q: %s", st.State, st.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	spans := map[string]obs.SpanRecord{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var rec obs.SpanRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		spans[rec.Name] = rec
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	root, ok := spans["coverage-shard"]
+	if !ok {
+		t.Fatalf("no coverage-shard root span; got %v", spans)
+	}
+	for _, phase := range []string{"generate", "program", "fault-simulate"} {
+		if child, ok := spans[phase]; !ok || child.Parent != root.Span {
+			t.Errorf("%s span %+v is not a child of the shard root %s", phase, child, root.Span)
+		}
+	}
+}
+
 func TestRetryAfterDerivedFromObservedLatency(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueCapacity = 1

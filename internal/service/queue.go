@@ -213,6 +213,9 @@ func (j *Job) finish(result any, err error) JobState {
 		j.errMsg = err.Error()
 	}
 	j.finished = now()
+	// The body has run. Dropping it frees what it captured (a campaign's
+	// fault sample, say) while the finished job stays listed.
+	j.run = nil
 	j.signalLocked()
 	return j.state
 }

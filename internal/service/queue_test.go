@@ -54,6 +54,12 @@ func TestQueueRunsJobs(t *testing.T) {
 	if got := m.JobsDone.Load(); got != 1 {
 		t.Errorf("jobs_done = %d, want 1", got)
 	}
+	j.mu.Lock()
+	held := j.run != nil
+	j.mu.Unlock()
+	if held {
+		t.Error("finished job still holds its body and everything the body captured")
+	}
 }
 
 func TestQueueBackpressure(t *testing.T) {

@@ -35,7 +35,6 @@ import (
 	"neurotest/internal/snn"
 	"neurotest/internal/tester"
 	"neurotest/internal/unreliable"
-	"neurotest/internal/variation"
 )
 
 // maxRequestBody bounds request JSON (campaign descriptions are tiny).
@@ -128,10 +127,10 @@ func (s *Server) Close() { s.queue.Close() }
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/generate", s.handleGenerate)
 	s.mux.HandleFunc("GET /v1/artifacts/{key}", s.handleArtifact)
-	s.mux.HandleFunc("POST /v1/coverage", s.handleCoverage)
-	s.mux.HandleFunc("POST /v1/sessions", s.handleSessions)
-	s.mux.HandleFunc("POST /v1/shards/coverage", s.handleCoverageShard)
-	s.mux.HandleFunc("POST /v1/shards/sessions", s.handleSessionsShard)
+	s.mux.HandleFunc("POST /v1/coverage", serveCampaign(s, "coverage", s.newCoverage))
+	s.mux.HandleFunc("POST /v1/sessions", serveCampaign(s, "sessions", s.newSessions))
+	s.mux.HandleFunc("POST /v1/shards/coverage", serveShard(s, "coverage", s.newCoverage))
+	s.mux.HandleFunc("POST /v1/shards/sessions", serveShard(s, "sessions", s.newSessions))
 	s.mux.HandleFunc("POST /v1/monitor", s.handleMonitor)
 	s.mux.HandleFunc("POST /v1/repair", s.handleRepair)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
@@ -491,166 +490,6 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	w.Write(art.Bytes)
 }
 
-func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
-	var req coverageRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	spec, err := s.resolveSpec(req.generateRequest)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if req.Sample < 0 {
-		s.fail(w, badf("sample must be >= 0 (got %d)", req.Sample))
-		return
-	}
-	if s.coord != nil {
-		s.submitCoverageFanout(w, r, req, spec)
-		return
-	}
-	s.submit(w, r, "coverage", func(ctx context.Context) (any, error) {
-		if err := s.dwell(ctx); err != nil {
-			return nil, err
-		}
-		// The trace ID derives from the artifact key, so re-running the same
-		// campaign yields the same trace and span IDs.
-		ctx, root := obs.StartTrace(ctx, s.recorder, obs.TraceID(spec.Key()+"|coverage"), "coverage")
-		defer root.End()
-		root.SetAttr("kind", spec.KindName())
-		_, gen := obs.StartSpan(ctx, "generate")
-		art, src, err := s.cache.Suite(spec)
-		gen.SetAttr("source", src.String())
-		gen.End()
-		if err != nil {
-			return nil, err
-		}
-		_, prog := obs.StartSpan(ctx, "program")
-		ate, err := art.ATE()
-		prog.End()
-		if err != nil {
-			return nil, err
-		}
-		kinds := []fault.Kind{spec.Kind}
-		if spec.KindAll {
-			kinds = fault.Kinds()
-		}
-		faults := tester.SampleFaults(spec.Arch, kinds, req.Sample, req.Seed)
-		cov, err := ate.MeasureCoverageContext(ctx, faults, spec.Model().Values)
-		if err != nil {
-			return nil, err
-		}
-		res := coverageJobResult{
-			SuiteKey: art.Key,
-			Kind:     spec.KindName(),
-			Faults:   cov.Total,
-			Detected: cov.Detected,
-			Coverage: cov.Coverage(),
-			Errored:  len(cov.Errors),
-		}
-		for i, f := range cov.Undetected {
-			if i >= 10 {
-				break
-			}
-			res.Undetected = append(res.Undetected, f.String())
-		}
-		return res, nil
-	})
-}
-
-func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	var req sessionsRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	spec, err := s.resolveSpec(req.generateRequest)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if req.Chips < 1 {
-		s.fail(w, badf("chips must be >= 1 (got %d)", req.Chips))
-		return
-	}
-	if req.Sample < 0 || req.MaxRetests < 0 || req.Tolerance < 0 || req.VariationSigma < 0 {
-		s.fail(w, badf("sample, max_retests, tolerance and variation_sigma must be >= 0"))
-		return
-	}
-	prof, err := resolveProfile(req.profileRequest)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if s.coord != nil {
-		s.submitSessionsFanout(w, r, req, spec, prof.String())
-		return
-	}
-	s.submit(w, r, "sessions", func(ctx context.Context) (any, error) {
-		if err := s.dwell(ctx); err != nil {
-			return nil, err
-		}
-		ctx, root := obs.StartTrace(ctx, s.recorder, obs.TraceID(spec.Key()+"|sessions"), "sessions")
-		defer root.End()
-		root.SetAttr("profile", prof.String())
-		_, gen := obs.StartSpan(ctx, "generate")
-		art, src, err := s.cache.Suite(spec)
-		gen.SetAttr("source", src.String())
-		gen.End()
-		if err != nil {
-			return nil, err
-		}
-		_, prog := obs.StartSpan(ctx, "program")
-		base, err := art.ATE()
-		prog.End()
-		if err != nil {
-			return nil, err
-		}
-		ate, err := base.CloneWithTolerance(req.Tolerance)
-		if err != nil {
-			return nil, err
-		}
-		model := spec.Model()
-		var mods func(i int) *snn.Modifiers
-		if req.Faulty {
-			kinds := []fault.Kind{spec.Kind}
-			if spec.KindAll {
-				kinds = fault.Kinds()
-			}
-			faults := tester.SampleFaults(spec.Arch, kinds, req.Sample, req.Seed+41)
-			if len(faults) == 0 {
-				return nil, badf("empty fault universe for %v", spec.Arch)
-			}
-			mods = func(i int) *snn.Modifiers { return faults[i%len(faults)].Modifiers(model.Values) }
-		}
-		vary := variation.None()
-		if req.VariationSigma > 0 {
-			vary = variation.OfTheta(req.VariationSigma, model.Params.Theta)
-		}
-		policy := tester.RetestPolicy{MaxRetests: req.MaxRetests, Vote: req.Vote}
-		stats, err := ate.MeasureSessionsContext(ctx, req.Chips, mods, prof, vary, policy, req.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return sessionsJobResult{
-			SuiteKey:       art.Key,
-			Profile:        prof.String(),
-			Chips:          stats.Chips,
-			Pass:           stats.Pass,
-			Fail:           stats.Fail,
-			Quarantine:     stats.Quarantine,
-			PassRate:       stats.PassRate(),
-			FailRate:       stats.FailRate(),
-			QuarantineRate: stats.QuarantineRate(),
-			ItemsRun:       stats.ItemsRun,
-			BaselineItems:  stats.BaselineItems,
-			Retests:        stats.Retests,
-			DroppedReads:   stats.DroppedReads,
-			Amplification:  stats.Amplification(),
-			Errored:        len(stats.Errors),
-		}, nil
-	})
-}
-
 // monitorChipSeed decorrelates per-chip field episodes; the odd multiplier
 // is the 32-bit golden-ratio constant.
 func monitorChipSeed(seed uint64, i int) uint64 {
@@ -714,27 +553,9 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	if samples == 0 {
 		samples = 64
 	}
-	s.submitJob(w, r, "monitor", func(ctx context.Context, job *Job) (any, error) {
-		if err := s.dwell(ctx); err != nil {
-			return nil, err
-		}
-		ctx, root := obs.StartTrace(ctx, s.recorder, obs.TraceID(spec.Key()+"|monitor"), "monitor")
-		defer root.End()
-		root.SetAttr("profile", prof.String())
-		_, gen := obs.StartSpan(ctx, "generate")
-		art, src, err := s.cache.Suite(spec)
-		gen.SetAttr("source", src.String())
-		gen.End()
-		if err != nil {
-			return nil, err
-		}
-		_, prog := obs.StartSpan(ctx, "program")
-		base, err := art.ATE()
-		prog.End()
-		if err != nil {
-			return nil, err
-		}
-		ate, err := base.CloneWithTolerance(req.Tolerance)
+	s.submit(w, r, "monitor", s.fixtureJob(spec, "monitor", func(ctx context.Context, f fixture) (any, error) {
+		f.root.SetAttr("profile", prof.String())
+		ate, err := f.ate.CloneWithTolerance(req.Tolerance)
 		if err != nil {
 			return nil, err
 		}
@@ -759,23 +580,10 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		var mods func(i int) *snn.Modifiers
+		var defects []fault.Fault
 		if req.Faulty {
-			kinds := []fault.Kind{spec.Kind}
-			if spec.KindAll {
-				kinds = fault.Kinds()
-			}
-			faults := tester.SampleFaults(spec.Arch, kinds, req.Sample, req.Seed+41)
-			if len(faults) == 0 {
-				return nil, badf("empty fault universe for %v", spec.Arch)
-			}
-			mods = func(i int) *snn.Modifiers {
-				cluster := make([]*snn.Modifiers, 0, monitorClusterSize)
-				for c := 0; c < monitorClusterSize; c++ {
-					f := faults[(i*monitorClusterSize+c)%len(faults)]
-					cluster = append(cluster, f.Modifiers(model.Values))
-				}
-				return snn.MergeModifiers(cluster...)
+			if defects, err = spec.defects(req.Sample, req.Seed); err != nil {
+				return nil, err
 			}
 		}
 		opt := online.FieldOptions{
@@ -791,20 +599,15 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 			if rloop != nil {
 				return rloop, nil
 			}
-			kinds := []fault.Kind{spec.Kind}
-			if spec.KindAll {
-				kinds = fault.Kinds()
-			}
 			sample := req.Sample
 			if sample == 0 {
 				sample = defaultRepairSample
 			}
-			universe := tester.SampleFaults(spec.Arch, kinds, sample, req.Seed+41)
-			if len(universe) == 0 {
-				return nil, badf("empty fault universe for %v", spec.Arch)
+			universe, err := spec.defects(sample, req.Seed)
+			if err != nil {
+				return nil, err
 			}
-			var err error
-			rloop, err = newRepairLoop(art, spec, universe, repairRequest{
+			rloop, err = newRepairLoop(f.art, f.ate, spec, universe, repairRequest{
 				SpareAxons: defaultRepairSpares, SpareNeurons: defaultRepairSpares,
 				WorkloadSamples: samples, Tolerance: req.Tolerance, Seed: req.Seed,
 			})
@@ -814,9 +617,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		var stats online.FieldStats
 		for i := 0; i < req.Chips; i++ {
 			chip := online.FieldChip{Index: i, Profile: prof, Seed: monitorChipSeed(req.Seed, i)}
-			if mods != nil {
-				chip.Mods = mods(i)
-			}
+			_, chip.Mods = tester.ClusterDefect(defects, model.Values, i, monitorClusterSize)
 			rep, err := online.RunField(ctx, ate, golden, cl.Net, ds, chip, opt)
 			if err != nil {
 				return nil, err
@@ -852,11 +653,11 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 						repaired++
 					}
 				}
-				job.Publish(ev)
+				f.job.Publish(ev)
 			}
 		}
 		return monitorJobResult{
-			SuiteKey:             art.Key,
+			SuiteKey:             f.art.Key,
 			Profile:              prof.String(),
 			Chips:                stats.Chips,
 			Healthy:              stats.Healthy,
@@ -872,7 +673,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 			Dropped:              stats.Dropped,
 			Repaired:             repaired,
 		}, nil
-	})
+	}))
 }
 
 // defaultRepairSample caps the modelled fault universe a repair dictionary
@@ -885,26 +686,10 @@ const defaultRepairSample = 128
 // a fully used 256-wide core.
 const defaultRepairSpares = 8
 
-// repairClusterMods builds the injected defect of die i: a merge of
-// `clusters` consecutive sampled faults, the same convention faulty
-// monitor dies use.
-func repairClusterMods(faults []fault.Fault, values fault.Values, i, clusters int) *snn.Modifiers {
-	mods := make([]*snn.Modifiers, 0, clusters)
-	for c := 0; c < clusters; c++ {
-		f := faults[(i*clusters+c)%len(faults)]
-		mods = append(mods, f.Modifiers(values))
-	}
-	return snn.MergeModifiers(mods...)
-}
-
 // newRepairLoop assembles the closed-loop repair substrate over a cached
 // artifact: the artifact's test set and memoized ATE, the spec's
 // quantization transform, and a chip provisioned with spare lines.
-func newRepairLoop(art *Artifact, spec SuiteSpec, universe []fault.Fault, req repairRequest) (*repair.Loop, error) {
-	base, err := art.ATE()
-	if err != nil {
-		return nil, err
-	}
+func newRepairLoop(art *Artifact, base *tester.ATE, spec SuiteSpec, universe []fault.Fault, req repairRequest) (*repair.Loop, error) {
 	model := spec.Model()
 	return repair.New(repair.Config{
 		TS:              art.TestSet(),
@@ -977,50 +762,31 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	if req.SpareNeurons == 0 {
 		req.SpareNeurons = defaultRepairSpares
 	}
-	s.submitJob(w, r, "repair", func(ctx context.Context, job *Job) (any, error) {
-		if err := s.dwell(ctx); err != nil {
-			return nil, err
-		}
-		ctx, root := obs.StartTrace(ctx, s.recorder, obs.TraceID(spec.Key()+"|repair"), "repair")
-		defer root.End()
-		_, gen := obs.StartSpan(ctx, "generate")
-		art, src, err := s.cache.Suite(spec)
-		gen.SetAttr("source", src.String())
-		gen.End()
+	s.submit(w, r, "repair", s.fixtureJob(spec, "repair", func(ctx context.Context, f fixture) (any, error) {
+		universe, err := spec.defects(req.Sample, req.Seed)
 		if err != nil {
 			return nil, err
-		}
-		kinds := []fault.Kind{spec.Kind}
-		if spec.KindAll {
-			kinds = fault.Kinds()
-		}
-		universe := tester.SampleFaults(spec.Arch, kinds, req.Sample, req.Seed+41)
-		if len(universe) == 0 {
-			return nil, badf("empty fault universe for %v", spec.Arch)
 		}
 		// The substrate span covers the expensive one-offs: dictionary
 		// construction, workload training and chip programming.
 		_, sub := obs.StartSpan(ctx, "substrate")
-		loop, err := newRepairLoop(art, spec, universe, req)
+		loop, err := newRepairLoop(f.art, f.ate, spec, universe, req)
 		sub.End()
 		if err != nil {
 			return nil, err
 		}
 		model := spec.Model()
 		res := repairJobResult{
-			SuiteKey: art.Key, Chips: req.Chips, Clusters: req.Clusters,
+			SuiteKey: f.art.Key, Chips: req.Chips, Clusters: req.Clusters,
 			DictionaryFaults:  loop.Dictionary().Total(),
 			DictionaryClasses: loop.Dictionary().Classes(),
 		}
 		preShipped, shipped := 0, 0
 		for i := 0; i < req.Chips; i++ {
-			var defect *snn.Modifiers
-			if req.Clusters > 0 {
-				defect = repairClusterMods(universe, model.Values, i, req.Clusters)
-			}
+			_, defect := tester.ClusterDefect(universe, model.Values, i, req.Clusters)
 			chipIdx := i
 			rep, _, err := loop.Run(ctx, defect, func(ev repair.PhaseEvent) {
-				job.Publish(repairEvent{Event: "phase", Chip: chipIdx, Phase: ev.Phase, Detail: ev.Detail})
+				f.job.Publish(repairEvent{Event: "phase", Chip: chipIdx, Phase: ev.Phase, Detail: ev.Detail})
 			})
 			if err != nil {
 				return nil, err
@@ -1048,7 +814,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			res.MeanGoldenAccuracy += rep.GoldenAccuracy
 			res.MeanPreAccuracy += rep.PreAccuracy
 			res.MeanPostAccuracy += rep.PostAccuracy
-			job.Publish(repairEvent{
+			f.job.Publish(repairEvent{
 				Event: "verdict", Chip: i, Verdict: rep.Verdict.String(),
 				CellsRetired: rep.CellsRetired, PostFails: rep.PostFails,
 				PostAccuracy: rep.PostAccuracy,
@@ -1062,7 +828,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		res.MeanPostAccuracy /= n
 		repair.SetRecoveredYield(float64(shipped) / n)
 		return res, nil
-	})
+	}))
 }
 
 // retryAfterSeconds estimates when a refused submission is worth retrying:
@@ -1086,14 +852,10 @@ func (s *Server) retryAfterSeconds() int {
 	return sec
 }
 
-// submit enqueues a campaign body, answering 202 + job status, or 503 +
-// Retry-After under backpressure.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, run func(ctx context.Context) (any, error)) {
-	s.submitJob(w, r, kind, func(ctx context.Context, _ *Job) (any, error) { return run(ctx) })
-}
-
-// submitJob is submit for bodies that publish progress events.
-func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, kind string, run func(ctx context.Context, j *Job) (any, error)) {
+// submit enqueues a job body, answering 202 + job status, or 503 +
+// Retry-After under backpressure. The body receives its own Job handle to
+// publish progress events on.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, run func(ctx context.Context, j *Job) (any, error)) {
 	job, err := s.queue.SubmitJob(kind, run)
 	if errors.Is(err, ErrQueueFull) {
 		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterSeconds()))

@@ -427,6 +427,7 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		{"bad granularity", "/v1/generate", `{"arch":[12,8,4],"quant":{"bits":4,"granularity":"weird"}}`, http.StatusBadRequest},
 		{"huge arch", "/v1/generate", `{"arch":[100000,100000]}`, http.StatusBadRequest},
 		{"negative sample", "/v1/coverage", `{"arch":[12,8,4],"sample":-1}`, http.StatusBadRequest},
+		{"campaign unknown kind", "/v1/coverage", `{"arch":[12,8,4],"kind":"XYZ"}`, http.StatusBadRequest},
 		{"no chips", "/v1/sessions", `{"arch":[12,8,4]}`, http.StatusBadRequest},
 		{"bad activation", "/v1/sessions", `{"arch":[12,8,4],"chips":5,"activation_p":1.5}`, http.StatusBadRequest},
 		{"bad drop", "/v1/sessions", `{"arch":[12,8,4],"chips":5,"drop_p":1.0}`, http.StatusBadRequest},
@@ -439,6 +440,57 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		}
 		if body["error"] == "" {
 			t.Errorf("%s: no error message in body", tc.name)
+		}
+		// A campaign body embedded in a shard meets the same validation on
+		// the matching shard endpoint.
+		kind := strings.TrimPrefix(tc.path, "/v1/")
+		if kind != "coverage" && kind != "sessions" {
+			continue
+		}
+		var shard map[string]string
+		resp = postJSON(t, ts.URL+"/v1/shards/"+kind, `{"request":`+tc.body+`,"index":[0]}`, &shard)
+		if resp.StatusCode != tc.want || shard["error"] != body["error"] {
+			t.Errorf("%s as a shard: HTTP %d %q, want %d %q", tc.name, resp.StatusCode, shard["error"], tc.want, body["error"])
+		}
+	}
+
+	// Shards are rejected before queueing unless the embedded request
+	// decodes and the index list is non-empty, strictly ascending and
+	// inside the population derived from the request: a 24-fault sample,
+	// a population of 3 dies.
+	coverage := `{"arch":[12,8,4],"kind":"all","sample":24,"seed":5}`
+	sessions := `{"arch":[12,8,4],"chips":3}`
+	type shardCase struct{ path, body string }
+	shards := []shardCase{
+		{"/v1/shards/coverage", `{"request":{"arch":"12-8-4"},"index":[0]}`}, // malformed embedded request
+		{"/v1/shards/sessions", `{"index":[0]}`},                             // no embedded request
+	}
+	for _, sh := range []struct{ path, req, past string }{
+		{"/v1/shards/coverage", coverage, "24"},
+		{"/v1/shards/sessions", sessions, "3"},
+	} {
+		for _, index := range []string{``, `,"index":[]`, `,"index":[0,0]`, `,"index":[5,3]`, `,"index":[-1]`, `,"index":[` + sh.past + `]`, `,"index":[99]`} {
+			shards = append(shards, shardCase{sh.path, `{"request":` + sh.req + index + `}`})
+		}
+	}
+	for _, tc := range shards {
+		var body map[string]string
+		resp := postJSON(t, ts.URL+tc.path, tc.body, &body)
+		if resp.StatusCode != http.StatusBadRequest || body["error"] == "" {
+			t.Errorf("%s %s: HTTP %d %v, want 400 with an error", tc.path, tc.body, resp.StatusCode, body)
+		}
+	}
+	for _, tc := range []struct{ path, body, field string }{
+		{"/v1/shards/coverage", `{"request":` + coverage + `,"index":[0,23]}`, "faults"},
+		{"/v1/shards/sessions", `{"request":` + sessions + `,"index":[1,2]}`, "chips"},
+	} {
+		var job JobStatus
+		if resp := postJSON(t, ts.URL+tc.path, tc.body, &job); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s %s: HTTP %d, want 202", tc.path, tc.body, resp.StatusCode)
+		}
+		st := pollJob(t, ts.URL, job.ID)
+		if st.State != "done" || resultField(t, st, tc.field) != 2.0 {
+			t.Errorf("%s: job %s %s, %s = %v, want done with 2", tc.path, st.State, st.Error, tc.field, resultField(t, st, tc.field))
 		}
 	}
 

@@ -67,7 +67,7 @@ func TestMeasureSessionsContextPreCancelled(t *testing.T) {
 	ate, _, _ := suiteFor(t, snn.Arch{8, 6, 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	stats, err := ate.MeasureSessionsContext(ctx, 50, nil, unreliable.Reliable(), variation.None(), RetestPolicy{}, 1)
+	stats, err := ate.MeasureSessionsAtContext(ctx, identityIndices(50), nil, unreliable.Reliable(), variation.None(), RetestPolicy{}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -92,7 +92,7 @@ func TestMeasureSessionsContextMidCancel(t *testing.T) {
 		}
 		return nil
 	}
-	stats, err := ate.MeasureSessionsContext(ctx, n, mods, unreliable.Reliable(), variation.None(), RetestPolicy{}, 1)
+	stats, err := ate.MeasureSessionsAtContext(ctx, identityIndices(n), mods, unreliable.Reliable(), variation.None(), RetestPolicy{}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -109,7 +109,7 @@ func TestMeasureSessionsContextBackgroundMatchesPlain(t *testing.T) {
 	values := fault.PaperValues(snn.DefaultParams().Theta)
 	mods := func(i int) *snn.Modifiers { return faults[i%len(faults)].Modifiers(values) }
 	plain := ate.MeasureSessions(40, mods, unreliable.Reliable(), variation.None(), RetestPolicy{}, 7)
-	viaCtx, err := ate.MeasureSessionsContext(context.Background(), 40, mods, unreliable.Reliable(), variation.None(), RetestPolicy{}, 7)
+	viaCtx, err := ate.MeasureSessionsAtContext(context.Background(), identityIndices(40), mods, unreliable.Reliable(), variation.None(), RetestPolicy{}, 7)
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}

@@ -14,7 +14,7 @@ var (
 	obsOnce sync.Once
 
 	coverageCampaignSeconds *obs.Histogram // MeasureCoverageContext wall time
-	sessionsCampaignSeconds *obs.Histogram // MeasureSessionsContext wall time
+	sessionsCampaignSeconds *obs.Histogram // MeasureSessionsAtContext wall time
 	chipsCampaignSeconds    *obs.Histogram // countChips (overkill/escape) wall time
 	poolItemSeconds         *obs.Histogram // one pooled evaluation (fault or chip)
 	sessionSeconds          *obs.Histogram // one RunChipSession

@@ -81,6 +81,9 @@ func TestSampleFaultsMatchesOracle(t *testing.T) {
 							t.Fatalf("%v max=%d seed=%d: %d faults differ from the oracle's %d",
 								kinds, max, seed, len(got), len(want))
 						}
+						if n := SampleSize(arch, kinds, max); n != len(got) {
+							t.Fatalf("%v max=%d: SampleSize %d, sample holds %d", kinds, max, n, len(got))
+						}
 					}
 				}
 			}

@@ -316,18 +316,9 @@ func MergeSessionStats(parts ...SessionStats) SessionStats {
 // of scheduling. Worker panics are recovered into SessionStats.Errors
 // instead of crashing the campaign.
 func (a *ATE) MeasureSessions(n int, mods func(i int) *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) SessionStats {
-	//lint:ignore unchecked-error context.Background() never cancels, and cancellation is the only error MeasureSessionsContext returns
-	stats, _ := a.MeasureSessionsContext(context.Background(), n, mods, prof, vary, policy, seed)
+	//lint:ignore unchecked-error context.Background() never cancels, and the only other error, an invalid profile, is also recorded in stats.Errors
+	stats, _ := a.MeasureSessionsAtContext(context.Background(), identityIndices(max(n, 0)), mods, prof, vary, policy, seed)
 	return stats
-}
-
-// MeasureSessionsContext is MeasureSessions with cooperative cancellation:
-// workers stop claiming chips once ctx is cancelled (sessions already in
-// flight finish their chip). On cancellation it returns ctx.Err() together
-// with the partial stats, whose Chips counts only the sessions actually run
-// — so the rates stay meaningful over the evaluated population.
-func (a *ATE) MeasureSessionsContext(ctx context.Context, n int, mods func(i int) *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) (SessionStats, error) {
-	return a.MeasureSessionsAtContext(ctx, identityIndices(max(n, 0)), mods, prof, vary, policy, seed)
 }
 
 // MeasureSessionsAtContext runs sessions for exactly the chips whose global
@@ -336,6 +327,12 @@ func (a *ATE) MeasureSessionsContext(ctx context.Context, n int, mods func(i int
 // the worker that runs it, so running a partition of the population across
 // separate calls (or cluster nodes) and folding the partial stats with
 // MergeSessionStats reproduces the whole-population campaign bit-exactly.
+//
+// Cancellation is cooperative: workers stop claiming chips once ctx is
+// cancelled (sessions already in flight finish their chip). On
+// cancellation it returns ctx.Err() together with the partial stats, whose
+// Chips counts only the sessions actually run — so the rates stay
+// meaningful over the evaluated population.
 func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func(i int) *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) (SessionStats, error) {
 	var stats SessionStats
 	if len(idx) == 0 {

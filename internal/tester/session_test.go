@@ -392,7 +392,7 @@ func TestMeasureSessionsRejectsInvalidProfile(t *testing.T) {
 	_, merged := smallSuite(t, arch, core.NoVariation())
 	ate := New(merged, nil)
 	bad := unreliable.Profile{Readout: unreliable.Readout{DropP: 1}}
-	stats, err := ate.MeasureSessionsContext(context.Background(), 4, nil, bad,
+	stats, err := ate.MeasureSessionsAtContext(context.Background(), identityIndices(4), nil, bad,
 		variation.None(), RetestPolicy{}, 1)
 	if err == nil {
 		t.Fatal("full-drop profile accepted by a session campaign")

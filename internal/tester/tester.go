@@ -315,8 +315,9 @@ func (e *WorkerError) Error() string {
 
 // CoverageResult summarises a fault-coverage campaign.
 type CoverageResult struct {
-	Total      int
-	Detected   int
+	Total    int
+	Detected int
+	// Undetected lists the undetected faults in input order.
 	Undetected []fault.Fault
 	// Errors holds structured worker failures (recovered panics, typically
 	// from malformed faults outside the architecture's universe). Errored
@@ -722,6 +723,38 @@ func SampleFaults(arch snn.Arch, kinds []fault.Kind, max int, seed uint64) []fau
 		}
 	}
 	return out
+}
+
+// SampleSize is the length of every SampleFaults(arch, kinds, max, seed)
+// sample, whatever the seed, worked out without drawing one: max when it
+// is positive and below the kinds' total universe size, else that total.
+func SampleSize(arch snn.Arch, kinds []fault.Kind, max int) int {
+	total := 0
+	for _, k := range kinds {
+		total += fault.UniverseSize(arch, k)
+	}
+	if max > 0 && max < total {
+		return max
+	}
+	return total
+}
+
+// ClusterDefect is the clustered-defect convention of a sampled die
+// population, shared by every campaign that injects defect clusters: die i
+// carries the size consecutive faults of sample starting at i*size,
+// wrapping around. It returns those faults and their merged modifiers; a
+// die with size 0, or drawn from an empty sample, is defect-free (nil, nil).
+func ClusterDefect(sample []fault.Fault, values fault.Values, i, size int) ([]fault.Fault, *snn.Modifiers) {
+	if size <= 0 || len(sample) == 0 {
+		return nil, nil
+	}
+	faults := make([]fault.Fault, size)
+	mods := make([]*snn.Modifiers, size)
+	for c := range faults {
+		faults[c] = sample[(i*size+c)%len(sample)]
+		mods[c] = faults[c].Modifiers(values)
+	}
+	return faults, snn.MergeModifiers(mods...)
 }
 
 // sampleAllocation splits a budget of max faults across kind universes of

@@ -2,6 +2,8 @@ package tester
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -282,6 +284,32 @@ func TestGoldenAccessorsAndQuantizedATE(t *testing.T) {
 		res := ate.MeasureCoverage(fault.Universe(arch, kind), g.Options().Values)
 		if res.Coverage() != 100 {
 			t.Errorf("%v coverage under quantization = %v", kind, res)
+		}
+	}
+}
+
+// TestClusterDefectWrapsTheSample pins the clustered-defect convention:
+// die i carries size consecutive sampled faults from i*size on, wrapping
+// around the sample, merged into one set of modifiers.
+func TestClusterDefectWrapsTheSample(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	values := fault.PaperValues(snn.DefaultParams().Theta)
+	sample := SampleFaults(arch, fault.Kinds(), 5, 3)
+	got, mods := ClusterDefect(sample, values, 1, 3)
+	want := []fault.Fault{sample[3], sample[4], sample[0]}
+	if !slices.Equal(got, want) {
+		t.Fatalf("die 1's cluster = %v, want %v", got, want)
+	}
+	merged := snn.MergeModifiers(want[0].Modifiers(values), want[1].Modifiers(values), want[2].Modifiers(values))
+	if !reflect.DeepEqual(mods, merged) {
+		t.Errorf("die 1's modifiers = %+v, want the merge %+v", mods, merged)
+	}
+	for _, tc := range []struct {
+		sample []fault.Fault
+		size   int
+	}{{sample, 0}, {nil, 2}} {
+		if faults, mods := ClusterDefect(tc.sample, values, 4, tc.size); faults != nil || mods != nil {
+			t.Errorf("size %d over %d faults: (%v, %+v), want a defect-free die", tc.size, len(tc.sample), faults, mods)
 		}
 	}
 }
