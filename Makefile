@@ -72,9 +72,13 @@ test:
 
 # The whole module runs under the race detector; campaign pools, the
 # reliability models and the daemon are the heavy users, but nothing is
-# exempt.
+# exempt. That pass runs at the machine's core count only, so the packages
+# on the worker pool run again at one worker, where a nested pool.Run shares
+# one P, and at four, oversubscribed on small runners.
+RACEPOOLPKGS = ./internal/pool ./internal/faultsim ./internal/tester ./internal/diagnose ./internal/compact ./internal/baseline
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,4 $(RACEPOOLPKGS)
 
 # perfbench vets and smokes the benchmark harness. It is its own module
 # (replacing neurotest with ../), so the root's build, vet and test never

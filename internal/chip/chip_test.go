@@ -74,8 +74,10 @@ func TestProgramReadbackIdealLevels(t *testing.T) {
 	cfg.Arch = snn.Arch{4, 3, 2}
 	c := mustNew(t, cfg, 1)
 	net := snn.New(cfg.Arch, cfg.Params)
-	net.SetColumn(0, 0, 10)
-	net.SetColumn(0, 1, -10)
+	for i := 0; i < cfg.Arch[0]; i++ {
+		net.W[0][i*cfg.Arch[1]] = 10
+		net.W[0][i*cfg.Arch[1]+1] = -10
+	}
 	net.SetEntry(0, 0, 2, 0.275)
 	net.FillBoundary(1, 5)
 	if err := c.Program(net); err != nil {

@@ -132,14 +132,13 @@ func (g *Generator) Generate(kind fault.Kind) *pattern.TestSet {
 func (g *Generator) GenerateAll() (map[fault.Kind]*pattern.TestSet, *pattern.TestSet) {
 	perKind := make(map[fault.Kind]*pattern.TestSet)
 	merged := pattern.NewTestSet("proposed", g.opt.Arch, g.opt.Params)
-	for i, k := range fault.Kinds() {
+	for _, k := range fault.Kinds() {
 		ts := g.Generate(k)
 		perKind[k] = ts
 		if k == fault.SASF {
 			// Identical to the NASF configuration and pattern — apply once.
 			continue
 		}
-		_ = i
 		merged.Merge(ts)
 	}
 	return perKind, merged
@@ -249,6 +248,9 @@ func (g *Generator) generateSWF() *pattern.TestSet {
 //   - Weights into target and ancillary neurons of layer l come from
 //     pre-targets at ω_pt and pre-ancillaries at ω_pa (0 from everyone
 //     else); every other neuron of layer l is inhibited via ωmin columns.
+//
+// Each boundary gets one row of per-neuron values, and every weight row of
+// the boundary is filled from it once.
 func (g *Generator) faultAct(cfg *snn.Network, l int, preTargets, preAnc, targets, anc []int, wpt, wpa float64) snn.Pattern {
 	arch := g.opt.Arch
 	wmax, wmin := g.opt.Params.WMax, g.opt.Params.WMin()
@@ -266,37 +268,45 @@ func (g *Generator) faultAct(cfg *snn.Network, l int, preTargets, preAnc, target
 		}
 	} else {
 		// Fire every primary input, saturate layers 1..ℓ-2, then select
-		// the pre-targets/pre-ancillaries at boundary ℓ-2.
+		// the pre-targets/pre-ancillaries at boundary ℓ-2: every neuron of
+		// layer ℓ-2 feeds them at ωmax and everyone else at ωmin.
 		pat = snn.OnesPattern(arch.Inputs())
 		maximizeWeights(cfg, 0, l-2)
-		isPre := memberSet(preTargets, preAnc)
-		for j := 0; j < arch[l-1]; j++ {
-			if isPre[j] {
-				cfg.SetColumn(l-2, j, wmax)
-			} else {
-				cfg.SetColumn(l-2, j, wmin)
-			}
+		sel := make([]float64, arch[l-1])
+		for j := range sel {
+			sel[j] = wmin
+		}
+		for _, j := range preTargets {
+			sel[j] = wmax
+		}
+		for _, j := range preAnc {
+			sel[j] = wmax
+		}
+		for w, off := cfg.W[l-2], 0; off < len(w); off += len(sel) {
+			copy(w[off:], sel)
 		}
 	}
 
 	// Boundary ℓ-1 → ℓ: ω_pt / ω_pa / 0 into targets and ancillaries,
-	// ωmin into everyone else.
-	isTarget := memberSet(targets, anc)
-	isPT := memberSet(preTargets, nil)
-	isPA := memberSet(preAnc, nil)
-	for j := 0; j < arch[l]; j++ {
-		if !isTarget[j] {
-			cfg.SetColumn(l-1, j, wmin)
-			continue
-		}
-		for i := 0; i < arch[l-1]; i++ {
-			switch {
-			case isPT[i]:
-				cfg.SetEntry(l-1, i, j, wpt)
-			case isPA[i]:
-				cfg.SetEntry(l-1, i, j, wpa)
-			default:
-				cfg.SetEntry(l-1, i, j, 0)
+	// ωmin into everyone else. Pre-targets take precedence over
+	// pre-ancillaries, so they are written last.
+	pre := make([]float64, arch[l-1])
+	for _, i := range preAnc {
+		pre[i] = wpa
+	}
+	for _, i := range preTargets {
+		pre[i] = wpt
+	}
+	isTarget := members(arch[l], targets, anc)
+	nOut := arch[l]
+	w := cfg.W[l-1]
+	for i, v := range pre {
+		row := w[i*nOut : (i+1)*nOut]
+		for j, t := range isTarget {
+			if t {
+				row[j] = v
+			} else {
+				row[j] = wmin
 			}
 		}
 	}
@@ -305,24 +315,23 @@ func (g *Generator) faultAct(cfg *snn.Network, l int, preTargets, preAnc, target
 
 // faultProp implements Algorithm 3 (fault propagation) on cfg: weights out
 // of targets are ω_t, out of ancillaries ω_a, 0 from everyone else; all
-// boundaries after layer l+1 are saturated at ωmax.
+// boundaries after layer l+1 are saturated at ωmax. Targets take
+// precedence over ancillaries.
 func (g *Generator) faultProp(cfg *snn.Network, l int, targets, anc []int, wt, wa float64) {
 	arch := g.opt.Arch
-	isT := memberSet(targets, nil)
-	isA := memberSet(anc, nil)
+	val := make([]float64, arch[l])
+	for _, i := range anc {
+		val[i] = wa
+	}
+	for _, i := range targets {
+		val[i] = wt
+	}
 	nOut := arch[l+1]
-	for i := 0; i < arch[l]; i++ {
-		var w float64
-		switch {
-		case isT[i]:
-			w = wt
-		case isA[i]:
-			w = wa
-		default:
-			w = 0
-		}
-		for j := 0; j < nOut; j++ {
-			cfg.SetEntry(l, i, j, w)
+	w := cfg.W[l]
+	for i, v := range val {
+		row := w[i*nOut : (i+1)*nOut]
+		for j := range row {
+			row[j] = v
 		}
 	}
 	maximizeWeights(cfg, l+1, arch.Layers()-1)
@@ -368,7 +377,7 @@ func pickAncillaries(n int, targets []int, count int) []int {
 	if count == 0 {
 		return nil
 	}
-	isT := memberSet(targets, nil)
+	isT := members(n, targets, nil)
 	out := make([]int, 0, count)
 	for i := 0; i < n && len(out) < count; i++ {
 		if !isT[i] {
@@ -382,9 +391,9 @@ func pickAncillaries(n int, targets []int, count int) []int {
 	return out
 }
 
-// memberSet builds a membership lookup over two index slices.
-func memberSet(a, b []int) map[int]bool {
-	m := make(map[int]bool, len(a)+len(b))
+// members marks the indices listed in a or b among [0, n).
+func members(n int, a, b []int) []bool {
+	m := make([]bool, n)
 	for _, i := range a {
 		m[i] = true
 	}

@@ -165,7 +165,9 @@ func TestCollapseKeepsNearMissesApart(t *testing.T) {
 		}},
 		{"+0 against -0", []fault.Kind{fault.SWF, fault.SASF}, 1, func(cfgs []*snn.Network, _ []snn.Pattern) {
 			for _, cfg := range cfgs {
-				cfg.SetColumn(0, 1, 0)
+				for i := 0; i < cfg.Arch[0]; i++ {
+					cfg.W[0][i*cfg.Arch[1]+1] = 0
+				}
 				cfg.SetEntry(0, 1, 1, math.Copysign(0, -1))
 			}
 		}},

@@ -56,6 +56,7 @@ import (
 	"neurotest/internal/margin"
 	"neurotest/internal/obs"
 	"neurotest/internal/pattern"
+	"neurotest/internal/pool"
 	"neurotest/internal/snn"
 )
 
@@ -134,39 +135,47 @@ type Golden struct {
 }
 
 // NewGolden runs and caches the good-chip simulation of every item in ts.
-// transform, when non-nil, is applied once per configuration. The returned
-// Golden is safe for concurrent use by any number of Evaluators.
+// transform, when non-nil, is applied once per configuration. The items
+// are then traced on the worker pool, one task per item, and kept in
+// ts.Items order. The returned Golden is safe for concurrent use by any
+// number of Evaluators.
+//
+// A panic while tracing an item (a pattern of the wrong width, say) is
+// re-raised on the caller's goroutine. The build takes no context: a
+// Golden shared by several campaigns must not be cut short by one of them.
 func NewGolden(ts *pattern.TestSet, transform ConfigTransform) *Golden {
 	ensureObs()
 	timer := obs.StartTimer()
 	defer func() { timer.ObserveElapsed(engineBuilds) }()
 	goldenBuilds.Inc()
-	g := &Golden{ts: ts}
 	// Transform each distinct configuration once.
 	nets := make([]*snn.Network, len(ts.Configs))
-	sims := make([]*snn.Simulator, len(ts.Configs))
 	for i, cfg := range ts.Configs {
 		if transform != nil {
 			nets[i] = transform(cfg)
 		} else {
 			nets[i] = cfg
 		}
-		sims[i] = snn.NewSimulator(nets[i])
 	}
-	g.items = make([]goldenItem, 0, len(ts.Items))
-	for _, it := range ts.Items {
+	// A simulator is single-goroutine scratch: each pool slot keeps its own
+	// and rebinds it whenever its next item uses another configuration.
+	sims := make([]*snn.Simulator, pool.Workers(len(ts.Items)))
+	items, _ := pool.Run(context.TODO(), len(ts.Items), func(i, w int) goldenItem {
+		it := ts.Items[i]
 		net := nets[it.ConfigIndex]
-		sim := sims[it.ConfigIndex]
-		golden, trace := sim.RunTrace(it.Pattern, it.Timesteps, it.Mode(), nil)
-		g.items = append(g.items, goldenItem{
+		if sims[w] == nil || sims[w].Bind(net, nil) != nil {
+			sims[w] = snn.NewSimulator(net)
+		}
+		golden, trace := sims[w].RunTrace(it.Pattern, it.Timesteps, it.Mode(), nil)
+		return goldenItem{
 			item:   it,
 			net:    net,
 			trace:  trace,
 			golden: golden,
 			memo:   memoShard{m: make(map[memoKey]bool)},
-		})
-	}
-	return g
+		}
+	})
+	return &Golden{ts: ts, items: items}
 }
 
 // Result returns the golden (good-chip) observable output of item i. The

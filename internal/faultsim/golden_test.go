@@ -3,6 +3,8 @@ package faultsim
 import (
 	"context"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -67,6 +69,55 @@ func TestMatrixFlushesObs(t *testing.T) {
 	}
 	if matrix.FaultsSimulated != cov.FaultsSimulated {
 		t.Errorf("faults simulated: matrix %d != coverage %d", matrix.FaultsSimulated, cov.FaultsSimulated)
+	}
+}
+
+// TestMatrixPanicOnCaller: a fault whose evaluation panics (a synapse
+// site outside the architecture) re-panics on the caller's goroutine, where
+// a deferred recover catches it, although the items run on the pool.
+func TestMatrixPanicOnCaller(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	ts, values := generatedSuite(t, arch, snn.ResetZero)
+	bogus := fault.Fault{Kind: fault.SWF, Synapse: snn.SynapseID{Boundary: 0, Pre: 99, Post: 0}}
+	faults := append(fault.Universe(arch, fault.SWF), bogus)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DetectsMatrix over an out-of-architecture site returned instead of panicking")
+		}
+	}()
+	detectsMatrix(t, NewGolden(ts, nil).NewEvaluator(values), faults)
+}
+
+// TestMatrixMemoAccountingAnyWorkerCount: DetectsMatrix on fresh Goldens of
+// one test set returns the same matrix and publishes the same memo hits and
+// misses at GOMAXPROCS 1 and 4. Each item's memo shard has one writer that
+// visits its keys in serial group order, whatever the worker count. The
+// workload is the random-matrix benchmark's: nothing collapses, so 172
+// packed groups share memo keys across groups, and a split by group would
+// let two workers miss the same key at once.
+func TestMatrixMemoAccountingAnyWorkerCount(t *testing.T) {
+	arch := snn.Arch{96, 48, 16, 8}
+	ts := balancedTestSetT(arch, 2, 4, 7, 16)
+	values := fault.PaperValues(ts.Params.Theta)
+	faults := append(fault.Universe(arch, fault.SWF), fault.Universe(arch, fault.SASF)...)
+	run := func(procs int) ([][]uint64, Stats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		before := Snapshot()
+		rows := detectsMatrix(t, NewGolden(ts, nil).NewEvaluator(values), faults)
+		return rows, statsDelta(Snapshot(), before)
+	}
+	wantRows, want := run(1)
+	if want.MemoHits == 0 {
+		t.Fatalf("fixture broken: no memo hits over %d faults", len(faults))
+	}
+	for rep := 0; rep < 3; rep++ {
+		rows, got := run(4)
+		if got != want {
+			t.Errorf("GOMAXPROCS 4 published %+v, GOMAXPROCS 1 published %+v", got, want)
+		}
+		if !slices.EqualFunc(rows, wantRows, slices.Equal[[]uint64]) {
+			t.Errorf("the detection matrix depends on the worker count")
+		}
 	}
 }
 

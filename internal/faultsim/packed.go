@@ -29,8 +29,10 @@ package faultsim
 import (
 	"context"
 	"math/bits"
+	"slices"
 
 	"neurotest/internal/fault"
+	"neurotest/internal/pool"
 	"neurotest/internal/snn"
 )
 
@@ -246,32 +248,60 @@ func (e *Evaluator) DetectsBatch(ctx context.Context, faults []fault.Fault) ([]b
 // per equivalence class; each member's row is a copy of its
 // representative's, in its own backing array. Unlike DetectsBatch it never
 // ends a scan early — fault dictionaries, compaction and greedy selection
-// need every item's verdict. The obs accounting is flushed once per call.
-// The scan checks ctx between items; on cancellation it returns
-// (nil, ctx.Err()).
+// need every item's verdict.
+//
+// The work is split by item on the worker pool: one task runs every
+// packed group on its item, in group order, on its slot's own evaluator
+// (slot 0 uses e). An item's memo shard is touched by no other item, so
+// its one writer visits its keys in exactly the serial order, and memo
+// hits and misses equal a serial scan's at any worker count. The slots'
+// memo counts fold into e, whose obs accounting is flushed once per call.
+// Workers stop claiming items once ctx is cancelled; the call then returns
+// (nil, ctx.Err()). A panicking fault re-panics on the caller's goroutine.
 func (e *Evaluator) DetectsMatrix(ctx context.Context, faults []fault.Fault) ([][]uint64, error) {
+	cls := e.g.Collapse(faults)
+	groups := packGroups(faults, cls.Reps)
+	resolved, classes := 0, 0
+	evals := make([]*Evaluator, pool.Workers(len(e.g.items)))
+	evals[0] = e
+	defer func() {
+		for _, w := range evals[1:] {
+			if w != nil {
+				e.pendingMemoHits += w.pendingMemoHits
+				e.pendingMemoMisses += w.pendingMemoMisses
+			}
+		}
+		e.flushObsN(resolved, classes)
+	}()
+	// dets[it][gi] is the detected-lane word of group gi on item it.
+	dets, done := pool.Run(ctx, len(e.g.items), func(it, w int) []uint64 {
+		if evals[w] == nil {
+			evals[w] = e.g.NewEvaluator(e.values)
+		}
+		det := make([]uint64, len(groups))
+		for gi, idx := range groups {
+			det[gi] = evals[w].evalItem(&e.g.items[it], faults, idx, fullMask(len(idx)))
+		}
+		return det
+	})
+	if slices.Contains(done, false) {
+		return nil, ctx.Err()
+	}
 	words := (len(e.g.items) + 63) / 64
 	flat := make([]uint64, len(faults)*words)
 	rows := make([][]uint64, len(faults))
 	for f := range rows {
 		rows[f] = flat[f*words : (f+1)*words : (f+1)*words]
 	}
-	cls := e.g.Collapse(faults)
-	resolved, classes := 0, 0
-	defer func() { e.flushObsN(resolved, classes) }()
-	for _, idx := range packGroups(faults, cls.Reps) {
-		lanes := fullMask(len(idx))
-		for it := range e.g.items {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			for det := e.evalItem(&e.g.items[it], faults, idx, lanes); det != 0; det &= det - 1 {
-				rows[idx[bits.TrailingZeros64(det)]][it/64] |= 1 << uint(it%64)
+	for it, det := range dets {
+		for gi, idx := range groups {
+			for d := det[gi]; d != 0; d &= d - 1 {
+				rows[idx[bits.TrailingZeros64(d)]][it/64] |= 1 << uint(it%64)
 			}
 		}
-		resolved += cls.members(idx, lanes)
-		classes += len(idx)
 	}
+	// Every fault now has its verdict, through its class representative.
+	resolved, classes = len(faults), len(cls.Reps)
 	for i, k := range cls.Of {
 		if r := int(cls.Reps[k]); r != i {
 			copy(rows[i], rows[r])

@@ -13,7 +13,11 @@ type CtxGoroutineConfig struct {
 	// CtxRequired maps a package import path to the pool helpers whose
 	// direct use inside an exported function makes that function a
 	// long-running entry point, and therefore obliges it to accept a
-	// context.Context parameter for cooperative cancellation.
+	// context.Context parameter for cooperative cancellation. Helpers are
+	// named by qualified name ("neurotest/internal/pool.Run") and matched
+	// by identity: a call is resolved through the type checker to the
+	// function it targets, so a same-named function or method of another
+	// package or type never matches.
 	CtxRequired map[string][]string
 }
 
@@ -23,9 +27,8 @@ type CtxGoroutineConfig struct {
 // process. Two rules, both scoped to the configured packages:
 //
 //  1. `go` statements may appear only inside the approved pool helpers,
-//     whose recover() discipline converts worker panics into structured
-//     errors (tester.runWorkersCtx, the service queue and its supervised
-//     spawner).
+//     whose recover() discipline re-raises or converts worker panics
+//     (pool.Run, the service queue and its supervised spawner).
 //  2. An exported function that directly drives a pool helper is a
 //     long-running entry point and must accept a context.Context, so
 //     callers can bound it (the partial-result semantics introduced with
@@ -82,6 +85,8 @@ func checkSpawns(pass *Pass, fd *ast.FuncDecl, approved bool) {
 
 // checkEntryPoint flags exported functions that directly call a
 // ctx-required pool helper without accepting a context.Context parameter.
+// Callees resolve through calleeFunc, which sees through explicit
+// instantiations (pool.Run[T](…)) and is keyed by the generic origin.
 func checkEntryPoint(pass *Pass, fd *ast.FuncDecl, ctxRequired map[string]bool) {
 	if len(ctxRequired) == 0 || acceptsContext(fd) {
 		return
@@ -91,8 +96,8 @@ func checkEntryPoint(pass *Pass, fd *ast.FuncDecl, ctxRequired map[string]bool) 
 		if !ok {
 			return true
 		}
-		if name, ok := calleeName(call); ok && ctxRequired[name] {
-			pass.Reportf(call.Pos(), "exported %s drives pool helper %s but accepts no context.Context; long-running entry points must be cancellable", fd.Name.Name, name)
+		if fn := calleeFunc(pass.Info, call); fn != nil && ctxRequired[fn.Origin().FullName()] {
+			pass.Reportf(call.Pos(), "exported %s drives pool helper %s but accepts no context.Context; long-running entry points must be cancellable", fd.Name.Name, displayKey(fn.Origin().FullName()))
 			return false
 		}
 		return true
@@ -122,19 +127,4 @@ func typeIsContext(expr ast.Expr) bool {
 	}
 	pkg, ok := sel.X.(*ast.Ident)
 	return ok && pkg.Name == "context" && sel.Sel.Name == "Context"
-}
-
-// calleeName extracts the bare function or method name a call targets.
-func calleeName(call *ast.CallExpr) (string, bool) {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name, true
-	case *ast.SelectorExpr:
-		return fun.Sel.Name, true
-	case *ast.IndexExpr: // generic instantiation: runWorkersCtx[T](...)
-		if id, ok := fun.X.(*ast.Ident); ok {
-			return id.Name, true
-		}
-	}
-	return "", false
 }

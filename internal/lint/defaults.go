@@ -49,28 +49,34 @@ func FloatHelperPaths() []string {
 }
 
 // GoroutineConfig scopes the ctx-goroutine check to the concurrency-heavy
-// packages and names their sanctioned pool helpers.
+// packages and names their sanctioned pool helpers. Spawn sites are
+// declarations of the scoped package itself; ctx-required helpers are
+// qualified names, matched by identity wherever they are called from.
 func GoroutineConfig() CtxGoroutineConfig {
 	return CtxGoroutineConfig{
 		SpawnSites: map[string][]string{
-			// runWorkersCtx is the single bounded, recover()-disciplined
-			// pool behind every tester campaign.
-			"neurotest/internal/tester": {"runWorkersCtx"},
+			// Run is the repository's one bounded worker pool: it recovers a
+			// task's panic and re-raises it on the caller once every worker
+			// has returned.
+			"neurotest/internal/pool": {"Run"},
+			// The tester drives pool.Run for every campaign but spawns
+			// nothing itself.
+			"neurotest/internal/tester": {},
 			// NewQueue starts the daemon's worker pool (panics become
 			// failed jobs); supervised wraps fire-and-forget goroutines
 			// with a recover barrier.
 			"neurotest/internal/service": {"NewQueue", "supervised"},
-			// The simulation engine must stay sequential per campaign:
-			// parallelism belongs to the pools above.
+			// The simulation engine drives pool.Run for its golden build
+			// and detection matrix but never spawns.
 			"neurotest/internal/faultsim": {},
 			// fanOut is the coordinator's bounded, recover()-disciplined
 			// shard dispatcher — the only place the cluster layer may spawn.
 			"neurotest/internal/cluster": {"fanOut"},
 		},
 		CtxRequired: map[string][]string{
-			"neurotest/internal/tester":  {"runWorkersCtx", "runWorkers"},
-			"neurotest/internal/service": {"supervised"},
-			"neurotest/internal/cluster": {"fanOut"},
+			"neurotest/internal/tester":  {"neurotest/internal/pool.Run"},
+			"neurotest/internal/service": {"neurotest/internal/service.supervised"},
+			"neurotest/internal/cluster": {"neurotest/internal/cluster.fanOut"},
 		},
 	}
 }

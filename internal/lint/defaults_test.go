@@ -12,7 +12,8 @@ import (
 
 // TestScopesNameLivePackages keeps the production scopes from going stale:
 // every package they name is one "./..." expands to, and every helper they
-// name is a function declared in that package. A scope naming a deleted or
+// name is a function declared in that package (a qualified helper name is
+// checked against the package it qualifies). A scope naming a deleted or
 // renamed package would silently check nothing.
 func TestScopesNameLivePackages(t *testing.T) {
 	loader, err := NewLoader("")
@@ -51,7 +52,11 @@ func TestScopesNameLivePackages(t *testing.T) {
 		check("GoroutineConfig.SpawnSites", p, fns...)
 	}
 	for p, fns := range gc.CtxRequired {
-		check("GoroutineConfig.CtxRequired", p, fns...)
+		check("GoroutineConfig.CtxRequired", p)
+		for _, fn := range fns {
+			i := strings.LastIndex(fn, ".")
+			check("GoroutineConfig.CtxRequired", fn[:i], fn[i+1:])
+		}
 	}
 	for _, fn := range DefaultResourceClose().CloseFuncs {
 		i := strings.LastIndex(fn, ".")

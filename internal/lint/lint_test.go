@@ -163,8 +163,11 @@ func TestNoPanicSkipsPackageMain(t *testing.T) {
 
 func TestCtxGoroutineFixture(t *testing.T) {
 	checkFixture(t, "ctxgo", NewCtxGoroutine(CtxGoroutineConfig{
-		SpawnSites:  map[string][]string{fixtureBase + "ctxgo": {"runPool"}},
-		CtxRequired: map[string][]string{fixtureBase + "ctxgo": {"runPool"}},
+		SpawnSites: map[string][]string{fixtureBase + "ctxgo": {"runPool"}},
+		CtxRequired: map[string][]string{fixtureBase + "ctxgo": {
+			fixtureBase + "ctxgo.runPool",
+			fixtureBase + "ctxgo/pool.Run",
+		}},
 	}))
 }
 

@@ -131,17 +131,6 @@ func (n *Network) Fill(w float64) {
 	}
 }
 
-// SetColumn sets the weights from every neuron of layer b to neuron j of
-// layer b+1 to w. This is the "weights to neuron j" operation the
-// activation algorithm uses.
-func (n *Network) SetColumn(b, j int, w float64) {
-	nOut := n.Arch[b+1]
-	row := n.W[b]
-	for i := 0; i < n.Arch[b]; i++ {
-		row[i*nOut+j] = w
-	}
-}
-
 // SetEntry sets the single weight from neuron i of layer b to neuron j of
 // layer b+1.
 func (n *Network) SetEntry(b, i, j int, w float64) {

@@ -351,13 +351,7 @@ func TestNetworkHelpers(t *testing.T) {
 	if net.Entry(1, 0, 0) != 2 || net.Entry(0, 1, 1) != 2 {
 		t.Errorf("Fill failed")
 	}
-	net.SetColumn(0, 1, -4)
-	if net.Entry(0, 0, 1) != -4 || net.Entry(0, 1, 1) != -4 {
-		t.Errorf("SetColumn failed")
-	}
-	if net.Entry(0, 0, 0) != 2 {
-		t.Errorf("SetColumn leaked into other columns")
-	}
+	net.SetEntry(0, 1, 1, -4)
 	c := net.Clone()
 	c.SetEntry(0, 0, 0, 9)
 	if net.Entry(0, 0, 0) == 9 {

@@ -1,6 +1,7 @@
 package tester
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -145,5 +146,23 @@ func TestConcurrentToleranceCampaignsShareGolden(t *testing.T) {
 	}
 	if d := faultsim.Snapshot().GoldenBuilds - before.GoldenBuilds; d != 1 {
 		t.Errorf("golden builds across two concurrent campaigns = %d, want 1", d)
+	}
+}
+
+// TestGoldenBuildFailureIsCampaignError: an item whose pattern does not fit
+// the input layer makes the golden build panic while tracing it on the
+// pool. The panic reaches the ATE's recover on the campaign's goroutine, so
+// MeasureCoverage reports the build failure in Errors instead of crashing.
+func TestGoldenBuildFailureIsCampaignError(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	g, merged := smallSuite(t, arch, core.NoVariation())
+	merged.Items[len(merged.Items)-1].Pattern = snn.NewPattern(arch.Inputs() + 1)
+	universe := fault.Universe(arch, fault.NASF)
+	res := New(merged, nil).MeasureCoverage(universe, g.Options().Values)
+	if len(res.Errors) != 1 || !strings.Contains(res.Errors[0].Error(), "building golden traces") {
+		t.Fatalf("errors = %v, want the one golden-build failure", res.Errors)
+	}
+	if res.Total != len(universe) || res.Detected != 0 || len(res.Undetected) != 0 {
+		t.Errorf("a campaign without goldens tallied %v", res)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"neurotest/internal/obs"
 	"neurotest/internal/pattern"
+	"neurotest/internal/pool"
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
 	"neurotest/internal/unreliable"
@@ -363,7 +364,7 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 		}
 		return a.RunChipSession(m, prof, vary, policy, chipSeed(seed, i)), nil
 	}
-	results, done := runWorkersCtx(ctx, len(idx), func(k, w int) SessionStats {
+	results, done := pool.Run(ctx, len(idx), timed(func(k, w int) SessionStats {
 		i := idx[k]
 		// Per-chip spans carry the binning verdict; distinct names (by
 		// global chip index) give scheduling-independent span IDs under the
@@ -380,7 +381,7 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 		}
 		chipSpan.End()
 		return local
-	})
+	}))
 	for k, r := range results {
 		if !done[k] {
 			continue

@@ -9,15 +9,14 @@ package tester
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"neurotest/internal/fault"
 	"neurotest/internal/faultsim"
 	"neurotest/internal/obs"
 	"neurotest/internal/pattern"
+	"neurotest/internal/pool"
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
 	"neurotest/internal/variation"
@@ -407,13 +406,13 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 	// offending representative errors and the rest of its group still gets
 	// verdicts.
 	groups := faultsim.PackGroups(reps)
-	evals := make([]*faultsim.Evaluator, poolWorkers(len(groups)))
+	evals := make([]*faultsim.Evaluator, pool.Workers(len(groups)))
 	type groupVerdict struct {
 		detected  []bool         // aligned with groups[gi]
 		evaluated []bool         // verdict valid (not lost to cancellation)
 		errs      []*WorkerError // recovered per-representative worker errors
 	}
-	verdicts, done := runWorkersCtx(ctx, len(groups), func(gi, w int) (v groupVerdict) {
+	verdicts, done := pool.Run(ctx, len(groups), timed(func(gi, w int) (v groupVerdict) {
 		idx := groups[gi]
 		sub := make([]fault.Fault, len(idx))
 		for k, i := range idx {
@@ -470,7 +469,7 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 			}()
 		}
 		return v
-	})
+	}))
 	// Scatter the group verdicts to their classes.
 	detected := make([]bool, len(reps))
 	evaluated := make([]bool, len(reps))
@@ -590,7 +589,7 @@ func (a *ATE) countChips(op string, n int, pred func(i int, rng *stats.RNG) bool
 		hit bool
 		err error
 	}
-	verdicts := runWorkers(n, func(i, w int) (v verdict) {
+	verdicts, _ := pool.Run(context.Background(), n, timed(func(i, w int) (v verdict) {
 		defer func() {
 			if p := recover(); p != nil {
 				v.err = &WorkerError{Op: op, Worker: w, Chip: i, Panic: p}
@@ -598,7 +597,7 @@ func (a *ATE) countChips(op string, n int, pred func(i int, rng *stats.RNG) bool
 		}()
 		v.hit = pred(i, stats.NewRNG(chipSeed(seed, i)))
 		return v
-	})
+	}))
 	hit, clean := 0, 0
 	var errs []error
 	for _, v := range verdicts {
@@ -632,58 +631,18 @@ func chipSeed(seed uint64, i int) uint64 {
 	return (seed + 0x9E3779B97F4A7C15*uint64(i+1)) ^ 0xD1B54A32D192ED03
 }
 
-// poolWorkers sizes a worker pool for n independent evaluations.
-func poolWorkers(n int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// runWorkers evaluates fn(i, w) for every i in [0, n) on a bounded worker
-// pool and returns the results indexed by i, so aggregation order — and any
-// error list built from it — is deterministic regardless of scheduling. w
-// is the pool slot running the evaluation: fn may keep per-slot scratch
-// state (each slot is a single goroutine).
-func runWorkers[T any](n int, fn func(i, w int) T) []T {
-	out, _ := runWorkersCtx(context.Background(), n, fn)
-	return out
-}
-
-// runWorkersCtx is runWorkers with cooperative cancellation: workers stop
-// claiming new indices once ctx is cancelled (evaluations already in flight
-// run to completion). done[i] reports whether fn ran for index i — with an
-// uncancelled context every index is done.
-func runWorkersCtx[T any](ctx context.Context, n int, fn func(i, w int) T) (out []T, done []bool) {
+// timed wraps a campaign task so that each run of it is observed into
+// the tester's pool instruments: its latency into tester_pool_item_seconds
+// and one count into tester_pool_evaluations_total.
+func timed[T any](fn func(i, w int) T) func(i, w int) T {
 	ensureObs()
-	out = make([]T, n)
-	done = make([]bool, n)
-	workers := poolWorkers(n)
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				t := obs.StartTimer()
-				out[i] = fn(i, w)
-				t.ObserveElapsed(poolItemSeconds)
-				poolEvaluations.Inc()
-				done[i] = true
-			}
-		}(w)
+	return func(i, w int) T {
+		t := obs.StartTimer()
+		v := fn(i, w)
+		t.ObserveElapsed(poolItemSeconds)
+		poolEvaluations.Inc()
+		return v
 	}
-	wg.Wait()
-	return out, done
 }
 
 // SampleFaults returns a deterministic stratified sample of at most max
