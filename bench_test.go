@@ -205,7 +205,7 @@ func BenchmarkAblationIncrementalEngine(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eng := faultsim.NewGolden(ts, nil).NewEvaluator(m.Values)
+			eng := faultsim.NewGolden(ts).NewEvaluator(m.Values)
 			got, err := eng.Coverage(context.Background(), universe)
 			if err != nil {
 				b.Fatal(err)

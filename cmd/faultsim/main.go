@@ -86,20 +86,17 @@ func run(in string, jsonIn bool, archFlag, kindFlag string, bits int, listUndete
 		ts = merged
 	}
 
-	var transform faultsim.ConfigTransform
+	var scheme *quant.Scheme
 	if bits > 0 {
 		s, err := quant.NewScheme(bits, quant.PerChannel)
 		if err != nil {
 			return fmt.Errorf("bad -bits: %w", err)
 		}
-		transform = func(n *snn.Network) *snn.Network {
-			c, _ := s.QuantizedClone(n)
-			return c
-		}
+		scheme = &s
 	}
 
 	values := fault.PaperValues(ts.Params.Theta)
-	eng := faultsim.NewGolden(ts, transform).NewEvaluator(values)
+	eng := faultsim.NewGolden(quant.Program(ts, scheme)).NewEvaluator(values)
 
 	kinds := fault.Kinds()
 	if !strings.EqualFold(kindFlag, "all") {

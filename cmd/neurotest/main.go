@@ -396,7 +396,7 @@ func cmdDiagnose(args []string) error {
 		return err
 	}
 	fmt.Printf("\ninjecting %v and testing the die ...\n", f)
-	sig := diagnose.ObserveChip(merged, nil, f.Modifiers(m.Values))
+	sig := diagnose.ObserveChip(tester.New(merged, nil), f.Modifiers(m.Values))
 	fmt.Printf("observed signature: %s (%d failing items)\n", sig, sig.CountFails())
 	candidates := dict.Lookup(sig)
 	if candidates == nil {

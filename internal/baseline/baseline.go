@@ -166,7 +166,7 @@ func Generate(name string, kind fault.Kind, opt Options) (*pattern.TestSet, erro
 	}
 
 	// Detection matrix via the packed fault-simulation kernel.
-	rows, err := faultsim.NewGolden(candidates, nil).NewEvaluator(opt.Values).DetectsMatrix(context.TODO(), sample)
+	rows, err := faultsim.NewGolden(candidates).NewEvaluator(opt.Values).DetectsMatrix(context.TODO(), sample)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: detection matrix: %w", err)
 	}

@@ -119,7 +119,7 @@ func TestSelectedItemsActuallyDetect(t *testing.T) {
 		t.Fatal(err)
 	}
 	universe := fault.Universe(opt.Arch, fault.SWF)
-	rows, err := faultsim.NewGolden(ts, nil).NewEvaluator(opt.Values).DetectsMatrix(context.Background(), universe)
+	rows, err := faultsim.NewGolden(ts).NewEvaluator(opt.Values).DetectsMatrix(context.Background(), universe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestBaselineCoverageBelowDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		universe := fault.Universe(opt.Arch, kind)
-		got, err := faultsim.NewGolden(ts, nil).NewEvaluator(opt.Values).Coverage(context.Background(), universe)
+		got, err := faultsim.NewGolden(ts).NewEvaluator(opt.Values).Coverage(context.Background(), universe)
 		if err != nil {
 			t.Fatal(err)
 		}

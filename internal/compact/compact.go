@@ -20,6 +20,7 @@ import (
 	"neurotest/internal/fault"
 	"neurotest/internal/faultsim"
 	"neurotest/internal/pattern"
+	"neurotest/internal/quant"
 )
 
 // Stats reports what compaction achieved.
@@ -35,12 +36,13 @@ type Stats struct {
 
 // Compact returns a coverage-preserving subset of ts with redundant items
 // removed, plus statistics. universe defines the faults whose coverage must
-// be preserved; transform optionally quantizes configurations the way the
-// target chip would (compaction decisions must match deployment
-// conditions). Unreferenced configurations are dropped from the result.
-func Compact(ts *pattern.TestSet, values fault.Values, transform faultsim.ConfigTransform, universe []fault.Fault) (*pattern.TestSet, Stats) {
+// be preserved; detection is simulated on ts as programmed under scheme,
+// the way the target chip would program it (nil for ideal weights), since
+// compaction decisions must match deployment conditions. The result keeps
+// ts's own unquantized configurations; unreferenced ones are dropped.
+func Compact(ts *pattern.TestSet, values fault.Values, scheme *quant.Scheme, universe []fault.Fault) (*pattern.TestSet, Stats) {
 	//lint:ignore unchecked-error context.TODO() never cancels, and cancellation is the only error DetectsMatrix returns
-	rows, _ := faultsim.NewGolden(ts, transform).NewEvaluator(values).DetectsMatrix(context.TODO(), universe)
+	rows, _ := faultsim.NewGolden(quant.Program(ts, scheme)).NewEvaluator(values).DetectsMatrix(context.TODO(), universe)
 	n := len(ts.Items)
 	st := Stats{ItemsBefore: n, ConfigsBefore: ts.NumConfigs()}
 

@@ -162,7 +162,7 @@ func TestCompactPreservesOrderAndMetadata(t *testing.T) {
 // it detects.
 func coverage(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) int {
 	t.Helper()
-	n, err := faultsim.NewGolden(ts, nil).NewEvaluator(values).Coverage(context.Background(), universe)
+	n, err := faultsim.NewGolden(ts).NewEvaluator(values).Coverage(context.Background(), universe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,7 +203,7 @@ func TestGenerateAllMergesSharedAlwaysSpikeConfig(t *testing.T) {
 		t.Errorf("merged has %d items, want %d", merged.NumPatterns(), wantItems)
 	}
 	// The merged set must still cover every fault of every model.
-	eng := faultsim.NewGolden(merged, nil).NewEvaluator(g.Options().Values)
+	eng := faultsim.NewGolden(merged).NewEvaluator(g.Options().Values)
 	for _, kind := range fault.Kinds() {
 		universe := fault.Universe(snn.Arch{6, 5, 4}, kind)
 		got, err := eng.Coverage(context.Background(), universe)
@@ -273,7 +273,7 @@ func TestPickAncillaries(t *testing.T) {
 // it detects.
 func coverage(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) int {
 	t.Helper()
-	n, err := faultsim.NewGolden(ts, nil).NewEvaluator(values).Coverage(context.Background(), universe)
+	n, err := faultsim.NewGolden(ts).NewEvaluator(values).Coverage(context.Background(), universe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func coverage(t *testing.T, ts *pattern.TestSet, values fault.Values, universe [
 // item detects.
 func undetected(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) []fault.Fault {
 	t.Helper()
-	missed, err := faultsim.NewGolden(ts, nil).NewEvaluator(values).Undetected(context.Background(), universe)
+	missed, err := faultsim.NewGolden(ts).NewEvaluator(values).Undetected(context.Background(), universe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"neurotest/internal/fault"
 	"neurotest/internal/faultsim"
 	"neurotest/internal/pattern"
+	"neurotest/internal/quant"
 )
 
 // Signature is a pass/fail bitmask over the items of a test set: bit i is
@@ -121,14 +122,14 @@ type Dictionary struct {
 }
 
 // Build fault-simulates every fault of universe against every item of ts
-// and returns the dictionary. transform optionally quantizes configurations
-// (must match how chips under diagnosis are programmed).
+// as programmed under scheme (nil for ideal weights; it must match how
+// chips under diagnosis are programmed) and returns the dictionary.
 //
 // Unlike coverage measurement, dictionary construction cannot early-exit:
 // the full per-item signature is what distinguishes faults.
-func Build(ts *pattern.TestSet, values fault.Values, transform faultsim.ConfigTransform, universe []fault.Fault) *Dictionary {
+func Build(ts *pattern.TestSet, values fault.Values, scheme *quant.Scheme, universe []fault.Fault) *Dictionary {
 	//lint:ignore unchecked-error context.TODO() never cancels, and cancellation is the only error DetectsMatrix returns
-	rows, _ := faultsim.NewGolden(ts, transform).NewEvaluator(values).DetectsMatrix(context.TODO(), universe)
+	rows, _ := faultsim.NewGolden(quant.Program(ts, scheme)).NewEvaluator(values).DetectsMatrix(context.TODO(), universe)
 	d := &Dictionary{
 		ts:      ts,
 		entries: make(map[string][]fault.Fault),

@@ -1,13 +1,17 @@
 package diagnose
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"neurotest/internal/core"
 	"neurotest/internal/fault"
 	"neurotest/internal/pattern"
+	"neurotest/internal/quant"
 	"neurotest/internal/snn"
+	"neurotest/internal/tester"
+	"neurotest/internal/variation"
 )
 
 func buildSuite(t *testing.T, arch snn.Arch) (*core.Generator, *pattern.TestSet) {
@@ -71,9 +75,10 @@ func TestDictionaryDiagnosesInjectedFaults(t *testing.T) {
 
 	// Inject every 7th fault as a chip defect and diagnose it: the
 	// candidate list must contain the injected fault.
+	ate := tester.New(merged, nil)
 	for i := 0; i < len(universe); i += 7 {
 		f := universe[i]
-		sig := ObserveChip(merged, nil, f.Modifiers(g.Options().Values))
+		sig := ObserveChip(ate, f.Modifiers(g.Options().Values))
 		if !sig.AnyFail() {
 			t.Fatalf("%v produced a passing chip", f)
 		}
@@ -130,7 +135,7 @@ func TestLookupUnknownSignature(t *testing.T) {
 func TestObserveChipGoodDie(t *testing.T) {
 	arch := snn.Arch{6, 4, 3}
 	_, merged := buildSuite(t, arch)
-	sig := ObserveChip(merged, nil, nil)
+	sig := ObserveChip(tester.New(merged, nil), nil)
 	if sig.AnyFail() {
 		t.Errorf("good die failed items: %s", sig)
 	}
@@ -163,8 +168,9 @@ func TestSignatureDistinguishesLayers(t *testing.T) {
 	arch := snn.Arch{8, 6, 4}
 	g, merged := buildSuite(t, arch)
 	vals := g.Options().Values
+	ate := tester.New(merged, nil)
 	sigOf := func(f fault.Fault) string {
-		return ObserveChip(merged, nil, f.Modifiers(vals)).Key()
+		return ObserveChip(ate, f.Modifiers(vals)).Key()
 	}
 	esfL1 := fault.NewNeuronFault(fault.ESF, snn.NeuronID{Layer: 1, Index: 0})
 	esfL2 := fault.NewNeuronFault(fault.ESF, snn.NeuronID{Layer: 2, Index: 0})
@@ -204,8 +210,9 @@ func TestLookupReturnsSortFaultsOrder(t *testing.T) {
 	}
 	dict := Build(merged, g.Options().Values, nil, shuffled)
 	checked := 0
+	ate := tester.New(merged, nil)
 	for _, f := range universe {
-		sig := ObserveChip(merged, nil, f.Modifiers(g.Options().Values))
+		sig := ObserveChip(ate, f.Modifiers(g.Options().Values))
 		got := dict.Lookup(sig)
 		if len(got) < 2 {
 			continue
@@ -234,7 +241,7 @@ func TestCandidatesCoverInjectedCluster(t *testing.T) {
 	f1 := fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 1, Index: 2})
 	f2 := fault.NewSynapseFault(fault.SWF, snn.SynapseID{Boundary: 1, Pre: 3, Post: 1})
 	cluster := snn.MergeModifiers(f1.Modifiers(g.Options().Values), f2.Modifiers(g.Options().Values))
-	sig := ObserveChip(merged, nil, cluster)
+	sig := ObserveChip(tester.New(merged, nil), cluster)
 
 	cands := dict.Candidates(sig)
 	has := func(f fault.Fault) bool {
@@ -334,5 +341,74 @@ func TestResolutionEdgeCases(t *testing.T) {
 	r = distinct.Resolution()
 	if r.Classes != len(faults) || r.MaxClassSize != 1 || r.UniquelyDiagnosed != len(faults) || r.MeanClassSize != 1 {
 		t.Errorf("fully-distinguished resolution = %+v", r)
+	}
+}
+
+// oracleObserve is ObserveChip as it ran before diagnosis observed through
+// the ATE it was given: a fresh ATE for the golden responses, and one fresh
+// simulator per configuration, quantized on its own.
+func oracleObserve(ts *pattern.TestSet, scheme *quant.Scheme, mods *snn.Modifiers) Signature {
+	ate := tester.New(ts, scheme)
+	sig := NewSignature(len(ts.Items))
+	sims := make(map[int]*snn.Simulator)
+	for i, it := range ts.Items {
+		sim, ok := sims[it.ConfigIndex]
+		if !ok {
+			cfg := ts.Configs[it.ConfigIndex]
+			if scheme != nil {
+				cfg, _ = scheme.QuantizedClone(cfg)
+			}
+			sim = snn.NewSimulator(cfg)
+			sims[it.ConfigIndex] = sim
+		}
+		if res := sim.Run(it.Pattern, it.Timesteps, it.Mode(), mods); !res.Equal(ate.Golden(i)) {
+			sig.SetFail(i)
+		}
+	}
+	return sig
+}
+
+// TestObserveChipMatchesOracle: observing a die through a shared ATE gives
+// the signature the fresh-ATE oracle gives, on sampled single faults and
+// clusters of two and three, ideal and under a 4-bit per-boundary scheme
+// (which hides some HSF faults, so the scheme shows in the signatures),
+// and on a tolerance-1 clone of the ATE, whose observation stays exact.
+func TestObserveChipMatchesOracle(t *testing.T) {
+	arch := snn.Arch{8, 6, 4}
+	g, merged := buildSuite(t, arch)
+	values := g.Options().Values
+	s4, err := quant.NewScheme(4, quant.PerBoundary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dies = 45
+	sample := tester.SampleFaults(arch, fault.Kinds(), 2*dies, 13)
+	keys := map[*quant.Scheme][]string{}
+	loosePassed := 0
+	for _, scheme := range []*quant.Scheme{nil, &s4} {
+		ate := tester.New(merged, scheme)
+		loose, err := ate.CloneWithTolerance(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < dies; i++ {
+			cluster, mods := tester.ClusterDefect(sample, values, i, 1+i%3)
+			want := oracleObserve(merged, scheme, mods)
+			for _, a := range []*tester.ATE{ate, loose} {
+				if got := ObserveChip(a, mods); got.Key() != want.Key() {
+					t.Fatalf("%v %v: observed %s, oracle %s", scheme, cluster, got, want)
+				}
+			}
+			if want.AnyFail() && loose.RunChip(mods, variation.None(), nil).Passed {
+				loosePassed++
+			}
+			keys[scheme] = append(keys[scheme], want.Key())
+		}
+	}
+	if loosePassed == 0 {
+		t.Error("no failing die passed the tolerance-1 ATE; the exactness check is vacuous")
+	}
+	if slices.Equal(keys[nil], keys[&s4]) {
+		t.Error("the 4-bit scheme changed no signature; the scheme check is vacuous")
 	}
 }

@@ -1,34 +1,21 @@
 package diagnose
 
 import (
-	"neurotest/internal/faultsim"
-	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
 	"neurotest/internal/tester"
 )
 
-// ObserveChip runs the FULL test program against a chip under test (unlike
-// the production ATE, diagnosis never stops at the first fail) and returns
-// the observed pass/fail signature. mods injects the defect being
-// diagnosed; transform must match the dictionary's.
-func ObserveChip(ts *pattern.TestSet, transform faultsim.ConfigTransform, mods *snn.Modifiers) Signature {
-	ate := tester.New(ts, transform)
-	sig := NewSignature(len(ts.Items))
-	// Run item by item with a fresh simulator per configuration; we cannot
-	// use ATE.RunChip because it early-exits on the first fail.
-	nets := make(map[int]*snn.Simulator)
-	for i, it := range ts.Items {
-		sim, ok := nets[it.ConfigIndex]
-		if !ok {
-			cfg := ts.Configs[it.ConfigIndex]
-			if transform != nil {
-				cfg = transform(cfg)
-			}
-			sim = snn.NewSimulator(cfg)
-			nets[it.ConfigIndex] = sim
-		}
-		res := sim.Run(it.Pattern, it.Timesteps, it.Mode(), mods)
-		if !res.Equal(ate.Golden(i)) {
+// ObserveChip runs the FULL test program of ate against a chip under test
+// (unlike the production ATE, diagnosis never stops at the first fail) and
+// returns the observed pass/fail signature. mods injects the defect being
+// diagnosed; ate must program the chip the way the dictionary's scheme
+// does. Items compare exactly even on a tolerance clone, because every
+// dictionary row counts any deviation.
+func ObserveChip(ate *tester.ATE, mods *snn.Modifiers) Signature {
+	fails := ate.Observe(mods)
+	sig := NewSignature(len(fails))
+	for i, f := range fails {
+		if f {
 			sig.SetFail(i)
 		}
 	}

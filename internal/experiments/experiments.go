@@ -365,32 +365,25 @@ func (r *Runner) seedFor(arch snn.Arch, m Method, kind fault.Kind) uint64 {
 // rows: 8-bit per-channel, the Brevitas-style default. The parameters are
 // compile-time constants, so an error here is an internal invariant
 // violation.
-func eightBit() quant.Scheme {
+func eightBit() *quant.Scheme {
 	s, err := quant.NewScheme(8, quant.PerChannel)
 	if err != nil {
 		//lint:ignore no-panic 8/PerChannel is a compile-time-constant valid scheme
 		panic(err)
 	}
-	return s
+	return &s
 }
 
-// withTolerance applies a compile-time-constant pass band; the tolerances
-// the runner uses (0 and 1) are always valid, so an error here is an
-// internal invariant violation.
+// withTolerance clones a with a compile-time-constant pass band; the
+// tolerances the runner uses (0 and 1) are always valid, so an error here
+// is an internal invariant violation.
 func withTolerance(a *tester.ATE, tol int) *tester.ATE {
-	a, err := a.WithTolerance(tol)
+	a, err := a.CloneWithTolerance(tol)
 	if err != nil {
 		//lint:ignore no-panic the harness only passes the always-valid tolerances 0 and 1
 		panic(err)
 	}
 	return a
-}
-
-func transformOf(s quant.Scheme) func(*snn.Network) *snn.Network {
-	return func(n *snn.Network) *snn.Network {
-		c, _ := s.QuantizedClone(n)
-		return c
-	}
 }
 
 // mfgVariation is the manufacturing-variation model of good chips in the

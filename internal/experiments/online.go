@@ -78,14 +78,6 @@ func (r *Runner) OnlineSweep(arch snn.Arch, readout unreliable.Readout) []Online
 	}
 
 	faults := tester.SampleFaults(arch, fault.Kinds(), r.cfg.EscapeSample, r.cfg.Seed+41)
-	cluster := func(i int) *snn.Modifiers {
-		mods := make([]*snn.Modifiers, 0, onlineClusterSize)
-		for c := 0; c < onlineClusterSize; c++ {
-			f := faults[(i*onlineClusterSize+c)%len(faults)]
-			mods = append(mods, f.Modifiers(r.values))
-		}
-		return snn.MergeModifiers(mods...)
-	}
 
 	models := []struct {
 		name  string
@@ -125,7 +117,8 @@ func (r *Runner) OnlineSweep(arch snn.Arch, readout unreliable.Readout) []Online
 					stats.Add(rep, mods != nil)
 				}
 				for i := 0; i < r.cfg.OnlineFaults; i++ {
-					run(&fstats, i, cluster(i), 1)
+					_, defect := tester.ClusterDefect(faults, r.values, i, onlineClusterSize)
+					run(&fstats, i, defect, 1)
 				}
 				for i := 0; i < r.cfg.OnlineChips; i++ {
 					run(&gstats, i, nil, 2)

@@ -67,12 +67,8 @@ func (r *Runner) RepairSweep(arch snn.Arch) []RepairPoint {
 		pt := RepairPoint{Clusters: clusters, Chips: r.cfg.RepairChips}
 		preShipped, shipped := 0, 0
 		for i := 0; i < r.cfg.RepairChips; i++ {
-			mods := make([]*snn.Modifiers, 0, clusters)
-			for c := 0; c < clusters; c++ {
-				f := universe[(i*clusters+c)%len(universe)]
-				mods = append(mods, f.Modifiers(r.values))
-			}
-			rep, _, err := loop.Run(context.Background(), snn.MergeModifiers(mods...), nil)
+			_, defect := tester.ClusterDefect(universe, r.values, i, clusters)
+			rep, _, err := loop.Run(context.Background(), defect, nil)
 			if err != nil {
 				//lint:ignore no-panic the experiment harness aborts loudly
 				panic(fmt.Sprintf("experiments: repair run %v/%d/%d: %v", arch, clusters, i, err))

@@ -82,7 +82,7 @@ func (r *Runner) measureMethod(arch snn.Arch, m Method, kind fault.Kind) MethodC
 	ideal := tester.New(ts, nil)
 	cells.CovIdeal = ideal.MeasureCoverage(universe, r.values).Coverage()
 	r.progress("%v %v %v coverage ideal: %.2f%%", arch, m, kind, cells.CovIdeal)
-	quantized := tester.New(ts, transformOf(eightBit()))
+	quantized := tester.New(ts, eightBit())
 	cells.CovQuant = quantized.MeasureCoverage(universe, r.values).Coverage()
 	r.progress("%v %v %v coverage 8-bit: %.2f%%", arch, m, kind, cells.CovQuant)
 
@@ -96,9 +96,9 @@ func (r *Runner) measureMethod(arch snn.Arch, m Method, kind fault.Kind) MethodC
 		tol = 0 // the deterministic method expects exact outputs
 	}
 	mfg := r.mfgVariation()
-	okIdeal := withTolerance(tester.NewSplit(capped, nil, nil), tol)
+	okIdeal := withTolerance(tester.New(capped, nil), tol)
 	cells.OverkillIdeal = okIdeal.MeasureOverkill(r.cfg.GoodChips, mfg, r.cfg.Seed+uint64(kind)+1)
-	okQuant := withTolerance(tester.NewSplit(capped, nil, transformOf(eightBit())), tol)
+	okQuant := withTolerance(tester.NewSplit(capped, eightBit()), tol)
 	cells.OverkillQuant = okQuant.MeasureOverkill(r.cfg.GoodChips, mfg, r.cfg.Seed+uint64(kind)+2)
 	r.progress("%v %v %v overkill: %.2f%% / %.2f%%", arch, m, kind, cells.OverkillIdeal, cells.OverkillQuant)
 	return cells
@@ -263,7 +263,7 @@ func (r *Runner) Figure4(arch snn.Arch) (*report.Figure, *report.Figure) {
 		} else {
 			ts = capItems(ts, r.cfg.BaselineItemCap)
 		}
-		ate := withTolerance(tester.NewSplit(ts, nil, nil), tol)
+		ate := withTolerance(tester.New(ts, nil), tol)
 		var esc, ok []float64
 		for i, frac := range r.cfg.SigmaFractions {
 			vary := variation.OfTheta(frac, r.params.Theta)

@@ -30,17 +30,14 @@ func generatedSuite(t testing.TB, arch snn.Arch, reset snn.ResetMode) (*pattern.
 	return merged, g.Options().Values
 }
 
-// quantize4 is the 4-bit per-channel configuration transform.
-func quantize4(t testing.TB) ConfigTransform {
+// quantize4 is the 4-bit per-channel quantization scheme.
+func quantize4(t testing.TB) *quant.Scheme {
 	t.Helper()
 	s, err := quant.NewScheme(4, quant.PerChannel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func(n *snn.Network) *snn.Network {
-		c, _ := s.QuantizedClone(n)
-		return c
-	}
+	return &s
 }
 
 // shuffled returns faults in a seeded random order.
@@ -55,10 +52,10 @@ func shuffled(faults []fault.Fault, seed uint64) []fault.Fault {
 // assertCollapsedAgrees checks both collapsing drivers against the scalar
 // oracle, which runs on its own Golden: every DetectsBatch verdict and
 // every (fault, item) bit of DetectsMatrix.
-func assertCollapsedAgrees(t *testing.T, ts *pattern.TestSet, transform ConfigTransform, values fault.Values, faults []fault.Fault) {
+func assertCollapsedAgrees(t *testing.T, ts *pattern.TestSet, values fault.Values, faults []fault.Fault) {
 	t.Helper()
-	oracle := newScalarOracle(NewGolden(ts, transform).NewEvaluator(values))
-	e := NewGolden(ts, transform).NewEvaluator(values)
+	oracle := newScalarOracle(NewGolden(ts).NewEvaluator(values))
+	e := NewGolden(ts).NewEvaluator(values)
 	got := detectsBatch(t, e, faults)
 	for i, f := range faults {
 		if want := oracle.Detects(f); got[i] != want {
@@ -91,12 +88,13 @@ func TestCollapsedMatchesOracle(t *testing.T) {
 				cfg.Params.Reset = reset
 			}
 			for _, ts := range []*pattern.TestSet{generated, uniform} {
-				for _, transform := range []ConfigTransform{nil, quantize4(t)} {
-					if n := len(NewGolden(ts, transform).Collapse(faults).Reps); n >= len(faults) {
+				for _, scheme := range []*quant.Scheme{nil, quantize4(t)} {
+					programmed := quant.Program(ts, scheme)
+					if n := len(NewGolden(programmed).Collapse(faults).Reps); n >= len(faults) {
 						t.Fatalf("%v %s: %d classes for %d faults; the fixture must collapse", arch, ts.Name, n, len(faults))
 					}
 					for _, v := range []fault.Values{values, untargeted} {
-						assertCollapsedAgrees(t, ts, transform, v, faults)
+						assertCollapsedAgrees(t, programmed, v, faults)
 					}
 				}
 			}
@@ -176,7 +174,7 @@ func TestCollapseKeepsNearMissesApart(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := nearMissSuite(tc.tweak)
 			faults := fullUniverse(ts.Arch)
-			cls := NewGolden(ts, nil).Collapse(faults)
+			cls := NewGolden(ts).Collapse(faults)
 			for _, kind := range tc.kinds {
 				if classOf(t, faults, cls, kind, 0, tc.post) == classOf(t, faults, cls, kind, 1, tc.post) {
 					t.Errorf("%v: synapses 0 and 1 into post %d share a class", kind, tc.post)
@@ -185,7 +183,7 @@ func TestCollapseKeepsNearMissesApart(t *testing.T) {
 					t.Errorf("%v: untouched synapses 0 and 2 into post %d do not collapse", kind, tc.post)
 				}
 			}
-			assertCollapsedAgrees(t, ts, nil, values, faults)
+			assertCollapsedAgrees(t, ts, values, faults)
 		})
 	}
 }
@@ -198,19 +196,19 @@ func TestCollapseDuplicates(t *testing.T) {
 	ts, values := generatedSuite(t, arch, snn.ResetZero)
 	universe := fullUniverse(arch)
 	faults := append(append([]fault.Fault{}, universe...), universe...)
-	cls := NewGolden(ts, nil).Collapse(faults)
+	cls := NewGolden(ts).Collapse(faults)
 	n := len(universe)
 	for i := range universe {
 		if cls.Of[i] != cls.Of[n+i] {
 			t.Fatalf("%v: copies in classes %d and %d", universe[i], cls.Of[i], cls.Of[n+i])
 		}
 	}
-	if len(cls.Reps) != len(NewGolden(ts, nil).Collapse(universe).Reps) {
+	if len(cls.Reps) != len(NewGolden(ts).Collapse(universe).Reps) {
 		t.Errorf("duplicates opened classes: %d for the doubled list", len(cls.Reps))
 	}
 	stray := universe[0]
 	stray.Synapse.Post = 1
-	if c := NewGolden(ts, nil).Collapse([]fault.Fault{universe[0], stray, universe[0]}); c.Of[0] == c.Of[1] || c.Of[0] != c.Of[2] {
+	if c := NewGolden(ts).Collapse([]fault.Fault{universe[0], stray, universe[0]}); c.Of[0] == c.Of[1] || c.Of[0] != c.Of[2] {
 		t.Errorf("%v and its copy with a stray synapse field: classes %v, want the copy alone", universe[0], c.Of)
 	}
 	members := make(map[int32][]fault.Fault)
@@ -222,13 +220,13 @@ func TestCollapseDuplicates(t *testing.T) {
 			t.Errorf("distinct neuron faults share a class: %v", m)
 		}
 	}
-	got := detectsBatch(t, NewGolden(ts, nil).NewEvaluator(values), faults)
+	got := detectsBatch(t, NewGolden(ts).NewEvaluator(values), faults)
 	for i := range universe {
 		if got[i] != got[n+i] {
 			t.Errorf("%v: copies got %v and %v", universe[i], got[i], got[n+i])
 		}
 	}
-	assertCollapsedAgrees(t, ts, nil, values, faults)
+	assertCollapsedAgrees(t, ts, values, faults)
 }
 
 // partition labels each fault of a duplicate-free list with its class's
@@ -306,11 +304,11 @@ func TestCollapsePartitionInvariant(t *testing.T) {
 		for i, f := range universe {
 			order[f] = i
 		}
-		want := partition(universe, NewGolden(ts, nil).Collapse(universe), order)
+		want := partition(universe, NewGolden(ts).Collapse(universe), order)
 
 		for seed := uint64(0); seed < 3; seed++ {
 			faults := shuffled(universe, seed)
-			got := partition(faults, NewGolden(ts, nil).Collapse(faults), order)
+			got := partition(faults, NewGolden(ts).Collapse(faults), order)
 			for _, f := range universe {
 				if got[f] != want[f] {
 					t.Fatalf("%v seed %d: %v labelled %d, want %d", arch, seed, f, got[f], want[f])
@@ -329,7 +327,7 @@ func TestCollapsePartitionInvariant(t *testing.T) {
 				permuted[i] = moved(f)
 				porder[permuted[i]] = i
 			}
-			got := partition(permuted, NewGolden(pts, nil).Collapse(permuted), porder)
+			got := partition(permuted, NewGolden(pts).Collapse(permuted), porder)
 			for _, f := range universe {
 				if got[moved(f)] != want[f] {
 					t.Fatalf("%v: permuting layer %d relabelled %v's class to %d, want %d", arch, k, f, got[moved(f)], want[f])
@@ -358,7 +356,7 @@ func TestCollapsePaperModels(t *testing.T) {
 		}
 		for _, kind := range []fault.Kind{fault.SWF, fault.SASF} {
 			universe := fault.Universe(tc.arch, kind)
-			if n := len(NewGolden(gen.Generate(kind), nil).Collapse(universe).Reps); n != tc.classes {
+			if n := len(NewGolden(gen.Generate(kind)).Collapse(universe).Reps); n != tc.classes {
 				t.Errorf("%v %v: %d classes for %d faults, want %d", tc.arch, kind, n, len(universe), tc.classes)
 			}
 		}
@@ -370,7 +368,7 @@ func TestCollapsePaperModels(t *testing.T) {
 		for _, kind := range fault.NeuronKinds() {
 			neurons = append(neurons, fault.Universe(tc.arch, kind)...)
 		}
-		if n := len(NewGolden(merged, nil).Collapse(neurons).Reps); len(neurons) != 894 || n != 894 {
+		if n := len(NewGolden(merged).Collapse(neurons).Reps); len(neurons) != 894 || n != 894 {
 			t.Errorf("%v neuron faults: %d classes for %d faults, want 894 of 894", tc.arch, n, len(neurons))
 		}
 	}
@@ -390,7 +388,7 @@ func TestCollapseSingletonsOutOfRange(t *testing.T) {
 		{Kind: fault.Kind(42)},
 	}
 	faults := append(append(append([]fault.Fault{}, bogus...), universe...), bogus...)
-	cls := NewGolden(ts, nil).Collapse(faults)
+	cls := NewGolden(ts).Collapse(faults)
 	size := make(map[int32]int)
 	for _, k := range cls.Of {
 		size[k]++
@@ -401,7 +399,7 @@ func TestCollapseSingletonsOutOfRange(t *testing.T) {
 			t.Errorf("%v at %d shares class %d with %d faults", f, i, cls.Of[i], size[cls.Of[i]])
 		}
 	}
-	if want := len(NewGolden(ts, nil).Collapse(universe).Reps) + 2*len(bogus); len(cls.Reps) != want {
+	if want := len(NewGolden(ts).Collapse(universe).Reps) + 2*len(bogus); len(cls.Reps) != want {
 		t.Errorf("%d classes, want %d", len(cls.Reps), want)
 	}
 }
@@ -414,9 +412,9 @@ func TestCollapseConcurrentFirstUse(t *testing.T) {
 	arch := snn.Arch{7, 5, 3, 2}
 	ts, _ := generatedSuite(t, arch, snn.ResetZero)
 	faults := shuffled(fullUniverse(arch), 5)
-	want := NewGolden(ts, nil).Collapse(faults)
+	want := NewGolden(ts).Collapse(faults)
 
-	g := NewGolden(ts, nil)
+	g := NewGolden(ts)
 	const workers = 4
 	got := make([]Classes, workers)
 	var wg sync.WaitGroup
@@ -443,7 +441,7 @@ func TestCollapseAccounting(t *testing.T) {
 	arch := snn.Arch{7, 5, 3, 2}
 	ts, values := generatedSuite(t, arch, snn.ResetZero)
 	faults := shuffled(fullUniverse(arch), 9)
-	cls := NewGolden(ts, nil).Collapse(faults)
+	cls := NewGolden(ts).Collapse(faults)
 	reps := make([]fault.Fault, len(cls.Reps))
 	for k, i := range cls.Reps {
 		reps[k] = faults[i]
@@ -459,10 +457,10 @@ func TestCollapseAccounting(t *testing.T) {
 		{"DetectsMatrix", func(e *Evaluator, faults []fault.Fault) { detectsMatrix(t, e, faults) }},
 	} {
 		before := Snapshot()
-		driver.run(NewGolden(ts, nil).NewEvaluator(values), faults)
+		driver.run(NewGolden(ts).NewEvaluator(values), faults)
 		all := statsDelta(Snapshot(), before)
 		before = Snapshot()
-		driver.run(NewGolden(ts, nil).NewEvaluator(values), reps)
+		driver.run(NewGolden(ts).NewEvaluator(values), reps)
 		alone := statsDelta(Snapshot(), before)
 		if all.FaultsSimulated != int64(len(faults)) || all.Classes != int64(len(reps)) {
 			t.Errorf("%s: %d faults in %d classes, want %d in %d",

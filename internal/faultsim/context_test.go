@@ -28,7 +28,7 @@ func contextEvaluator(t *testing.T) (*Evaluator, fault.Fault) {
 	ts.AddItem(pattern.Item{Label: "b", ConfigIndex: ci, Pattern: p.Clone(), Timesteps: 4})
 	values := fault.PaperValues(params.Theta)
 	f := fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 1, Index: 0})
-	return NewGolden(ts, nil).NewEvaluator(values), f
+	return NewGolden(ts).NewEvaluator(values), f
 }
 
 // TestDetectsContextMatchesPlain: under a live context both drivers return
@@ -36,7 +36,7 @@ func contextEvaluator(t *testing.T) (*Evaluator, fault.Fault) {
 // DetectsMatrix.
 func TestDetectsContextMatchesPlain(t *testing.T) {
 	e, f := contextEvaluator(t)
-	oracle := newScalarOracle(NewGolden(e.g.ts, nil).NewEvaluator(e.values))
+	oracle := newScalarOracle(NewGolden(e.g.ts).NewEvaluator(e.values))
 	det, err := e.DetectsBatch(context.Background(), []fault.Fault{f})
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)

@@ -28,8 +28,8 @@
 //
 // The work splits across two types so parallel campaigns never repeat it:
 //
-//   - Golden holds everything derived from the test set alone — transformed
-//     configurations, per-item activity traces, golden results, the
+//   - Golden holds everything derived from the test set alone — the
+//     configurations as given, per-item activity traces, golden results, the
 //     downstream memo and the collapse index (interned presynaptic trains
 //     and the distinct item networks, built on first use). It is built once
 //     per campaign, is immutable except for the memo (sharded per item,
@@ -122,9 +122,9 @@ func (ic *goldenItem) enter(k, j, t int) float64 {
 }
 
 // Golden is the shared, read-mostly half of the incremental fault
-// simulator: transformed configurations, per-item golden traces and
-// results, and the sharded downstream memo. Build it once per campaign
-// with NewGolden, then hand each worker its own Evaluator.
+// simulator: the test set's configurations as given, per-item golden
+// traces and results, and the sharded downstream memo. Build it once per
+// campaign with NewGolden, then hand each worker its own Evaluator.
 type Golden struct {
 	ts    *pattern.TestSet
 	items []goldenItem
@@ -134,35 +134,26 @@ type Golden struct {
 	collapse     *collapseIndex
 }
 
-// NewGolden runs and caches the good-chip simulation of every item in ts.
-// transform, when non-nil, is applied once per configuration. The items
-// are then traced on the worker pool, one task per item, and kept in
-// ts.Items order. The returned Golden is safe for concurrent use by any
-// number of Evaluators.
+// NewGolden runs and caches the good-chip simulation of every item in ts,
+// reading ts.Configs as given: a quantized design is simulated by handing
+// in the test set as programmed (quant.Program). The items are traced on
+// the worker pool, one task per item, and kept in ts.Items order. The
+// returned Golden is safe for concurrent use by any number of Evaluators.
 //
 // A panic while tracing an item (a pattern of the wrong width, say) is
 // re-raised on the caller's goroutine. The build takes no context: a
 // Golden shared by several campaigns must not be cut short by one of them.
-func NewGolden(ts *pattern.TestSet, transform ConfigTransform) *Golden {
+func NewGolden(ts *pattern.TestSet) *Golden {
 	ensureObs()
 	timer := obs.StartTimer()
 	defer func() { timer.ObserveElapsed(engineBuilds) }()
 	goldenBuilds.Inc()
-	// Transform each distinct configuration once.
-	nets := make([]*snn.Network, len(ts.Configs))
-	for i, cfg := range ts.Configs {
-		if transform != nil {
-			nets[i] = transform(cfg)
-		} else {
-			nets[i] = cfg
-		}
-	}
 	// A simulator is single-goroutine scratch: each pool slot keeps its own
 	// and rebinds it whenever its next item uses another configuration.
 	sims := make([]*snn.Simulator, pool.Workers(len(ts.Items)))
 	items, _ := pool.Run(context.TODO(), len(ts.Items), func(i, w int) goldenItem {
 		it := ts.Items[i]
-		net := nets[it.ConfigIndex]
+		net := ts.Configs[it.ConfigIndex]
 		if sims[w] == nil || sims[w].Bind(net, nil) != nil {
 			sims[w] = snn.NewSimulator(net)
 		}
@@ -209,11 +200,6 @@ func (g *Golden) NewEvaluator(values fault.Values) *Evaluator {
 	e.ps.init(g.ts.Arch)
 	return e
 }
-
-// ConfigTransform optionally rewrites each test configuration before
-// simulation — e.g. quantizing it the way the chip's weight memory would.
-// nil means "use the configuration as generated".
-type ConfigTransform func(*snn.Network) *snn.Network
 
 // Coverage returns how many of the given faults the test set detects. On
 // cancellation it returns (0, ctx.Err()).

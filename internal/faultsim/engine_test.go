@@ -69,7 +69,7 @@ func TestBruteForceEquivalence(t *testing.T) {
 	}
 	for ai, arch := range arches {
 		ts := randomTestSet(arch, 3, 4, uint64(100+ai))
-		eng := NewGolden(ts, nil).NewEvaluator(values)
+		eng := NewGolden(ts).NewEvaluator(values)
 		for _, kind := range fault.Kinds() {
 			universe := fault.Universe(arch, kind)
 			for i, got := range detectsBatch(t, eng, universe) {
@@ -88,7 +88,7 @@ func TestBruteForceEquivalenceQuick(t *testing.T) {
 	arch := snn.Arch{4, 3, 3, 2}
 	f := func(seed uint64) bool {
 		ts := randomTestSet(arch, 2, 3, seed)
-		eng := NewGolden(ts, nil).NewEvaluator(values)
+		eng := NewGolden(ts).NewEvaluator(values)
 		for _, kind := range fault.Kinds() {
 			universe := fault.Universe(arch, kind)
 			for i, got := range detectsBatch(t, eng, universe) {
@@ -111,8 +111,8 @@ func TestDetectingItemOrder(t *testing.T) {
 	arch := snn.Arch{4, 3, 2}
 	ts := randomTestSet(arch, 3, 3, 7)
 	universe := fault.Universe(arch, SWFKindForTest())
-	rows := detectsMatrix(t, NewGolden(ts, nil).NewEvaluator(values), universe)
-	oracle := newScalarOracle(NewGolden(ts, nil).NewEvaluator(values))
+	rows := detectsMatrix(t, NewGolden(ts).NewEvaluator(values), universe)
+	oracle := newScalarOracle(NewGolden(ts).NewEvaluator(values))
 	for fi, f := range universe {
 		first := -1
 		for i := range ts.Items {
@@ -141,7 +141,7 @@ func TestStuckAtProgrammedValueUndetectable(t *testing.T) {
 	ci := ts.AddConfig(cfg)
 	ts.AddItem(pattern.Item{Label: "p", ConfigIndex: ci, Pattern: snn.OnesPattern(2), Timesteps: 3, Repeat: 1})
 	universe := fault.Universe(arch, fault.SWF)
-	for i, det := range detectsBatch(t, NewGolden(ts, nil).NewEvaluator(values), universe) {
+	for i, det := range detectsBatch(t, NewGolden(ts).NewEvaluator(values), universe) {
 		if det {
 			t.Errorf("%v detected despite no behavioural change", universe[i])
 		}
@@ -157,7 +157,7 @@ func TestZeroWeightSASFUndetectable(t *testing.T) {
 	ci := ts.AddConfig(cfg)
 	ts.AddItem(pattern.Item{Label: "p", ConfigIndex: ci, Pattern: snn.OnesPattern(2), Timesteps: 3, Repeat: 1})
 	universe := fault.Universe(arch, fault.SASF)
-	for i, det := range detectsBatch(t, NewGolden(ts, nil).NewEvaluator(values), universe) {
+	for i, det := range detectsBatch(t, NewGolden(ts).NewEvaluator(values), universe) {
 		if det {
 			t.Errorf("%v detected despite zero weight", universe[i])
 		}
@@ -168,7 +168,7 @@ func TestUndetectedAndCoverage(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{3, 2, 2}
 	ts := randomTestSet(arch, 2, 3, 5)
-	eng := NewGolden(ts, nil).NewEvaluator(values)
+	eng := NewGolden(ts).NewEvaluator(values)
 	universe := fault.Universe(arch, fault.SWF)
 	ctx := context.Background()
 	missed, err := eng.Undetected(ctx, universe)
@@ -191,18 +191,20 @@ func TestUndetectedAndCoverage(t *testing.T) {
 }
 
 func TestTransformAppliesToConfigs(t *testing.T) {
-	// A transform that zeroes all weights must make every fault except NASF
+	// NewGolden simulates the configurations it is given: a test set whose
+	// configurations are zeroed copies must make every fault except NASF
 	// undetectable (no charge flows anywhere; NASF still forces spikes but
 	// cannot propagate, and on output neurons it IS detectable).
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{3, 2, 2}
 	ts := randomTestSet(arch, 1, 2, 3)
-	zero := func(n *snn.Network) *snn.Network {
-		c := n.Clone()
-		c.Fill(0)
-		return c
+	zeroed := *ts
+	zeroed.Configs = make([]*snn.Network, len(ts.Configs))
+	for i, cfg := range ts.Configs {
+		zeroed.Configs[i] = cfg.Clone()
+		zeroed.Configs[i].Fill(0)
 	}
-	eng := NewGolden(ts, zero).NewEvaluator(values)
+	eng := NewGolden(&zeroed).NewEvaluator(values)
 	swf := fault.Universe(arch, fault.SWF)
 	swfDet := detectsBatch(t, eng, swf)
 	for i, f := range swf {
@@ -234,9 +236,9 @@ func TestMatrixShape(t *testing.T) {
 	arch := snn.Arch{3, 3, 2}
 	ts := randomTestSet(arch, 5, 14, 1) // 70 items: two words per row
 	universe := fullUniverse(arch)
-	rows := detectsMatrix(t, NewGolden(ts, nil).NewEvaluator(values), universe)
-	assertMatrixMatchesOracle(t, rows, newScalarOracle(NewGolden(ts, nil).NewEvaluator(values)), universe)
-	if rows, err := NewGolden(ts, nil).NewEvaluator(values).DetectsMatrix(context.Background(), nil); err != nil || len(rows) != 0 {
+	rows := detectsMatrix(t, NewGolden(ts).NewEvaluator(values), universe)
+	assertMatrixMatchesOracle(t, rows, newScalarOracle(NewGolden(ts).NewEvaluator(values)), universe)
+	if rows, err := NewGolden(ts).NewEvaluator(values).DetectsMatrix(context.Background(), nil); err != nil || len(rows) != 0 {
 		t.Errorf("empty universe: %d rows, err %v", len(rows), err)
 	}
 }

@@ -33,7 +33,7 @@ func TestMatrixFlushesObs(t *testing.T) {
 	arch := snn.Arch{4, 3, 2}
 	universe := fault.Universe(arch, fault.SWF)
 
-	multi := NewGolden(randomTestSet(arch, 2, 3, 11), nil).NewEvaluator(values)
+	multi := NewGolden(randomTestSet(arch, 2, 3, 11)).NewEvaluator(values)
 	before := Snapshot()
 	detectsMatrix(t, multi, universe)
 	if d := statsDelta(Snapshot(), before); d.FaultsSimulated != int64(len(universe)) {
@@ -41,7 +41,7 @@ func TestMatrixFlushesObs(t *testing.T) {
 	}
 
 	ts := randomTestSet(arch, 1, 1, 11)
-	e1 := NewGolden(ts, nil).NewEvaluator(values)
+	e1 := NewGolden(ts).NewEvaluator(values)
 	before = Snapshot()
 	detectsMatrix(t, e1, universe)
 	matrix := statsDelta(Snapshot(), before)
@@ -57,7 +57,7 @@ func TestMatrixFlushesObs(t *testing.T) {
 	// The same workload through the coverage driver on a fresh Golden: with
 	// a single item the two drivers do identical work, so the published
 	// memo statistics must agree.
-	e2 := NewGolden(ts, nil).NewEvaluator(values)
+	e2 := NewGolden(ts).NewEvaluator(values)
 	before = Snapshot()
 	if _, err := e2.Coverage(context.Background(), universe); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestMatrixPanicOnCaller(t *testing.T) {
 			t.Fatal("DetectsMatrix over an out-of-architecture site returned instead of panicking")
 		}
 	}()
-	detectsMatrix(t, NewGolden(ts, nil).NewEvaluator(values), faults)
+	detectsMatrix(t, NewGolden(ts).NewEvaluator(values), faults)
 }
 
 // TestMatrixMemoAccountingAnyWorkerCount: DetectsMatrix on fresh Goldens of
@@ -103,7 +103,7 @@ func TestMatrixMemoAccountingAnyWorkerCount(t *testing.T) {
 	run := func(procs int) ([][]uint64, Stats) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		before := Snapshot()
-		rows := detectsMatrix(t, NewGolden(ts, nil).NewEvaluator(values), faults)
+		rows := detectsMatrix(t, NewGolden(ts).NewEvaluator(values), faults)
 		return rows, statsDelta(Snapshot(), before)
 	}
 	wantRows, want := run(1)
@@ -131,7 +131,7 @@ func TestInputLayerThresholdFaultsUndetectable(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{4, 3, 2}
 	ts := randomTestSet(arch, 2, 3, 23)
-	eng := NewGolden(ts, nil).NewEvaluator(values)
+	eng := NewGolden(ts).NewEvaluator(values)
 	var input []fault.Fault
 	for _, kind := range []fault.Kind{fault.ESF, fault.HSF} {
 		for i := 0; i < arch[0]; i++ {
@@ -162,10 +162,10 @@ func TestConcurrentEvaluatorsShareGolden(t *testing.T) {
 		universe = append(universe, fault.Universe(arch, kind)...)
 	}
 
-	want := detectsEach(newScalarOracle(NewGolden(ts, nil).NewEvaluator(values)), universe)
+	want := detectsEach(newScalarOracle(NewGolden(ts).NewEvaluator(values)), universe)
 
 	before := Snapshot()
-	g := NewGolden(ts, nil)
+	g := NewGolden(ts)
 	const workers = 4
 	got := make([]bool, len(universe))
 	var wg sync.WaitGroup
@@ -248,7 +248,7 @@ func TestSeedsMatchReplay(t *testing.T) {
 			cfg.Params.Reset = reset
 		}
 		for _, ts := range []*pattern.TestSet{paper, balanced} {
-			g := NewGolden(ts, nil)
+			g := NewGolden(ts)
 			fired := 0
 			for i := range g.items {
 				ic := &g.items[i]

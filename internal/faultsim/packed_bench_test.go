@@ -72,7 +72,7 @@ func BenchmarkKernel(b *testing.B) {
 	for _, kind := range []fault.Kind{fault.ESF, fault.HSF} {
 		universe = append(universe, fault.Universe(arch, kind)...)
 	}
-	g := NewGolden(ts, nil)
+	g := NewGolden(ts)
 
 	// The downstream memo lives on the Golden's items and is shared by every
 	// evaluator, so a truly cold iteration must flush it — otherwise every
@@ -160,7 +160,7 @@ func BenchmarkNewGolden(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchGolden = NewGolden(ts, nil)
+		benchGolden = NewGolden(ts)
 	}
 }
 
@@ -185,7 +185,7 @@ func BenchmarkCollapse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g := NewGolden(gen.Generate(fault.SWF), nil)
+		g := NewGolden(gen.Generate(fault.SWF))
 		universe := fault.Universe(arch, fault.SWF)
 		benchCollapse(b, g, universe)
 	})
@@ -194,14 +194,14 @@ func BenchmarkCollapse(b *testing.B) {
 	ts := balancedTestSetT(arch, 2, 4, 7, 16)
 	universe := append(fault.Universe(arch, fault.SWF), fault.Universe(arch, fault.SASF)...)
 	b.Run("random", func(b *testing.B) {
-		benchCollapse(b, NewGolden(ts, nil), universe)
+		benchCollapse(b, NewGolden(ts), universe)
 	})
 	b.Run("random-matrix", func(b *testing.B) {
 		values := fault.PaperValues(ts.Params.Theta)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			e := NewGolden(ts, nil).NewEvaluator(values)
+			e := NewGolden(ts).NewEvaluator(values)
 			b.StartTimer()
 			benchDetected = len(detectsMatrix(b, e, universe))
 		}

@@ -78,8 +78,8 @@ func fullUniverse(arch snn.Arch) []fault.Fault {
 // verdict the packed kernel memoized.
 func assertPackedAgrees(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) {
 	t.Helper()
-	scalar := newScalarOracle(NewGolden(ts, nil).NewEvaluator(values))
-	packed := NewGolden(ts, nil).NewEvaluator(values)
+	scalar := newScalarOracle(NewGolden(ts).NewEvaluator(values))
+	packed := NewGolden(ts).NewEvaluator(values)
 	got := detectsBatch(t, packed, universe)
 	if len(got) != len(universe) {
 		t.Fatalf("DetectsBatch returned %d verdicts for %d faults", len(got), len(universe))
@@ -124,7 +124,7 @@ func TestPackedSharesMemoWithScalar(t *testing.T) {
 	ts := randomTestSet(arch, 2, 3, 77)
 	universe := fault.Universe(arch, fault.ESF)
 
-	g := NewGolden(ts, nil)
+	g := NewGolden(ts)
 	scalar := newScalarOracle(g.NewEvaluator(values))
 	want := make([]bool, len(universe))
 	for i, f := range universe {
@@ -205,7 +205,7 @@ func TestPackedT64Boundary(t *testing.T) {
 		var ts *pattern.TestSet
 		for seed := uint64(0); seed < 200; seed++ {
 			cand := randomTestSetT(arch, 1, 1, seed, snn.MaxTimesteps, true)
-			g := NewGolden(cand, nil)
+			g := NewGolden(cand)
 			ic := &g.items[0]
 			out63 := false
 			for _, train := range ic.trace.X[len(arch)-1] {
@@ -277,7 +277,7 @@ func TestInertTrainSkipsMemo(t *testing.T) {
 		t.Fatal("fixture broken: no boundary-0 SWF faults")
 	}
 
-	eng := NewGolden(ts, nil).NewEvaluator(values)
+	eng := NewGolden(ts).NewEvaluator(values)
 	// Precondition: the faults are NOT value-inert (ω̂ differs from the
 	// programmed weight), their trains just happen to match the golden.
 	ic := &eng.g.items[0]
@@ -308,7 +308,7 @@ func TestInertTrainSkipsMemo(t *testing.T) {
 	// The shortcut's observable contract: no downstream pass ran, nothing
 	// was memoized.
 	before := Snapshot()
-	fresh := NewGolden(ts, nil).NewEvaluator(values)
+	fresh := NewGolden(ts).NewEvaluator(values)
 	freshOracle := newScalarOracle(fresh)
 	for _, f := range hidden {
 		if freshOracle.Detects(f) {
@@ -344,7 +344,7 @@ func TestBatchFlushesObs(t *testing.T) {
 	ts := randomTestSet(arch, 1, 1, 11)
 	universe := fault.Universe(arch, fault.SWF)
 
-	e1 := NewGolden(ts, nil).NewEvaluator(values)
+	e1 := NewGolden(ts).NewEvaluator(values)
 	before := Snapshot()
 	detectsBatch(t, e1, universe)
 	batch := statsDelta(Snapshot(), before)
@@ -359,7 +359,7 @@ func TestBatchFlushesObs(t *testing.T) {
 
 	// The same workload fault-at-a-time on a fresh engine: identical work,
 	// so the published memo statistics must agree.
-	e2 := newScalarOracle(NewGolden(ts, nil).NewEvaluator(values))
+	e2 := newScalarOracle(NewGolden(ts).NewEvaluator(values))
 	before = Snapshot()
 	detectsEach(e2, universe)
 	scan := statsDelta(Snapshot(), before)
@@ -372,7 +372,7 @@ func TestBatchFlushesObs(t *testing.T) {
 	}
 
 	// Coverage and Undetected route through the batch path and flush too.
-	e3 := NewGolden(ts, nil).NewEvaluator(values)
+	e3 := NewGolden(ts).NewEvaluator(values)
 	before = Snapshot()
 	if _, err := e3.Coverage(context.Background(), universe); err != nil {
 		t.Fatal(err)
@@ -398,8 +398,8 @@ func TestCoverageBatchMatchesScalarCount(t *testing.T) {
 	ts := randomTestSet(arch, 2, 3, 41)
 	universe := fullUniverse(arch)
 
-	g := NewGolden(ts, nil)
-	scalar := newScalarOracle(NewGolden(ts, nil).NewEvaluator(values))
+	g := NewGolden(ts)
+	scalar := newScalarOracle(NewGolden(ts).NewEvaluator(values))
 	n := 0
 	for _, f := range universe {
 		if scalar.Detects(f) {
@@ -440,8 +440,8 @@ func FuzzPackedEquivalence(f *testing.F) {
 			ts = uniformTestSetT(arch, 2, 2, seed, T, hold)
 		}
 		universe := shuffled(fullUniverse(arch), seed)
-		scalar := newScalarOracle(NewGolden(ts, nil).NewEvaluator(values))
-		packed := NewGolden(ts, nil).NewEvaluator(values)
+		scalar := newScalarOracle(NewGolden(ts).NewEvaluator(values))
+		packed := NewGolden(ts).NewEvaluator(values)
 		got := detectsBatch(t, packed, universe)
 		assertMatrixMatchesOracle(t, detectsMatrix(t, packed, universe), scalar, universe)
 		for i, flt := range universe {
@@ -462,7 +462,7 @@ func TestPackedNASFInputLayer(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{4, 3, 2}
 	ts := randomTestSet(arch, 2, 3, 55)
-	g := NewGolden(ts, nil)
+	g := NewGolden(ts)
 	scalar := newScalarOracle(g.NewEvaluator(values))
 	var universe []fault.Fault
 	for i := 0; i < arch[0]; i++ {

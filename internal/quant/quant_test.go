@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
 )
@@ -246,6 +247,69 @@ func TestSchemeErrors(t *testing.T) {
 		net := snn.New(snn.Arch{2, 2}, snn.DefaultParams())
 		s.QuantizeNetwork(net)
 	})
+}
+
+// TestProgram pins quant.Program's contract: a nil scheme programs ideal
+// weights and returns the test set itself; otherwise every configuration is
+// replaced by its QuantizedClone, bit for bit, the items are shared, and
+// the generated test set keeps its own weights.
+func TestProgram(t *testing.T) {
+	arch := snn.Arch{4, 3, 2}
+	params := snn.DefaultParams()
+	r := stats.NewRNG(5)
+	ts := pattern.NewTestSet("random", arch, params)
+	for c := 0; c < 3; c++ {
+		cfg := snn.New(arch, params)
+		for b := range cfg.W {
+			for i := range cfg.W[b] {
+				cfg.W[b][i] = -10 + 20*r.Float64()
+			}
+		}
+		ts.AddItem(pattern.Item{Label: "rnd", ConfigIndex: ts.AddConfig(cfg), Pattern: snn.NewPattern(arch.Inputs()), Timesteps: 3, Repeat: 1})
+	}
+	before := make([]*snn.Network, len(ts.Configs))
+	for i, cfg := range ts.Configs {
+		before[i] = cfg.Clone()
+	}
+
+	if got := Program(ts, nil); got != ts {
+		t.Errorf("nil scheme returned a copy, want the test set itself")
+	}
+	for _, gran := range []Granularity{PerNetwork, PerBoundary, PerChannel} {
+		s := mustScheme(t, 3, gran)
+		got := Program(ts, &s)
+		if got == ts || len(got.Configs) != len(ts.Configs) {
+			t.Fatalf("%v: got %p with %d configs, want a copy with %d", gran, got, len(got.Configs), len(ts.Configs))
+		}
+		if got.Name != ts.Name || !got.Arch.Equal(ts.Arch) || got.Params != ts.Params {
+			t.Errorf("%v: header changed: %s %v %+v", gran, got.Name, got.Arch, got.Params)
+		}
+		if len(got.Items) != len(ts.Items) || &got.Items[0] != &ts.Items[0] {
+			t.Errorf("%v: items not shared with the test set", gran)
+		}
+		for i, cfg := range got.Configs {
+			want, _ := s.QuantizedClone(ts.Configs[i])
+			if cfg == ts.Configs[i] {
+				t.Fatalf("%v: config %d is the generated network, not a clone", gran, i)
+			}
+			for b := range want.W {
+				for k, w := range want.W[b] {
+					if math.Float64bits(cfg.W[b][k]) != math.Float64bits(w) {
+						t.Fatalf("%v: config %d weight [%d][%d] = %g, QuantizedClone %g", gran, i, b, k, cfg.W[b][k], w)
+					}
+				}
+			}
+		}
+	}
+	for i, cfg := range ts.Configs {
+		for b := range cfg.W {
+			for k, w := range cfg.W[b] {
+				if math.Float64bits(w) != math.Float64bits(before[i].W[b][k]) {
+					t.Fatalf("config %d weight [%d][%d] changed to %g, was %g", i, b, k, w, before[i].W[b][k])
+				}
+			}
+		}
+	}
 }
 
 func assertPanics(t *testing.T, name string, f func()) {

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"neurotest/internal/margin"
+	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
 )
 
@@ -159,4 +160,21 @@ func (s Scheme) QuantizedClone(net *snn.Network) (*snn.Network, float64) {
 	c := net.Clone()
 	worst := s.QuantizeNetwork(c)
 	return c, worst
+}
+
+// Program returns ts as a chip's weight memory programs it under scheme s:
+// every configuration quantized once. A nil scheme programs ideal weights
+// and returns ts itself. Otherwise the result is a copy of the TestSet
+// whose Configs are quantized clones and whose Items slice is shared
+// read-only with ts; ts is left untouched.
+func Program(ts *pattern.TestSet, s *Scheme) *pattern.TestSet {
+	if s == nil {
+		return ts
+	}
+	out := *ts
+	out.Configs = make([]*snn.Network, len(ts.Configs))
+	for i, cfg := range ts.Configs {
+		out.Configs[i], _ = s.QuantizedClone(cfg)
+	}
+	return &out
 }

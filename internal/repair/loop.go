@@ -9,9 +9,9 @@ import (
 	"neurotest/internal/chip"
 	"neurotest/internal/diagnose"
 	"neurotest/internal/fault"
-	"neurotest/internal/faultsim"
 	"neurotest/internal/margin"
 	"neurotest/internal/pattern"
+	"neurotest/internal/quant"
 	"neurotest/internal/snn"
 	"neurotest/internal/tester"
 	"neurotest/internal/variation"
@@ -121,14 +121,14 @@ const DefaultAccuracyBudget = 0.02
 type Config struct {
 	// TS is the structural test set (diagnosis domain and retest program).
 	TS *pattern.TestSet
-	// Transform matches how chips under test are programmed (quantization);
+	// Scheme matches how chips under test are programmed (quantization);
 	// nil tests against ideal configurations.
-	Transform faultsim.ConfigTransform
+	Scheme *quant.Scheme
 	// Values are the fault-strength parameters of the modelled universe.
 	Values fault.Values
 	// Universe is the modelled fault list the dictionary is built over.
 	Universe []fault.Fault
-	// ATE optionally supplies prebuilt test equipment for TS/Transform
+	// ATE optionally supplies prebuilt test equipment for TS/Scheme
 	// (e.g. the service's memoized artifact ATE); nil builds one.
 	ATE *tester.ATE
 	// Core is the crossbar geometry (zero value = DefaultCoreShape).
@@ -188,7 +188,7 @@ func New(cfg Config) (*Loop, error) {
 	}
 	arch := cfg.TS.Arch
 
-	dict := diagnose.Build(cfg.TS, cfg.Values, cfg.Transform, cfg.Universe)
+	dict := diagnose.Build(cfg.TS, cfg.Values, cfg.Scheme, cfg.Universe)
 
 	classes := arch.Outputs()
 	perClass := max(2, cfg.WorkloadSamples/classes)
@@ -219,7 +219,7 @@ func New(cfg Config) (*Loop, error) {
 
 	ate := cfg.ATE
 	if ate == nil {
-		ate = tester.New(cfg.TS, cfg.Transform)
+		ate = tester.New(cfg.TS, cfg.Scheme)
 	}
 	if cfg.Opt.Tolerance > 0 {
 		ate, err = ate.CloneWithTolerance(cfg.Opt.Tolerance)
@@ -281,7 +281,7 @@ func (l *Loop) Run(ctx context.Context, defect *snn.Modifiers, publish func(Phas
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	sig := diagnose.ObserveChip(l.cfg.TS, l.cfg.Transform, defect)
+	sig := diagnose.ObserveChip(l.ate, defect)
 	rep.PreFails = sig.CountFails()
 	rep.PreAccuracy = l.accuracy(defect)
 	emit("test", "%d of %d items fail, application accuracy %.4f", rep.PreFails, len(l.cfg.TS.Items), rep.PreAccuracy)
@@ -344,7 +344,7 @@ func (l *Loop) Run(ctx context.Context, defect *snn.Modifiers, publish func(Phas
 	if v.Passed {
 		rep.PostFails = 0
 	} else {
-		rep.PostFails = diagnose.ObserveChip(l.cfg.TS, l.cfg.Transform, uncured).CountFails()
+		rep.PostFails = diagnose.ObserveChip(l.ate, uncured).CountFails()
 	}
 	rep.PostAccuracy = l.accuracy(plan.Residual(defect))
 	accuracyOK := rep.PostAccuracy >= rep.GoldenAccuracy-l.cfg.Opt.AccuracyBudget

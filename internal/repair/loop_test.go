@@ -8,6 +8,7 @@ import (
 	"neurotest/internal/chip"
 	"neurotest/internal/core"
 	"neurotest/internal/fault"
+	"neurotest/internal/faultsim"
 	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
 )
@@ -186,5 +187,51 @@ func TestLoopCancelledContext(t *testing.T) {
 	cancel()
 	if _, _, err := l.Run(ctx, nil, nil); err == nil {
 		t.Fatal("cancelled context must abort the loop")
+	}
+}
+
+// TestLoopRunBuildsNoGolden: the loop observes every die through its own
+// ATE, so once that ATE holds its Golden, no run builds another — not the
+// structural test of a healthy or a repairable die, and not the post-repair
+// fail count of an unrepairable die on a tolerance-1 loop.
+func TestLoopRunBuildsNoGolden(t *testing.T) {
+	values := fault.PaperValues(snn.DefaultParams().Theta)
+	cluster := snn.MergeModifiers(
+		fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 1, Index: 2}).Modifiers(values),
+		fault.NewSynapseFault(fault.SWF, snn.SynapseID{Boundary: 1, Pre: 4, Post: 1}).Modifiers(values))
+
+	arch := snn.Arch{8, 8, 8}
+	g, merged := buildSuite(t, arch)
+	spareless, err := New(Config{
+		TS:       merged,
+		Values:   g.Options().Values,
+		Universe: fullUniverse(arch),
+		Core:     chip.CoreShape{Axons: 8, Neurons: 8}, // fully used, zero spares
+		Seed:     7,
+		Opt:      Options{Tolerance: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 1, Index: 0}).Modifiers(values)
+
+	healthy := testLoop(t)
+	for _, tc := range []struct {
+		l      *Loop
+		defect *snn.Modifiers
+		want   Verdict
+	}{{healthy, nil, Healthy}, {healthy, cluster, Repaired}, {spareless, stuck, Unrepairable}} {
+		tc.l.ate.Golden(0)
+		before := faultsim.Snapshot().GoldenBuilds
+		rep, _, err := tc.l.Run(context.Background(), tc.defect, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Verdict != tc.want || (tc.want == Unrepairable && rep.PostFails == 0) {
+			t.Fatalf("die came out %s, want %v with post-repair fails counted", rep, tc.want)
+		}
+		if d := faultsim.Snapshot().GoldenBuilds - before; d != 0 {
+			t.Errorf("%v die: the run built %d Goldens, want 0", tc.want, d)
+		}
 	}
 }

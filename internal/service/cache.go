@@ -33,8 +33,8 @@ type SuiteSpec struct {
 	KindAll bool
 	Kind    fault.Kind
 	// Scheme quantizes configurations the way the chip's weight memory
-	// would (nil = ideal weights). It selects the ATE transform and is part
-	// of the key: quantized artifacts memoize different golden traces.
+	// would (nil = ideal weights). It programs the ATE's test set and is
+	// part of the key: quantized artifacts memoize different golden traces.
 	Scheme *quant.Scheme
 }
 
@@ -177,7 +177,7 @@ func (a *Artifact) TestSet() *pattern.TestSet { return a.ts }
 // ATE returns the memoized test equipment for the artifact: golden
 // responses are simulated once per artifact (the "memoized good traces" of
 // the cache) and shared by every campaign job that hits the same key. The
-// ATE in turn memoizes its faultsim.Golden (transformed networks, full
+// ATE in turn memoizes its faultsim.Golden (programmed networks, full
 // good-chip traces and the shared downstream memo), so repeated coverage
 // jobs on the same artifact — including tolerance-sweep clones — skip
 // golden simulation entirely and start from a warm memo. The returned ATE
@@ -194,7 +194,7 @@ func (a *Artifact) ATE() (*tester.ATE, error) {
 			a.metrics.GoldenBuilds.Add(1)
 		}
 		timer := obs.StartTimer()
-		a.ate = tester.New(a.ts, neurotest.QuantizeTransform(a.spec.Scheme))
+		a.ate = tester.New(a.ts, a.spec.Scheme)
 		if a.metrics != nil {
 			timer.ObserveElapsed(a.metrics.GoldenBuildSeconds)
 		}

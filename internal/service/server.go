@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"neurotest"
 	"neurotest/internal/apptest"
 	"neurotest/internal/cluster"
 	"neurotest/internal/fault"
@@ -688,12 +687,12 @@ const defaultRepairSpares = 8
 
 // newRepairLoop assembles the closed-loop repair substrate over a cached
 // artifact: the artifact's test set and memoized ATE, the spec's
-// quantization transform, and a chip provisioned with spare lines.
+// quantization scheme, and a chip provisioned with spare lines.
 func newRepairLoop(art *Artifact, base *tester.ATE, spec SuiteSpec, universe []fault.Fault, req repairRequest) (*repair.Loop, error) {
 	model := spec.Model()
 	return repair.New(repair.Config{
 		TS:              art.TestSet(),
-		Transform:       neurotest.QuantizeTransform(spec.Scheme),
+		Scheme:          spec.Scheme,
 		Values:          model.Values,
 		Universe:        universe,
 		ATE:             base,

@@ -130,7 +130,7 @@ func TestCloneWithTolerance(t *testing.T) {
 	if ate.tolerance != 0 {
 		t.Fatalf("CloneWithTolerance mutated the original (tolerance %d)", ate.tolerance)
 	}
-	if clone.ts != ate.ts || len(clone.golden) != len(ate.golden) {
+	if clone.ts != ate.ts || clone.goldens != ate.goldens || clone.expected != ate.expected {
 		t.Fatal("clone must share the test set and golden responses")
 	}
 	if _, err := ate.CloneWithTolerance(-1); err == nil {

@@ -280,7 +280,7 @@ func weightBits(nets []*snn.Network) [][]uint64 {
 // ATE and on its tolerance clone — the neurotestd pattern of parallel jobs
 // over one cached artifact — and checks that no die programmed a shared
 // configuration in place: the test program's configurations and the ATE's
-// transformed copies keep every weight bit. Run it under -race.
+// programmed copies keep every weight bit. Run it under -race.
 func TestSharedConfigsUntouched(t *testing.T) {
 	arch := snn.Arch{8, 6, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
@@ -288,8 +288,7 @@ func TestSharedConfigsUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf := func(n *snn.Network) *snn.Network { c, _ := sch.QuantizedClone(n); return c }
-	base := New(merged, tf)
+	base := New(merged, &sch)
 	clone, err := base.CloneWithTolerance(1)
 	if err != nil {
 		t.Fatal(err)
@@ -329,6 +328,6 @@ func TestSharedConfigsUntouched(t *testing.T) {
 		t.Errorf("a campaign wrote into the test program's configurations")
 	}
 	if !slices.EqualFunc(weightBits(base.nets), nets, slices.Equal[[]uint64]) {
-		t.Errorf("a campaign wrote into the ATE's transformed configurations")
+		t.Errorf("a campaign wrote into the ATE's programmed configurations")
 	}
 }

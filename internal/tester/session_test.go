@@ -318,7 +318,7 @@ func TestMeasureCoveragePanicPerFaultUnderCollapse(t *testing.T) {
 	mixed = append(mixed, universe[7:]...)
 	mixed = append(mixed, bogus)
 
-	if cls := faultsim.NewGolden(merged, nil).Collapse(universe); len(cls.Reps) >= len(universe) {
+	if cls := faultsim.NewGolden(merged).Collapse(universe); len(cls.Reps) >= len(universe) {
 		t.Fatalf("fixture broken: %d SWF faults form %d classes", len(universe), len(cls.Reps))
 	}
 

@@ -17,6 +17,7 @@ import (
 	"neurotest/internal/obs"
 	"neurotest/internal/pattern"
 	"neurotest/internal/pool"
+	"neurotest/internal/quant"
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
 	"neurotest/internal/variation"
@@ -24,73 +25,65 @@ import (
 
 // ATE holds a test program with precomputed golden responses.
 //
-// Golden responses are simulated from the design *as programmed*: the same
-// configuration transform (typically quantization) that the chip's weight
-// memory applies is applied before deriving the expected outputs, exactly
-// like a production flow that goldens against the post-quantization model.
+// Golden responses are simulated from the design *as programmed*: the
+// quantization scheme the chip's weight memory applies programs the test
+// set once (quant.Program), and the chips under test and the expected
+// outputs both read those programmed configurations, exactly like a
+// production flow that goldens against the post-quantization model.
 type ATE struct {
-	ts        *pattern.TestSet
-	transform faultsim.ConfigTransform
-	nets      []*snn.Network // transformed configuration per config index
-	// golden holds eagerly simulated per-item responses when the golden and
-	// chip transforms differ (NewSplit). ATEs built with New leave it nil
-	// and derive golden responses lazily from the shared fault-simulation
-	// Golden, whose good-chip traces double as the expected outputs — one
-	// simulation of each item serves both roles.
-	golden []snn.Result
-	// goldens memoizes the fault-simulation Golden (good-chip traces plus
-	// the downstream memo). It is held by pointer so tolerance clones share
-	// it: one golden build and one warm memo serve every campaign over this
-	// test program, which is the neurotestd artifact-cache access pattern.
+	ts   *pattern.TestSet // the test set as generated
+	nets []*snn.Network   // programmed configuration per config index
+	// goldens memoizes the fault-simulation Golden of the programmed test
+	// set (good-chip traces plus the downstream memo); coverage campaigns
+	// read it. It is held by pointer so tolerance clones share it: one
+	// golden build and one warm memo serve every campaign over this test
+	// program, which is the neurotestd artifact-cache access pattern.
 	goldens *goldenShare
+	// expected is the share the expected responses come from: goldens
+	// itself for New, whose good-chip traces double as the expected
+	// outputs, and a share over the ideal test set for NewSplit.
+	expected *goldenShare
 	// tolerance is the pass band on each output spike count (see
-	// WithTolerance). 0 means exact comparison.
+	// CloneWithTolerance). 0 means exact comparison.
 	tolerance int
 }
 
-// goldenShare memoizes one faultsim.Golden behind an ATE and all of its
-// tolerance clones. A build panic (e.g. a transform rejecting a
-// configuration) is captured once and surfaced as an error by every
-// campaign instead of crashing the caller.
+// goldenShare memoizes one faultsim.Golden of its test set behind an ATE
+// and all of its tolerance clones. A build panic (e.g. a pattern that does
+// not fit the input layer) is captured once and surfaced as an error by
+// every campaign instead of crashing the caller.
 type goldenShare struct {
+	ts   *pattern.TestSet
 	once sync.Once
 	g    *faultsim.Golden
 	err  error
 }
 
-// faultGolden returns the memoized shared Golden, building it on first use.
-func (a *ATE) faultGolden() (*faultsim.Golden, error) {
-	a.goldens.once.Do(func() {
+// get returns the memoized Golden, building it on first use.
+func (s *goldenShare) get() (*faultsim.Golden, error) {
+	s.once.Do(func() {
 		defer func() {
 			if p := recover(); p != nil {
-				a.goldens.err = fmt.Errorf("tester: building golden traces: %v", p)
+				s.err = fmt.Errorf("tester: building golden traces: %v", p)
 			}
 		}()
-		a.goldens.g = faultsim.NewGolden(a.ts, a.transform)
+		s.g = faultsim.NewGolden(s.ts)
 	})
-	return a.goldens.g, a.goldens.err
+	return s.g, s.err
 }
 
-// WithTolerance sets the per-output spike-count pass band and returns the
-// ATE. A chip passes an item when every output count is within ±n of the
-// golden count. Negative tolerances are a configuration error.
+// CloneWithTolerance returns a copy of the ATE with its own pass band,
+// sharing the (immutable) test set, configurations and the memoized
+// fault-simulation Goldens (traces and downstream memo). A chip passes an
+// item when every output count is within ±n of the golden count; negative
+// tolerances are a configuration error.
 //
 // The deterministic method uses n = 0 — its configurations engineer exact
 // outputs. Statistical baselines decide pass/fail from firing-rate
 // estimates whose resolution is bounded by their repetition budget, so
 // their production testers accept counts within the estimation resolution;
 // n = 1 models that band.
-func (a *ATE) WithTolerance(n int) (*ATE, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("tester: negative tolerance %d", n)
-	}
-	a.tolerance = n
-	return a, nil
-}
-
-// CloneWithTolerance returns a copy of the ATE with its own pass band,
-// sharing the (immutable) test set, configurations, golden responses and
-// the memoized fault-simulation Golden (traces and downstream memo).
+//
 // Campaign methods never mutate the ATE, so one memoized ATE can serve
 // concurrent campaigns under different tolerances via cheap clones — the
 // access pattern of the neurotestd artifact cache — and those campaigns
@@ -122,76 +115,49 @@ func (a *ATE) matches(got, want snn.Result) bool {
 	return true
 }
 
-// New builds an ATE for ts. transform may be nil (ideal weights). Golden
-// responses and chips-under-test share the transform, the flow of a shop
-// that goldens against the post-quantization model.
+// New builds an ATE for ts whose chips are programmed under scheme (nil
+// for ideal weights). Golden responses and chips-under-test read the same
+// programmed configurations, the flow of a shop that goldens against the
+// post-quantization model; the test set is programmed once, here.
 //
 // New itself simulates nothing: golden responses are derived on first use
 // from the same shared fault-simulation Golden the coverage campaigns read,
 // so the good-chip traces of a test program are simulated exactly once no
 // matter which campaign touches the ATE first.
-func New(ts *pattern.TestSet, transform faultsim.ConfigTransform) *ATE {
-	a := &ATE{ts: ts, transform: transform, goldens: &goldenShare{}}
-	a.nets = make([]*snn.Network, len(ts.Configs))
-	for i, cfg := range ts.Configs {
-		a.nets[i] = cfg
-		if transform != nil {
-			a.nets[i] = transform(cfg)
-		}
-	}
+func New(ts *pattern.TestSet, scheme *quant.Scheme) *ATE {
+	programmed := quant.Program(ts, scheme)
+	share := &goldenShare{ts: programmed}
+	return &ATE{ts: ts, nets: programmed.Configs, goldens: share, expected: share}
+}
+
+// NewSplit builds an ATE whose golden responses come from the ideal
+// configurations of ts while chips under test are programmed under chip.
+// Production flows that golden against the *ideal* model but ship
+// quantized silicon use NewSplit(ts, scheme): any behavioural gap the
+// quantizer opens then shows up as overkill, which is exactly the effect
+// the paper's "overkill with quantization" rows measure. Coverage still
+// fault-simulates the programmed chip, as New's does.
+func NewSplit(ts *pattern.TestSet, chip *quant.Scheme) *ATE {
+	a := New(ts, chip)
+	a.expected = &goldenShare{ts: ts}
 	return a
 }
 
-// NewSplit builds an ATE whose golden responses come from goldenTransform'd
-// configurations while chips under test are programmed through
-// chipTransform. Production flows that golden against the *ideal* model but
-// ship quantized silicon use NewSplit(ts, nil, quantize): any behavioural
-// gap the quantizer opens then shows up as overkill, which is exactly the
-// effect the paper's "overkill with quantization" rows measure.
-func NewSplit(ts *pattern.TestSet, goldenTransform, chipTransform faultsim.ConfigTransform) *ATE {
-	a := &ATE{ts: ts, transform: chipTransform, goldens: &goldenShare{}}
-	a.nets = make([]*snn.Network, len(ts.Configs))
-	golden := make([]*snn.Network, len(ts.Configs))
-	for i, cfg := range ts.Configs {
-		a.nets[i] = cfg
-		golden[i] = cfg
-		if chipTransform != nil {
-			a.nets[i] = chipTransform(cfg)
-		}
-		if goldenTransform != nil {
-			golden[i] = goldenTransform(cfg)
-		}
-	}
-	sims := make([]*snn.Simulator, len(golden))
-	for i, n := range golden {
-		sims[i] = snn.NewSimulator(n)
-	}
-	for _, it := range ts.Items {
-		res := sims[it.ConfigIndex].Run(it.Pattern, it.Timesteps, it.Mode(), nil)
-		a.golden = append(a.golden, res)
-	}
-	return a
-}
-
-// TestSet returns the underlying test program.
+// TestSet returns the underlying test program, as generated.
 func (a *ATE) TestSet() *pattern.TestSet { return a.ts }
 
 // Golden returns the expected output of item i.
 func (a *ATE) Golden(i int) snn.Result { return a.goldenResult(i) }
 
-// goldenResult returns the expected output of item i. NewSplit ATEs read
-// their eagerly simulated responses; New ATEs derive the response from the
-// shared fault-simulation Golden, built on first use.
+// goldenResult returns the expected output of item i, read from the
+// expected-response Golden, which is built on first use.
 func (a *ATE) goldenResult(i int) snn.Result {
-	if a.golden != nil {
-		return a.golden[i]
-	}
-	g, err := a.faultGolden()
+	g, err := a.expected.get()
 	if err != nil {
-		// Unreachable in practice: a nil-golden ATE's transform already ran
-		// over every configuration in New, so the lazy build cannot newly
-		// fail. Campaign pools recover this into a WorkerError.
-		//lint:ignore no-panic golden responses are a hard precondition of every campaign; pools recover
+		// The lazy build fails when an item cannot be simulated (a pattern
+		// that does not fit the input layer, say). Campaign pools recover
+		// this into a WorkerError.
+		//lint:ignore no-panic the build failure of a malformed test set reaches every reader of goldens; pools recover
 		panic(err)
 	}
 	return g.Result(i)
@@ -234,6 +200,22 @@ func (a *ATE) RunChip(mods *snn.Modifiers, vary variation.Model, rng *stats.RNG)
 		}
 	}
 	return v
+}
+
+// Observe applies the full test program to one variation-free die carrying
+// mods and returns which items fail: the die is programmed through the same
+// path as RunChip's, but no item stops the run. Each item is compared
+// exactly, whatever the ATE's tolerance, because the result is a
+// diagnostic signature matched against dictionary rows that count any
+// deviation.
+func (a *ATE) Observe(mods *snn.Modifiers) []bool {
+	d := a.newDie(nil)
+	fails := make([]bool, len(a.ts.Items))
+	for i, it := range a.ts.Items {
+		res := d.program(it.ConfigIndex).Run(it.Pattern, it.Timesteps, it.Mode(), mods)
+		fails[i] = !res.Equal(a.goldenResult(i))
+	}
+	return fails
 }
 
 // die is one chip under test as the ATE programs it. Items are applied in
@@ -380,7 +362,7 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 	ctx, span := obs.StartSpan(ctx, "fault-simulate")
 	span.SetAttr("faults", strconv.Itoa(len(faults)))
 	defer span.End()
-	golden, gerr := a.faultGolden()
+	golden, gerr := a.goldens.get()
 	if gerr != nil {
 		// Without goldens no fault can be evaluated; surface the build
 		// failure once rather than crashing or erroring per fault.

@@ -108,7 +108,7 @@ func TestMeasureCoverageBroadcastMatchesChips(t *testing.T) {
 		faults[i] = universe[p]
 	}
 	ate := New(merged, nil)
-	if cls := faultsim.NewGolden(merged, nil).Collapse(faults); len(cls.Reps) >= len(faults) {
+	if cls := faultsim.NewGolden(merged).Collapse(faults); len(cls.Reps) >= len(faults) {
 		t.Fatalf("fixture broken: %d faults form %d classes", len(faults), len(cls.Reps))
 	}
 
@@ -144,7 +144,7 @@ func TestCoverageSpanReportsClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.End()
-	classes := len(faultsim.NewGolden(merged, nil).Collapse(faults).Reps)
+	classes := len(faultsim.NewGolden(merged).Collapse(faults).Reps)
 	if classes >= len(faults) {
 		t.Fatalf("fixture broken: %d faults form %d classes", len(faults), classes)
 	}
@@ -171,7 +171,7 @@ func TestCoverageCountsBroadcastFaults(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
 	faults := fault.Universe(arch, fault.SWF)
-	classes := len(faultsim.NewGolden(merged, nil).Collapse(faults).Reps)
+	classes := len(faultsim.NewGolden(merged).Collapse(faults).Reps)
 	before := faultsim.Snapshot()
 	New(merged, nil).MeasureCoverage(faults, g.Options().Values)
 	after := faultsim.Snapshot()
@@ -268,8 +268,7 @@ func TestGoldenAccessorsAndQuantizedATE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf := func(n *snn.Network) *snn.Network { c, _ := sch.QuantizedClone(n); return c }
-	ate := New(merged, tf)
+	ate := New(merged, &sch)
 	if ate.TestSet() != merged {
 		t.Errorf("TestSet identity lost")
 	}
@@ -359,43 +358,93 @@ func TestSampleFaults(t *testing.T) {
 
 func TestNewSplitSeparatesGoldenFromChip(t *testing.T) {
 	// Golden responses come from the ideal model while chips are programmed
-	// through a lossy transform: the behavioural gap must show up as a
-	// failing good chip (the mechanism behind the paper's "overkill with
-	// quantization" rows), while sharing the transform on both sides
-	// cancels it.
+	// under a lossy scheme: the behavioural gap must show up as a failing
+	// good chip (the mechanism behind the paper's "overkill with
+	// quantization" rows), while sharing the scheme on both sides cancels
+	// it. Coverage still fault-simulates the chip as programmed, so the
+	// split ATE's campaign is the shared-scheme ATE's, not the ideal one.
 	arch := snn.Arch{6, 5, 4}
-	_, merged := smallSuite(t, arch, core.NoVariation())
-	halve := func(n *snn.Network) *snn.Network {
-		c := n.Clone()
-		for b := range c.W {
-			for i := range c.W[b] {
-				c.W[b][i] *= 0.5
-			}
-		}
-		return c
+	g, merged := smallSuite(t, arch, core.NoVariation())
+	coarse, err := quant.NewScheme(2, quant.PerNetwork)
+	if err != nil {
+		t.Fatal(err)
 	}
-	split := NewSplit(merged, nil, halve)
+	split := NewSplit(merged, &coarse)
 	if v := split.RunChip(nil, variation.None(), nil); v.Passed {
-		t.Errorf("halved chip passed against ideal goldens")
+		t.Errorf("2-bit chip passed against ideal goldens")
 	}
-	shared := New(merged, halve)
+	shared := New(merged, &coarse)
 	if v := shared.RunChip(nil, variation.None(), nil); !v.Passed {
-		t.Errorf("shared transform did not cancel: failed item %d", v.FailedItem)
+		t.Errorf("shared scheme did not cancel: failed item %d", v.FailedItem)
 	}
 	// The split ATE's goldens are the ideal ATE's goldens, untouched by the
-	// chip-side transform.
+	// chip-side scheme.
 	ideal := New(merged, nil)
 	for i := range merged.Items {
 		if !split.Golden(i).Equal(ideal.Golden(i)) {
 			t.Fatalf("split golden %d diverges from ideal", i)
 		}
 	}
+	universe := fault.Universe(arch, fault.HSF)
+	want := shared.MeasureCoverage(universe, g.Options().Values)
+	got := split.MeasureCoverage(universe, g.Options().Values)
+	if len(got.Errors) > 0 || got.Detected != want.Detected || !slices.Equal(got.Undetected, want.Undetected) {
+		t.Fatalf("split coverage %v, shared-scheme coverage %v", got, want)
+	}
+	if id := ideal.MeasureCoverage(universe, g.Options().Values); id.Detected == want.Detected {
+		t.Fatalf("2-bit coverage %v equals ideal %v; the scheme must matter here", want, id)
+	}
+}
+
+// TestQuantizedATEProgramsOnce pins the one programming of a quantized
+// ATE: its dies and its Golden read the very networks quant.Program made.
+// The die's configurations are the shared golden set's, and a weight
+// written into them before the first golden read reaches the goldens, so a
+// good die still passes and the expected outputs move with it.
+func TestQuantizedATEProgramsOnce(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	_, merged := smallSuite(t, arch, core.NoVariation())
+	s, err := quant.NewScheme(4, quant.PerChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ate := New(merged, &s)
+	if ate.expected != ate.goldens {
+		t.Fatal("New must serve expected responses from its coverage Golden")
+	}
+	d := ate.newDie(nil)
+	for ci, net := range d.nets {
+		if net != ate.goldens.ts.Configs[ci] {
+			t.Fatalf("config %d: the die and the Golden read different networks", ci)
+		}
+		if net == merged.Configs[ci] {
+			t.Fatalf("config %d: the die reads the generated network, not the programmed one", ci)
+		}
+	}
+	for _, net := range d.nets {
+		for b := range net.W {
+			for i := range net.W[b] {
+				net.W[b][i] *= 0.5
+			}
+		}
+	}
+	if v := ate.RunChip(nil, variation.None(), nil); !v.Passed {
+		t.Fatalf("good die failed item %d: its goldens were simulated from other networks", v.FailedItem)
+	}
+	fresh := New(merged, &s)
+	moved := false
+	for i := range merged.Items {
+		moved = moved || !ate.Golden(i).Equal(fresh.Golden(i))
+	}
+	if !moved {
+		t.Error("halving the programmed weights moved no golden response")
+	}
 }
 
 func TestTolerancePassBandEdges(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	_, merged := smallSuite(t, arch, core.NoVariation())
-	ate, err := New(merged, nil).WithTolerance(1)
+	ate, err := New(merged, nil).CloneWithTolerance(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +472,7 @@ func TestTolerancePassBandEdges(t *testing.T) {
 		t.Fatalf("tolerance = %d", ate.tolerance)
 	}
 	// Tolerance 0 is exact comparison.
-	exact, err := New(merged, nil).WithTolerance(0)
+	exact, err := New(merged, nil).CloneWithTolerance(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +480,7 @@ func TestTolerancePassBandEdges(t *testing.T) {
 		t.Errorf("tolerance 0 not exact")
 	}
 	// Negative tolerance is a configuration error, not a panic.
-	if _, err := New(merged, nil).WithTolerance(-1); err == nil {
+	if _, err := New(merged, nil).CloneWithTolerance(-1); err == nil {
 		t.Errorf("negative tolerance accepted")
 	}
 }

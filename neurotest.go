@@ -23,7 +23,6 @@ import (
 	"neurotest/internal/core"
 	"neurotest/internal/diagnose"
 	"neurotest/internal/fault"
-	"neurotest/internal/faultsim"
 	"neurotest/internal/pattern"
 	"neurotest/internal/quant"
 	"neurotest/internal/snn"
@@ -200,23 +199,10 @@ func (m *Model) Universe(kind FaultKind) []Fault {
 	return fault.Universe(m.Arch, kind)
 }
 
-// QuantizeTransform adapts a quantization scheme into the configuration
-// transform the ATE and fault simulator accept. nil scheme means identity.
-func QuantizeTransform(scheme *QuantScheme) faultsim.ConfigTransform {
-	if scheme == nil {
-		return nil
-	}
-	s := *scheme
-	return func(n *Network) *Network {
-		c, _ := s.QuantizedClone(n)
-		return c
-	}
-}
-
 // NewATE builds test equipment for a test set, optionally quantizing every
 // configuration the way the chip's weight memory would.
 func (m *Model) NewATE(ts *TestSet, scheme *QuantScheme) *ATE {
-	return tester.New(ts, QuantizeTransform(scheme))
+	return tester.New(ts, scheme)
 }
 
 // MeasureCoverage fault-simulates ts against the full universe of kind and
@@ -281,17 +267,17 @@ type (
 // BuildDictionary fault-simulates every fault in faults against every item
 // of ts and returns a diagnosis dictionary (see internal/diagnose).
 func (m *Model) BuildDictionary(ts *TestSet, scheme *QuantScheme, faults []Fault) *FaultDictionary {
-	return diagnose.Build(ts, m.Values, QuantizeTransform(scheme), faults)
+	return diagnose.Build(ts, m.Values, scheme, faults)
 }
 
 // DiagnoseChip runs the full test program against a (possibly defective)
 // chip and returns its observed pass/fail signature for dictionary lookup.
 func (m *Model) DiagnoseChip(ts *TestSet, scheme *QuantScheme, defect *snn.Modifiers) FailSignature {
-	return diagnose.ObserveChip(ts, QuantizeTransform(scheme), defect)
+	return diagnose.ObserveChip(tester.New(ts, scheme), defect)
 }
 
 // CompactTestSet removes items whose detected faults are all covered by
 // other items, preserving coverage of faults exactly (see internal/compact).
 func (m *Model) CompactTestSet(ts *TestSet, scheme *QuantScheme, faults []Fault) (*TestSet, CompactionStats) {
-	return compact.Compact(ts, m.Values, QuantizeTransform(scheme), faults)
+	return compact.Compact(ts, m.Values, scheme, faults)
 }

@@ -138,27 +138,6 @@ func TestATEFlow(t *testing.T) {
 	}
 }
 
-func TestQuantizeTransform(t *testing.T) {
-	if neurotest.QuantizeTransform(nil) != nil {
-		t.Errorf("nil scheme should produce nil transform")
-	}
-	s, err := neurotest.NewQuantScheme(8, neurotest.PerChannel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf := neurotest.QuantizeTransform(&s)
-	m := neurotest.NewModel(4, 3)
-	g, err := m.Generator(neurotest.NoVariation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := g.Generate(neurotest.NASF)
-	out := tf(ts.Configs[0])
-	if out == ts.Configs[0] {
-		t.Errorf("transform returned the original network")
-	}
-}
-
 func TestDictionaryAndCompactionFacade(t *testing.T) {
 	m := neurotest.NewModel(24, 12, 6)
 	suite, err := m.GenerateSuite(neurotest.NoVariation())
