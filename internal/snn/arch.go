@@ -76,6 +76,21 @@ func (a Arch) Synapses() int {
 	return s
 }
 
+// CheckWeights reports an error unless rows has the shape of a network's
+// weights (Network.W): one row per boundary, row b holding a[b]·a[b+1]
+// values.
+func (a Arch) CheckWeights(rows [][]float64) error {
+	if len(rows) != a.Boundaries() {
+		return fmt.Errorf("snn: %d weight rows, architecture %v has %d boundaries", len(rows), a, a.Boundaries())
+	}
+	for b, row := range rows {
+		if want := a[b] * a[b+1]; len(row) != want {
+			return fmt.Errorf("snn: boundary %d has %d weights, want %d", b, len(row), want)
+		}
+	}
+	return nil
+}
+
 // MaxWidth returns the widest layer, used when deciding whether weight
 // variation is "negligible" (ν > max width, paper Section 4.2).
 func (a Arch) MaxWidth() int {

@@ -308,13 +308,8 @@ func (s *Simulator) Bind(net *Network, offset [][]float64) error {
 		return fmt.Errorf("snn: cannot bind a %v network to a %v simulator", net.Arch, s.net.Arch)
 	}
 	if offset != nil {
-		if len(offset) != net.Arch.Boundaries() {
-			return fmt.Errorf("snn: offset has %d boundaries, network %v has %d", len(offset), net.Arch, net.Arch.Boundaries())
-		}
-		for b, row := range offset {
-			if want := net.Arch[b] * net.Arch[b+1]; len(row) != want {
-				return fmt.Errorf("snn: offset boundary %d has %d weights, want %d", b, len(row), want)
-			}
+		if err := net.Arch.CheckWeights(offset); err != nil {
+			return fmt.Errorf("snn: cannot bind offset: %w", err)
 		}
 	}
 	s.net, s.off = net, offset

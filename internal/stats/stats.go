@@ -1,7 +1,8 @@
 // Package stats provides the small statistical toolbox the test-generation
-// flow depends on: a deterministic pseudo-random source, Gaussian sampling,
-// streaming and order statistics (Welford, Quantile), and the ν ("nu")
-// margin calculation from Section 4.1 of the paper.
+// flow depends on: a deterministic pseudo-random source, Gaussian sampling
+// (a 256-layer ziggurat), streaming and order statistics (Welford,
+// Quantile), and the ν ("nu") margin calculation from Section 4.1 of the
+// paper.
 //
 // Everything here is hand-rolled on purpose: the reproduction is stdlib-only
 // and must be bit-for-bit deterministic across runs, so we fix the RNG
@@ -17,12 +18,11 @@ import (
 // RNG is a deterministic 64-bit pseudo-random number generator based on
 // SplitMix64. It is tiny, fast, passes BigCrush, and — unlike math/rand —
 // its output sequence is fixed by this package forever, which keeps every
-// experiment in the repository reproducible bit-for-bit.
+// experiment in the repository reproducible bit-for-bit. Its whole state is
+// one word: normal variates are drawn one Uint64 at a time (see FillNorm),
+// so nothing is cached between draws.
 type RNG struct {
 	state uint64
-	// cached second Box-Muller variate
-	hasGauss bool
-	gauss    float64
 }
 
 // NewRNG returns a generator seeded with seed. Two generators with the same
@@ -31,13 +31,20 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Uint64 returns the next 64 uniformly distributed bits.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
+// splitmixGamma is SplitMix64's state increment.
+const splitmixGamma = 0x9E3779B97F4A7C15
+
+// splitmix is SplitMix64's output function of a state.
+func splitmix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
+}
+
+// Uint64 returns the next 64 uniformly distributed bits.
+func (r *RNG) Uint64() uint64 {
+	r.state += splitmixGamma
+	return splitmix(r.state)
 }
 
 // Float64 returns a uniform variate in [0, 1) with 53 bits of precision.
@@ -67,10 +74,46 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// NormFloat64 returns a standard normal variate (mean 0, stddev 1) using the
-// Marsaglia polar variant of the Box-Muller transform (no trigonometry in
-// the hot path). Variates are produced in pairs; the second is cached. It
-// is the one-element case of FillNorm.
+// The normal sampler is the 256-layer ziggurat of Marsaglia & Tsang ("The
+// Ziggurat Method for Generating Random Variables", J. Stat. Softw. 5(8),
+// 2000), with the layer index taken from bits the uniform does not use, as
+// in Doornik ("An Improved Ziggurat Method to Generate Normal Random
+// Samples", 2005). The density f(x) = exp(−x²/2) is covered by 256 layers
+// of equal area zigV: layer j ≥ 1 is the rectangle [0, zigX[j]) × [f(zigX[j]),
+// f(zigX[j+1])], and the base layer 0 is the rectangle under f(zigR), widened
+// to zigX[0] = zigV/f(zigR) so that its excess over zigR carries the tail's
+// area.
+const (
+	zigR = 3.6541528853610088 // right edge of the base rectangle; the tail starts here
+	zigV = 4.92867323399e-3   // area of every layer
+)
+
+// zigX holds the layer edges (zigX[1] = zigR, decreasing to zigX[256] = 0)
+// and zigK[j] = zigX[j+1]/zigX[j], the share of layer j that lies wholly
+// under the density. Both are computed once, from the closed form.
+var zigX, zigK = zigTables()
+
+// zigTables computes the ziggurat's layer edges from zigR and zigV: each
+// next edge is where f reaches the top of a layer of area zigV,
+// x[i+1] = √(−2 ln(zigV/x[i] + f(x[i]))). The top layer's edge is the mode,
+// 0, which the recursion reaches only up to rounding, so it is set.
+func zigTables() (x [257]float64, k [256]float64) {
+	f := func(x float64) float64 { return math.Exp(-x * x / 2) }
+	x[0] = zigV / f(zigR)
+	x[1] = zigR
+	for i := 1; i < 255; i++ {
+		x[i+1] = math.Sqrt(-2 * math.Log(zigV/x[i]+f(x[i])))
+	}
+	x[256] = 0
+	for j := range k {
+		k[j] = x[j+1] / x[j]
+	}
+	return x, k
+}
+
+// NormFloat64 returns a standard normal variate (mean 0, stddev 1) drawn
+// by the ziggurat method (see FillNorm). It is the one-element case of
+// FillNorm.
 func (r *RNG) NormFloat64() float64 {
 	var z [1]float64
 	r.FillNorm(z[:], 1)
@@ -79,37 +122,65 @@ func (r *RNG) NormFloat64() float64 {
 
 // FillNorm fills dst with scale × standard normal variates: dst[i] is, bit
 // for bit, scale * r.NormFloat64() of the i-th call of that per-variate
-// loop, and r is left exactly as that loop leaves it (the cached second
-// variate of a pair included). It runs the polar method inline, with no
-// method call and no cache check per variate, on a local copy of the
-// generator state.
+// loop, and r is left exactly as that loop leaves it.
+//
+// Each variate is a ziggurat draw from one Uint64 b: its low 8 bits pick
+// the layer j and its top 53 bits, read as a signed integer, give a uniform
+// u ∈ [−1, 1), so the two share no bit. When |u| < zigK[j] the point
+// u·zigX[j] lies wholly under the density and is the variate; this fast
+// path takes 98.5 % of draws and runs inline, on a local copy of the
+// generator state. The rest go to normSlow, out of line.
 func (r *RNG) FillNorm(dst []float64, scale float64) {
-	i := 0
-	if r.hasGauss && len(dst) > 0 {
-		r.hasGauss = false
-		dst[0] = scale * r.gauss
-		i = 1
-	}
-	g := RNG{state: r.state}
-	for i < len(dst) {
-		u := 2*g.Float64() - 1
-		v := 2*g.Float64() - 1
-		s := u*u + v*v
-		//lint:ignore float-eq Marsaglia polar rejection needs the exact zero bit pattern; margin would import-cycle through snn
-		if s >= 1 || s == 0 {
-			continue
+	s := r.state
+	for i := range dst {
+		for {
+			s += splitmixGamma
+			b := splitmix(s)
+			j := uint8(b)
+			u := float64(int64(b)>>11) * 0x1p-52
+			if math.Abs(u) < zigK[j] {
+				dst[i] = scale * (u * zigX[j])
+				break
+			}
+			r.state = s
+			z, ok := r.normSlow(int(j), u) // an int: j+1 must not wrap at 255
+			s = r.state
+			if ok {
+				dst[i] = scale * z
+				break
+			}
 		}
-		mag := math.Sqrt(-2 * math.Log(s) / s)
-		dst[i] = scale * (u * mag)
-		if i+1 == len(dst) {
-			r.gauss = v * mag
-			r.hasGauss = true
-			break
-		}
-		dst[i+1] = scale * (v * mag)
-		i += 2
 	}
-	r.state = g.state
+	r.state = s
+}
+
+// normSlow finishes a ziggurat draw (layer j, uniform u) that missed the
+// fast path, drawing any further uniforms from r. In the base layer the
+// point lies beyond zigR, and the variate is a draw from the tail with u's
+// sign. In any other layer the point z = u·zigX[j] lies in the layer's
+// wedge, and it is kept when a uniform height between f(zigX[j]) and
+// f(zigX[j+1]) falls under f(z); the test runs divided through by f(z), as
+// in Doornik's formulation. ok is false when the point is rejected: the
+// caller then draws afresh.
+func (r *RNG) normSlow(j int, u float64) (z float64, ok bool) {
+	if j == 0 {
+		// Marsaglia's exponential method: x and y are exponential variates
+		// of rate zigR and 1, and zigR + x is accepted when 2y > x². The
+		// uniforms enter as 1 − Float64() ∈ (0, 1], so the log never sees 0.
+		for {
+			x := -math.Log(1-r.Float64()) / zigR
+			y := -math.Log(1 - r.Float64())
+			if 2*y > x*x {
+				return math.Copysign(zigR+x, u), true
+			}
+		}
+	}
+	// The float64 conversions round each product before it is added, so no
+	// target fuses them into an FMA and the stream is the same everywhere.
+	z = u * zigX[j]
+	f0 := math.Exp(-0.5 * (float64(zigX[j]*zigX[j]) - float64(z*z)))     // f(zigX[j]) / f(z) ≤ 1
+	f1 := math.Exp(-0.5 * (float64(zigX[j+1]*zigX[j+1]) - float64(z*z))) // f(zigX[j+1]) / f(z) ≥ 1
+	return z, f1+float64(r.Float64()*(f0-f1)) < 1
 }
 
 // Nu computes ν from Eq. 4 of the paper: the maximum number of simultaneously

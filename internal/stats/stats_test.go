@@ -67,41 +67,6 @@ func TestPerm(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(4)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("normal mean = %g", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("normal variance = %g", variance)
-	}
-}
-
-func TestNormFloat64Tails(t *testing.T) {
-	r := NewRNG(5)
-	const n = 100000
-	beyond2 := 0
-	for i := 0; i < n; i++ {
-		if math.Abs(r.NormFloat64()) > 2 {
-			beyond2++
-		}
-	}
-	frac := float64(beyond2) / n
-	// P(|Z|>2) ≈ 4.55 %
-	if frac < 0.035 || frac > 0.057 {
-		t.Errorf("P(|Z|>2) = %g, want ≈ 0.0455", frac)
-	}
-}
-
 // TestMeanStdDev pins Welford's summary conventions: mean 0 before any
 // observation, a sample (n-1) standard deviation that is 0 for a single
 // observation.

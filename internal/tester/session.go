@@ -111,16 +111,22 @@ func (r SessionReport) String() string {
 //
 // With prof = unreliable.Reliable() and the zero policy this is exactly
 // RunChip: first mismatch fails the chip, no retests, no quarantine.
-func (a *ATE) RunChipSession(mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) (rep0 SessionReport) {
+func (a *ATE) RunChipSession(mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) SessionReport {
+	var errs *variation.ErrorTensor
+	return a.session(&errs, mods, prof, vary, policy, seed)
+}
+
+// session is RunChipSession drawing the die's variation tensor into *errs
+// (variation.Model.SampleInto) and leaving there the tensor it drew, so a
+// pool slot that hands its one tensor to every die it tests allocates it
+// once.
+func (a *ATE) session(errs **variation.ErrorTensor, mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) (rep0 SessionReport) {
 	ensureObs()
 	timer := obs.StartTimer()
 	defer func() { observeSession(timer, rep0) }()
 	sess := prof.NewSession(seed)
-	var errs *variation.ErrorTensor
-	if !vary.Zero() {
-		errs = vary.SampleError(a.ts.Arch, stats.NewRNG(seed^varySalt))
-	}
-	d := a.newDie(errs)
+	*errs = vary.SampleInto(*errs, a.ts.Arch, stats.NewRNG(seed^varySalt))
+	d := a.newDie(*errs)
 	rep := SessionReport{Outcome: Pass, FailedItem: -1, BaselineItems: len(a.ts.Items)}
 	budget := policy.MaxRetests
 
@@ -352,6 +358,9 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 	ctx, span := obs.StartSpan(ctx, "measure")
 	span.SetAttr("chips", strconv.Itoa(len(idx)))
 	defer span.End()
+	// Each pool slot samples its dies into one variation tensor: a die's
+	// session ends before its slot claims the next chip.
+	slots := make([]*variation.ErrorTensor, pool.Workers(len(idx)))
 	perChip := func(i int, w int) (rep SessionReport, err error) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -362,7 +371,7 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 		if mods != nil {
 			m = mods(i)
 		}
-		return a.RunChipSession(m, prof, vary, policy, chipSeed(seed, i)), nil
+		return a.session(&slots[w], m, prof, vary, policy, chipSeed(seed, i)), nil
 	}
 	results, done := pool.Run(ctx, len(idx), timed(func(k, w int) SessionStats {
 		i := idx[k]

@@ -188,7 +188,14 @@ func (a *ATE) RunChip(mods *snn.Modifiers, vary variation.Model, rng *stats.RNG)
 		//lint:ignore no-panic documented API contract on RunChip: non-zero variation requires an RNG
 		panic("tester: variation requires an RNG")
 	}
-	d := a.newDie(vary.SampleError(a.ts.Arch, rng))
+	return a.runChip(mods, vary.SampleError(a.ts.Arch, rng))
+}
+
+// runChip applies the full test program to one die carrying mods whose
+// synapses deviate by errs (nil for none), stopping at the first failing
+// item.
+func (a *ATE) runChip(mods *snn.Modifiers, errs *variation.ErrorTensor) Verdict {
+	d := a.newDie(errs)
 	v := Verdict{Passed: true, FailedItem: -1}
 	for i, it := range a.ts.Items {
 		res := d.program(it.ConfigIndex).Run(it.Pattern, it.Timesteps, it.Mode(), mods)
@@ -526,9 +533,7 @@ func (a *ATE) MeasureOverkill(nChips int, vary variation.Model, seed uint64) flo
 // as structured errors; errored chips are excluded from the percentage's
 // denominator.
 func (a *ATE) OverkillCampaign(nChips int, vary variation.Model, seed uint64) (float64, []error) {
-	return a.countChips("overkill", nChips, func(i int, rng *stats.RNG) bool {
-		return !a.RunChip(nil, vary, rng).Passed
-	}, seed)
+	return a.countChips("overkill", nChips, nil, vary, seed, false)
 }
 
 // MeasureEscape simulates one faulty chip per fault in faults, each with its
@@ -549,18 +554,22 @@ func (a *ATE) MeasureEscape(faults []fault.Fault, values fault.Values, vary vari
 // structured errors; errored chips are excluded from the percentage's
 // denominator.
 func (a *ATE) EscapeCampaign(faults []fault.Fault, values fault.Values, vary variation.Model, seed uint64) (float64, []error) {
-	return a.countChips("escape", len(faults), func(i int, rng *stats.RNG) bool {
-		return a.RunChip(faults[i].Modifiers(values), vary, rng).Passed
-	}, seed)
+	return a.countChips("escape", len(faults), func(i int) *snn.Modifiers {
+		return faults[i].Modifiers(values)
+	}, vary, seed, true)
 }
 
-// countChips evaluates pred for every chip index in [0, n) on the worker
-// pool and returns the percentage that satisfied it, over the chips that
-// evaluated cleanly. Chip i's RNG seed derives from its index, never from
-// the worker that runs it. Worker panics are recovered into structured
-// errors instead of killing the process; errored chips count in neither
-// the numerator nor the denominator.
-func (a *ATE) countChips(op string, n int, pred func(i int, rng *stats.RNG) bool, seed uint64) (float64, []error) {
+// countChips tests the dies [0, n) on the worker pool and returns the
+// percentage whose verdict's Passed equals passed, over the dies that
+// evaluated cleanly. Die i carries mods(i) (a nil mods tests defect-free
+// dies) and a variation tensor drawn from chip i's own seed, which derives
+// from its index, never from the worker that runs it: RunChip(mods(i),
+// vary, stats.NewRNG(chipSeed(seed, i))). Each pool slot samples its dies
+// into one tensor, so a campaign allocates one per slot, not one per die.
+// Worker panics are recovered into structured errors instead of killing
+// the process; errored dies count in neither the numerator nor the
+// denominator.
+func (a *ATE) countChips(op string, n int, mods func(i int) *snn.Modifiers, vary variation.Model, seed uint64, passed bool) (float64, []error) {
 	if n == 0 {
 		return 0, nil
 	}
@@ -571,13 +580,19 @@ func (a *ATE) countChips(op string, n int, pred func(i int, rng *stats.RNG) bool
 		hit bool
 		err error
 	}
+	slots := make([]*variation.ErrorTensor, pool.Workers(n))
 	verdicts, _ := pool.Run(context.Background(), n, timed(func(i, w int) (v verdict) {
 		defer func() {
 			if p := recover(); p != nil {
 				v.err = &WorkerError{Op: op, Worker: w, Chip: i, Panic: p}
 			}
 		}()
-		v.hit = pred(i, stats.NewRNG(chipSeed(seed, i)))
+		var m *snn.Modifiers
+		if mods != nil {
+			m = mods(i)
+		}
+		slots[w] = vary.SampleInto(slots[w], a.ts.Arch, stats.NewRNG(chipSeed(seed, i)))
+		v.hit = a.runChip(m, slots[w]).Passed == passed
 		return v
 	}))
 	hit, clean := 0, 0

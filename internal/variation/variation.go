@@ -64,13 +64,27 @@ type ErrorTensor struct {
 // independent N(0, σ²) error per synapse. A zero model returns nil, meaning
 // "no deviation".
 func (m Model) SampleError(arch snn.Arch, rng *stats.RNG) *ErrorTensor {
+	return m.SampleInto(nil, arch, rng)
+}
+
+// SampleInto draws a chip's error tensor like SampleError, into e's rows
+// when e has arch's shape, and returns the tensor it filled: e itself, or a
+// fresh tensor when e is nil or shaped otherwise (e is then left as it
+// was). From the same generator state it draws SampleError's tensor bit
+// for bit, so a caller that tests die after die can sample each into one
+// tensor. A zero model returns nil and touches neither e nor rng.
+func (m Model) SampleInto(e *ErrorTensor, arch snn.Arch, rng *stats.RNG) *ErrorTensor {
 	if m.Zero() {
 		return nil
 	}
-	e := &ErrorTensor{E: make([][]float64, arch.Boundaries())}
-	for b := 0; b < arch.Boundaries(); b++ {
-		e.E[b] = make([]float64, arch[b]*arch[b+1])
-		rng.FillNorm(e.E[b], m.Sigma)
+	if e == nil || arch.CheckWeights(e.E) != nil {
+		e = &ErrorTensor{E: make([][]float64, arch.Boundaries())}
+		for b := range e.E {
+			e.E[b] = make([]float64, arch[b]*arch[b+1])
+		}
+	}
+	for _, row := range e.E {
+		rng.FillNorm(row, m.Sigma)
 	}
 	return e
 }

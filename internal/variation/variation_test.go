@@ -255,35 +255,131 @@ func perVariateSampleError(m Model, arch snn.Arch, rng *stats.RNG) [][]float64 {
 	return e
 }
 
-// TestSampleErrorMatchesPerVariate pins the sampler's stream: on odd-width
-// architectures (odd rows end on the cached half of a pair) and on the
-// paper's 576-256-32-10 model, from a generator with and without a cached
-// variate, SampleError matches the per-variate loop bit for bit and leaves
-// the generator in the same state (next NormFloat64 and Uint64 agree).
+// TestSampleErrorMatchesPerVariate pins the sampler's stream: on
+// odd-width architectures and on the paper's 576-256-32-10 model,
+// SampleError matches the per-variate loop bit for bit and leaves the
+// generator in the same state (next NormFloat64 and Uint64 agree).
 func TestSampleErrorMatchesPerVariate(t *testing.T) {
 	m := OfTheta(0.10, 0.5)
 	for _, arch := range []snn.Arch{{3, 5, 7}, {1, 1}, {1, 3, 1}, {2, 3}, {576, 256, 32, 10}} {
-		for _, cached := range []bool{false, true} {
-			got, want := stats.NewRNG(271828), stats.NewRNG(271828)
-			if cached {
-				got.NormFloat64()
-				want.NormFloat64()
+		got, want := stats.NewRNG(271828), stats.NewRNG(271828)
+		e := m.SampleError(arch, got)
+		ref := perVariateSampleError(m, arch, want)
+		sameTensor(t, arch.String(), e, ref)
+		if g, w := got.NormFloat64(), want.NormFloat64(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%v: next NormFloat64 %v, per-variate %v", arch, g, w)
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("%v: next Uint64 %#x, per-variate %#x", arch, g, w)
+		}
+	}
+}
+
+// sameTensor fails the test unless e has ref's shape and bits.
+func sameTensor(t *testing.T, name string, e *ErrorTensor, ref [][]float64) {
+	t.Helper()
+	if len(e.E) != len(ref) {
+		t.Fatalf("%s: %d boundaries, want %d", name, len(e.E), len(ref))
+	}
+	for b := range ref {
+		if len(e.E[b]) != len(ref[b]) {
+			t.Fatalf("%s: boundary %d has %d errors, want %d", name, b, len(e.E[b]), len(ref[b]))
+		}
+		for i, w := range ref[b] {
+			if math.Float64bits(e.E[b][i]) != math.Float64bits(w) {
+				t.Fatalf("%s: E[%d][%d] = %v, want %v", name, b, i, e.E[b][i], w)
 			}
-			e := m.SampleError(arch, got)
-			ref := perVariateSampleError(m, arch, want)
-			for b := range ref {
-				for i, w := range ref[b] {
-					if math.Float64bits(e.E[b][i]) != math.Float64bits(w) {
-						t.Fatalf("%v cached=%v: E[%d][%d] = %v, per-variate %v", arch, cached, b, i, e.E[b][i], w)
-					}
+		}
+	}
+}
+
+// TestSampleIntoReusesRows pins the reuse a tester pool slot relies on:
+// sampled die after die into one tensor of the right shape, SampleInto
+// fills that tensor's own rows with SampleError's tensor, bit for bit, and
+// leaves the generator where SampleError leaves it.
+func TestSampleIntoReusesRows(t *testing.T) {
+	m := OfTheta(0.10, 0.5)
+	for _, arch := range []snn.Arch{{3, 5, 7}, {1, 1}, {576, 256, 32, 10}} {
+		slot := m.SampleError(arch, stats.NewRNG(1))
+		rows := make([]*float64, len(slot.E))
+		for b, row := range slot.E {
+			rows[b] = &row[0]
+		}
+		for seed := uint64(2); seed < 5; seed++ {
+			got, want := stats.NewRNG(seed), stats.NewRNG(seed)
+			e := m.SampleInto(slot, arch, got)
+			if e != slot {
+				t.Fatalf("%v seed %d: a tensor of the right shape was replaced", arch, seed)
+			}
+			for b, row := range e.E {
+				if &row[0] != rows[b] {
+					t.Fatalf("%v seed %d: row %d was reallocated", arch, seed, b)
 				}
 			}
-			if g, w := got.NormFloat64(), want.NormFloat64(); math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("%v cached=%v: next NormFloat64 %v, per-variate %v", arch, cached, g, w)
-			}
+			sameTensor(t, arch.String(), e, m.SampleError(arch, want).E)
 			if g, w := got.Uint64(), want.Uint64(); g != w {
-				t.Fatalf("%v cached=%v: next Uint64 %#x, per-variate %#x", arch, cached, g, w)
+				t.Fatalf("%v seed %d: next Uint64 %#x, SampleError's %#x", arch, seed, g, w)
 			}
+		}
+	}
+}
+
+// TestSampleIntoReplacesMisshapen: a tensor of another shape — nil, too
+// few or too many boundaries, a row too short or too long — is never
+// written: SampleInto returns a fresh tensor, SampleError's bit for bit,
+// and leaves the misshapen one as it was. A zero model returns nil and
+// leaves any tensor alone.
+func TestSampleIntoReplacesMisshapen(t *testing.T) {
+	arch := snn.Arch{3, 4, 2}
+	m := Model{Sigma: 0.3}
+	rows := func(lens ...int) *ErrorTensor {
+		e := &ErrorTensor{E: make([][]float64, len(lens))}
+		for b, n := range lens {
+			e.E[b] = make([]float64, n)
+		}
+		return e
+	}
+	for _, c := range []struct {
+		name string
+		e    *ErrorTensor
+	}{
+		{"nil", nil},
+		{"no boundaries", &ErrorTensor{}},
+		{"one boundary", rows(12)},
+		{"three boundaries", rows(12, 8, 4)},
+		{"short row", rows(12, 7)},
+		{"long row", rows(13, 8)},
+		{"rows swapped", rows(8, 12)},
+	} {
+		var lens []int
+		if c.e != nil {
+			for _, row := range c.e.E {
+				lens = append(lens, len(row))
+			}
+		}
+		got := m.SampleInto(c.e, arch, stats.NewRNG(5))
+		if got == c.e {
+			t.Fatalf("%s: misshapen tensor reused", c.name)
+		}
+		sameTensor(t, c.name, got, m.SampleError(arch, stats.NewRNG(5)).E)
+		if c.e == nil {
+			continue
+		}
+		if len(c.e.E) != len(lens) {
+			t.Fatalf("%s: misshapen tensor now has %d boundaries, had %d", c.name, len(c.e.E), len(lens))
+		}
+		for b, row := range c.e.E {
+			if len(row) != lens[b] {
+				t.Fatalf("%s: row %d now has %d errors, had %d", c.name, b, len(row), lens[b])
+			}
+			for i, x := range row {
+				if x != 0 {
+					t.Fatalf("%s: misshapen tensor written at [%d][%d] = %v", c.name, b, i, x)
+				}
+			}
+		}
+		if None().SampleInto(c.e, arch, nil) != nil {
+			t.Fatalf("%s: zero model returned a tensor", c.name)
 		}
 	}
 }
