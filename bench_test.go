@@ -141,8 +141,8 @@ func BenchmarkFigure4_TestEscape(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if esc := ate.MeasureEscape(faults, m.Values, vary, 11); esc != 0 {
-			b.Fatalf("escape %g%% at 10%%θ", esc)
+		if esc, errs := ate.MeasureEscape(faults, m.Values, vary, 11); esc != 0 || len(errs) != 0 {
+			b.Fatalf("escape %g%% at 10%%θ (errors %v)", esc, errs)
 		}
 	}
 }

@@ -162,7 +162,7 @@ func main() {
 		}
 	}
 	if rec != nil {
-		if err := writeTrace(*traceOut, rec); err != nil {
+		if err := rec.WriteFile(*traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *traceOut, err)
 			os.Exit(1)
 		}
@@ -184,20 +184,6 @@ func main() {
 			sim.GoldenBuilds, sim.FaultsSimulated, sim.Classes, 100*sim.HitRatio())
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Second))
-}
-
-// writeTrace dumps a recorder's spans to path as NDJSON.
-func writeTrace(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteNDJSON(f); err != nil {
-		//lint:ignore unchecked-error the write error already reports the failure; close is cleanup on the error path
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func writeCSV(dir, name string, f *report.Figure) {

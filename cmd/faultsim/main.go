@@ -1,6 +1,7 @@
 // Command faultsim is a standalone fault simulator: it loads a stored test
-// set (or generates the proposed suite), fault-simulates a fault universe
-// against it and prints per-model coverage plus the undetected faults.
+// set (or generates the proposed suite), measures the coverage of each
+// fault model's universe through the tester's ATE, the campaign every other
+// tool runs, and prints it per model plus the undetected faults.
 //
 // Usage:
 //
@@ -14,20 +15,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"neurotest"
 	"neurotest/internal/fault"
-	"neurotest/internal/faultsim"
 	"neurotest/internal/pattern"
 	"neurotest/internal/quant"
 	"neurotest/internal/snn"
+	"neurotest/internal/tester"
 )
 
 func main() {
@@ -48,8 +46,16 @@ func main() {
 }
 
 func run(in string, jsonIn bool, archFlag, kindFlag string, bits int, listUndetected bool) error {
+	kind, all, err := fault.ParseKind(kindFlag)
+	if err != nil {
+		return err
+	}
+	kinds := []fault.Kind{kind}
+	if all {
+		kinds = fault.Kinds()
+	}
+
 	var ts *neurotest.TestSet
-	var arch snn.Arch
 	if in != "" {
 		f, err := os.Open(in)
 		if err != nil {
@@ -64,26 +70,16 @@ func run(in string, jsonIn bool, archFlag, kindFlag string, bits int, listUndete
 		if err != nil {
 			return err
 		}
-		arch = ts.Arch
 	} else {
-		parts := strings.Split(archFlag, "-")
-		for _, p := range parts {
-			n, err := strconv.Atoi(p)
-			if err != nil {
-				return fmt.Errorf("bad layer width %q", p)
-			}
-			arch = append(arch, n)
-		}
-		if err := arch.Validate(); err != nil {
-			return err
-		}
-		m := neurotest.NewModel(arch...)
-		g, err := m.Generator(neurotest.NoVariation())
+		arch, err := snn.ParseArch(archFlag)
 		if err != nil {
 			return err
 		}
-		_, merged := g.GenerateAll()
-		ts = merged
+		g, err := neurotest.NewModel(arch...).Generator(neurotest.NoVariation())
+		if err != nil {
+			return err
+		}
+		_, ts = g.GenerateAll()
 	}
 
 	var scheme *quant.Scheme
@@ -95,39 +91,21 @@ func run(in string, jsonIn bool, archFlag, kindFlag string, bits int, listUndete
 		scheme = &s
 	}
 
+	ate := tester.New(ts, scheme)
 	values := fault.PaperValues(ts.Params.Theta)
-	eng := faultsim.NewGolden(quant.Program(ts, scheme)).NewEvaluator(values)
-
-	kinds := fault.Kinds()
-	if !strings.EqualFold(kindFlag, "all") {
-		found := false
-		for _, k := range kinds {
-			if strings.EqualFold(kindFlag, k.String()) {
-				kinds = []fault.Kind{k}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown fault kind %q", kindFlag)
-		}
-	}
-
 	fmt.Printf("test set %q on %v: %d configs, %d patterns\n",
-		ts.Name, arch, ts.NumConfigs(), ts.NumPatterns())
+		ts.Name, ts.Arch, ts.NumConfigs(), ts.NumPatterns())
 	for _, k := range kinds {
-		universe := fault.Universe(arch, k)
+		universe := fault.Universe(ts.Arch, k)
 		start := time.Now()
-		missed, err := eng.Undetected(context.Background(), universe)
-		if err != nil {
-			return err
+		cov := ate.MeasureCoverage(universe, values)
+		if len(cov.Errors) > 0 {
+			return fmt.Errorf("%v campaign: %w", k, cov.Errors[0])
 		}
-		detected := len(universe) - len(missed)
 		fmt.Printf("%-5v %8d faults: %8d detected (%6.2f%%) in %v\n",
-			k, len(universe), detected,
-			100*float64(detected)/float64(len(universe)), time.Since(start).Round(time.Millisecond))
+			k, cov.Total, cov.Detected, cov.Coverage(), time.Since(start).Round(time.Millisecond))
 		if listUndetected {
-			for _, f := range missed {
+			for _, f := range cov.Undetected {
 				fmt.Printf("      undetected: %v\n", f)
 			}
 		}

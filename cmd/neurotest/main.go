@@ -143,28 +143,13 @@ func parseArch(s string) (neurotest.Arch, error) {
 	if s == "" {
 		return nil, usagef("missing -arch (e.g. 576-256-32-10)")
 	}
-	parts := strings.Split(s, "-")
-	arch := make(neurotest.Arch, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, usagef("bad layer width %q in -arch", p)
-		}
-		arch = append(arch, n)
-	}
-	return arch, asUsage(arch.Validate())
+	arch, err := snn.ParseArch(s)
+	return arch, asUsage(err)
 }
 
 func parseKind(s string) (neurotest.FaultKind, bool, error) {
-	if s == "" || strings.EqualFold(s, "all") {
-		return 0, true, nil
-	}
-	for _, k := range fault.Kinds() {
-		if strings.EqualFold(s, k.String()) {
-			return k, false, nil
-		}
-	}
-	return 0, false, usagef("unknown fault kind %q (want NASF, ESF, HSF, SWF, SASF or all)", s)
+	k, all, err := fault.ParseKind(s)
+	return k, all, asUsage(err)
 }
 
 func regimeOf(variationAware bool) neurotest.Regime {
@@ -286,16 +271,9 @@ func cmdCoverage(args []string) error {
 	}
 	var scheme *neurotest.QuantScheme
 	if *bits > 0 {
-		var g quant.Granularity
-		switch *gran {
-		case "network":
-			g = quant.PerNetwork
-		case "boundary":
-			g = quant.PerBoundary
-		case "channel":
-			g = quant.PerChannel
-		default:
-			return usagef("unknown granularity %q (want network, boundary or channel)", *gran)
+		g, err := quant.ParseGranularity(*gran)
+		if err != nil {
+			return asUsage(err)
 		}
 		s, err := neurotest.NewQuantScheme(*bits, g)
 		if err != nil {
@@ -339,26 +317,12 @@ func cmdCoverage(args []string) error {
 		}
 	}
 	if rec != nil {
-		if err := writeTrace(*traceOut, rec); err != nil {
+		if err := rec.WriteFile(*traceOut); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", rec.Len(), *traceOut)
 	}
 	return nil
-}
-
-// writeTrace dumps a recorder's spans to path as NDJSON.
-func writeTrace(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteNDJSON(f); err != nil {
-		//lint:ignore unchecked-error the write error already reports the failure; close is cleanup on the error path
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func cmdDiagnose(args []string) error {
@@ -444,18 +408,20 @@ func parseFault(s string, arch neurotest.Arch) (neurotest.Fault, error) {
 		if len(idx) != 2 {
 			return zero, usagef("%v needs layer,index", kind)
 		}
-		if idx[0] < 1 || idx[0] >= arch.Layers() || idx[1] < 0 || idx[1] >= arch[idx[0]] {
+		f := fault.NewNeuronFault(kind, neurotest.NeuronID{Layer: idx[0], Index: idx[1]})
+		if !f.In(arch) || idx[0] == 0 {
 			return zero, usagef("neuron (%d,%d) outside %v (input neurons have no faults)", idx[0]+1, idx[1]+1, arch)
 		}
-		return fault.NewNeuronFault(kind, neurotest.NeuronID{Layer: idx[0], Index: idx[1]}), nil
+		return f, nil
 	}
 	if len(idx) != 3 {
 		return zero, usagef("%v needs boundary,pre,post", kind)
 	}
-	if idx[0] < 0 || idx[0] >= arch.Boundaries() || idx[1] < 0 || idx[1] >= arch[idx[0]] || idx[2] < 0 || idx[2] >= arch[idx[0]+1] {
+	f := fault.NewSynapseFault(kind, neurotest.SynapseID{Boundary: idx[0], Pre: idx[1], Post: idx[2]})
+	if !f.In(arch) {
 		return zero, usagef("synapse (%d,%d,%d) outside %v", idx[0]+1, idx[1]+1, idx[2]+1, arch)
 	}
-	return fault.NewSynapseFault(kind, neurotest.SynapseID{Boundary: idx[0], Pre: idx[1], Post: idx[2]}), nil
+	return f, nil
 }
 
 func cmdMargins(args []string) error {

@@ -53,7 +53,7 @@ func main() {
 		Params:     model.Params,
 		Core:       chip.CoreShape{Axons: 64, Neurons: 64},
 		WeightBits: 8,
-	}, 1)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,10 @@ func main() {
 		vary := neurotest.VariationOfTheta(frac, model.Params.Theta)
 		nu := vary.Nu(model.Params.WMax, 3)
 		negligible := vary.Negligible(model.Arch, model.Params.WMax, 3)
-		escape := ate.MeasureEscape(faults, model.Values, vary, 11)
+		escape, errs := ate.MeasureEscape(faults, model.Values, vary, 11)
+		if len(errs) > 0 {
+			log.Fatal(errs[0])
+		}
 		overkill := ate.MeasureOverkill(150, vary, 13)
 		fmt.Printf("%11.3f %5d   %-12v %7.2f%% %9.2f%%\n",
 			frac, nu, negligible, escape, overkill)

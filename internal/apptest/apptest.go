@@ -35,6 +35,26 @@ type Sample struct {
 	Label int
 }
 
+// Workload builds the synthetic application a fielded chip of arch runs:
+// a Synthetic dataset of about samples stimuli (at least two per class) at
+// density 0.3 and flip rate 0.05, and a classifier trained onto arch with
+// params. seed fixes both; the in-field monitor, the repair loop's accuracy
+// judge and the online experiment share this one workload definition.
+func Workload(arch snn.Arch, params snn.Params, samples int, seed uint64) (*Dataset, *Classifier, error) {
+	if err := arch.Validate(); err != nil {
+		return nil, nil, err
+	}
+	ds, err := Synthetic(arch.Inputs(), arch.Outputs(), max(2, samples/arch.Outputs()), 0.3, 0.05, seed+101)
+	if err != nil {
+		return nil, nil, err
+	}
+	cl, err := Train(ds, TrainOptions{Arch: arch, Params: params, Seed: seed + 202})
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds, cl, nil
+}
+
 // Dataset is a labelled set of binary stimuli.
 type Dataset struct {
 	Inputs  int

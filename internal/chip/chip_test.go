@@ -7,7 +7,6 @@ import (
 
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
-	"neurotest/internal/variation"
 )
 
 func testConfig() Config {
@@ -31,7 +30,7 @@ func coresOf(c *Chip, boundary int) []*Core {
 }
 
 func TestCoreTiling(t *testing.T) {
-	c := mustNew(t, testConfig(), 1)
+	c := mustNew(t, testConfig())
 	// Boundary 0: 576x256 → 3x1 cores of 256x256. Boundary 1: 256x32 → 1.
 	// Boundary 2: 32x10 → 1. Total 5.
 	if got := c.NumCores(); got != 5 {
@@ -52,7 +51,7 @@ func TestCoreTiling(t *testing.T) {
 func TestCoreTilingPartial(t *testing.T) {
 	cfg := testConfig()
 	cfg.Arch = snn.Arch{300, 300, 5}
-	c := mustNew(t, cfg, 1)
+	c := mustNew(t, cfg)
 	// 300x300 → 2x2 cores (256+44 each way); 300x5 → 2x1.
 	if got := len(coresOf(c, 0)); got != 4 {
 		t.Errorf("boundary 0 cores = %d, want 4", got)
@@ -72,7 +71,7 @@ func TestProgramReadbackIdealLevels(t *testing.T) {
 	// program/readback exactly (per-channel scale calibration).
 	cfg := testConfig()
 	cfg.Arch = snn.Arch{4, 3, 2}
-	c := mustNew(t, cfg, 1)
+	c := mustNew(t, cfg)
 	net := snn.New(cfg.Arch, cfg.Params)
 	for i := 0; i < cfg.Arch[0]; i++ {
 		net.W[0][i*cfg.Arch[1]] = 10
@@ -97,7 +96,7 @@ func TestProgramReadbackIdealLevels(t *testing.T) {
 }
 
 func TestProgramArchMismatch(t *testing.T) {
-	c := mustNew(t, testConfig(), 1)
+	c := mustNew(t, testConfig())
 	net := snn.New(snn.Arch{3, 2}, snn.DefaultParams())
 	if err := c.Program(net); err == nil {
 		t.Errorf("foreign architecture accepted")
@@ -105,7 +104,7 @@ func TestProgramArchMismatch(t *testing.T) {
 }
 
 func TestUnprogrammedChip(t *testing.T) {
-	c := mustNew(t, testConfig(), 1)
+	c := mustNew(t, testConfig())
 	if _, err := c.EffectiveNetwork(); err == nil {
 		t.Errorf("readback of unprogrammed chip succeeded")
 	}
@@ -120,7 +119,7 @@ func TestQuantizationGranularityIsPerChannel(t *testing.T) {
 	cfg := testConfig()
 	cfg.Arch = snn.Arch{2, 2}
 	cfg.WeightBits = 4
-	c := mustNew(t, cfg, 1)
+	c := mustNew(t, cfg)
 	net := snn.New(cfg.Arch, cfg.Params)
 	net.SetEntry(0, 0, 0, 0.275)
 	net.SetEntry(0, 1, 1, -10)
@@ -136,68 +135,10 @@ func TestQuantizationGranularityIsPerChannel(t *testing.T) {
 	}
 }
 
-func TestProgramWithVariation(t *testing.T) {
-	cfg := testConfig()
-	cfg.Arch = snn.Arch{50, 50}
-	cfg.Variation = variation.Model{Sigma: 0.1}
-	c := mustNew(t, cfg, 77)
-	net := snn.New(cfg.Arch, cfg.Params)
-	net.Fill(5)
-	if err := c.Program(net); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := c.EffectiveNetwork()
-	var w stats.Welford
-	for _, x := range got.W[0] {
-		w.Add(x)
-	}
-	if m := w.Mean(); math.Abs(m-5) > 0.02 {
-		t.Errorf("varied mean = %g", m)
-	}
-	if sd := w.StdDev(); math.Abs(sd-0.1) > 0.02 {
-		t.Errorf("varied stddev = %g", sd)
-	}
-	// Reprogramming draws fresh noise.
-	if err := c.Program(net); err != nil {
-		t.Fatal(err)
-	}
-	got2, _ := c.EffectiveNetwork()
-	same := true
-	for i := range got.W[0] {
-		if got.W[0][i] != got2.W[0][i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Errorf("reprogramming reused identical noise")
-	}
-}
-
-func TestVariationClampsToPhysicalRange(t *testing.T) {
-	// Unlike the behavioural CUT model, the physical chip cannot store
-	// weights beyond its range.
-	cfg := testConfig()
-	cfg.Arch = snn.Arch{50, 50}
-	cfg.Variation = variation.Model{Sigma: 2}
-	c := mustNew(t, cfg, 3)
-	net := snn.New(cfg.Arch, cfg.Params)
-	net.Fill(10)
-	if err := c.Program(net); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := c.EffectiveNetwork()
-	for _, w := range got.W[0] {
-		if w > 10 || w < -10 {
-			t.Fatalf("stored weight %g outside physical range", w)
-		}
-	}
-}
-
 func TestApplyEndToEnd(t *testing.T) {
 	cfg := testConfig()
 	cfg.Arch = snn.Arch{2, 2, 1}
-	c := mustNew(t, cfg, 1)
+	c := mustNew(t, cfg)
 	net := snn.New(cfg.Arch, cfg.Params)
 	net.SetEntry(0, 0, 0, 1)
 	net.SetEntry(1, 0, 0, 1)
@@ -230,7 +171,7 @@ func TestNewRejects(t *testing.T) {
 		"bad bits": {Arch: snn.Arch{2, 2}, Params: snn.DefaultParams(), Core: DefaultCoreShape(), WeightBits: 1},
 	}
 	for name, cfg := range cases {
-		if _, err := New(cfg, 1); err == nil {
+		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -242,7 +183,7 @@ func TestReadbackMatchesQuantizerQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		cfg := testConfig()
 		cfg.Arch = snn.Arch{6, 5}
-		c := mustNew(t, cfg, 1)
+		c := mustNew(t, cfg)
 		net := snn.New(cfg.Arch, cfg.Params)
 		rng := stats.NewRNG(seed)
 		for b := range net.W {
@@ -279,9 +220,9 @@ func TestReadbackMatchesQuantizerQuick(t *testing.T) {
 	}
 }
 
-func mustNew(t *testing.T, cfg Config, seed uint64) *Chip {
+func mustNew(t *testing.T, cfg Config) *Chip {
 	t.Helper()
-	c, err := New(cfg, seed)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -309,13 +250,13 @@ func TestReprogramRewritesEveryWeight(t *testing.T) {
 		return net
 	}
 	first, second := random(), random()
-	c := mustNew(t, cfg, 1)
+	c := mustNew(t, cfg)
 	for _, net := range []*snn.Network{first, second} {
 		if err := c.Program(net); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fresh := mustNew(t, cfg, 1)
+	fresh := mustNew(t, cfg)
 	if err := fresh.Program(second); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +279,7 @@ func TestSpareReservationTiling(t *testing.T) {
 	cfg.Arch = snn.Arch{8, 6, 4}
 	cfg.Core = CoreShape{Axons: 8, Neurons: 8}
 	cfg.SpareAxons, cfg.SpareNeurons = 2, 2
-	c := mustNew(t, cfg, 1)
+	c := mustNew(t, cfg)
 	// Stride 6: boundary 0 (8x6) → two row stripes of one column tile;
 	// boundary 1 (6x4) → one core.
 	if got := len(coresOf(c, 0)); got != 2 {
@@ -366,7 +307,7 @@ func TestSpareReservationTiling(t *testing.T) {
 	if err := c.Program(net); err != nil {
 		t.Fatal(err)
 	}
-	plain := mustNew(t, Config{Arch: cfg.Arch, Params: cfg.Params, Core: cfg.Core, WeightBits: cfg.WeightBits}, 1)
+	plain := mustNew(t, Config{Arch: cfg.Arch, Params: cfg.Params, Core: cfg.Core, WeightBits: cfg.WeightBits})
 	if err := plain.Program(net); err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +330,7 @@ func TestSpareReservationRejects(t *testing.T) {
 		func() Config { c := testConfig(); c.SpareNeurons = 300; return c }(),
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg, 1); err == nil {
+		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}

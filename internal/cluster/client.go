@@ -31,7 +31,7 @@ type Client struct {
 
 // NewClient builds a client for one worker with the given options.
 func NewClient(base string, o Options) *Client {
-	o = o.withDefaults(1)
+	o = o.withDefaults()
 	return &Client{
 		Base:         base,
 		busyRetries:  o.BusyRetries,

@@ -28,19 +28,17 @@ type shardPlan struct {
 type Coordinator struct {
 	clients []*Client
 	ring    *Ring
-	opts    Options
 }
 
-// New builds a coordinator over the worker base URLs, in ring order.
+// New builds a coordinator over the worker base URLs, in ring order, whose
+// clients o tunes. A campaign dispatches all of its shards at once (one per
+// owning worker), and a shard whose delivery fails is retried on every
+// other worker before the campaign fails.
 func New(workers []string, o Options) (*Coordinator, error) {
 	if len(workers) == 0 {
 		return nil, errors.New("cluster: coordinator needs at least one worker")
 	}
-	o = o.withDefaults(len(workers))
-	c := &Coordinator{
-		ring: NewRing(workers, o.VirtualNodes),
-		opts: o,
-	}
+	c := &Coordinator{ring: NewRing(workers)}
 	for _, w := range workers {
 		c.clients = append(c.clients, NewClient(w, o))
 	}
@@ -93,7 +91,7 @@ func (c *Coordinator) Run(ctx context.Context, path string, request json.RawMess
 			return c.runShard(ctx, p, path, request, publish)
 		}
 	}
-	results, errs := fanOut(ctx, c.opts.MaxInFlight, tasks)
+	results, errs := fanOut(ctx, len(c.clients), tasks)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -116,10 +114,7 @@ func (c *Coordinator) runShard(ctx context.Context, p shardPlan, path string, re
 			publish(ev)
 		}
 	}
-	attempts := 1 + c.opts.FailoverAttempts
-	if attempts > len(c.clients) {
-		attempts = len(c.clients)
-	}
+	attempts := len(c.clients)
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		worker := c.clients[(p.owner+a)%len(c.clients)]

@@ -94,18 +94,9 @@ type ShardResult struct {
 	Result json.RawMessage
 }
 
-// Options tunes a Coordinator. The zero value is usable: every knob has a
-// documented default.
+// Options tunes the clients of a Coordinator. The zero value is usable:
+// every knob has a documented default.
 type Options struct {
-	// VirtualNodes is the per-worker point count on the hash ring
-	// (default 64).
-	VirtualNodes int
-	// MaxInFlight bounds concurrently dispatched shard jobs
-	// (default: number of workers).
-	MaxInFlight int
-	// FailoverAttempts is how many successor workers a failed shard is
-	// retried on before the campaign fails (default: all other workers).
-	FailoverAttempts int
 	// BusyRetries is how many times a 503 from one worker is retried on
 	// that same worker before counting as a delivery failure (default 8).
 	BusyRetries int
@@ -121,13 +112,7 @@ type Options struct {
 }
 
 // withDefaults fills unset options.
-func (o Options) withDefaults(workers int) Options {
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = workers
-	}
-	if o.FailoverAttempts <= 0 {
-		o.FailoverAttempts = workers - 1
-	}
+func (o Options) withDefaults() Options {
 	if o.BusyRetries <= 0 {
 		o.BusyRetries = 8
 	}

@@ -19,10 +19,10 @@ import (
 	"strconv"
 )
 
-// defaultVirtualNodes is the per-node point count on the hash ring. 64
-// points per node keeps the assignment imbalance across a handful of
-// workers within a few percent while the ring stays tiny.
-const defaultVirtualNodes = 64
+// virtualNodes is the per-node point count on the hash ring. 64 points per
+// node keeps the assignment imbalance across a handful of workers within a
+// few percent while the ring stays tiny.
+const virtualNodes = 64
 
 // ringPoint is one virtual node position.
 type ringPoint struct {
@@ -33,24 +33,20 @@ type ringPoint struct {
 // Ring is a consistent-hash ring over worker nodes. Keys (fault-site
 // strings, chip session keys) map to the node owning the first ring point
 // at or after the key's hash. The ring is immutable after construction and
-// fully determined by the node list and virtual-node count: the same inputs
-// shard the same way on every coordinator, every run.
+// fully determined by the node list: the same inputs shard the same way on
+// every coordinator, every run.
 type Ring struct {
 	nodes  []string
 	points []ringPoint
 }
 
 // NewRing builds a ring over nodes (in the given order; the order defines
-// failover precedence for Candidates). vnodes <= 0 selects the default
-// virtual-node count. An empty node list yields a ring whose Owner always
-// returns -1.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVirtualNodes
-	}
+// failover precedence for Candidates). An empty node list yields a ring
+// whose Owner always returns -1.
+func NewRing(nodes []string) *Ring {
 	r := &Ring{nodes: append([]string(nil), nodes...)}
 	for n, name := range r.nodes {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			h := hash64(name + "#" + strconv.Itoa(v))
 			r.points = append(r.points, ringPoint{hash: h, node: n})
 		}

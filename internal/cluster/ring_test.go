@@ -15,8 +15,8 @@ func ringKeys(n int) []string {
 
 func TestRingDeterministic(t *testing.T) {
 	nodes := []string{"http://w0:1", "http://w1:1", "http://w2:1"}
-	a := NewRing(nodes, 0)
-	b := NewRing(nodes, 0)
+	a := NewRing(nodes)
+	b := NewRing(nodes)
 	for _, k := range ringKeys(2000) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("two rings over the same nodes disagree on %q: %d vs %d", k, a.Owner(k), b.Owner(k))
@@ -26,7 +26,7 @@ func TestRingDeterministic(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	nodes := []string{"http://w0:1", "http://w1:1", "http://w2:1"}
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes)
 	counts := make([]int, len(nodes))
 	keys := ringKeys(9000)
 	for _, k := range keys {
@@ -47,7 +47,7 @@ func TestRingBalance(t *testing.T) {
 
 func TestRingCandidates(t *testing.T) {
 	nodes := []string{"http://w0:1", "http://w1:1", "http://w2:1", "http://w3:1"}
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes)
 	for _, k := range ringKeys(200) {
 		cand := r.Candidates(k)
 		if len(cand) != len(nodes) {
@@ -67,7 +67,7 @@ func TestRingCandidates(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if got := empty.Owner("anything"); got != -1 {
 		t.Errorf("empty ring Owner = %d, want -1", got)
 	}
@@ -75,7 +75,7 @@ func TestRingEmptyAndSingle(t *testing.T) {
 		t.Errorf("empty ring Candidates = %v, want nil", got)
 	}
 
-	one := NewRing([]string{"http://solo:1"}, 0)
+	one := NewRing([]string{"http://solo:1"})
 	for _, k := range ringKeys(50) {
 		if one.Owner(k) != 0 {
 			t.Fatalf("single-node ring Owner(%q) = %d, want 0", k, one.Owner(k))

@@ -284,9 +284,15 @@ func coverage(t *testing.T, ts *pattern.TestSet, values fault.Values, universe [
 // item detects.
 func undetected(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) []fault.Fault {
 	t.Helper()
-	missed, err := faultsim.NewGolden(ts).NewEvaluator(values).Undetected(context.Background(), universe)
+	det, err := faultsim.NewGolden(ts).NewEvaluator(values).DetectsBatch(context.Background(), universe)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var missed []fault.Fault
+	for i, d := range det {
+		if !d {
+			missed = append(missed, universe[i])
+		}
 	}
 	return missed
 }

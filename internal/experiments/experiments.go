@@ -39,7 +39,6 @@ import (
 	"neurotest/internal/quant"
 	"neurotest/internal/snn"
 	"neurotest/internal/tester"
-	"neurotest/internal/variation"
 )
 
 // Method identifies one test-generation flow under comparison.
@@ -93,12 +92,6 @@ type Config struct {
 	BaselineFaultSample int
 	// SigmaFractions are the Fig. 4 x values as fractions of θ.
 	SigmaFractions []float64
-	// MfgSigmaFraction is the manufacturing variation (fraction of θ) good
-	// chips carry in the Table 5/6 overkill rows. The paper's table
-	// protocol simulates good chips without variation (its no-variation
-	// constructions have Ω margins of only θ, so any variation belongs to
-	// the Fig. 4 sweep instead); leave at 0 to match.
-	MfgSigmaFraction float64
 	// Candidates scales the baseline campaigns (configs, patterns/config,
 	// guidance sample).
 	BaselineConfigs  int
@@ -384,12 +377,6 @@ func withTolerance(a *tester.ATE, tol int) *tester.ATE {
 		panic(err)
 	}
 	return a
-}
-
-// mfgVariation is the manufacturing-variation model of good chips in the
-// Table 5/6 overkill rows.
-func (r *Runner) mfgVariation() variation.Model {
-	return variation.OfTheta(r.cfg.MfgSigmaFraction, r.params.Theta)
 }
 
 // universeSample returns the fault population used to measure a method's

@@ -30,9 +30,6 @@ func TestConfigNormalize(t *testing.T) {
 	if c.Seed == 0 || c.GoodChips != 300 || len(c.SigmaFractions) == 0 {
 		t.Errorf("defaults missing: %+v", c)
 	}
-	if c.MfgSigmaFraction != 0 {
-		t.Errorf("table protocol must default to no manufacturing variation, got %g", c.MfgSigmaFraction)
-	}
 	q := Quick()
 	if q.GoodChips >= c.GoodChips {
 		t.Errorf("Quick not smaller than full: %d vs %d", q.GoodChips, c.GoodChips)

@@ -56,20 +56,10 @@ func (r *Runner) OnlineSweep(arch snn.Arch, readout unreliable.Readout) []Online
 	merged := r.MergedSuite(arch, Proposed, false)
 	ate := tester.New(merged, nil)
 
-	classes := arch.Outputs()
-	perClass := 64 / classes
-	if perClass < 2 {
-		perClass = 2
-	}
-	ds, err := apptest.Synthetic(arch.Inputs(), classes, perClass, 0.3, 0.05, r.cfg.Seed+101)
+	ds, cl, err := apptest.Workload(arch, r.params, 64, r.cfg.Seed)
 	if err != nil {
 		//lint:ignore no-panic the experiment harness aborts loudly; a workload error here is a harness bug
 		panic(fmt.Sprintf("experiments: online workload: %v", err))
-	}
-	cl, err := apptest.Train(ds, apptest.TrainOptions{Arch: arch, Params: r.params, Seed: r.cfg.Seed + 202})
-	if err != nil {
-		//lint:ignore no-panic the experiment harness aborts loudly
-		panic(fmt.Sprintf("experiments: online training: %v", err))
 	}
 	golden, err := online.CaptureGolden(cl.Net, ds, cl.Timesteps)
 	if err != nil {

@@ -86,20 +86,21 @@ func (r *Runner) measureMethod(arch snn.Arch, m Method, kind fault.Kind) MethodC
 	cells.CovQuant = quantized.MeasureCoverage(universe, r.values).Coverage()
 	r.progress("%v %v %v coverage 8-bit: %.2f%%", arch, m, kind, cells.CovQuant)
 
-	// Overkill: golden against the ideal model; good chips carry
-	// manufacturing variation, optionally programmed through the 8-bit
-	// quantizer. Long baseline programs are capped per chip.
+	// Overkill: golden against the ideal model; good chips carry no
+	// variation (the paper's table protocol: its no-variation constructions
+	// have Ω margins of only θ, so variation belongs to Fig. 4), optionally
+	// programmed through the 8-bit quantizer. Long baseline programs are
+	// capped per chip.
 	capped := capItems(ts, r.cfg.BaselineItemCap)
 	tol := 1 // statistical testers accept counts within rate-estimation resolution
 	if m == Proposed {
 		capped = ts
 		tol = 0 // the deterministic method expects exact outputs
 	}
-	mfg := r.mfgVariation()
 	okIdeal := withTolerance(tester.New(capped, nil), tol)
-	cells.OverkillIdeal = okIdeal.MeasureOverkill(r.cfg.GoodChips, mfg, r.cfg.Seed+uint64(kind)+1)
+	cells.OverkillIdeal = okIdeal.MeasureOverkill(r.cfg.GoodChips, variation.None(), r.cfg.Seed+uint64(kind)+1)
 	okQuant := withTolerance(tester.NewSplit(capped, eightBit()), tol)
-	cells.OverkillQuant = okQuant.MeasureOverkill(r.cfg.GoodChips, mfg, r.cfg.Seed+uint64(kind)+2)
+	cells.OverkillQuant = okQuant.MeasureOverkill(r.cfg.GoodChips, variation.None(), r.cfg.Seed+uint64(kind)+2)
 	r.progress("%v %v %v overkill: %.2f%% / %.2f%%", arch, m, kind, cells.OverkillIdeal, cells.OverkillQuant)
 	return cells
 }
@@ -267,7 +268,11 @@ func (r *Runner) Figure4(arch snn.Arch) (*report.Figure, *report.Figure) {
 		var esc, ok []float64
 		for i, frac := range r.cfg.SigmaFractions {
 			vary := variation.OfTheta(frac, r.params.Theta)
-			e := ate.MeasureEscape(faults, r.values, vary, r.cfg.Seed+uint64(i)*7+31)
+			e, errs := ate.MeasureEscape(faults, r.values, vary, r.cfg.Seed+uint64(i)*7+31)
+			if len(errs) > 0 {
+				//lint:ignore no-panic the experiment harness aborts loudly; the sample is drawn from the universe, so an error is a harness bug
+				panic(fmt.Sprintf("experiments: Fig. 4 escape campaign: %v", errs[0]))
+			}
 			o := ate.MeasureOverkill(r.cfg.GoodChips, vary, r.cfg.Seed+uint64(i)*7+37)
 			esc = append(esc, e)
 			ok = append(ok, o)

@@ -5,11 +5,12 @@
 //
 // Fault universes follow the paper's Section 5.2 conventions: neuron faults
 // occur in every neuron except input neurons; synapse faults occur in every
-// synapse.
+// synapse. Fault.In is the one check that a fault belongs to a chip.
 package fault
 
 import (
 	"fmt"
+	"strings"
 
 	"neurotest/internal/snn"
 )
@@ -55,6 +56,22 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// ParseKind reads a fault model as requests name it: one of the five
+// abbreviations in any case, or "all" (and the empty string) for every
+// model, which sets all. Surrounding space is ignored.
+func ParseKind(s string) (k Kind, all bool, err error) {
+	name := strings.TrimSpace(s)
+	if name == "" || strings.EqualFold(name, "all") {
+		return 0, true, nil
+	}
+	for _, k := range Kinds() {
+		if strings.EqualFold(name, k.String()) {
+			return k, false, nil
+		}
+	}
+	return 0, false, fmt.Errorf("unknown fault kind %q (want NASF, ESF, HSF, SWF, SASF or all)", s)
 }
 
 // IsNeuronFault reports whether the model attaches to a neuron.
@@ -123,6 +140,28 @@ func NewSynapseFault(kind Kind, id snn.SynapseID) Fault {
 		panic(fmt.Sprintf("fault: %v is not a synapse fault model", kind))
 	}
 	return Fault{Kind: kind, Synapse: id}
+}
+
+// In reports whether f is a fault of a chip of the valid architecture
+// arch: its kind is one of the five models and its site exists, a neuron
+// of any layer for NASF, ESF and HSF or a synapse between adjacent layers
+// for SWF and SASF. The input layer counts: the simulator forces an input
+// neuron to spike under NASF and ignores ESF and HSF there, so such faults
+// simulate although the paper's universes (and Universe) leave them out.
+//
+// It is the one in-architecture check: collapsing, the tester's fault
+// campaigns, the repair planner and the CLI's fault parser all call it. It
+// inlines, so the compares rely on the kinds' order (neuron models first).
+func (f *Fault) In(arch snn.Arch) bool {
+	switch {
+	case uint(f.Kind) <= uint(HSF): // a neuron fault
+		n := f.Neuron
+		return uint(n.Layer) < uint(len(arch)) && uint(n.Index) < uint(arch[n.Layer])
+	case uint(f.Kind) <= uint(SASF): // a synapse fault
+		s := f.Synapse
+		return uint(s.Boundary) < uint(len(arch)-1) && uint(s.Pre) < uint(arch[s.Boundary]) && uint(s.Post) < uint(arch[s.Boundary+1])
+	}
+	return false
 }
 
 // String renders the fault site for diagnostics.

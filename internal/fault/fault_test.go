@@ -208,3 +208,44 @@ func assertPanics(t *testing.T, name string, f func()) {
 	}()
 	f()
 }
+
+// TestIn moves each coordinate of a fault site through -1, 0, its last
+// index and one past it, the other coordinates at 0, for every kind; the
+// neuron index runs over the input layer, whose neurons are sites.
+func TestIn(t *testing.T) {
+	arch := snn.Arch{4, 3, 2}
+	type coord struct {
+		name string
+		last int
+		set  func(f *Fault, v int)
+	}
+	neuron := []coord{
+		{"layer", len(arch) - 1, func(f *Fault, v int) { f.Neuron.Layer = v }},
+		{"index", arch[0] - 1, func(f *Fault, v int) { f.Neuron.Index = v }},
+	}
+	synapse := []coord{
+		{"boundary", arch.Boundaries() - 1, func(f *Fault, v int) { f.Synapse.Boundary = v }},
+		{"pre", arch[0] - 1, func(f *Fault, v int) { f.Synapse.Pre = v }},
+		{"post", arch[1] - 1, func(f *Fault, v int) { f.Synapse.Post = v }},
+	}
+	for _, k := range Kinds() {
+		coords := neuron
+		if k.IsSynapseFault() {
+			coords = synapse
+		}
+		for _, c := range coords {
+			for _, v := range []int{-1, 0, c.last, c.last + 1} {
+				f := Fault{Kind: k}
+				c.set(&f, v)
+				if want := v >= 0 && v <= c.last; f.In(arch) != want {
+					t.Errorf("%v (%s %d): In(%v) = %v, want %v", f, c.name, v, arch, !want, want)
+				}
+			}
+		}
+	}
+	for _, k := range []Kind{Kind(-1), Kind(5)} {
+		if f := (Fault{Kind: k}); f.In(arch) {
+			t.Errorf("unknown kind %v: In(%v) = true", f, arch)
+		}
+	}
+}

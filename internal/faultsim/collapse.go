@@ -13,8 +13,9 @@
 // universe collapses to about one class per post neuron.
 //
 // Neuron faults collapse only with exact duplicates of themselves. A fault
-// that could panic, because its kind is unknown or its site lies outside
-// the architecture, never joins a class, so its failure stays its own.
+// that is not a fault of the chip (fault.Fault.In: an unknown kind, or a
+// site outside the architecture) never joins a class, so it represents
+// itself, and a caller that checks the representatives checks every fault.
 
 package faultsim
 
@@ -233,7 +234,8 @@ func (g *Golden) Collapse(faults []fault.Fault) Classes {
 		var h uint64 // 0: f never joins a class
 		var at *lastClass
 		switch {
-		case f.Kind.IsNeuronFault() && neuronInArch(arch, f.Neuron):
+		case !f.In(arch):
+		case f.Kind.IsNeuronFault():
 			if key := neuronKey(f) + 1; ordered && key > prev {
 				prev = key
 				c.join(i, c.open(i))
@@ -242,13 +244,13 @@ func (g *Golden) Collapse(faults []fault.Fault) Classes {
 			if ordered {
 				ordered = false
 				for k, r := range c.Reps {
-					if rf := &faults[r]; rf.Kind.IsNeuronFault() && neuronInArch(arch, rf.Neuron) {
+					if rf := &faults[r]; rf.Kind.IsNeuronFault() && rf.In(arch) {
 						t.insert(neuronHash(rf), int32(k))
 					}
 				}
 			}
 			h = neuronHash(f)
-		case f.Kind.IsSynapseFault() && synapseInArch(arch, f.Synapse):
+		default:
 			s := f.Synapse
 			if x == nil {
 				x = g.collapseIndex()
@@ -296,18 +298,6 @@ func neuronKey(f *fault.Fault) uint64 {
 
 // neuronHash hashes an in-range neuron fault's class key.
 func neuronHash(f *fault.Fault) uint64 { return hashWord(hashSeed, neuronKey(f)) | 1 }
-
-// neuronInArch reports whether n names a neuron of arch.
-func neuronInArch(arch snn.Arch, n snn.NeuronID) bool {
-	return n.Layer >= 0 && n.Layer < len(arch) && n.Index >= 0 && n.Index < arch[n.Layer]
-}
-
-// synapseInArch reports whether s names a synapse of arch.
-func synapseInArch(arch snn.Arch, s snn.SynapseID) bool {
-	return s.Boundary >= 0 && s.Boundary < len(arch)-1 &&
-		s.Pre >= 0 && s.Pre < arch[s.Boundary] &&
-		s.Post >= 0 && s.Post < arch[s.Boundary+1]
-}
 
 const (
 	hashSeed = 0x243F6A8885A308D3

@@ -37,15 +37,16 @@
 //     number of concurrent readers.
 //   - Evaluator holds the per-goroutine scratch buffers one fault
 //     evaluation needs. Evaluators are cheap (a handful of slices), so a
-//     worker pool builds one per slot and discards it freely — for example
-//     after recovering a panic — without losing the goldens or the memo.
+//     worker pool builds one per slot and discards it freely without
+//     losing the goldens or the memo.
 //
 // Evaluation runs on one kernel, the bit-parallel packed kernel of
 // packed.go, with two drivers: DetectsBatch (per-fault verdicts with
-// cross-item early exit, behind Coverage and Undetected) and DetectsMatrix
-// (the full fault × item detection matrix for dictionaries, compaction and
-// greedy selection). Both collapse their input first. The fault-at-a-time
-// scalar kernel survives only as the differential test oracle.
+// cross-item early exit, behind the tester's coverage campaigns, which
+// cmd/faultsim runs too) and DetectsMatrix (the full fault × item detection
+// matrix for dictionaries, compaction and greedy selection). Both collapse
+// their input first. The fault-at-a-time scalar kernel survives only as the
+// differential test oracle.
 package faultsim
 
 import (
@@ -214,19 +215,6 @@ func (e *Evaluator) Coverage(ctx context.Context, faults []fault.Fault) (int, er
 		}
 	}
 	return n, err
-}
-
-// Undetected returns the subset of faults no item detects, preserving
-// order. On cancellation it returns (nil, ctx.Err()).
-func (e *Evaluator) Undetected(ctx context.Context, faults []fault.Fault) ([]fault.Fault, error) {
-	det, err := e.DetectsBatch(ctx, faults)
-	var out []fault.Fault
-	for i, d := range det {
-		if !d {
-			out = append(out, faults[i])
-		}
-	}
-	return out, err
 }
 
 // faultSite resolves a fault against one cached item: the deviating

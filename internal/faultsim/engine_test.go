@@ -171,10 +171,7 @@ func TestUndetectedAndCoverage(t *testing.T) {
 	eng := NewGolden(ts).NewEvaluator(values)
 	universe := fault.Universe(arch, fault.SWF)
 	ctx := context.Background()
-	missed, err := eng.Undetected(ctx, universe)
-	if err != nil {
-		t.Fatal(err)
-	}
+	missed := undetected(t, eng, universe)
 	got, err := eng.Coverage(ctx, universe)
 	if err != nil {
 		t.Fatal(err)

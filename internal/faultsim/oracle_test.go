@@ -183,6 +183,18 @@ func detectsBatch(t testing.TB, e *Evaluator, faults []fault.Fault) []bool {
 	return out
 }
 
+// undetected returns the faults DetectsBatch leaves undetected, in order.
+func undetected(t testing.TB, e *Evaluator, faults []fault.Fault) []fault.Fault {
+	t.Helper()
+	var out []fault.Fault
+	for i, det := range detectsBatch(t, e, faults) {
+		if !det {
+			out = append(out, faults[i])
+		}
+	}
+	return out
+}
+
 // detectsMatrix runs DetectsMatrix under a live context, failing the test
 // on an error.
 func detectsMatrix(t testing.TB, e *Evaluator, faults []fault.Fault) [][]uint64 {

@@ -371,18 +371,17 @@ func TestBatchFlushesObs(t *testing.T) {
 		t.Errorf("faults simulated: batch %d != scan %d", batch.FaultsSimulated, scan.FaultsSimulated)
 	}
 
-	// Coverage and Undetected route through the batch path and flush too.
+	// Coverage and a second batch call route through the batch path and
+	// flush too.
 	e3 := NewGolden(ts).NewEvaluator(values)
 	before = Snapshot()
 	if _, err := e3.Coverage(context.Background(), universe); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e3.Undetected(context.Background(), universe); err != nil {
-		t.Fatal(err)
-	}
+	undetected(t, e3, universe)
 	cov := statsDelta(Snapshot(), before)
 	if e3.pendingMemoHits != 0 || e3.pendingMemoMisses != 0 {
-		t.Errorf("Coverage/Undetected left pending stats: hits=%d misses=%d",
+		t.Errorf("Coverage/DetectsBatch left pending stats: hits=%d misses=%d",
 			e3.pendingMemoHits, e3.pendingMemoMisses)
 	}
 	if want := int64(2 * len(universe)); cov.FaultsSimulated != want {
@@ -410,11 +409,7 @@ func TestCoverageBatchMatchesScalarCount(t *testing.T) {
 	if got, err := g.NewEvaluator(values).Coverage(ctx, universe); err != nil || got != n {
 		t.Errorf("Coverage = %d (err %v), scalar count = %d", got, err, n)
 	}
-	missed, err := g.NewEvaluator(values).Undetected(ctx, universe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missed) != len(universe)-n {
+	if missed := undetected(t, g.NewEvaluator(values), universe); len(missed) != len(universe)-n {
 		t.Errorf("Undetected = %d faults, want %d", len(missed), len(universe)-n)
 	}
 }

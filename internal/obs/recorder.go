@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sync"
 )
 
@@ -89,4 +90,20 @@ func (r *Recorder) WriteNDJSON(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteFile writes the buffered spans to the file at path, created or
+// truncated, in the WriteNDJSON format: the -trace files of the CLIs and
+// the daemon.
+func (r *Recorder) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteNDJSON(f); err != nil {
+		//lint:ignore unchecked-error the write error already reports the failure; close is cleanup on the error path
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -15,6 +15,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"neurotest/internal/margin"
 	"neurotest/internal/pattern"
@@ -52,6 +53,21 @@ func (g Granularity) String() string {
 	default:
 		return fmt.Sprintf("Granularity(%d)", int(g))
 	}
+}
+
+// ParseGranularity reads a granularity as requests name it: "network",
+// "boundary" or "channel" in any case, surrounding space ignored; the
+// empty string selects the default, PerChannel.
+func ParseGranularity(s string) (Granularity, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "", "channel":
+		return PerChannel, nil
+	case "boundary":
+		return PerBoundary, nil
+	case "network":
+		return PerNetwork, nil
+	}
+	return 0, fmt.Errorf("unknown granularity %q (want network, boundary or channel)", s)
 }
 
 // Scheme is a data-driven quantization scheme: scales are derived from the

@@ -49,7 +49,7 @@ func fuzzSetup(f *testing.F) {
 			Arch: arch, Params: params,
 			Core:       chip.CoreShape{Axons: 8, Neurons: 8},
 			WeightBits: 8, SpareAxons: 1, SpareNeurons: 1,
-		}, 1)
+		})
 		if err != nil {
 			f.Fatal(err)
 		}

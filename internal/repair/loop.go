@@ -141,7 +141,7 @@ type Config struct {
 	WeightBits int
 	// WorkloadSamples sizes the synthetic application dataset (0 = 64).
 	WorkloadSamples int
-	// Seed derives the workload, training and chip sub-seeds.
+	// Seed derives the application workload's dataset and training seeds.
 	Seed uint64
 	// Opt tunes the repair policy.
 	Opt Options
@@ -190,13 +190,7 @@ func New(cfg Config) (*Loop, error) {
 
 	dict := diagnose.Build(cfg.TS, cfg.Values, cfg.Scheme, cfg.Universe)
 
-	classes := arch.Outputs()
-	perClass := max(2, cfg.WorkloadSamples/classes)
-	ds, err := apptest.Synthetic(arch.Inputs(), classes, perClass, 0.3, 0.05, cfg.Seed+101)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := apptest.Train(ds, apptest.TrainOptions{Arch: arch, Params: cfg.TS.Params, Seed: cfg.Seed + 202})
+	ds, cl, err := apptest.Workload(arch, cfg.TS.Params, cfg.WorkloadSamples, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +199,7 @@ func New(cfg Config) (*Loop, error) {
 		Arch: arch, Params: cfg.TS.Params, Core: cfg.Core,
 		WeightBits: cfg.WeightBits,
 		SpareAxons: cfg.SpareAxons, SpareNeurons: cfg.SpareNeurons,
-	}, cfg.Seed+7)
+	})
 	if err != nil {
 		return nil, err
 	}

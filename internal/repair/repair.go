@@ -296,7 +296,8 @@ type Planner struct {
 // Plan computes the deterministic repair plan for a diagnosed candidate
 // set. Candidates are processed in diagnose.SortFaults order; duplicates
 // and candidates already cured by earlier actions are skipped. A candidate
-// whose site falls outside the chip's architecture is an error (the
+// that is not a fault of the chip (fault.Fault.In), or a neuron fault on
+// the input layer, which the paper's universe leaves out, is an error (the
 // dictionary and chip must describe the same device).
 func (pl Planner) Plan(candidates []fault.Fault) (*Plan, error) {
 	if pl.Chip == nil {
@@ -329,11 +330,11 @@ func (pl Planner) Plan(candidates []fault.Fault) (*Plan, error) {
 			continue
 		}
 		prev = &sorted[i]
+		if !f.In(arch) || f.Kind.IsNeuronFault() && f.Neuron.Layer == 0 {
+			// Input neurons carry no faults in the paper's universe.
+			return nil, fmt.Errorf("repair: candidate %v outside architecture %v", f, arch)
+		}
 		if f.Kind.IsNeuronFault() {
-			if f.Neuron.Layer < 1 || f.Neuron.Layer >= arch.Layers() ||
-				f.Neuron.Index < 0 || f.Neuron.Index >= arch[f.Neuron.Layer] {
-				return nil, fmt.Errorf("repair: candidate %v outside architecture %v", f, arch)
-			}
 			if p.curesNeuron(f.Neuron) {
 				continue
 			}
@@ -343,11 +344,6 @@ func (pl Planner) Plan(candidates []fault.Fault) (*Plan, error) {
 			continue
 		}
 		s := f.Synapse
-		if s.Boundary < 0 || s.Boundary >= arch.Boundaries() ||
-			s.Pre < 0 || s.Pre >= arch[s.Boundary] ||
-			s.Post < 0 || s.Post >= arch[s.Boundary+1] {
-			return nil, fmt.Errorf("repair: candidate %v outside architecture %v", f, arch)
-		}
 		if p.curesSynapse(s) {
 			continue
 		}

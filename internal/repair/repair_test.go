@@ -27,7 +27,7 @@ func testChip(t *testing.T, weight float64) (*chip.Chip, *snn.Network) {
 		Arch: arch, Params: params,
 		Core:       chip.CoreShape{Axons: 8, Neurons: 8},
 		WeightBits: 8, SpareAxons: 2, SpareNeurons: 2,
-	}, 1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPlanExhaustsSparesDeterministically(t *testing.T) {
 	c, err := chip.New(chip.Config{
 		Arch: arch, Params: params,
 		Core: chip.CoreShape{Axons: 8, Neurons: 8}, WeightBits: 8,
-	}, 1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -339,7 +339,7 @@ func (c *Cache) fromPeer(spec SuiteSpec, key string) (*Artifact, error) {
 		c.metrics.PeerFetchFailures.Add(1)
 		return nil, nil
 	}
-	if err := ts.Validate(); err != nil || !archEqual(ts.Arch, spec.Arch) {
+	if err := ts.Validate(); err != nil || !ts.Arch.Equal(spec.Arch) {
 		c.metrics.PeerFetchFailures.Add(1)
 		return nil, nil
 	}
@@ -349,19 +349,6 @@ func (c *Cache) fromPeer(spec SuiteSpec, key string) (*Artifact, error) {
 // SetPeerFetch installs the peer tier (nil disables). Call before serving.
 func (c *Cache) SetPeerFetch(fetch func(key string) ([]byte, error)) {
 	c.peerFetch = fetch
-}
-
-// archEqual compares an encoded arch against the spec's.
-func archEqual(a []int, b snn.Arch) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Lookup returns the resident artifact with the given key, or nil. It

@@ -33,7 +33,7 @@ func (s *Server) initCluster() {
 	if len(peers) == 0 {
 		return
 	}
-	s.peerRing = cluster.NewRing(peers, 0)
+	s.peerRing = cluster.NewRing(peers)
 	for _, p := range peers {
 		s.peerClients = append(s.peerClients, cluster.NewClient(p, cluster.Options{}))
 	}

@@ -179,7 +179,7 @@ func pprofMux() *http.ServeMux {
 // a terminated daemon leaves a post-mortem record.
 func drainObservability(srv *Server, cfg Config, logw io.Writer) {
 	if cfg.TraceFile != "" {
-		if err := writeTraceFile(cfg.TraceFile, srv.Recorder()); err != nil {
+		if err := srv.Recorder().WriteFile(cfg.TraceFile); err != nil {
 			fmt.Fprintf(logw, "neurotestd: writing trace file: %v\n", err)
 		} else {
 			fmt.Fprintf(logw, "neurotestd: drained %d spans to %s (%d recorded in total)\n",
@@ -197,20 +197,6 @@ func drainObservability(srv *Server, cfg Config, logw io.Writer) {
 		fmt.Fprintf(logw, " %s=%d", k, snap[k])
 	}
 	fmt.Fprintln(logw)
-}
-
-// writeTraceFile dumps rec as NDJSON into path.
-func writeTraceFile(path string, rec interface{ WriteNDJSON(io.Writer) error }) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteNDJSON(f); err != nil {
-		//lint:ignore unchecked-error the write error already reports the failure; close is cleanup on the error path
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // supervised starts fn on its own goroutine behind a recover barrier: a

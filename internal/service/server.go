@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 	"time"
 
 	"neurotest/internal/apptest"
@@ -396,32 +395,14 @@ func (s *Server) resolveSpec(req generateRequest) (SuiteSpec, error) {
 		return spec, badf("architecture %v has %d weights per configuration, above the service limit %d", arch, weights, s.cfg.MaxWeights)
 	}
 	spec.Arch = arch
-	switch kind := strings.TrimSpace(req.Kind); {
-	case kind == "" || strings.EqualFold(kind, "all"):
-		spec.KindAll = true
-	default:
-		found := false
-		for _, k := range fault.Kinds() {
-			if strings.EqualFold(kind, k.String()) {
-				spec.Kind, found = k, true
-				break
-			}
-		}
-		if !found {
-			return spec, badf("unknown fault kind %q (want NASF, ESF, HSF, SWF, SASF or all)", req.Kind)
-		}
+	var err error
+	if spec.Kind, spec.KindAll, err = fault.ParseKind(req.Kind); err != nil {
+		return spec, &badRequest{msg: err.Error()}
 	}
 	if req.Quant != nil {
-		var g quant.Granularity
-		switch strings.ToLower(strings.TrimSpace(req.Quant.Granularity)) {
-		case "", "channel":
-			g = quant.PerChannel
-		case "boundary":
-			g = quant.PerBoundary
-		case "network":
-			g = quant.PerNetwork
-		default:
-			return spec, badf("unknown quant granularity %q (want network, boundary or channel)", req.Quant.Granularity)
+		g, err := quant.ParseGranularity(req.Quant.Granularity)
+		if err != nil {
+			return spec, &badRequest{msg: err.Error()}
 		}
 		scheme, err := quant.NewScheme(req.Quant.Bits, g)
 		if err != nil {
@@ -562,14 +543,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		// The application workload: a synthetic classification task trained
 		// onto the chip's architecture, plus its golden spike statistics.
 		_, work := obs.StartSpan(ctx, "golden-capture")
-		classes := spec.Arch.Outputs()
-		perClass := max(2, samples/classes)
-		ds, err := apptest.Synthetic(spec.Arch.Inputs(), classes, perClass, 0.3, 0.05, req.Seed+101)
-		if err != nil {
-			work.End()
-			return nil, err
-		}
-		cl, err := apptest.Train(ds, apptest.TrainOptions{Arch: spec.Arch, Params: model.Params, Seed: req.Seed + 202})
+		ds, cl, err := apptest.Workload(spec.Arch, model.Params, samples, req.Seed)
 		if err != nil {
 			work.End()
 			return nil, err

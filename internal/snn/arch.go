@@ -19,6 +19,8 @@ package snn
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // Arch describes a fully connected SNN as the neuron count of each layer,
@@ -37,6 +39,21 @@ func (a Arch) Validate() error {
 		}
 	}
 	return nil
+}
+
+// ParseArch reads an architecture in the dash notation String prints,
+// e.g. "576-256-32-10", and validates it.
+func ParseArch(s string) (Arch, error) {
+	parts := strings.Split(s, "-")
+	arch := make(Arch, len(parts))
+	for i, p := range parts {
+		n, err := strconv.Atoi(p)
+		if err != nil {
+			return nil, fmt.Errorf("snn: bad layer width %q in %q", p, s)
+		}
+		arch[i] = n
+	}
+	return arch, arch.Validate()
 }
 
 // Layers returns the number of neuron layers (the paper's L).

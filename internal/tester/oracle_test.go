@@ -315,8 +315,8 @@ func TestSharedConfigsUntouched(t *testing.T) {
 		run("sessions", func() []error {
 			return a.MeasureSessions(16, mods, prof, vary, RetestPolicy{MaxRetests: 2}, 3).Errors
 		})
-		run("escape", func() []error { _, errs := a.EscapeCampaign(faults, values, vary, 4); return errs })
-		run("overkill", func() []error { _, errs := a.OverkillCampaign(16, vary, 5); return errs })
+		run("escape", func() []error { _, errs := a.MeasureEscape(faults, values, vary, 4); return errs })
+		run("overkill", func() []error { a.MeasureOverkill(16, vary, 5); return nil })
 		run("coverage", func() []error { return a.MeasureCoverage(faults, values).Errors })
 	}
 	wg.Wait()

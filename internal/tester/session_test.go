@@ -244,10 +244,16 @@ func TestMeasureSessionsSurvivesWorkerPanic(t *testing.T) {
 	}
 }
 
-// TestMeasureCoveragePanicSurfaces is the hardening acceptance criterion:
-// an evaluation that panics inside a parallel worker (here a fault site
-// outside the architecture) must surface as a structured error in
-// CoverageResult, not crash the test binary.
+// namesRejection reports whether err is a campaign's rejection of f as a
+// fault outside arch: its message names both.
+func namesRejection(err error, f fault.Fault, arch snn.Arch) bool {
+	return err != nil && strings.Contains(err.Error(), f.String()) && strings.Contains(err.Error(), arch.String())
+}
+
+// TestMeasureCoveragePanicSurfaces: a fault site outside the architecture,
+// which the packed kernel would panic on, is rejected before simulation
+// into one error in CoverageResult, not a crash of the test binary, and
+// every valid fault is still tallied.
 func TestMeasureCoveragePanicSurfaces(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
@@ -261,9 +267,8 @@ func TestMeasureCoveragePanicSurfaces(t *testing.T) {
 	if len(res.Errors) != 1 {
 		t.Fatalf("errors = %v", res.Errors)
 	}
-	var we *WorkerError
-	if !errors.As(res.Errors[0], &we) || we.Op != "coverage" || we.Fault == nil || *we.Fault != bogus {
-		t.Errorf("worker error context: %v", res.Errors[0])
+	if !namesRejection(res.Errors[0], bogus, arch) {
+		t.Errorf("rejection error does not name %v and %v: %v", bogus, arch, res.Errors[0])
 	}
 	if res.Detected != len(faults) || len(res.Undetected) != 0 {
 		t.Errorf("clean faults mis-tallied: %v", res)
@@ -273,11 +278,9 @@ func TestMeasureCoveragePanicSurfaces(t *testing.T) {
 	}
 }
 
-// TestMeasureCoveragePanicInsideGroup puts the bogus fault inside an
-// otherwise valid packed group (same kind, same source layer), so the
-// group's batch panics and is re-run as size-1 groups: exactly the bogus
-// fault must surface as an error and every other member must still be
-// tallied.
+// TestMeasureCoveragePanicInsideGroup puts the bogus fault where it would
+// share a packed group with valid faults (same kind, same source layer):
+// it is rejected on its own, and every other member is still tallied.
 func TestMeasureCoveragePanicInsideGroup(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
@@ -294,9 +297,8 @@ func TestMeasureCoveragePanicInsideGroup(t *testing.T) {
 	if len(res.Errors) != 1 {
 		t.Fatalf("errors = %v", res.Errors)
 	}
-	var we *WorkerError
-	if !errors.As(res.Errors[0], &we) || we.Op != "coverage" || we.Fault == nil || *we.Fault != bogus {
-		t.Errorf("worker error context: %v", res.Errors[0])
+	if !namesRejection(res.Errors[0], bogus, arch) {
+		t.Errorf("rejection error does not name %v and %v: %v", bogus, arch, res.Errors[0])
 	}
 	if res.Total != len(mixed) || res.Detected != len(faults) || len(res.Undetected) != 0 {
 		t.Errorf("group members mis-tallied: %v", res)
@@ -305,9 +307,9 @@ func TestMeasureCoveragePanicInsideGroup(t *testing.T) {
 
 // TestMeasureCoveragePanicPerFaultUnderCollapse lists a bogus SWF site
 // twice inside an SWF universe that collapses to one class per post
-// neuron: a fault that could panic never joins a class, so the campaign
-// reports exactly two WorkerErrors, each naming its own copy of the fault,
-// and still tallies every valid fault through its class representative.
+// neuron: a fault outside the architecture never joins a class, so the
+// campaign rejects each copy with its own error and still tallies every
+// valid fault through its class representative.
 func TestMeasureCoveragePanicPerFaultUnderCollapse(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
@@ -326,40 +328,31 @@ func TestMeasureCoveragePanicPerFaultUnderCollapse(t *testing.T) {
 	if len(res.Errors) != 2 {
 		t.Fatalf("errors = %v, want one per bogus copy", res.Errors)
 	}
-	var first, second *WorkerError
-	if !errors.As(res.Errors[0], &first) || !errors.As(res.Errors[1], &second) {
-		t.Fatalf("errors are not WorkerErrors: %v", res.Errors)
-	}
-	for _, we := range []*WorkerError{first, second} {
-		if we.Op != "coverage" || we.Fault == nil || *we.Fault != bogus {
-			t.Errorf("worker error context: %v", we)
+	for _, err := range res.Errors {
+		if !namesRejection(err, bogus, arch) {
+			t.Errorf("rejection error does not name %v and %v: %v", bogus, arch, err)
 		}
-	}
-	if first.Fault == second.Fault {
-		t.Errorf("the two errors share one fault value; each must name its own")
 	}
 	if res.Total != len(mixed) || res.Detected != len(universe) || len(res.Undetected) != 0 {
 		t.Errorf("valid faults mis-tallied: %v", res)
 	}
 }
 
+// TestCampaignPanicContextOnCaller: an escape campaign over a fault outside
+// the architecture returns its rejection to the caller as an error, with
+// no die simulated, instead of panicking.
 func TestCampaignPanicContextOnCaller(t *testing.T) {
-	// The float64 convenience wrappers re-raise worker panics on the
-	// caller's goroutine with context — recoverable, not process-fatal.
 	arch := snn.Arch{6, 5, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
 	ate := New(merged, nil)
 	bogus := []fault.Fault{{Kind: fault.SWF, Synapse: snn.SynapseID{Boundary: 0, Pre: 99, Post: 0}}}
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatalf("expected re-raised panic")
-		}
-		if we, ok := p.(*WorkerError); !ok || we.Op != "escape" {
-			t.Errorf("re-raised panic lacks context: %v", p)
-		}
-	}()
-	ate.MeasureEscape(bogus, g.Options().Values, variation.OfTheta(0.1, 0.5), 1)
+	esc, errs := ate.MeasureEscape(bogus, g.Options().Values, variation.OfTheta(0.1, 0.5), 1)
+	if esc != 0 || len(errs) != 1 {
+		t.Fatalf("escape = %g%%, errors %v; want 0 over no dies and one rejection", esc, errs)
+	}
+	if !namesRejection(errs[0], bogus[0], arch) {
+		t.Errorf("rejection error does not name %v and %v: %v", bogus[0], arch, errs[0])
+	}
 }
 
 func TestOutcomeAndReportStrings(t *testing.T) {

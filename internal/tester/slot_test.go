@@ -102,11 +102,11 @@ func TestChipCampaignsMatchRunChipLoop(t *testing.T) {
 		}
 	}
 	atProcs(t, "chips", func(t *testing.T) {
-		if got, errs := ate.EscapeCampaign(faults, values, vary, seed); got != escape || len(errs) != 0 {
-			t.Errorf("EscapeCampaign = %v %% (errors %v), RunChip loop %v %%", got, errs, escape)
+		if got, errs := ate.MeasureEscape(faults, values, vary, seed); got != escape || len(errs) != 0 {
+			t.Errorf("MeasureEscape = %v %% (errors %v), RunChip loop %v %%", got, errs, escape)
 		}
-		if got, errs := ate.OverkillCampaign(nGood, vary, seed); got != overkill || len(errs) != 0 {
-			t.Errorf("OverkillCampaign = %v %% (errors %v), RunChip loop %v %%", got, errs, overkill)
+		if got := ate.MeasureOverkill(nGood, vary, seed); got != overkill {
+			t.Errorf("MeasureOverkill = %v %%, RunChip loop %v %%", got, overkill)
 		}
 	})
 }

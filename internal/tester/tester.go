@@ -155,9 +155,10 @@ func (a *ATE) goldenResult(i int) snn.Result {
 	g, err := a.expected.get()
 	if err != nil {
 		// The lazy build fails when an item cannot be simulated (a pattern
-		// that does not fit the input layer, say). Campaign pools recover
-		// this into a WorkerError.
-		//lint:ignore no-panic the build failure of a malformed test set reaches every reader of goldens; pools recover
+		// that does not fit the input layer, say). Coverage reports the
+		// build failure as its error; chip campaigns re-panic it on their
+		// caller.
+		//lint:ignore no-panic the build failure of a malformed test set reaches every reader of goldens
 		panic(err)
 	}
 	return g.Result(i)
@@ -264,41 +265,30 @@ func (d *die) program(ci int) *snn.Simulator {
 	if err := d.sim.Bind(net, d.errs); err != nil {
 		// Unreachable for a valid test set: every configuration has the
 		// test set's architecture, which the tensor was sampled for.
-		// Campaign pools recover this into a WorkerError.
-		//lint:ignore no-panic a die's shapes come from its own test set; pools recover
+		//lint:ignore no-panic a die's shapes come from its own test set
 		panic(err)
 	}
 	d.cfg = ci
 	return d.sim
 }
 
-// WorkerError is a structured error recording a recovered panic from a
-// parallel campaign worker, with enough context to reproduce the failing
-// evaluation. A panicking worker used to take down the whole test process;
-// now it surfaces here instead.
+// WorkerError records a panic recovered from one chip of a session
+// campaign, whose defect models (mods) are caller code: the campaign
+// surfaces it in SessionStats.Errors instead of crashing.
 type WorkerError struct {
-	// Op names the campaign: "coverage", "overkill", "escape" or "session".
+	// Op names the campaign: "session".
 	Op string
 	// Worker is the pool slot that hit the panic.
 	Worker int
-	// Chip is the chip index of population campaigns, or -1.
+	// Chip is the chip's index in the population.
 	Chip int
-	// Fault is the fault under evaluation, when the campaign has one.
-	Fault *fault.Fault
 	// Panic is the recovered value.
 	Panic any
 }
 
-// Error renders the failure with its fault/chip context.
+// Error renders the failure with its chip context.
 func (e *WorkerError) Error() string {
-	site := ""
-	if e.Fault != nil {
-		site = fmt.Sprintf(" fault %v", *e.Fault)
-	}
-	if e.Chip >= 0 {
-		site += fmt.Sprintf(" chip %d", e.Chip)
-	}
-	return fmt.Sprintf("tester: %s worker %d panicked%s: %v", e.Op, e.Worker, site, e.Panic)
+	return fmt.Sprintf("tester: %s worker %d panicked chip %d: %v", e.Op, e.Worker, e.Chip, e.Panic)
 }
 
 // CoverageResult summarises a fault-coverage campaign.
@@ -307,9 +297,11 @@ type CoverageResult struct {
 	Detected int
 	// Undetected lists the undetected faults in input order.
 	Undetected []fault.Fault
-	// Errors holds structured worker failures (recovered panics, typically
-	// from malformed faults outside the architecture's universe). Errored
-	// faults count neither as detected nor undetected.
+	// Errors holds, in input order, one error per fault the campaign
+	// rejected without simulating it because it is not a fault of the chip
+	// (fault.Fault.In), or the one error of a golden build that failed.
+	// Rejected faults count in Total but neither as detected nor as
+	// undetected.
 	Errors []error
 }
 
@@ -330,6 +322,12 @@ func (c CoverageResult) String() string {
 	return s
 }
 
+// rejectFault is the error of a fault a campaign rejects because it is not
+// a fault of arch.
+func rejectFault(f fault.Fault, arch snn.Arch) error {
+	return fmt.Errorf("tester: %v is not a fault of a %v chip", f, arch)
+}
+
 // MeasureCoverage runs exhaustive (incremental) fault simulation of the test
 // program over faults and reports coverage. Variation plays no role here —
 // coverage is a property of the deterministic design, per Tables 5/6.
@@ -337,14 +335,14 @@ func (c CoverageResult) String() string {
 // Faults are first collapsed into exact equivalence classes over one
 // shared, memoized faultsim.Golden (good-chip traces are simulated once per
 // test program, no matter how many workers run or how many campaigns reuse
-// the ATE). The class representatives are evaluated in parallel, each
-// worker with a cheap evaluator of its own, and each verdict is broadcast
-// to its class; downstream memo hits cross workers through the Golden's
-// sharded memo. A worker panic (e.g. a fault site outside the
-// architecture, which never joins a class) is recovered into
-// CoverageResult.Errors instead of crashing the process — discarding only
-// that worker's scratch evaluator, never the goldens — and the result is
-// identical to the serial evaluation regardless of scheduling.
+// the ATE). A fault that is not a fault of the chip (fault.Fault.In) is
+// rejected into CoverageResult.Errors before anything is simulated. The
+// other class representatives are evaluated in parallel, each worker with
+// a cheap evaluator of its own, and each verdict is broadcast to its
+// class; downstream memo hits cross workers through the Golden's sharded
+// memo. The result is identical to the serial evaluation regardless of
+// scheduling. A panic while simulating an admitted fault is a simulator
+// bug and re-panics on the caller's goroutine.
 func (a *ATE) MeasureCoverage(faults []fault.Fault, values fault.Values) CoverageResult {
 	//lint:ignore unchecked-error context.Background() never cancels, and cancellation is the only error MeasureCoverageContext returns
 	res, _ := a.MeasureCoverageContext(context.Background(), faults, values)
@@ -355,9 +353,9 @@ func (a *ATE) MeasureCoverage(faults []fault.Fault, values fault.Values) Coverag
 // workers stop claiming faults once ctx is cancelled, and the incremental
 // engines abort their item scans between items. On cancellation it returns
 // ctx.Err() together with the partial result — Total still counts every
-// requested fault, but only faults whose class representative was
-// evaluated before the cancellation appear as Detected, Undetected or
-// Errors.
+// requested fault and Errors every rejected one, but only faults whose
+// class representative was evaluated before the cancellation appear as
+// Detected or Undetected.
 func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, values fault.Values) (CoverageResult, error) {
 	res := CoverageResult{Total: len(faults)}
 	if len(faults) == 0 {
@@ -381,124 +379,72 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 	// verdicts are broadcast to the members below.
 	cls := golden.Collapse(faults)
 	span.SetAttr("classes", strconv.Itoa(len(cls.Reps)))
-	reps := faults // when nothing collapses, the faults represent themselves
-	if len(cls.Reps) < len(faults) {
-		reps = make([]fault.Fault, len(cls.Reps))
-		for k, i := range cls.Reps {
+	// A fault that is not a fault of the chip never joins a class
+	// (collapse.go), so it represents itself: checking the representatives
+	// rejects every such fault before anything is simulated.
+	arch := a.ts.Arch
+	admitted, rejected := cls.Reps, 0
+	for _, i := range cls.Reps {
+		if !faults[i].In(arch) {
+			rejected++
+		}
+	}
+	if rejected > 0 {
+		admitted = make([]int32, 0, len(cls.Reps)-rejected)
+		for _, i := range cls.Reps {
+			if faults[i].In(arch) {
+				admitted = append(admitted, i)
+			}
+		}
+	}
+	reps := faults // when nothing collapses and nothing is rejected, the faults represent themselves
+	if len(admitted) < len(faults) {
+		reps = make([]fault.Fault, len(admitted))
+		for k, i := range admitted {
 			reps[k] = faults[i]
 		}
 	}
 	// The pool claims representatives in packed groups (same kind, same
 	// deviated layer, ≤64 per group): each group runs one bit-parallel
-	// downstream pass through the packed kernel. A group that panics is
-	// re-run through the same kernel as size-1 groups, so only the
-	// offending representative errors and the rest of its group still gets
-	// verdicts.
+	// downstream pass through the packed kernel.
 	groups := faultsim.PackGroups(reps)
 	evals := make([]*faultsim.Evaluator, pool.Workers(len(groups)))
-	type groupVerdict struct {
-		detected  []bool         // aligned with groups[gi]
-		evaluated []bool         // verdict valid (not lost to cancellation)
-		errs      []*WorkerError // recovered per-representative worker errors
-	}
-	verdicts, done := pool.Run(ctx, len(groups), timed(func(gi, w int) (v groupVerdict) {
+	verdicts, done := pool.Run(ctx, len(groups), timed(func(gi, w int) []bool {
 		idx := groups[gi]
 		sub := make([]fault.Fault, len(idx))
 		for k, i := range idx {
 			sub[k] = reps[i]
 		}
-		batch := func() (out []bool, err error, ok bool) {
-			defer func() {
-				if p := recover(); p != nil {
-					// Only the worker's scratch can be mid-mutation: discard
-					// the evaluator and isolate the culprit in size-1 groups.
-					evals[w] = nil
-					ok = false
-				}
-			}()
-			if evals[w] == nil {
-				evals[w] = golden.NewEvaluator(values)
-			}
-			out, err = evals[w].DetectsBatch(ctx, sub)
-			return out, err, true
+		if evals[w] == nil {
+			evals[w] = golden.NewEvaluator(values)
 		}
-		if out, err, ok := batch(); ok {
-			if err != nil {
-				// Cancelled mid-group: none of this group's verdicts count.
-				return v
-			}
-			v.detected = out
-			v.evaluated = make([]bool, len(idx))
-			for k := range v.evaluated {
-				v.evaluated[k] = true
-			}
-			return v
+		det, err := evals[w].DetectsBatch(ctx, sub)
+		if err != nil {
+			return nil // cancelled mid-group: none of this group's verdicts count
 		}
-		v.detected = make([]bool, len(idx))
-		v.evaluated = make([]bool, len(idx))
-		v.errs = make([]*WorkerError, len(idx))
-		for k := range sub {
-			func() {
-				defer func() {
-					if p := recover(); p != nil {
-						f := sub[k]
-						v.errs[k] = &WorkerError{Op: "coverage", Worker: w, Chip: -1, Fault: &f, Panic: p}
-						evals[w] = nil
-					}
-				}()
-				if evals[w] == nil {
-					evals[w] = golden.NewEvaluator(values)
-				}
-				det, err := evals[w].DetectsBatch(ctx, sub[k:k+1])
-				if err != nil {
-					return // cancelled: leave evaluated[k] false
-				}
-				v.detected[k] = det[0]
-				v.evaluated[k] = true
-			}()
-		}
-		return v
+		return det
 	}))
 	// Scatter the group verdicts to their classes.
-	detected := make([]bool, len(reps))
-	evaluated := make([]bool, len(reps))
-	errAt := make([]*WorkerError, len(reps))
-	for gi, v := range verdicts {
-		if !done[gi] {
-			continue // group never claimed before cancellation
+	detected := make([]bool, len(cls.Reps))
+	evaluated := make([]bool, len(cls.Reps))
+	for gi, det := range verdicts {
+		if !done[gi] || det == nil {
+			continue // never claimed, or aborted mid-scan, because of cancellation
 		}
-		for k, c := range groups[gi] {
-			if v.errs != nil && v.errs[k] != nil {
-				errAt[c] = v.errs[k]
-				continue
-			}
-			if v.evaluated != nil && v.evaluated[k] {
-				evaluated[c] = true
-				detected[c] = v.detected[k]
-			}
+		for k, r := range groups[gi] {
+			c := cls.Of[admitted[r]]
+			evaluated[c] = true
+			detected[c] = det[k]
 		}
 	}
 	// Broadcast each class's outcome to its members in input order, so
 	// Detected, Undetected and Errors aggregate as if every fault had been
-	// evaluated on its own. A member of an errored class gets its own
-	// WorkerError naming its own fault.
+	// evaluated on its own.
 	broadcast := 0
 	for i, c := range cls.Of {
-		rep := int(cls.Reps[c]) == i
 		switch {
-		case errAt[c] != nil:
-			we := errAt[c]
-			if !rep {
-				member := *we
-				f := faults[i]
-				member.Fault = &f
-				we = &member
-			}
-			res.Errors = append(res.Errors, we)
-		case !evaluated[c]:
-			// Never evaluated (or aborted mid-scan) because of cancellation.
-		default:
-			if !rep {
+		case evaluated[c]:
+			if int(cls.Reps[c]) != i {
 				broadcast++
 			}
 			if detected[c] {
@@ -506,6 +452,8 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 			} else {
 				res.Undetected = append(res.Undetected, faults[i])
 			}
+		case rejected > 0 && !faults[i].In(arch):
+			res.Errors = append(res.Errors, rejectFault(faults[i], arch))
 		}
 	}
 	faultsim.CountBroadcast(broadcast)
@@ -517,100 +465,64 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 // returns the percentage that fail the test program (the paper uses 300
 // chips). seed fixes the population; chips are simulated in parallel with
 // order-independent per-chip seeds, so results are reproducible regardless
-// of scheduling. A worker panic is re-raised synchronously on the caller's
-// goroutine with fault context; OverkillCampaign returns it as an error
-// instead.
+// of scheduling.
 func (a *ATE) MeasureOverkill(nChips int, vary variation.Model, seed uint64) float64 {
-	pct, errs := a.OverkillCampaign(nChips, vary, seed)
-	if len(errs) > 0 {
-		//lint:ignore no-panic documented re-raise convenience; OverkillCampaign returns the errors instead
-		panic(errs[0])
-	}
-	return pct
-}
-
-// OverkillCampaign is MeasureOverkill with recovered worker panics surfaced
-// as structured errors; errored chips are excluded from the percentage's
-// denominator.
-func (a *ATE) OverkillCampaign(nChips int, vary variation.Model, seed uint64) (float64, []error) {
-	return a.countChips("overkill", nChips, nil, vary, seed, false)
+	return a.countChips(identityIndices(max(nChips, 0)), nil, vary, seed, false)
 }
 
 // MeasureEscape simulates one faulty chip per fault in faults, each with its
 // own variation sample, and returns the percentage that pass the test
 // program (test escape). values parameterizes the injected faults; seed
-// fixes the population. Worker panics re-raise synchronously; use
-// EscapeCampaign to receive them as errors.
-func (a *ATE) MeasureEscape(faults []fault.Fault, values fault.Values, vary variation.Model, seed uint64) float64 {
-	pct, errs := a.EscapeCampaign(faults, values, vary, seed)
-	if len(errs) > 0 {
-		//lint:ignore no-panic documented re-raise convenience; EscapeCampaign returns the errors instead
-		panic(errs[0])
+// fixes the population, die i drawing its variation from chip i's seed. A
+// fault that is not a fault of the chip (fault.Fault.In) is rejected
+// before anything is simulated: it adds one error, in input order, and its
+// die counts in neither the numerator nor the denominator.
+func (a *ATE) MeasureEscape(faults []fault.Fault, values fault.Values, vary variation.Model, seed uint64) (float64, []error) {
+	var errs []error
+	dies := make([]int, 0, len(faults))
+	for i := range faults {
+		if !faults[i].In(a.ts.Arch) {
+			errs = append(errs, rejectFault(faults[i], a.ts.Arch))
+			continue
+		}
+		dies = append(dies, i)
 	}
-	return pct
-}
-
-// EscapeCampaign is MeasureEscape with recovered worker panics surfaced as
-// structured errors; errored chips are excluded from the percentage's
-// denominator.
-func (a *ATE) EscapeCampaign(faults []fault.Fault, values fault.Values, vary variation.Model, seed uint64) (float64, []error) {
-	return a.countChips("escape", len(faults), func(i int) *snn.Modifiers {
+	return a.countChips(dies, func(i int) *snn.Modifiers {
 		return faults[i].Modifiers(values)
-	}, vary, seed, true)
+	}, vary, seed, true), errs
 }
 
-// countChips tests the dies [0, n) on the worker pool and returns the
-// percentage whose verdict's Passed equals passed, over the dies that
-// evaluated cleanly. Die i carries mods(i) (a nil mods tests defect-free
-// dies) and a variation tensor drawn from chip i's own seed, which derives
-// from its index, never from the worker that runs it: RunChip(mods(i),
-// vary, stats.NewRNG(chipSeed(seed, i))). Each pool slot samples its dies
-// into one tensor, so a campaign allocates one per slot, not one per die.
-// Worker panics are recovered into structured errors instead of killing
-// the process; errored dies count in neither the numerator nor the
-// denominator.
-func (a *ATE) countChips(op string, n int, mods func(i int) *snn.Modifiers, vary variation.Model, seed uint64, passed bool) (float64, []error) {
-	if n == 0 {
-		return 0, nil
+// countChips tests the dies listed in idx on the worker pool and returns
+// the percentage whose verdict's Passed equals passed (0 for no dies). Die
+// i carries mods(i) (a nil mods tests defect-free dies) and a variation
+// tensor drawn from chip i's own seed, which derives from its index, never
+// from the worker that runs it: RunChip(mods(i), vary,
+// stats.NewRNG(chipSeed(seed, i))). Each pool slot samples its dies into
+// one tensor, so a campaign allocates one per slot, not one per die.
+func (a *ATE) countChips(idx []int, mods func(i int) *snn.Modifiers, vary variation.Model, seed uint64, passed bool) float64 {
+	if len(idx) == 0 {
+		return 0
 	}
 	ensureObs()
 	timer := obs.StartTimer()
 	defer func() { timer.ObserveElapsed(chipsCampaignSeconds) }()
-	type verdict struct {
-		hit bool
-		err error
-	}
-	slots := make([]*variation.ErrorTensor, pool.Workers(n))
-	verdicts, _ := pool.Run(context.Background(), n, timed(func(i, w int) (v verdict) {
-		defer func() {
-			if p := recover(); p != nil {
-				v.err = &WorkerError{Op: op, Worker: w, Chip: i, Panic: p}
-			}
-		}()
+	slots := make([]*variation.ErrorTensor, pool.Workers(len(idx)))
+	hits, _ := pool.Run(context.Background(), len(idx), timed(func(k, w int) bool {
+		i := idx[k]
 		var m *snn.Modifiers
 		if mods != nil {
 			m = mods(i)
 		}
 		slots[w] = vary.SampleInto(slots[w], a.ts.Arch, stats.NewRNG(chipSeed(seed, i)))
-		v.hit = a.runChip(m, slots[w]).Passed == passed
-		return v
+		return a.runChip(m, slots[w]).Passed == passed
 	}))
-	hit, clean := 0, 0
-	var errs []error
-	for _, v := range verdicts {
-		if v.err != nil {
-			errs = append(errs, v.err)
-			continue
-		}
-		clean++
-		if v.hit {
+	hit := 0
+	for _, h := range hits {
+		if h {
 			hit++
 		}
 	}
-	if clean == 0 {
-		return 0, errs
-	}
-	return 100 * float64(hit) / float64(clean), errs
+	return 100 * float64(hit) / float64(len(idx))
 }
 
 // identityIndices returns [0, n).

@@ -132,6 +132,112 @@ func TestMeasureCoverageBroadcastMatchesChips(t *testing.T) {
 	}
 }
 
+// outsideFaults returns faults that are not faults of a chip of arch: one
+// of each unknown kind next to the five, and for each coordinate of a
+// neuron and of a synapse site one fault at -1 and one just past the last
+// index.
+func outsideFaults(arch snn.Arch) []fault.Fault {
+	neuron := func(k fault.Kind, layer, index int) fault.Fault {
+		return fault.Fault{Kind: k, Neuron: snn.NeuronID{Layer: layer, Index: index}}
+	}
+	synapse := func(k fault.Kind, b, pre, post int) fault.Fault {
+		return fault.Fault{Kind: k, Synapse: snn.SynapseID{Boundary: b, Pre: pre, Post: post}}
+	}
+	return []fault.Fault{
+		{Kind: fault.Kind(-1)}, {Kind: fault.Kind(5)},
+		neuron(fault.NASF, -1, 0), neuron(fault.ESF, len(arch), 0),
+		neuron(fault.HSF, 1, -1), neuron(fault.NASF, 1, arch[1]),
+		synapse(fault.SWF, -1, 0, 0), synapse(fault.SASF, arch.Boundaries(), 0, 0),
+		synapse(fault.SWF, 0, -1, 0), synapse(fault.SASF, 0, arch[0], 0),
+		synapse(fault.SWF, 0, 0, -1), synapse(fault.SASF, 0, 0, arch[1]),
+	}
+}
+
+// TestMeasureCoverageRejectsFaultsOutsideChip mixes a fault of each
+// unknown kind and, per coordinate, faults just outside the architecture
+// into a universe with escapes: each gets one error naming it, in input
+// order, and the valid faults are tallied exactly as the clean universe.
+func TestMeasureCoverageRejectsFaultsOutsideChip(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	_, merged := smallSuite(t, arch, core.NoVariation())
+	values := fault.Values{ESFTheta: 0.4, HSFTheta: 0.6, SWFOmega: 0.2}
+	var universe []fault.Fault
+	for _, kind := range fault.Kinds() {
+		universe = append(universe, fault.Universe(arch, kind)...)
+	}
+	ate := New(merged, nil)
+	clean := ate.MeasureCoverage(universe, values)
+	if clean.Detected == 0 || len(clean.Undetected) == 0 || len(clean.Errors) != 0 {
+		t.Fatalf("fixture broken: clean universe %v", clean)
+	}
+
+	bad := outsideFaults(arch)
+	for _, f := range bad {
+		if f.In(arch) {
+			t.Fatalf("fixture broken: %v is a fault of %v", f, arch)
+		}
+	}
+	step := len(universe) / len(bad)
+	var mixed []fault.Fault
+	for k, f := range bad {
+		mixed = append(append(mixed, universe[k*step:(k+1)*step]...), f)
+	}
+	mixed = append(mixed, universe[len(bad)*step:]...)
+
+	res := ate.MeasureCoverage(mixed, values)
+	if res.Total != len(mixed) || res.Detected != clean.Detected || !slices.Equal(res.Undetected, clean.Undetected) {
+		t.Errorf("valid faults tallied %v, clean universe %v", res, clean)
+	}
+	if len(res.Errors) != len(bad) {
+		t.Fatalf("%d errors for %d faults outside the chip: %v", len(res.Errors), len(bad), res.Errors)
+	}
+	for k, f := range bad {
+		if !namesRejection(res.Errors[k], f, arch) {
+			t.Errorf("error %d does not name %v and %v: %v", k, f, arch, res.Errors[k])
+		}
+	}
+}
+
+// TestCoverageSimulatesInputNeuronNASF: an NASF fault on an input neuron
+// lies outside the paper's universe but is a fault of the chip, so the
+// campaign simulates it, with the chip's own verdict, and never rejects it.
+func TestCoverageSimulatesInputNeuronNASF(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	g, merged := smallSuite(t, arch, core.NoVariation())
+	values := g.Options().Values
+	ate := New(merged, nil)
+	var faults []fault.Fault
+	for i := 0; i < arch[0]; i++ {
+		faults = append(faults, fault.Fault{Kind: fault.NASF, Neuron: snn.NeuronID{Layer: 0, Index: i}})
+	}
+	res := ate.MeasureCoverage(faults, values)
+	if len(res.Errors) != 0 || res.Detected+len(res.Undetected) != len(faults) {
+		t.Fatalf("input-layer NASF faults not simulated: %v (errors %v)", res, res.Errors)
+	}
+	for _, f := range faults {
+		fails := !ate.RunChip(f.Modifiers(values), variation.None(), nil).Passed
+		if undetected := slices.Contains(res.Undetected, f); fails == undetected {
+			t.Errorf("%v: its chip fails %v, the campaign leaves it undetected %v", f, fails, undetected)
+		}
+	}
+}
+
+// TestMeasureEscapeRejectsFaultOutsideChip: one fault outside the
+// architecture among valid ones at σ = 0 adds one error, and the escape
+// percentage runs over the valid dies alone.
+func TestMeasureEscapeRejectsFaultOutsideChip(t *testing.T) {
+	arch := snn.Arch{8, 6, 4}
+	g, merged := smallSuite(t, arch, core.NoVariation())
+	ate := New(merged, nil)
+	faults := fault.Universe(arch, fault.SASF)
+	bogus := fault.Fault{Kind: fault.SASF, Synapse: snn.SynapseID{Boundary: 2, Pre: 0, Post: 0}}
+	mixed := append(append(append([]fault.Fault{}, faults[:5]...), bogus), faults[5:]...)
+	esc, errs := ate.MeasureEscape(mixed, g.Options().Values, variation.None(), 1)
+	if esc != 0 || len(errs) != 1 || !namesRejection(errs[0], bogus, arch) {
+		t.Errorf("escape = %g%%, errors %v; want 0 over the valid dies and one rejection of %v", esc, errs, bogus)
+	}
+}
+
 // TestCoverageSpanReportsClasses: the fault-simulate span of a campaign
 // carries the class count beside the fault count.
 func TestCoverageSpanReportsClasses(t *testing.T) {
@@ -213,11 +319,11 @@ func TestEscapeZeroWithoutVariation(t *testing.T) {
 	for _, kind := range fault.Kinds() {
 		faults = append(faults, fault.Universe(arch, kind)...)
 	}
-	if got := ate.MeasureEscape(faults, g.Options().Values, variation.None(), 1); got != 0 {
-		t.Errorf("escape = %g%% without variation", got)
+	if got, errs := ate.MeasureEscape(faults, g.Options().Values, variation.None(), 1); got != 0 || len(errs) != 0 {
+		t.Errorf("escape = %g%% without variation (errors %v)", got, errs)
 	}
-	if got := ate.MeasureEscape(nil, g.Options().Values, variation.None(), 1); got != 0 {
-		t.Errorf("escape of empty population = %g", got)
+	if got, errs := ate.MeasureEscape(nil, g.Options().Values, variation.None(), 1); got != 0 || len(errs) != 0 {
+		t.Errorf("escape of empty population = %g (errors %v)", got, errs)
 	}
 }
 
