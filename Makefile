@@ -101,8 +101,8 @@ fuzz:
 # bench runs the performance suite — the paper-evaluation benchmarks in the
 # root package plus the internal/obs instrument, internal/snn simulator and
 # kernels, internal/faultsim golden build and kernel, internal/margin
-# analysis, internal/tester sampling and die-session and internal/variation
-# error-tensor sampling micro-benches — and records the
+# analysis, internal/tester sampling, die-session and sessions-job and
+# internal/variation error-tensor sampling micro-benches — and records the
 # machine-readable Go benchmark output under results/bench.txt. Narrow with
 # BENCH (regexp) or shorten with BENCHTIME (e.g. 10x).
 BENCH ?= .

@@ -90,5 +90,5 @@ func main() {
 The functional test exercises one configuration and misses faults that
 this application tolerates; the deterministic program tests the silicon
 for every configuration it could ever be programmed with — using a
-two-digit number of pattern applications.`)
+single-digit number of pattern applications.`)
 }

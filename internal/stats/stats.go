@@ -74,6 +74,53 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
+// Choose returns the first k entries of a uniformly random permutation of
+// [0, n), in the order drawn: k distinct indices, each prefix of which is
+// a uniform ordered sample. It is a partial Fisher–Yates shuffle: step i
+// swaps position i with a uniform position j in [i, n), one Intn(n−i)
+// call, and keeps what lands at i. A small sample stores only the
+// displaced positions, in a map. From k > n/32 on, where a map entry
+// costs more than a slot of [0, n), it shuffles a materialised [0, n)
+// instead, with the same draws; as n < 32k there, a draw costs O(k) time
+// and memory either way, whatever n is. It panics unless 0 ≤ k ≤ n.
+func (r *RNG) Choose(n, k int) []int {
+	if k < 0 || k > n {
+		//lint:ignore no-panic mirrors Intn's contract: a sample larger than its population is a caller bug
+		panic("stats: Choose needs 0 <= k <= n")
+	}
+	if k > n/32 {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		for i := 0; i < k; i++ {
+			j := i + r.Intn(n-i)
+			p[i], p[j] = p[j], p[i]
+		}
+		return p[:k:k]
+	}
+	return r.chooseSparse(n, k)
+}
+
+// chooseSparse is Choose over a map of displaced positions.
+func (r *RNG) chooseSparse(n, k int) []int {
+	out := make([]int, k)
+	moved := make(map[int]int, k) // position → the index now there, where it is not the position itself
+	at := func(p int) int {
+		if v, ok := moved[p]; ok {
+			return v
+		}
+		return p
+	}
+	for i := range out {
+		j := i + r.Intn(n-i)
+		out[i], moved[j] = at(j), at(i)
+		// Later steps draw from [i+1, n), so position i is never read again.
+		delete(moved, i)
+	}
+	return out
+}
+
 // The normal sampler is the 256-layer ziggurat of Marsaglia & Tsang ("The
 // Ziggurat Method for Generating Random Variables", J. Stat. Softw. 5(8),
 // 2000), with the layer index taken from bits the uniform does not use, as

