@@ -280,25 +280,27 @@ func TestClientCancelledContext(t *testing.T) {
 	}
 }
 
-func TestFanOutBoundsConcurrencyAndCollects(t *testing.T) {
-	const limit, n = 3, 20
-	var cur, peak atomic.Int32
+// TestFanOutRunsEveryTaskAtOnceAndCollects: every task runs concurrently
+// with all the others (each waits until all have started) and its result
+// lands at its own index.
+func TestFanOutRunsEveryTaskAtOnceAndCollects(t *testing.T) {
+	const n = 20
+	var started atomic.Int32
 	tasks := make([]func(context.Context) (int, error), n)
 	for i := range tasks {
 		tasks[i] = func(context.Context) (int, error) {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
+			started.Add(1)
+			deadline := time.Now().Add(5 * time.Second)
+			for started.Load() < n {
+				if time.Now().After(deadline) {
+					return 0, fmt.Errorf("only %d of %d tasks ever ran at once", started.Load(), n)
 				}
+				time.Sleep(time.Millisecond)
 			}
-			time.Sleep(2 * time.Millisecond)
-			cur.Add(-1)
 			return i * i, nil
 		}
 	}
-	results, errs := fanOut(t.Context(), limit, tasks)
+	results, errs := fanOut(t.Context(), tasks)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("task %d: %v", i, err)
@@ -307,9 +309,6 @@ func TestFanOutBoundsConcurrencyAndCollects(t *testing.T) {
 			t.Fatalf("task %d returned %d, want %d", i, results[i], i*i)
 		}
 	}
-	if p := peak.Load(); p > limit {
-		t.Errorf("peak concurrency %d exceeds limit %d", p, limit)
-	}
 }
 
 func TestFanOutPanicBecomesError(t *testing.T) {
@@ -317,7 +316,7 @@ func TestFanOutPanicBecomesError(t *testing.T) {
 		func(context.Context) (int, error) { return 7, nil },
 		func(context.Context) (int, error) { panic("shard exploded") },
 	}
-	results, errs := fanOut(t.Context(), 2, tasks)
+	results, errs := fanOut(t.Context(), tasks)
 	if errs[0] != nil || results[0] != 7 {
 		t.Errorf("healthy task: %d, %v", results[0], errs[0])
 	}
@@ -326,17 +325,23 @@ func TestFanOutPanicBecomesError(t *testing.T) {
 	}
 }
 
+// TestFanOutCancelledBeforeStart: under a context cancelled before the
+// fan-out, no task runs and each returns context.Canceled.
 func TestFanOutCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
-	block := func(ctx context.Context) (int, error) {
-		<-ctx.Done()
-		return 0, ctx.Err()
+	var ran atomic.Int32
+	task := func(context.Context) (int, error) {
+		ran.Add(1)
+		return 1, nil
 	}
-	_, errs := fanOut(ctx, 1, []func(context.Context) (int, error){block, block, block})
+	_, errs := fanOut(ctx, []func(context.Context) (int, error){task, task, task})
 	for i, err := range errs {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("task %d: %v, want context.Canceled", i, err)
 		}
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d tasks ran under a cancelled context", n)
 	}
 }

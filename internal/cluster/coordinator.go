@@ -91,7 +91,7 @@ func (c *Coordinator) Run(ctx context.Context, path string, request json.RawMess
 			return c.runShard(ctx, p, path, request, publish)
 		}
 	}
-	results, errs := fanOut(ctx, len(c.clients), tasks)
+	results, errs := fanOut(ctx, tasks)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -159,20 +159,16 @@ func failoverBackoff(attempt int) time.Duration {
 	return d
 }
 
-// fanOut runs every task on its own goroutine, at most limit concurrently,
-// and waits for all of them. It is the package's single sanctioned
+// fanOut runs every task at once, each on its own goroutine, and waits for
+// all of them; a campaign sends at most one shard to each worker, so the
+// worker count already bounds it. It is the package's single sanctioned
 // goroutine spawn site (neurolint ctx-goroutine): each task runs behind a
 // recover barrier so one panicking shard degrades into that shard's error
-// instead of killing the coordinator, and the context gates slot
-// acquisition so cancellation drains the queue of not-yet-started shards
-// immediately.
-func fanOut[T any](ctx context.Context, limit int, tasks []func(context.Context) (T, error)) ([]T, []error) {
-	if limit < 1 {
-		limit = 1
-	}
+// instead of killing the coordinator, and a task whose context is already
+// cancelled when its goroutine starts returns ctx.Err() without running.
+func fanOut[T any](ctx context.Context, tasks []func(context.Context) (T, error)) ([]T, []error) {
 	results := make([]T, len(tasks))
 	errs := make([]error, len(tasks))
-	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
 	for i := range tasks {
 		wg.Add(1)
@@ -183,13 +179,10 @@ func fanOut[T any](ctx context.Context, limit int, tasks []func(context.Context)
 					errs[i] = fmt.Errorf("cluster: shard task panicked: %v", p)
 				}
 			}()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
 				return
 			}
-			defer func() { <-sem }()
 			results[i], errs[i] = tasks[i](ctx)
 		}(i)
 	}

@@ -69,8 +69,8 @@ func GoroutineConfig() CtxGoroutineConfig {
 			// The simulation engine drives pool.Run for its golden build
 			// and detection matrix but never spawns.
 			"neurotest/internal/faultsim": {},
-			// fanOut is the coordinator's bounded, recover()-disciplined
-			// shard dispatcher — the only place the cluster layer may spawn.
+			// fanOut is the coordinator's recover()-disciplined shard
+			// dispatcher — the only place the cluster layer may spawn.
 			"neurotest/internal/cluster": {"fanOut"},
 		},
 		CtxRequired: map[string][]string{

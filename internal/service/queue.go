@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -241,18 +242,31 @@ func (j *Job) Cancel() bool {
 	return true
 }
 
+// maxFinishedJobs caps how many finished jobs the registry keeps: beyond
+// it the oldest finished job is forgotten (GET of its ID answers 404), so a
+// long-running daemon's memory does not grow with the jobs it has served.
+// Queued and running jobs are never forgotten.
+const maxFinishedJobs = 1024
+
 // Queue is the bounded job queue plus its worker pool. SubmitJob applies
 // backpressure by failing fast when the buffer is full — the service's
-// contract is "queue or refuse", never unbounded memory growth.
+// contract is "queue or refuse", never unbounded memory growth — and the
+// registry of known jobs keeps at most maxFinishedJobs finished ones.
 type Queue struct {
 	ch      chan *Job
 	metrics *Metrics
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string // submission order, for listing
-	nextID int
-	closed bool
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// order lists job IDs in submission order, for listing. IDs of
+	// forgotten jobs linger in it until it holds twice as many IDs as jobs,
+	// when it is compacted: O(1) amortised per job.
+	order []string
+	// finished lists the finished jobs' IDs, oldest first; the worker that
+	// drains a job appends it.
+	finished []string
+	nextID   int
+	closed   bool
 
 	wg sync.WaitGroup
 }
@@ -328,11 +342,37 @@ func (q *Queue) Get(id string) *Job {
 func (q *Queue) List() []*Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]*Job, 0, len(q.order))
+	return q.knownLocked()
+}
+
+// knownLocked returns every known job in submission order; callers hold
+// mu.
+func (q *Queue) knownLocked() []*Job {
+	out := make([]*Job, 0, len(q.jobs))
 	for _, id := range q.order {
-		out = append(out, q.jobs[id])
+		if j, ok := q.jobs[id]; ok {
+			out = append(out, j)
+		}
 	}
 	return out
+}
+
+// retire records that j has finished and forgets the oldest finished jobs
+// beyond maxFinishedJobs.
+func (q *Queue) retire(j *Job) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.finished = append(q.finished, j.ID)
+	for len(q.finished) > maxFinishedJobs {
+		delete(q.jobs, q.finished[0])
+		q.finished = q.finished[1:]
+	}
+	if len(q.order) > 2*len(q.jobs) {
+		q.order = slices.DeleteFunc(q.order, func(id string) bool {
+			_, ok := q.jobs[id]
+			return !ok
+		})
+	}
 }
 
 // Depth returns the number of jobs waiting in the buffer.
@@ -359,8 +399,7 @@ func (q *Queue) CountByState() map[string]int {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for _, id := range q.order {
-		j := q.jobs[id]
+	for _, j := range q.knownLocked() {
 		j.mu.Lock()
 		counts[j.state.String()]++
 		j.mu.Unlock()
@@ -377,10 +416,7 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
-	jobs := make([]*Job, 0, len(q.order))
-	for _, id := range q.order {
-		jobs = append(jobs, q.jobs[id])
-	}
+	jobs := q.knownLocked()
 	q.mu.Unlock()
 	for _, j := range jobs {
 		j.Cancel()
@@ -400,6 +436,7 @@ func (q *Queue) worker() {
 			// Cancelled while queued: it is already terminal, count it as
 			// it drains.
 			q.metrics.JobsCancelled.Add(1)
+			q.retire(j)
 			continue
 		}
 		q.metrics.QueueWaitSeconds.Observe(j.queuedSeconds())
@@ -416,6 +453,7 @@ func (q *Queue) worker() {
 		case JobCancelled:
 			q.metrics.JobsCancelled.Add(1)
 		}
+		q.retire(j)
 	}
 }
 

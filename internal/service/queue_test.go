@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -236,5 +238,108 @@ func TestPublishUnderCapDropsNothing(t *testing.T) {
 	}
 	if got := m.EventsDropped.Load(); got != 0 {
 		t.Errorf("metrics events_dropped = %d, want 0", got)
+	}
+}
+
+// quickJob is a job body that returns at once.
+func quickJob(context.Context, *Job) (any, error) { return "quick", nil }
+
+// TestQueueForgetsOldestFinishedJobs: the registry keeps the
+// maxFinishedJobs most recently finished jobs and forgets the older ones,
+// oldest first, while a running job and a job queued behind all of them
+// stay known. Listing and the state counts skip forgotten jobs, and the
+// submission order, which would otherwise hold more than twice as many
+// IDs as known jobs here, is compacted as jobs are forgotten.
+func TestQueueForgetsOldestFinishedJobs(t *testing.T) {
+	const extra = maxFinishedJobs + 5
+	q := NewQueue(maxFinishedJobs+extra+1, 2, &Metrics{})
+	defer q.Close()
+	hold, first, last := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	defer close(hold)
+	defer close(last)
+	running, err := q.SubmitJob("block", blockingJob(hold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, running, JobRunning)
+	oldest, err := q.SubmitJob("block", blockingJob(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, oldest, JobRunning)
+	// Both workers are busy: the quick jobs and the last job queue behind
+	// them, and one worker drains them in order once oldest finishes.
+	quick := make([]*Job, maxFinishedJobs+extra)
+	for i := range quick {
+		if quick[i], err = q.SubmitJob("quick", quickJob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queued, err := q.SubmitJob("block", blockingJob(last))
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(first)
+	waitState(t, queued, JobRunning) // every quick job has finished and been retired
+
+	forgotten := append([]*Job{oldest}, quick[:extra]...)
+	for _, j := range forgotten {
+		if q.Get(j.ID) != nil {
+			t.Fatalf("%s is still known after %d later jobs finished", j.ID, maxFinishedJobs)
+		}
+	}
+	want := append(append([]*Job{running}, quick[extra:]...), queued)
+	if got := q.List(); !slices.Equal(got, want) {
+		t.Fatalf("List holds %d jobs, want running, the last %d finished and queued (%d)", len(got), maxFinishedJobs, len(want))
+	}
+	counts := q.CountByState()
+	if counts["done"] != maxFinishedJobs || counts["running"] != 2 {
+		t.Errorf("counts %v, want %d done and 2 running", counts, maxFinishedJobs)
+	}
+	q.mu.Lock()
+	order, known := len(q.order), len(q.jobs)
+	q.mu.Unlock()
+	if order > 2*known {
+		t.Errorf("submission order holds %d IDs for %d known jobs", order, known)
+	}
+}
+
+// TestForgottenJobIs404: once maxFinishedJobs later jobs have finished, a
+// job's ID answers 404 on GET and on its stream, like an unknown ID.
+func TestForgottenJobIs404(t *testing.T) {
+	cfg := testConfig()
+	cfg.QueueCapacity = maxFinishedJobs + 1
+	cfg.Workers = 1
+	s, ts := newTestServer(t, cfg)
+	jobs := make([]*Job, maxFinishedJobs+1)
+	for i := range jobs {
+		var err error
+		if jobs[i], err = s.queue.SubmitJob("quick", quickJob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range jobs {
+		waitState(t, j, JobDone)
+	}
+	get := func(path string) int {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for get("/v1/jobs/"+jobs[0].ID) != http.StatusNotFound {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s still served after %d later jobs finished", jobs[0].ID, maxFinishedJobs)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if code := get("/v1/jobs/" + jobs[0].ID + "/stream"); code != http.StatusNotFound {
+		t.Errorf("stream of a forgotten job: %d, want 404", code)
+	}
+	if code := get("/v1/jobs/" + jobs[1].ID); code != http.StatusOK {
+		t.Errorf("GET of a kept job: %d, want 200", code)
 	}
 }

@@ -2,6 +2,7 @@ package snn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -331,7 +332,7 @@ func (s *Simulator) reset() {
 // Run simulates the network for timesteps steps driven by pattern and
 // returns the observable output. mods may be nil for a good chip.
 func (s *Simulator) Run(pattern Pattern, timesteps int, mode InputMode, mods *Modifiers) Result {
-	res, _ := s.run(pattern, timesteps, mode, mods, false)
+	res, _ := s.run(nil, pattern, timesteps, mode, mods, false)
 	return res
 }
 
@@ -339,10 +340,36 @@ func (s *Simulator) Run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 // trace (spike trains, weighted input sums and pre-reset potentials of
 // every neuron).
 func (s *Simulator) RunTrace(pattern Pattern, timesteps int, mode InputMode, mods *Modifiers) (Result, *Trace) {
-	return s.run(pattern, timesteps, mode, mods, true)
+	return s.run(nil, pattern, timesteps, mode, mods, true)
 }
 
-func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Modifiers, wantTrace bool) (Result, *Trace) {
+// InputSum is a caller-owned buffer of layer 1's input sum: what a
+// simulator adds over boundary 0 for the spikes of one pattern, before any
+// stuck or always-on correction. That sum depends only on the pattern and
+// on the boundary-0 weights and offset the simulator reads, so runs that
+// share all three may share one buffer; the caller resets it when any of
+// them changes.
+type InputSum struct {
+	y      []float64
+	filled bool
+}
+
+// Reset empties the buffer: the next run handed it fills it again.
+func (b *InputSum) Reset() { b.filled = false }
+
+// RunInput simulates like Run with layer 1's input sum kept in sum. At
+// every timestep whose input layer carries exactly the pattern (t = 0, and
+// every timestep under ApplyHold), an empty sum receives the sum the
+// simulator adds and a filled one supplies it instead. The stuck and
+// always-on corrections and the membrane update then run as in Run, so the
+// result is Run's bit for bit. A run whose mods force an input neuron to
+// spike neither reads nor fills sum. A nil sum makes RunInput Run.
+func (s *Simulator) RunInput(sum *InputSum, pattern Pattern, timesteps int, mode InputMode, mods *Modifiers) Result {
+	res, _ := s.run(sum, pattern, timesteps, mode, mods, false)
+	return res
+}
+
+func (s *Simulator) run(sum *InputSum, pattern Pattern, timesteps int, mode InputMode, mods *Modifiers, wantTrace bool) (Result, *Trace) {
 	arch := s.net.Arch
 	if len(pattern) != arch.Inputs() {
 		//lint:ignore no-panic mis-sized patterns are generator bugs, not runtime input (documented API contract)
@@ -358,6 +385,11 @@ func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 	leak := s.net.Params.Leak
 	subtract := s.net.Params.Reset == ResetSubtract
 	denseTh, denseForce := s.projectMods(mods, theta)
+	// A forced input spike makes the input layer carry more than the
+	// pattern, so such a run bypasses the caller's input sum.
+	if denseForce && slices.Contains(s.force[0], true) {
+		sum = nil
+	}
 
 	var trace *Trace
 	if wantTrace {
@@ -404,28 +436,39 @@ func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 		for k := 1; k < L; k++ {
 			nIn, nOut := arch[k-1], arch[k]
 			y := s.y[k]
-			for j := 0; j < nOut; j++ {
-				y[j] = 0
-			}
 			w := s.net.W[k-1]
 			var o []float64
 			if s.off != nil {
 				o = s.off[k-1]
 			}
 			pre := s.spikes[k-1]
-			// The loop is chosen once per layer: without an offset it is
-			// the plain accumulation, with no per-row branch.
-			if o == nil {
-				for i := 0; i < nIn; i++ {
-					if pre[i] {
-						AddInto(y, w[i*nOut:(i+1)*nOut])
+			// Layer 1's sum goes through the caller's buffer while the
+			// input layer carries exactly the pattern.
+			memo := k == 1 && active && sum != nil
+			if memo && sum.filled {
+				copy(y, sum.y)
+			} else {
+				for j := 0; j < nOut; j++ {
+					y[j] = 0
+				}
+				// The loop is chosen once per layer: without an offset it is
+				// the plain accumulation, with no per-row branch.
+				if o == nil {
+					for i := 0; i < nIn; i++ {
+						if pre[i] {
+							AddInto(y, w[i*nOut:(i+1)*nOut])
+						}
+					}
+				} else {
+					for i := 0; i < nIn; i++ {
+						if pre[i] {
+							AddSumInto(y, w[i*nOut:(i+1)*nOut], o[i*nOut:(i+1)*nOut])
+						}
 					}
 				}
-			} else {
-				for i := 0; i < nIn; i++ {
-					if pre[i] {
-						AddSumInto(y, w[i*nOut:(i+1)*nOut], o[i*nOut:(i+1)*nOut])
-					}
+				if memo {
+					sum.y = append(sum.y[:0], y...)
+					sum.filled = true
 				}
 			}
 			// Sparse corrections for stuck and always-on synapses, applied

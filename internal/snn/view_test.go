@@ -175,3 +175,78 @@ func TestBindRefusesMisshapedOffset(t *testing.T) {
 		}
 	}
 }
+
+// TestRunInputMatchesRun is the input sum's differential test: runs that
+// share one InputSum — filled by the first of them, read by the rest —
+// return Run's result bit for bit, bound with and without an offset, in
+// both reset and input modes, under every modifier kind, including stuck
+// and always-on synapses on boundary 0, whose corrections apply after the
+// shared sum. A run that forces an input spike neither fills nor reads the
+// buffer: a poisoned buffer changes no such run, while it does change runs
+// that read it, and Reset makes the next run refill it.
+func TestRunInputMatchesRun(t *testing.T) {
+	const T = 12
+	forced := &Modifiers{ForceSpike: map[NeuronID]bool{{Layer: 0, Index: 1}: true}}
+	mods := []*Modifiers{nil, {
+		ThresholdOverride: map[NeuronID]float64{{Layer: 1, Index: 2}: 0.05, {Layer: 2, Index: 0}: 0.95},
+		ForceSpike:        map[NeuronID]bool{{Layer: 1, Index: 3}: true},
+	}, {
+		StuckWeight:     map[SynapseID]float64{{Boundary: 0, Pre: 1, Post: 4}: 1, {Boundary: 1, Pre: 0, Post: 2}: -2},
+		AlwaysOnSynapse: map[SynapseID]bool{{Boundary: 0, Pre: 2, Post: 4}: true, {Boundary: 0, Pre: 3, Post: 1}: true},
+	}, forced}
+	poisonMoved := 0
+	for _, arch := range []Arch{{8, 6, 5, 3}, {24, 19, 33, 4}} {
+		for _, reset := range []ResetMode{ResetZero, ResetSubtract} {
+			for _, mode := range []InputMode{ApplyOnce, ApplyHold} {
+				for seed := uint64(1); seed <= 3; seed++ {
+					rng := stats.NewRNG(seed)
+					net, off := randomView(arch, reset, rng)
+					p := NewPattern(arch.Inputs())
+					for i := range p {
+						p[i] = rng.Float64() < 0.5
+					}
+					for _, o := range [][][]float64{off, nil} {
+						sim := NewSimulator(net)
+						if err := sim.Bind(net, o); err != nil {
+							t.Fatal(err)
+						}
+						ref := NewSimulator(net)
+						if o != nil {
+							ref = NewSimulator(applied(net, o))
+						}
+						var sum InputSum
+						for _, m := range mods {
+							want := ref.Run(p, T, mode, m)
+							if got := sim.RunInput(&sum, p, T, mode, m); !got.Equal(want) {
+								t.Fatalf("%v %v mode %d seed %d offset %t mods %+v: RunInput %v, Run %v",
+									arch, reset, mode, seed, o != nil, m, got, want)
+							}
+							if m == forced && !sum.filled {
+								continue // a forced input never fills the buffer
+							}
+							if !sum.filled {
+								t.Fatalf("%v seed %d mods %+v: the run left the buffer empty", arch, seed, m)
+							}
+						}
+						for j := range sum.y {
+							sum.y[j] += 10 * net.Params.Theta
+						}
+						if got, want := sim.RunInput(&sum, p, T, mode, forced), ref.Run(p, T, mode, forced); !got.Equal(want) {
+							t.Fatalf("%v seed %d: a forced input read the poisoned buffer: %v, Run %v", arch, seed, got, want)
+						}
+						if !sim.RunInput(&sum, p, T, mode, nil).Equal(ref.Run(p, T, mode, nil)) {
+							poisonMoved++
+						}
+						sum.Reset()
+						if got, want := sim.RunInput(&sum, p, T, mode, nil), ref.Run(p, T, mode, nil); !got.Equal(want) {
+							t.Fatalf("%v seed %d: after Reset RunInput %v, Run %v", arch, seed, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if poisonMoved == 0 {
+		t.Fatal("fixture broken: no run ever read the poisoned buffer")
+	}
+}

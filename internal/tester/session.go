@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"neurotest/internal/obs"
-	"neurotest/internal/pattern"
 	"neurotest/internal/pool"
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
@@ -112,34 +111,29 @@ func (r SessionReport) String() string {
 // With prof = unreliable.Reliable() and the zero policy this is exactly
 // RunChip: first mismatch fails the chip, no retests, no quarantine.
 func (a *ATE) RunChipSession(mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) SessionReport {
-	var errs *variation.ErrorTensor
-	return a.session(&errs, mods, prof, vary, policy, seed)
+	return a.session(a.newDie(), mods, prof, vary, policy, seed)
 }
 
-// session is RunChipSession drawing the die's variation tensor into *errs
-// (variation.Model.SampleInto) and leaving there the tensor it drew, so a
-// pool slot that hands its one tensor to every die it tests allocates it
-// once.
-func (a *ATE) session(errs **variation.ErrorTensor, mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) (rep0 SessionReport) {
+// session is RunChipSession on die d, which it resets for the chip first,
+// so a pool slot can test chip after chip on its one die.
+func (a *ATE) session(d *die, mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) (rep0 SessionReport) {
 	ensureObs()
 	timer := obs.StartTimer()
 	defer func() { observeSession(timer, rep0) }()
 	sess := prof.NewSession(seed)
-	*errs = vary.SampleInto(*errs, a.ts.Arch, stats.NewRNG(seed^varySalt))
-	d := a.newDie(*errs)
+	d.reset(vary, stats.NewRNG(seed^varySalt))
 	rep := SessionReport{Outcome: Pass, FailedItem: -1, BaselineItems: len(a.ts.Items)}
 	budget := policy.MaxRetests
 
 	// apply runs one application of item i through the unreliable chip:
 	// intermittence gates the defect, then the readout channel corrupts
 	// (or drops) the simulated response.
-	apply := func(i int, it pattern.Item, first bool) (snn.Result, error) {
-		sim := d.program(it.ConfigIndex)
+	apply := func(i int, first bool) (snn.Result, error) {
 		m := mods
 		if !sess.FaultActive() {
 			m = nil
 		}
-		res := sim.Run(it.Pattern, it.Timesteps, it.Mode(), m)
+		res := d.run(i, m)
 		rep.ItemsRun++
 		if !first {
 			rep.Retests++
@@ -150,10 +144,10 @@ func (a *ATE) session(errs **variation.ErrorTensor, mods *snn.Modifiers, prof un
 	// read applies item i until a readout survives the channel, charging
 	// the budget 1, 2, 4, … (capped) per consecutive drop. ok=false means
 	// the budget cannot cover the next retry: quarantine.
-	read := func(i int, it pattern.Item, first bool) (snn.Result, bool) {
+	read := func(i int, first bool) (snn.Result, bool) {
 		cost := 1
 		for {
-			res, err := apply(i, it, first)
+			res, err := apply(i, first)
 			if err == nil {
 				return res, true
 			}
@@ -176,8 +170,8 @@ func (a *ATE) session(errs **variation.ErrorTensor, mods *snn.Modifiers, prof un
 		return rep
 	}
 
-	for i, it := range a.ts.Items {
-		res, ok := read(i, it, true)
+	for i := range a.ts.Items {
+		res, ok := read(i, true)
 		if !ok {
 			return quarantine(i)
 		}
@@ -206,7 +200,7 @@ func (a *ATE) session(errs **variation.ErrorTensor, mods *snn.Modifiers, prof un
 			}
 			budget--
 			rep.BudgetSpent++
-			res, ok := read(i, it, false)
+			res, ok := read(i, false)
 			if !ok {
 				return quarantine(i)
 			}
@@ -358,9 +352,8 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 	ctx, span := obs.StartSpan(ctx, "measure")
 	span.SetAttr("chips", strconv.Itoa(len(idx)))
 	defer span.End()
-	// Each pool slot samples its dies into one variation tensor: a die's
-	// session ends before its slot claims the next chip.
-	slots := make([]*variation.ErrorTensor, pool.Workers(len(idx)))
+	// Each pool slot tests its chips on one die (slotDie).
+	dies := make([]*die, pool.Workers(len(idx)))
 	perChip := func(i int, w int) (rep SessionReport, err error) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -371,7 +364,7 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 		if mods != nil {
 			m = mods(i)
 		}
-		return a.session(&slots[w], m, prof, vary, policy, chipSeed(seed, i)), nil
+		return a.session(a.slotDie(dies, w), m, prof, vary, policy, chipSeed(seed, i)), nil
 	}
 	results, done := pool.Run(ctx, len(idx), timed(func(k, w int) SessionStats {
 		i := idx[k]

@@ -122,21 +122,56 @@ func TestMeasureSessionsAllocatesOneTensorPerSlot(t *testing.T) {
 	ate := New(merged, nil)
 	vary := variation.OfTheta(0.10, g.Options().Params.Theta)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	run := func() SessionStats {
-		return ate.MeasureSessions(16, nil, unreliable.Reliable(), vary, RetestPolicy{}, 3)
-	}
-	run() // builds the goldens and registers the instruments
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	s := run()
-	runtime.ReadMemStats(&after)
-	if s.Chips != 16 || len(s.Errors) != 0 {
-		t.Fatalf("campaign: %+v", s)
-	}
+	campaign(t, ate, 16, vary) // builds the goldens and registers the instruments
 	tensor := uint64(8 * (arch[0]*arch[1] + arch[1]*arch[2] + arch[2]*arch[3]))
-	got := after.TotalAlloc - before.TotalAlloc
+	got := campaign(t, ate, 16, vary)
 	if got >= 2*tensor {
 		t.Errorf("16 dies allocated %d bytes, want under two tensors' worth (%d bytes)", got, 2*tensor)
 	}
 	t.Logf("16 dies allocated %d bytes; one tensor is %d", got, tensor)
+}
+
+// simSink keeps a measured simulator on the heap.
+var simSink *snn.Simulator
+
+// allocated returns the bytes the process allocates while fn runs.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// campaign runs a good-die sessions campaign of n dies on ate and returns
+// the bytes it allocated.
+func campaign(t *testing.T, ate *ATE, n int, vary variation.Model) uint64 {
+	t.Helper()
+	var s SessionStats
+	got := allocated(func() { s = ate.MeasureSessions(n, nil, unreliable.Reliable(), vary, RetestPolicy{}, 3) })
+	if s.Chips != n || len(s.Errors) != 0 {
+		t.Fatalf("campaign: %+v", s)
+	}
+	return got
+}
+
+// TestMeasureSessionsBuildsOneSimulatorPerSlot: at GOMAXPROCS 1 a sessions
+// campaign over 16 dies of the paper's 576-256-32-10 model tests them all
+// on its one pool slot's die, so the 15 dies beyond the first allocate
+// less than half a simulator each, where a die of their own would allocate
+// a simulator and its 14 input sums.
+func TestMeasureSessionsBuildsOneSimulatorPerSlot(t *testing.T) {
+	arch := snn.Arch{576, 256, 32, 10}
+	g, merged := smallSuite(t, arch, core.NegligibleVariation())
+	ate := New(merged, nil)
+	vary := variation.OfTheta(0.10, g.Options().Params.Theta)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	campaign(t, ate, 1, vary) // builds the goldens and item groups, registers the instruments
+	one, sixteen := campaign(t, ate, 1, vary), campaign(t, ate, 16, vary)
+	sim := allocated(func() { simSink = snn.NewSimulator(ate.nets[0]) })
+	perDie := (sixteen - one) / 15
+	if perDie >= sim/2 {
+		t.Errorf("each die beyond the first allocated %d bytes, want under half a simulator (%d bytes)", perDie, sim/2)
+	}
+	t.Logf("each die beyond the first allocated %d bytes; a simulator is %d", perDie, sim)
 }

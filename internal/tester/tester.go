@@ -9,6 +9,8 @@ package tester
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -43,6 +45,9 @@ type ATE struct {
 	// itself for New, whose good-chip traces double as the expected
 	// outputs, and a share over the ideal test set for NewSplit.
 	expected *goldenShare
+	// groups partitions the items by the input sum they drive into layer 1
+	// of a die, built on the first die and shared by tolerance clones.
+	groups *itemGroups
 	// tolerance is the pass band on each output spike count (see
 	// CloneWithTolerance). 0 means exact comparison.
 	tolerance int
@@ -72,9 +77,57 @@ func (s *goldenShare) get() (*faultsim.Golden, error) {
 	return s.g, s.err
 }
 
+// itemGroups partitions a test program's items into groups whose members
+// drive the same input sum into layer 1 of any one die: their patterns are
+// equal and their programmed boundary-0 weights are bit-identical. A die
+// then adds the rows of a group's spiking inputs once and reuses the sum
+// for every member (snn.InputSum). Hold plays no part: a held item's input
+// at each timestep is its pattern, as a single-shot item's is at t = 0.
+type itemGroups struct {
+	nets  []*snn.Network // programmed configuration per config index
+	items []pattern.Item
+	once  sync.Once
+	of    []int // group of each item
+	n     int   // number of groups
+}
+
+// get returns the group of each item and the number of groups, grouping
+// the items on first use. Each item is compared only with the first member
+// of each earlier group.
+func (g *itemGroups) get() ([]int, int) {
+	g.once.Do(func() {
+		g.of = make([]int, len(g.items))
+		var reps []int // first member of each group
+		for i, it := range g.items {
+			k := slices.IndexFunc(reps, func(r int) bool { return g.sameInput(g.items[r], it) })
+			if k < 0 {
+				k = len(reps)
+				reps = append(reps, i)
+			}
+			g.of[i] = k
+		}
+		g.n = len(reps)
+	})
+	return g.of, g.n
+}
+
+// sameInput reports whether items a and b share a group: equal patterns
+// over bit-identical boundary-0 weights. One network, or two networks on
+// one backing array, is equal without a comparison, and the comparison
+// stops at the first word that differs.
+func (g *itemGroups) sameInput(a, b pattern.Item) bool {
+	if !slices.Equal(a.Pattern, b.Pattern) {
+		return false
+	}
+	wa, wb := g.nets[a.ConfigIndex].W[0], g.nets[b.ConfigIndex].W[0]
+	return &wa[0] == &wb[0] || slices.EqualFunc(wa, wb, func(u, v float64) bool {
+		return math.Float64bits(u) == math.Float64bits(v)
+	})
+}
+
 // CloneWithTolerance returns a copy of the ATE with its own pass band,
-// sharing the (immutable) test set, configurations and the memoized
-// fault-simulation Goldens (traces and downstream memo). A chip passes an
+// sharing the (immutable) test set, configurations, item groups and the
+// memoized fault-simulation Goldens (traces and downstream memo). A chip passes an
 // item when every output count is within ±n of the golden count; negative
 // tolerances are a configuration error.
 //
@@ -127,7 +180,8 @@ func (a *ATE) matches(got, want snn.Result) bool {
 func New(ts *pattern.TestSet, scheme *quant.Scheme) *ATE {
 	programmed := quant.Program(ts, scheme)
 	share := &goldenShare{ts: programmed}
-	return &ATE{ts: ts, nets: programmed.Configs, goldens: share, expected: share}
+	return &ATE{ts: ts, nets: programmed.Configs, goldens: share, expected: share,
+		groups: &itemGroups{nets: programmed.Configs, items: ts.Items}}
 }
 
 // NewSplit builds an ATE whose golden responses come from the ideal
@@ -189,17 +243,15 @@ func (a *ATE) RunChip(mods *snn.Modifiers, vary variation.Model, rng *stats.RNG)
 		//lint:ignore no-panic documented API contract on RunChip: non-zero variation requires an RNG
 		panic("tester: variation requires an RNG")
 	}
-	return a.runChip(mods, vary.SampleError(a.ts.Arch, rng))
+	return a.runChip(a.newDie().reset(vary, rng), mods)
 }
 
-// runChip applies the full test program to one die carrying mods whose
-// synapses deviate by errs (nil for none), stopping at the first failing
-// item.
-func (a *ATE) runChip(mods *snn.Modifiers, errs *variation.ErrorTensor) Verdict {
-	d := a.newDie(errs)
+// runChip applies the full test program to die d carrying mods, stopping
+// at the first failing item.
+func (a *ATE) runChip(d *die, mods *snn.Modifiers) Verdict {
 	v := Verdict{Passed: true, FailedItem: -1}
-	for i, it := range a.ts.Items {
-		res := d.program(it.ConfigIndex).Run(it.Pattern, it.Timesteps, it.Mode(), mods)
+	for i := range a.ts.Items {
+		res := d.run(i, mods)
 		v.ItemsRun++
 		if !a.matches(res, a.goldenResult(i)) {
 			v.Passed = false
@@ -217,11 +269,10 @@ func (a *ATE) runChip(mods *snn.Modifiers, errs *variation.ErrorTensor) Verdict 
 // diagnostic signature matched against dictionary rows that count any
 // deviation.
 func (a *ATE) Observe(mods *snn.Modifiers) []bool {
-	d := a.newDie(nil)
+	d := a.newDie()
 	fails := make([]bool, len(a.ts.Items))
-	for i, it := range a.ts.Items {
-		res := d.program(it.ConfigIndex).Run(it.Pattern, it.Timesteps, it.Mode(), mods)
-		fails[i] = !res.Equal(a.goldenResult(i))
+	for i := range a.ts.Items {
+		fails[i] = !d.run(i, mods).Equal(a.goldenResult(i))
 	}
 	return fails
 }
@@ -231,25 +282,46 @@ func (a *ATE) Observe(mods *snn.Modifiers) []bool {
 // reused for consecutive items sharing it.
 //
 // A die is a view: it keeps the ATE's shared configurations, its error
-// tensor and one simulator for its whole session. Programming a
-// configuration only rebinds the simulator to it, read through the tensor,
-// so the forward pass adds each device's offset where it reads a weight
-// (snn.Simulator.Bind). No die writes a weight, and a die without
-// variation takes the same path with a nil offset.
+// tensor and one simulator. Programming a configuration only rebinds the
+// simulator to it, read through the tensor, so the forward pass adds each
+// device's offset where it reads a weight (snn.Simulator.Bind). No die
+// writes a weight, and a die without variation takes the same path with a
+// nil offset. A die also keeps one layer-1 input sum per item group
+// (itemGroups), filled by the group's first item it runs. A pool slot
+// tests chip after chip on one die, resetting it between chips.
 type die struct {
-	nets []*snn.Network // the ATE's programmed configurations, read-only
-	errs [][]float64    // the die's error tensor, shaped like Network.W, or nil
-	cfg  int            // configuration currently programmed, or -1
-	sim  *snn.Simulator
+	a      *ATE
+	group  []int                  // group of each item
+	sums   []snn.InputSum         // layer-1 input sum of each group
+	tensor *variation.ErrorTensor // the chip's weight deviation, or nil
+	cfg    int                    // configuration currently programmed, or -1
+	sim    *snn.Simulator
 }
 
-// newDie returns a blank die whose synapses deviate by errs (nil for none).
-func (a *ATE) newDie(errs *variation.ErrorTensor) *die {
-	d := &die{nets: a.nets, cfg: -1}
-	if errs != nil {
-		d.errs = errs.E
+// newDie returns a blank die without variation, grouping the ATE's items
+// if no die has yet.
+func (a *ATE) newDie() *die {
+	group, n := a.groups.get()
+	return &die{a: a, group: group, sums: make([]snn.InputSum, n), cfg: -1}
+}
+
+// reset readies the die for its next chip: it draws the chip's variation
+// from rng into the die's tensor (variation.Model.SampleInto, so the draws
+// are a fresh tensor's) and forgets the previous chip's configuration and
+// input sums. It returns d.
+func (d *die) reset(vary variation.Model, rng *stats.RNG) *die {
+	d.tensor = vary.SampleInto(d.tensor, d.a.ts.Arch, rng)
+	d.cfg = -1
+	for g := range d.sums {
+		d.sums[g].Reset()
 	}
 	return d
+}
+
+// run applies item i to the die carrying mods.
+func (d *die) run(i int, mods *snn.Modifiers) snn.Result {
+	it := d.a.ts.Items[i]
+	return d.program(it.ConfigIndex).RunInput(&d.sums[d.group[i]], it.Pattern, it.Timesteps, it.Mode(), mods)
 }
 
 // program returns a simulator of configuration ci as programmed into the
@@ -258,11 +330,15 @@ func (d *die) program(ci int) *snn.Simulator {
 	if ci == d.cfg {
 		return d.sim
 	}
-	net := d.nets[ci]
+	net := d.a.nets[ci]
 	if d.sim == nil {
 		d.sim = snn.NewSimulator(net)
 	}
-	if err := d.sim.Bind(net, d.errs); err != nil {
+	var errs [][]float64
+	if d.tensor != nil {
+		errs = d.tensor.E
+	}
+	if err := d.sim.Bind(net, errs); err != nil {
 		// Unreachable for a valid test set: every configuration has the
 		// test set's architecture, which the tensor was sampled for.
 		//lint:ignore no-panic a die's shapes come from its own test set
@@ -495,8 +571,9 @@ func (a *ATE) MeasureEscape(faults []fault.Fault, values fault.Values, vary vari
 // i carries mods(i) (a nil mods tests defect-free dies) and a variation
 // tensor drawn from chip i's own seed, which derives from its index, never
 // from the worker that runs it: RunChip(mods(i), vary,
-// stats.NewRNG(chipSeed(seed, i))). Each pool slot samples its dies into
-// one tensor, so a campaign allocates one per slot, not one per die.
+// stats.NewRNG(chipSeed(seed, i))). Each pool slot tests its chips on one
+// die (slotDie), so a campaign allocates a simulator, a tensor and input
+// sums per slot, not per chip.
 func (a *ATE) countChips(idx []int, mods func(i int) *snn.Modifiers, vary variation.Model, seed uint64, passed bool) float64 {
 	if len(idx) == 0 {
 		return 0
@@ -504,15 +581,15 @@ func (a *ATE) countChips(idx []int, mods func(i int) *snn.Modifiers, vary variat
 	ensureObs()
 	timer := obs.StartTimer()
 	defer func() { timer.ObserveElapsed(chipsCampaignSeconds) }()
-	slots := make([]*variation.ErrorTensor, pool.Workers(len(idx)))
+	dies := make([]*die, pool.Workers(len(idx)))
 	hits, _ := pool.Run(context.Background(), len(idx), timed(func(k, w int) bool {
 		i := idx[k]
 		var m *snn.Modifiers
 		if mods != nil {
 			m = mods(i)
 		}
-		slots[w] = vary.SampleInto(slots[w], a.ts.Arch, stats.NewRNG(chipSeed(seed, i)))
-		return a.runChip(m, slots[w]).Passed == passed
+		d := a.slotDie(dies, w).reset(vary, stats.NewRNG(chipSeed(seed, i)))
+		return a.runChip(d, m).Passed == passed
 	}))
 	hit := 0
 	for _, h := range hits {
@@ -521,6 +598,16 @@ func (a *ATE) countChips(idx []int, mods func(i int) *snn.Modifiers, vary variat
 		}
 	}
 	return 100 * float64(hit) / float64(len(idx))
+}
+
+// slotDie returns pool slot w's die from dies, building it for the slot's
+// first chip. A chip's session ends before its slot claims the next one, so
+// the slot's chips take turns on the die.
+func (a *ATE) slotDie(dies []*die, w int) *die {
+	if dies[w] == nil {
+		dies[w] = a.newDie()
+	}
+	return dies[w]
 }
 
 // identityIndices returns [0, n).

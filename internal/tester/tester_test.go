@@ -518,8 +518,8 @@ func TestQuantizedATEProgramsOnce(t *testing.T) {
 	if ate.expected != ate.goldens {
 		t.Fatal("New must serve expected responses from its coverage Golden")
 	}
-	d := ate.newDie(nil)
-	for ci, net := range d.nets {
+	d := ate.newDie()
+	for ci, net := range d.a.nets {
 		if net != ate.goldens.ts.Configs[ci] {
 			t.Fatalf("config %d: the die and the Golden read different networks", ci)
 		}
@@ -527,7 +527,7 @@ func TestQuantizedATEProgramsOnce(t *testing.T) {
 			t.Fatalf("config %d: the die reads the generated network, not the programmed one", ci)
 		}
 	}
-	for _, net := range d.nets {
+	for _, net := range d.a.nets {
 		for b := range net.W {
 			for i := range net.W[b] {
 				net.W[b][i] *= 0.5
