@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt build vet vet-arm64 inline neurolint lint-self lint-json test race perfbench fuzz bench serve fleet
+.PHONY: check fmt build vet vet-arm64 inline neurolint lint-self lint-json test race perfbench examples fuzz bench serve fleet
 
 # check is the tier-1 gate: everything CI runs, runnable locally.
-check: fmt vet vet-arm64 build inline neurolint lint-self lint-json test race perfbench
+check: fmt vet vet-arm64 build inline neurolint lint-self lint-json test race perfbench examples
 
 # fmt fails (listing the offenders) when any file is not gofmt-clean.
 fmt:
@@ -86,6 +86,15 @@ race:
 # break the harness that gates every change, unseen.
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test .
+
+# examples runs every example program and fails on the first that exits
+# non-zero. The build compiles them, but only a run catches a runtime break
+# in the library calls they make.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done
 
 # fuzz smokes the codec and service fuzz targets for a few seconds each —
 # not a soak, just enough to catch regressions in the corners the corpus

@@ -8,7 +8,8 @@
 //	                   [-o tests.bin] [-json]
 //	neurotest info     -i tests.bin [-json-in]
 //	neurotest coverage -arch 576-256-32-10 [-kind SWF] [-bits 8]
-//	                   [-variation-aware]
+//	                   [-variation-aware] [-list-undetected]
+//	neurotest coverage -i tests.bin [-json-in] [-kind SWF] [-bits 8]
 //	neurotest flaky    -arch 64-32-16-10 [-probs 1.0,0.5] [-budgets 0,3]
 //	                   [-jitter 0.02] [-drop 0.01] [-vote=false]
 //	neurotest online   -arch 24-16-8-4 [-probs 1.0,0.25] [-thresholds 6,12]
@@ -21,6 +22,9 @@
 //
 //	# Measure SWF coverage under 4-bit per-channel quantization.
 //	neurotest coverage -arch 576-256-32-10 -kind SWF -bits 4
+//
+//	# Measure every model's coverage of the stored suite.
+//	neurotest coverage -i tests.bin
 package main
 
 import (
@@ -126,7 +130,7 @@ func usage() {
 subcommands:
   generate   generate test configurations and patterns for a chip family
   info       summarize a stored test set
-  coverage   generate and fault-simulate, reporting fault coverage
+  coverage   fault-simulate a generated or stored suite, reporting fault coverage
   diagnose   build a fault dictionary and diagnose an injected defect
   margins    analyse variation tolerance of a generated test program
   trace      dump a test item's simulation as a VCD waveform
@@ -211,6 +215,20 @@ func cmdGenerate(args []string) error {
 	return nil
 }
 
+// readTestSet decodes the stored test set at path, JSON when asJSON is set
+// and compact binary otherwise.
+func readTestSet(path string, asJSON bool) (*neurotest.TestSet, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if asJSON {
+		return pattern.ReadJSON(f)
+	}
+	return pattern.ReadBinary(f)
+}
+
 func cmdInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	in := fs.String("i", "", "input file")
@@ -220,17 +238,7 @@ func cmdInfo(args []string) error {
 	if *in == "" {
 		return usagef("missing -i")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var ts *neurotest.TestSet
-	if *asJSON {
-		ts, err = pattern.ReadJSON(f)
-	} else {
-		ts, err = pattern.ReadBinary(f)
-	}
+	ts, err := readTestSet(*in, *asJSON)
 	if err != nil {
 		return err
 	}
@@ -247,21 +255,23 @@ func cmdInfo(args []string) error {
 	return nil
 }
 
+// cmdCoverage fault-simulates each selected fault model's universe: against
+// the proposed per-model test set generated for -arch, or, with -i, against
+// one stored test set, which then serves every model.
 func cmdCoverage(args []string) error {
 	fs := flag.NewFlagSet("coverage", flag.ExitOnError)
-	archFlag := fs.String("arch", "576-256-32-10", "layer widths, dash separated")
+	archFlag := fs.String("arch", "576-256-32-10", "layer widths, dash separated (ignored with -i)")
+	in := fs.String("i", "", "stored test set to measure for every model (default: generate the proposed set of each model)")
+	jsonIn := fs.Bool("json-in", false, "the -i file is JSON instead of compact binary")
 	kindFlag := fs.String("kind", "all", "fault model or all")
-	varAware := fs.Bool("variation-aware", false, "use the variation-tolerant settings")
+	varAware := fs.Bool("variation-aware", false, "use the variation-tolerant settings (ignored with -i)")
 	bits := fs.Int("bits", 0, "quantize configurations to this many bits (0 = ideal)")
 	gran := fs.String("granularity", "channel", "quantization granularity: network, boundary, channel")
+	listUndetected := fs.Bool("list-undetected", false, "print every undetected fault (default: the first five)")
 	traceOut := fs.String("trace", "", "write campaign phase spans to this file as NDJSON")
 	//lint:ignore unchecked-error ExitOnError FlagSet: Parse exits the process on error and never returns one
 	fs.Parse(args)
 
-	arch, err := parseArch(*archFlag)
-	if err != nil {
-		return err
-	}
 	kind, all, err := parseKind(*kindFlag)
 	if err != nil {
 		return err
@@ -282,10 +292,22 @@ func cmdCoverage(args []string) error {
 		scheme = &s
 	}
 
-	m := neurotest.NewModel(arch...)
-	g, err := m.Generator(regimeOf(*varAware))
-	if err != nil {
-		return err
+	var stored *neurotest.TestSet
+	var storedATE *neurotest.ATE
+	var g *neurotest.Generator
+	if *in != "" {
+		if stored, err = readTestSet(*in, *jsonIn); err != nil {
+			return err
+		}
+		storedATE = tester.New(stored, scheme)
+	} else {
+		arch, err := parseArch(*archFlag)
+		if err != nil {
+			return err
+		}
+		if g, err = neurotest.NewModel(arch...).Generator(regimeOf(*varAware)); err != nil {
+			return err
+		}
 	}
 	kinds := fault.Kinds()
 	if !all {
@@ -296,20 +318,25 @@ func cmdCoverage(args []string) error {
 		rec = obs.NewRecorder(0)
 	}
 	for _, k := range kinds {
-		ts := g.Generate(k)
-		// The trace ID derives from the campaign's content address, so a
-		// re-run of the same coverage measurement yields the same trace.
-		spec := service.SuiteSpec{Arch: arch, VariationAware: *varAware, Kind: k, Scheme: scheme}
-		ctx, root := obs.StartTrace(context.Background(), rec, obs.TraceID(spec.Key()+"|cli-coverage"), "coverage")
+		ts, ate := stored, storedATE
+		if stored == nil {
+			ts = g.Generate(k)
+			ate = tester.New(ts, scheme)
+		}
+		// The trace ID derives from the campaign's content address, behind
+		// the stored file's path for -i, so a re-run of the same coverage
+		// measurement yields the same trace.
+		spec := service.SuiteSpec{Arch: ts.Arch, VariationAware: *varAware, Kind: k, Scheme: scheme}
+		ctx, root := obs.StartTrace(context.Background(), rec, obs.TraceID(*in+spec.Key()+"|cli-coverage"), "coverage")
 		root.SetAttr("kind", k.String())
-		cov, err := m.MeasureCoverageContext(ctx, k, ts, scheme)
+		cov, err := ate.MeasureCoverageContext(ctx, fault.Universe(ts.Arch, k), fault.PaperValues(ts.Params.Theta))
 		root.End()
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-5v %d configs, %d patterns: coverage %v\n", k, ts.NumConfigs(), ts.NumPatterns(), cov)
 		for i, f := range cov.Undetected {
-			if i >= 5 {
+			if i >= 5 && !*listUndetected {
 				fmt.Printf("      ... and %d more undetected\n", len(cov.Undetected)-5)
 				break
 			}
@@ -349,7 +376,11 @@ func cmdDiagnose(args []string) error {
 		universe = append(universe, fault.Universe(arch, k)...)
 	}
 	fmt.Printf("building dictionary: %d faults x %d items ...\n", len(universe), len(merged.Items))
-	dict := diagnose.Build(merged, m.Values, nil, universe)
+	ate := m.NewATE(merged, nil)
+	dict, err := m.BuildDictionary(ate, universe)
+	if err != nil {
+		return err
+	}
 	fmt.Println(dict)
 
 	if *inject == "" {
@@ -360,7 +391,7 @@ func cmdDiagnose(args []string) error {
 		return err
 	}
 	fmt.Printf("\ninjecting %v and testing the die ...\n", f)
-	sig := diagnose.ObserveChip(tester.New(merged, nil), f.Modifiers(m.Values))
+	sig := m.DiagnoseChip(ate, f.Modifiers(m.Values))
 	fmt.Printf("observed signature: %s (%d failing items)\n", sig, sig.CountFails())
 	candidates := dict.Lookup(sig)
 	if candidates == nil {
@@ -677,8 +708,8 @@ func cmdRepair(args []string) error {
 	universe := tester.SampleFaults(arch, fault.Kinds(), *sample, *seed+41)
 
 	fmt.Printf("building repair substrate: dictionary %d faults x %d items ...\n", len(universe), len(merged.Items))
-	loop, err := repair.New(repair.Config{
-		TS:              merged,
+	loop, err := repair.New(context.Background(), repair.Config{
+		ATE:             m.NewATE(merged, nil),
 		Values:          m.Values,
 		Universe:        universe,
 		SpareAxons:      *spares,

@@ -2,9 +2,11 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -67,6 +69,43 @@ func TestCLIEndToEnd(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("info missing %q:\n%s", want, out)
 		}
+	}
+
+	// coverage of the stored suite, every kind on one test set
+	out, err = run(t, bin, "coverage", "-i", tests, "-bits", "4")
+	if err != nil {
+		t.Fatalf("coverage -i: %v\n%s", err, out)
+	}
+	for _, k := range []string{"NASF", "ESF", "HSF", "SWF", "SASF"} {
+		if !regexp.MustCompile(`(?m)^` + k + ` +9 configs, 9 patterns: coverage 100\.00%`).MatchString(out) {
+			t.Errorf("coverage -i: %s not fully covered on the stored suite:\n%s", k, out)
+		}
+	}
+
+	// -list-undetected lists every fault a stored NASF set misses, where
+	// the default stops at five.
+	nasf := filepath.Join(dir, "nasf.json")
+	if out, err := run(t, bin, "generate", "-arch", "12-8-4", "-kind", "NASF", "-json", "-o", nasf); err != nil {
+		t.Fatalf("generate NASF: %v\n%s", err, out)
+	}
+	short, err := run(t, bin, "coverage", "-i", nasf, "-json-in", "-kind", "SWF")
+	if err != nil {
+		t.Fatalf("coverage -json-in: %v\n%s", err, short)
+	}
+	full, err := run(t, bin, "coverage", "-i", nasf, "-json-in", "-kind", "SWF", "-list-undetected")
+	if err != nil {
+		t.Fatalf("coverage -list-undetected: %v\n%s", err, full)
+	}
+	var pct float64
+	var detected, total int
+	if _, err := fmt.Sscanf(full[strings.Index(full, "coverage "):], "coverage %f%% (%d/%d)", &pct, &detected, &total); err != nil {
+		t.Fatalf("coverage line unparsable: %v\n%s", err, full)
+	}
+	if n := strings.Count(short, "undetected:"); n != 5 || !strings.Contains(short, fmt.Sprintf("and %d more undetected", total-detected-5)) {
+		t.Errorf("default listing shows %d undetected faults, want the first five of %d:\n%s", n, total-detected, short)
+	}
+	if n := strings.Count(full, "undetected:"); n != total-detected || n <= 5 || strings.Contains(full, "more undetected") {
+		t.Errorf("-list-undetected shows %d undetected faults, want all %d:\n%s", n, total-detected, full)
 	}
 
 	// coverage (single kind, quantized)
@@ -146,6 +185,7 @@ func TestCLIExitCodes(t *testing.T) {
 
 	runtimeCases := [][]string{
 		{"info", "-i", filepath.Join(t.TempDir(), "does-not-exist.bin")},
+		{"coverage", "-i", filepath.Join(t.TempDir(), "does-not-exist.bin")},
 		{"generate", "-arch", "12-8-4", "-o", filepath.Join(t.TempDir(), "no", "such", "dir", "t.bin")},
 	}
 	for _, args := range runtimeCases {

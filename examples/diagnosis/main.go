@@ -34,7 +34,11 @@ func main() {
 		universe = append(universe, model.Universe(k)...)
 	}
 	fmt.Printf("building dictionary over %d faults ...\n", len(universe))
-	dict := model.BuildDictionary(program, nil, universe)
+	ate := model.NewATE(program, nil) // the dictionary and the die's test share it
+	dict, err := model.BuildDictionary(ate, universe)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(dict)
 	res := dict.Resolution()
 	fmt.Printf("resolution: %d signature classes, %d faults uniquely diagnosed, mean candidates %.1f\n\n",
@@ -43,7 +47,7 @@ func main() {
 	// A "returned die" with an unknown defect (we secretly know it).
 	secret := model.Universe(neurotest.HSF)[50]
 	fmt.Printf("testing a returned die (secret defect: %v) ...\n", secret)
-	sig := model.DiagnoseChip(program, nil, secret.Modifiers(model.Values))
+	sig := model.DiagnoseChip(ate, secret.Modifiers(model.Values))
 	fmt.Printf("observed signature: %s  (%d failing items)\n", sig, sig.CountFails())
 	for i := 0; i < program.NumPatterns(); i++ {
 		if sig.Fails(i) {

@@ -32,11 +32,11 @@ import (
 	"math"
 
 	"neurotest/internal/fault"
-	"neurotest/internal/faultsim"
 	"neurotest/internal/margin"
 	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
+	"neurotest/internal/tester"
 )
 
 // Options parameterizes a baseline campaign. Zero fields take defaults.
@@ -166,7 +166,7 @@ func Generate(name string, kind fault.Kind, opt Options) (*pattern.TestSet, erro
 	}
 
 	// Detection matrix via the packed fault-simulation kernel.
-	rows, err := faultsim.NewGolden(candidates).NewEvaluator(opt.Values).DetectsMatrix(context.TODO(), sample)
+	rows, err := tester.New(candidates, nil).DetectsMatrix(context.TODO(), sample, opt.Values)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: detection matrix: %w", err)
 	}

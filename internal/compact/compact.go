@@ -18,9 +18,9 @@ import (
 	"context"
 
 	"neurotest/internal/fault"
-	"neurotest/internal/faultsim"
 	"neurotest/internal/pattern"
 	"neurotest/internal/quant"
+	"neurotest/internal/tester"
 )
 
 // Stats reports what compaction achieved.
@@ -34,15 +34,19 @@ type Stats struct {
 	Detected int
 }
 
-// Compact returns a coverage-preserving subset of ts with redundant items
-// removed, plus statistics. universe defines the faults whose coverage must
-// be preserved; detection is simulated on ts as programmed under scheme,
-// the way the target chip would program it (nil for ideal weights), since
-// compaction decisions must match deployment conditions. The result keeps
-// ts's own unquantized configurations; unreferenced ones are dropped.
-func Compact(ts *pattern.TestSet, values fault.Values, scheme *quant.Scheme, universe []fault.Fault) (*pattern.TestSet, Stats) {
-	//lint:ignore unchecked-error context.TODO() never cancels, and cancellation is the only error DetectsMatrix returns
-	rows, _ := faultsim.NewGolden(quant.Program(ts, scheme)).NewEvaluator(values).DetectsMatrix(context.TODO(), universe)
+// CompactOn returns a coverage-preserving subset of ate's test program
+// with redundant items removed, plus statistics. universe defines the
+// faults whose coverage must be preserved; detection is simulated on the
+// program as ate programs it (tester.ATE.DetectsMatrix, whose errors it
+// returns), since compaction decisions must match deployment conditions.
+// The result keeps the program's own unquantized configurations;
+// unreferenced ones are dropped.
+func CompactOn(ctx context.Context, ate *tester.ATE, values fault.Values, universe []fault.Fault) (*pattern.TestSet, Stats, error) {
+	rows, err := ate.DetectsMatrix(ctx, universe, values)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	ts := ate.TestSet()
 	n := len(ts.Items)
 	st := Stats{ItemsBefore: n, ConfigsBefore: ts.NumConfigs()}
 
@@ -101,5 +105,17 @@ func Compact(ts *pattern.TestSet, values fault.Values, scheme *quant.Scheme, uni
 	}
 	st.ItemsAfter = out.NumPatterns()
 	st.ConfigsAfter = out.NumConfigs()
+	return out, st, nil
+}
+
+// Compact is CompactOn over a fresh tester.New(ts, scheme).
+//
+//lint:ignore dead-code perfbench's signoff calls Compact; a benchmark change moves it onto CompactOn
+func Compact(ts *pattern.TestSet, values fault.Values, scheme *quant.Scheme, universe []fault.Fault) (*pattern.TestSet, Stats) {
+	out, st, err := CompactOn(context.TODO(), tester.New(ts, scheme), values, universe)
+	if err != nil {
+		//lint:ignore no-panic Compact exists only for perfbench's signoff, whose faults all lie in the architecture
+		panic(err)
+	}
 	return out, st
 }

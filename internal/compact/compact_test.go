@@ -2,6 +2,7 @@ package compact
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"neurotest/internal/baseline"
@@ -10,6 +11,7 @@ import (
 	"neurotest/internal/faultsim"
 	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
+	"neurotest/internal/tester"
 )
 
 func proposedSuite(t *testing.T, arch snn.Arch) (*core.Generator, *pattern.TestSet) {
@@ -47,14 +49,14 @@ func TestProposedPerKindIrredundancy(t *testing.T) {
 		g, _ := proposedSuite(t, arch)
 		for _, k := range []fault.Kind{fault.NASF, fault.SASF, fault.ESF, fault.SWF} {
 			ts := g.Generate(k)
-			if _, st := Compact(ts, g.Options().Values, nil, fault.Universe(arch, k)); st.ItemsAfter != st.ItemsBefore {
+			if _, st := compactOn(t, ts, g.Options().Values, fault.Universe(arch, k)); st.ItemsAfter != st.ItemsBefore {
 				t.Errorf("%v %v: per-kind set is redundant", arch, k)
 			}
 		}
 		// HSF: compaction must preserve coverage; it may shave items.
 		hsf := g.Generate(fault.HSF)
 		universe := fault.Universe(arch, fault.HSF)
-		compacted, st := Compact(hsf, g.Options().Values, nil, universe)
+		compacted, st := compactOn(t, hsf, g.Options().Values, universe)
 		if st.Detected != len(universe) {
 			t.Fatalf("%v HSF: %d/%d detected", arch, st.Detected, len(universe))
 		}
@@ -72,7 +74,7 @@ func TestMergedProgramCompaction(t *testing.T) {
 	arch := snn.Arch{9, 7, 5, 3}
 	g, merged := proposedSuite(t, arch)
 	universe := allFaults(arch)
-	compacted, st := Compact(merged, g.Options().Values, nil, universe)
+	compacted, st := compactOn(t, merged, g.Options().Values, universe)
 	if st.ItemsAfter > st.ItemsBefore {
 		t.Fatalf("compaction grew the program: %+v", st)
 	}
@@ -94,7 +96,7 @@ func TestCompactRemovesDuplicates(t *testing.T) {
 		t.Fatal("padding failed")
 	}
 
-	compacted, st := Compact(padded, g.Options().Values, nil, universe)
+	compacted, st := compactOn(t, padded, g.Options().Values, universe)
 	if st.ItemsAfter != merged.NumPatterns() {
 		t.Errorf("compacted to %d items, want %d", st.ItemsAfter, merged.NumPatterns())
 	}
@@ -132,7 +134,7 @@ func TestCompactBaselineSet(t *testing.T) {
 	universe := fault.Universe(arch, fault.SWF)
 
 	before := coverage(t, ts, values, universe)
-	compacted, st := Compact(ts, values, nil, universe)
+	compacted, st := compactOn(t, ts, values, universe)
 	after := coverage(t, compacted, values, universe)
 	if before != after {
 		t.Errorf("coverage changed: %d -> %d", before, after)
@@ -156,6 +158,41 @@ func TestCompactPreservesOrderAndMetadata(t *testing.T) {
 			t.Errorf("item %d metadata changed: %+v vs %+v", i, a, b)
 		}
 	}
+}
+
+// compactOn is CompactOn over an ideal ATE of ts under a background
+// context, failing t on an error.
+func compactOn(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) (*pattern.TestSet, Stats) {
+	t.Helper()
+	out, st, err := CompactOn(context.Background(), tester.New(ts, nil), values, universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, st
+}
+
+// TestCompactOnRejectsFaultOutsideChip: a fault outside the architecture
+// fails compaction with an error naming it before any Golden is built, and
+// Compact, the wrapper, panics with that error.
+func TestCompactOnRejectsFaultOutsideChip(t *testing.T) {
+	arch := snn.Arch{12, 8, 4}
+	g, merged := proposedSuite(t, arch)
+	bogus := fault.NewSynapseFault(fault.SWF, snn.SynapseID{Boundary: 0, Pre: 98, Post: 0})
+	universe := append(fault.Universe(arch, fault.NASF), bogus)
+	before := faultsim.Snapshot().GoldenBuilds
+	out, _, err := CompactOn(context.Background(), tester.New(merged, nil), g.Options().Values, universe)
+	if out != nil || err == nil || !strings.Contains(err.Error(), bogus.String()) {
+		t.Errorf("compacted %v, error %v; want a rejection naming %v", out, err, bogus)
+	}
+	if n := faultsim.Snapshot().GoldenBuilds - before; n != 0 {
+		t.Errorf("%d Goldens built before the rejection", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Compact over a fault outside the chip did not panic")
+		}
+	}()
+	Compact(merged, g.Options().Values, nil, universe)
 }
 
 // coverage fault-simulates universe against ts and returns how many faults

@@ -17,9 +17,9 @@ import (
 	"strings"
 
 	"neurotest/internal/fault"
-	"neurotest/internal/faultsim"
 	"neurotest/internal/pattern"
 	"neurotest/internal/quant"
+	"neurotest/internal/tester"
 )
 
 // Signature is a pass/fail bitmask over the items of a test set: bit i is
@@ -121,15 +121,19 @@ type Dictionary struct {
 	total    int
 }
 
-// Build fault-simulates every fault of universe against every item of ts
-// as programmed under scheme (nil for ideal weights; it must match how
-// chips under diagnosis are programmed) and returns the dictionary.
+// BuildOn fault-simulates every fault of universe against every item of
+// ate's test program as ate programs it (tester.ATE.DetectsMatrix, whose
+// errors it returns) and returns the dictionary. Observe the chips it
+// diagnoses on ate, or on a clone of it.
 //
 // Unlike coverage measurement, dictionary construction cannot early-exit:
 // the full per-item signature is what distinguishes faults.
-func Build(ts *pattern.TestSet, values fault.Values, scheme *quant.Scheme, universe []fault.Fault) *Dictionary {
-	//lint:ignore unchecked-error context.TODO() never cancels, and cancellation is the only error DetectsMatrix returns
-	rows, _ := faultsim.NewGolden(quant.Program(ts, scheme)).NewEvaluator(values).DetectsMatrix(context.TODO(), universe)
+func BuildOn(ctx context.Context, ate *tester.ATE, values fault.Values, universe []fault.Fault) (*Dictionary, error) {
+	rows, err := ate.DetectsMatrix(ctx, universe, values)
+	if err != nil {
+		return nil, err
+	}
+	ts := ate.TestSet()
 	d := &Dictionary{
 		ts:      ts,
 		entries: make(map[string][]fault.Fault),
@@ -152,6 +156,18 @@ func Build(ts *pattern.TestSet, values fault.Values, scheme *quant.Scheme, unive
 	//lint:ignore interprocedural-determinism each class is sorted in place; the visit order cannot change the result
 	for _, fs := range d.entries {
 		SortFaults(fs)
+	}
+	return d, nil
+}
+
+// Build is BuildOn over a fresh tester.New(ts, scheme).
+//
+//lint:ignore dead-code perfbench's signoff calls Build; a benchmark change moves it onto BuildOn
+func Build(ts *pattern.TestSet, values fault.Values, scheme *quant.Scheme, universe []fault.Fault) *Dictionary {
+	d, err := BuildOn(context.TODO(), tester.New(ts, scheme), values, universe)
+	if err != nil {
+		//lint:ignore no-panic Build exists only for perfbench's signoff, whose faults all lie in the architecture
+		panic(err)
 	}
 	return d
 }

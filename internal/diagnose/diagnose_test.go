@@ -1,12 +1,14 @@
 package diagnose
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
 
 	"neurotest/internal/core"
 	"neurotest/internal/fault"
+	"neurotest/internal/faultsim"
 	"neurotest/internal/pattern"
 	"neurotest/internal/quant"
 	"neurotest/internal/snn"
@@ -35,6 +37,36 @@ func fullUniverse(arch snn.Arch) []fault.Fault {
 		out = append(out, fault.Universe(arch, k)...)
 	}
 	return out
+}
+
+// buildOn is BuildOn under a background context, failing t on an error.
+func buildOn(t *testing.T, ate *tester.ATE, values fault.Values, universe []fault.Fault) *Dictionary {
+	t.Helper()
+	d, err := BuildOn(context.Background(), ate, values, universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestBuildOnRejectsFaultOutsideChip: a synapse fault whose pre neuron
+// lies outside the architecture, which the packed kernel would index out
+// of range, fails the build with an error naming it before any Golden is
+// built, and Build, the wrapper, panics with that error.
+func TestBuildOnRejectsFaultOutsideChip(t *testing.T) {
+	arch := snn.Arch{12, 8, 4}
+	g, merged := buildSuite(t, arch)
+	bogus := fault.NewSynapseFault(fault.SWF, snn.SynapseID{Boundary: 0, Pre: 98, Post: 0})
+	universe := append(fault.Universe(arch, fault.NASF), bogus)
+	before := faultsim.Snapshot().GoldenBuilds
+	d, err := BuildOn(context.Background(), tester.New(merged, nil), g.Options().Values, universe)
+	if d != nil || err == nil || !strings.Contains(err.Error(), bogus.String()) {
+		t.Errorf("dictionary %v, error %v; want a rejection naming %v", d, err, bogus)
+	}
+	if n := faultsim.Snapshot().GoldenBuilds - before; n != 0 {
+		t.Errorf("%d Goldens built before the rejection", n)
+	}
+	assertPanics(t, "Build over a fault outside the chip", func() { Build(merged, g.Options().Values, nil, universe) })
 }
 
 func TestSignatureBasics(t *testing.T) {
@@ -67,15 +99,16 @@ func TestDictionaryDiagnosesInjectedFaults(t *testing.T) {
 	arch := snn.Arch{8, 6, 4}
 	g, merged := buildSuite(t, arch)
 	universe := fullUniverse(arch)
-	dict := Build(merged, g.Options().Values, nil, universe)
+	ate := tester.New(merged, nil)
+	dict := buildOn(t, ate, g.Options().Values, universe)
 
 	if dict.Detected() != dict.Total() {
 		t.Fatalf("dictionary: %d/%d detected; proposed sets guarantee 100%%", dict.Detected(), dict.Total())
 	}
 
-	// Inject every 7th fault as a chip defect and diagnose it: the
-	// candidate list must contain the injected fault.
-	ate := tester.New(merged, nil)
+	// Inject every 7th fault as a chip defect and diagnose it on the ATE
+	// the dictionary was built on: the candidate list must contain the
+	// injected fault.
 	for i := 0; i < len(universe); i += 7 {
 		f := universe[i]
 		sig := ObserveChip(ate, f.Modifiers(g.Options().Values))
@@ -100,7 +133,7 @@ func TestDictionaryResolution(t *testing.T) {
 	arch := snn.Arch{8, 6, 4}
 	g, merged := buildSuite(t, arch)
 	universe := fullUniverse(arch)
-	dict := Build(merged, g.Options().Values, nil, universe)
+	dict := buildOn(t, tester.New(merged, nil), g.Options().Values, universe)
 	r := dict.Resolution()
 	if r.Classes < 2 {
 		t.Errorf("only %d failing classes", r.Classes)
@@ -122,7 +155,7 @@ func TestDictionaryResolution(t *testing.T) {
 func TestLookupUnknownSignature(t *testing.T) {
 	arch := snn.Arch{6, 4, 3}
 	g, merged := buildSuite(t, arch)
-	dict := Build(merged, g.Options().Values, nil, fault.Universe(arch, fault.NASF))
+	dict := buildOn(t, tester.New(merged, nil), g.Options().Values, fault.Universe(arch, fault.NASF))
 	// Every NASF fails the always-spike item (item 0 of the merged set), so
 	// a signature passing item 0 but failing the last item is unmodelled.
 	weird := NewSignature(len(merged.Items))
@@ -208,9 +241,9 @@ func TestLookupReturnsSortFaultsOrder(t *testing.T) {
 		j := (i*2654435761 + 17) % len(shuffled)
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	}
-	dict := Build(merged, g.Options().Values, nil, shuffled)
-	checked := 0
 	ate := tester.New(merged, nil)
+	dict := buildOn(t, ate, g.Options().Values, shuffled)
+	checked := 0
 	for _, f := range universe {
 		sig := ObserveChip(ate, f.Modifiers(g.Options().Values))
 		got := dict.Lookup(sig)
@@ -236,12 +269,13 @@ func TestCandidatesCoverInjectedCluster(t *testing.T) {
 	arch := snn.Arch{8, 6, 4}
 	g, merged := buildSuite(t, arch)
 	universe := fullUniverse(arch)
-	dict := Build(merged, g.Options().Values, nil, universe)
+	ate := tester.New(merged, nil)
+	dict := buildOn(t, ate, g.Options().Values, universe)
 
 	f1 := fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 1, Index: 2})
 	f2 := fault.NewSynapseFault(fault.SWF, snn.SynapseID{Boundary: 1, Pre: 3, Post: 1})
 	cluster := snn.MergeModifiers(f1.Modifiers(g.Options().Values), f2.Modifiers(g.Options().Values))
-	sig := ObserveChip(tester.New(merged, nil), cluster)
+	sig := ObserveChip(ate, cluster)
 
 	cands := dict.Candidates(sig)
 	has := func(f fault.Fault) bool {

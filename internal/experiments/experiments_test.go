@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"neurotest/internal/fault"
+	"neurotest/internal/faultsim"
 	"neurotest/internal/snn"
 )
 
@@ -73,6 +74,35 @@ func TestSuiteCachingAndRegimes(t *testing.T) {
 	y := r.Suite(tinyArch, ATCPG, fault.NASF, true)
 	if x != y {
 		t.Errorf("baseline suite duplicated per regime")
+	}
+}
+
+// TestMeasureMethodGoldenBuilds: an uncapped program, which the proposed
+// method's always is, is golden-simulated once ideal, by the coverage ATE
+// that also serves both overkill campaigns, and once 8-bit; a capped
+// baseline program adds one Golden for its capped ideal overkill ATE.
+func TestMeasureMethodGoldenBuilds(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.BaselineItemCap = 1
+	r := NewRunner(cfg)
+	capped := 0
+	for _, m := range Methods() {
+		ts := r.Suite(tinyArch, m, fault.ESF, false) // generated, and cached, outside the count
+		want := 2
+		if m != Proposed && capItems(ts, r.cfg.BaselineItemCap) != ts {
+			want, capped = 3, capped+1
+		}
+		before := faultsim.Snapshot().GoldenBuilds
+		cells := r.measureMethod(tinyArch, m, fault.ESF)
+		if d := faultsim.Snapshot().GoldenBuilds - before; d != int64(want) {
+			t.Errorf("%v: measureMethod built %d Goldens, want %d", m, d, want)
+		}
+		if m == Proposed && (cells.CovIdeal != 100 || cells.OverkillIdeal != 0 || cells.OverkillQuant != 0) {
+			t.Errorf("proposed cells %+v; want full coverage and no overkill", cells)
+		}
+	}
+	if capped == 0 {
+		t.Error("no baseline program was capped; the capped case is untested")
 	}
 }
 

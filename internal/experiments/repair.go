@@ -47,8 +47,8 @@ type RepairPoint struct {
 func (r *Runner) RepairSweep(arch snn.Arch) []RepairPoint {
 	merged := r.MergedSuite(arch, Proposed, false)
 	universe := tester.SampleFaults(arch, fault.Kinds(), r.cfg.RepairSample, r.cfg.Seed+41)
-	loop, err := repair.New(repair.Config{
-		TS:           merged,
+	loop, err := repair.New(context.Background(), repair.Config{
+		ATE:          tester.New(merged, nil),
 		Values:       r.values,
 		Universe:     universe,
 		SpareAxons:   r.cfg.RepairSpares,

@@ -90,16 +90,21 @@ func (r *Runner) measureMethod(arch snn.Arch, m Method, kind fault.Kind) MethodC
 	// variation (the paper's table protocol: its no-variation constructions
 	// have Ω margins of only θ, so variation belongs to Fig. 4), optionally
 	// programmed through the 8-bit quantizer. Long baseline programs are
-	// capped per chip.
+	// capped per chip; an uncapped program is golden-simulated once, by the
+	// ideal coverage ATE, for all three campaigns.
 	capped := capItems(ts, r.cfg.BaselineItemCap)
 	tol := 1 // statistical testers accept counts within rate-estimation resolution
 	if m == Proposed {
 		capped = ts
 		tol = 0 // the deterministic method expects exact outputs
 	}
-	okIdeal := withTolerance(tester.New(capped, nil), tol)
+	base := ideal
+	if capped != ts {
+		base = tester.New(capped, nil)
+	}
+	okIdeal := withTolerance(base, tol)
 	cells.OverkillIdeal = okIdeal.MeasureOverkill(r.cfg.GoodChips, variation.None(), r.cfg.Seed+uint64(kind)+1)
-	okQuant := withTolerance(tester.NewSplit(capped, eightBit()), tol)
+	okQuant := withTolerance(tester.NewSplit(base, eightBit()), tol)
 	cells.OverkillQuant = okQuant.MeasureOverkill(r.cfg.GoodChips, variation.None(), r.cfg.Seed+uint64(kind)+2)
 	r.progress("%v %v %v overkill: %.2f%% / %.2f%%", arch, m, kind, cells.OverkillIdeal, cells.OverkillQuant)
 	return cells

@@ -32,7 +32,8 @@
 //     configurations as given, per-item activity traces, golden results, the
 //     downstream memo and the collapse index (interned presynaptic trains
 //     and the distinct item networks, built on first use). It is built once
-//     per campaign, is immutable except for the memo (sharded per item,
+//     per test program, by the tester's ATE, which every campaign on the
+//     program reads; it is immutable except for the memo (sharded per item,
 //     mutex-guarded) and the once-built collapse index, and is safe for any
 //     number of concurrent readers.
 //   - Evaluator holds the per-goroutine scratch buffers one fault
@@ -43,10 +44,11 @@
 // Evaluation runs on one kernel, the bit-parallel packed kernel of
 // packed.go, with two drivers: DetectsBatch (per-fault verdicts with
 // cross-item early exit, behind the tester's coverage campaigns, which
-// cmd/faultsim runs too) and DetectsMatrix (the full fault × item detection
-// matrix for dictionaries, compaction and greedy selection). Both collapse
-// their input first. The fault-at-a-time scalar kernel survives only as the
-// differential test oracle.
+// neurotest coverage, the experiments and neurotestd run) and DetectsMatrix
+// (the full fault × item detection matrix behind the tester's
+// ATE.DetectsMatrix, which dictionaries, compaction and greedy selection
+// read). Both collapse their input first. The fault-at-a-time scalar
+// kernel survives only as the differential test oracle.
 package faultsim
 
 import (

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"neurotest/internal/diagnose"
 	"neurotest/internal/fault"
 	"neurotest/internal/snn"
+	"neurotest/internal/tester"
 )
 
 // fuzzSubstrate is the shared dictionary/planner pair FuzzRepairPlan probes:
@@ -36,7 +38,10 @@ func fuzzSetup(f *testing.F) {
 		for _, k := range fault.Kinds() {
 			universe = append(universe, fault.Universe(arch, k)...)
 		}
-		fuzzDict = diagnose.Build(merged, g.Options().Values, nil, universe)
+		fuzzDict, err = diagnose.BuildOn(context.Background(), tester.New(merged, nil), g.Options().Values, universe)
+		if err != nil {
+			f.Fatal(err)
+		}
 		fuzzN = len(merged.Items)
 
 		net := snn.New(arch, params)

@@ -10,8 +10,6 @@ import (
 	"neurotest/internal/diagnose"
 	"neurotest/internal/fault"
 	"neurotest/internal/margin"
-	"neurotest/internal/pattern"
-	"neurotest/internal/quant"
 	"neurotest/internal/snn"
 	"neurotest/internal/tester"
 	"neurotest/internal/variation"
@@ -115,22 +113,20 @@ const DefaultMarginFraction = 0.25
 // tolerates (the "within 2% of golden" acceptance bar).
 const DefaultAccuracyBudget = 0.02
 
-// Config describes one repair substrate: the structural test program, the
-// modelled fault universe, the chip geometry with its spare provisioning,
-// and the application workload that judges post-repair quality.
+// Config describes one repair substrate: the structural test equipment,
+// the modelled fault universe, the chip geometry with its spare
+// provisioning, and the application workload that judges post-repair
+// quality.
 type Config struct {
-	// TS is the structural test set (diagnosis domain and retest program).
-	TS *pattern.TestSet
-	// Scheme matches how chips under test are programmed (quantization);
-	// nil tests against ideal configurations.
-	Scheme *quant.Scheme
+	// ATE holds the structural test program as chips under test are
+	// programmed (tester.New(ts, scheme), or the service's memoized artifact
+	// ATE). The dictionary is built over it and dies are tested and retested
+	// on it, so diagnosis and retest read one program and one Golden.
+	ATE *tester.ATE
 	// Values are the fault-strength parameters of the modelled universe.
 	Values fault.Values
 	// Universe is the modelled fault list the dictionary is built over.
 	Universe []fault.Fault
-	// ATE optionally supplies prebuilt test equipment for TS/Scheme
-	// (e.g. the service's memoized artifact ATE); nil builds one.
-	ATE *tester.ATE
 	// Core is the crossbar geometry (zero value = DefaultCoreShape).
 	Core chip.CoreShape
 	// SpareAxons / SpareNeurons reserve spare lines per core (the repair
@@ -166,11 +162,15 @@ type Loop struct {
 }
 
 // New builds the repair substrate: the fault dictionary over cfg.Universe,
-// a trained application classifier, and a chip programmed with it.
-func New(cfg Config) (*Loop, error) {
-	if cfg.TS == nil {
-		return nil, fmt.Errorf("repair: config has no test set")
+// a trained application classifier, and a chip programmed with it. A fault
+// of the universe that is not a fault of the chip fails the build with an
+// error naming it, before anything is simulated; a cancelled ctx stops the
+// dictionary build.
+func New(ctx context.Context, cfg Config) (*Loop, error) {
+	if cfg.ATE == nil {
+		return nil, fmt.Errorf("repair: config has no ATE")
 	}
+	ts := cfg.ATE.TestSet()
 	if cfg.Core == (chip.CoreShape{}) {
 		cfg.Core = chip.DefaultCoreShape()
 	}
@@ -181,22 +181,25 @@ func New(cfg Config) (*Loop, error) {
 		cfg.WorkloadSamples = 64
 	}
 	if margin.ExactEq(cfg.Opt.Margin, 0) {
-		cfg.Opt.Margin = DefaultMarginFraction * cfg.TS.Params.Theta
+		cfg.Opt.Margin = DefaultMarginFraction * ts.Params.Theta
 	}
 	if margin.ExactEq(cfg.Opt.AccuracyBudget, 0) {
 		cfg.Opt.AccuracyBudget = DefaultAccuracyBudget
 	}
-	arch := cfg.TS.Arch
+	arch := ts.Arch
 
-	dict := diagnose.Build(cfg.TS, cfg.Values, cfg.Scheme, cfg.Universe)
+	dict, err := diagnose.BuildOn(ctx, cfg.ATE, cfg.Values, cfg.Universe)
+	if err != nil {
+		return nil, err
+	}
 
-	ds, cl, err := apptest.Workload(arch, cfg.TS.Params, cfg.WorkloadSamples, cfg.Seed)
+	ds, cl, err := apptest.Workload(arch, ts.Params, cfg.WorkloadSamples, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 
 	ch, err := chip.New(chip.Config{
-		Arch: arch, Params: cfg.TS.Params, Core: cfg.Core,
+		Arch: arch, Params: ts.Params, Core: cfg.Core,
 		WeightBits: cfg.WeightBits,
 		SpareAxons: cfg.SpareAxons, SpareNeurons: cfg.SpareNeurons,
 	})
@@ -212,9 +215,6 @@ func New(cfg Config) (*Loop, error) {
 	}
 
 	ate := cfg.ATE
-	if ate == nil {
-		ate = tester.New(cfg.TS, cfg.Scheme)
-	}
 	if cfg.Opt.Tolerance > 0 {
 		ate, err = ate.CloneWithTolerance(cfg.Opt.Tolerance)
 		if err != nil {
@@ -278,7 +278,7 @@ func (l *Loop) Run(ctx context.Context, defect *snn.Modifiers, publish func(Phas
 	sig := diagnose.ObserveChip(l.ate, defect)
 	rep.PreFails = sig.CountFails()
 	rep.PreAccuracy = l.accuracy(defect)
-	emit("test", "%d of %d items fail, application accuracy %.4f", rep.PreFails, len(l.cfg.TS.Items), rep.PreAccuracy)
+	emit("test", "%d of %d items fail, application accuracy %.4f", rep.PreFails, len(l.ate.TestSet().Items), rep.PreAccuracy)
 	if rep.PreFails == 0 {
 		rep.PostFails = 0
 		rep.PostAccuracy = rep.PreAccuracy

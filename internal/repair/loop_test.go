@@ -2,6 +2,7 @@ package repair
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"neurotest/internal/faultsim"
 	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
+	"neurotest/internal/tester"
 )
 
 // buildSuite generates the merged proposed suite for an architecture.
@@ -43,8 +45,8 @@ func testLoop(t *testing.T) *Loop {
 	t.Helper()
 	arch := snn.Arch{10, 8, 3}
 	g, merged := buildSuite(t, arch)
-	l, err := New(Config{
-		TS:       merged,
+	l, err := New(context.Background(), Config{
+		ATE:      tester.New(merged, nil),
 		Values:   g.Options().Values,
 		Universe: fullUniverse(arch),
 		Core:     chip.CoreShape{Axons: 16, Neurons: 16},
@@ -120,8 +122,8 @@ func TestClosedLoopRepairsInjectedCluster(t *testing.T) {
 func TestLoopUnrepairableWithoutSpares(t *testing.T) {
 	arch := snn.Arch{8, 8, 8}
 	g, merged := buildSuite(t, arch)
-	l, err := New(Config{
-		TS:       merged,
+	l, err := New(context.Background(), Config{
+		ATE:      tester.New(merged, nil),
 		Values:   g.Options().Values,
 		Universe: fullUniverse(arch),
 		Core:     chip.CoreShape{Axons: 8, Neurons: 8}, // fully used, zero spares
@@ -202,8 +204,8 @@ func TestLoopRunBuildsNoGolden(t *testing.T) {
 
 	arch := snn.Arch{8, 8, 8}
 	g, merged := buildSuite(t, arch)
-	spareless, err := New(Config{
-		TS:       merged,
+	spareless, err := New(context.Background(), Config{
+		ATE:      tester.New(merged, nil),
 		Values:   g.Options().Values,
 		Universe: fullUniverse(arch),
 		Core:     chip.CoreShape{Axons: 8, Neurons: 8}, // fully used, zero spares
@@ -232,6 +234,53 @@ func TestLoopRunBuildsNoGolden(t *testing.T) {
 		}
 		if d := faultsim.Snapshot().GoldenBuilds - before; d != 0 {
 			t.Errorf("%v die: the run built %d Goldens, want 0", tc.want, d)
+		}
+	}
+}
+
+// TestLoopBuildsOneGolden: the dictionary is built over the loop's ATE, so
+// building a loop and running a die through it simulates the program's
+// good chip once, for the dictionary, the structural test and the retest.
+func TestLoopBuildsOneGolden(t *testing.T) {
+	before := faultsim.Snapshot().GoldenBuilds
+	l := testLoop(t)
+	values := fault.PaperValues(snn.DefaultParams().Theta)
+	f := fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 1, Index: 2})
+	if _, _, err := l.Run(context.Background(), f.Modifiers(values), nil); err != nil {
+		t.Fatal(err)
+	}
+	if d := faultsim.Snapshot().GoldenBuilds - before; d != 1 {
+		t.Errorf("New and one Run built %d Goldens, want 1", d)
+	}
+}
+
+// TestNewRejectsBeforeSimulating: a universe fault outside the
+// architecture, a cancelled context and a missing ATE each fail New with
+// an error, and none of them builds a Golden.
+func TestNewRejectsBeforeSimulating(t *testing.T) {
+	arch := snn.Arch{12, 8, 4}
+	g, merged := buildSuite(t, arch)
+	bogus := fault.NewSynapseFault(fault.SWF, snn.SynapseID{Boundary: 0, Pre: 98, Post: 0})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		cfg  Config
+		want string
+	}{
+		{"fault outside the chip", context.Background(), Config{ATE: tester.New(merged, nil), Universe: []fault.Fault{bogus}}, bogus.String()},
+		{"cancelled context", cancelled, Config{ATE: tester.New(merged, nil), Universe: fullUniverse(arch)}, context.Canceled.Error()},
+		{"no ATE", context.Background(), Config{Universe: fullUniverse(arch)}, "no ATE"},
+	} {
+		tc.cfg.Values = g.Options().Values
+		before := faultsim.Snapshot().GoldenBuilds
+		l, err := New(tc.ctx, tc.cfg)
+		if l != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: loop %v, error %v; want an error naming %q", tc.name, l, err, tc.want)
+		}
+		if d := faultsim.Snapshot().GoldenBuilds - before; d != 0 {
+			t.Errorf("%s: %d Goldens built before the error", tc.name, d)
 		}
 	}
 }

@@ -171,9 +171,6 @@ type Artifact struct {
 	metrics *Metrics
 }
 
-// TestSet returns the decoded suite. Callers must treat it as read-only.
-func (a *Artifact) TestSet() *pattern.TestSet { return a.ts }
-
 // ATE returns the memoized test equipment for the artifact: golden
 // responses are simulated once per artifact (the "memoized good traces" of
 // the cache) and shared by every campaign job that hits the same key. The
@@ -193,11 +190,7 @@ func (a *Artifact) ATE() (*tester.ATE, error) {
 		if a.metrics != nil {
 			a.metrics.GoldenBuilds.Add(1)
 		}
-		timer := obs.StartTimer()
 		a.ate = tester.New(a.ts, a.spec.Scheme)
-		if a.metrics != nil {
-			timer.ObserveElapsed(a.metrics.GoldenBuildSeconds)
-		}
 	})
 	return a.ate, a.ateErr
 }

@@ -23,7 +23,7 @@ type Metrics struct {
 	CacheEvictions     atomic.Int64 // entries dropped by the LRU bound
 	SingleflightDedups atomic.Int64 // concurrent identical requests folded into one computation
 	SuiteGenerations   atomic.Int64 // generation computations actually run
-	GoldenBuilds       atomic.Int64 // ATE golden-trace constructions (memoization misses)
+	GoldenBuilds       atomic.Int64 // artifact ATE constructions (artifact-cache misses)
 	CachePeerHits      atomic.Int64 // artifacts fetched from a peer instead of rebuilt
 	PeerFetchFailures  atomic.Int64 // peer artifact fetches that failed (fell back to build)
 
@@ -41,7 +41,6 @@ type Metrics struct {
 	// Latency histograms (nil until register is called; Observe on nil
 	// histograms is a no-op).
 	ArtifactBuildSeconds *obs.Histogram // suite generation + encoding, miss path
-	GoldenBuildSeconds   *obs.Histogram // memoized golden-trace construction
 	QueueWaitSeconds     *obs.Histogram // job submit → start
 	JobRunSeconds        *obs.Histogram // job start → finish
 }
@@ -82,7 +81,7 @@ func (m *Metrics) register(r *obs.Registry) {
 	r.CounterFunc("neurotestd_cache_evictions_total", "artifacts dropped by the LRU byte bound", view(&m.CacheEvictions))
 	r.CounterFunc("neurotestd_singleflight_dedups_total", "identical concurrent requests folded into one computation", view(&m.SingleflightDedups))
 	r.CounterFunc("neurotestd_suite_generations_total", "suite generation computations actually run", view(&m.SuiteGenerations))
-	r.CounterFunc("neurotestd_golden_builds_total", "ATE golden-trace constructions (memoization misses)", view(&m.GoldenBuilds))
+	r.CounterFunc("neurotestd_golden_builds_total", "artifact ATE constructions, one per artifact-cache miss; faultsim_golden_builds_total counts golden simulations", view(&m.GoldenBuilds))
 	r.CounterFunc("neurotestd_cache_peer_hits_total", "artifacts fetched from a cluster peer instead of rebuilt", view(&m.CachePeerHits))
 	r.CounterFunc("neurotestd_peer_fetch_failures_total", "peer artifact fetches that failed and fell back to a local build", view(&m.PeerFetchFailures))
 	r.CounterFunc("neurotestd_jobs_submitted_total", "campaign jobs accepted into the queue", view(&m.JobsSubmitted))
@@ -98,8 +97,6 @@ func (m *Metrics) register(r *obs.Registry) {
 
 	m.ArtifactBuildSeconds = r.Histogram("neurotestd_artifact_build_seconds",
 		"suite generation and encoding latency on cache misses", nil)
-	m.GoldenBuildSeconds = r.Histogram("neurotestd_golden_build_seconds",
-		"memoized golden-trace construction latency", nil)
 	m.QueueWaitSeconds = r.Histogram("neurotestd_queue_wait_seconds",
 		"campaign job latency from submit to start", nil)
 	m.JobRunSeconds = r.Histogram("neurotestd_job_run_seconds",

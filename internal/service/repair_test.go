@@ -3,8 +3,11 @@ package service
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
+
+	"neurotest/internal/faultsim"
 )
 
 // TestServiceRepairJobEndToEnd is the acceptance path for the closed repair
@@ -251,5 +254,28 @@ func TestServiceRepairRejectsBadRequests(t *testing.T) {
 		if resp := postJSON(t, ts.URL+"/v1/repair", body, nil); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestRepairJobsShareGolden: repair jobs on one artifact build their
+// dictionaries over the artifact's memoized ATE, so however many jobs run,
+// and whatever fault sample each draws, the program's good chip is
+// simulated once.
+func TestRepairJobsShareGolden(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	before := faultsim.Snapshot().GoldenBuilds
+	const jobs = 3
+	for i := 0; i < jobs; i++ {
+		var job JobStatus
+		body := fmt.Sprintf(`{"arch":[10,8,3],"chips":1,"clusters":2,"sample":32,"seed":%d}`, i+1)
+		if resp := postJSON(t, ts.URL+"/v1/repair", body, &job); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("repair submit %d: HTTP %d", i, resp.StatusCode)
+		}
+		if done := pollJob(t, ts.URL, job.ID); done.State != "done" {
+			t.Fatalf("repair job %d ended %q (%s)", i, done.State, done.Error)
+		}
+	}
+	if d := faultsim.Snapshot().GoldenBuilds - before; d != 1 {
+		t.Errorf("%d repair jobs on one artifact built %d Goldens, want 1", jobs, d)
 	}
 }

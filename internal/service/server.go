@@ -580,7 +580,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			rloop, err = newRepairLoop(f.art, f.ate, spec, universe, repairRequest{
+			rloop, err = newRepairLoop(ctx, f.ate, spec, universe, repairRequest{
 				SpareAxons: defaultRepairSpares, SpareNeurons: defaultRepairSpares,
 				WorkloadSamples: samples, Tolerance: req.Tolerance, Seed: req.Seed,
 			})
@@ -660,16 +660,14 @@ const defaultRepairSample = 128
 const defaultRepairSpares = 8
 
 // newRepairLoop assembles the closed-loop repair substrate over a cached
-// artifact: the artifact's test set and memoized ATE, the spec's
-// quantization scheme, and a chip provisioned with spare lines.
-func newRepairLoop(art *Artifact, base *tester.ATE, spec SuiteSpec, universe []fault.Fault, req repairRequest) (*repair.Loop, error) {
+// artifact's memoized ATE, whose Golden every repair job on the artifact
+// builds its dictionary over, and a chip provisioned with spare lines.
+func newRepairLoop(ctx context.Context, base *tester.ATE, spec SuiteSpec, universe []fault.Fault, req repairRequest) (*repair.Loop, error) {
 	model := spec.Model()
-	return repair.New(repair.Config{
-		TS:              art.TestSet(),
-		Scheme:          spec.Scheme,
+	return repair.New(ctx, repair.Config{
+		ATE:             base,
 		Values:          model.Values,
 		Universe:        universe,
-		ATE:             base,
 		SpareAxons:      req.SpareAxons,
 		SpareNeurons:    req.SpareNeurons,
 		WeightBits:      req.WeightBits,
@@ -742,8 +740,8 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		}
 		// The substrate span covers the expensive one-offs: dictionary
 		// construction, workload training and chip programming.
-		_, sub := obs.StartSpan(ctx, "substrate")
-		loop, err := newRepairLoop(f.art, f.ate, spec, universe, req)
+		subCtx, sub := obs.StartSpan(ctx, "substrate")
+		loop, err := newRepairLoop(subCtx, f.ate, spec, universe, req)
 		sub.End()
 		if err != nil {
 			return nil, err

@@ -43,7 +43,7 @@ type ATE struct {
 	goldens *goldenShare
 	// expected is the share the expected responses come from: goldens
 	// itself for New, whose good-chip traces double as the expected
-	// outputs, and a share over the ideal test set for NewSplit.
+	// outputs, and the ideal ATE's share for NewSplit.
 	expected *goldenShare
 	// groups partitions the items by the input sum they drive into layer 1
 	// of a die, built on the first die and shared by tolerance clones.
@@ -184,16 +184,16 @@ func New(ts *pattern.TestSet, scheme *quant.Scheme) *ATE {
 		groups: &itemGroups{nets: programmed.Configs, items: ts.Items}}
 }
 
-// NewSplit builds an ATE whose golden responses come from the ideal
-// configurations of ts while chips under test are programmed under chip.
-// Production flows that golden against the *ideal* model but ship
-// quantized silicon use NewSplit(ts, scheme): any behavioural gap the
-// quantizer opens then shows up as overkill, which is exactly the effect
-// the paper's "overkill with quantization" rows measure. Coverage still
-// fault-simulates the programmed chip, as New's does.
-func NewSplit(ts *pattern.TestSet, chip *quant.Scheme) *ATE {
-	a := New(ts, chip)
-	a.expected = &goldenShare{ts: ts}
+// NewSplit builds an exact ATE for ideal's test set whose golden responses
+// are ideal's, read from its Golden, while chips under test are programmed
+// under chip. Production flows that golden against the *ideal* model but
+// ship quantized silicon use NewSplit(New(ts, nil), scheme): any
+// behavioural gap the quantizer opens then shows up as overkill, which is
+// exactly the effect the paper's "overkill with quantization" rows
+// measure. Coverage still fault-simulates the programmed chip.
+func NewSplit(ideal *ATE, chip *quant.Scheme) *ATE {
+	a := New(ideal.ts, chip)
+	a.expected = ideal.expected
 	return a
 }
 
@@ -533,6 +533,29 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 	faultsim.CountBroadcast(broadcast)
 	span.SetAttr("detected", strconv.Itoa(res.Detected))
 	return res, ctx.Err()
+}
+
+// DetectsMatrix fault-simulates every fault on every item of the program
+// as the chip is programmed, over the Golden coverage reads, and returns
+// faultsim.Evaluator.DetectsMatrix's bitset rows: item i detects faults[f]
+// when bit i%64 of rows[f][i/64] is set. Rows count any deviation whatever
+// the ATE's tolerance, as Observe's do. A fault that is not a fault of the
+// chip (fault.Fault.In) fails the call with an error naming it, and a
+// cancelled ctx with ctx.Err(), before anything is simulated.
+func (a *ATE) DetectsMatrix(ctx context.Context, faults []fault.Fault, values fault.Values) ([][]uint64, error) {
+	for _, f := range faults {
+		if !f.In(a.ts.Arch) {
+			return nil, rejectFault(f, a.ts.Arch)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	golden, err := a.goldens.get()
+	if err != nil {
+		return nil, err
+	}
+	return golden.NewEvaluator(values).DetectsMatrix(ctx, faults)
 }
 
 // MeasureOverkill simulates nChips good chips under weight variation and

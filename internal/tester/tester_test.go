@@ -475,7 +475,11 @@ func TestNewSplitSeparatesGoldenFromChip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	split := NewSplit(merged, &coarse)
+	ideal := New(merged, nil)
+	split := NewSplit(ideal, &coarse)
+	if split.expected != ideal.expected {
+		t.Fatal("the split ATE must read its expected responses from the ideal ATE's Golden")
+	}
 	if v := split.RunChip(nil, variation.None(), nil); v.Passed {
 		t.Errorf("2-bit chip passed against ideal goldens")
 	}
@@ -485,7 +489,6 @@ func TestNewSplitSeparatesGoldenFromChip(t *testing.T) {
 	}
 	// The split ATE's goldens are the ideal ATE's goldens, untouched by the
 	// chip-side scheme.
-	ideal := New(merged, nil)
 	for i := range merged.Items {
 		if !split.Golden(i).Equal(ideal.Golden(i)) {
 			t.Fatalf("split golden %d diverges from ideal", i)

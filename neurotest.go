@@ -265,19 +265,26 @@ type (
 )
 
 // BuildDictionary fault-simulates every fault in faults against every item
-// of ts and returns a diagnosis dictionary (see internal/diagnose).
-func (m *Model) BuildDictionary(ts *TestSet, scheme *QuantScheme, faults []Fault) *FaultDictionary {
-	return diagnose.Build(ts, m.Values, scheme, faults)
+// of ate's test program, as ate programs it, and returns a diagnosis
+// dictionary (see internal/diagnose). The dictionary reads the Golden ate's
+// campaigns read; diagnose chips on ate with DiagnoseChip. A fault that is
+// not a fault of the chip is an error, reported before anything is
+// simulated.
+func (m *Model) BuildDictionary(ate *ATE, faults []Fault) (*FaultDictionary, error) {
+	return diagnose.BuildOn(context.Background(), ate, m.Values, faults)
 }
 
-// DiagnoseChip runs the full test program against a (possibly defective)
+// DiagnoseChip runs ate's full test program against a (possibly defective)
 // chip and returns its observed pass/fail signature for dictionary lookup.
-func (m *Model) DiagnoseChip(ts *TestSet, scheme *QuantScheme, defect *snn.Modifiers) FailSignature {
-	return diagnose.ObserveChip(tester.New(ts, scheme), defect)
+func (m *Model) DiagnoseChip(ate *ATE, defect *snn.Modifiers) FailSignature {
+	return diagnose.ObserveChip(ate, defect)
 }
 
-// CompactTestSet removes items whose detected faults are all covered by
-// other items, preserving coverage of faults exactly (see internal/compact).
-func (m *Model) CompactTestSet(ts *TestSet, scheme *QuantScheme, faults []Fault) (*TestSet, CompactionStats) {
-	return compact.Compact(ts, m.Values, scheme, faults)
+// CompactTestSet removes the items of ate's test program whose detected
+// faults are all covered by other items, preserving coverage of faults
+// exactly as ate programs the chip (see internal/compact). A fault that is
+// not a fault of the chip is an error, reported before anything is
+// simulated.
+func (m *Model) CompactTestSet(ate *ATE, faults []Fault) (*TestSet, CompactionStats, error) {
+	return compact.CompactOn(context.Background(), ate, m.Values, faults)
 }

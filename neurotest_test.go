@@ -1,9 +1,12 @@
 package neurotest_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"neurotest"
+	"neurotest/internal/faultsim"
 )
 
 func TestModelConstructors(t *testing.T) {
@@ -138,6 +141,9 @@ func TestATEFlow(t *testing.T) {
 	}
 }
 
+// TestDictionaryAndCompactionFacade drives the diagnosis façade over one
+// ATE: the dictionary, two diagnosed dies and the compaction read one
+// golden simulation of the program.
 func TestDictionaryAndCompactionFacade(t *testing.T) {
 	m := neurotest.NewModel(24, 12, 6)
 	suite, err := m.GenerateSuite(neurotest.NoVariation())
@@ -148,28 +154,58 @@ func TestDictionaryAndCompactionFacade(t *testing.T) {
 	for _, k := range []neurotest.FaultKind{neurotest.NASF, neurotest.ESF, neurotest.HSF} {
 		faults = append(faults, m.Universe(k)...)
 	}
-	dict := m.BuildDictionary(suite.Merged, nil, faults)
+	before := faultsim.Snapshot().GoldenBuilds
+	ate := m.NewATE(suite.Merged, nil)
+	dict, err := m.BuildDictionary(ate, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dict.Detected() != dict.Total() {
 		t.Fatalf("dictionary detected %d/%d", dict.Detected(), dict.Total())
 	}
-	// Diagnose an injected defect through the facade.
-	f := m.Universe(neurotest.HSF)[3]
-	sig := m.DiagnoseChip(suite.Merged, nil, f.Modifiers(m.Values))
-	if !sig.AnyFail() {
-		t.Fatal("defective chip passed")
-	}
-	found := false
-	for _, c := range dict.Lookup(sig) {
-		if c == f {
-			found = true
+	// Diagnose injected defects through the facade.
+	for _, f := range []neurotest.Fault{m.Universe(neurotest.HSF)[3], m.Universe(neurotest.ESF)[1]} {
+		sig := m.DiagnoseChip(ate, f.Modifiers(m.Values))
+		if !sig.AnyFail() {
+			t.Fatalf("%v: defective chip passed", f)
+		}
+		if !slices.Contains(dict.Lookup(sig), f) {
+			t.Errorf("%v missing from its diagnosis", f)
 		}
 	}
-	if !found {
-		t.Errorf("injected fault missing from diagnosis")
-	}
 	// Compaction through the facade preserves coverage.
-	compacted, st := m.CompactTestSet(suite.Merged, nil, faults)
-	if st.ItemsAfter > st.ItemsBefore || compacted.NumPatterns() != st.ItemsAfter {
+	compacted, st, err := m.CompactTestSet(ate, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ItemsAfter > st.ItemsBefore || compacted.NumPatterns() != st.ItemsAfter || st.Detected != len(faults) {
 		t.Errorf("compaction stats inconsistent: %+v", st)
+	}
+	if d := faultsim.Snapshot().GoldenBuilds - before; d != 1 {
+		t.Errorf("the façade flow built %d Goldens, want 1", d)
+	}
+}
+
+// TestFacadeRejectsFaultOutsideChip: BuildDictionary and CompactTestSet
+// return an error naming a fault outside the architecture, before any
+// Golden is built.
+func TestFacadeRejectsFaultOutsideChip(t *testing.T) {
+	m := neurotest.NewModel(12, 8, 4)
+	suite, err := m.GenerateSuite(neurotest.NoVariation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bogus := neurotest.Fault{Kind: neurotest.SWF, Synapse: neurotest.SynapseID{Boundary: 0, Pre: 98, Post: 0}}
+	faults := append(m.Universe(neurotest.NASF), bogus)
+	before := faultsim.Snapshot().GoldenBuilds
+	ate := m.NewATE(suite.Merged, nil)
+	if dict, err := m.BuildDictionary(ate, faults); dict != nil || err == nil || !strings.Contains(err.Error(), bogus.String()) {
+		t.Errorf("BuildDictionary: %v, %v; want an error naming %v", dict, err, bogus)
+	}
+	if ts, _, err := m.CompactTestSet(ate, faults); ts != nil || err == nil || !strings.Contains(err.Error(), bogus.String()) {
+		t.Errorf("CompactTestSet: %v, %v; want an error naming %v", ts, err, bogus)
+	}
+	if d := faultsim.Snapshot().GoldenBuilds - before; d != 0 {
+		t.Errorf("%d Goldens built before the rejections", d)
 	}
 }
