@@ -759,7 +759,7 @@ func cmdRepair(args []string) error {
 		}
 	}
 
-	shipped := 0
+	var t repair.Tally
 	for i, d := range dies {
 		fmt.Printf("\ndie %d: %s\n", i, d.label)
 		rep, _, err := loop.Run(context.Background(), d.defect, func(ev repair.PhaseEvent) {
@@ -769,12 +769,10 @@ func cmdRepair(args []string) error {
 			return err
 		}
 		fmt.Printf("die %d: %s\n", i, rep)
-		if rep.Verdict == repair.Healthy || rep.Verdict == repair.Repaired {
-			shipped++
-		}
+		t.Add(rep)
 	}
 	fmt.Printf("\npopulation: %d/%d dies shipped (recovered yield %.1f%%)\n",
-		shipped, len(dies), 100*float64(shipped)/float64(len(dies)))
+		t.Shipped, t.Dies, t.RecoveredYield())
 	return nil
 }
 

@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("application: 4-class task on %v, accuracy train %.1f%% / test %.1f%%\n",
-		model.Arch, 100*cl.Accuracy(train), 100*cl.Accuracy(test))
+		model.Arch, 100*cl.Accuracy(cl.Net, train, nil), 100*cl.Accuracy(cl.Net, test, nil))
 
 	// 2. Fault population: every neuron fault plus sampled synapse faults.
 	var faults []neurotest.Fault

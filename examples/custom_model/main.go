@@ -1,8 +1,8 @@
 // Custom model: the full production flow on a user-defined chip family —
-// define an architecture and LIF parameters, generate tests, program them
-// into the hardware chip model (crossbar cores with a quantized weight
-// memory), store the test program in the compact binary tester format, and
-// screen a batch of dies that includes known-bad ones.
+// define an architecture and LIF parameters, generate tests, store the test
+// program in the compact binary tester format, check it on the hardware
+// chip model (crossbar cores with a quantized weight memory), and screen a
+// batch of dies that includes known-bad ones.
 package main
 
 import (
@@ -45,12 +45,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Verify the program against the hardware model: program each
-	// configuration into the crossbar chip (8-bit weight memory with
-	// per-channel scales) and check the golden outputs survive the memory.
+	// 3. Verify the program against the hardware model: the crossbar chip
+	// (8-bit weight memory with per-channel scales) programs every
+	// configuration through its scheme, and a good die must reproduce the
+	// golden outputs of the ideal model.
 	hw, err := chip.New(chip.Config{
 		Arch:       model.Arch,
-		Params:     model.Params,
 		Core:       chip.CoreShape{Axons: 64, Neurons: 64},
 		WeightBits: 8,
 	})
@@ -59,18 +59,10 @@ func main() {
 	}
 	fmt.Printf("hardware model: %d crossbar cores of 64x64\n", hw.NumCores())
 	ate := tester.New(program, nil)
-	for i, it := range program.Items {
-		if err := hw.Program(program.Configs[it.ConfigIndex]); err != nil {
-			log.Fatal(err)
-		}
-		got, err := hw.Apply(it.Pattern, it.Timesteps, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !got.Equal(ate.Golden(i)) {
-			log.Fatalf("item %d (%s): hardware output %v != golden %v",
-				i, it.Label, got.SpikeCounts, ate.Golden(i).SpikeCounts)
-		}
+	scheme := hw.Scheme()
+	if v := tester.NewSplit(ate, &scheme).RunChip(nil, variation.None(), nil); !v.Passed {
+		log.Fatalf("item %d (%s): hardware output differs from golden",
+			v.FailedItem, program.Items[v.FailedItem].Label)
 	}
 	fmt.Println("hardware check: all items match golden responses on a good die")
 

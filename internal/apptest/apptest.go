@@ -203,18 +203,17 @@ func Train(ds *Dataset, opt TrainOptions) (*Classifier, error) {
 	L := net.Arch.Layers()
 	lastB := net.Arch.Boundaries() - 1
 	nHidden := net.Arch[L-2]
-	nOut := net.Arch[L-1]
 
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
 		mistakes := 0
 		for _, s := range ds.Samples {
-			_, trace := sim.RunTrace(s.Input, opt.Timesteps, snn.ApplyHold, nil)
+			res, trace := sim.RunTrace(s.Input, opt.Timesteps, snn.ApplyHold, nil)
 			// Penultimate rates and current prediction.
 			h := make([]float64, nHidden)
 			for j := 0; j < nHidden; j++ {
-				h[j] = float64(popcount(trace.X[L-2][j]))
+				h[j] = float64(bits.OnesCount64(trace.X[L-2][j]))
 			}
-			pred := argmaxCounts(trace, L-1, nOut)
+			pred := argmax(res.SpikeCounts)
 			if pred == s.Label {
 				continue
 			}
@@ -240,29 +239,23 @@ func Train(ds *Dataset, opt TrainOptions) (*Classifier, error) {
 }
 
 // Predict returns the classifier's class decision for one input on the
-// given network (usually cl.Net, or a faulty/varied variant of it).
-func (cl *Classifier) Predict(net *snn.Network, in snn.Pattern, mods *snn.Modifiers) int {
-	sim := snn.NewSimulator(net)
-	res := sim.Run(in, cl.Timesteps, snn.ApplyHold, mods)
-	best, bestC := 0, -1
-	for j, c := range res.SpikeCounts {
-		if c > bestC {
-			best, bestC = j, c
-		}
-	}
-	return best
+// network sim is bound to (usually cl.Net, or the configuration as a chip
+// holds it) carrying mods: the output neuron that fires most over the
+// rate-coding window, the first one on a tie.
+func (cl *Classifier) Predict(sim *snn.Simulator, in snn.Pattern, mods *snn.Modifiers) int {
+	return argmax(sim.Run(in, cl.Timesteps, snn.ApplyHold, mods).SpikeCounts)
 }
 
-// Accuracy evaluates classification accuracy on a dataset.
-func (cl *Classifier) Accuracy(ds *Dataset) float64 {
+// Accuracy evaluates the classification accuracy of net carrying mods on a
+// dataset, in one pass over one simulator.
+func (cl *Classifier) Accuracy(net *snn.Network, ds *Dataset, mods *snn.Modifiers) float64 {
 	if len(ds.Samples) == 0 {
 		return 0
 	}
-	sim := snn.NewSimulator(cl.Net)
+	sim := snn.NewSimulator(net)
 	ok := 0
 	for _, s := range ds.Samples {
-		_, trace := sim.RunTrace(s.Input, cl.Timesteps, snn.ApplyHold, nil)
-		if argmaxCounts(trace, cl.Net.Arch.Layers()-1, cl.Net.Arch.Outputs()) == s.Label {
+		if cl.Predict(sim, s.Input, mods) == s.Label {
 			ok++
 		}
 	}
@@ -294,17 +287,18 @@ func (r FunctionalResult) Coverage() float64 {
 // application accuracy of the faults that escape.
 func (cl *Classifier) FunctionalScreen(screen *Dataset, faults []fault.Fault, values fault.Values) FunctionalResult {
 	res := FunctionalResult{Total: len(faults)}
+	sim := snn.NewSimulator(cl.Net)
 	// Golden predictions once.
 	golden := make([]int, len(screen.Samples))
 	for i, s := range screen.Samples {
-		golden[i] = cl.Predict(cl.Net, s.Input, nil)
+		golden[i] = cl.Predict(sim, s.Input, nil)
 	}
 	for _, f := range faults {
 		mods := f.Modifiers(values)
 		detected := false
 		correct := 0
 		for i, s := range screen.Samples {
-			pred := cl.Predict(cl.Net, s.Input, mods)
+			pred := cl.Predict(sim, s.Input, mods)
 			if pred != golden[i] {
 				detected = true
 				break
@@ -323,18 +317,16 @@ func (cl *Classifier) FunctionalScreen(screen *Dataset, faults []fault.Fault, va
 	return res
 }
 
-func argmaxCounts(trace *snn.Trace, layer, width int) int {
-	best, bestC := 0, -1
-	for j := 0; j < width; j++ {
-		c := popcount(trace.X[layer][j])
-		if c > bestC {
-			best, bestC = j, c
+// argmax returns the index of the largest count, the first one on a tie.
+func argmax(counts []int) int {
+	best := 0
+	for j, c := range counts {
+		if c > counts[best] {
+			best = j
 		}
 	}
 	return best
 }
-
-func popcount(x uint64) int { return bits.OnesCount64(x) }
 
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {

@@ -1,6 +1,7 @@
 package apptest
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -74,8 +75,8 @@ func TestSplit(t *testing.T) {
 
 func TestTrainingLearnsAboveChance(t *testing.T) {
 	cl, train, test := trainedClassifier(t)
-	trainAcc := cl.Accuracy(train)
-	testAcc := cl.Accuracy(test)
+	trainAcc := cl.Accuracy(cl.Net, train, nil)
+	testAcc := cl.Accuracy(cl.Net, test, nil)
 	// Chance is 1/3; prototype datasets with 5% flip noise should be
 	// comfortably learnable by the reservoir + perceptron combination.
 	if trainAcc < 0.8 {
@@ -134,18 +135,39 @@ func TestFunctionalCoverageBelowStructural(t *testing.T) {
 	}
 }
 
+// TestPredictMatchesAccuracyPath pins the one prediction path against the
+// simulator's full trace: on the good network and on a faulty one, Predict
+// over a simulator reused across samples picks the first output neuron
+// with the most spikes in a fresh simulator's trace, and Accuracy counts
+// exactly those hits.
 func TestPredictMatchesAccuracyPath(t *testing.T) {
 	cl, _, test := trainedClassifier(t)
-	ok := 0
-	for _, s := range test.Samples {
-		if cl.Predict(cl.Net, s.Input, nil) == s.Label {
-			ok++
+	values := fault.PaperValues(cl.Net.Params.Theta)
+	nasf := fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 1, Index: 0}).Modifiers(values)
+	out := cl.Net.Arch.Layers() - 1
+	for _, mods := range []*snn.Modifiers{nil, nasf} {
+		sim := snn.NewSimulator(cl.Net)
+		ok := 0
+		for i, s := range test.Samples {
+			_, trace := snn.NewSimulator(cl.Net).RunTrace(s.Input, cl.Timesteps, snn.ApplyHold, mods)
+			want, wantC := 0, -1
+			for j, x := range trace.X[out] {
+				if c := bits.OnesCount64(x); c > wantC {
+					want, wantC = j, c
+				}
+			}
+			got := cl.Predict(sim, s.Input, mods)
+			if got != want {
+				t.Fatalf("mods %v, sample %d: Predict = %d, trace argmax %d", mods, i, got, want)
+			}
+			if got == s.Label {
+				ok++
+			}
 		}
-	}
-	want := cl.Accuracy(test)
-	got := float64(ok) / float64(len(test.Samples))
-	if got != want {
-		t.Errorf("Predict path accuracy %.3f != Accuracy %.3f", got, want)
+		want := float64(ok) / float64(len(test.Samples))
+		if got := cl.Accuracy(cl.Net, test, mods); got != want {
+			t.Errorf("mods %v: Accuracy %.3f != Predict path accuracy %.3f", mods, got, want)
+		}
 	}
 }
 

@@ -25,19 +25,19 @@ func TestRepairSweepRecoversYield(t *testing.T) {
 	for _, pt := range points {
 		// Every die carries at least one fault from the detected universe,
 		// so no die ships unrepaired — and the loop must rescue some.
-		if pt.RecoveredYield <= pt.UnrepairedYield {
+		if pt.RecoveredYield() <= pt.UnrepairedYield() {
 			t.Errorf("clusters=%d: recovered yield %.1f%% must beat unrepaired %.1f%%",
-				pt.Clusters, pt.RecoveredYield, pt.UnrepairedYield)
+				pt.Clusters, pt.RecoveredYield(), pt.UnrepairedYield())
 		}
-		if pt.Healthy+pt.Repaired+pt.Degraded+pt.Unrepairable != pt.Chips {
+		if pt.Healthy+pt.Repaired+pt.Degraded+pt.Unrepairable != pt.Dies || pt.Dies != 4 {
 			t.Errorf("clusters=%d: verdicts don't tally: %+v", pt.Clusters, pt)
 		}
 		if pt.Repaired > 0 && pt.CellsRetired == 0 {
 			t.Errorf("clusters=%d: repairs without retired cells: %+v", pt.Clusters, pt)
 		}
-		if pt.MeanPost < pt.MeanGolden-0.05 {
+		if pt.MeanPostAccuracy() < pt.MeanGoldenAccuracy()-0.05 {
 			t.Errorf("clusters=%d: post accuracy %.4f collapsed below golden %.4f",
-				pt.Clusters, pt.MeanPost, pt.MeanGolden)
+				pt.Clusters, pt.MeanPostAccuracy(), pt.MeanGoldenAccuracy())
 		}
 	}
 }

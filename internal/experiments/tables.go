@@ -233,17 +233,17 @@ func RepairTable(arch snn.Arch, spares int, points []RepairPoint) *report.Table 
 	for _, pt := range points {
 		t.AddRow(
 			fmt.Sprintf("%d", pt.Clusters),
-			fmt.Sprintf("%d", pt.Chips),
+			fmt.Sprintf("%d", pt.Dies),
 			fmt.Sprintf("%d", pt.Healthy),
 			fmt.Sprintf("%d", pt.Repaired),
 			fmt.Sprintf("%d", pt.Degraded),
 			fmt.Sprintf("%d", pt.Unrepairable),
-			fmt.Sprintf("%.1f", pt.UnrepairedYield),
-			fmt.Sprintf("%.1f", pt.RecoveredYield),
+			fmt.Sprintf("%.1f", pt.UnrepairedYield()),
+			fmt.Sprintf("%.1f", pt.RecoveredYield()),
 			fmt.Sprintf("%d", pt.CellsRetired),
-			fmt.Sprintf("%.4f", pt.MeanGolden),
-			fmt.Sprintf("%.4f", pt.MeanPre),
-			fmt.Sprintf("%.4f", pt.MeanPost),
+			fmt.Sprintf("%.4f", pt.MeanGoldenAccuracy()),
+			fmt.Sprintf("%.4f", pt.MeanPreAccuracy()),
+			fmt.Sprintf("%.4f", pt.MeanPostAccuracy()),
 		)
 	}
 	return t

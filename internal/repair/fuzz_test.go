@@ -51,14 +51,11 @@ func fuzzSetup(f *testing.F) {
 			}
 		}
 		c, err := chip.New(chip.Config{
-			Arch: arch, Params: params,
+			Arch:       arch,
 			Core:       chip.CoreShape{Axons: 8, Neurons: 8},
 			WeightBits: 8, SpareAxons: 1, SpareNeurons: 1,
 		})
 		if err != nil {
-			f.Fatal(err)
-		}
-		if err := c.Program(net); err != nil {
 			f.Fatal(err)
 		}
 		fuzzPl = Planner{Chip: c, Net: net, Margin: 0.25}

@@ -3,7 +3,6 @@ package repair
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"neurotest/internal/apptest"
 	"neurotest/internal/chip"
@@ -91,6 +90,76 @@ func (r *Report) String() string {
 		r.GoldenAccuracy, r.PreAccuracy, r.PostAccuracy)
 }
 
+// Tally aggregates a population of repair reports: verdict bins, the dies
+// that ship before and after repair, the plans' retired resources and the
+// three application accuracies.
+type Tally struct {
+	// Dies counts the reports added.
+	Dies int
+	// Healthy / Repaired / Degraded / Unrepairable bin the verdicts.
+	Healthy, Repaired, Degraded, Unrepairable int
+	// PreShipped counts dies whose structural test passed before repair;
+	// Shipped counts dies that ship after it (Healthy or Repaired).
+	PreShipped, Shipped int
+	// ColumnsRemapped / RowsSwapped / CellsBypassed / CellsRetired sum the
+	// plans.
+	ColumnsRemapped, RowsSwapped, CellsBypassed, CellsRetired int
+
+	golden, pre, post float64 // accuracy sums
+}
+
+// Add merges one die's report.
+func (t *Tally) Add(rep *Report) {
+	t.Dies++
+	switch rep.Verdict {
+	case Healthy:
+		t.Healthy++
+	case Repaired:
+		t.Repaired++
+	case Degraded:
+		t.Degraded++
+	default:
+		t.Unrepairable++
+	}
+	if rep.PreFails == 0 {
+		t.PreShipped++
+	}
+	if rep.Verdict == Healthy || rep.Verdict == Repaired {
+		t.Shipped++
+	}
+	t.ColumnsRemapped += rep.ColumnsRemapped
+	t.RowsSwapped += rep.RowsSwapped
+	t.CellsBypassed += rep.CellsBypassed
+	t.CellsRetired += rep.CellsRetired
+	t.golden += rep.GoldenAccuracy
+	t.pre += rep.PreAccuracy
+	t.post += rep.PostAccuracy
+}
+
+// UnrepairedYield returns the percentage of dies that would ship with no
+// repair capability at all (the pre-repair structural test passes).
+func (t Tally) UnrepairedYield() float64 { return t.mean(100 * float64(t.PreShipped)) }
+
+// RecoveredYield returns the percentage of dies shipping after repair.
+func (t Tally) RecoveredYield() float64 { return t.mean(100 * float64(t.Shipped)) }
+
+// MeanGoldenAccuracy returns the mean fault-free application accuracy.
+func (t Tally) MeanGoldenAccuracy() float64 { return t.mean(t.golden) }
+
+// MeanPreAccuracy returns the mean application accuracy before repair.
+func (t Tally) MeanPreAccuracy() float64 { return t.mean(t.pre) }
+
+// MeanPostAccuracy returns the mean application accuracy after repair.
+func (t Tally) MeanPostAccuracy() float64 { return t.mean(t.post) }
+
+// mean divides a population sum by the die count (0 for no dies).
+func (t Tally) mean(sum float64) float64 {
+	if t.Dies == 0 {
+		return 0
+	}
+	return sum / float64(t.Dies)
+}
+
 // Options tunes the repair policy.
 type Options struct {
 	// Margin is the |weight| threshold at or below which a stuck cell is
@@ -143,18 +212,15 @@ type Config struct {
 	Opt Options
 }
 
-// Loop is one instantiated repair substrate: dictionary, programmed chip,
-// trained application classifier and retest equipment. Build it once per
-// (spec, geometry) and run many dies through it. A Loop is safe for
-// concurrent Run calls: every phase reads shared immutable state except
-// reprogram, which is serialised by mu (one physical programmer per chip).
+// Loop is one instantiated repair substrate: dictionary, chip geometry,
+// trained application classifier as the chip holds it, and retest
+// equipment. Build it once per (spec, geometry) and run many dies through
+// it. A Loop holds no mutable state, so concurrent Run calls are safe.
 type Loop struct {
-	mu      sync.Mutex
 	cfg     Config
 	dict    *diagnose.Dictionary
 	ate     *tester.ATE
-	chip    *chip.Chip
-	eff     *snn.Network
+	app     *snn.Network // the application configuration as the chip holds it
 	cl      *apptest.Classifier
 	ds      *apptest.Dataset
 	planner Planner
@@ -162,10 +228,10 @@ type Loop struct {
 }
 
 // New builds the repair substrate: the fault dictionary over cfg.Universe,
-// a trained application classifier, and a chip programmed with it. A fault
-// of the universe that is not a fault of the chip fails the build with an
-// error naming it, before anything is simulated; a cancelled ctx stops the
-// dictionary build.
+// a trained application classifier, and the chip it runs on, whose scheme
+// programs the classifier's weights. A fault of the universe that is not a
+// fault of the chip fails the build with an error naming it, before
+// anything is simulated; a cancelled ctx stops the dictionary build.
 func New(ctx context.Context, cfg Config) (*Loop, error) {
 	if cfg.ATE == nil {
 		return nil, fmt.Errorf("repair: config has no ATE")
@@ -199,20 +265,14 @@ func New(ctx context.Context, cfg Config) (*Loop, error) {
 	}
 
 	ch, err := chip.New(chip.Config{
-		Arch: arch, Params: ts.Params, Core: cfg.Core,
+		Arch: arch, Core: cfg.Core,
 		WeightBits: cfg.WeightBits,
 		SpareAxons: cfg.SpareAxons, SpareNeurons: cfg.SpareNeurons,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := ch.Program(cl.Net); err != nil {
-		return nil, err
-	}
-	eff, err := ch.EffectiveNetwork()
-	if err != nil {
-		return nil, err
-	}
+	app, _ := ch.Scheme().QuantizedClone(cl.Net)
 
 	ate := cfg.ATE
 	if cfg.Opt.Tolerance > 0 {
@@ -223,7 +283,7 @@ func New(ctx context.Context, cfg Config) (*Loop, error) {
 	}
 
 	l := &Loop{
-		cfg: cfg, dict: dict, ate: ate, chip: ch, eff: eff, cl: cl, ds: ds,
+		cfg: cfg, dict: dict, ate: ate, app: app, cl: cl, ds: ds,
 		planner: Planner{Chip: ch, Net: cl.Net, Margin: cfg.Opt.Margin},
 	}
 	l.golden = l.accuracy(nil)
@@ -236,19 +296,10 @@ func (l *Loop) Dictionary() *diagnose.Dictionary { return l.dict }
 // GoldenAccuracy returns the fault-free application accuracy baseline.
 func (l *Loop) GoldenAccuracy() float64 { return l.golden }
 
-// accuracy evaluates the application workload on the chip's effective
-// network under a defect modifier set.
+// accuracy evaluates the application workload on the chip's programmed
+// configuration under a defect modifier set.
 func (l *Loop) accuracy(mods *snn.Modifiers) float64 {
-	if len(l.ds.Samples) == 0 {
-		return 0
-	}
-	ok := 0
-	for _, s := range l.ds.Samples {
-		if l.cl.Predict(l.eff, s.Input, mods) == s.Label {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(l.ds.Samples))
+	return l.cl.Accuracy(l.app, l.ds, mods)
 }
 
 // Run drives one die through the closed loop: structural test, dictionary
@@ -257,10 +308,11 @@ func (l *Loop) accuracy(mods *snn.Modifiers) float64 {
 // publish, when non-nil, receives one PhaseEvent as each phase completes.
 // The returned plan is nil for a Healthy die.
 //
-// Reprogramming rewrites the chip's weight memories from the same
-// configuration (clearing soft upsets per the chip.Program contract); on
-// the variation-free chips the loop builds, the rewritten state is
-// identical, and the write itself is serialised by the loop's mutex.
+// The reprogram phase rewrites the chip's weight memories with the
+// application configuration once the plan has remapped it. Defects are
+// behavioural modifiers, never chip state, and the loop's chips carry no
+// variation, so the rewritten weights are the ones New programmed: the
+// phase reports the write and changes nothing.
 func (l *Loop) Run(ctx context.Context, defect *snn.Modifiers, publish func(PhaseEvent)) (*Report, *Plan, error) {
 	ensureObs()
 	timer := startRepairTimer()
@@ -311,17 +363,11 @@ func (l *Loop) Run(ctx context.Context, defect *snn.Modifiers, publish func(Phas
 	emit("plan", "%d actions: %d columns remapped, %d rows swapped, %d cells bypassed, %d unrepairable",
 		len(plan.Actions), plan.Columns(), plan.Rows(), plan.Bypassed(), len(plan.Unrepairable))
 
-	// Phase 4: reprogram the effective configuration.
+	// Phase 4: reprogram the application configuration.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	l.mu.Lock()
-	err = l.chip.Program(l.cl.Net)
-	l.mu.Unlock()
-	if err != nil {
-		return nil, nil, err
-	}
-	emit("reprogram", "configuration rewritten across %d cores", l.chip.NumCores())
+	emit("reprogram", "configuration rewritten across %d cores", l.planner.Chip.NumCores())
 
 	// Phase 5: retest the repaired die. The structural retest masks the
 	// plan's retired resources (Uncured: the plan is the die's known-bad

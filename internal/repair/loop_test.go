@@ -114,7 +114,7 @@ func TestClosedLoopRepairsInjectedCluster(t *testing.T) {
 	if plan.Empty() {
 		t.Errorf("repair without actions")
 	}
-	if err := plan.Validate(l.chip); err != nil {
+	if err := plan.Validate(l.planner.Chip); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
 }
@@ -282,5 +282,43 @@ func TestNewRejectsBeforeSimulating(t *testing.T) {
 		if d := faultsim.Snapshot().GoldenBuilds - before; d != 0 {
 			t.Errorf("%s: %d Goldens built before the error", tc.name, d)
 		}
+	}
+}
+
+// TestTallyAdd pins the population tally the sweep, the service job and the
+// CLI share: verdict bins, pre- and post-repair shipping, summed plan
+// resources, yields as percentages and mean accuracies, and zeros for an
+// empty population.
+func TestTallyAdd(t *testing.T) {
+	var empty Tally
+	if empty.RecoveredYield() != 0 || empty.UnrepairedYield() != 0 || empty.MeanPostAccuracy() != 0 {
+		t.Errorf("empty tally: %+v", empty)
+	}
+	reports := []*Report{
+		{Verdict: Healthy, GoldenAccuracy: 0.9, PreAccuracy: 0.9, PostAccuracy: 0.9},
+		{Verdict: Repaired, PreFails: 3, ColumnsRemapped: 1, RowsSwapped: 2, CellsBypassed: 1, CellsRetired: 20, GoldenAccuracy: 0.9, PreAccuracy: 0.5, PostAccuracy: 0.9},
+		{Verdict: Degraded, PreFails: 1, CellsBypassed: 2, CellsRetired: 2, GoldenAccuracy: 0.9, PreAccuracy: 0.6, PostAccuracy: 0.6},
+		{Verdict: Unrepairable, PreFails: 5, RowsSwapped: 1, CellsRetired: 8, GoldenAccuracy: 0.9, PreAccuracy: 0.2, PostAccuracy: 0.3},
+	}
+	var tally Tally
+	want := Tally{Dies: 4, Healthy: 1, Repaired: 1, Degraded: 1, Unrepairable: 1,
+		PreShipped: 1, Shipped: 2, ColumnsRemapped: 1, RowsSwapped: 3, CellsBypassed: 3, CellsRetired: 30}
+	for _, rep := range reports {
+		tally.Add(rep)
+		want.golden += rep.GoldenAccuracy
+		want.pre += rep.PreAccuracy
+		want.post += rep.PostAccuracy
+	}
+	if tally != want {
+		t.Fatalf("tally = %+v, want %+v", tally, want)
+	}
+	if got := tally.UnrepairedYield(); got != 25 {
+		t.Errorf("UnrepairedYield = %v, want 25", got)
+	}
+	if got := tally.RecoveredYield(); got != 50 {
+		t.Errorf("RecoveredYield = %v, want 50", got)
+	}
+	if got := tally.MeanPostAccuracy(); got != want.post/4 {
+		t.Errorf("MeanPostAccuracy = %v, want %v", got, want.post/4)
 	}
 }

@@ -1,7 +1,9 @@
 // Package repair closes the test loop: from a diagnosed candidate fault
 // set (internal/diagnose) it computes a deterministic remapping/bypass plan
-// over the chip's crossbar cells, reprograms the effective configuration,
-// retests (internal/tester) and reports whether the die was rescued.
+// over the crossbar cells of the chip's geometry (internal/chip), retests
+// (internal/tester) and reports whether the die was rescued. The
+// application configuration is programmed once, through the chip's
+// quant.Scheme; repair moves where weights sit, never what they are.
 //
 // The strategies are the in-field repair moves of the SNN reliability
 // literature (RescueSNN, ReSpawn — see PAPERS.md), adapted to this

@@ -10,7 +10,8 @@ import (
 	"neurotest/internal/snn"
 )
 
-// testChip builds a programmed chip whose geometry the planner tests pin:
+// testChip builds a chip and a uniform configuration whose geometry the
+// planner tests pin:
 // arch 8-6-4 on 8x8 cores with 2 spare rows/columns reserved (stride 6),
 // so boundary 0 splits into two row stripes and boundary 1 is one core.
 func testChip(t *testing.T, weight float64) (*chip.Chip, *snn.Network) {
@@ -24,14 +25,11 @@ func testChip(t *testing.T, weight float64) (*chip.Chip, *snn.Network) {
 		}
 	}
 	c, err := chip.New(chip.Config{
-		Arch: arch, Params: params,
+		Arch:       arch,
 		Core:       chip.CoreShape{Axons: 8, Neurons: 8},
 		WeightBits: 8, SpareAxons: 2, SpareNeurons: 2,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Program(net); err != nil {
 		t.Fatal(err)
 	}
 	return c, net
@@ -128,13 +126,9 @@ func TestPlanExhaustsSparesDeterministically(t *testing.T) {
 		}
 	}
 	c, err := chip.New(chip.Config{
-		Arch: arch, Params: params,
-		Core: chip.CoreShape{Axons: 8, Neurons: 8}, WeightBits: 8,
+		Arch: arch, Core: chip.CoreShape{Axons: 8, Neurons: 8}, WeightBits: 8,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Program(net); err != nil {
 		t.Fatal(err)
 	}
 	pl := Planner{Chip: c, Net: net, Margin: 0.1}

@@ -167,7 +167,6 @@ type Artifact struct {
 
 	ateOnce sync.Once
 	ate     *tester.ATE
-	ateErr  error
 	metrics *Metrics
 }
 
@@ -179,20 +178,17 @@ type Artifact struct {
 // jobs on the same artifact — including tolerance-sweep clones — skip
 // golden simulation entirely and start from a warm memo. The returned ATE
 // has tolerance 0; campaigns needing a pass band take a
-// CloneWithTolerance, never mutating the shared instance.
-func (a *Artifact) ATE() (*tester.ATE, error) {
+// CloneWithTolerance, never mutating the shared instance. Building it
+// simulates nothing and cannot fail: the spec's scheme was validated when
+// the request was resolved.
+func (a *Artifact) ATE() *tester.ATE {
 	a.ateOnce.Do(func() {
-		defer func() {
-			if p := recover(); p != nil {
-				a.ateErr = fmt.Errorf("service: building ATE for %s: %v", a.Key, p)
-			}
-		}()
 		if a.metrics != nil {
 			a.metrics.GoldenBuilds.Add(1)
 		}
 		a.ate = tester.New(a.ts, a.spec.Scheme)
 	})
-	return a.ate, a.ateErr
+	return a.ate
 }
 
 // Cache is the content-addressed artifact store: a byte-bounded LRU with

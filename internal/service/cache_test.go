@@ -158,15 +158,7 @@ func TestArtifactATEMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := art.ATE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := art.ATE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
+	if a1, a2 := art.ATE(), art.ATE(); a1 != a2 {
 		t.Error("ATE not memoized: two different instances")
 	}
 	if got := m.GoldenBuilds.Load(); got != 1 {

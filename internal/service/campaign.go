@@ -205,11 +205,8 @@ func (s *Server) fixtureJob(spec SuiteSpec, name string, body func(ctx context.C
 			return nil, err
 		}
 		_, prog := obs.StartSpan(ctx, "program")
-		ate, err := art.ATE()
+		ate := art.ATE()
 		prog.End()
-		if err != nil {
-			return nil, err
-		}
 		return body(ctx, fixture{job: job, root: root, art: art, ate: ate})
 	}
 }

@@ -747,12 +747,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		model := spec.Model()
-		res := repairJobResult{
-			SuiteKey: f.art.Key, Chips: req.Chips, Clusters: req.Clusters,
-			DictionaryFaults:  loop.Dictionary().Total(),
-			DictionaryClasses: loop.Dictionary().Classes(),
-		}
-		preShipped, shipped := 0, 0
+		var t repair.Tally
 		for i := 0; i < req.Chips; i++ {
 			_, defect := tester.ClusterDefect(universe, model.Values, i, req.Clusters)
 			chipIdx := i
@@ -762,43 +757,32 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			switch rep.Verdict {
-			case repair.Healthy:
-				res.Healthy++
-			case repair.Repaired:
-				res.Repaired++
-			case repair.Degraded:
-				res.Degraded++
-			default:
-				res.Unrepairable++
-			}
-			if rep.PreFails == 0 {
-				preShipped++
-			}
-			if rep.Verdict == repair.Healthy || rep.Verdict == repair.Repaired {
-				shipped++
-			}
-			res.ColumnsRemapped += rep.ColumnsRemapped
-			res.RowsSwapped += rep.RowsSwapped
-			res.CellsBypassed += rep.CellsBypassed
-			res.CellsRetired += rep.CellsRetired
-			res.MeanGoldenAccuracy += rep.GoldenAccuracy
-			res.MeanPreAccuracy += rep.PreAccuracy
-			res.MeanPostAccuracy += rep.PostAccuracy
+			t.Add(rep)
 			f.job.Publish(repairEvent{
 				Event: "verdict", Chip: i, Verdict: rep.Verdict.String(),
 				CellsRetired: rep.CellsRetired, PostFails: rep.PostFails,
 				PostAccuracy: rep.PostAccuracy,
 			})
 		}
-		n := float64(req.Chips)
-		res.UnrepairedYield = 100 * float64(preShipped) / n
-		res.RecoveredYield = 100 * float64(shipped) / n
-		res.MeanGoldenAccuracy /= n
-		res.MeanPreAccuracy /= n
-		res.MeanPostAccuracy /= n
-		repair.SetRecoveredYield(float64(shipped) / n)
-		return res, nil
+		repair.SetRecoveredYield(float64(t.Shipped) / float64(t.Dies))
+		return repairJobResult{
+			SuiteKey: f.art.Key, Chips: req.Chips, Clusters: req.Clusters,
+			DictionaryFaults:   loop.Dictionary().Total(),
+			DictionaryClasses:  loop.Dictionary().Classes(),
+			Healthy:            t.Healthy,
+			Repaired:           t.Repaired,
+			Degraded:           t.Degraded,
+			Unrepairable:       t.Unrepairable,
+			ColumnsRemapped:    t.ColumnsRemapped,
+			RowsSwapped:        t.RowsSwapped,
+			CellsBypassed:      t.CellsBypassed,
+			CellsRetired:       t.CellsRetired,
+			UnrepairedYield:    t.UnrepairedYield(),
+			RecoveredYield:     t.RecoveredYield(),
+			MeanGoldenAccuracy: t.MeanGoldenAccuracy(),
+			MeanPreAccuracy:    t.MeanPreAccuracy(),
+			MeanPostAccuracy:   t.MeanPostAccuracy(),
+		}, nil
 	}))
 }
 
