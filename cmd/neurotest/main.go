@@ -105,8 +105,6 @@ func main() {
 		err = cmdOnline(os.Args[2:])
 	case "repair":
 		err = cmdRepair(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -137,7 +135,6 @@ subcommands:
   flaky      sweep intermittent-fault and retest-budget test sessions
   online     sweep the in-field drift monitor over fault models and thresholds
   repair     run the closed test-diagnose-repair-retest loop on defective dies
-  serve      launch the neurotestd test-floor daemon (same flags)
 
 exit codes: 0 ok, 1 runtime failure, 2 usage error
 run "neurotest <subcommand> -h" for flags`)
@@ -774,21 +771,6 @@ func cmdRepair(args []string) error {
 	fmt.Printf("\npopulation: %d/%d dies shipped (recovered yield %.1f%%)\n",
 		t.Shipped, t.Dies, t.RecoveredYield())
 	return nil
-}
-
-// cmdServe launches the neurotestd daemon in-process. The flags are the
-// same Config registration cmd/neurotestd uses, so `neurotest serve` and
-// `neurotestd` cannot drift apart.
-func cmdServe(args []string) error {
-	cfg := service.DefaultConfig()
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	cfg.RegisterFlags(fs)
-	//lint:ignore unchecked-error ExitOnError FlagSet: Parse exits the process on error and never returns one
-	fs.Parse(args)
-	if err := cfg.Validate(); err != nil {
-		return asUsage(err)
-	}
-	return service.ListenAndServe(context.Background(), cfg, os.Stdout)
 }
 
 func cmdTrace(args []string) error {

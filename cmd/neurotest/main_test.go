@@ -175,7 +175,6 @@ func TestCLIExitCodes(t *testing.T) {
 		{"margins", "-arch", "12-8-4", "-confidence", "-1"},
 		{"trace", "-arch", "12-8-4", "-item", "9999"},
 		{"flaky", "-arch", "12-8-4", "-probs", "1.5"},
-		{"serve", "-queue", "0"},
 	}
 	for _, args := range usageCases {
 		if code, out := exitCode(t, bin, args...); code != 2 {

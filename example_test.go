@@ -45,11 +45,11 @@ func ExampleModel_NewATE() {
 	suite, _ := m.GenerateSuite(neurotest.NoVariation())
 	ate := m.NewATE(suite.Merged, nil)
 
-	good := ate.RunChip(nil, neurotest.VariationOfTheta(0, m.Params.Theta), nil)
+	good := ate.RunChip(nil)
 	fmt.Println("good die passes:", good.Passed)
 
 	defect := m.Universe(neurotest.NASF)[0]
-	bad := ate.RunChip(defect.Modifiers(m.Values), neurotest.VariationOfTheta(0, m.Params.Theta), nil)
+	bad := ate.RunChip(defect.Modifiers(m.Values))
 	fmt.Println("defective die passes:", bad.Passed)
 	// Output:
 	// good die passes: true

@@ -17,7 +17,6 @@ import (
 	"neurotest"
 	"neurotest/internal/apptest"
 	"neurotest/internal/fault"
-	"neurotest/internal/stats"
 	"neurotest/internal/tester"
 )
 
@@ -77,7 +76,7 @@ func main() {
 	ate := model.NewATE(suite.Merged, nil)
 	detected := 0
 	for _, f := range faults {
-		if !ate.RunChip(f.Modifiers(model.Values), neurotest.VariationOfTheta(0, params.Theta), stats.NewRNG(1)).Passed {
+		if !ate.RunChip(f.Modifiers(model.Values)).Passed {
 			detected++
 		}
 	}

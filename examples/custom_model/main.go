@@ -16,7 +16,6 @@ import (
 	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
 	"neurotest/internal/tester"
-	"neurotest/internal/variation"
 )
 
 func main() {
@@ -60,7 +59,7 @@ func main() {
 	fmt.Printf("hardware model: %d crossbar cores of 64x64\n", hw.NumCores())
 	ate := tester.New(program, nil)
 	scheme := hw.Scheme()
-	if v := tester.NewSplit(ate, &scheme).RunChip(nil, variation.None(), nil); !v.Passed {
+	if v := tester.NewSplit(ate, &scheme).RunChip(nil); !v.Passed {
 		log.Fatalf("item %d (%s): hardware output differs from golden",
 			v.FailedItem, program.Items[v.FailedItem].Label)
 	}
@@ -83,9 +82,8 @@ func main() {
 		{"die-10 (good)", nil},
 	}
 	fmt.Println("\nscreening batch:")
-	rng := neurotest.NewRNG(2024)
 	for _, die := range batch {
-		v := ate.RunChip(die.mods, variation.None(), rng)
+		v := ate.RunChip(die.mods)
 		verdict := "PASS"
 		if !v.Passed {
 			verdict = fmt.Sprintf("FAIL at item %d (%s)", v.FailedItem, program.Items[v.FailedItem].Label)

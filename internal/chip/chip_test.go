@@ -12,7 +12,6 @@ import (
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
 	"neurotest/internal/tester"
-	"neurotest/internal/variation"
 )
 
 func testConfig() Config {
@@ -229,16 +228,16 @@ func TestApplyEndToEnd(t *testing.T) {
 	}
 	scheme := c.Scheme()
 	ate := tester.NewSplit(ideal, &scheme)
-	if v := ate.RunChip(nil, variation.None(), nil); !v.Passed {
+	if v := ate.RunChip(nil); !v.Passed {
 		t.Errorf("good die fails item %d", v.FailedItem)
 	}
 	nasf := func(index int) *snn.Modifiers {
 		return fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 1, Index: index}).Modifiers(fault.PaperValues(net.Params.Theta))
 	}
-	if v := ate.RunChip(nasf(1), variation.None(), nil); !v.Passed {
+	if v := ate.RunChip(nasf(1)); !v.Passed {
 		t.Errorf("a forced neuron with zero outgoing weight fails item %d", v.FailedItem)
 	}
-	if v := ate.RunChip(nasf(0), variation.None(), nil); v.Passed {
+	if v := ate.RunChip(nasf(0)); v.Passed {
 		t.Errorf("a forced neuron driving the output passes: %+v", v)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"neurotest/internal/quant"
 	"neurotest/internal/snn"
 	"neurotest/internal/tester"
-	"neurotest/internal/variation"
 )
 
 func buildSuite(t *testing.T, arch snn.Arch) (*core.Generator, *pattern.TestSet) {
@@ -433,7 +432,7 @@ func TestObserveChipMatchesOracle(t *testing.T) {
 					t.Fatalf("%v %v: observed %s, oracle %s", scheme, cluster, got, want)
 				}
 			}
-			if want.AnyFail() && loose.RunChip(mods, variation.None(), nil).Passed {
+			if want.AnyFail() && loose.RunChip(mods).Passed {
 				loosePassed++
 			}
 			keys[scheme] = append(keys[scheme], want.Key())

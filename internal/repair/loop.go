@@ -9,9 +9,9 @@ import (
 	"neurotest/internal/diagnose"
 	"neurotest/internal/fault"
 	"neurotest/internal/margin"
+	"neurotest/internal/obs"
 	"neurotest/internal/snn"
 	"neurotest/internal/tester"
-	"neurotest/internal/variation"
 )
 
 // Verdict is the terminal outcome of one repair session.
@@ -315,7 +315,7 @@ func (l *Loop) accuracy(mods *snn.Modifiers) float64 {
 // phase reports the write and changes nothing.
 func (l *Loop) Run(ctx context.Context, defect *snn.Modifiers, publish func(PhaseEvent)) (*Report, *Plan, error) {
 	ensureObs()
-	timer := startRepairTimer()
+	timer := obs.StartTimer()
 	emit := func(phase, format string, args ...any) {
 		if publish != nil {
 			publish(PhaseEvent{Phase: phase, Detail: fmt.Sprintf(format, args...)})
@@ -379,7 +379,7 @@ func (l *Loop) Run(ctx context.Context, defect *snn.Modifiers, publish func(Phas
 		return nil, nil, err
 	}
 	uncured := plan.Uncured(defect)
-	v := l.ate.RunChip(uncured, variation.None(), nil)
+	v := l.ate.RunChip(uncured)
 	rep.RetestItems = v.ItemsRun
 	if v.Passed {
 		rep.PostFails = 0

@@ -51,10 +51,6 @@ func ensureObs() {
 	})
 }
 
-// startRepairTimer wraps obs.StartTimer behind ensureObs so Run has one
-// call site for both registration and timing.
-func startRepairTimer() obs.Timer { return obs.StartTimer() }
-
 // observeRepair records one finished session. plan is nil for Healthy dies.
 func observeRepair(t obs.Timer, rep *Report, plan *Plan) {
 	t.ObserveElapsed(repairSeconds)

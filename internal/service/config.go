@@ -16,9 +16,9 @@ import (
 	"time"
 )
 
-// Config parameterizes the daemon. Both cmd/neurotestd and the `neurotest
-// serve` subcommand register the same flags over it, so the two entry
-// points cannot drift.
+// Config parameterizes the daemon. cmd/neurotestd, its one entry point,
+// registers its flags over it (RegisterFlags) and checks it with Validate
+// before anything listens.
 type Config struct {
 	// Addr is the listen address, e.g. ":7823" or "localhost:7823".
 	Addr string

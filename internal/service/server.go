@@ -846,10 +846,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // handleJobStream streams the job's progress as NDJSON: one status object
 // per state transition plus one line per event the running body published
 // (e.g. /v1/monitor alarm notifications), closing after the terminal status
-// line (which carries the result). Events published since the last wake are
-// drained before the status snapshot, so the terminal status is always the
-// last line. Clients get live campaign progress with plain `curl -N`; a
-// slow reader backpressures through Encode, never into the job.
+// line (which carries the result). Each wake writes a changed non-terminal
+// status before the events published since the last wake, so a client that
+// connects to a running job reads "running" before the body's events
+// whenever they were published; the terminal status follows the wake's
+// events, so it is always the last line. Clients get live campaign
+// progress with plain `curl -N`; a slow reader backpressures through
+// Encode, never into the job.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	job := s.queue.Get(r.PathValue("id"))
 	if job == nil {
@@ -866,22 +869,26 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		st, events, changed := job.watchFrom(seen)
 		seen += len(events)
-		for _, ev := range events {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-		}
-		if st.State != lastState {
+		terminal := JobStateFromString(st.State).Terminal()
+		if st.State != lastState && !terminal {
 			if err := enc.Encode(st); err != nil {
 				return
 			}
 			lastState = st.State
 		}
+		for _, ev := range events {
+			if err := enc.Encode(ev); err != nil {
+				return
+			}
+		}
+		if terminal {
+			if err := enc.Encode(st); err == nil && flusher != nil {
+				flusher.Flush()
+			}
+			return
+		}
 		if flusher != nil {
 			flusher.Flush()
-		}
-		if JobStateFromString(st.State).Terminal() {
-			return
 		}
 		select {
 		case <-changed:

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -410,6 +411,73 @@ func TestServiceStreamEmitsTerminalLine(t *testing.T) {
 	}
 	if resultField(t, last, "coverage_pct") != 100.0 {
 		t.Errorf("terminal stream line result: %+v", last.Result)
+	}
+}
+
+// TestServiceStreamStateLeadsEvents: a client that connects to a running
+// job whose body has already published events reads the "running" status
+// first, then the events in publish order, then the terminal status.
+func TestServiceStreamStateLeadsEvents(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	const nEvents = 5
+	published, release := make(chan struct{}), make(chan struct{})
+	job, err := s.queue.SubmitJob("gated", func(ctx context.Context, j *Job) (any, error) {
+		for i := 0; i < nEvents; i++ {
+			j.Publish(map[string]int{"tick": i})
+		}
+		close(published)
+		select {
+		case <-release:
+			return "released", nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-published
+	sresp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	sc := bufio.NewScanner(sresp.Body)
+	// line names a stream line: its state for a status, "tick N" for an
+	// event.
+	line := func() string {
+		var v struct {
+			State string `json:"state"`
+			Tick  *int   `json:"tick"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if v.Tick != nil {
+			return fmt.Sprintf("tick %d", *v.Tick)
+		}
+		return v.State
+	}
+	var got []string
+	// The body stays gated until the first wake's lines are read, so the
+	// stream holds them before the job can finish.
+	for len(got) < nEvents+1 && sc.Scan() {
+		got = append(got, line())
+	}
+	close(release)
+	for sc.Scan() {
+		got = append(got, line())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"running"}
+	for i := 0; i < nEvents; i++ {
+		want = append(want, fmt.Sprintf("tick %d", i))
+	}
+	want = append(want, "done")
+	if !slices.Equal(got, want) {
+		t.Errorf("stream lines %q, want %q", got, want)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestItemGroupsBuiltByFirstDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone.RunChip(nil, variation.None(), nil)
+	clone.RunChip(nil)
 	if ate.groups != clone.groups || ate.groups.of == nil {
 		t.Fatal("the clone's first die did not group the ATE's items")
 	}
@@ -116,7 +116,7 @@ func oracleObserve(a *ATE, mods *snn.Modifiers) []bool {
 	program := oracleDie(a, nil)
 	fails := make([]bool, len(a.ts.Items))
 	for i, it := range a.ts.Items {
-		fails[i] = !program(it.ConfigIndex).Run(it.Pattern, it.Timesteps, it.Mode(), mods).Equal(a.goldenResult(i))
+		fails[i] = !program(it.ConfigIndex).Run(it.Pattern, it.Timesteps, it.Mode(), mods).Equal(a.Golden(i))
 	}
 	return fails
 }
@@ -137,7 +137,8 @@ func memoHits(a *ATE, run int) int {
 }
 
 // TestDieMemoMatchesOracle checks every die path that reads a group's
-// input sum — RunChip, RunChipSession and Observe die for die, and the
+// input sum — the reliable session (RunChip's loop), RunChipSession and
+// Observe die for die, and the
 // sessions, escape and overkill campaigns (at GOMAXPROCS 1 and 4) — against
 // the memo-free oracle die at σ = 10 % θ. The dies carry NASF on input
 // neurons (a forced input, which bypasses the sums: under intermittence a
@@ -199,9 +200,9 @@ func TestDieMemoMatchesOracle(t *testing.T) {
 		hits, verdicts := 0, map[Verdict]int{}
 		for i, m := range dies {
 			s := chipSeed(seed, i)
-			got := ate.RunChip(m, vary, stats.NewRNG(s))
+			got := variedRunChip(t, ate, m, vary, s)
 			if want := oracleRunChip(ate, m, vary, stats.NewRNG(s)); got != want {
-				t.Fatalf("%s die %d: RunChip %+v, oracle %+v", c.name, i, got, want)
+				t.Fatalf("%s die %d: reliable session %+v, oracle %+v", c.name, i, got, want)
 			}
 			hits += memoHits(ate, got.ItemsRun)
 			verdicts[got]++

@@ -15,9 +15,9 @@ var (
 
 	coverageCampaignSeconds *obs.Histogram // MeasureCoverageContext wall time
 	sessionsCampaignSeconds *obs.Histogram // MeasureSessionsAtContext wall time
-	chipsCampaignSeconds    *obs.Histogram // countChips (overkill/escape) wall time
+	chipsCampaignSeconds    *obs.Histogram // reliableChips (escape/overkill) wall time
 	poolItemSeconds         *obs.Histogram // one pooled evaluation (fault or chip)
-	sessionSeconds          *obs.Histogram // one RunChipSession
+	sessionSeconds          *obs.Histogram // one session: any chip of any chip campaign, RunChip or RunChipSession
 
 	sessionOutcomes map[Outcome]*obs.Counter
 	sessionRetests  *obs.Counter

@@ -133,20 +133,34 @@ func oracleDie(a *ATE, errs *variation.ErrorTensor) func(ci int) *snn.Simulator 
 	}
 }
 
-// oracleRunChip is RunChip over oracleDie.
+// oracleRunChip is RunChip over oracleDie, on a die whose variation is
+// drawn from rng.
 func oracleRunChip(a *ATE, mods *snn.Modifiers, vary variation.Model, rng *stats.RNG) Verdict {
 	program := oracleDie(a, vary.SampleError(a.ts.Arch, rng))
 	v := Verdict{Passed: true, FailedItem: -1}
 	for i, it := range a.ts.Items {
 		res := program(it.ConfigIndex).Run(it.Pattern, it.Timesteps, it.Mode(), mods)
 		v.ItemsRun++
-		if !a.matches(res, a.goldenResult(i)) {
+		if !a.matches(res, a.Golden(i)) {
 			v.Passed = false
 			v.FailedItem = i
 			return v
 		}
 	}
 	return v
+}
+
+// variedRunChip is RunChip on a die whose variation is drawn from
+// stats.NewRNG(s): the reliable, zero-policy RunChipSession at seed
+// s^varySalt, whose die draws from stats.NewRNG(s). The escape and
+// overkill campaigns test chip i so, at s = chipSeed(seed, i).
+func variedRunChip(t *testing.T, a *ATE, mods *snn.Modifiers, vary variation.Model, s uint64) Verdict {
+	t.Helper()
+	rep := a.RunChipSession(mods, unreliable.Reliable(), vary, RetestPolicy{}, s^varySalt)
+	if rep.Outcome == Quarantine || rep.Retests != 0 || rep.DroppedReads != 0 {
+		t.Fatalf("reliable session did more than a pass/fail run: %v", rep)
+	}
+	return Verdict{Passed: rep.Outcome == Pass, FailedItem: rep.FailedItem, ItemsRun: rep.ItemsRun}
 }
 
 // oracleRunChipSession is RunChipSession over oracleDie, without the
@@ -202,7 +216,7 @@ func oracleRunChipSession(a *ATE, mods *snn.Modifiers, prof unreliable.Profile, 
 		if !ok {
 			return end(Quarantine, i)
 		}
-		if a.matches(res, a.goldenResult(i)) {
+		if a.matches(res, a.Golden(i)) {
 			continue
 		}
 		if policy.MaxRetests == 0 {
@@ -224,7 +238,7 @@ func oracleRunChipSession(a *ATE, mods *snn.Modifiers, prof unreliable.Profile, 
 			if !ok {
 				return end(Quarantine, i)
 			}
-			if a.matches(res, a.goldenResult(i)) {
+			if a.matches(res, a.Golden(i)) {
 				nPass++
 			} else {
 				nFail++
@@ -237,7 +251,8 @@ func oracleRunChipSession(a *ATE, mods *snn.Modifiers, prof unreliable.Profile, 
 	return rep
 }
 
-// TestDieProgrammingMatchesOracle compares RunChip verdicts and
+// TestDieProgrammingMatchesOracle compares pass/fail verdicts (RunChip
+// without variation, the reliable zero-policy session with it) and
 // RunChipSession reports die for die with the fresh-clone oracle: good
 // dies and faulty dies of all five kinds (SWF and SASF corrections read the
 // programmed weight), with and without variation, under a voting retest
@@ -269,10 +284,15 @@ func TestDieProgrammingMatchesOracle(t *testing.T) {
 		outcomes := map[Outcome]int{}
 		for i, mods := range dies {
 			seed := chipSeed(uint64(frac*1000), i)
-			got := ate.RunChip(mods, vary, stats.NewRNG(seed))
+			got := variedRunChip(t, ate, mods, vary, seed)
 			want := oracleRunChip(ate, mods, vary, stats.NewRNG(seed))
 			if got != want {
-				t.Fatalf("σ=%g θ die %d: RunChip %+v, oracle %+v", frac, i, got, want)
+				t.Fatalf("σ=%g θ die %d: reliable session %+v, oracle %+v", frac, i, got, want)
+			}
+			if frac == 0 {
+				if got := ate.RunChip(mods); got != want {
+					t.Fatalf("die %d: RunChip %+v, oracle %+v", i, got, want)
+				}
 			}
 			for _, s := range sessions {
 				got := ate.RunChipSession(mods, s.prof, vary, s.policy, seed)

@@ -47,9 +47,8 @@ func (o Outcome) String() string {
 // RetestPolicy governs how a session responds to failing or dropped items.
 //
 // The zero value is the paper's deterministic flow: no retests, the first
-// observation of every item is final — RunChipSession under the zero policy
-// and a Reliable profile reproduces RunChip verdicts exactly (asserted by
-// tests).
+// observation of every item is final. RunChip and the escape and overkill
+// campaigns are sessions under the zero policy and a Reliable profile.
 type RetestPolicy struct {
 	// MaxRetests is the per-chip budget of extra item applications (beyond
 	// the one baseline application each item gets). Retests of disputed
@@ -104,24 +103,29 @@ func (r SessionReport) String() string {
 // reliability is described by prof, under the retest policy. mods injects
 // the die's physical defect (nil for a defect-free die); the profile's
 // intermittence model gates whether that defect is active during each item
-// application. vary models the die's frozen weight-variation tensor as in
-// RunChip. seed makes the whole session — fault activation, readout noise
-// and variation sampling — reproducible.
+// application. vary models the die's weight variation: the die's
+// per-synapse deviation tensor is sampled once (each memristive device
+// carries a fixed programming offset) and shifts every configuration
+// programmed into it — the paper's "modify each weight of the CUT by adding
+// a random variable" (Section 5.3). seed makes the whole session — fault
+// activation, readout noise and variation sampling — reproducible.
 //
-// With prof = unreliable.Reliable() and the zero policy this is exactly
-// RunChip: first mismatch fails the chip, no retests, no quarantine.
+// With prof = unreliable.Reliable() and the zero policy the first mismatch
+// fails the chip, with no retests and no quarantine: RunChip is that
+// session without variation.
 func (a *ATE) RunChipSession(mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) SessionReport {
-	return a.session(a.newDie(), mods, prof, vary, policy, seed)
+	return a.session(a.newDie().reset(vary, stats.NewRNG(seed^varySalt)), mods, prof, policy, seed)
 }
 
-// session is RunChipSession on die d, which it resets for the chip first,
-// so a pool slot can test chip after chip on its one die.
-func (a *ATE) session(d *die, mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) (rep0 SessionReport) {
+// session is the one pass/fail item loop: it applies the full test program
+// to die d, which the caller has reset for the chip, with prof's session
+// drawn from seed. A pool slot thereby tests chip after chip on its one
+// die.
+func (a *ATE) session(d *die, mods *snn.Modifiers, prof unreliable.Profile, policy RetestPolicy, seed uint64) (rep0 SessionReport) {
 	ensureObs()
 	timer := obs.StartTimer()
 	defer func() { observeSession(timer, rep0) }()
 	sess := prof.NewSession(seed)
-	d.reset(vary, stats.NewRNG(seed^varySalt))
 	rep := SessionReport{Outcome: Pass, FailedItem: -1, BaselineItems: len(a.ts.Items)}
 	budget := policy.MaxRetests
 
@@ -175,7 +179,7 @@ func (a *ATE) session(d *die, mods *snn.Modifiers, prof unreliable.Profile, vary
 		if !ok {
 			return quarantine(i)
 		}
-		if a.matches(res, a.goldenResult(i)) {
+		if a.matches(res, a.Golden(i)) {
 			continue
 		}
 		if policy.MaxRetests == 0 {
@@ -204,7 +208,7 @@ func (a *ATE) session(d *die, mods *snn.Modifiers, prof unreliable.Profile, vary
 			if !ok {
 				return quarantine(i)
 			}
-			if a.matches(res, a.goldenResult(i)) {
+			if a.matches(res, a.Golden(i)) {
 				nPass++
 			} else {
 				nFail++
@@ -335,16 +339,14 @@ func (a *ATE) MeasureSessions(n int, mods func(i int) *snn.Modifiers, prof unrel
 // Chips counts only the sessions actually run — so the rates stay
 // meaningful over the evaluated population.
 func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func(i int) *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) (SessionStats, error) {
-	var stats SessionStats
 	if len(idx) == 0 {
-		return stats, ctx.Err()
+		return SessionStats{}, ctx.Err()
 	}
 	// Reject malformed reliability profiles before any session draws noise:
 	// a NaN probability would not crash, it would silently bias every
 	// verdict in the campaign (NaN compares false against every draw).
 	if err := prof.Validate(); err != nil {
-		stats.Errors = append(stats.Errors, err)
-		return stats, err
+		return SessionStats{Errors: []error{err}}, err
 	}
 	ensureObs()
 	timer := obs.StartTimer()
@@ -352,9 +354,7 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 	ctx, span := obs.StartSpan(ctx, "measure")
 	span.SetAttr("chips", strconv.Itoa(len(idx)))
 	defer span.End()
-	// Each pool slot tests its chips on one die (slotDie).
-	dies := make([]*die, pool.Workers(len(idx)))
-	perChip := func(i int, w int) (rep SessionReport, err error) {
+	st := a.measureChips(ctx, idx, func(d *die, i, w int) (rep SessionReport, err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = &WorkerError{Worker: w, Chip: i, Panic: p}
@@ -364,32 +364,52 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 		if mods != nil {
 			m = mods(i)
 		}
-		return a.session(a.slotDie(dies, w), m, prof, vary, policy, chipSeed(seed, i)), nil
-	}
+		s := chipSeed(seed, i)
+		d.reset(vary, stats.NewRNG(s^varySalt))
+		return a.session(d, m, prof, policy, s), nil
+	})
+	return st, ctx.Err()
+}
+
+// measureChips is the one pool runner of the chip campaigns (sessions,
+// escape and overkill): it tests the chips whose global population indices
+// are listed in idx on the worker pool and tallies their sessions.
+// chip(d, i, w) runs chip i's session on pool slot w's die d, resetting the
+// die for the chip first with the campaign's per-chip seed. Each slot tests
+// its chips in turn on one die, so a campaign allocates a simulator, a
+// tensor and input sums per slot, not per chip. A chip that returns an
+// error counts in Errors and in none of the outcome tallies.
+//
+// Each chip runs under a span carrying its verdict; distinct names (by
+// global chip index) give scheduling-independent span IDs under the
+// concurrent pool. Workers stop claiming chips once ctx is cancelled, and
+// Chips counts only the sessions run.
+func (a *ATE) measureChips(ctx context.Context, idx []int, chip func(d *die, i, w int) (SessionReport, error)) SessionStats {
+	dies := make([]*die, pool.Workers(len(idx)))
 	results, done := pool.Run(ctx, len(idx), timed(func(k, w int) SessionStats {
 		i := idx[k]
-		// Per-chip spans carry the binning verdict; distinct names (by
-		// global chip index) give scheduling-independent span IDs under the
-		// concurrent pool.
-		_, chipSpan := obs.StartSpan(ctx, "chip-"+strconv.Itoa(i))
+		if dies[w] == nil {
+			dies[w] = a.newDie()
+		}
+		_, span := obs.StartSpan(ctx, "chip-"+strconv.Itoa(i))
+		defer span.End()
 		var local SessionStats
-		rep, err := perChip(i, w)
+		rep, err := chip(dies[w], i, w)
 		if err != nil {
 			local.Errors = append(local.Errors, err)
-			chipSpan.SetAttr("outcome", "error")
+			span.SetAttr("outcome", "error")
 		} else {
 			local.add(rep)
-			chipSpan.SetAttr("outcome", rep.Outcome.String())
+			span.SetAttr("outcome", rep.Outcome.String())
 		}
-		chipSpan.End()
 		return local
 	}))
+	var st SessionStats
 	for k, r := range results {
-		if !done[k] {
-			continue
+		if done[k] {
+			st.Chips++
+			st.merge(r)
 		}
-		stats.Chips++
-		stats.merge(r)
 	}
-	return stats, ctx.Err()
+	return st
 }

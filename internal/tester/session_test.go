@@ -15,9 +15,9 @@ import (
 )
 
 // TestReliableSessionIsRunChip is the acceptance criterion of the session
-// layer: with intermittence p = 1 and retest budget 0 the session must
-// reproduce the plain tester's verdicts exactly — the reliable case is a
-// strict special case, item for item.
+// layer: RunChip, and the session with intermittence p = 1 and retest
+// budget 0, must reproduce the memo-free oracle's verdicts exactly, item
+// for item, on the good die and every fault of the universe.
 func TestReliableSessionIsRunChip(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
@@ -27,14 +27,17 @@ func TestReliableSessionIsRunChip(t *testing.T) {
 
 	check := func(name string, mods *snn.Modifiers) {
 		t.Helper()
-		want := ate.RunChip(mods, variation.None(), nil)
+		want := oracleRunChip(ate, mods, variation.None(), nil)
+		if got := ate.RunChip(mods); got != want {
+			t.Errorf("%s: RunChip %+v, oracle %+v", name, got, want)
+		}
 		got := ate.RunChipSession(mods, prof, variation.None(), policy, 7)
 		wantOutcome := Pass
 		if !want.Passed {
 			wantOutcome = Fail
 		}
 		if got.Outcome != wantOutcome || got.FailedItem != want.FailedItem || got.ItemsRun != want.ItemsRun {
-			t.Errorf("%s: session %+v, RunChip %+v", name, got, want)
+			t.Errorf("%s: session %+v, oracle %+v", name, got, want)
 		}
 		if got.Retests != 0 || got.DroppedReads != 0 {
 			t.Errorf("%s: reliable session did extra work: %+v", name, got)

@@ -78,8 +78,9 @@ func TestMeasureSessionsMatchesSessionLoop(t *testing.T) {
 
 // TestChipCampaignsMatchRunChipLoop: the escape and overkill campaigns,
 // whose pool slots each sample their dies into one tensor, return exactly
-// the rates of a loop of public RunChip calls over the same per-chip
-// seeds.
+// the rates of a loop of public reliable RunChipSession calls, one fresh
+// die each drawing from stats.NewRNG of its chip's seed, and each checked
+// against the oracle die.
 func TestChipCampaignsMatchRunChipLoop(t *testing.T) {
 	ate, faults, values, vary := slotSuite(t)
 	vary.Sigma *= 3 // at 10 % θ every faulty die of this program fails
@@ -88,7 +89,12 @@ func TestChipCampaignsMatchRunChipLoop(t *testing.T) {
 	loop := func(n int, mods func(i int) *snn.Modifiers, passed bool) float64 {
 		hit := 0
 		for i := 0; i < n; i++ {
-			if ate.RunChip(mods(i), vary, stats.NewRNG(chipSeed(seed, i))).Passed == passed {
+			s := chipSeed(seed, i)
+			v := variedRunChip(t, ate, mods(i), vary, s)
+			if want := oracleRunChip(ate, mods(i), vary, stats.NewRNG(s)); v != want {
+				t.Fatalf("die %d: reliable session %+v, oracle %+v", i, v, want)
+			}
+			if v.Passed == passed {
 				hit++
 			}
 		}
@@ -103,10 +109,10 @@ func TestChipCampaignsMatchRunChipLoop(t *testing.T) {
 	}
 	atProcs(t, "chips", func(t *testing.T) {
 		if got, errs := ate.MeasureEscape(faults, values, vary, seed); got != escape || len(errs) != 0 {
-			t.Errorf("MeasureEscape = %v %% (errors %v), RunChip loop %v %%", got, errs, escape)
+			t.Errorf("MeasureEscape = %v %% (errors %v), session loop %v %%", got, errs, escape)
 		}
 		if got := ate.MeasureOverkill(nGood, vary, seed); got != overkill {
-			t.Errorf("MeasureOverkill = %v %%, RunChip loop %v %%", got, overkill)
+			t.Errorf("MeasureOverkill = %v %%, session loop %v %%", got, overkill)
 		}
 	})
 }

@@ -22,6 +22,7 @@ import (
 	"neurotest/internal/quant"
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
+	"neurotest/internal/unreliable"
 	"neurotest/internal/variation"
 )
 
@@ -200,12 +201,9 @@ func NewSplit(ideal *ATE, chip *quant.Scheme) *ATE {
 // TestSet returns the underlying test program, as generated.
 func (a *ATE) TestSet() *pattern.TestSet { return a.ts }
 
-// Golden returns the expected output of item i.
-func (a *ATE) Golden(i int) snn.Result { return a.goldenResult(i) }
-
-// goldenResult returns the expected output of item i, read from the
+// Golden returns the expected output of item i, read from the
 // expected-response Golden, which is built on first use.
-func (a *ATE) goldenResult(i int) snn.Result {
+func (a *ATE) Golden(i int) snn.Result {
 	g, err := a.expected.get()
 	if err != nil {
 		// The lazy build fails when an item cannot be simulated (a pattern
@@ -228,38 +226,15 @@ type Verdict struct {
 	ItemsRun int
 }
 
-// RunChip applies the full test program to one chip under test.
-//
-// mods injects the die's physical defect (nil for a defect-free die). vary
-// models the chip's weight variation: the die's per-synapse deviation tensor
-// is sampled once (each memristive device carries a fixed programming
-// offset) and shifts every configuration programmed into it — the paper's
-// "modify each weight of the CUT by adding a random variable" (Section 5.3).
-// rng drives that sampling and must be non-nil when vary is non-zero.
-//
-// Testing stops at the first failing item (production ATE behaviour).
-func (a *ATE) RunChip(mods *snn.Modifiers, vary variation.Model, rng *stats.RNG) Verdict {
-	if !vary.Zero() && rng == nil {
-		//lint:ignore no-panic documented API contract on RunChip: non-zero variation requires an RNG
-		panic("tester: variation requires an RNG")
-	}
-	return a.runChip(a.newDie().reset(vary, rng), mods)
-}
-
-// runChip applies the full test program to die d carrying mods, stopping
-// at the first failing item.
-func (a *ATE) runChip(d *die, mods *snn.Modifiers) Verdict {
-	v := Verdict{Passed: true, FailedItem: -1}
-	for i := range a.ts.Items {
-		res := d.run(i, mods)
-		v.ItemsRun++
-		if !a.matches(res, a.goldenResult(i)) {
-			v.Passed = false
-			v.FailedItem = i
-			return v
-		}
-	}
-	return v
+// RunChip applies the full test program to one chip under test without
+// weight variation; mods injects the die's physical defect (nil for a
+// defect-free die). It is the reliable session under the zero retest
+// policy on a fresh die: RunChipSession(mods, unreliable.Reliable(),
+// variation.None(), RetestPolicy{}, seed) for any seed. Testing stops at
+// the first failing item (production ATE behaviour).
+func (a *ATE) RunChip(mods *snn.Modifiers) Verdict {
+	rep := a.session(a.newDie(), mods, unreliable.Reliable(), RetestPolicy{}, 0)
+	return Verdict{Passed: rep.Outcome == Pass, FailedItem: rep.FailedItem, ItemsRun: rep.ItemsRun}
 }
 
 // Observe applies the full test program to one variation-free die carrying
@@ -272,7 +247,7 @@ func (a *ATE) Observe(mods *snn.Modifiers) []bool {
 	d := a.newDie()
 	fails := make([]bool, len(a.ts.Items))
 	for i := range a.ts.Items {
-		fails[i] = !d.run(i, mods).Equal(a.goldenResult(i))
+		fails[i] = !d.run(i, mods).Equal(a.Golden(i))
 	}
 	return fails
 }
@@ -564,7 +539,7 @@ func (a *ATE) DetectsMatrix(ctx context.Context, faults []fault.Fault, values fa
 // order-independent per-chip seeds, so results are reproducible regardless
 // of scheduling.
 func (a *ATE) MeasureOverkill(nChips int, vary variation.Model, seed uint64) float64 {
-	return a.countChips(identityIndices(max(nChips, 0)), nil, vary, seed, false)
+	return a.reliableChips(identityIndices(max(nChips, 0)), nil, vary, seed).FailRate()
 }
 
 // MeasureEscape simulates one faulty chip per fault in faults, each with its
@@ -584,53 +559,29 @@ func (a *ATE) MeasureEscape(faults []fault.Fault, values fault.Values, vary vari
 		}
 		dies = append(dies, i)
 	}
-	return a.countChips(dies, func(i int) *snn.Modifiers {
+	return a.reliableChips(dies, func(i int) *snn.Modifiers {
 		return faults[i].Modifiers(values)
-	}, vary, seed, true), errs
+	}, vary, seed).PassRate(), errs
 }
 
-// countChips tests the dies listed in idx on the worker pool and returns
-// the percentage whose verdict's Passed equals passed (0 for no dies). Die
-// i carries mods(i) (a nil mods tests defect-free dies) and a variation
-// tensor drawn from chip i's own seed, which derives from its index, never
-// from the worker that runs it: RunChip(mods(i), vary,
-// stats.NewRNG(chipSeed(seed, i))). Each pool slot tests its chips on one
-// die (slotDie), so a campaign allocates a simulator, a tensor and input
-// sums per slot, not per chip.
-func (a *ATE) countChips(idx []int, mods func(i int) *snn.Modifiers, vary variation.Model, seed uint64, passed bool) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
+// reliableChips tests the chips listed in idx as the escape and overkill
+// campaigns do: chip i carries mods(i) (a nil mods tests defect-free dies)
+// through the reliable session under the zero retest policy, on a die
+// whose variation is drawn from stats.NewRNG(chipSeed(seed, i)). The seed
+// derives from the chip's index, never from the worker that runs it.
+func (a *ATE) reliableChips(idx []int, mods func(i int) *snn.Modifiers, vary variation.Model, seed uint64) SessionStats {
 	ensureObs()
 	timer := obs.StartTimer()
 	defer func() { timer.ObserveElapsed(chipsCampaignSeconds) }()
-	dies := make([]*die, pool.Workers(len(idx)))
-	hits, _ := pool.Run(context.Background(), len(idx), timed(func(k, w int) bool {
-		i := idx[k]
+	return a.measureChips(context.Background(), idx, func(d *die, i, _ int) (SessionReport, error) {
 		var m *snn.Modifiers
 		if mods != nil {
 			m = mods(i)
 		}
-		d := a.slotDie(dies, w).reset(vary, stats.NewRNG(chipSeed(seed, i)))
-		return a.runChip(d, m).Passed == passed
-	}))
-	hit := 0
-	for _, h := range hits {
-		if h {
-			hit++
-		}
-	}
-	return 100 * float64(hit) / float64(len(idx))
-}
-
-// slotDie returns pool slot w's die from dies, building it for the slot's
-// first chip. A chip's session ends before its slot claims the next one, so
-// the slot's chips take turns on the die.
-func (a *ATE) slotDie(dies []*die, w int) *die {
-	if dies[w] == nil {
-		dies[w] = a.newDie()
-	}
-	return dies[w]
+		s := chipSeed(seed, i)
+		d.reset(vary, stats.NewRNG(s))
+		return a.session(d, m, unreliable.Reliable(), RetestPolicy{}, s), nil
+	})
 }
 
 // identityIndices returns [0, n).

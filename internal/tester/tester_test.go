@@ -38,7 +38,7 @@ func TestGoodChipPasses(t *testing.T) {
 	arch := snn.Arch{8, 6, 4}
 	_, merged := smallSuite(t, arch, core.NoVariation())
 	ate := New(merged, nil)
-	v := ate.RunChip(nil, variation.None(), nil)
+	v := ate.RunChip(nil)
 	if !v.Passed {
 		t.Fatalf("good chip failed item %d", v.FailedItem)
 	}
@@ -53,7 +53,7 @@ func TestFaultyChipFailsEveryFault(t *testing.T) {
 	ate := New(merged, nil)
 	for _, kind := range fault.Kinds() {
 		for _, f := range fault.Universe(arch, kind) {
-			v := ate.RunChip(f.Modifiers(g.Options().Values), variation.None(), nil)
+			v := ate.RunChip(f.Modifiers(g.Options().Values))
 			if v.Passed {
 				t.Errorf("%v passed the full test program", f)
 			}
@@ -68,7 +68,7 @@ func TestEarlyExitOnFirstFail(t *testing.T) {
 	// A NASF fault must fail on the very first item (the NASF/SASF config
 	// leads the merged program).
 	f := fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 1, Index: 0})
-	v := ate.RunChip(f.Modifiers(g.Options().Values), variation.None(), nil)
+	v := ate.RunChip(f.Modifiers(g.Options().Values))
 	if v.Passed || v.FailedItem != 0 || v.ItemsRun != 1 {
 		t.Errorf("NASF verdict = %+v, want fail at item 0", v)
 	}
@@ -115,7 +115,7 @@ func TestMeasureCoverageBroadcastMatchesChips(t *testing.T) {
 	res := ate.MeasureCoverage(faults, values)
 	var want []fault.Fault
 	for _, f := range faults {
-		if ate.RunChip(f.Modifiers(values), variation.None(), nil).Passed {
+		if ate.RunChip(f.Modifiers(values)).Passed {
 			want = append(want, f)
 		}
 	}
@@ -215,7 +215,7 @@ func TestCoverageSimulatesInputNeuronNASF(t *testing.T) {
 		t.Fatalf("input-layer NASF faults not simulated: %v (errors %v)", res, res.Errors)
 	}
 	for _, f := range faults {
-		fails := !ate.RunChip(f.Modifiers(values), variation.None(), nil).Passed
+		fails := !ate.RunChip(f.Modifiers(values)).Passed
 		if undetected := slices.Contains(res.Undetected, f); fails == undetected {
 			t.Errorf("%v: its chip fails %v, the campaign leaves it undetected %v", f, fails, undetected)
 		}
@@ -355,18 +355,6 @@ func TestMetricsDeterministicAcrossRuns(t *testing.T) {
 	_ = c // different seed may differ; just must not panic
 }
 
-func TestRunChipPanicsWithoutRNG(t *testing.T) {
-	arch := snn.Arch{4, 3}
-	_, merged := smallSuite(t, arch, core.NoVariation())
-	ate := New(merged, nil)
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic for variation without RNG")
-		}
-	}()
-	ate.RunChip(nil, variation.OfTheta(0.1, 0.5), nil)
-}
-
 func TestGoldenAccessorsAndQuantizedATE(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
@@ -382,7 +370,7 @@ func TestGoldenAccessorsAndQuantizedATE(t *testing.T) {
 		t.Errorf("golden width wrong")
 	}
 	// Quantized ATE must still pass good chips and catch all faults.
-	if v := ate.RunChip(nil, variation.None(), nil); !v.Passed {
+	if v := ate.RunChip(nil); !v.Passed {
 		t.Fatalf("good chip failed under 8-bit quantization at item %d", v.FailedItem)
 	}
 	for _, kind := range fault.Kinds() {
@@ -480,11 +468,11 @@ func TestNewSplitSeparatesGoldenFromChip(t *testing.T) {
 	if split.expected != ideal.expected {
 		t.Fatal("the split ATE must read its expected responses from the ideal ATE's Golden")
 	}
-	if v := split.RunChip(nil, variation.None(), nil); v.Passed {
+	if v := split.RunChip(nil); v.Passed {
 		t.Errorf("2-bit chip passed against ideal goldens")
 	}
 	shared := New(merged, &coarse)
-	if v := shared.RunChip(nil, variation.None(), nil); !v.Passed {
+	if v := shared.RunChip(nil); !v.Passed {
 		t.Errorf("shared scheme did not cancel: failed item %d", v.FailedItem)
 	}
 	// The split ATE's goldens are the ideal ATE's goldens, untouched by the
@@ -537,7 +525,7 @@ func TestQuantizedATEProgramsOnce(t *testing.T) {
 			}
 		}
 	}
-	if v := ate.RunChip(nil, variation.None(), nil); !v.Passed {
+	if v := ate.RunChip(nil); !v.Passed {
 		t.Fatalf("good die failed item %d: its goldens were simulated from other networks", v.FailedItem)
 	}
 	fresh := New(merged, &s)
@@ -598,7 +586,7 @@ func TestVerdictFieldsOnPass(t *testing.T) {
 	arch := snn.Arch{4, 3}
 	_, merged := smallSuite(t, arch, core.NoVariation())
 	ate := New(merged, nil)
-	v := ate.RunChip(nil, variation.None(), stats.NewRNG(1))
+	v := ate.RunChip(nil)
 	if !v.Passed || v.FailedItem != -1 {
 		t.Errorf("verdict = %+v", v)
 	}

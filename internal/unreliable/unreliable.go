@@ -100,9 +100,10 @@ type Profile struct {
 }
 
 // Reliable returns the profile of the paper's deterministic evaluation: the
-// defect is always present and the readout is perfect. Session behaviour
-// under this profile is a strict special case of the unreliable machinery —
-// the tester package asserts it reproduces plain RunChip verdicts exactly.
+// defect is always present and the readout is perfect. The tester's
+// RunChip, escape and overkill campaigns are sessions under this profile
+// and the zero retest policy, so the paper's evaluation is a strict special
+// case of the unreliable machinery.
 func Reliable() Profile { return Profile{Intermittence: Always()} }
 
 // String renders the profile for reports.

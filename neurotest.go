@@ -250,8 +250,9 @@ const (
 )
 
 // ReliableChip returns the profile of the paper's deterministic evaluation:
-// the defect is permanently active and the readout is perfect. Sessions
-// under it with a zero RetestPolicy reproduce plain RunChip verdicts.
+// the defect is permanently active and the readout is perfect. A session
+// under it with a zero RetestPolicy is how ATE.RunChip tests a die, and
+// how the escape and overkill campaigns test theirs.
 func ReliableChip() ReliabilityProfile { return unreliable.Reliable() }
 
 // Diagnosis types re-exported from internal/diagnose.

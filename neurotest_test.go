@@ -129,13 +129,13 @@ func TestATEFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ate := m.NewATE(suite.Merged, nil)
-	v := ate.RunChip(nil, neurotest.VariationOfTheta(0, 0.5), nil)
+	v := ate.RunChip(nil)
 	if !v.Passed {
 		t.Errorf("good chip failed: %+v", v)
 	}
 	// A faulty chip fails.
 	f := m.Universe(neurotest.HSF)[0]
-	v = ate.RunChip(f.Modifiers(m.Values), neurotest.VariationOfTheta(0, 0.5), nil)
+	v = ate.RunChip(f.Modifiers(m.Values))
 	if v.Passed {
 		t.Errorf("HSF chip passed")
 	}
