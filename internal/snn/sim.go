@@ -1,9 +1,9 @@
 package snn
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // MaxTimesteps bounds the observation window so spike trains fit in a
@@ -213,15 +213,15 @@ type stuckEntry struct {
 	W  float64
 }
 
-// synapseLess orders SynapseIDs by (boundary, pre, post).
-func synapseLess(a, b SynapseID) bool {
+// synapseCmp orders SynapseIDs by (boundary, pre, post).
+func synapseCmp(a, b SynapseID) int {
 	if a.Boundary != b.Boundary {
-		return a.Boundary < b.Boundary
+		return cmp.Compare(a.Boundary, b.Boundary)
 	}
 	if a.Pre != b.Pre {
-		return a.Pre < b.Pre
+		return cmp.Compare(a.Pre, b.Pre)
 	}
-	return a.Post < b.Post
+	return cmp.Compare(a.Post, b.Post)
 }
 
 // NewSimulator returns a simulator bound to net, with no offset. The
@@ -288,29 +288,35 @@ func (s *Simulator) projectMods(mods *Modifiers, theta float64) (denseTh, denseF
 	for id, w := range mods.StuckWeight {
 		s.stuck = append(s.stuck, stuckEntry{ID: id, W: w})
 	}
-	sort.Slice(s.stuck, func(i, j int) bool { return synapseLess(s.stuck[i].ID, s.stuck[j].ID) })
+	slices.SortFunc(s.stuck, func(a, b stuckEntry) int { return synapseCmp(a.ID, b.ID) })
 	//lint:ignore interprocedural-determinism collects entries for sorting below; order-insensitive by construction
 	for id := range mods.AlwaysOnSynapse {
 		s.alwaysOn = append(s.alwaysOn, id)
 	}
-	sort.Slice(s.alwaysOn, func(i, j int) bool { return synapseLess(s.alwaysOn[i], s.alwaysOn[j]) })
+	slices.SortFunc(s.alwaysOn, synapseCmp)
 	return denseTh, denseForce
 }
 
 // Bind rebinds the simulator to net, read through offset: every run then
 // sees weight W[b][i] + offset[b][i], the sum rounded, exactly as if that
 // sum had been written into a copy of net. A nil offset reads net as it
-// is. Neither is copied or written; both may change between runs. net must
-// have the architecture the simulator was built for and offset, when
-// non-nil, exactly net's weight shape; Bind refuses anything else and
-// leaves the simulator as it was.
+// is, and so does a nil row of offset for its boundary. Neither is copied
+// or written; both may change between runs. net must have the
+// architecture the simulator was built for and offset, when non-nil, one
+// row per boundary, each nil or exactly as long as the boundary's weights;
+// Bind refuses anything else and leaves the simulator as it was.
 func (s *Simulator) Bind(net *Network, offset [][]float64) error {
 	if !net.Arch.Equal(s.net.Arch) {
 		return fmt.Errorf("snn: cannot bind a %v network to a %v simulator", net.Arch, s.net.Arch)
 	}
 	if offset != nil {
-		if err := net.Arch.CheckWeights(offset); err != nil {
-			return fmt.Errorf("snn: cannot bind offset: %w", err)
+		if len(offset) != net.Arch.Boundaries() {
+			return fmt.Errorf("snn: cannot bind offset: %d rows, architecture %v has %d boundaries", len(offset), net.Arch, net.Arch.Boundaries())
+		}
+		for b, row := range offset {
+			if want := net.W[b]; row != nil && len(row) != len(want) {
+				return fmt.Errorf("snn: cannot bind offset: boundary %d has %d offsets, want %d", b, len(row), len(want))
+			}
 		}
 	}
 	s.net, s.off = net, offset
@@ -320,12 +326,12 @@ func (s *Simulator) Bind(net *Network, offset [][]float64) error {
 // Network returns the network the simulator is bound to.
 func (s *Simulator) Network() *Network { return s.net }
 
+// reset zeroes the membrane potentials of every layer past the input. The
+// spike buffers need no reset: a run writes each layer's before it reads
+// it.
 func (s *Simulator) reset() {
-	for k := range s.mp {
-		for i := range s.mp[k] {
-			s.mp[k][i] = 0
-			s.spikes[k][i] = false
-		}
+	for _, mp := range s.mp[1:] {
+		clear(mp)
 	}
 }
 
@@ -343,33 +349,74 @@ func (s *Simulator) RunTrace(pattern Pattern, timesteps int, mode InputMode, mod
 	return s.run(nil, pattern, timesteps, mode, mods, true)
 }
 
-// InputSum is a caller-owned buffer of layer 1's input sum: what a
-// simulator adds over boundary 0 for the spikes of one pattern, before any
-// stuck or always-on correction. That sum depends only on the pattern and
-// on the boundary-0 weights and offset the simulator reads, so runs that
-// share all three may share one buffer; the caller resets it when any of
-// them changes.
-type InputSum struct {
-	y      []float64
-	filled bool
+// Input is what a caller supplies of boundary 0 in place of the simulator
+// summing it: the pattern's layer-1 input sum, and the offsets of the
+// boundary-0 synapses a run reads one at a time (FirstBoundaryReads).
+// Neither is copied or written.
+type Input struct {
+	// Sum is what boundary 0 delivers to each layer-1 neuron for the
+	// pattern's spikes: the sum over the pattern's input neurons i of
+	// weight (i, j), each read through its offset.
+	Sum []float64
+	// Off holds one offset row per input neuron, read wherever the run
+	// reads a single boundary-0 synapse: a forced input neuron's row, a
+	// stuck or an always-on synapse. Rows the run does not read may be
+	// nil. A nil Off reads those synapses through the bound offset.
+	Off [][]float64
 }
 
-// Reset empties the buffer: the next run handed it fills it again.
-func (b *InputSum) Reset() { b.filled = false }
-
-// RunInput simulates like Run with layer 1's input sum kept in sum. At
-// every timestep whose input layer carries exactly the pattern (t = 0, and
-// every timestep under ApplyHold), an empty sum receives the sum the
-// simulator adds and a filled one supplies it instead. The stuck and
-// always-on corrections and the membrane update then run as in Run, so the
-// result is Run's bit for bit. A run whose mods force an input neuron to
-// spike neither reads nor fills sum. A nil sum makes RunInput Run.
-func (s *Simulator) RunInput(sum *InputSum, pattern Pattern, timesteps int, mode InputMode, mods *Modifiers) Result {
-	res, _ := s.run(sum, pattern, timesteps, mode, mods, false)
+// RunInput simulates like Run with layer 1's input taken from in. At every
+// timestep whose input layer carries the pattern (t = 0, and every
+// timestep under ApplyHold) layer 1 starts from in.Sum, and at every other
+// timestep from zero. The row of each forced input neuron the pattern does
+// not drive at that timestep is added on top, in neuron order, read
+// through in.Off; stuck and always-on corrections on boundary 0 read
+// in.Off too. The deeper boundaries and the membrane update run as in
+// Run. Without Off no row can be added on top, so a run whose mods force
+// an input neuron ignores in and runs as Run: a caller whose Sum is Run's
+// own layer-1 sum then gets Run's result bit for bit. A nil in makes
+// RunInput Run.
+func (s *Simulator) RunInput(in *Input, pattern Pattern, timesteps int, mode InputMode, mods *Modifiers) Result {
+	res, _ := s.run(in, pattern, timesteps, mode, mods, false)
 	return res
 }
 
-func (s *Simulator) run(sum *InputSum, pattern Pattern, timesteps int, mode InputMode, mods *Modifiers, wantTrace bool) (Result, *Trace) {
+// FirstBoundaryReads appends to dst the boundary-0 synapses of arch a run
+// under m reads one at a time, in SynapseID order without repeats: every
+// synapse out of a forced input neuron, and each stuck or always-on
+// synapse on boundary 0. These are the offsets RunInput reads from
+// Input.Off; a nil m reads none.
+func (m *Modifiers) FirstBoundaryReads(dst []SynapseID, arch Arch) []SynapseID {
+	if m == nil {
+		return dst
+	}
+	start := len(dst)
+	//lint:ignore interprocedural-determinism collects entries for sorting below; order-insensitive by construction
+	for id := range m.ForceSpike {
+		if id.Layer == 0 {
+			for j := 0; j < arch[1]; j++ {
+				dst = append(dst, SynapseID{Boundary: 0, Pre: id.Index, Post: j})
+			}
+		}
+	}
+	//lint:ignore interprocedural-determinism collects entries for sorting below; order-insensitive by construction
+	for id := range m.StuckWeight {
+		if id.Boundary == 0 {
+			dst = append(dst, id)
+		}
+	}
+	//lint:ignore interprocedural-determinism collects entries for sorting below; order-insensitive by construction
+	for id := range m.AlwaysOnSynapse {
+		if id.Boundary == 0 {
+			dst = append(dst, id)
+		}
+	}
+	reads := dst[start:]
+	slices.SortFunc(reads, synapseCmp)
+	return dst[:start+len(slices.Compact(reads))]
+}
+
+func (s *Simulator) run(input *Input, pattern Pattern, timesteps int, mode InputMode, mods *Modifiers, wantTrace bool) (Result, *Trace) {
 	arch := s.net.Arch
 	if len(pattern) != arch.Inputs() {
 		//lint:ignore no-panic mis-sized patterns are generator bugs, not runtime input (documented API contract)
@@ -385,10 +432,11 @@ func (s *Simulator) run(sum *InputSum, pattern Pattern, timesteps int, mode Inpu
 	leak := s.net.Params.Leak
 	subtract := s.net.Params.Reset == ResetSubtract
 	denseTh, denseForce := s.projectMods(mods, theta)
-	// A forced input spike makes the input layer carry more than the
-	// pattern, so such a run bypasses the caller's input sum.
-	if denseForce && slices.Contains(s.force[0], true) {
-		sum = nil
+	forcedInput := denseForce && slices.Contains(s.force[0], true)
+	// Without offset rows a forced input's row cannot go on top of the
+	// caller's sum: such a run sums layer 1 itself.
+	if forcedInput && input != nil && input.Off == nil {
+		input = nil
 	}
 
 	var trace *Trace
@@ -409,16 +457,19 @@ func (s *Simulator) run(sum *InputSum, pattern Pattern, timesteps int, mode Inpu
 	counts := make([]int, arch.Outputs())
 
 	for t := 0; t < timesteps; t++ {
-		// Input layer: relay primary inputs. Input neurons have no MP.
+		// Input layer: relay primary inputs. Input neurons have no MP. The
+		// layer changes only at t = 0 and, under ApplyOnce, at t = 1.
 		in := s.spikes[0]
 		active := t == 0 || mode == ApplyHold
-		for i := range in {
-			in[i] = active && pattern[i]
-		}
-		if denseForce {
-			for i, forced := range s.force[0] {
-				if forced {
-					in[i] = true
+		if t == 0 || (t == 1 && !active) {
+			for i := range in {
+				in[i] = active && pattern[i]
+			}
+			if denseForce {
+				for i, forced := range s.force[0] {
+					if forced {
+						in[i] = true
+					}
 				}
 			}
 		}
@@ -442,15 +493,35 @@ func (s *Simulator) run(sum *InputSum, pattern Pattern, timesteps int, mode Inpu
 				o = s.off[k-1]
 			}
 			pre := s.spikes[k-1]
-			// Layer 1's sum goes through the caller's buffer while the
-			// input layer carries exactly the pattern.
-			memo := k == 1 && active && sum != nil
-			if memo && sum.filled {
-				copy(y, sum.y)
-			} else {
-				for j := 0; j < nOut; j++ {
-					y[j] = 0
+			// offRow returns the offset row of pre neuron i as this
+			// boundary is read: the caller's row on boundary 0 when the
+			// caller supplies them, else the bound offset's.
+			offRow := func(i int) []float64 {
+				if k == 1 && input != nil && input.Off != nil {
+					return input.Off[i]
 				}
+				if o == nil {
+					return nil
+				}
+				return o[i*nOut : (i+1)*nOut]
+			}
+			if k == 1 && input != nil {
+				// Layer 1 starts from the caller's sum while the input layer
+				// carries the pattern; forced rows go on top.
+				if active {
+					copy(y, input.Sum)
+				} else {
+					clear(y)
+				}
+				if forcedInput {
+					for i, forced := range s.force[0] {
+						if forced && !(active && pattern[i]) {
+							addRow(y, w[i*nOut:(i+1)*nOut], offRow(i))
+						}
+					}
+				}
+			} else {
+				clear(y)
 				// The loop is chosen once per layer: without an offset it is
 				// the plain accumulation, with no per-row branch.
 				if o == nil {
@@ -466,10 +537,6 @@ func (s *Simulator) run(sum *InputSum, pattern Pattern, timesteps int, mode Inpu
 						}
 					}
 				}
-				if memo {
-					sum.y = append(sum.y[:0], y...)
-					sum.filled = true
-				}
 			}
 			// Sparse corrections for stuck and always-on synapses, applied
 			// in sorted SynapseID order so the float64 sums are
@@ -479,7 +546,7 @@ func (s *Simulator) run(sum *InputSum, pattern Pattern, timesteps int, mode Inpu
 					continue
 				}
 				if pre[e.ID.Pre] {
-					y[e.ID.Post] += e.W - weight(w, o, e.ID.Pre*nOut+e.ID.Post)
+					y[e.ID.Post] += e.W - weight(w[e.ID.Pre*nOut:], offRow(e.ID.Pre), e.ID.Post)
 				}
 			}
 			for _, id := range s.alwaysOn {
@@ -489,7 +556,7 @@ func (s *Simulator) run(sum *InputSum, pattern Pattern, timesteps int, mode Inpu
 				// The synapse transmits a spike every timestep: when the
 				// presynaptic neuron is silent the weight still arrives.
 				if !pre[id.Pre] {
-					y[id.Post] += weight(w, o, id.Pre*nOut+id.Post)
+					y[id.Post] += weight(w[id.Pre*nOut:], offRow(id.Pre), id.Post)
 				}
 			}
 
@@ -531,11 +598,21 @@ func (s *Simulator) run(sum *InputSum, pattern Pattern, timesteps int, mode Inpu
 	return Result{SpikeCounts: counts}, trace
 }
 
-// weight returns weight i of a boundary as the simulator reads it: w[i]
-// plus the offset o[i], rounded, or w[i] alone when there is no offset.
-func weight(w, o []float64, i int) float64 {
+// weight returns weight j of a row as the simulator reads it: w[j] plus
+// the offset o[j], rounded, or w[j] alone when there is no offset.
+func weight(w, o []float64, j int) float64 {
 	if o == nil {
-		return w[i]
+		return w[j]
 	}
-	return w[i] + o[i]
+	return w[j] + o[j]
+}
+
+// addRow accumulates one weight row into y, read through its offset row o
+// when there is one.
+func addRow(y, w, o []float64) {
+	if o == nil {
+		AddInto(y, w)
+	} else {
+		AddSumInto(y, w, o)
+	}
 }

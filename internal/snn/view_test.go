@@ -2,6 +2,7 @@ package snn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"neurotest/internal/stats"
@@ -9,10 +10,14 @@ import (
 
 // applied returns a copy of net with off added to every weight, each sum
 // rounded: the network variation.ErrorTensor.ApplyTo programs (variation
-// imports snn, so the reference is written out here).
+// imports snn, so the reference is written out here). A nil row of off
+// leaves its boundary's weights as they are.
 func applied(net *Network, off [][]float64) *Network {
 	c := net.Clone()
 	for b, row := range c.W {
+		if off[b] == nil {
+			continue
+		}
 		for i := range row {
 			row[i] += off[b][i]
 		}
@@ -70,7 +75,8 @@ func traceBitsEqual(got, want *Trace, gotRes, wantRes Result) string {
 // written into its weights — in both reset and input modes, under every
 // modifier kind (a stuck and an always-on synapse share a post neuron), on
 // layers narrower and wider than the AVX2 kernel's 16-element threshold,
-// and across rebinds of one simulator between two networks.
+// across rebinds of one simulator between two networks, and with a nil
+// offset row, which leaves boundary 0 read as it is.
 func TestBindOffsetMatchesApplied(t *testing.T) {
 	const T = 12
 	mods := []*Modifiers{nil, {}, {
@@ -96,7 +102,7 @@ func TestBindOffsetMatchesApplied(t *testing.T) {
 						for _, bind := range []struct {
 							net *Network
 							off [][]float64
-						}{{netA, offA}, {netB, offB}, {netA, offA}} {
+						}{{netA, offA}, {netB, offB}, {netA, append([][]float64{nil}, offA[1:]...)}, {netA, offA}} {
 							if err := view.Bind(bind.net, bind.off); err != nil {
 								t.Fatal(err)
 							}
@@ -136,10 +142,11 @@ func TestBindOffsetMatchesApplied(t *testing.T) {
 }
 
 // TestBindRefusesMisshapedOffset pins that Bind refuses a network of
-// another architecture and any offset not shaped exactly like the
-// network's weights — a short row would otherwise be summed silently short,
-// since AddSumInto clamps to its shortest operand — and that a refused
-// Bind leaves the simulator bound as before.
+// another architecture and any offset not shaped like the network's
+// weights (a nil row, which TestBindOffsetMatchesApplied covers, is no
+// offset) — a short row would otherwise be summed silently short, since
+// AddSumInto clamps to its shortest operand — and that a refused Bind
+// leaves the simulator bound as before.
 func TestBindRefusesMisshapedOffset(t *testing.T) {
 	arch := Arch{4, 3, 2}
 	net, off := randomView(arch, ResetZero, stats.NewRNG(9))
@@ -161,7 +168,6 @@ func TestBindRefusesMisshapedOffset(t *testing.T) {
 		{"too many boundaries", net, rows(off[0], off[1], off[1])},
 		{"short row", net, rows(off[0], off[1][:len(off[1])-1])},
 		{"long row", net, rows(append(append([]float64(nil), off[0]...), 0), off[1])},
-		{"nil row", net, rows(off[0], nil)},
 		{"empty non-nil offset", net, [][]float64{}},
 		{"row of a 4-3-3 network", net, rows(off[0], make([]float64, 9))},
 	}
@@ -176,14 +182,51 @@ func TestBindRefusesMisshapedOffset(t *testing.T) {
 	}
 }
 
-// TestRunInputMatchesRun is the input sum's differential test: runs that
-// share one InputSum — filled by the first of them, read by the rest —
-// return Run's result bit for bit, bound with and without an offset, in
-// both reset and input modes, under every modifier kind, including stuck
-// and always-on synapses on boundary 0, whose corrections apply after the
-// shared sum. A run that forces an input spike neither fills nor reads the
-// buffer: a poisoned buffer changes no such run, while it does change runs
-// that read it, and Reset makes the next run refill it.
+// layer1Sum is Run's layer-1 input for pattern p's spikes on net read
+// through off (nil for none), summed the way Run sums it: row by row in
+// neuron order, each row read through its offset row.
+func layer1Sum(net *Network, off [][]float64, p Pattern) []float64 {
+	n := net.Arch[1]
+	y := make([]float64, n)
+	for i, on := range p {
+		if !on {
+			continue
+		}
+		w := net.W[0][i*n : (i+1)*n]
+		if off == nil {
+			AddInto(y, w)
+		} else {
+			AddSumInto(y, w, off[0][i*n:(i+1)*n])
+		}
+	}
+	return y
+}
+
+// dyadic rounds every weight and offset to a multiple of 2⁻⁸, so that
+// every sum a run forms is exact and no order of addition can change it.
+func dyadic(net *Network, off [][]float64) {
+	for b := range net.W {
+		for i := range net.W[b] {
+			net.W[b][i] = math.Round(net.W[b][i]*256) / 256
+			off[b][i] = math.Round(off[b][i]*256) / 256
+		}
+	}
+}
+
+// TestRunInputMatchesRun is the caller-supplied input's differential test,
+// in both reset and input modes, under every modifier kind, including
+// stuck and always-on synapses on boundary 0 and a forced input neuron.
+//   - An input holding Run's own layer-1 sum and no offset rows returns
+//     Run's result bit for bit, bound with and without an offset. A run
+//     that forces an input neuron ignores such an input: a poisoned sum
+//     changes no such run, while it does change runs that read it.
+//   - An input holding the pattern's sum through boundary 0's offset and
+//     the offset rows of FirstBoundaryReads, on a simulator bound without
+//     boundary 0's offset, returns the result of Run on the network with
+//     the whole offset written in. Forced rows then go on top of the sum,
+//     which reorders additions, so forced runs are compared on dyadic
+//     weights and offsets, whose sums are exact. Only the listed rows are
+//     supplied: a run reading any other row would index a nil row.
 func TestRunInputMatchesRun(t *testing.T) {
 	const T = 12
 	forced := &Modifiers{ForceSpike: map[NeuronID]bool{{Layer: 0, Index: 1}: true}}
@@ -193,8 +236,22 @@ func TestRunInputMatchesRun(t *testing.T) {
 	}, {
 		StuckWeight:     map[SynapseID]float64{{Boundary: 0, Pre: 1, Post: 4}: 1, {Boundary: 1, Pre: 0, Post: 2}: -2},
 		AlwaysOnSynapse: map[SynapseID]bool{{Boundary: 0, Pre: 2, Post: 4}: true, {Boundary: 0, Pre: 3, Post: 1}: true},
-	}, forced}
-	poisonMoved := 0
+	}, forced, {
+		ForceSpike:      map[NeuronID]bool{{Layer: 0, Index: 0}: true, {Layer: 0, Index: 5}: true},
+		StuckWeight:     map[SynapseID]float64{{Boundary: 0, Pre: 5, Post: 1}: -1, {Boundary: 0, Pre: 2, Post: 0}: 0.5},
+		AlwaysOnSynapse: map[SynapseID]bool{{Boundary: 0, Pre: 0, Post: 3}: true, {Boundary: 0, Pre: 6, Post: 2}: true},
+	}}
+	forcesInput := func(m *Modifiers) bool {
+		if m != nil {
+			for id := range m.ForceSpike {
+				if id.Layer == 0 {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	poisonMoved, offsetMoved := 0, 0
 	for _, arch := range []Arch{{8, 6, 5, 3}, {24, 19, 33, 4}} {
 		for _, reset := range []ResetMode{ResetZero, ResetSubtract} {
 			for _, mode := range []InputMode{ApplyOnce, ApplyHold} {
@@ -205,6 +262,7 @@ func TestRunInputMatchesRun(t *testing.T) {
 					for i := range p {
 						p[i] = rng.Float64() < 0.5
 					}
+					// Run's own sum, no offset rows.
 					for _, o := range [][][]float64{off, nil} {
 						sim := NewSimulator(net)
 						if err := sim.Bind(net, o); err != nil {
@@ -214,39 +272,96 @@ func TestRunInputMatchesRun(t *testing.T) {
 						if o != nil {
 							ref = NewSimulator(applied(net, o))
 						}
-						var sum InputSum
+						in := &Input{Sum: layer1Sum(net, o, p)}
 						for _, m := range mods {
-							want := ref.Run(p, T, mode, m)
-							if got := sim.RunInput(&sum, p, T, mode, m); !got.Equal(want) {
+							if got, want := sim.RunInput(in, p, T, mode, m), ref.Run(p, T, mode, m); !got.Equal(want) {
 								t.Fatalf("%v %v mode %d seed %d offset %t mods %+v: RunInput %v, Run %v",
 									arch, reset, mode, seed, o != nil, m, got, want)
 							}
-							if m == forced && !sum.filled {
-								continue // a forced input never fills the buffer
-							}
-							if !sum.filled {
-								t.Fatalf("%v seed %d mods %+v: the run left the buffer empty", arch, seed, m)
-							}
 						}
-						for j := range sum.y {
-							sum.y[j] += 10 * net.Params.Theta
+						for j := range in.Sum {
+							in.Sum[j] += 10 * net.Params.Theta
 						}
-						if got, want := sim.RunInput(&sum, p, T, mode, forced), ref.Run(p, T, mode, forced); !got.Equal(want) {
-							t.Fatalf("%v seed %d: a forced input read the poisoned buffer: %v, Run %v", arch, seed, got, want)
+						if got, want := sim.RunInput(in, p, T, mode, forced), ref.Run(p, T, mode, forced); !got.Equal(want) {
+							t.Fatalf("%v seed %d: a forced input read the poisoned sum: %v, Run %v", arch, seed, got, want)
 						}
-						if !sim.RunInput(&sum, p, T, mode, nil).Equal(ref.Run(p, T, mode, nil)) {
+						if !sim.RunInput(in, p, T, mode, nil).Equal(ref.Run(p, T, mode, nil)) {
 							poisonMoved++
 						}
-						sum.Reset()
-						if got, want := sim.RunInput(&sum, p, T, mode, nil), ref.Run(p, T, mode, nil); !got.Equal(want) {
-							t.Fatalf("%v seed %d: after Reset RunInput %v, Run %v", arch, seed, got, want)
+					}
+					// The pattern's sum and the offset rows, on random and on
+					// dyadic weights.
+					dnet, doff := net.Clone(), make([][]float64, len(off))
+					for b := range off {
+						doff[b] = slices.Clone(off[b])
+					}
+					dyadic(dnet, doff)
+					for _, v := range []struct {
+						net   *Network
+						off   [][]float64
+						exact bool
+					}{{net, off, false}, {dnet, doff, true}} {
+						deep := append([][]float64{nil}, v.off[1:]...)
+						sim := NewSimulator(v.net)
+						if err := sim.Bind(v.net, deep); err != nil {
+							t.Fatal(err)
+						}
+						ref := NewSimulator(applied(v.net, v.off))
+						n := arch[1]
+						for _, m := range mods {
+							if forcesInput(m) && !v.exact {
+								continue
+							}
+							rows := make([][]float64, arch[0])
+							for _, id := range m.FirstBoundaryReads(nil, arch) {
+								rows[id.Pre] = v.off[0][id.Pre*n : (id.Pre+1)*n]
+							}
+							in := &Input{Sum: layer1Sum(v.net, v.off, p), Off: rows}
+							got, want := sim.RunInput(in, p, T, mode, m), ref.Run(p, T, mode, m)
+							if !got.Equal(want) {
+								t.Fatalf("%v %v mode %d seed %d exact %t mods %+v: RunInput with rows %v, Run %v",
+									arch, reset, mode, seed, v.exact, m, got, want)
+							}
+							if !got.Equal(NewSimulator(v.net).Run(p, T, mode, m)) {
+								offsetMoved++
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-	if poisonMoved == 0 {
-		t.Fatal("fixture broken: no run ever read the poisoned buffer")
+	if poisonMoved == 0 || offsetMoved == 0 {
+		t.Fatalf("fixture broken: %d runs read the poisoned sum, %d runs moved with the offset", poisonMoved, offsetMoved)
+	}
+}
+
+// TestFirstBoundaryReads pins the boundary-0 synapses a run reads one at a
+// time: every synapse out of a forced input neuron, then stuck and
+// always-on synapses on boundary 0, merged into SynapseID order without
+// repeats, appended after what dst holds; deeper synapses and neurons
+// past the input layer read none.
+func TestFirstBoundaryReads(t *testing.T) {
+	arch := Arch{6, 3, 2}
+	m := &Modifiers{
+		ForceSpike:      map[NeuronID]bool{{Layer: 0, Index: 4}: true, {Layer: 1, Index: 0}: true, {Layer: 0, Index: 1}: true},
+		StuckWeight:     map[SynapseID]float64{{Boundary: 0, Pre: 4, Post: 2}: 1, {Boundary: 0, Pre: 2, Post: 1}: 1, {Boundary: 1, Pre: 0, Post: 0}: 1},
+		AlwaysOnSynapse: map[SynapseID]bool{{Boundary: 0, Pre: 2, Post: 1}: true, {Boundary: 0, Pre: 0, Post: 2}: true, {Boundary: 1, Pre: 1, Post: 1}: true},
+	}
+	head := SynapseID{Boundary: 9}
+	got := m.FirstBoundaryReads([]SynapseID{head}, arch)
+	want := []SynapseID{head, {0, 0, 2}, {0, 1, 0}, {0, 1, 1}, {0, 1, 2}, {0, 2, 1}, {0, 4, 0}, {0, 4, 1}, {0, 4, 2}}
+	for k := 0; k < 20; k++ { // map order must not matter
+		if !slices.Equal(got, want) {
+			t.Fatalf("reads %v, want %v", got, want)
+		}
+		got = m.FirstBoundaryReads([]SynapseID{head}, arch)
+	}
+	var none *Modifiers
+	if r := none.FirstBoundaryReads(nil, arch); len(r) != 0 {
+		t.Errorf("nil modifiers read %v", r)
+	}
+	if r := (&Modifiers{ThresholdOverride: map[NeuronID]float64{{Layer: 1, Index: 0}: 1}}).FirstBoundaryReads(nil, arch); len(r) != 0 {
+		t.Errorf("a threshold override reads %v", r)
 	}
 }

@@ -161,8 +161,6 @@ func zigTables() (x [257]float64, k [256]float64) {
 // NormFloat64 returns a standard normal variate (mean 0, stddev 1) drawn
 // by the ziggurat method (see FillNorm). It is the one-element case of
 // FillNorm.
-//
-//lint:ignore dead-code the per-variate draw FillNorm is defined against; the stats and variation tests pin both to it
 func (r *RNG) NormFloat64() float64 {
 	var z [1]float64
 	r.FillNorm(z[:], 1)

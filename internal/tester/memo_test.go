@@ -28,11 +28,14 @@ func oracleSameInput(a *ATE, i, j int) bool {
 }
 
 // checkGroups fails unless a's item groups are exactly the classes of
-// oracleSameInput, numbered in order of their first member, and returns
-// them.
+// oracleSameInput, numbered in order of their first member, each group's
+// weight sum is its pattern's programmed rows added in neuron order, and
+// a's atoms are oracleAtoms', each group listing the atoms its pattern
+// drives; it returns the groups and their number.
 func checkGroups(t *testing.T, a *ATE) ([]int, int) {
 	t.Helper()
-	of, n := a.groups.get()
+	l := a.input.get()
+	of, n := l.group, len(l.sums)
 	next := 0
 	for i := range a.ts.Items {
 		for j := 0; j < i; j++ {
@@ -49,6 +52,39 @@ func checkGroups(t *testing.T, a *ATE) ([]int, int) {
 	}
 	if next != n {
 		t.Fatalf("%d groups numbered, %d reported", next, n)
+	}
+	width := a.ts.Arch[1]
+	for i, it := range a.ts.Items {
+		want := make([]float64, width)
+		w := a.nets[it.ConfigIndex].W[0]
+		for k, on := range it.Pattern {
+			for j := 0; on && j < width; j++ {
+				want[j] += w[k*width+j]
+			}
+		}
+		if !slices.EqualFunc(l.sums[of[i]], want, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) }) {
+			t.Fatalf("item %d: group %d's weight sum is not its pattern's rows added in order", i, of[i])
+		}
+	}
+	atomOf, members := oracleAtoms(a)
+	if !slices.Equal(l.atom, atomOf) {
+		t.Fatalf("atoms %v, want %v", l.atom, atomOf)
+	}
+	for k, m := range members {
+		if l.size[k] != len(m) {
+			t.Fatalf("atom %d holds %d neurons, want %d", k, l.size[k], len(m))
+		}
+	}
+	for i, it := range a.ts.Items {
+		var want []int
+		for k, m := range members {
+			if it.Pattern[m[0]] {
+				want = append(want, k)
+			}
+		}
+		if got := l.atoms[of[i]]; !slices.Equal(got, want) {
+			t.Fatalf("item %d: group %d drives atoms %v, want %v", i, of[i], got, want)
+		}
 	}
 	return of, n
 }
@@ -75,8 +111,9 @@ func TestItemGroupCounts(t *testing.T) {
 	}
 }
 
-// TestItemGroupsBuiltByFirstDie: New, golden responses and coverage group
-// nothing; the first die groups the items, once for the ATE and its
+// TestItemGroupsBuiltByFirstDie: New, golden responses and coverage build
+// nothing of the input layer, neither item groups nor their weight sums
+// nor atoms; the first die builds all three, once for the ATE and its
 // tolerance clones.
 func TestItemGroupsBuiltByFirstDie(t *testing.T) {
 	arch := snn.Arch{8, 6, 4}
@@ -84,16 +121,16 @@ func TestItemGroupsBuiltByFirstDie(t *testing.T) {
 	ate := New(merged, nil)
 	ate.Golden(0)
 	ate.MeasureCoverage(fault.Universe(arch, fault.SWF), g.Options().Values)
-	if ate.groups.of != nil {
-		t.Fatal("New, Golden or MeasureCoverage grouped the items")
+	if l := ate.input; l.group != nil || l.sums != nil || l.atom != nil || l.size != nil || l.atoms != nil {
+		t.Fatal("New, Golden or MeasureCoverage built the input layer")
 	}
 	clone, err := ate.CloneWithTolerance(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clone.RunChip(nil)
-	if ate.groups != clone.groups || ate.groups.of == nil {
-		t.Fatal("the clone's first die did not group the ATE's items")
+	if l := ate.input; l != clone.input || l.group == nil || l.sums == nil || l.atom == nil || l.size == nil || l.atoms == nil {
+		t.Fatal("the clone's first die did not build the ATE's input layer")
 	}
 }
 
@@ -111,21 +148,22 @@ func holdSuite(ts *pattern.TestSet) *pattern.TestSet {
 	return &c
 }
 
-// oracleObserve is Observe over the memo-free oracleDie.
+// oracleObserve is Observe over oracleDie, which shares nothing.
 func oracleObserve(a *ATE, mods *snn.Modifiers) []bool {
-	program := oracleDie(a, nil)
+	run := oracleDie(a, nil)
 	fails := make([]bool, len(a.ts.Items))
-	for i, it := range a.ts.Items {
-		fails[i] = !program(it.ConfigIndex).Run(it.Pattern, it.Timesteps, it.Mode(), mods).Equal(a.Golden(i))
+	for i := range a.ts.Items {
+		fails[i] = !run(i, mods).Equal(a.Golden(i))
 	}
 	return fails
 }
 
-// memoHits counts the items among the first run of a that find their
-// group's input sum already filled by an earlier item on the same die.
+// memoHits counts the items among the first run of a whose group's
+// layer-1 sum an earlier item of the run has already read.
 func memoHits(a *ATE, run int) int {
-	of, n := a.groups.get()
-	seen := make([]bool, n)
+	l := a.input.get()
+	of := l.group
+	seen := make([]bool, len(l.sums))
 	hits := 0
 	for _, g := range of[:run] {
 		if seen[g] {
@@ -140,12 +178,14 @@ func memoHits(a *ATE, run int) int {
 // input sum — the reliable session (RunChip's loop), RunChipSession and
 // Observe die for die, and the
 // sessions, escape and overkill campaigns (at GOMAXPROCS 1 and 4) — against
-// the memo-free oracle die at σ = 10 % θ. The dies carry NASF on input
-// neurons (a forced input, which bypasses the sums: under intermittence a
-// die runs some items with it and some without), SWF and SASF on boundary
-// 0 (corrections applied after a shared sum), ESF and HSF, or nothing. The
-// ATEs are a plain merged program, one with a held twin after every item
-// (sharing its group), and the plain program quantized to 8 bits.
+// the oracle die, which shares nothing, at σ = 10 % θ. The dies carry NASF
+// on input neurons (a forced input, whose row goes on top of the sum: under
+// intermittence a die runs some items with it and some without), SWF and
+// SASF on boundary 0 (corrections applied after a shared sum), ESF and
+// HSF, clusters of four of those (several boundary-0 reads, drawn one
+// after another from shared atoms), or nothing. The ATEs are a plain
+// merged program, one with a held twin after every item (sharing its
+// group), and the plain program quantized to 8 bits.
 func TestDieMemoMatchesOracle(t *testing.T) {
 	arch := snn.Arch{24, 16, 8, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
@@ -168,6 +208,10 @@ func TestDieMemoMatchesOracle(t *testing.T) {
 	for _, f := range faults {
 		dies = append(dies, f.Modifiers(values))
 	}
+	for c := 0; c < 12; c++ { // the last forced inputs, then stuck and always-on synapses
+		_, m := ClusterDefect(faults[arch[0]-6:], values, c, 4)
+		dies = append(dies, m)
+	}
 	mods := func(i int) *snn.Modifiers { return dies[i] }
 
 	sch, err := quant.NewScheme(8, quant.PerChannel)
@@ -176,7 +220,7 @@ func TestDieMemoMatchesOracle(t *testing.T) {
 	}
 	held := New(holdSuite(merged), nil)
 	for i, n := 0, len(merged.Items); i < n; i++ {
-		if of, _ := held.groups.get(); of[i] != of[n+i] {
+		if of := held.input.get().group; of[i] != of[n+i] {
 			t.Fatalf("held item %d and its single-shot twin fall into groups %d and %d", n+i, of[n+i], of[i])
 		}
 	}
@@ -219,7 +263,7 @@ func TestDieMemoMatchesOracle(t *testing.T) {
 		if hits == 0 || len(verdicts) < 2 {
 			t.Fatalf("%s: fixture broken: %d memo hits, verdicts %v", c.name, hits, verdicts)
 		}
-		t.Logf("%s: %d dies, %d distinct verdicts, %d items read a filled input sum", c.name, len(dies), len(verdicts), hits)
+		t.Logf("%s: %d dies, %d distinct verdicts, %d items read a group sum an earlier item read", c.name, len(dies), len(verdicts), hits)
 
 		wantSessions := make([]SessionStats, len(sessions))
 		for k, ss := range sessions {
@@ -288,13 +332,13 @@ func TestItemGroupsSharedAcrossConcurrentClones(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				run()
-				groupings <- &a.newDie().group[0]
+				groupings <- &a.newDie().in.group[0]
 			}()
 		}
 	}
 	wg.Wait()
 	close(groupings)
-	first := &base.newDie().group[0]
+	first := &base.newDie().in.group[0]
 	for p := range groupings {
 		if p != first {
 			t.Fatal("the campaigns read two groupings of one test program")

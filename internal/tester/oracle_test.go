@@ -10,7 +10,6 @@ import (
 
 	"neurotest/internal/core"
 	"neurotest/internal/fault"
-	"neurotest/internal/pattern"
 	"neurotest/internal/quant"
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
@@ -119,27 +118,167 @@ func TestSampleFaultsAllocatesPerSample(t *testing.T) {
 	}
 }
 
-// oracleDie programs every configuration into a fresh errs.ApplyTo clone —
-// the programming the tester used before dies owned a scratch network.
-func oracleDie(a *ATE, errs *variation.ErrorTensor) func(ci int) *snn.Simulator {
+// oracleAtoms partitions a's input neurons into atoms, written out: two
+// neurons share an atom when every item drives both or neither. Atoms are
+// numbered in order of their first neuron.
+func oracleAtoms(a *ATE) (atomOf []int, members [][]int) {
+	sameItems := func(i, k int) bool {
+		for _, it := range a.ts.Items {
+			if it.Pattern[i] != it.Pattern[k] {
+				return false
+			}
+		}
+		return true
+	}
+	atomOf = make([]int, a.ts.Arch[0])
+	for i := range atomOf {
+		atomOf[i] = -1
+		for k := 0; k < i; k++ {
+			if sameItems(i, k) {
+				atomOf[i] = atomOf[k]
+				break
+			}
+		}
+		if atomOf[i] < 0 {
+			atomOf[i] = len(members)
+			members = append(members, nil)
+		}
+		members[atomOf[i]] = append(members[atomOf[i]], i)
+	}
+	return atomOf, members
+}
+
+// oracleChip is a die's variation, drawn as a die draws it but written
+// out: atom by atom a row of sums at σ√|A|, the deeper boundaries' tensor,
+// then the boundary-0 synapses mods reads one at a time, visited in
+// SynapseID order, each drawn given what its atom sum has left.
+type oracleChip struct {
+	atoms [][]float64 // per atom, per layer-1 neuron
+	deep  *variation.ErrorTensor
+	rows  [][]float64 // per input neuron; nil when mods read none
+}
+
+// oracleDraw draws a chip's variation from rng as oracleChip; a zero model
+// draws nothing and returns nil.
+func oracleDraw(a *ATE, vary variation.Model, rng *stats.RNG, mods *snn.Modifiers) *oracleChip {
+	if vary.Zero() {
+		return nil
+	}
+	arch := a.ts.Arch
+	n := arch[1]
+	atomOf, members := oracleAtoms(a)
+	c := &oracleChip{}
+	left := make([][]float64, len(members))
+	count := make([][]int, len(members))
+	for k, m := range members {
+		row := make([]float64, n)
+		rng.FillNorm(row, vary.Sigma*math.Sqrt(float64(len(m))))
+		c.atoms = append(c.atoms, row)
+		left[k] = slices.Clone(row)
+		count[k] = make([]int, n)
+		for j := range count[k] {
+			count[k][j] = len(m)
+		}
+	}
+	c.deep = vary.SampleError(arch[1:], rng)
+	if mods == nil {
+		return c
+	}
+	for i := 0; i < arch[0]; i++ {
+		_, forced := mods.ForceSpike[snn.NeuronID{Layer: 0, Index: i}]
+		for j := 0; j < n; j++ {
+			id := snn.SynapseID{Boundary: 0, Pre: i, Post: j}
+			_, stuck := mods.StuckWeight[id]
+			_, on := mods.AlwaysOnSynapse[id]
+			if !forced && !stuck && !on {
+				continue
+			}
+			if c.rows == nil {
+				c.rows = make([][]float64, arch[0])
+			}
+			if c.rows[i] == nil {
+				c.rows[i] = make([]float64, n)
+			}
+			s, m := left[atomOf[i]][j], count[atomOf[i]][j]
+			e := s
+			if m > 1 {
+				e = s/float64(m) + vary.Sigma*math.Sqrt(1-1/float64(m))*rng.NormFloat64()
+			}
+			left[atomOf[i]][j], count[atomOf[i]][j] = s-e, m-1
+			c.rows[i][j] = e
+		}
+	}
+	return c
+}
+
+// oracleDie runs items on a die carrying chip c (nil: no variation)
+// without anything a die shares or keeps: every item's layer-1 sum is
+// added up afresh, row by row over its pattern's programmed weights in
+// neuron order, then its atoms' sums in atom order, and the deeper
+// boundaries are read from a fresh clone of the configuration with c's
+// deep errors written in.
+func oracleDie(a *ATE, c *oracleChip) func(i int, mods *snn.Modifiers) snn.Result {
+	_, members := oracleAtoms(a)
+	n := a.ts.Arch[1]
 	cur := -1
 	var sim *snn.Simulator
-	return func(ci int) *snn.Simulator {
-		if ci != cur {
-			sim = snn.NewSimulator(errs.ApplyTo(a.nets[ci]))
-			cur = ci
+	return func(i int, mods *snn.Modifiers) snn.Result {
+		it := a.ts.Items[i]
+		if it.ConfigIndex != cur {
+			net := a.nets[it.ConfigIndex]
+			if c != nil {
+				net = net.Clone()
+				for b := 1; b < len(net.W); b++ {
+					for k := range net.W[b] {
+						net.W[b][k] += c.deep.E[b-1][k]
+					}
+				}
+			}
+			sim = snn.NewSimulator(net)
+			cur = it.ConfigIndex
 		}
-		return sim
+		w := a.nets[it.ConfigIndex].W[0]
+		in := &snn.Input{Sum: make([]float64, n)}
+		for k, on := range it.Pattern {
+			if on {
+				snn.AddInto(in.Sum, w[k*n:(k+1)*n])
+			}
+		}
+		if c != nil {
+			for k, m := range members {
+				if it.Pattern[m[0]] {
+					snn.AddInto(in.Sum, c.atoms[k])
+				}
+			}
+			in.Off = c.rows
+		}
+		return sim.RunInput(in, it.Pattern, it.Timesteps, it.Mode(), mods)
+	}
+}
+
+// perWeightDie programs every configuration into a fresh errs.ApplyTo
+// clone and runs items on it: the die the tester ran before it drew its
+// variation per input atom, one error per synapse.
+func perWeightDie(a *ATE, errs *variation.ErrorTensor) func(i int, mods *snn.Modifiers) snn.Result {
+	cur := -1
+	var sim *snn.Simulator
+	return func(i int, mods *snn.Modifiers) snn.Result {
+		it := a.ts.Items[i]
+		if it.ConfigIndex != cur {
+			sim = snn.NewSimulator(errs.ApplyTo(a.nets[it.ConfigIndex]))
+			cur = it.ConfigIndex
+		}
+		return sim.Run(it.Pattern, it.Timesteps, it.Mode(), mods)
 	}
 }
 
 // oracleRunChip is RunChip over oracleDie, on a die whose variation is
 // drawn from rng.
 func oracleRunChip(a *ATE, mods *snn.Modifiers, vary variation.Model, rng *stats.RNG) Verdict {
-	program := oracleDie(a, vary.SampleError(a.ts.Arch, rng))
+	run := oracleDie(a, oracleDraw(a, vary, rng, mods))
 	v := Verdict{Passed: true, FailedItem: -1}
-	for i, it := range a.ts.Items {
-		res := program(it.ConfigIndex).Run(it.Pattern, it.Timesteps, it.Mode(), mods)
+	for i := range a.ts.Items {
+		res := run(i, mods)
 		v.ItemsRun++
 		if !a.matches(res, a.Golden(i)) {
 			v.Passed = false
@@ -167,30 +306,25 @@ func variedRunChip(t *testing.T, a *ATE, mods *snn.Modifiers, vary variation.Mod
 // session metrics.
 func oracleRunChipSession(a *ATE, mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) SessionReport {
 	sess := prof.NewSession(seed)
-	var errs *variation.ErrorTensor
-	if !vary.Zero() {
-		errs = vary.SampleError(a.ts.Arch, stats.NewRNG(seed^varySalt))
-	}
-	program := oracleDie(a, errs)
+	run := oracleDie(a, oracleDraw(a, vary, stats.NewRNG(seed^varySalt), mods))
 	rep := SessionReport{Outcome: Pass, FailedItem: -1, BaselineItems: len(a.ts.Items)}
 	budget := policy.MaxRetests
-	apply := func(it pattern.Item, first bool) (snn.Result, error) {
-		sim := program(it.ConfigIndex)
+	apply := func(i int, first bool) (snn.Result, error) {
 		m := mods
 		if !sess.FaultActive() {
 			m = nil
 		}
-		res := sim.Run(it.Pattern, it.Timesteps, it.Mode(), m)
+		res := run(i, m)
 		rep.ItemsRun++
 		if !first {
 			rep.Retests++
 		}
 		return sess.Observe(res)
 	}
-	read := func(it pattern.Item, first bool) (snn.Result, bool) {
+	read := func(i int, first bool) (snn.Result, bool) {
 		cost := 1
 		for {
-			res, err := apply(it, first)
+			res, err := apply(i, first)
 			if err == nil {
 				return res, true
 			}
@@ -211,8 +345,8 @@ func oracleRunChipSession(a *ATE, mods *snn.Modifiers, prof unreliable.Profile, 
 		rep.FailedItem = i
 		return rep
 	}
-	for i, it := range a.ts.Items {
-		res, ok := read(it, true)
+	for i := range a.ts.Items {
+		res, ok := read(i, true)
 		if !ok {
 			return end(Quarantine, i)
 		}
@@ -234,7 +368,7 @@ func oracleRunChipSession(a *ATE, mods *snn.Modifiers, prof unreliable.Profile, 
 			}
 			budget--
 			rep.BudgetSpent++
-			res, ok := read(it, false)
+			res, ok := read(i, false)
 			if !ok {
 				return end(Quarantine, i)
 			}
@@ -253,17 +387,19 @@ func oracleRunChipSession(a *ATE, mods *snn.Modifiers, prof unreliable.Profile, 
 
 // TestDieProgrammingMatchesOracle compares pass/fail verdicts (RunChip
 // without variation, the reliable zero-policy session with it) and
-// RunChipSession reports die for die with the fresh-clone oracle: good
-// dies and faulty dies of all five kinds (SWF and SASF corrections read the
-// programmed weight), with and without variation, under a voting retest
-// policy over an intermittent, noisy chip.
+// RunChipSession reports die for die with the oracle die, which shares
+// nothing: good dies and faulty dies of all five kinds (SWF and SASF
+// corrections read the programmed weight), with and without variation,
+// under a voting retest policy over an intermittent, noisy chip. A good
+// die passes at σ = 30 % θ about once in 80, so the population holds 300
+// good dies for that σ to show both verdicts.
 func TestDieProgrammingMatchesOracle(t *testing.T) {
 	arch := snn.Arch{10, 8, 6, 3}
 	g, merged := smallSuite(t, arch, core.NoVariation())
 	theta := g.Options().Params.Theta
 	values := g.Options().Values
 	ate := New(merged, nil)
-	dies := []*snn.Modifiers{nil, nil, nil}
+	dies := make([]*snn.Modifiers, 300) // good dies first
 	for _, kind := range fault.Kinds() {
 		for _, f := range fault.Universe(arch, kind) {
 			dies = append(dies, f.Modifiers(values))

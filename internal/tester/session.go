@@ -103,18 +103,19 @@ func (r SessionReport) String() string {
 // reliability is described by prof, under the retest policy. mods injects
 // the die's physical defect (nil for a defect-free die); the profile's
 // intermittence model gates whether that defect is active during each item
-// application. vary models the die's weight variation: the die's
-// per-synapse deviation tensor is sampled once (each memristive device
-// carries a fixed programming offset) and shifts every configuration
-// programmed into it — the paper's "modify each weight of the CUT by adding
-// a random variable" (Section 5.3). seed makes the whole session — fault
-// activation, readout noise and variation sampling — reproducible.
+// application. vary models the die's weight variation: each memristive
+// device carries one fixed programming offset, drawn once per die, which
+// shifts every configuration programmed into it — the paper's "modify each
+// weight of the CUT by adding a random variable" (Section 5.3), drawn in
+// the form the die reads it (variation.AtomError). seed makes the whole
+// session — fault activation, readout noise and variation sampling —
+// reproducible.
 //
 // With prof = unreliable.Reliable() and the zero policy the first mismatch
 // fails the chip, with no retests and no quarantine: RunChip is that
 // session without variation.
 func (a *ATE) RunChipSession(mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) SessionReport {
-	return a.session(a.newDie().reset(vary, stats.NewRNG(seed^varySalt)), mods, prof, policy, seed)
+	return a.session(a.newDie().reset(vary, stats.NewRNG(seed^varySalt), mods), mods, prof, policy, seed)
 }
 
 // session is the one pass/fail item loop: it applies the full test program
@@ -365,7 +366,7 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 			m = mods(i)
 		}
 		s := chipSeed(seed, i)
-		d.reset(vary, stats.NewRNG(s^varySalt))
+		d.reset(vary, stats.NewRNG(s^varySalt), m)
 		return a.session(d, m, prof, policy, s), nil
 	})
 	return st, ctx.Err()
@@ -376,8 +377,8 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 // are listed in idx on the worker pool and tallies their sessions.
 // chip(d, i, w) runs chip i's session on pool slot w's die d, resetting the
 // die for the chip first with the campaign's per-chip seed. Each slot tests
-// its chips in turn on one die, so a campaign allocates a simulator, a
-// tensor and input sums per slot, not per chip. A chip that returns an
+// its chips in turn on one die, so a campaign allocates a simulator and
+// the variation's rows per slot, not per chip. A chip that returns an
 // error counts in Errors and in none of the outcome tallies.
 //
 // Each chip runs under a span carrying its verdict; distinct names (by

@@ -26,8 +26,8 @@ func atProcs(t *testing.T, name string, fn func(t *testing.T)) {
 }
 
 // slotSuite is a small program without variation margins, so σ = 10 % θ
-// fails some good dies and lets some faulty ones pass: the per-slot
-// tensors must reproduce a mix of verdicts, not one answer.
+// fails some good dies and lets some faulty ones pass: the per-slot dies
+// must reproduce a mix of verdicts, not one answer.
 func slotSuite(t *testing.T) (*ATE, []fault.Fault, fault.Values, variation.Model) {
 	t.Helper()
 	arch := snn.Arch{8, 6, 4}
@@ -41,9 +41,10 @@ func slotSuite(t *testing.T) (*ATE, []fault.Fault, fault.Values, variation.Model
 }
 
 // TestMeasureSessionsMatchesSessionLoop: the sessions campaign, whose pool
-// slots each sample their dies into one tensor, tallies exactly what a loop
-// of public RunChipSession calls — one fresh tensor per die — tallies, for
-// good and faulty dies under weight variation, retests and flaky readout.
+// slots each draw their dies' variation into one AtomError, tallies exactly
+// what a loop of public RunChipSession calls — one fresh die each — tallies,
+// for good and faulty dies under weight variation, retests and flaky
+// readout.
 func TestMeasureSessionsMatchesSessionLoop(t *testing.T) {
 	ate, faults, values, vary := slotSuite(t)
 	prof := unreliable.Profile{Intermittence: unreliable.Intermittence{P: 0.7}, Readout: unreliable.Readout{JitterP: 0.02, DropP: 0.02}}
@@ -77,15 +78,20 @@ func TestMeasureSessionsMatchesSessionLoop(t *testing.T) {
 }
 
 // TestChipCampaignsMatchRunChipLoop: the escape and overkill campaigns,
-// whose pool slots each sample their dies into one tensor, return exactly
-// the rates of a loop of public reliable RunChipSession calls, one fresh
-// die each drawing from stats.NewRNG of its chip's seed, and each checked
-// against the oracle die.
+// whose pool slots each draw their dies' variation into one AtomError,
+// return exactly the rates of a loop of public reliable RunChipSession
+// calls, one fresh die each drawing from stats.NewRNG of its chip's seed,
+// and each checked against the oracle die. A faulty die of this program
+// passes at σ = 30 % θ about once in 300, so the escape population cycles
+// the fault universe over 2,000 dies to show both verdicts.
 func TestChipCampaignsMatchRunChipLoop(t *testing.T) {
-	ate, faults, values, vary := slotSuite(t)
+	ate, universe, values, vary := slotSuite(t)
 	vary.Sigma *= 3 // at 10 % θ every faulty die of this program fails
 	const seed, nGood = 9, 60
-	faults = faults[:min(len(faults), 80)]
+	faults := make([]fault.Fault, 2000)
+	for i := range faults {
+		faults[i] = universe[i%len(universe)]
+	}
 	loop := func(n int, mods func(i int) *snn.Modifiers, passed bool) float64 {
 		hit := 0
 		for i := 0; i < n; i++ {
@@ -118,10 +124,10 @@ func TestChipCampaignsMatchRunChipLoop(t *testing.T) {
 }
 
 // TestMeasureSessionsAllocatesOneTensorPerSlot: at GOMAXPROCS 1 a sessions
-// campaign over 16 dies of the paper's 576-256-32-10 model samples every
-// die into its one pool slot's tensor, so it allocates less than two
-// tensors' worth (a tensor is 155,968 errors, 1.25 MB), where a tensor per
-// die would allocate sixteen.
+// campaign over 16 dies of the paper's 576-256-32-10 model draws every
+// die's variation into its one pool slot's AtomError, so it allocates less
+// than two per-synapse tensors' worth (a tensor is 155,968 errors,
+// 1.25 MB), where a tensor per die would allocate sixteen.
 func TestMeasureSessionsAllocatesOneTensorPerSlot(t *testing.T) {
 	arch := snn.Arch{576, 256, 32, 10}
 	g, merged := smallSuite(t, arch, core.NegligibleVariation())
@@ -165,14 +171,14 @@ func campaign(t *testing.T, ate *ATE, n int, vary variation.Model) uint64 {
 // campaign over 16 dies of the paper's 576-256-32-10 model tests them all
 // on its one pool slot's die, so the 15 dies beyond the first allocate
 // less than half a simulator each, where a die of their own would allocate
-// a simulator and its 14 input sums.
+// a simulator and its variation.
 func TestMeasureSessionsBuildsOneSimulatorPerSlot(t *testing.T) {
 	arch := snn.Arch{576, 256, 32, 10}
 	g, merged := smallSuite(t, arch, core.NegligibleVariation())
 	ate := New(merged, nil)
 	vary := variation.OfTheta(0.10, g.Options().Params.Theta)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	campaign(t, ate, 1, vary) // builds the goldens and item groups, registers the instruments
+	campaign(t, ate, 1, vary) // builds the goldens and the input layer, registers the instruments
 	one, sixteen := campaign(t, ate, 1, vary), campaign(t, ate, 16, vary)
 	sim := allocated(func() { simSink = snn.NewSimulator(ate.nets[0]) })
 	perDie := (sixteen - one) / 15

@@ -46,9 +46,10 @@ type ATE struct {
 	// itself for New, whose good-chip traces double as the expected
 	// outputs, and the ideal ATE's share for NewSplit.
 	expected *goldenShare
-	// groups partitions the items by the input sum they drive into layer 1
-	// of a die, built on the first die and shared by tolerance clones.
-	groups *itemGroups
+	// input is what every die shares about the input layer (item groups,
+	// their weight-only layer-1 sums and the input atoms), built by the
+	// first die and shared by tolerance clones.
+	input *inputLayer
 	// tolerance is the pass band on each output spike count (see
 	// CloneWithTolerance). 0 means exact comparison.
 	tolerance int
@@ -78,57 +79,117 @@ func (s *goldenShare) get() (*faultsim.Golden, error) {
 	return s.g, s.err
 }
 
-// itemGroups partitions a test program's items into groups whose members
-// drive the same input sum into layer 1 of any one die: their patterns are
-// equal and their programmed boundary-0 weights are bit-identical. A die
-// then adds the rows of a group's spiking inputs once and reuses the sum
-// for every member (snn.InputSum). Hold plays no part: a held item's input
-// at each timestep is its pattern, as a single-shot item's is at t = 0.
-type itemGroups struct {
+// inputLayer is what every die of a test program shares about how its
+// items drive layer 1. It is built by the program's first die, under one
+// sync.Once, and shared by tolerance clones like goldenShare; New, golden
+// responses and coverage build none of it.
+//
+// Items fall into groups whose members drive the same layer-1 input on
+// any one die: their patterns are equal and their programmed boundary-0
+// weights are bit-identical. Hold plays no part: a held item's input at
+// each timestep is its pattern, as a single-shot item's is at t = 0. Each
+// group's weight-only layer-1 sum, Σ over the pattern's input neurons of
+// their programmed rows, is added once, in neuron order, for every die.
+//
+// The input neurons fall into atoms: neurons driven by exactly the same
+// items. Every pattern is a union of atoms, so a die's deviation over a
+// pattern is the sum of its atoms' (variation.AtomError), and a die adds a
+// group's atom sums onto the group's weight sum instead of adding up to
+// one offset row per input neuron.
+type inputLayer struct {
+	arch  snn.Arch
 	nets  []*snn.Network // programmed configuration per config index
 	items []pattern.Item
 	once  sync.Once
-	of    []int // group of each item
-	n     int   // number of groups
+	group []int       // group of each item
+	sums  [][]float64 // weight-only layer-1 sum of each group
+	atom  []int       // atom of each input neuron
+	size  []int       // input neurons in each atom
+	atoms [][]int     // atoms of each group's pattern, ascending
 }
 
-// get returns the group of each item and the number of groups, grouping
-// the items on first use. Each item is compared only with the first member
-// of each earlier group.
-func (g *itemGroups) get() ([]int, int) {
-	g.once.Do(func() {
-		g.of = make([]int, len(g.items))
-		var reps []int // first member of each group
-		for i, it := range g.items {
-			k := slices.IndexFunc(reps, func(r int) bool { return g.sameInput(g.items[r], it) })
-			if k < 0 {
-				k = len(reps)
-				reps = append(reps, i)
-			}
-			g.of[i] = k
+// get returns the input layer, building it on first use.
+func (l *inputLayer) get() *inputLayer {
+	l.once.Do(l.build)
+	return l
+}
+
+// build groups the items, comparing each only with the first member of
+// each earlier group, sums each group's weights, and numbers the atoms in
+// order of their first input neuron.
+func (l *inputLayer) build() {
+	l.group = make([]int, len(l.items))
+	var reps []int // first member of each group
+	for i, it := range l.items {
+		k := slices.IndexFunc(reps, func(r int) bool { return l.sameInput(l.items[r], it) })
+		if k < 0 {
+			k = len(reps)
+			reps = append(reps, i)
 		}
-		g.n = len(reps)
-	})
-	return g.of, g.n
+		l.group[i] = k
+	}
+	n := l.arch[1]
+	l.sums = make([][]float64, len(reps))
+	for g, r := range reps {
+		it := l.items[r]
+		w := l.nets[it.ConfigIndex].W[0]
+		l.sums[g] = make([]float64, n)
+		for i, on := range it.Pattern {
+			if on {
+				snn.AddInto(l.sums[g], w[i*n:(i+1)*n])
+			}
+		}
+	}
+	// An input neuron's key is the set of groups whose pattern drives it.
+	l.atom = make([]int, l.arch[0])
+	var first []int // first input neuron of each atom
+	index := map[string]int{}
+	key := make([]byte, (len(reps)+7)/8)
+	for i := range l.atom {
+		clear(key)
+		for g, r := range reps {
+			if l.items[r].Pattern[i] {
+				key[g/8] |= 1 << (g % 8)
+			}
+		}
+		a, ok := index[string(key)]
+		if !ok {
+			a = len(first)
+			index[string(key)] = a
+			first = append(first, i)
+			l.size = append(l.size, 0)
+		}
+		l.atom[i] = a
+		l.size[a]++
+	}
+	l.atoms = make([][]int, len(reps))
+	for g, r := range reps {
+		for a, i := range first {
+			if l.items[r].Pattern[i] {
+				l.atoms[g] = append(l.atoms[g], a)
+			}
+		}
+	}
 }
 
 // sameInput reports whether items a and b share a group: equal patterns
 // over bit-identical boundary-0 weights. One network, or two networks on
 // one backing array, is equal without a comparison, and the comparison
 // stops at the first word that differs.
-func (g *itemGroups) sameInput(a, b pattern.Item) bool {
+func (l *inputLayer) sameInput(a, b pattern.Item) bool {
 	if !slices.Equal(a.Pattern, b.Pattern) {
 		return false
 	}
-	wa, wb := g.nets[a.ConfigIndex].W[0], g.nets[b.ConfigIndex].W[0]
+	wa, wb := l.nets[a.ConfigIndex].W[0], l.nets[b.ConfigIndex].W[0]
 	return &wa[0] == &wb[0] || slices.EqualFunc(wa, wb, func(u, v float64) bool {
 		return math.Float64bits(u) == math.Float64bits(v)
 	})
 }
 
 // CloneWithTolerance returns a copy of the ATE with its own pass band,
-// sharing the (immutable) test set, configurations, item groups and the
-// memoized fault-simulation Goldens (traces and downstream memo). A chip passes an
+// sharing the (immutable) test set, configurations, input layer (item
+// groups, their weight sums and the input atoms) and the memoized
+// fault-simulation Goldens (traces and downstream memo). A chip passes an
 // item when every output count is within ±n of the golden count; negative
 // tolerances are a configuration error.
 //
@@ -182,7 +243,7 @@ func New(ts *pattern.TestSet, scheme *quant.Scheme) *ATE {
 	programmed := quant.Program(ts, scheme)
 	share := &goldenShare{ts: programmed}
 	return &ATE{ts: ts, nets: programmed.Configs, goldens: share, expected: share,
-		groups: &itemGroups{nets: programmed.Configs, items: ts.Items}}
+		input: &inputLayer{arch: ts.Arch, nets: programmed.Configs, items: ts.Items}}
 }
 
 // NewSplit builds an exact ATE for ideal's test set whose golden responses
@@ -256,47 +317,78 @@ func (a *ATE) Observe(mods *snn.Modifiers) []bool {
 // order; a configuration is (re)programmed when first encountered, then
 // reused for consecutive items sharing it.
 //
-// A die is a view: it keeps the ATE's shared configurations, its error
-// tensor and one simulator. Programming a configuration only rebinds the
-// simulator to it, read through the tensor, so the forward pass adds each
-// device's offset where it reads a weight (snn.Simulator.Bind). No die
-// writes a weight, and a die without variation takes the same path with a
-// nil offset. A die also keeps one layer-1 input sum per item group
-// (itemGroups), filled by the group's first item it runs. A pool slot
-// tests chip after chip on one die, resetting it between chips.
+// A die is a view. Programming a configuration only rebinds the simulator
+// to the ATE's shared network, so no die writes a weight. Layer 1's input
+// comes from the input layer (snn.Simulator.RunInput): without variation
+// an item reads its group's shared weight sum as it is. With variation the
+// die holds the chip's variation.AtomError: the group's atom sums go onto
+// its weight sum once per group run, the deeper boundaries are read
+// through the per-synapse tensor (snn.Simulator.Bind, with no offset on
+// boundary 0), and the boundary-0 synapses the chip's defect reads one at
+// a time are drawn at reset. A pool slot tests chip after chip on one die,
+// resetting it between chips.
 type die struct {
-	a      *ATE
-	group  []int                  // group of each item
-	sums   []snn.InputSum         // layer-1 input sum of each group
-	tensor *variation.ErrorTensor // the chip's weight deviation, or nil
-	cfg    int                    // configuration currently programmed, or -1
-	sim    *snn.Simulator
+	a     *ATE
+	in    *inputLayer
+	vary  *variation.AtomError // the chip's variation, or nil
+	off   [][]float64          // the offset the simulator reads: no boundary 0, then vary.Deep
+	feed  snn.Input            // layer 1's input of the item running
+	sum   []float64            // layer-1 sum of group sumOf on this chip, with variation
+	sumOf int                  // group whose sum is in sum, or -1
+	reads []snn.SynapseID      // boundary-0 synapses the chip's defect reads one at a time
+	cfg   int                  // configuration currently programmed, or -1
+	sim   *snn.Simulator
 }
 
-// newDie returns a blank die without variation, grouping the ATE's items
-// if no die has yet.
+// newDie returns a blank die without variation, building the ATE's input
+// layer if no die has yet.
 func (a *ATE) newDie() *die {
-	group, n := a.groups.get()
-	return &die{a: a, group: group, sums: make([]snn.InputSum, n), cfg: -1}
+	return &die{a: a, in: a.input.get(), cfg: -1}
 }
 
-// reset readies the die for its next chip: it draws the chip's variation
-// from rng into the die's tensor (variation.Model.SampleInto, so the draws
-// are a fresh tensor's) and forgets the previous chip's configuration and
-// input sums. It returns d.
-func (d *die) reset(vary variation.Model, rng *stats.RNG) *die {
-	d.tensor = vary.SampleInto(d.tensor, d.a.ts.Arch, rng)
-	d.cfg = -1
-	for g := range d.sums {
-		d.sums[g].Reset()
+// reset readies the die for its next chip, whose defect is mods: it draws
+// the chip's variation from rng (variation.Model.SampleAtoms, into the
+// die's AtomError), then the boundary-0 synapses mods reads one at a time
+// (variation.AtomError.Reads, in SynapseID order), and forgets the
+// previous chip's configuration and sums. A session whose intermittence
+// leaves the defect inactive runs items without mods and reads none of
+// those draws; the draws never depend on it. A zero model draws nothing
+// and touches no rng. It returns d.
+func (d *die) reset(vary variation.Model, rng *stats.RNG, mods *snn.Modifiers) *die {
+	d.vary = vary.SampleAtoms(d.vary, d.a.ts.Arch, d.in.size, rng)
+	d.cfg, d.sumOf = -1, -1
+	if d.vary == nil {
+		d.off, d.feed.Off = nil, nil
+		return d
 	}
+	d.off = append(append(d.off[:0], nil), d.vary.Deep.E...)
+	d.reads = mods.FirstBoundaryReads(d.reads[:0], d.a.ts.Arch)
+	d.feed.Off = d.vary.Reads(d.reads, d.in.atom, rng)
 	return d
 }
 
 // run applies item i to the die carrying mods.
 func (d *die) run(i int, mods *snn.Modifiers) snn.Result {
 	it := d.a.ts.Items[i]
-	return d.program(it.ConfigIndex).RunInput(&d.sums[d.group[i]], it.Pattern, it.Timesteps, it.Mode(), mods)
+	d.feed.Sum = d.groupSum(d.in.group[i])
+	return d.program(it.ConfigIndex).RunInput(&d.feed, it.Pattern, it.Timesteps, it.Mode(), mods)
+}
+
+// groupSum returns layer 1's input for group g's pattern on this chip: the
+// shared weight sum without variation, else the weight sum plus the
+// group's atom sums, in atom order, summed once per run of the group.
+func (d *die) groupSum(g int) []float64 {
+	if d.vary == nil {
+		return d.in.sums[g]
+	}
+	if g != d.sumOf {
+		d.sum = append(d.sum[:0], d.in.sums[g]...)
+		for _, a := range d.in.atoms[g] {
+			snn.AddInto(d.sum, d.vary.Atoms[a])
+		}
+		d.sumOf = g
+	}
+	return d.sum
 }
 
 // program returns a simulator of configuration ci as programmed into the
@@ -309,13 +401,9 @@ func (d *die) program(ci int) *snn.Simulator {
 	if d.sim == nil {
 		d.sim = snn.NewSimulator(net)
 	}
-	var errs [][]float64
-	if d.tensor != nil {
-		errs = d.tensor.E
-	}
-	if err := d.sim.Bind(net, errs); err != nil {
+	if err := d.sim.Bind(net, d.off); err != nil {
 		// Unreachable for a valid test set: every configuration has the
-		// test set's architecture, which the tensor was sampled for.
+		// test set's architecture, which the variation was drawn for.
 		//lint:ignore no-panic a die's shapes come from its own test set
 		panic(err)
 	}
@@ -579,7 +667,7 @@ func (a *ATE) reliableChips(idx []int, mods func(i int) *snn.Modifiers, vary var
 			m = mods(i)
 		}
 		s := chipSeed(seed, i)
-		d.reset(vary, stats.NewRNG(s))
+		d.reset(vary, stats.NewRNG(s), m)
 		return a.session(d, m, unreliable.Reliable(), RetestPolicy{}, s), nil
 	})
 }

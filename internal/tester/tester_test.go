@@ -496,8 +496,9 @@ func TestNewSplitSeparatesGoldenFromChip(t *testing.T) {
 // TestQuantizedATEProgramsOnce pins the one programming of a quantized
 // ATE: its dies and its Golden read the very networks quant.Program made.
 // The die's configurations are the shared golden set's, and a weight
-// written into them before the first golden read reaches the goldens, so a
-// good die still passes and the expected outputs move with it.
+// written into them before the first golden read and the first die (which
+// sums the input layer's weights) reaches both, so a good die still passes
+// and the expected outputs move with it.
 func TestQuantizedATEProgramsOnce(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	_, merged := smallSuite(t, arch, core.NoVariation())
@@ -509,8 +510,7 @@ func TestQuantizedATEProgramsOnce(t *testing.T) {
 	if ate.expected != ate.goldens {
 		t.Fatal("New must serve expected responses from its coverage Golden")
 	}
-	d := ate.newDie()
-	for ci, net := range d.a.nets {
+	for ci, net := range ate.nets {
 		if net != ate.goldens.ts.Configs[ci] {
 			t.Fatalf("config %d: the die and the Golden read different networks", ci)
 		}
@@ -518,7 +518,7 @@ func TestQuantizedATEProgramsOnce(t *testing.T) {
 			t.Fatalf("config %d: the die reads the generated network, not the programmed one", ci)
 		}
 	}
-	for _, net := range d.a.nets {
+	for _, net := range ate.nets {
 		for b := range net.W {
 			for i := range net.W[b] {
 				net.W[b][i] *= 0.5

@@ -3,12 +3,22 @@
 // value by an i.i.d. zero-mean Gaussian error with standard deviation σ,
 // exactly the simulation model of the paper's Section 5.3.
 //
+// A chip's variation is drawn in one of two forms. An ErrorTensor holds
+// one error per synapse. An AtomError holds what a tester die reads: the
+// deviation of boundary 0 summed per input atom and layer-1 neuron, the
+// per-synapse error of every deeper boundary, and the single boundary-0
+// synapses the chip's defect reads, each drawn given its atom's sum. Both
+// are the same model; the second samples boundary 0 through the sums the
+// die reads.
+//
 // All sampling is driven by the deterministic RNG in internal/stats so that
 // each simulated chip instance is reproducible from its seed.
 package variation
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
@@ -46,10 +56,10 @@ func (m Model) String() string {
 // (Section 5.3: "we modify each weight of the CUT by adding a random
 // variable of a zero-mean normal distribution"). Sampling the tensor once
 // per chip and applying it to every programmed configuration models a die
-// whose synapse devices each carry a fixed programming offset. A tester die
-// never writes the sum: its simulator reads each configuration through the
-// tensor (snn.Simulator.Bind with E as the offset), so programming a
-// configuration writes nothing and allocates nothing.
+// whose synapse devices each carry a fixed programming offset. A simulator
+// can read a configuration through the tensor (snn.Simulator.Bind with E
+// as the offset) without writing the sum. A tester die holds a tensor only
+// for the boundaries past the first (AtomError.Deep).
 //
 // Deliberately NO clamping to [ωmin, ωmax]: clamping would bias every
 // saturated weight toward zero (a weight at -ωmax can only move up), which
@@ -87,6 +97,125 @@ func (m Model) SampleInto(e *ErrorTensor, arch snn.Arch, rng *stats.RNG) *ErrorT
 		rng.FillNorm(row, m.Sigma)
 	}
 	return e
+}
+
+// AtomError is one chip's variation in the form a tester die reads it, for
+// an architecture whose input neurons are partitioned into atoms: neurons
+// driven by exactly the same test items. An item's pattern is then a union
+// of atoms, and the deviation boundary 0 adds to layer-1 neuron j for it
+// is the sum, over its atoms A, of Σ_{i∈A} E_ij. Each such atom sum is
+// N(0, |A|σ²), independent across (A, j), because the atoms are disjoint:
+// drawing the sums directly is the per-synapse model, exact in
+// distribution for everything that reads boundary 0 through input sums.
+// A die reads a single boundary-0 synapse only for its defect (a stuck or
+// always-on synapse, or a forced input neuron's row); Reads draws those
+// given the atom sums, so the joint law of every quantity the die reads
+// stays the per-synapse model's.
+type AtomError struct {
+	// Atoms[a][j] is the deviation of atom a's synapses into layer-1
+	// neuron j, summed.
+	Atoms [][]float64
+	// Deep is the per-synapse error of every boundary past the first: the
+	// error tensor of the architecture without its input layer.
+	Deep  *ErrorTensor
+	sigma float64
+	size  []int // input neurons in each atom
+	// Reads's state, set up by its first call on a sample: per (atom, j),
+	// what the chip's reads leave of the atom sum, and how many of the
+	// atom's synapses into j are not read yet.
+	read  bool
+	left  []float64
+	count []int
+	rows  [][]float64 // per input neuron: the errors Reads drew
+	buf   []float64   // backing of rows
+}
+
+// SampleAtoms draws a chip's variation for arch as an AtomError whose
+// atoms hold size[a] input neurons each: every atom sum, atom by atom,
+// each row of arch[1] sums a FillNorm at scale σ√size[a], then Deep, as
+// SampleInto draws a tensor for arch[1:]. It draws into e when e was drawn
+// for the same arch and atom sizes, reusing its rows, and otherwise into a
+// fresh AtomError; it returns the one it filled. A zero model returns nil
+// and touches neither e nor rng.
+func (m Model) SampleAtoms(e *AtomError, arch snn.Arch, size []int, rng *stats.RNG) *AtomError {
+	if m.Zero() {
+		return nil
+	}
+	n := arch[1]
+	if e == nil || len(e.Atoms[0]) != n || !slices.Equal(e.size, size) {
+		sums := make([]float64, len(size)*n)
+		e = &AtomError{Atoms: make([][]float64, len(size)), size: slices.Clone(size)}
+		for a := range e.Atoms {
+			e.Atoms[a] = sums[a*n : (a+1)*n : (a+1)*n]
+		}
+	}
+	e.sigma, e.read = m.Sigma, false
+	for a, row := range e.Atoms {
+		rng.FillNorm(row, m.Sigma*math.Sqrt(float64(size[a])))
+	}
+	e.Deep = m.SampleInto(e.Deep, arch[1:], rng)
+	return e
+}
+
+// Reads draws the error of each listed boundary-0 synapse, in list order,
+// and returns them as one row per input neuron, the form snn.Input.Off
+// reads: row i holds the draws of input neuron i's listed synapses at
+// their post indices, and is nil when none is listed. It returns nil for
+// an empty list. atom maps each input neuron to its atom. The rows are
+// valid until the next call.
+//
+// Each draw is exact given what the chip has drawn: a synapse of atom A
+// into neuron j, whose atom sum still holds s over m synapses not read
+// yet, takes E ~ N(s/m, σ²(1 − 1/m)), the law of one of m i.i.d. N(0, σ²)
+// errors given their sum; the atom then holds s − E over m − 1, for this
+// call and later ones on the same sample. A list holds each synapse once;
+// its order (SynapseID order, from snn.Modifiers.FirstBoundaryReads) fixes
+// the draws.
+func (e *AtomError) Reads(reads []snn.SynapseID, atom []int, rng *stats.RNG) [][]float64 {
+	if len(reads) == 0 {
+		return nil
+	}
+	n := len(e.Atoms[0])
+	if !e.read {
+		e.left, e.count = e.left[:0], e.count[:0]
+		for a, row := range e.Atoms {
+			e.left = append(e.left, row...)
+			for range row {
+				e.count = append(e.count, e.size[a])
+			}
+		}
+		e.read = true
+	}
+	if e.rows == nil {
+		e.rows = make([][]float64, len(atom))
+	}
+	runs := 0 // an upper bound on the rows: one per run of equal Pre
+	for k, id := range reads {
+		if k == 0 || id.Pre != reads[k-1].Pre {
+			runs++
+		}
+	}
+	e.buf = slices.Grow(e.buf[:0], runs*n)[:runs*n]
+	clear(e.buf)
+	clear(e.rows)
+	next := 0
+	for _, id := range reads {
+		row := e.rows[id.Pre]
+		if row == nil {
+			row = e.buf[next*n : (next+1)*n : (next+1)*n]
+			e.rows[id.Pre] = row
+			next++
+		}
+		k := atom[id.Pre]*n + id.Post
+		s, m := e.left[k], e.count[k]
+		d := s
+		if m > 1 {
+			d = s/float64(m) + e.sigma*math.Sqrt(1-1/float64(m))*rng.NormFloat64()
+		}
+		e.left[k], e.count[k] = s-d, m-1
+		row[id.Post] = d
+	}
+	return e.rows
 }
 
 // ApplyTo returns a new network holding net with the tensor added to every
