@@ -15,10 +15,19 @@
 // and SWF are tested layer by layer (Algorithms 5 and 6), needing O(L)
 // configurations and patterns under negligible or no weight variation
 // (Table 3).
+//
+// Every boundary Algorithms 1–3 write takes one form: weight (i, j) is a
+// per-row value where postsynaptic neuron j is selected, else one off
+// value. Configurations repeat few of them, so one Generate or GenerateAll
+// call builds each distinct boundary array once and points every
+// configuration that needs it at that array. Generated configurations are
+// therefore read-only: a caller that writes one Clones it first.
 package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"neurotest/internal/fault"
 	"neurotest/internal/pattern"
@@ -77,7 +86,8 @@ type Options struct {
 	Timesteps int
 }
 
-// Generator emits test sets per fault model.
+// Generator emits test sets per fault model. It holds only its options, so
+// one Generator is safe for concurrent use.
 type Generator struct {
 	opt Options
 }
@@ -110,17 +120,22 @@ func NewGenerator(opt Options) (*Generator, error) {
 //lint:ignore dead-code tests in compact, core, diagnose, online, repair and tester read fault values and params of their suites through it
 func (g *Generator) Options() Options { return g.opt }
 
-// Generate emits the test set for one fault model.
+// Generate emits the test set for one fault model. Its configurations
+// share their boundary arrays (see the package doc) and are read-only.
 func (g *Generator) Generate(kind fault.Kind) *pattern.TestSet {
+	return g.generate(kind, g.newArrays())
+}
+
+func (g *Generator) generate(kind fault.Kind, m *arrays) *pattern.TestSet {
 	switch kind {
 	case fault.NASF, fault.SASF:
-		return g.generateAlwaysSpike(kind)
+		return g.generateAlwaysSpike(kind, m)
 	case fault.ESF:
-		return g.generateThresholdFault(fault.ESF)
+		return g.generateThresholdFault(fault.ESF, m)
 	case fault.HSF:
-		return g.generateThresholdFault(fault.HSF)
+		return g.generateThresholdFault(fault.HSF, m)
 	case fault.SWF:
-		return g.generateSWF()
+		return g.generateSWF(m)
 	default:
 		panic(fmt.Sprintf("core: unknown fault kind %v", kind))
 	}
@@ -128,12 +143,15 @@ func (g *Generator) Generate(kind fault.Kind) *pattern.TestSet {
 
 // GenerateAll emits one test set per fault model, keyed by model, plus a
 // merged set in tester order (NASF and SASF share their single
-// configuration, which the merged set deduplicates).
+// configuration, which the merged set deduplicates). Every set of the call
+// shares one array per distinct boundary content, and the merged set
+// shares the per-model sets' networks; all of them are read-only.
 func (g *Generator) GenerateAll() (map[fault.Kind]*pattern.TestSet, *pattern.TestSet) {
+	m := g.newArrays()
 	perKind := make(map[fault.Kind]*pattern.TestSet)
 	merged := pattern.NewTestSet("proposed", g.opt.Arch, g.opt.Params)
 	for _, k := range fault.Kinds() {
-		ts := g.Generate(k)
+		ts := g.generate(k, m)
 		perKind[k] = ts
 		if k == fault.SASF {
 			// Identical to the NASF configuration and pattern — apply once.
@@ -146,11 +164,11 @@ func (g *Generator) GenerateAll() (map[fault.Kind]*pattern.TestSet, *pattern.Tes
 
 // generateAlwaysSpike implements Algorithm 4: a single all-ωmax
 // configuration with an all-zero pattern tests every NASF and SASF.
-func (g *Generator) generateAlwaysSpike(kind fault.Kind) *pattern.TestSet {
+func (g *Generator) generateAlwaysSpike(kind fault.Kind, m *arrays) *pattern.TestSet {
 	ts := pattern.NewTestSet(kind.String(), g.opt.Arch, g.opt.Params)
-	cfg := snn.New(g.opt.Arch, g.opt.Params)
-	cfg.Fill(g.opt.Params.WMax)
-	ci := ts.AddConfig(cfg)
+	cfg := make([]boundary, g.opt.Arch.Boundaries())
+	g.maximizeWeights(cfg, 0, len(cfg))
+	ci := ts.AddConfig(m.network(cfg))
 	ts.AddItem(pattern.Item{
 		Label:       kind.String() + " all",
 		ConfigIndex: ci,
@@ -165,7 +183,7 @@ func (g *Generator) generateAlwaysSpike(kind fault.Kind) *pattern.TestSet {
 // layer ℓ = 2..L, cover its neurons with target groups sized by Table 2 and
 // emit one (configuration, pattern) pair per group. The pre-target is always
 // the first neuron of layer ℓ-1 with ω_pt = (θ+θ̂)/2.
-func (g *Generator) generateThresholdFault(kind fault.Kind) *pattern.TestSet {
+func (g *Generator) generateThresholdFault(kind fault.Kind, m *arrays) *pattern.TestSet {
 	ts := pattern.NewTestSet(kind.String(), g.opt.Arch, g.opt.Params)
 	theta := g.opt.Params.Theta
 	var thetaHat float64
@@ -185,12 +203,12 @@ func (g *Generator) generateThresholdFault(kind fault.Kind) *pattern.TestSet {
 		for _, grp := range coverGroups(arch[l], prop.GroupSize) {
 			targets := grp
 			anc := pickAncillaries(arch[l], targets, prop.Ancillaries(len(targets)))
-			cfg := snn.New(arch, g.opt.Params)
+			cfg := make([]boundary, arch.Boundaries())
 			pat := g.faultAct(cfg, l, []int{0}, nil, targets, anc, wpt, 0)
 			if l < arch.Layers()-1 {
 				g.faultProp(cfg, l, targets, anc, prop.WT, prop.WA)
 			}
-			ci := ts.AddConfig(cfg)
+			ci := ts.AddConfig(m.network(cfg))
 			ts.AddItem(pattern.Item{
 				Label:       fmt.Sprintf("%v L%d tgt[%d:%d]", kind, l+1, targets[0], targets[len(targets)-1]+1),
 				ConfigIndex: ci,
@@ -206,7 +224,7 @@ func (g *Generator) generateThresholdFault(kind fault.Kind) *pattern.TestSet {
 // generateSWF implements Algorithm 6: for every boundary, cover the
 // presynaptic layer with pre-target groups (Table 1) and the postsynaptic
 // layer with target groups (Table 2), emitting one pair per combination.
-func (g *Generator) generateSWF() *pattern.TestSet {
+func (g *Generator) generateSWF(m *arrays) *pattern.TestSet {
 	ts := pattern.NewTestSet("SWF", g.opt.Arch, g.opt.Params)
 	arch := g.opt.Arch
 	cat := CategoryStimulatedWhenFaulty
@@ -220,12 +238,12 @@ func (g *Generator) generateSWF() *pattern.TestSet {
 			preAnc := pickAncillaries(arch[l-1], preGrp, act.Ancillaries(len(preGrp)))
 			for _, tgtGrp := range coverGroups(arch[l], prop.GroupSize) {
 				anc := pickAncillaries(arch[l], tgtGrp, prop.Ancillaries(len(tgtGrp)))
-				cfg := snn.New(arch, g.opt.Params)
+				cfg := make([]boundary, arch.Boundaries())
 				pat := g.faultAct(cfg, l, preGrp, preAnc, tgtGrp, anc, act.WPT, act.WPA)
 				if l < arch.Layers()-1 {
 					g.faultProp(cfg, l, tgtGrp, anc, prop.WT, prop.WA)
 				}
-				ci := ts.AddConfig(cfg)
+				ci := ts.AddConfig(m.network(cfg))
 				ts.AddItem(pattern.Item{
 					Label: fmt.Sprintf("SWF B%d pre[%d:%d] tgt[%d:%d]",
 						l, preGrp[0], preGrp[len(preGrp)-1]+1, tgtGrp[0], tgtGrp[len(tgtGrp)-1]+1),
@@ -240,18 +258,16 @@ func (g *Generator) generateSWF() *pattern.TestSet {
 	return ts
 }
 
-// faultAct implements Algorithm 2 (fault activation) on cfg for target layer
-// l (0-based; the paper's ℓ = l+1) and returns the test pattern.
+// faultAct implements Algorithm 2 (fault activation) on the boundaries of
+// cfg up to target layer l (0-based; the paper's ℓ = l+1) and returns the
+// test pattern.
 //
 //   - Pre-target and pre-ancillary neurons of layer l-1 are stimulated,
 //     every other neuron of layer l-1 is inhibited.
 //   - Weights into target and ancillary neurons of layer l come from
 //     pre-targets at ω_pt and pre-ancillaries at ω_pa (0 from everyone
 //     else); every other neuron of layer l is inhibited via ωmin columns.
-//
-// Each boundary gets one row of per-neuron values, and every weight row of
-// the boundary is filled from it once.
-func (g *Generator) faultAct(cfg *snn.Network, l int, preTargets, preAnc, targets, anc []int, wpt, wpa float64) snn.Pattern {
+func (g *Generator) faultAct(cfg []boundary, l int, preTargets, preAnc, targets, anc []int, wpt, wpa float64) snn.Pattern {
 	arch := g.opt.Arch
 	wmax, wmin := g.opt.Params.WMax, g.opt.Params.WMin()
 
@@ -271,20 +287,8 @@ func (g *Generator) faultAct(cfg *snn.Network, l int, preTargets, preAnc, target
 		// the pre-targets/pre-ancillaries at boundary ℓ-2: every neuron of
 		// layer ℓ-2 feeds them at ωmax and everyone else at ωmin.
 		pat = snn.OnesPattern(arch.Inputs())
-		maximizeWeights(cfg, 0, l-2)
-		sel := make([]float64, arch[l-1])
-		for j := range sel {
-			sel[j] = wmin
-		}
-		for _, j := range preTargets {
-			sel[j] = wmax
-		}
-		for _, j := range preAnc {
-			sel[j] = wmax
-		}
-		for w, off := cfg.W[l-2], 0; off < len(w); off += len(sel) {
-			copy(w[off:], sel)
-		}
+		g.maximizeWeights(cfg, 0, l-2)
+		cfg[l-2] = boundary{rows: constRows(arch[l-2], wmax), cols: members(arch[l-1], preTargets, preAnc), off: wmin}
 	}
 
 	// Boundary ℓ-1 → ℓ: ω_pt / ω_pa / 0 into targets and ancillaries,
@@ -297,27 +301,15 @@ func (g *Generator) faultAct(cfg *snn.Network, l int, preTargets, preAnc, target
 	for _, i := range preTargets {
 		pre[i] = wpt
 	}
-	isTarget := members(arch[l], targets, anc)
-	nOut := arch[l]
-	w := cfg.W[l-1]
-	for i, v := range pre {
-		row := w[i*nOut : (i+1)*nOut]
-		for j, t := range isTarget {
-			if t {
-				row[j] = v
-			} else {
-				row[j] = wmin
-			}
-		}
-	}
+	cfg[l-1] = boundary{rows: pre, cols: members(arch[l], targets, anc), off: wmin}
 	return pat
 }
 
-// faultProp implements Algorithm 3 (fault propagation) on cfg: weights out
-// of targets are ω_t, out of ancillaries ω_a, 0 from everyone else; all
-// boundaries after layer l+1 are saturated at ωmax. Targets take
-// precedence over ancillaries.
-func (g *Generator) faultProp(cfg *snn.Network, l int, targets, anc []int, wt, wa float64) {
+// faultProp implements Algorithm 3 (fault propagation) on the boundaries
+// of cfg from layer l on: weights out of targets are ω_t, out of
+// ancillaries ω_a, 0 from everyone else; all boundaries after layer l+1
+// are saturated at ωmax. Targets take precedence over ancillaries.
+func (g *Generator) faultProp(cfg []boundary, l int, targets, anc []int, wt, wa float64) {
 	arch := g.opt.Arch
 	val := make([]float64, arch[l])
 	for _, i := range anc {
@@ -326,27 +318,177 @@ func (g *Generator) faultProp(cfg *snn.Network, l int, targets, anc []int, wt, w
 	for _, i := range targets {
 		val[i] = wt
 	}
-	nOut := arch[l+1]
-	w := cfg.W[l]
-	for i, v := range val {
-		row := w[i*nOut : (i+1)*nOut]
-		for j := range row {
-			row[j] = v
-		}
-	}
-	maximizeWeights(cfg, l+1, arch.Layers()-1)
+	cfg[l] = boundary{rows: val}
+	g.maximizeWeights(cfg, l+1, arch.Layers()-1)
 }
 
 // maximizeWeights implements Algorithm 1: set every weight between layer
-// start and layer end (0-based, inclusive) to ωmax. start >= end is a no-op.
-func maximizeWeights(cfg *snn.Network, start, end int) {
-	for b := start; b < end; b++ {
-		if b < 0 {
-			continue
-		}
-		cfg.FillBoundary(b, cfg.Params.WMax)
+// start and layer end (0-based, inclusive) of cfg to ωmax. start >= end is
+// a no-op.
+func (g *Generator) maximizeWeights(cfg []boundary, start, end int) {
+	for b := max(start, 0); b < end; b++ {
+		cfg[b] = boundary{rows: constRows(g.opt.Arch[b], g.opt.Params.WMax)}
 	}
 }
+
+// constRows returns n rows of value v.
+func constRows(n int, v float64) []float64 {
+	rows := make([]float64, n)
+	for i := range rows {
+		rows[i] = v
+	}
+	return rows
+}
+
+// boundary describes one boundary's weights in the form every boundary of
+// Algorithms 1–3 takes: weight (i, j) is rows[i] where column j (the
+// postsynaptic neuron) is selected, else off. An all-ωmax boundary selects
+// every column of ωmax rows; a selection boundary selects the pre-targets
+// and pre-ancillaries of ωmax rows over ωmin; an activation boundary the
+// targets and ancillaries of ω_pt/ω_pa/0 rows over ωmin; a propagation
+// boundary every column of ω_t/ω_a/0 rows. Every step describes each
+// boundary it writes in full, and a configuration's steps together write
+// every boundary.
+type boundary struct {
+	rows []float64 // value of each presynaptic row on the selected columns
+	cols []bool    // selected columns; nil selects every column
+	off  float64   // value of the other columns
+}
+
+// selected reports whether column j holds the rows.
+func (d boundary) selected(j int) bool { return d.cols == nil || d.cols[j] }
+
+// hash hashes the content d describes over nOut columns: each column is
+// either the rows or the constant off column, and equal columns hash
+// equally however they are described.
+func (d boundary) hash(nOut int) uint64 {
+	hr, ho := uint64(hashSeed), uint64(hashSeed)
+	for _, v := range d.rows {
+		hr = hashWord(hr, math.Float64bits(v))
+		ho = hashWord(ho, math.Float64bits(d.off))
+	}
+	h := uint64(hashSeed)
+	for j := 0; j < nOut; j++ {
+		if d.selected(j) {
+			h = hashWord(h, hr)
+		} else {
+			h = hashWord(h, ho)
+		}
+	}
+	return h
+}
+
+// same reports whether d and e, two descriptions of one boundary of nOut
+// columns, describe bit-identical weights.
+func (d boundary) same(e boundary, nOut int) bool {
+	// Column j of either is its rows or its constant off column: compare
+	// the four pairs of columns once, then look up each column's pair.
+	dOff, eOff := math.Float64bits(d.off), math.Float64bits(e.off)
+	rowsRows, rowsOff, offRows := true, true, true
+	for i, v := range d.rows {
+		dv, ev := math.Float64bits(v), math.Float64bits(e.rows[i])
+		rowsRows = rowsRows && dv == ev
+		rowsOff = rowsOff && dv == eOff
+		offRows = offRows && dOff == ev
+	}
+	for j := 0; j < nOut; j++ {
+		var eq bool
+		switch ds, es := d.selected(j), e.selected(j); {
+		case ds && es:
+			eq = rowsRows
+		case ds:
+			eq = rowsOff
+		case es:
+			eq = offRows
+		default:
+			eq = dOff == eOff
+		}
+		if !eq {
+			return false
+		}
+	}
+	return true
+}
+
+// fill writes the weights d describes into w, row-major over nOut
+// columns. A row equal to the one before it is copied.
+func (d boundary) fill(w []float64, nOut int) {
+	for i, v := range d.rows {
+		row := w[i*nOut : (i+1)*nOut]
+		if i > 0 && math.Float64bits(v) == math.Float64bits(d.rows[i-1]) {
+			copy(row, w[(i-1)*nOut:i*nOut])
+			continue
+		}
+		for j := range row {
+			if d.selected(j) {
+				row[j] = v
+			} else {
+				row[j] = d.off
+			}
+		}
+	}
+}
+
+// arrays builds the boundary arrays of one Generate or GenerateAll call,
+// each distinct content once: a boundary whose weights equal an earlier
+// one's, bit for bit, gets that one's array. It lives for one call, so a
+// Generator keeps no state between calls.
+type arrays struct {
+	arch   snn.Arch
+	params snn.Params
+	built  map[arrayKey][]builtArray
+}
+
+// arrayKey is a boundary and the hash of its content.
+type arrayKey struct {
+	b int
+	h uint64
+}
+
+// builtArray is one built array and the description it was built from.
+type builtArray struct {
+	d boundary
+	w []float64
+}
+
+func (g *Generator) newArrays() *arrays {
+	return &arrays{arch: g.opt.Arch.Clone(), params: g.opt.Params, built: make(map[arrayKey][]builtArray)}
+}
+
+// network returns the configuration cfg describes, one description per
+// boundary, its boundaries pointing at the call's arrays. The network
+// shares the call's architecture and arrays and is read-only.
+func (m *arrays) network(cfg []boundary) *snn.Network {
+	w := make([][]float64, len(cfg))
+	for b, d := range cfg {
+		w[b] = m.array(b, d)
+	}
+	return &snn.Network{Arch: m.arch, Params: m.params, W: w}
+}
+
+// array returns the call's array of boundary b with the weights d
+// describes, building it on first use.
+func (m *arrays) array(b int, d boundary) []float64 {
+	nOut := m.arch[b+1]
+	k := arrayKey{b: b, h: d.hash(nOut)}
+	for _, a := range m.built[k] {
+		if a.d.same(d, nOut) {
+			return a.w
+		}
+	}
+	w := make([]float64, m.arch[b]*nOut)
+	d.fill(w, nOut)
+	m.built[k] = append(m.built[k], builtArray{d: d, w: w})
+	return w
+}
+
+const (
+	hashSeed = 0x243F6A8885A308D3
+	hashMul  = 0x9E3779B97F4A7C15
+)
+
+// hashWord folds the word v into the running hash h.
+func hashWord(h, v uint64) uint64 { return (bits.RotateLeft64(h, 27) ^ v) * hashMul }
 
 // coverGroups partitions [0, n) into consecutive chunks of at most size,
 // covering every index exactly once (the "while ∃ neuron not once covered"

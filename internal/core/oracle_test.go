@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"neurotest/internal/fault"
@@ -14,8 +15,17 @@ import (
 
 // The reference generator: the map-membership, column-at-a-time faultAct
 // and faultProp that the row-filling generator replaced, driven by the same
-// Algorithm 5/6 loops. It is the differential oracle of the generator
-// tests below and is never called outside them.
+// Algorithm 5/6 loops, each configuration a fresh snn.New network written
+// in place. It is the differential oracle of the generator tests below and
+// is never called outside them.
+
+// refMaximizeWeights is Algorithm 1 on a network: every weight between
+// layer start and layer end (0-based, inclusive) set to ωmax.
+func refMaximizeWeights(cfg *snn.Network, start, end int) {
+	for b := max(start, 0); b < end; b++ {
+		cfg.FillBoundary(b, cfg.Params.WMax)
+	}
+}
 
 // refMemberSet builds a membership lookup over two index slices.
 func refMemberSet(a, b []int) map[int]bool {
@@ -52,7 +62,7 @@ func (g *Generator) refFaultAct(cfg *snn.Network, l int, preTargets, preAnc, tar
 		}
 	} else {
 		pat = snn.OnesPattern(arch.Inputs())
-		maximizeWeights(cfg, 0, l-2)
+		refMaximizeWeights(cfg, 0, l-2)
 		isPre := refMemberSet(preTargets, preAnc)
 		for j := 0; j < arch[l-1]; j++ {
 			if isPre[j] {
@@ -103,7 +113,7 @@ func (g *Generator) refFaultProp(cfg *snn.Network, l int, targets, anc []int, wt
 			cfg.SetEntry(l, i, j, w)
 		}
 	}
-	maximizeWeights(cfg, l+1, arch.Layers()-1)
+	refMaximizeWeights(cfg, l+1, arch.Layers()-1)
 }
 
 func refPickAncillaries(n int, targets []int, count int) []int {
@@ -129,7 +139,9 @@ func (g *Generator) refGenerate(kind fault.Kind) *pattern.TestSet {
 	}
 	switch kind {
 	case fault.NASF, fault.SASF:
-		return g.generateAlwaysSpike(kind)
+		cfg := snn.New(arch, g.opt.Params)
+		cfg.Fill(g.opt.Params.WMax)
+		add(kind.String()+" all", cfg, snn.NewPattern(arch.Inputs()))
 	case fault.ESF, fault.HSF:
 		thetaHat, cat := g.opt.Values.ESFTheta, CategoryStimulatedWhenFaulty
 		if kind == fault.HSF {
@@ -214,14 +226,57 @@ func sameSuite(got, want *pattern.TestSet) error {
 	return nil
 }
 
+// oneArrayPerContent reports a boundary on which the configurations of
+// sets hold two arrays of bit-identical weights: generated by one call,
+// they must hold exactly as many arrays by pointer as by content.
+func oneArrayPerContent(sets ...*pattern.TestSet) error {
+	bitsEqual := func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) }
+	for b := 0; b < sets[0].Arch.Boundaries(); b++ {
+		var arrays [][]float64 // distinct by pointer
+		for _, ts := range sets {
+			for _, cfg := range ts.Configs {
+				w := cfg.W[b]
+				if !slices.ContainsFunc(arrays, func(a []float64) bool { return &a[0] == &w[0] }) {
+					arrays = append(arrays, w)
+				}
+			}
+		}
+		for i, a := range arrays {
+			for j, c := range arrays[:i] {
+				if slices.EqualFunc(a, c, bitsEqual) {
+					return fmt.Errorf("boundary %d: arrays %d and %d of %d hold the same weights", b, j, i, len(arrays))
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // assertMatchesOracle compares every fault model's suite against the
-// reference generator's.
+// reference generator's, alone and from one GenerateAll call, and checks
+// that each call holds one array per distinct boundary content.
 func assertMatchesOracle(t *testing.T, g *Generator) {
 	t.Helper()
+	perKind, merged := g.GenerateAll()
 	for _, kind := range fault.Kinds() {
-		if err := sameSuite(g.Generate(kind), g.refGenerate(kind)); err != nil {
+		want := g.refGenerate(kind)
+		got := g.Generate(kind)
+		if err := sameSuite(got, want); err != nil {
 			t.Errorf("%v %v %v: %v", g.opt.Arch, g.opt.Regime, kind, err)
 		}
+		if err := oneArrayPerContent(got); err != nil {
+			t.Errorf("%v %v %v: %v", g.opt.Arch, g.opt.Regime, kind, err)
+		}
+		if err := sameSuite(perKind[kind], want); err != nil {
+			t.Errorf("%v %v GenerateAll %v: %v", g.opt.Arch, g.opt.Regime, kind, err)
+		}
+	}
+	all := []*pattern.TestSet{merged}
+	for _, kind := range fault.Kinds() {
+		all = append(all, perKind[kind])
+	}
+	if err := oneArrayPerContent(all...); err != nil {
+		t.Errorf("%v %v GenerateAll: %v", g.opt.Arch, g.opt.Regime, err)
 	}
 }
 
@@ -289,16 +344,116 @@ func TestFaultActMatchesMapOracle(t *testing.T) {
 		g := testGenerator(t, arch, NoVariation())
 		l := 1 + rng.Intn(arch.Layers()-1)
 		preT, preA, tgt, anc := pick(arch[l-1]), pick(arch[l-1]), pick(arch[l]), pick(arch[l])
-		got, want := snn.New(arch, g.opt.Params), snn.New(arch, g.opt.Params)
-		gotPat := g.faultAct(got, l, preT, preA, tgt, anc, 1.25, -0.75)
+		cfg, want := make([]boundary, arch.Boundaries()), snn.New(arch, g.opt.Params)
+		gotPat := g.faultAct(cfg, l, preT, preA, tgt, anc, 1.25, -0.75)
 		wantPat := g.refFaultAct(want, l, preT, preA, tgt, anc, 1.25, -0.75)
 		if l < arch.Layers()-1 {
-			g.faultProp(got, l, tgt, anc, 3.5, 0.5)
+			g.faultProp(cfg, l, tgt, anc, 3.5, 0.5)
 			g.refFaultProp(want, l, tgt, anc, 3.5, 0.5)
 		}
+		got := g.newArrays().network(cfg)
 		if err := sameNetwork(got, want); err != nil || !slices.Equal(gotPat, wantPat) {
 			t.Fatalf("%v l=%d pre-targets %v pre-ancillaries %v targets %v ancillaries %v: %v (patterns %v vs %v)",
 				arch, l, preT, preA, tgt, anc, err, gotPat, wantPat)
+		}
+	}
+}
+
+// TestBoundaryDescriptionsCompareByContent drives the arrays memo with
+// random descriptions over a few values, many of them the same weights
+// described another way (every column selected, none selected, rows all
+// equal to the off value, or constant rows over the complementary
+// columns): each content must get one array, equal to the weights the
+// description spells out.
+func TestBoundaryDescriptionsCompareByContent(t *testing.T) {
+	rng := stats.NewRNG(9)
+	levels := []float64{0, 1, -1, math.Copysign(0, -1)}
+	g := testGenerator(t, snn.Arch{3, 4}, NoVariation())
+	m := g.newArrays()
+	var made []*snn.Network
+	for trial := 0; trial < 2000; trial++ {
+		d := boundary{rows: make([]float64, 3), off: levels[rng.Intn(len(levels))]}
+		for i := range d.rows {
+			d.rows[i] = levels[rng.Intn(len(levels))]
+		}
+		if rng.Intn(4) > 0 {
+			d.cols = make([]bool, 4)
+			for j := range d.cols {
+				d.cols[j] = rng.Intn(2) == 1
+			}
+		}
+		net := m.network([]boundary{d})
+		want := snn.New(snn.Arch{3, 4}, g.opt.Params)
+		for i, v := range d.rows {
+			for j := 0; j < 4; j++ {
+				w := d.off
+				if d.cols == nil || d.cols[j] {
+					w = v
+				}
+				want.SetEntry(0, i, j, w)
+			}
+		}
+		if err := sameNetwork(net, want); err != nil {
+			t.Fatalf("%+v: %v", d, err)
+		}
+		made = append(made, net)
+	}
+	ts := pattern.NewTestSet("memo", snn.Arch{3, 4}, g.opt.Params)
+	ts.Configs = made
+	if err := oneArrayPerContent(ts); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPaperModelSharedArrays pins how few arrays the merged programs of
+// the paper's models hold: per boundary, one per distinct content.
+func TestPaperModelSharedArrays(t *testing.T) {
+	for _, c := range []struct {
+		arch snn.Arch
+		want []int
+	}{
+		{snn.Arch{576, 256, 32, 10}, []int{6, 8, 7}},
+		{snn.Arch{576, 256, 64, 32, 10}, []int{6, 8, 8, 7}},
+	} {
+		_, merged := testGenerator(t, c.arch, NoVariation()).GenerateAll()
+		got := make([]int, c.arch.Boundaries())
+		for b := range got {
+			var arrays []*float64
+			for _, cfg := range merged.Configs {
+				if p := &cfg.W[b][0]; !slices.Contains(arrays, p) {
+					arrays = append(arrays, p)
+				}
+			}
+			got[b] = len(arrays)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%v: %v arrays per boundary over %d configurations, want %v", c.arch, got, len(merged.Configs), c.want)
+		}
+	}
+}
+
+// TestGenerateAllConcurrent: one Generator serves concurrent GenerateAll
+// calls (run under -race). Each call builds arrays of its own, and each
+// emits the suite a call alone does.
+func TestGenerateAllConcurrent(t *testing.T) {
+	g := testGenerator(t, snn.Arch{12, 9, 6, 4}, NegligibleVariation())
+	_, want := g.GenerateAll()
+	got := make([]*pattern.TestSet, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, got[i] = g.GenerateAll()
+		}()
+	}
+	wg.Wait()
+	for i, ts := range got {
+		if err := sameSuite(ts, want); err != nil {
+			t.Errorf("call %d: %v", i, err)
+		}
+		if &ts.Configs[0].W[0][0] == &want.Configs[0].W[0][0] {
+			t.Errorf("call %d shares its arrays with another call", i)
 		}
 	}
 }

@@ -69,9 +69,10 @@ func (c *Classes) members(idx []int, lanes uint64) int {
 // Golden alone. It is built once per Golden, on the first synapse fault a
 // Collapse call sees, so neuron-only campaigns never pay for it.
 type collapseIndex struct {
-	// w[b] holds boundary b's weight matrix of each distinct item network,
+	// w[b] holds each distinct boundary-b array of the item networks once,
 	// in first-use order: a weight compared on each of them is compared on
-	// every item.
+	// every item. Configurations that share an array (a generated suite's
+	// do) add it once.
 	w [][][]float64
 	// width[b] is the width of boundary b's post layer.
 	width []int
@@ -95,16 +96,13 @@ func (g *Golden) collapseIndex() *collapseIndex {
 func newCollapseIndex(g *Golden) *collapseIndex {
 	arch := g.ts.Arch
 	B := arch.Boundaries()
-	var nets []*snn.Network
-	for i := range g.items {
-		if n := g.items[i].net; !slices.Contains(nets, n) {
-			nets = append(nets, n)
-		}
-	}
 	x := &collapseIndex{w: make([][][]float64, B), width: arch[1:], pre: make([][]int32, B), postBase: make([]int, B)}
 	for b := 0; b < B; b++ {
-		for _, n := range nets {
-			x.w[b] = append(x.w[b], n.W[b])
+		for i := range g.items {
+			w := g.items[i].net.W[b]
+			if !slices.ContainsFunc(x.w[b], func(v []float64) bool { return &v[0] == &w[0] }) {
+				x.w[b] = append(x.w[b], w)
+			}
 		}
 		x.pre[b] = internTrains(g.items, b, arch[b])
 		x.postBase[b] = x.posts

@@ -31,7 +31,7 @@
 //   - Golden holds everything derived from the test set alone — the
 //     configurations as given, per-item activity traces, golden results, the
 //     downstream memo and the collapse index (interned presynaptic trains
-//     and the distinct item networks, built on first use). It is built once
+//     and the distinct boundary arrays, built on first use). It is built once
 //     per test program, by the tester's ATE, which every campaign on the
 //     program reads; it is immutable except for the memo (sharded per item,
 //     mutex-guarded) and the once-built collapse index, and is safe for any
@@ -131,6 +131,9 @@ func (ic *goldenItem) enter(k, j, t int) float64 {
 type Golden struct {
 	ts    *pattern.TestSet
 	items []goldenItem
+	// groups counts the layer-1 input sums the build added up, one per
+	// item group (pattern.TestSet.InputGroups).
+	groups int
 	// collapse is the Golden-derived part of fault collapsing (collapse.go),
 	// built on first use under collapseOnce.
 	collapseOnce sync.Once
@@ -139,9 +142,14 @@ type Golden struct {
 
 // NewGolden runs and caches the good-chip simulation of every item in ts,
 // reading ts.Configs as given: a quantized design is simulated by handing
-// in the test set as programmed (quant.Program). The items are traced on
-// the worker pool, one task per item, and kept in ts.Items order. The
-// returned Golden is safe for concurrent use by any number of Evaluators.
+// in the test set as programmed (quant.Program). Items that drive the same
+// layer-1 input (pattern.TestSet.InputGroups: equal patterns over
+// bit-identical boundary-0 weights) share its sum: the build adds up each
+// group's sum once, one pool task per group, then traces every item from
+// its group's sum (snn.Simulator.RunInputTrace), one pool task per item,
+// bit for bit the trace RunTrace records. The items are kept in ts.Items
+// order. The returned Golden is safe for concurrent use by any number of
+// Evaluators.
 //
 // A panic while tracing an item (a pattern of the wrong width, say) is
 // re-raised on the caller's goroutine. The build takes no context: a
@@ -151,6 +159,10 @@ func NewGolden(ts *pattern.TestSet) *Golden {
 	timer := obs.StartTimer()
 	defer func() { timer.ObserveElapsed(engineBuilds) }()
 	goldenBuilds.Inc()
+	group, first := ts.InputGroups()
+	sums, _ := pool.Run(context.TODO(), len(first), func(g, _ int) []float64 {
+		return ts.InputSum(ts.Items[first[g]])
+	})
 	// A simulator is single-goroutine scratch: each pool slot keeps its own
 	// and rebinds it whenever its next item uses another configuration.
 	sims := make([]*snn.Simulator, pool.Workers(len(ts.Items)))
@@ -160,7 +172,7 @@ func NewGolden(ts *pattern.TestSet) *Golden {
 		if sims[w] == nil || sims[w].Bind(net, nil) != nil {
 			sims[w] = snn.NewSimulator(net)
 		}
-		golden, trace := sims[w].RunTrace(it.Pattern, it.Timesteps, it.Mode(), nil)
+		golden, trace := sims[w].RunInputTrace(&snn.Input{Sum: sums[group[i]]}, it.Pattern, it.Timesteps, it.Mode(), nil)
 		return goldenItem{
 			item:   it,
 			net:    net,
@@ -169,7 +181,7 @@ func NewGolden(ts *pattern.TestSet) *Golden {
 			memo:   memoShard{m: make(map[memoKey]bool)},
 		}
 	})
-	return &Golden{ts: ts, items: items}
+	return &Golden{ts: ts, items: items, groups: len(first)}
 }
 
 // Result returns the golden (good-chip) observable output of item i. The

@@ -1,15 +1,19 @@
 package faultsim
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
+	"neurotest/internal/core"
 	"neurotest/internal/fault"
 	"neurotest/internal/pattern"
+	"neurotest/internal/quant"
 	"neurotest/internal/snn"
 )
 
@@ -273,6 +277,116 @@ func TestSeedsMatchReplay(t *testing.T) {
 			}
 			if fired == 0 {
 				t.Fatalf("%v %s: fixture broken, no golden neuron fired", reset, ts.Name)
+			}
+		}
+	}
+}
+
+// sameTrace reports the first difference between two traces, comparing
+// every spike train, weighted sum and potential bit for bit.
+func sameTrace(got, want *snn.Trace) error {
+	if got.Timesteps != want.Timesteps || len(got.X) != len(want.X) {
+		return fmt.Errorf("%d timesteps over %d layers, want %d over %d", got.Timesteps, len(got.X), want.Timesteps, len(want.X))
+	}
+	bitsEqual := func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) }
+	for k := range want.X {
+		if !slices.Equal(got.X[k], want.X[k]) {
+			return fmt.Errorf("layer %d spike trains %v, want %v", k, got.X[k], want.X[k])
+		}
+		if !slices.EqualFunc(got.Y[k], want.Y[k], bitsEqual) {
+			return fmt.Errorf("layer %d weighted sums %v, want %v", k, got.Y[k], want.Y[k])
+		}
+		if !slices.EqualFunc(got.V[k], want.V[k], bitsEqual) {
+			return fmt.Errorf("layer %d potentials %v, want %v", k, got.V[k], want.V[k])
+		}
+	}
+	return nil
+}
+
+// TestGoldenMatchesRunTraceOracle: NewGolden, which sums each item
+// group's layer-1 input once and traces every item from its group's sum,
+// records each item's result and trace exactly as a fresh simulator's
+// RunTrace of that item alone does, bit for bit. It covers generated
+// suites, whose configurations share arrays, with a held twin of every
+// item; their binary-codec round trips, which share no arrays, so the
+// grouping compares weights; their 8-bit per-channel programs; and both
+// reset modes.
+func TestGoldenMatchesRunTraceOracle(t *testing.T) {
+	scheme, err := quant.NewScheme(8, quant.PerChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range []snn.Arch{{10, 8, 6, 3}, {576, 256, 32, 10}} {
+		for _, reset := range []snn.ResetMode{snn.ResetZero, snn.ResetSubtract} {
+			suite, _ := generatedSuite(t, arch, reset)
+			for _, it := range slices.Clone(suite.Items) {
+				it.Hold = true
+				suite.AddItem(it)
+			}
+			var buf bytes.Buffer
+			if err := pattern.WriteBinary(&buf, suite); err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := pattern.ReadBinary(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &decoded.Configs[0].W[0][0] == &decoded.Configs[1].W[0][0] {
+				t.Fatal("the decoded suite shares arrays")
+			}
+			for name, ts := range map[string]*pattern.TestSet{
+				"generated": suite, "decoded": decoded, "8-bit per-channel": quant.Program(suite, &scheme),
+			} {
+				g := NewGolden(ts)
+				if want := len(suite.Items); g.groups < 1 || g.groups > want/2 {
+					t.Errorf("%v %v %s: %d groups over %d items, each with its held twin", arch, reset, name, g.groups, want)
+				}
+				for i, it := range ts.Items {
+					res, trace := snn.NewSimulator(ts.Configs[it.ConfigIndex]).RunTrace(it.Pattern, it.Timesteps, it.Mode(), nil)
+					if !g.Result(i).Equal(res) {
+						t.Fatalf("%v %v %s item %d: result %v, RunTrace %v", arch, reset, name, i, g.Result(i), res)
+					}
+					if err := sameTrace(g.items[i].trace, trace); err != nil {
+						t.Fatalf("%v %v %s item %d: %v", arch, reset, name, i, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGoldenGroupCounts: the golden build of each paper model's merged
+// program adds up one layer-1 sum per item group, as many as its dies do:
+// 7 without variation margins and 14 with them, whatever the depth, on
+// the suite as generated and on its codec round trip alike.
+func TestGoldenGroupCounts(t *testing.T) {
+	params := snn.DefaultParams()
+	for _, c := range []struct {
+		arch          snn.Arch
+		regime        core.Regime
+		items, groups int
+	}{
+		{snn.Arch{576, 256, 32, 10}, core.NoVariation(), 13, 7},
+		{snn.Arch{576, 256, 64, 32, 10}, core.NoVariation(), 17, 7},
+		{snn.Arch{576, 256, 32, 10}, core.NegligibleVariation(), 28, 14},
+		{snn.Arch{576, 256, 64, 32, 10}, core.NegligibleVariation(), 37, 14},
+	} {
+		gen, err := core.NewGenerator(core.Options{Arch: c.arch, Params: params, Values: fault.PaperValues(params.Theta), Regime: c.regime})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, merged := gen.GenerateAll()
+		var buf bytes.Buffer
+		if err := pattern.WriteBinary(&buf, merged); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := pattern.ReadBinary(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ts := range []*pattern.TestSet{merged, decoded} {
+			if g := NewGolden(ts); len(ts.Items) != c.items || g.groups != c.groups {
+				t.Errorf("%v %v: %d items in %d groups, want %d in %d", c.arch, c.regime, len(ts.Items), g.groups, c.items, c.groups)
 			}
 		}
 	}

@@ -9,6 +9,8 @@ package pattern
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"neurotest/internal/snn"
 )
@@ -44,6 +46,11 @@ func (it Item) Mode() snn.InputMode {
 }
 
 // TestSet is a complete test program for one chip family.
+//
+// Its configurations are read-only once built: configurations may share
+// boundary arrays (core.Generator's do), and Merge and quant.Program share
+// whole networks or arrays with their sources, so a caller that writes a
+// configuration Clones it first.
 type TestSet struct {
 	// Name identifies the generator ("proposed", "atcpg", ...).
 	Name string
@@ -129,6 +136,57 @@ func (ts *TestSet) Merge(other *TestSet) {
 		it.ConfigIndex += base
 		ts.Items = append(ts.Items, it)
 	}
+}
+
+// InputGroups partitions the items by the layer-1 input they drive: two
+// items share a group when their patterns are equal and their
+// configurations' boundary-0 weights are bit-identical, so on any one chip
+// they drive the same layer-1 input. Hold plays no part: a held item's
+// input at each timestep is its pattern, as a single-shot item's is at
+// t = 0. group[i] is item i's group; groups are numbered in order of their
+// first item, first[g]. Each item is compared only with the first item of
+// each earlier group.
+func (ts *TestSet) InputGroups() (group, first []int) {
+	group = make([]int, len(ts.Items))
+	for i, it := range ts.Items {
+		g := slices.IndexFunc(first, func(r int) bool { return ts.sameInput(ts.Items[r], it) })
+		if g < 0 {
+			g = len(first)
+			first = append(first, i)
+		}
+		group[i] = g
+	}
+	return group, first
+}
+
+// sameInput reports whether items a and b drive the same layer-1 input:
+// equal patterns over bit-identical boundary-0 weights. One array, shared
+// by two configurations or by one, is equal without a comparison, and the
+// comparison stops at the first word that differs.
+func (ts *TestSet) sameInput(a, b Item) bool {
+	if !slices.Equal(a.Pattern, b.Pattern) {
+		return false
+	}
+	wa, wb := ts.Configs[a.ConfigIndex].W[0], ts.Configs[b.ConfigIndex].W[0]
+	return &wa[0] == &wb[0] || slices.EqualFunc(wa, wb, func(u, v float64) bool {
+		return math.Float64bits(u) == math.Float64bits(v)
+	})
+}
+
+// InputSum returns what boundary 0 delivers to each layer-1 neuron while
+// item it's pattern is applied: the configuration's rows of the pattern's
+// input neurons, added in neuron order, the sum snn.Simulator.Run adds up
+// itself.
+func (ts *TestSet) InputSum(it Item) []float64 {
+	n := ts.Arch[1]
+	w := ts.Configs[it.ConfigIndex].W[0]
+	sum := make([]float64, n)
+	for i, on := range it.Pattern {
+		if on {
+			snn.AddInto(sum, w[i*n:(i+1)*n])
+		}
+	}
+	return sum
 }
 
 // Validate checks internal consistency (indices, widths, windows). A test

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"neurotest/internal/core"
+	"neurotest/internal/fault"
 	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
@@ -306,6 +308,81 @@ func TestProgram(t *testing.T) {
 			for k, w := range cfg.W[b] {
 				if math.Float64bits(w) != math.Float64bits(before[i].W[b][k]) {
 					t.Fatalf("config %d weight [%d][%d] changed to %g, was %g", i, b, k, w, before[i].W[b][k])
+				}
+			}
+		}
+	}
+}
+
+// TestProgramKeepsSharing: on test sets whose configurations share
+// boundary arrays (generated suites, and a hand-built pair sharing an
+// array under two network maxima), Program's weights equal each
+// configuration's QuantizedClone bit for bit at every granularity, and a
+// source array is programmed once per calibration it reads: per boundary
+// and per channel once, per network once per network max |w|.
+func TestProgramKeepsSharing(t *testing.T) {
+	params := snn.DefaultParams()
+	var sets []*pattern.TestSet
+	for _, arch := range []snn.Arch{{10, 8, 6, 3}, {24, 16, 8, 4}} {
+		for _, regime := range []core.Regime{core.NoVariation(), core.NegligibleVariation()} {
+			g, err := core.NewGenerator(core.Options{Arch: arch, Params: params, Values: fault.PaperValues(params.Theta), Regime: regime})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, merged := g.GenerateAll()
+			sets = append(sets, merged)
+		}
+	}
+	pair := pattern.NewTestSet("pair", snn.Arch{3, 2, 2}, params)
+	shared := []float64{0.3, -1.7, 2.2, 0.05, -0.6, 1.1}
+	for _, deep := range []float64{4, 9} {
+		cfg := snn.New(snn.Arch{3, 2, 2}, params)
+		cfg.W[0] = shared
+		cfg.FillBoundary(1, deep)
+		pair.AddItem(pattern.Item{Label: "pair", ConfigIndex: pair.AddConfig(cfg), Pattern: snn.NewPattern(3), Timesteps: 2, Repeat: 1})
+	}
+	sets = append(sets, pair)
+
+	type source struct {
+		b      int
+		w      *float64
+		netMax float64
+	}
+	for _, ts := range sets {
+		for _, gran := range []Granularity{PerNetwork, PerBoundary, PerChannel} {
+			for _, bits := range []int{4, 8} {
+				s := mustScheme(t, bits, gran)
+				got := Program(ts, &s)
+				programmed := make(map[source]*float64)
+				arrays := make(map[*float64]bool)
+				for i, cfg := range got.Configs {
+					src := ts.Configs[i]
+					want, _ := s.QuantizedClone(src)
+					netMax := 0.0
+					if gran == PerNetwork {
+						netMax = src.MaxAbsWeight()
+					}
+					for b := range want.W {
+						for k, w := range want.W[b] {
+							if math.Float64bits(cfg.W[b][k]) != math.Float64bits(w) {
+								t.Fatalf("%s %v: config %d weight [%d][%d] = %g, QuantizedClone %g", ts.Name, s, i, b, k, cfg.W[b][k], w)
+							}
+						}
+						key, p := source{b: b, w: &src.W[b][0], netMax: netMax}, &cfg.W[b][0]
+						if q, ok := programmed[key]; ok && q != p {
+							t.Fatalf("%s %v: config %d boundary %d programmed its source array again", ts.Name, s, i, b)
+						}
+						programmed[key] = p
+						arrays[p] = true
+					}
+				}
+				if len(arrays) != len(programmed) {
+					t.Errorf("%s %v: %d programmed arrays for %d (source array, calibration) pairs", ts.Name, s, len(arrays), len(programmed))
+				}
+				if ts == pair {
+					if diff := &got.Configs[0].W[0][0] != &got.Configs[1].W[0][0]; diff != (gran == PerNetwork) {
+						t.Errorf("%v: the shared array programs to two arrays: %t, want %t", s, diff, gran == PerNetwork)
+					}
 				}
 			}
 		}

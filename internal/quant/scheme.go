@@ -117,51 +117,64 @@ func (s Scheme) snap(w, maxAbs float64) float64 {
 // calibrated scales at the scheme's granularity, and returns the worst snap
 // error.
 func (s Scheme) QuantizeNetwork(net *snn.Network) float64 {
+	netMax := s.networkMax(net)
 	worst := 0.0
-	update := func(w, maxAbs float64) float64 {
-		q := s.snap(w, maxAbs)
-		if e := math.Abs(q - w); e > worst {
+	for b, w := range net.W {
+		if e := s.quantize(w, w, net.Arch[b+1], netMax); e > worst {
 			worst = e
 		}
-		return q
+	}
+	return worst
+}
+
+// networkMax returns the calibration a PerNetwork scheme reads beyond each
+// boundary's own weights, net's max |w|, and 0 for the other granularities,
+// whose scales read only the boundary.
+func (s Scheme) networkMax(net *snn.Network) float64 {
+	if s.Gran == PerNetwork {
+		return net.MaxAbsWeight()
+	}
+	return 0
+}
+
+// quantize writes src, one boundary's weights over nOut columns, into dst
+// (which may be src) quantized at the scheme's granularity, and returns
+// the worst snap error. A PerNetwork scheme scales by netMax, the whole
+// network's max |w|; the others derive their scales from src alone.
+func (s Scheme) quantize(dst, src []float64, nOut int, netMax float64) float64 {
+	worst := 0.0
+	update := func(i int, maxAbs float64) {
+		q := s.snap(src[i], maxAbs)
+		if e := math.Abs(q - src[i]); e > worst {
+			worst = e
+		}
+		dst[i] = q
 	}
 	switch s.Gran {
 	case PerNetwork:
-		maxAbs := net.MaxAbsWeight()
-		for b := range net.W {
-			row := net.W[b]
-			for i, w := range row {
-				row[i] = update(w, maxAbs)
-			}
+		for i := range src {
+			update(i, netMax)
 		}
 	case PerBoundary:
-		for b := range net.W {
-			row := net.W[b]
+		maxAbs := 0.0
+		for _, w := range src {
+			if a := math.Abs(w); a > maxAbs {
+				maxAbs = a
+			}
+		}
+		for i := range src {
+			update(i, maxAbs)
+		}
+	case PerChannel:
+		for j := 0; j < nOut; j++ {
 			maxAbs := 0.0
-			for _, w := range row {
-				if a := math.Abs(w); a > maxAbs {
+			for i := j; i < len(src); i += nOut {
+				if a := math.Abs(src[i]); a > maxAbs {
 					maxAbs = a
 				}
 			}
-			for i, w := range row {
-				row[i] = update(w, maxAbs)
-			}
-		}
-	case PerChannel:
-		for b := range net.W {
-			nIn, nOut := net.Arch[b], net.Arch[b+1]
-			row := net.W[b]
-			for j := 0; j < nOut; j++ {
-				maxAbs := 0.0
-				for i := 0; i < nIn; i++ {
-					if a := math.Abs(row[i*nOut+j]); a > maxAbs {
-						maxAbs = a
-					}
-				}
-				for i := 0; i < nIn; i++ {
-					idx := i*nOut + j
-					row[idx] = update(row[idx], maxAbs)
-				}
+			for i := j; i < len(src); i += nOut {
+				update(i, maxAbs)
 			}
 		}
 	default:
@@ -181,16 +194,41 @@ func (s Scheme) QuantizedClone(net *snn.Network) (*snn.Network, float64) {
 // Program returns ts as a chip's weight memory programs it under scheme s:
 // every configuration quantized once. A nil scheme programs ideal weights
 // and returns ts itself. Otherwise the result is a copy of the TestSet
-// whose Configs are quantized clones and whose Items slice is shared
-// read-only with ts; ts is left untouched.
+// whose Configs are new networks, each weight its QuantizedClone's bit for
+// bit, and whose Items slice is shared read-only with ts; ts is left
+// untouched.
+//
+// Configurations that share a boundary array (core.Generator's do) keep
+// sharing it: an array is programmed once per calibration it reads. Per
+// boundary and per channel that is the array alone; per network it is
+// also the network's max |w|, so an array shared by networks of two
+// maxima programs to two arrays. The result is read-only like its source.
 func Program(ts *pattern.TestSet, s *Scheme) *pattern.TestSet {
 	if s == nil {
 		return ts
 	}
+	type source struct {
+		b      int
+		w      *float64
+		netMax float64
+	}
+	programmed := make(map[source][]float64)
 	out := *ts
 	out.Configs = make([]*snn.Network, len(ts.Configs))
 	for i, cfg := range ts.Configs {
-		out.Configs[i], _ = s.QuantizedClone(cfg)
+		netMax := s.networkMax(cfg)
+		w := make([][]float64, len(cfg.W))
+		for b, src := range cfg.W {
+			k := source{b: b, w: &src[0], netMax: netMax}
+			q, ok := programmed[k]
+			if !ok {
+				q = make([]float64, len(src))
+				s.quantize(q, src, cfg.Arch[b+1], netMax)
+				programmed[k] = q
+			}
+			w[b] = q
+		}
+		out.Configs[i] = &snn.Network{Arch: cfg.Arch, Params: cfg.Params, W: w}
 	}
 	return &out
 }

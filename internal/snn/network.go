@@ -82,6 +82,11 @@ func (p Params) Validate() error {
 //
 // A Network doubles as a "test configuration" in the paper's sense: the
 // generator emits Networks whose weights are the configuration to program.
+// Those are read-only: configurations of one generated suite share the
+// boundary arrays whose weights they have in common, and so do the
+// networks quant.Program makes from them, so a caller that writes a
+// generated (or programmed) configuration Clones it first. A Network from
+// New or Clone owns its arrays.
 type Network struct {
 	Arch   Arch
 	Params Params
@@ -107,7 +112,7 @@ func New(arch Arch, params Params) *Network {
 	return &Network{Arch: arch.Clone(), Params: params, W: w}
 }
 
-// Clone returns a deep copy of the network.
+// Clone returns a deep copy of the network, owning its arrays.
 func (n *Network) Clone() *Network {
 	c := New(n.Arch, n.Params)
 	for b := range n.W {
@@ -125,6 +130,8 @@ func (n *Network) FillBoundary(b int, w float64) {
 }
 
 // Fill sets every weight in the network to w.
+//
+//lint:ignore dead-code tests in the root, core, faultsim, snn and variation packages build uniform networks through it
 func (n *Network) Fill(w float64) {
 	for b := range n.W {
 		n.FillBoundary(b, w)

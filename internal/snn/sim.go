@@ -381,6 +381,14 @@ func (s *Simulator) RunInput(in *Input, pattern Pattern, timesteps int, mode Inp
 	return res
 }
 
+// RunInputTrace simulates like RunInput and records the trace RunTrace
+// records. A caller whose in.Sum is the pattern's own layer-1 sum, added
+// row by row in neuron order as Run adds it, gets RunTrace's result and
+// trace bit for bit.
+func (s *Simulator) RunInputTrace(in *Input, pattern Pattern, timesteps int, mode InputMode, mods *Modifiers) (Result, *Trace) {
+	return s.run(in, pattern, timesteps, mode, mods, true)
+}
+
 // FirstBoundaryReads appends to dst the boundary-0 synapses of arch a run
 // under m reads one at a time, in SynapseID order without repeats: every
 // synapse out of a forced input neuron, and each stuck or always-on

@@ -9,8 +9,6 @@ package tester
 import (
 	"context"
 	"fmt"
-	"math"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -85,11 +83,11 @@ func (s *goldenShare) get() (*faultsim.Golden, error) {
 // responses and coverage build none of it.
 //
 // Items fall into groups whose members drive the same layer-1 input on
-// any one die: their patterns are equal and their programmed boundary-0
-// weights are bit-identical. Hold plays no part: a held item's input at
-// each timestep is its pattern, as a single-shot item's is at t = 0. Each
-// group's weight-only layer-1 sum, Σ over the pattern's input neurons of
-// their programmed rows, is added once, in neuron order, for every die.
+// any one die (pattern.TestSet.InputGroups, the grouping the golden build
+// uses): their patterns are equal and their programmed boundary-0 weights
+// are bit-identical. Each group's weight-only layer-1 sum, Σ over the
+// pattern's input neurons of their programmed rows, is added once, in
+// neuron order (pattern.TestSet.InputSum), for every die.
 //
 // The input neurons fall into atoms: neurons driven by exactly the same
 // items. Every pattern is a union of atoms, so a die's deviation over a
@@ -97,9 +95,7 @@ func (s *goldenShare) get() (*faultsim.Golden, error) {
 // group's atom sums onto the group's weight sum instead of adding up to
 // one offset row per input neuron.
 type inputLayer struct {
-	arch  snn.Arch
-	nets  []*snn.Network // programmed configuration per config index
-	items []pattern.Item
+	ts    *pattern.TestSet // the test set as programmed
 	once  sync.Once
 	group []int       // group of each item
 	sums  [][]float64 // weight-only layer-1 sum of each group
@@ -114,41 +110,24 @@ func (l *inputLayer) get() *inputLayer {
 	return l
 }
 
-// build groups the items, comparing each only with the first member of
-// each earlier group, sums each group's weights, and numbers the atoms in
-// order of their first input neuron.
+// build groups the items, sums each group's weights, and numbers the atoms
+// in order of their first input neuron.
 func (l *inputLayer) build() {
-	l.group = make([]int, len(l.items))
 	var reps []int // first member of each group
-	for i, it := range l.items {
-		k := slices.IndexFunc(reps, func(r int) bool { return l.sameInput(l.items[r], it) })
-		if k < 0 {
-			k = len(reps)
-			reps = append(reps, i)
-		}
-		l.group[i] = k
-	}
-	n := l.arch[1]
+	l.group, reps = l.ts.InputGroups()
 	l.sums = make([][]float64, len(reps))
 	for g, r := range reps {
-		it := l.items[r]
-		w := l.nets[it.ConfigIndex].W[0]
-		l.sums[g] = make([]float64, n)
-		for i, on := range it.Pattern {
-			if on {
-				snn.AddInto(l.sums[g], w[i*n:(i+1)*n])
-			}
-		}
+		l.sums[g] = l.ts.InputSum(l.ts.Items[r])
 	}
 	// An input neuron's key is the set of groups whose pattern drives it.
-	l.atom = make([]int, l.arch[0])
+	l.atom = make([]int, l.ts.Arch[0])
 	var first []int // first input neuron of each atom
 	index := map[string]int{}
 	key := make([]byte, (len(reps)+7)/8)
 	for i := range l.atom {
 		clear(key)
 		for g, r := range reps {
-			if l.items[r].Pattern[i] {
+			if l.ts.Items[r].Pattern[i] {
 				key[g/8] |= 1 << (g % 8)
 			}
 		}
@@ -165,25 +144,11 @@ func (l *inputLayer) build() {
 	l.atoms = make([][]int, len(reps))
 	for g, r := range reps {
 		for a, i := range first {
-			if l.items[r].Pattern[i] {
+			if l.ts.Items[r].Pattern[i] {
 				l.atoms[g] = append(l.atoms[g], a)
 			}
 		}
 	}
-}
-
-// sameInput reports whether items a and b share a group: equal patterns
-// over bit-identical boundary-0 weights. One network, or two networks on
-// one backing array, is equal without a comparison, and the comparison
-// stops at the first word that differs.
-func (l *inputLayer) sameInput(a, b pattern.Item) bool {
-	if !slices.Equal(a.Pattern, b.Pattern) {
-		return false
-	}
-	wa, wb := l.nets[a.ConfigIndex].W[0], l.nets[b.ConfigIndex].W[0]
-	return &wa[0] == &wb[0] || slices.EqualFunc(wa, wb, func(u, v float64) bool {
-		return math.Float64bits(u) == math.Float64bits(v)
-	})
 }
 
 // CloneWithTolerance returns a copy of the ATE with its own pass band,
@@ -243,7 +208,7 @@ func New(ts *pattern.TestSet, scheme *quant.Scheme) *ATE {
 	programmed := quant.Program(ts, scheme)
 	share := &goldenShare{ts: programmed}
 	return &ATE{ts: ts, nets: programmed.Configs, goldens: share, expected: share,
-		input: &inputLayer{arch: ts.Arch, nets: programmed.Configs, items: ts.Items}}
+		input: &inputLayer{ts: programmed}}
 }
 
 // NewSplit builds an exact ATE for ideal's test set whose golden responses
