@@ -96,9 +96,10 @@ examples:
 		$(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
 	done
 
-# fuzz smokes the codec and service fuzz targets for a few seconds each —
-# not a soak, just enough to catch regressions in the corners the corpus
-# already maps. CI's fuzz smoke runs this target, so this is the one list.
+# fuzz smokes the codec, service, kernel and generator fuzz targets for a
+# few seconds each — not a soak, just enough to catch regressions in the
+# corners the corpus already maps. CI's fuzz smoke runs this target, so this
+# is the one list.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzServedSuites -fuzztime=10s ./internal/pattern
 	$(GO) test -run='^$$' -fuzz=FuzzReadBinary -fuzztime=10s ./internal/pattern
@@ -106,6 +107,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDetector -fuzztime=10s ./internal/online
 	$(GO) test -run='^$$' -fuzz=FuzzRepairPlan -fuzztime=10s ./internal/repair
 	$(GO) test -run='^$$' -fuzz=FuzzPackedEquivalence -fuzztime=10s ./internal/faultsim
+	$(GO) test -run='^$$' -fuzz=FuzzGeneratorCoverage -fuzztime=10s ./internal/core
 
 # bench runs the performance suite — the paper-evaluation benchmarks in the
 # root package plus the internal/obs instrument, internal/snn simulator and

@@ -205,13 +205,18 @@ func BenchmarkAblationIncrementalEngine(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eng := faultsim.NewGolden(ts).NewEvaluator(m.Values)
-			got, err := eng.Coverage(context.Background(), universe)
+			g, err := faultsim.NewGolden(ts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if got != len(universe) {
-				b.Fatalf("coverage %d/%d", got, len(universe))
+			v, err := g.Detects(context.Background(), m.Values, universe)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := range universe {
+				if det, _ := v.Detected(i); !det {
+					b.Fatalf("%v undetected", universe[i])
+				}
 			}
 		}
 	})

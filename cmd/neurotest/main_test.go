@@ -1,14 +1,21 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"neurotest/internal/service"
 )
 
 // buildCLI compiles the command once per test binary into a temp dir.
@@ -240,5 +247,105 @@ func TestCLIFlaky(t *testing.T) {
 		if strings.Contains(out, "panic") {
 			t.Errorf("%v panicked:\n%s", bad, out)
 		}
+	}
+}
+
+// TestCLIMatchesServiceCoverage: the CLI and the service measure the same
+// coverage. For every kind on 10-8-6-3 at 4 bits per boundary, where HSF
+// leaves 14 of 17 faults undetected, `neurotest coverage -list-undetected`
+// and an in-process POST /v1/coverage over the whole universe (sample 0)
+// report the same detected count and the same first ten undetected faults,
+// in the same order.
+func TestCLIMatchesServiceCoverage(t *testing.T) {
+	bin := buildCLI(t)
+	out, err := run(t, bin, "coverage", "-arch", "10-8-6-3", "-bits", "4", "-granularity", "boundary", "-list-undetected")
+	if err != nil {
+		t.Fatalf("coverage: %v\n%s", err, out)
+	}
+	type tally struct {
+		detected   int
+		undetected []string
+	}
+	cli := map[string]*tally{}
+	var cur *tally
+	for _, line := range strings.Split(out, "\n") {
+		fields := strings.Fields(line)
+		switch {
+		case len(fields) > 1 && fields[0] == "undetected:" && cur != nil:
+			cur.undetected = append(cur.undetected, fields[1])
+		case strings.Contains(line, "coverage "):
+			var pct float64
+			var total int
+			cur = &tally{}
+			if _, err := fmt.Sscanf(line[strings.Index(line, "coverage "):], "coverage %f%% (%d/%d)", &pct, &cur.detected, &total); err != nil {
+				t.Fatalf("coverage line unparsable: %v\n%s", err, line)
+			}
+			cli[fields[0]] = cur
+		}
+	}
+	if hsf := cli["HSF"]; len(cli) != 5 || hsf == nil || hsf.detected != 3 || len(hsf.undetected) != 14 {
+		t.Fatalf("fixture broken: the CLI's HSF coverage is not 3/17 with 14 undetected:\n%s", out)
+	}
+
+	cfg := service.DefaultConfig()
+	cfg.Workers = 1
+	s := service.New(cfg)
+	srv := httptest.NewServer(s.Handler())
+	defer func() {
+		srv.Close()
+		s.Close()
+	}()
+	for kind, want := range cli {
+		body := `{"arch":[10,8,6,3],"kind":"` + kind + `","quant":{"bits":4,"granularity":"boundary"},"sample":0}`
+		var job service.JobStatus
+		postJob(t, srv.URL+"/v1/coverage", body, &job)
+		for deadline := time.Now().Add(30 * time.Second); !service.JobStateFromString(job.State).Terminal(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: job %s never finished", kind, job.ID)
+			}
+			getJob(t, srv.URL+"/v1/jobs/"+job.ID, &job)
+		}
+		var res struct {
+			Detected   int      `json:"detected"`
+			Undetected []string `json:"undetected"`
+		}
+		raw, err := json.Marshal(job.Result)
+		if err != nil || job.State != "done" || json.Unmarshal(raw, &res) != nil {
+			t.Fatalf("%s: job ended %q (%s) with %s", kind, job.State, job.Error, raw)
+		}
+		first := want.undetected[:min(len(want.undetected), 10)]
+		if res.Detected != want.detected || !slices.Equal(res.Undetected, first) {
+			t.Errorf("%s: service detected %d, undetected %v; CLI detected %d, undetected %v",
+				kind, res.Detected, res.Undetected, want.detected, first)
+		}
+	}
+}
+
+// postJob posts a JSON body and decodes the accepted job's status.
+func postJob(t *testing.T, url, body string, job *service.JobStatus) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST %s: HTTP %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(job); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// getJob polls one job's status.
+func getJob(t *testing.T, url string, job *service.JobStatus) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(job); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -119,7 +119,11 @@ func TestSelectedItemsActuallyDetect(t *testing.T) {
 		t.Fatal(err)
 	}
 	universe := fault.Universe(opt.Arch, fault.SWF)
-	rows, err := faultsim.NewGolden(ts).NewEvaluator(opt.Values).DetectsMatrix(context.Background(), universe)
+	g, err := faultsim.NewGolden(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := g.DetectsMatrix(context.Background(), opt.Values, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +152,19 @@ func TestBaselineCoverageBelowDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		universe := fault.Universe(opt.Arch, kind)
-		got, err := faultsim.NewGolden(ts).NewEvaluator(opt.Values).Coverage(context.Background(), universe)
+		g, err := faultsim.NewGolden(ts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		v, err := g.Detects(context.Background(), opt.Values, universe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for i := range universe {
+			if det, _ := v.Detected(i); det {
+				got++
+			}
 		}
 		if got == 0 {
 			t.Errorf("%v: baseline detects nothing", kind)

@@ -182,7 +182,10 @@ func (g *Generator) generateAlwaysSpike(kind fault.Kind, m *arrays) *pattern.Tes
 // generateThresholdFault implements Algorithm 5 for ESF and HSF: for every
 // layer ℓ = 2..L, cover its neurons with target groups sized by Table 2 and
 // emit one (configuration, pattern) pair per group. The pre-target is always
-// the first neuron of layer ℓ-1 with ω_pt = (θ+θ̂)/2.
+// the first neuron of layer ℓ-1 with ω_pt = (θ+θ̂)/2. When θ̂ and θ are
+// adjacent floats there is nothing between them, and the rounded midpoint
+// can land on the one of the two that the good and the faulty target treat
+// alike; ω_pt then takes the other, which still fires exactly one of them.
 func (g *Generator) generateThresholdFault(kind fault.Kind, m *arrays) *pattern.TestSet {
 	ts := pattern.NewTestSet(kind.String(), g.opt.Arch, g.opt.Params)
 	theta := g.opt.Params.Theta
@@ -196,6 +199,12 @@ func (g *Generator) generateThresholdFault(kind fault.Kind, m *arrays) *pattern.
 		cat = CategoryInhibitedWhenFaulty
 	}
 	wpt := (theta + thetaHat) / 2
+	switch {
+	case kind == fault.ESF && wpt <= thetaHat: // good target silent (ω_pt ≤ θ), faulty fires (ω_pt > θ̂)
+		wpt = theta
+	case kind == fault.HSF && wpt <= theta: // good target fires (ω_pt > θ), faulty silent (ω_pt ≤ θ̂)
+		wpt = thetaHat
+	}
 
 	arch := g.opt.Arch
 	for l := 1; l < arch.Layers(); l++ {

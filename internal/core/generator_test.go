@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"neurotest/internal/fault"
@@ -203,15 +204,10 @@ func TestGenerateAllMergesSharedAlwaysSpikeConfig(t *testing.T) {
 		t.Errorf("merged has %d items, want %d", merged.NumPatterns(), wantItems)
 	}
 	// The merged set must still cover every fault of every model.
-	eng := faultsim.NewGolden(merged).NewEvaluator(g.Options().Values)
 	for _, kind := range fault.Kinds() {
 		universe := fault.Universe(snn.Arch{6, 5, 4}, kind)
-		got, err := eng.Coverage(context.Background(), universe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != len(universe) {
-			t.Errorf("merged set covers %d/%d %v faults", got, len(universe), kind)
+		if missed := undetected(t, merged, g.Options().Values, universe); len(missed) != 0 {
+			t.Errorf("merged set misses %d/%d %v faults", len(missed), len(universe), kind)
 		}
 	}
 }
@@ -225,10 +221,44 @@ func TestInvalidOptions(t *testing.T) {
 		{Arch: snn.Arch{5, 4}, Params: params, Values: fault.Values{ESFTheta: 1, HSFTheta: 2}},     // ESF above θ
 		{Arch: snn.Arch{5, 4}, Params: params, Values: values, Timesteps: 100},                     // window too long
 		{Arch: snn.Arch{5, 4}, Params: params, Values: values, Regime: Regime{Consider: true}},     // ν < 1
+		{Arch: snn.Arch{5, 4}, Params: params, Values: fault.Values{ESFTheta: math.NaN(), HSFTheta: 0.9}},
+		{Arch: snn.Arch{5, 4}, Params: params, Values: fault.Values{ESFTheta: math.Inf(-1), HSFTheta: 0.9}},
+		{Arch: snn.Arch{5, 4}, Params: params, Values: fault.Values{ESFTheta: 0.1, HSFTheta: math.Inf(1)}},
+		{Arch: snn.Arch{5, 4}, Params: params, Values: fault.Values{ESFTheta: 0.1, HSFTheta: 0.9, SWFOmega: math.NaN()}},
 	}
 	for i, opt := range cases {
 		if _, err := NewGenerator(opt); err == nil {
 			t.Errorf("case %d: expected error for %+v", i, opt)
+		}
+	}
+}
+
+// TestAdjacentThresholdsCovered: fault thresholds one float away from θ
+// leave no float strictly between them and θ, so the rounded midpoint
+// ω_pt = (θ+θ̂)/2 lands on θ for the HSF θ̂ just above θ, where the good
+// target would stay as silent as the faulty one. The generator then drives
+// the target with θ̂ itself, and every fault is still detected.
+func TestAdjacentThresholdsCovered(t *testing.T) {
+	for _, arch := range smallArches {
+		for _, regime := range []Regime{NoVariation(), NegligibleVariation()} {
+			for _, reset := range []snn.ResetMode{snn.ResetZero, snn.ResetSubtract} {
+				params := snn.DefaultParams()
+				params.Reset = reset
+				values := fault.Values{
+					ESFTheta: math.Nextafter(params.Theta, math.Inf(-1)),
+					HSFTheta: math.Nextafter(params.Theta, math.Inf(1)),
+					SWFOmega: math.Nextafter(params.Theta, math.Inf(1)),
+				}
+				g, err := NewGenerator(Options{Arch: arch, Params: params, Values: values, Regime: regime})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, kind := range fault.Kinds() {
+					if missed := undetected(t, g.Generate(kind), values, fault.Universe(arch, kind)); len(missed) > 0 {
+						t.Errorf("%v %v %v %v: %d faults undetected, first %v", arch, regime, reset, kind, len(missed), missed[0])
+					}
+				}
+			}
 		}
 	}
 }
@@ -269,29 +299,24 @@ func TestPickAncillaries(t *testing.T) {
 	pickAncillaries(2, []int{0, 1}, 1)
 }
 
-// coverage fault-simulates universe against ts and returns how many faults
-// it detects.
-func coverage(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) int {
-	t.Helper()
-	n, err := faultsim.NewGolden(ts).NewEvaluator(values).Coverage(context.Background(), universe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
 // undetected fault-simulates universe against ts and returns the faults no
 // item detects.
 func undetected(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) []fault.Fault {
 	t.Helper()
-	det, err := faultsim.NewGolden(ts).NewEvaluator(values).DetectsBatch(context.Background(), universe)
+	g, err := faultsim.NewGolden(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := g.Detects(context.Background(), values, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var missed []fault.Fault
-	for i, d := range det {
-		if !d {
-			missed = append(missed, universe[i])
+	for i, f := range universe {
+		if det, ok := v.Detected(i); !ok {
+			t.Fatalf("%v got no verdict", f)
+		} else if !det {
+			missed = append(missed, f)
 		}
 	}
 	return missed

@@ -10,6 +10,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"neurotest/internal/snn"
@@ -102,9 +103,14 @@ func PaperValues(theta float64) Values {
 	}
 }
 
-// Validate checks the parameters against a threshold: ESF must lower it and
-// HSF must raise it.
+// Validate checks the parameters against a threshold: every strength must
+// be a finite number, ESF must lower the threshold and HSF must raise it.
 func (v Values) Validate(theta float64) error {
+	for _, x := range []float64{v.ESFTheta, v.HSFTheta, v.SWFOmega} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("fault: fault strengths must be finite, got θ̂ ESF %g, HSF %g and ω̂ %g", v.ESFTheta, v.HSFTheta, v.SWFOmega)
+		}
+	}
 	if v.ESFTheta >= theta {
 		return fmt.Errorf("fault: ESF θ̂ (%g) must be below θ (%g)", v.ESFTheta, theta)
 	}

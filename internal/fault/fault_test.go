@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"neurotest/internal/snn"
@@ -47,6 +48,16 @@ func TestPaperValues(t *testing.T) {
 	}
 	if err := (Values{ESFTheta: 0.1, HSFTheta: 0.4}).Validate(0.5); err == nil {
 		t.Errorf("HSF θ̂ below θ accepted")
+	}
+	// A threshold or weight of ±Inf or NaN is no physical value: NaN passes
+	// every comparison with θ, and the generator's tests cannot reach an
+	// infinite threshold.
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, bad := range []Values{{ESFTheta: x, HSFTheta: 0.9}, {ESFTheta: 0.1, HSFTheta: x}, {ESFTheta: 0.1, HSFTheta: 0.9, SWFOmega: x}} {
+			if err := bad.Validate(0.5); err == nil {
+				t.Errorf("%+v accepted", bad)
+			}
+		}
 	}
 }
 

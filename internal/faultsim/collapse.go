@@ -4,7 +4,7 @@
 // On one item, faultSite derives a synapse fault's faulty train from
 // exactly five things: the kind, the boundary, the post neuron, the
 // presynaptic neuron's golden train and the bits of the item's programmed
-// weight (ω̂ is fixed per evaluator). The memo key, the packed pass and the
+// weight (ω̂ is fixed per call). The memo key, the packed pass and the
 // verdict all follow from that train. So two synapse faults whose tuples
 // match on every item get the same verdict on every item. This is the
 // classic ATPG collapsing step, made exact per test set rather than
@@ -15,7 +15,7 @@
 // Neuron faults collapse only with exact duplicates of themselves. A fault
 // that is not a fault of the chip (fault.Fault.In: an unknown kind, or a
 // site outside the architecture) never joins a class, so it represents
-// itself, and a caller that checks the representatives checks every fault.
+// itself, and the drivers leave it out by checking representatives only.
 
 package faultsim
 
@@ -28,46 +28,42 @@ import (
 	"neurotest/internal/snn"
 )
 
-// Classes is an exact fault-equivalence partition of one fault list over
+// classes is an exact fault-equivalence partition of one fault list over
 // one Golden: every member of a class gets its representative's verdict on
 // every item.
-type Classes struct {
-	// Reps holds each class's representative, its first member, as an
+type classes struct {
+	// reps holds each class's representative, its first member, as an
 	// index into the fault list. Classes are numbered in first-seen order,
-	// so Reps is ascending.
-	Reps []int32
-	// Of maps each fault of the list to its class.
-	Of []int32
-	// size counts each class's members.
-	size []int32
+	// so reps is ascending.
+	reps []int32
+	// of maps each fault of the list to its class.
+	of []int32
+	// outside counts the faults that are not faults of the chip, each a
+	// class of its own.
+	outside int
 }
 
-// open starts a class represented by fault i and returns its number.
-func (c *Classes) open(i int) int32 {
-	c.Reps = append(c.Reps, int32(i))
-	c.size = append(c.size, 0)
-	return int32(len(c.Reps) - 1)
+// open starts a class represented by fault i, puts fault i into it and
+// returns its number.
+func (c *classes) open(i int) int32 {
+	c.reps = append(c.reps, int32(i))
+	k := int32(len(c.reps) - 1)
+	c.of[i] = k
+	return k
 }
 
-// join puts fault i into class k.
-func (c *Classes) join(i int, k int32) {
-	c.Of[i] = k
-	c.size[k]++
-}
-
-// members counts the faults whose classes are represented by the lanes of
-// idx (a packed group of representatives) set in lanes.
-func (c *Classes) members(idx []int, lanes uint64) int {
-	n := 0
-	for ; lanes != 0; lanes &= lanes - 1 {
-		n += int(c.size[c.Of[idx[bits.TrailingZeros64(lanes)]]])
+// inChip returns the representatives that are faults of arch: reps itself
+// when no fault of the list lies outside the chip.
+func (c *classes) inChip(faults []fault.Fault, arch snn.Arch) []int32 {
+	if c.outside == 0 {
+		return c.reps
 	}
-	return n
+	return slices.DeleteFunc(slices.Clone(c.reps), func(r int32) bool { return !faults[r].In(arch) })
 }
 
 // collapseIndex is the part of the synapse class key that depends on the
 // Golden alone. It is built once per Golden, on the first synapse fault a
-// Collapse call sees, so neuron-only campaigns never pay for it.
+// collapse call sees, so neuron-only campaigns never pay for it.
 type collapseIndex struct {
 	// w[b] holds each distinct boundary-b array of the item networks once,
 	// in first-use order: a weight compared on each of them is compared on
@@ -89,8 +85,8 @@ type collapseIndex struct {
 // collapseIndex returns the Golden's collapse index, building it on first
 // use.
 func (g *Golden) collapseIndex() *collapseIndex {
-	g.collapseOnce.Do(func() { g.collapse = newCollapseIndex(g) })
-	return g.collapse
+	g.indexOnce.Do(func() { g.index = newCollapseIndex(g) })
+	return g.index
 }
 
 func newCollapseIndex(g *Golden) *collapseIndex {
@@ -185,18 +181,18 @@ type lastClass struct {
 	kind   fault.Kind
 }
 
-// Collapse partitions faults into exact equivalence classes on g's items
+// collapse partitions faults into exact equivalence classes on g's items
 // (see the top of collapse.go). It costs expected O(1) per fault and
 // allocates only the class arrays, a per-(boundary, post) cache and a
 // table sized for up to 16,384 classes, which grows only past that.
-func (g *Golden) Collapse(faults []fault.Fault) Classes {
+func (g *Golden) collapse(faults []fault.Fault) classes {
 	arch := g.ts.Arch
 	// Most lists either collapse to a few hundred classes or hold at most
-	// a thousand distinct faults, so this capacity rarely grows. The three
+	// a thousand distinct faults, so this capacity rarely grows. The two
 	// class arrays share one allocation.
 	n, capacity := len(faults), min(len(faults), 1024)
-	buf := make([]int32, n+2*capacity)
-	c := Classes{Of: buf[:n:n], Reps: buf[n : n : n+capacity], size: buf[n+capacity : n+capacity]}
+	buf := make([]int32, n+capacity)
+	c := classes{of: buf[:n:n], reps: buf[n:n]}
 	var (
 		x *collapseIndex
 		// last[(boundary, post)] is the latest synapse class seen at that
@@ -211,7 +207,7 @@ func (g *Golden) Collapse(faults []fault.Fault) Classes {
 	t := idTable{hint: min(len(faults), 1<<14)}
 	// same reports whether fault f belongs to class k.
 	same := func(k int32, f *fault.Fault) bool {
-		r := &faults[c.Reps[k]]
+		r := &faults[c.reps[k]]
 		switch {
 		case r.Kind != f.Kind:
 			return false
@@ -233,15 +229,16 @@ func (g *Golden) Collapse(faults []fault.Fault) Classes {
 		var at *lastClass
 		switch {
 		case !f.In(arch):
+			c.outside++
 		case f.Kind.IsNeuronFault():
 			if key := neuronKey(f) + 1; ordered && key > prev {
 				prev = key
-				c.join(i, c.open(i))
+				c.open(i)
 				continue
 			}
 			if ordered {
 				ordered = false
-				for k, r := range c.Reps {
+				for k, r := range c.reps {
 					if rf := &faults[r]; rf.Kind.IsNeuronFault() && rf.In(arch) {
 						t.insert(neuronHash(rf), int32(k))
 					}
@@ -256,7 +253,7 @@ func (g *Golden) Collapse(faults []fault.Fault) Classes {
 			}
 			at = &last[x.postBase[s.Boundary]+s.Post]
 			if at.k != 0 && at.kind == f.Kind && x.sameSynapse(s.Boundary, int(at.pre), s.Pre, s.Post) {
-				c.join(i, at.k-1)
+				c.of[i] = at.k - 1
 				continue
 			}
 			h = x.hashSynapse(f.Kind, s)
@@ -274,15 +271,16 @@ func (g *Golden) Collapse(faults []fault.Fault) Classes {
 				}
 			}
 			if k < 0 {
-				t.put(s, h, int32(len(c.Reps)))
+				t.put(s, h, int32(len(c.reps)))
 			}
 		}
 		if k < 0 {
 			k = c.open(i)
+		} else {
+			c.of[i] = k
 		}
-		c.join(i, k)
 		if at != nil {
-			*at = lastClass{k: k + 1, pre: int32(faults[c.Reps[k]].Synapse.Pre), kind: f.Kind}
+			*at = lastClass{k: k + 1, pre: int32(faults[c.reps[k]].Synapse.Pre), kind: f.Kind}
 		}
 	}
 	return c

@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -50,19 +51,19 @@ func shuffled(faults []fault.Fault, seed uint64) []fault.Fault {
 }
 
 // assertCollapsedAgrees checks both collapsing drivers against the scalar
-// oracle, which runs on its own Golden: every DetectsBatch verdict and
-// every (fault, item) bit of DetectsMatrix.
+// oracle, which runs on its own Golden: every Detects verdict and every
+// (fault, item) bit of DetectsMatrix.
 func assertCollapsedAgrees(t *testing.T, ts *pattern.TestSet, values fault.Values, faults []fault.Fault) {
 	t.Helper()
-	oracle := newScalarOracle(NewGolden(ts).NewEvaluator(values))
-	e := NewGolden(ts).NewEvaluator(values)
-	got := detectsBatch(t, e, faults)
+	oracle := newScalarOracle(mustGolden(t, ts), values)
+	g := mustGolden(t, ts)
+	got := detects(t, g, values, faults)
 	for i, f := range faults {
 		if want := oracle.Detects(f); got[i] != want {
 			t.Fatalf("%v: collapsed=%v oracle=%v", f, got[i], want)
 		}
 	}
-	assertMatrixMatchesOracle(t, detectsMatrix(t, e, faults), oracle, faults)
+	assertMatrixMatchesOracle(t, detectsMatrix(t, g, values, faults), oracle, faults)
 }
 
 // TestCollapsedMatchesOracle is collapsing's differential test, on
@@ -90,7 +91,7 @@ func TestCollapsedMatchesOracle(t *testing.T) {
 			for _, ts := range []*pattern.TestSet{generated, uniform} {
 				for _, scheme := range []*quant.Scheme{nil, quantize4(t)} {
 					programmed := quant.Program(ts, scheme)
-					if n := len(NewGolden(programmed).Collapse(faults).Reps); n >= len(faults) {
+					if n := len(mustGolden(t, programmed).collapse(faults).reps); n >= len(faults) {
 						t.Fatalf("%v %s: %d classes for %d faults; the fixture must collapse", arch, ts.Name, n, len(faults))
 					}
 					for _, v := range []fault.Values{values, untargeted} {
@@ -129,12 +130,12 @@ func nearMissSuite(tweak func(cfgs []*snn.Network, pats []snn.Pattern)) *pattern
 
 // classOf returns the class of the synapse fault (kind, 0, pre, post) in a
 // collapse of faults.
-func classOf(t *testing.T, faults []fault.Fault, cls Classes, kind fault.Kind, pre, post int) int32 {
+func classOf(t *testing.T, faults []fault.Fault, cls classes, kind fault.Kind, pre, post int) int32 {
 	t.Helper()
 	want := fault.NewSynapseFault(kind, snn.SynapseID{Boundary: 0, Pre: pre, Post: post})
 	for i, f := range faults {
 		if f == want {
-			return cls.Of[i]
+			return cls.of[i]
 		}
 	}
 	t.Fatalf("%v not in the fault list", want)
@@ -174,7 +175,7 @@ func TestCollapseKeepsNearMissesApart(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := nearMissSuite(tc.tweak)
 			faults := fullUniverse(ts.Arch)
-			cls := NewGolden(ts).Collapse(faults)
+			cls := mustGolden(t, ts).collapse(faults)
 			for _, kind := range tc.kinds {
 				if classOf(t, faults, cls, kind, 0, tc.post) == classOf(t, faults, cls, kind, 1, tc.post) {
 					t.Errorf("%v: synapses 0 and 1 into post %d share a class", kind, tc.post)
@@ -196,31 +197,32 @@ func TestCollapseDuplicates(t *testing.T) {
 	ts, values := generatedSuite(t, arch, snn.ResetZero)
 	universe := fullUniverse(arch)
 	faults := append(append([]fault.Fault{}, universe...), universe...)
-	cls := NewGolden(ts).Collapse(faults)
+	g := mustGolden(t, ts)
+	cls := g.collapse(faults)
 	n := len(universe)
 	for i := range universe {
-		if cls.Of[i] != cls.Of[n+i] {
-			t.Fatalf("%v: copies in classes %d and %d", universe[i], cls.Of[i], cls.Of[n+i])
+		if cls.of[i] != cls.of[n+i] {
+			t.Fatalf("%v: copies in classes %d and %d", universe[i], cls.of[i], cls.of[n+i])
 		}
 	}
-	if len(cls.Reps) != len(NewGolden(ts).Collapse(universe).Reps) {
-		t.Errorf("duplicates opened classes: %d for the doubled list", len(cls.Reps))
+	if len(cls.reps) != len(g.collapse(universe).reps) {
+		t.Errorf("duplicates opened classes: %d for the doubled list", len(cls.reps))
 	}
 	stray := universe[0]
 	stray.Synapse.Post = 1
-	if c := NewGolden(ts).Collapse([]fault.Fault{universe[0], stray, universe[0]}); c.Of[0] == c.Of[1] || c.Of[0] != c.Of[2] {
-		t.Errorf("%v and its copy with a stray synapse field: classes %v, want the copy alone", universe[0], c.Of)
+	if c := g.collapse([]fault.Fault{universe[0], stray, universe[0]}); c.of[0] == c.of[1] || c.of[0] != c.of[2] {
+		t.Errorf("%v and its copy with a stray synapse field: classes %v, want the copy alone", universe[0], c.of)
 	}
 	members := make(map[int32][]fault.Fault)
 	for i := range universe {
-		members[cls.Of[i]] = append(members[cls.Of[i]], universe[i])
+		members[cls.of[i]] = append(members[cls.of[i]], universe[i])
 	}
 	for _, m := range members {
 		if m[0].Kind.IsNeuronFault() && len(m) > 1 {
 			t.Errorf("distinct neuron faults share a class: %v", m)
 		}
 	}
-	got := detectsBatch(t, NewGolden(ts).NewEvaluator(values), faults)
+	got := detects(t, mustGolden(t, ts), values, faults)
 	for i := range universe {
 		if got[i] != got[n+i] {
 			t.Errorf("%v: copies got %v and %v", universe[i], got[i], got[n+i])
@@ -232,17 +234,17 @@ func TestCollapseDuplicates(t *testing.T) {
 // partition labels each fault of a duplicate-free list with its class's
 // smallest member under order, so two collapses of the same faults agree
 // on every label exactly when they are the same partition.
-func partition(faults []fault.Fault, cls Classes, order map[fault.Fault]int) map[fault.Fault]int {
-	low := make([]int, len(cls.Reps))
+func partition(faults []fault.Fault, cls classes, order map[fault.Fault]int) map[fault.Fault]int {
+	low := make([]int, len(cls.reps))
 	for k := range low {
 		low[k] = math.MaxInt
 	}
 	for i, f := range faults {
-		low[cls.Of[i]] = min(low[cls.Of[i]], order[f])
+		low[cls.of[i]] = min(low[cls.of[i]], order[f])
 	}
 	out := make(map[fault.Fault]int, len(faults))
 	for i, f := range faults {
-		out[f] = low[cls.Of[i]]
+		out[f] = low[cls.of[i]]
 	}
 	return out
 }
@@ -304,11 +306,11 @@ func TestCollapsePartitionInvariant(t *testing.T) {
 		for i, f := range universe {
 			order[f] = i
 		}
-		want := partition(universe, NewGolden(ts).Collapse(universe), order)
+		want := partition(universe, mustGolden(t, ts).collapse(universe), order)
 
 		for seed := uint64(0); seed < 3; seed++ {
 			faults := shuffled(universe, seed)
-			got := partition(faults, NewGolden(ts).Collapse(faults), order)
+			got := partition(faults, mustGolden(t, ts).collapse(faults), order)
 			for _, f := range universe {
 				if got[f] != want[f] {
 					t.Fatalf("%v seed %d: %v labelled %d, want %d", arch, seed, f, got[f], want[f])
@@ -327,7 +329,7 @@ func TestCollapsePartitionInvariant(t *testing.T) {
 				permuted[i] = moved(f)
 				porder[permuted[i]] = i
 			}
-			got := partition(permuted, NewGolden(pts).Collapse(permuted), porder)
+			got := partition(permuted, mustGolden(t, pts).collapse(permuted), porder)
 			for _, f := range universe {
 				if got[moved(f)] != want[f] {
 					t.Fatalf("%v: permuting layer %d relabelled %v's class to %d, want %d", arch, k, f, got[moved(f)], want[f])
@@ -356,7 +358,7 @@ func TestCollapsePaperModels(t *testing.T) {
 		}
 		for _, kind := range []fault.Kind{fault.SWF, fault.SASF} {
 			universe := fault.Universe(tc.arch, kind)
-			if n := len(NewGolden(gen.Generate(kind)).Collapse(universe).Reps); n != tc.classes {
+			if n := len(mustGolden(t, gen.Generate(kind)).collapse(universe).reps); n != tc.classes {
 				t.Errorf("%v %v: %d classes for %d faults, want %d", tc.arch, kind, n, len(universe), tc.classes)
 			}
 		}
@@ -368,7 +370,7 @@ func TestCollapsePaperModels(t *testing.T) {
 		for _, kind := range fault.NeuronKinds() {
 			neurons = append(neurons, fault.Universe(tc.arch, kind)...)
 		}
-		if n := len(NewGolden(merged).Collapse(neurons).Reps); len(neurons) != 894 || n != 894 {
+		if n := len(mustGolden(t, merged).collapse(neurons).reps); len(neurons) != 894 || n != 894 {
 			t.Errorf("%v neuron faults: %d classes for %d faults, want 894 of 894", tc.arch, n, len(neurons))
 		}
 	}
@@ -388,87 +390,101 @@ func TestCollapseSingletonsOutOfRange(t *testing.T) {
 		{Kind: fault.Kind(42)},
 	}
 	faults := append(append(append([]fault.Fault{}, bogus...), universe...), bogus...)
-	cls := NewGolden(ts).Collapse(faults)
+	g := mustGolden(t, ts)
+	cls := g.collapse(faults)
 	size := make(map[int32]int)
-	for _, k := range cls.Of {
+	for _, k := range cls.of {
 		size[k]++
 	}
 	for i, f := range faults {
 		valid := i >= len(bogus) && i < len(bogus)+len(universe)
-		if !valid && size[cls.Of[i]] != 1 {
-			t.Errorf("%v at %d shares class %d with %d faults", f, i, cls.Of[i], size[cls.Of[i]])
+		if !valid && size[cls.of[i]] != 1 {
+			t.Errorf("%v at %d shares class %d with %d faults", f, i, cls.of[i], size[cls.of[i]])
 		}
 	}
-	if want := len(NewGolden(ts).Collapse(universe).Reps) + 2*len(bogus); len(cls.Reps) != want {
-		t.Errorf("%d classes, want %d", len(cls.Reps), want)
+	if want := len(g.collapse(universe).reps) + 2*len(bogus); len(cls.reps) != want || cls.outside != 2*len(bogus) {
+		t.Errorf("%d classes with %d outside the chip, want %d with %d", len(cls.reps), cls.outside, want, 2*len(bogus))
 	}
 }
 
-// TestCollapseConcurrentFirstUse races Collapse calls on a fresh Golden,
+// TestCollapseConcurrentFirstUse races collapse calls on a fresh Golden,
 // so the lazily built collapse index is first needed by several goroutines
-// at once (the coverage pool's shape). Every call must return the serial
-// partition; under -race this also gates the index's one-time build.
+// at once (the shape of concurrent campaigns on one ATE). Every call must
+// return the serial partition; under -race this also gates the index's
+// one-time build.
 func TestCollapseConcurrentFirstUse(t *testing.T) {
 	arch := snn.Arch{7, 5, 3, 2}
 	ts, _ := generatedSuite(t, arch, snn.ResetZero)
 	faults := shuffled(fullUniverse(arch), 5)
-	want := NewGolden(ts).Collapse(faults)
+	want := mustGolden(t, ts).collapse(faults)
 
-	g := NewGolden(ts)
+	g := mustGolden(t, ts)
 	const workers = 4
-	got := make([]Classes, workers)
+	got := make([]classes, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			got[w] = g.Collapse(faults)
+			got[w] = g.collapse(faults)
 		}(w)
 	}
 	wg.Wait()
 	for w, c := range got {
-		if !slices.Equal(c.Reps, want.Reps) || !slices.Equal(c.Of, want.Of) {
+		if !slices.Equal(c.reps, want.reps) || !slices.Equal(c.of, want.of) {
 			t.Errorf("worker %d: partition differs from the serial collapse", w)
 		}
 	}
 }
 
 // TestCollapseAccounting pins the obs contract of collapsing drivers (see
-// flushObsN): faults simulated counts every input fault, fault classes one
-// per representative, and memo traffic is exactly that of a call over the
-// representatives alone — members add none.
+// flush): faults simulated counts every input fault, fault classes one per
+// representative, and memo traffic is that of a call over the
+// representatives alone — members add none. DetectsMatrix splits by item,
+// so its memo hits and misses match at any worker count. Detects' groups
+// share the memo, so its split is pinned at one worker, and only the sum
+// of hits and misses at several.
 func TestCollapseAccounting(t *testing.T) {
 	arch := snn.Arch{7, 5, 3, 2}
 	ts, values := generatedSuite(t, arch, snn.ResetZero)
 	faults := shuffled(fullUniverse(arch), 9)
-	cls := NewGolden(ts).Collapse(faults)
-	reps := make([]fault.Fault, len(cls.Reps))
-	for k, i := range cls.Reps {
+	cls := mustGolden(t, ts).collapse(faults)
+	reps := make([]fault.Fault, len(cls.reps))
+	for k, i := range cls.reps {
 		reps[k] = faults[i]
 	}
 	if len(reps) >= len(faults) {
 		t.Fatalf("fixture broken: %d faults form %d classes", len(faults), len(reps))
 	}
 	for _, driver := range []struct {
-		name string
-		run  func(e *Evaluator, faults []fault.Fault)
+		name  string
+		run   func(g *Golden, faults []fault.Fault)
+		procs []int // GOMAXPROCS values at which the memo split must match exactly
 	}{
-		{"DetectsBatch", func(e *Evaluator, faults []fault.Fault) { detectsBatch(t, e, faults) }},
-		{"DetectsMatrix", func(e *Evaluator, faults []fault.Fault) { detectsMatrix(t, e, faults) }},
+		{"Detects", func(g *Golden, faults []fault.Fault) { detects(t, g, values, faults) }, []int{1}},
+		{"DetectsMatrix", func(g *Golden, faults []fault.Fault) { detectsMatrix(t, g, values, faults) }, []int{1, 4}},
 	} {
-		before := Snapshot()
-		driver.run(NewGolden(ts).NewEvaluator(values), faults)
-		all := statsDelta(Snapshot(), before)
-		before = Snapshot()
-		driver.run(NewGolden(ts).NewEvaluator(values), reps)
-		alone := statsDelta(Snapshot(), before)
-		if all.FaultsSimulated != int64(len(faults)) || all.Classes != int64(len(reps)) {
-			t.Errorf("%s: %d faults in %d classes, want %d in %d",
-				driver.name, all.FaultsSimulated, all.Classes, len(faults), len(reps))
-		}
-		if all.MemoHits != alone.MemoHits || all.MemoMisses != alone.MemoMisses {
-			t.Errorf("%s: memo hits=%d misses=%d; representatives alone hits=%d misses=%d",
-				driver.name, all.MemoHits, all.MemoMisses, alone.MemoHits, alone.MemoMisses)
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			before := Snapshot()
+			driver.run(mustGolden(t, ts), faults)
+			all := statsDelta(Snapshot(), before)
+			before = Snapshot()
+			driver.run(mustGolden(t, ts), reps)
+			alone := statsDelta(Snapshot(), before)
+			runtime.GOMAXPROCS(prev)
+			if all.FaultsSimulated != int64(len(faults)) || all.Classes != int64(len(reps)) {
+				t.Errorf("%s at %d procs: %d faults in %d classes, want %d in %d",
+					driver.name, procs, all.FaultsSimulated, all.Classes, len(faults), len(reps))
+			}
+			if all.MemoHits+all.MemoMisses != alone.MemoHits+alone.MemoMisses {
+				t.Errorf("%s at %d procs: %d memo lookups; representatives alone %d",
+					driver.name, procs, all.MemoHits+all.MemoMisses, alone.MemoHits+alone.MemoMisses)
+			}
+			if slices.Contains(driver.procs, procs) && (all.MemoHits != alone.MemoHits || all.MemoMisses != alone.MemoMisses) {
+				t.Errorf("%s at %d procs: memo hits=%d misses=%d; representatives alone hits=%d misses=%d",
+					driver.name, procs, all.MemoHits, all.MemoMisses, alone.MemoHits, alone.MemoMisses)
+			}
 		}
 	}
 }

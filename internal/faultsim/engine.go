@@ -26,29 +26,27 @@
 // The result is an exact, bit-identical replacement for brute-force
 // simulation (asserted by tests) at a tiny fraction of the cost.
 //
-// The work splits across two types so parallel campaigns never repeat it:
+// Golden holds everything derived from the test set alone — the
+// configurations as given, per-item activity traces, golden results, the
+// downstream memo and the collapse index (interned presynaptic trains and
+// the distinct boundary arrays, built on first use). NewGolden validates the
+// test set and builds it once per test program; the tester's ATE keeps one,
+// which every campaign on the program reads. It is immutable except for the
+// memo (sharded per item, mutex-guarded) and the once-built collapse index,
+// and is safe for any number of concurrent readers.
 //
-//   - Golden holds everything derived from the test set alone — the
-//     configurations as given, per-item activity traces, golden results, the
-//     downstream memo and the collapse index (interned presynaptic trains
-//     and the distinct boundary arrays, built on first use). It is built once
-//     per test program, by the tester's ATE, which every campaign on the
-//     program reads; it is immutable except for the memo (sharded per item,
-//     mutex-guarded) and the once-built collapse index, and is safe for any
-//     number of concurrent readers.
-//   - Evaluator holds the per-goroutine scratch buffers one fault
-//     evaluation needs. Evaluators are cheap (a handful of slices), so a
-//     worker pool builds one per slot and discards it freely without
-//     losing the goldens or the memo.
-//
-// Evaluation runs on one kernel, the bit-parallel packed kernel of
-// packed.go, with two drivers: DetectsBatch (per-fault verdicts with
-// cross-item early exit, behind the tester's coverage campaigns, which
-// neurotest coverage, the experiments and neurotestd run) and DetectsMatrix
-// (the full fault × item detection matrix behind the tester's
-// ATE.DetectsMatrix, which dictionaries, compaction and greedy selection
-// read). Both collapse their input first. The fault-at-a-time scalar
-// kernel survives only as the differential test oracle.
+// A fault campaign is one call on the Golden, with one kernel, the
+// bit-parallel packed kernel of packed.go, and two drivers (driver.go):
+// Detects (one verdict per fault class, with cross-item early exit, behind
+// the tester's coverage campaigns, which neurotest coverage, the
+// experiments and neurotestd run) and DetectsMatrix (the full fault × item
+// detection matrix behind the tester's ATE.DetectsMatrix, which
+// dictionaries, compaction and greedy selection read). Each collapses its
+// list once, packs the representatives, runs them on the worker pool with
+// one evaluator (per-slot kernel scratch) per slot, broadcasts every
+// class's verdict to its members and flushes the obs counters once. The
+// fault-at-a-time scalar kernel survives only as the differential test
+// oracle.
 package faultsim
 
 import (
@@ -124,37 +122,40 @@ func (ic *goldenItem) enter(k, j, t int) float64 {
 	return snn.Reset(v, p.Theta, p.Reset == snn.ResetSubtract)
 }
 
-// Golden is the shared, read-mostly half of the incremental fault
+// Golden is the shared, read-mostly state of the incremental fault
 // simulator: the test set's configurations as given, per-item golden
 // traces and results, and the sharded downstream memo. Build it once per
-// campaign with NewGolden, then hand each worker its own Evaluator.
+// test program with NewGolden, then run any number of campaigns on it.
 type Golden struct {
 	ts    *pattern.TestSet
 	items []goldenItem
 	// groups counts the layer-1 input sums the build added up, one per
 	// item group (pattern.TestSet.InputGroups).
 	groups int
-	// collapse is the Golden-derived part of fault collapsing (collapse.go),
-	// built on first use under collapseOnce.
-	collapseOnce sync.Once
-	collapse     *collapseIndex
+	// index is the Golden-derived part of fault collapsing (collapse.go),
+	// built on first use under indexOnce.
+	indexOnce sync.Once
+	index     *collapseIndex
 }
 
-// NewGolden runs and caches the good-chip simulation of every item in ts,
-// reading ts.Configs as given: a quantized design is simulated by handing
-// in the test set as programmed (quant.Program). Items that drive the same
-// layer-1 input (pattern.TestSet.InputGroups: equal patterns over
-// bit-identical boundary-0 weights) share its sum: the build adds up each
-// group's sum once, one pool task per group, then traces every item from
-// its group's sum (snn.Simulator.RunInputTrace), one pool task per item,
-// bit for bit the trace RunTrace records. The items are kept in ts.Items
-// order. The returned Golden is safe for concurrent use by any number of
-// Evaluators.
+// NewGolden validates ts (pattern.TestSet.Validate) and runs and caches the
+// good-chip simulation of every item, reading ts.Configs as given: a
+// quantized design is simulated by handing in the test set as programmed
+// (quant.Program). A test set that fails validation is returned as the
+// error, before anything is simulated. Items that drive the same layer-1
+// input (pattern.TestSet.InputGroups: equal patterns over bit-identical
+// boundary-0 weights) share its sum: the build adds up each group's sum
+// once, one pool task per group, then traces every item from its group's
+// sum (snn.Simulator.RunInputTrace), one pool task per item, bit for bit
+// the trace RunTrace records. The items are kept in ts.Items order. The
+// returned Golden is safe for concurrent use by any number of campaigns.
 //
-// A panic while tracing an item (a pattern of the wrong width, say) is
-// re-raised on the caller's goroutine. The build takes no context: a
-// Golden shared by several campaigns must not be cut short by one of them.
-func NewGolden(ts *pattern.TestSet) *Golden {
+// The build takes no context: a Golden shared by several campaigns must
+// not be cut short by one of them.
+func NewGolden(ts *pattern.TestSet) (*Golden, error) {
+	if err := ts.Validate(); err != nil {
+		return nil, err
+	}
 	ensureObs()
 	timer := obs.StartTimer()
 	defer func() { timer.ObserveElapsed(engineBuilds) }()
@@ -181,7 +182,7 @@ func NewGolden(ts *pattern.TestSet) *Golden {
 			memo:   memoShard{m: make(map[memoKey]bool)},
 		}
 	})
-	return &Golden{ts: ts, items: items, groups: len(first)}
+	return &Golden{ts: ts, items: items, groups: len(first)}, nil
 }
 
 // Result returns the golden (good-chip) observable output of item i. The
@@ -189,46 +190,31 @@ func NewGolden(ts *pattern.TestSet) *Golden {
 // second, identical simulation of each item.
 func (g *Golden) Result(i int) snn.Result { return g.items[i].golden }
 
-// Evaluator evaluates faults against a shared Golden. It holds only the
-// scratch buffers of one in-flight evaluation, so it is cheap to build and
-// to throw away, but — unlike the Golden it reads — it must stay confined
-// to a single goroutine.
-type Evaluator struct {
+// evaluator is one pool slot's scratch for evaluating faults against a
+// Golden: the buffers of one in-flight evaluation and the slot's memo
+// statistics. It is cheap to build and to throw away, but — unlike the
+// Golden it reads — it must stay confined to a single goroutine.
+type evaluator struct {
 	g      *Golden
 	values fault.Values
 	// delta is faultSite's per-timestep input-delta scratch.
 	delta []float64
 	// ps is the packed kernel's scratch (see packed.go).
 	ps packedScratch
-	// evaluator-local memo statistics, flushed to the obs counters once per
-	// call (evaluators are single-goroutine worker scratch, so plain ints
+	// slot-local memo statistics, flushed to the obs counters once per
+	// driver call (evaluators are single-goroutine scratch, so plain ints
 	// suffice on the hot path)
 	pendingMemoHits   int
 	pendingMemoMisses int
 }
 
-// NewEvaluator returns a fresh evaluator over g. values parameterizes the
+// newEvaluator returns a fresh evaluator over g. values parameterizes the
 // fault models (θ̂, ω̂); the golden traces and the memo are independent of
-// them, so evaluators with different values may share one Golden.
-func (g *Golden) NewEvaluator(values fault.Values) *Evaluator {
-	e := &Evaluator{g: g, values: values, delta: make([]float64, snn.MaxTimesteps)}
+// them, so campaigns with different values may share one Golden.
+func (g *Golden) newEvaluator(values fault.Values) *evaluator {
+	e := &evaluator{g: g, values: values, delta: make([]float64, snn.MaxTimesteps)}
 	e.ps.init(g.ts.Arch)
 	return e
-}
-
-// Coverage returns how many of the given faults the test set detects. On
-// cancellation it returns (0, ctx.Err()).
-//
-//lint:ignore dead-code coverage oracle of the neurotest, baseline, compact, core and faultsim tests
-func (e *Evaluator) Coverage(ctx context.Context, faults []fault.Fault) (int, error) {
-	det, err := e.DetectsBatch(ctx, faults)
-	n := 0
-	for _, d := range det {
-		if d {
-			n++
-		}
-	}
-	return n, err
 }
 
 // faultSite resolves a fault against one cached item: the deviating
@@ -237,10 +223,10 @@ func (e *Evaluator) Coverage(ctx context.Context, faults []fault.Fault) (int, er
 // stuck-at-programmed-value weights, always-on zero weights) — the caller
 // must report it undetected without touching the trace. This is the one
 // semantic definition of the five fault models; the packed kernel and the
-// test-only scalar oracle both go through it. Collapse's synapse class
+// test-only scalar oracle both go through it. collapse's synapse class
 // key (collapse.go) is exactly what this function reads of a synapse fault
 // and an item, so any new input here must join that key.
-func (e *Evaluator) faultSite(ic *goldenItem, f fault.Fault) (layer, index int, faultyTrain uint64, ok bool) {
+func (e *evaluator) faultSite(ic *goldenItem, f fault.Fault) (layer, index int, faultyTrain uint64, ok bool) {
 	T := ic.item.Timesteps
 
 	switch f.Kind {
@@ -302,7 +288,7 @@ func (e *Evaluator) faultSite(ic *goldenItem, f fault.Fault) (layer, index int, 
 // reintegrate recomputes the spike train of neuron (layer, index) from the
 // recorded weighted input sums, with an optional per-timestep input delta
 // and the given threshold. Cost is O(T).
-func (e *Evaluator) reintegrate(ic *goldenItem, layer, index int, theta float64, delta []float64) uint64 {
+func (e *evaluator) reintegrate(ic *goldenItem, layer, index int, theta float64, delta []float64) uint64 {
 	T := ic.item.Timesteps
 	width := e.g.ts.Arch[layer]
 	leak := ic.net.Params.Leak

@@ -69,10 +69,10 @@ func TestBruteForceEquivalence(t *testing.T) {
 	}
 	for ai, arch := range arches {
 		ts := randomTestSet(arch, 3, 4, uint64(100+ai))
-		eng := NewGolden(ts).NewEvaluator(values)
+		g := mustGolden(t, ts)
 		for _, kind := range fault.Kinds() {
 			universe := fault.Universe(arch, kind)
-			for i, got := range detectsBatch(t, eng, universe) {
+			for i, got := range detects(t, g, values, universe) {
 				if want := bruteForce(ts, values, universe[i]); got != want {
 					t.Errorf("%v %v: engine=%v brute=%v", arch, universe[i], got, want)
 				}
@@ -88,10 +88,10 @@ func TestBruteForceEquivalenceQuick(t *testing.T) {
 	arch := snn.Arch{4, 3, 3, 2}
 	f := func(seed uint64) bool {
 		ts := randomTestSet(arch, 2, 3, seed)
-		eng := NewGolden(ts).NewEvaluator(values)
+		g := mustGolden(t, ts)
 		for _, kind := range fault.Kinds() {
 			universe := fault.Universe(arch, kind)
-			for i, got := range detectsBatch(t, eng, universe) {
+			for i, got := range detects(t, g, values, universe) {
 				if got != bruteForce(ts, values, universe[i]) {
 					return false
 				}
@@ -111,8 +111,8 @@ func TestDetectingItemOrder(t *testing.T) {
 	arch := snn.Arch{4, 3, 2}
 	ts := randomTestSet(arch, 3, 3, 7)
 	universe := fault.Universe(arch, SWFKindForTest())
-	rows := detectsMatrix(t, NewGolden(ts).NewEvaluator(values), universe)
-	oracle := newScalarOracle(NewGolden(ts).NewEvaluator(values))
+	rows := detectsMatrix(t, mustGolden(t, ts), values, universe)
+	oracle := newScalarOracle(mustGolden(t, ts), values)
 	for fi, f := range universe {
 		first := -1
 		for i := range ts.Items {
@@ -141,7 +141,7 @@ func TestStuckAtProgrammedValueUndetectable(t *testing.T) {
 	ci := ts.AddConfig(cfg)
 	ts.AddItem(pattern.Item{Label: "p", ConfigIndex: ci, Pattern: snn.OnesPattern(2), Timesteps: 3, Repeat: 1})
 	universe := fault.Universe(arch, fault.SWF)
-	for i, det := range detectsBatch(t, NewGolden(ts).NewEvaluator(values), universe) {
+	for i, det := range detects(t, mustGolden(t, ts), values, universe) {
 		if det {
 			t.Errorf("%v detected despite no behavioural change", universe[i])
 		}
@@ -157,7 +157,7 @@ func TestZeroWeightSASFUndetectable(t *testing.T) {
 	ci := ts.AddConfig(cfg)
 	ts.AddItem(pattern.Item{Label: "p", ConfigIndex: ci, Pattern: snn.OnesPattern(2), Timesteps: 3, Repeat: 1})
 	universe := fault.Universe(arch, fault.SASF)
-	for i, det := range detectsBatch(t, NewGolden(ts).NewEvaluator(values), universe) {
+	for i, det := range detects(t, mustGolden(t, ts), values, universe) {
 		if det {
 			t.Errorf("%v detected despite zero weight", universe[i])
 		}
@@ -168,18 +168,23 @@ func TestUndetectedAndCoverage(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{3, 2, 2}
 	ts := randomTestSet(arch, 2, 3, 5)
-	eng := NewGolden(ts).NewEvaluator(values)
+	g := mustGolden(t, ts)
 	universe := fault.Universe(arch, fault.SWF)
-	ctx := context.Background()
-	missed := undetected(t, eng, universe)
-	got, err := eng.Coverage(ctx, universe)
+	missed := undetected(t, g, values, universe)
+	v, err := g.Detects(context.Background(), values, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != len(universe)-len(missed) {
-		t.Errorf("Coverage = %d, universe %d, missed %d", got, len(universe), len(missed))
+	got := 0
+	for i := range universe {
+		if det, _ := v.Detected(i); det {
+			got++
+		}
 	}
-	oracle := newScalarOracle(eng)
+	if got != len(universe)-len(missed) || len(missed) == 0 {
+		t.Errorf("%d detected, universe %d, missed %d", got, len(universe), len(missed))
+	}
+	oracle := newScalarOracle(g, values)
 	for _, f := range missed {
 		if oracle.Detects(f) {
 			t.Errorf("%v both missed and detected", f)
@@ -201,9 +206,9 @@ func TestTransformAppliesToConfigs(t *testing.T) {
 		zeroed.Configs[i] = cfg.Clone()
 		zeroed.Configs[i].Fill(0)
 	}
-	eng := NewGolden(&zeroed).NewEvaluator(values)
+	g := mustGolden(t, &zeroed)
 	swf := fault.Universe(arch, fault.SWF)
-	swfDet := detectsBatch(t, eng, swf)
+	swfDet := detects(t, g, values, swf)
 	for i, f := range swf {
 		// SWF: weight stuck at ω̂=1 from zero → detectable only via firing
 		// chain; charge of 1 > θ on first hop, but propagation weights are
@@ -216,7 +221,7 @@ func TestTransformAppliesToConfigs(t *testing.T) {
 		}
 	}
 	nasf := fault.Universe(arch, fault.NASF)
-	for i, got := range detectsBatch(t, eng, nasf) {
+	for i, got := range detects(t, g, values, nasf) {
 		f := nasf[i]
 		want := f.Neuron.Layer == len(arch)-1 // only output-layer NASF observable
 		if got != want {
@@ -233,9 +238,9 @@ func TestMatrixShape(t *testing.T) {
 	arch := snn.Arch{3, 3, 2}
 	ts := randomTestSet(arch, 5, 14, 1) // 70 items: two words per row
 	universe := fullUniverse(arch)
-	rows := detectsMatrix(t, NewGolden(ts).NewEvaluator(values), universe)
-	assertMatrixMatchesOracle(t, rows, newScalarOracle(NewGolden(ts).NewEvaluator(values)), universe)
-	if rows, err := NewGolden(ts).NewEvaluator(values).DetectsMatrix(context.Background(), nil); err != nil || len(rows) != 0 {
+	rows := detectsMatrix(t, mustGolden(t, ts), values, universe)
+	assertMatrixMatchesOracle(t, rows, newScalarOracle(mustGolden(t, ts), values), universe)
+	if rows, err := mustGolden(t, ts).DetectsMatrix(context.Background(), values, nil); err != nil || len(rows) != 0 {
 		t.Errorf("empty universe: %d rows, err %v", len(rows), err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -28,47 +29,41 @@ func statsDelta(after, before Stats) Stats {
 	}
 }
 
-// TestMatrixFlushesObs pins the matrix accounting (see flushObsN): one
-// DetectsMatrix call flushes once, counts every fault exactly once however
-// many items it ran on, leaves no pending memo statistics, and over a
-// one-item set publishes exactly the memo traffic of a coverage call.
+// TestMatrixFlushesObs pins the matrix accounting (see flush): one
+// DetectsMatrix call counts every fault exactly once however many items it
+// ran on, and over a one-item set publishes exactly the memo traffic of a
+// Detects call at one worker, where both run the groups in order on that
+// item.
 func TestMatrixFlushesObs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{4, 3, 2}
 	universe := fault.Universe(arch, fault.SWF)
 
-	multi := NewGolden(randomTestSet(arch, 2, 3, 11)).NewEvaluator(values)
+	multi := mustGolden(t, randomTestSet(arch, 2, 3, 11))
 	before := Snapshot()
-	detectsMatrix(t, multi, universe)
+	detectsMatrix(t, multi, values, universe)
 	if d := statsDelta(Snapshot(), before); d.FaultsSimulated != int64(len(universe)) {
 		t.Errorf("faults simulated = %d over 6 items, want %d (one per fault)", d.FaultsSimulated, len(universe))
 	}
 
 	ts := randomTestSet(arch, 1, 1, 11)
-	e1 := NewGolden(ts).NewEvaluator(values)
 	before = Snapshot()
-	detectsMatrix(t, e1, universe)
+	detectsMatrix(t, mustGolden(t, ts), values, universe)
 	matrix := statsDelta(Snapshot(), before)
-	if e1.pendingMemoHits != 0 || e1.pendingMemoMisses != 0 {
-		t.Errorf("pending stats not flushed: hits=%d misses=%d",
-			e1.pendingMemoHits, e1.pendingMemoMisses)
-	}
 	if matrix.FaultsSimulated != int64(len(universe)) {
 		t.Errorf("faults simulated = %d, want %d (one per fault)",
 			matrix.FaultsSimulated, len(universe))
 	}
 
-	// The same workload through the coverage driver on a fresh Golden: with
-	// a single item the two drivers do identical work, so the published
-	// memo statistics must agree.
-	e2 := NewGolden(ts).NewEvaluator(values)
+	// The same workload through Detects on a fresh Golden: with a single
+	// item the two drivers do identical work, so the published memo
+	// statistics must agree.
 	before = Snapshot()
-	if _, err := e2.Coverage(context.Background(), universe); err != nil {
-		t.Fatal(err)
-	}
+	detects(t, mustGolden(t, ts), values, universe)
 	cov := statsDelta(Snapshot(), before)
 	if matrix.MemoHits != cov.MemoHits || matrix.MemoMisses != cov.MemoMisses {
-		t.Errorf("DetectsMatrix published hits=%d misses=%d; Coverage published hits=%d misses=%d",
+		t.Errorf("DetectsMatrix published hits=%d misses=%d; Detects published hits=%d misses=%d",
 			matrix.MemoHits, matrix.MemoMisses, cov.MemoHits, cov.MemoMisses)
 	}
 	if matrix.FaultsSimulated != cov.FaultsSimulated {
@@ -76,20 +71,51 @@ func TestMatrixFlushesObs(t *testing.T) {
 	}
 }
 
-// TestMatrixPanicOnCaller: a fault whose evaluation panics (a synapse
-// site outside the architecture) re-panics on the caller's goroutine, where
-// a deferred recover catches it, although the items run on the pool.
-func TestMatrixPanicOnCaller(t *testing.T) {
+// TestDriversSkipFaultsOutsideChip: a fault that is not a fault of the
+// chip (fault.Fault.In) — a site outside the architecture, an unknown kind
+// — is never simulated. Detects gives it no verdict and DetectsMatrix no
+// row, while the faults around it get the verdicts and rows they get
+// without it, and faults simulated counts them alone.
+func TestDriversSkipFaultsOutsideChip(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	ts, values := generatedSuite(t, arch, snn.ResetZero)
-	bogus := fault.Fault{Kind: fault.SWF, Synapse: snn.SynapseID{Boundary: 0, Pre: 99, Post: 0}}
-	faults := append(fault.Universe(arch, fault.SWF), bogus)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DetectsMatrix over an out-of-architecture site returned instead of panicking")
+	universe := fault.Universe(arch, fault.SWF)
+	bogus := []fault.Fault{
+		{Kind: fault.SWF, Synapse: snn.SynapseID{Boundary: 0, Pre: 99, Post: 0}},
+		{Kind: fault.NASF, Neuron: snn.NeuronID{Layer: 1, Index: 5}},
+		{Kind: fault.Kind(42)},
+	}
+	faults := append(append(append([]fault.Fault{}, bogus[:1]...), universe...), bogus[1:]...)
+	want := detects(t, mustGolden(t, ts), values, universe)
+	wantRows := detectsMatrix(t, mustGolden(t, ts), values, universe)
+
+	g := mustGolden(t, ts)
+	before := Snapshot()
+	v, err := g.Detects(context.Background(), values, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := statsDelta(Snapshot(), before); d.FaultsSimulated != int64(len(universe)) {
+		t.Errorf("Detects: faults simulated = %d, want the %d faults of the chip", d.FaultsSimulated, len(universe))
+	}
+	if v.Classes() != len(g.collapse(universe).reps)+len(bogus) {
+		t.Errorf("Detects: %d classes, want each fault outside the chip as its own", v.Classes())
+	}
+	before = Snapshot()
+	rows := detectsMatrix(t, g, values, faults)
+	if d := statsDelta(Snapshot(), before); d.FaultsSimulated != int64(len(universe)) {
+		t.Errorf("DetectsMatrix: faults simulated = %d, want the %d faults of the chip", d.FaultsSimulated, len(universe))
+	}
+	for i, f := range faults {
+		det, ok := v.Detected(i)
+		if k := i - 1; f.In(arch) {
+			if !ok || det != want[k] || !slices.Equal(rows[i], wantRows[k]) {
+				t.Errorf("%v: verdict (%v, %v), row %x; alone (%v, true), row %x", f, det, ok, rows[i], want[k], wantRows[k])
+			}
+		} else if ok || rows[i] != nil {
+			t.Errorf("%v outside the chip: verdict (%v, %v), row %x", f, det, ok, rows[i])
 		}
-	}()
-	detectsMatrix(t, NewGolden(ts).NewEvaluator(values), faults)
+	}
 }
 
 // TestMatrixMemoAccountingAnyWorkerCount: DetectsMatrix on fresh Goldens of
@@ -107,7 +133,7 @@ func TestMatrixMemoAccountingAnyWorkerCount(t *testing.T) {
 	run := func(procs int) ([][]uint64, Stats) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		before := Snapshot()
-		rows := detectsMatrix(t, NewGolden(ts).NewEvaluator(values), faults)
+		rows := detectsMatrix(t, mustGolden(t, ts), values, faults)
 		return rows, statsDelta(Snapshot(), before)
 	}
 	wantRows, want := run(1)
@@ -135,14 +161,14 @@ func TestInputLayerThresholdFaultsUndetectable(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{4, 3, 2}
 	ts := randomTestSet(arch, 2, 3, 23)
-	eng := NewGolden(ts).NewEvaluator(values)
+	g := mustGolden(t, ts)
 	var input []fault.Fault
 	for _, kind := range []fault.Kind{fault.ESF, fault.HSF} {
 		for i := 0; i < arch[0]; i++ {
 			input = append(input, fault.NewNeuronFault(kind, snn.NeuronID{Layer: 0, Index: i}))
 		}
 	}
-	for i, det := range detectsBatch(t, eng, input) {
+	for i, det := range detects(t, g, values, input) {
 		f := input[i]
 		if det {
 			t.Errorf("%v: input-layer threshold fault reported detected", f)
@@ -154,9 +180,10 @@ func TestInputLayerThresholdFaultsUndetectable(t *testing.T) {
 }
 
 // TestConcurrentEvaluatorsShareGolden is the shared-Golden contract: one
-// NewGolden call, many evaluators on separate goroutines racing over the
-// same items and memo shards, and every verdict identical to a serial
-// oracle. Run under -race this also gates the memo's locking discipline.
+// NewGolden call, many Detects calls on separate goroutines — each with a
+// pool and evaluators of its own — racing over the same items and memo
+// shards, and every verdict identical to a serial oracle. Run under -race
+// this also gates the memo's locking discipline.
 func TestConcurrentEvaluatorsShareGolden(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{5, 4, 3, 2}
@@ -166,10 +193,10 @@ func TestConcurrentEvaluatorsShareGolden(t *testing.T) {
 		universe = append(universe, fault.Universe(arch, kind)...)
 	}
 
-	want := detectsEach(newScalarOracle(NewGolden(ts).NewEvaluator(values)), universe)
+	want := detectsEach(newScalarOracle(mustGolden(t, ts), values), universe)
 
 	before := Snapshot()
-	g := NewGolden(ts)
+	g := mustGolden(t, ts)
 	const workers = 4
 	got := make([]bool, len(universe))
 	var wg sync.WaitGroup
@@ -177,17 +204,16 @@ func TestConcurrentEvaluatorsShareGolden(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := g.NewEvaluator(values)
-			// Strided split into single-fault batches: workers interleave
+			// Strided split into single-fault calls: workers interleave
 			// over the universe so every worker touches every item's memo
 			// shard.
 			for i := w; i < len(universe); i += workers {
-				det, err := e.DetectsBatch(context.Background(), universe[i:i+1])
+				v, err := g.Detects(context.Background(), values, universe[i:i+1])
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got[i] = det[0]
+				got[i], _ = v.Detected(0)
 			}
 		}(w)
 	}
@@ -252,7 +278,7 @@ func TestSeedsMatchReplay(t *testing.T) {
 			cfg.Params.Reset = reset
 		}
 		for _, ts := range []*pattern.TestSet{paper, balanced} {
-			g := NewGolden(ts)
+			g := mustGolden(t, ts)
 			fired := 0
 			for i := range g.items {
 				ic := &g.items[i]
@@ -337,7 +363,7 @@ func TestGoldenMatchesRunTraceOracle(t *testing.T) {
 			for name, ts := range map[string]*pattern.TestSet{
 				"generated": suite, "decoded": decoded, "8-bit per-channel": quant.Program(suite, &scheme),
 			} {
-				g := NewGolden(ts)
+				g := mustGolden(t, ts)
 				if want := len(suite.Items); g.groups < 1 || g.groups > want/2 {
 					t.Errorf("%v %v %s: %d groups over %d items, each with its held twin", arch, reset, name, g.groups, want)
 				}
@@ -385,9 +411,30 @@ func TestGoldenGroupCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ts := range []*pattern.TestSet{merged, decoded} {
-			if g := NewGolden(ts); len(ts.Items) != c.items || g.groups != c.groups {
+			if g := mustGolden(t, ts); len(ts.Items) != c.items || g.groups != c.groups {
 				t.Errorf("%v %v: %d items in %d groups, want %d in %d", c.arch, c.regime, len(ts.Items), g.groups, c.items, c.groups)
 			}
 		}
+	}
+}
+
+// TestNewGoldenValidates: NewGolden rejects a test set it cannot simulate
+// with the validation error, before simulating anything. Cutting one weight
+// from boundary 1 of configuration 0 of a generated suite, which
+// pattern.TestSet.Validate once let through to an index panic in the
+// packed kernel, fails the build with an error naming the configuration.
+func TestNewGoldenValidates(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	ts, _ := generatedSuite(t, arch, snn.ResetZero)
+	cfg := ts.Configs[0].Clone()
+	cfg.W[1] = cfg.W[1][:len(cfg.W[1])-1]
+	ts.Configs[0] = cfg
+	before := Snapshot()
+	g, err := NewGolden(ts)
+	if g != nil || err == nil || !strings.Contains(err.Error(), "config 0") || !strings.Contains(err.Error(), "boundary 1") {
+		t.Fatalf("NewGolden = (%v, %v), want an error naming config 0 and its boundary 1", g, err)
+	}
+	if d := Snapshot().GoldenBuilds - before.GoldenBuilds; d != 0 {
+		t.Errorf("a rejected set counted %d golden builds", d)
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // Package-level instruments in the process-wide obs default registry. An
 // evaluator accumulates memo statistics in plain fields (evaluators are
-// single-goroutine worker scratch) and flushes them here once per
-// DetectsBatch or DetectsMatrix call, so the hot downstream path never
-// touches an atomic.
+// single-goroutine pool-slot scratch), and each Detects or DetectsMatrix
+// call flushes its slots' statistics here once, so the hot downstream path
+// never touches an atomic.
 var (
 	obsOnce sync.Once
 
@@ -91,21 +91,10 @@ func Snapshot() Stats {
 	}
 }
 
-// CountBroadcast records n faults that reached a verdict by their class
-// representative's evaluation without being passed to a driver themselves.
-// A caller that collapses a fault list with Golden.Collapse and hands only
-// the representatives to DetectsBatch reports the other members here, so
-// faultsim_faults_simulated_total counts every fault it resolved.
-func CountBroadcast(n int) {
-	ensureObs()
-	if n > 0 {
-		faultsSimulated.Add(int64(n))
-	}
-}
-
-// flushObsN publishes the accumulated statistics of one DetectsBatch or
-// DetectsMatrix call that resolved n faults in the given number of
-// equivalence classes. Each call flushes exactly once:
+// flush publishes the accounting of one Detects or DetectsMatrix call that
+// resolved n faults in the given number of evaluated classes, together with
+// the memo statistics of its slots' evaluators (nil slots are skipped).
+// Each call flushes exactly once:
 //
 //   - faults simulated rises by one per fault that reached a verdict,
 //     evaluated or broadcast from its class representative — a matrix call
@@ -116,21 +105,19 @@ func CountBroadcast(n int) {
 //     downstream memo, so a matrix call and a coverage call over a
 //     one-item test set publish identical traffic, and the members of a
 //     class add none;
-//   - the evaluator's pending counters are zero afterwards.
-func (e *Evaluator) flushObsN(n, classes int) {
+//   - the evaluators' pending counters are zero afterwards.
+func flush(evals []*evaluator, n, classes int) {
 	ensureObs()
-	if n > 0 {
-		faultsSimulated.Add(int64(n))
+	var hits, misses int64
+	for _, e := range evals {
+		if e != nil {
+			hits += int64(e.pendingMemoHits)
+			misses += int64(e.pendingMemoMisses)
+			e.pendingMemoHits, e.pendingMemoMisses = 0, 0
+		}
 	}
-	if classes > 0 {
-		faultClasses.Add(int64(classes))
-	}
-	if e.pendingMemoHits > 0 {
-		memoHits.Add(int64(e.pendingMemoHits))
-		e.pendingMemoHits = 0
-	}
-	if e.pendingMemoMisses > 0 {
-		memoMisses.Add(int64(e.pendingMemoMisses))
-		e.pendingMemoMisses = 0
-	}
+	faultsSimulated.Add(int64(n))
+	faultClasses.Add(int64(classes))
+	memoHits.Add(hits)
+	memoMisses.Add(misses)
 }

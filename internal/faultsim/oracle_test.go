@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"neurotest/internal/fault"
+	"neurotest/internal/pattern"
 	"neurotest/internal/snn"
 )
 
@@ -13,18 +14,20 @@ import (
 // differentially tested against: one fault on one item, with a full
 // downstream re-simulation over []bool spike vectors. It resolves fault
 // sites through the production faultSite (so the five fault models keep one
-// definition), reads and writes the Golden's shared memo, and flushes the
-// evaluator's obs accounting once per call, like a batch of one fault.
+// definition), reads and writes the Golden's shared memo, and flushes its
+// evaluator's obs accounting once per call, like a driver call over one
+// fault.
 type scalarOracle struct {
-	e      *Evaluator
+	e      *evaluator
 	mp     [][]float64
 	spikes [][]bool
 	counts []int
 }
 
-// newScalarOracle wraps e with the oracle's scratch.
-func newScalarOracle(e *Evaluator) *scalarOracle {
-	arch := e.g.ts.Arch
+// newScalarOracle returns an oracle over g under values.
+func newScalarOracle(g *Golden, values fault.Values) *scalarOracle {
+	e := g.newEvaluator(values)
+	arch := g.ts.Arch
 	L := arch.Layers()
 	o := &scalarOracle{e: e, mp: make([][]float64, L), spikes: make([][]bool, L), counts: make([]int, arch[L-1])}
 	for k := 0; k < L; k++ {
@@ -36,13 +39,13 @@ func newScalarOracle(e *Evaluator) *scalarOracle {
 
 // DetectsOnItem reports whether item idx alone detects f.
 func (o *scalarOracle) DetectsOnItem(f fault.Fault, idx int) bool {
-	defer o.e.flushObsN(1, 1)
+	defer flush([]*evaluator{o.e}, 1, 1)
 	return o.detectsOn(&o.e.g.items[idx], f)
 }
 
 // DetectingItem returns the index of the first item that detects f, or -1.
 func (o *scalarOracle) DetectingItem(f fault.Fault) int {
-	defer o.e.flushObsN(1, 1)
+	defer flush([]*evaluator{o.e}, 1, 1)
 	for i := range o.e.g.items {
 		if o.detectsOn(&o.e.g.items[i], f) {
 			return i
@@ -172,22 +175,41 @@ func (o *scalarOracle) downstream(ic *goldenItem, layer, index int, faultyTrain 
 	return detected
 }
 
-// detectsBatch runs DetectsBatch under a live context, failing the test on
-// an error.
-func detectsBatch(t testing.TB, e *Evaluator, faults []fault.Fault) []bool {
+// mustGolden builds the Golden of ts, failing the test on an error.
+func mustGolden(t testing.TB, ts *pattern.TestSet) *Golden {
 	t.Helper()
-	out, err := e.DetectsBatch(context.Background(), faults)
+	g, err := NewGolden(ts)
 	if err != nil {
-		t.Fatalf("DetectsBatch: %v", err)
+		t.Fatalf("NewGolden: %v", err)
+	}
+	return g
+}
+
+// detects runs Golden.Detects under a live context and returns each
+// fault's verdict, failing the test on an error or on a fault left without
+// a verdict.
+func detects(t testing.TB, g *Golden, values fault.Values, faults []fault.Fault) []bool {
+	t.Helper()
+	v, err := g.Detects(context.Background(), values, faults)
+	if err != nil {
+		t.Fatalf("Detects: %v", err)
+	}
+	out := make([]bool, len(faults))
+	for i := range faults {
+		det, ok := v.Detected(i)
+		if !ok {
+			t.Fatalf("Detects left %v without a verdict", faults[i])
+		}
+		out[i] = det
 	}
 	return out
 }
 
-// undetected returns the faults DetectsBatch leaves undetected, in order.
-func undetected(t testing.TB, e *Evaluator, faults []fault.Fault) []fault.Fault {
+// undetected returns the faults Detects leaves undetected, in order.
+func undetected(t testing.TB, g *Golden, values fault.Values, faults []fault.Fault) []fault.Fault {
 	t.Helper()
 	var out []fault.Fault
-	for i, det := range detectsBatch(t, e, faults) {
+	for i, det := range detects(t, g, values, faults) {
 		if !det {
 			out = append(out, faults[i])
 		}
@@ -195,11 +217,11 @@ func undetected(t testing.TB, e *Evaluator, faults []fault.Fault) []fault.Fault 
 	return out
 }
 
-// detectsMatrix runs DetectsMatrix under a live context, failing the test
-// on an error.
-func detectsMatrix(t testing.TB, e *Evaluator, faults []fault.Fault) [][]uint64 {
+// detectsMatrix runs Golden.DetectsMatrix under a live context, failing
+// the test on an error.
+func detectsMatrix(t testing.TB, g *Golden, values fault.Values, faults []fault.Fault) [][]uint64 {
 	t.Helper()
-	rows, err := e.DetectsMatrix(context.Background(), faults)
+	rows, err := g.DetectsMatrix(context.Background(), values, faults)
 	if err != nil {
 		t.Fatalf("DetectsMatrix: %v", err)
 	}

@@ -17,75 +17,21 @@
 //     the golden train in this timestep.
 //
 // This is the package's only fault-evaluation kernel. evalItem runs one
-// group on one item; DetectsBatch and DetectsMatrix are its two drivers,
-// and they pack only the representatives of the faults' equivalence
-// classes (collapse.go). A fault-at-a-time scalar kernel lives in the tests
-// as the differential oracle: differential and fuzz tests assert the packed
-// verdicts — per fault and per (fault, item) — agree with it and with brute
-// force on every fault kind.
+// packed group on one item; Golden.Detects and Golden.DetectsMatrix
+// (driver.go) are its two drivers, and they pack only the representatives
+// of the faults' equivalence classes (collapse.go). A fault-at-a-time
+// scalar kernel lives in the tests as the differential oracle: differential
+// and fuzz tests assert the packed verdicts — per fault and per (fault,
+// item) — agree with it and with brute force on every fault kind.
 
 package faultsim
 
 import (
-	"context"
 	"math/bits"
-	"slices"
 
 	"neurotest/internal/fault"
-	"neurotest/internal/pool"
 	"neurotest/internal/snn"
 )
-
-// sourceLayer returns the layer whose spike trains a fault deviates — the
-// lane-grouping key of the packed kernel. Unknown kinds map to -1; their
-// groups fail in faultSite.
-func sourceLayer(f fault.Fault) int {
-	switch f.Kind {
-	case fault.NASF, fault.ESF, fault.HSF:
-		return f.Neuron.Layer
-	case fault.SWF, fault.SASF:
-		return f.Synapse.Boundary + 1
-	default:
-		return -1
-	}
-}
-
-// PackGroups partitions fault indices into packed-kernel batches: faults of
-// one kind deviating one layer, at most 64 per group (one bit-lane each).
-// Groups and their members preserve first-seen input order, so batched
-// evaluation is byte-stable regardless of map iteration.
-func PackGroups(faults []fault.Fault) [][]int { return packGroups(faults, nil) }
-
-// packGroups is PackGroups over the faults at the listed indices only, or
-// over every fault when idx is nil.
-func packGroups(faults []fault.Fault, idx []int32) [][]int {
-	type groupKey struct {
-		kind  fault.Kind
-		layer int
-	}
-	n := len(faults)
-	if idx != nil {
-		n = len(idx)
-	}
-	pos := make(map[groupKey]int)
-	var groups [][]int
-	for r := 0; r < n; r++ {
-		i := r
-		if idx != nil {
-			i = int(idx[r])
-		}
-		f := faults[i]
-		k := groupKey{kind: f.Kind, layer: sourceLayer(f)}
-		gi, ok := pos[k]
-		if !ok || len(groups[gi]) == 64 {
-			groups = append(groups, nil)
-			gi = len(groups) - 1
-			pos[k] = gi
-		}
-		groups[gi] = append(groups[gi], i)
-	}
-	return groups
-}
 
 // packedScratch is the per-evaluator working state of the packed kernel,
 // allocated with the evaluator and reused across groups and items.
@@ -191,148 +137,6 @@ func (ps *packedScratch) init(arch snn.Arch) {
 	ps.nxtIdx = make([]int, 0, maxW)
 }
 
-// DetectsBatch evaluates every fault with the packed kernel and returns the
-// per-fault verdicts, index-aligned with faults: verdict i is true when any
-// item of the test set detects faults[i]. The faults are first collapsed
-// into exact equivalence classes (collapse.go); only one representative per
-// class is evaluated, and its verdict is broadcast to the other members.
-// Up to 64 representatives share each downstream pass, a group's item scan
-// stops once all its faults are detected, and the obs accounting is flushed
-// once per call. The scan checks ctx between items; on cancellation it
-// returns (nil, ctx.Err()).
-func (e *Evaluator) DetectsBatch(ctx context.Context, faults []fault.Fault) ([]bool, error) {
-	out := make([]bool, len(faults))
-	cls := e.g.Collapse(faults)
-	resolved, classes := 0, 0
-	defer func() { e.flushObsN(resolved, classes) }()
-	settle := func(idx []int, lanes uint64) {
-		resolved += cls.members(idx, lanes)
-		classes += bits.OnesCount64(lanes)
-	}
-	var groups [][]int
-	if len(cls.Reps) == len(faults) && pregrouped(faults) {
-		// Already one packed group of distinct faults (the shape the
-		// tester's campaign pool always sends): skip the grouping map.
-		groups = [][]int{identity64[:len(faults)]}
-	} else {
-		groups = packGroups(faults, cls.Reps)
-	}
-	for _, idx := range groups {
-		pending := fullMask(len(idx))
-		for it := range e.g.items {
-			if pending == 0 {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			det := e.evalItem(&e.g.items[it], faults, idx, pending)
-			pending &^= det
-			settle(idx, det)
-			for ; det != 0; det &= det - 1 {
-				out[idx[bits.TrailingZeros64(det)]] = true
-			}
-		}
-		settle(idx, pending)
-	}
-	for i, k := range cls.Of {
-		out[i] = out[cls.Reps[k]]
-	}
-	return out, nil
-}
-
-// DetectsMatrix evaluates every fault on every item with the packed kernel
-// and returns, index-aligned with faults, the set of items detecting each
-// fault as a bitset: item i detects faults[f] when bit i%64 of
-// rows[f][i/64] is set. Like DetectsBatch it evaluates one representative
-// per equivalence class; each member's row is a copy of its
-// representative's, in its own backing array. Unlike DetectsBatch it never
-// ends a scan early — fault dictionaries, compaction and greedy selection
-// need every item's verdict.
-//
-// The work is split by item on the worker pool: one task runs every
-// packed group on its item, in group order, on its slot's own evaluator
-// (slot 0 uses e). An item's memo shard is touched by no other item, so
-// its one writer visits its keys in exactly the serial order, and memo
-// hits and misses equal a serial scan's at any worker count. The slots'
-// memo counts fold into e, whose obs accounting is flushed once per call.
-// Workers stop claiming items once ctx is cancelled; the call then returns
-// (nil, ctx.Err()). A panicking fault re-panics on the caller's goroutine.
-func (e *Evaluator) DetectsMatrix(ctx context.Context, faults []fault.Fault) ([][]uint64, error) {
-	cls := e.g.Collapse(faults)
-	groups := packGroups(faults, cls.Reps)
-	resolved, classes := 0, 0
-	evals := make([]*Evaluator, pool.Workers(len(e.g.items)))
-	evals[0] = e
-	defer func() {
-		for _, w := range evals[1:] {
-			if w != nil {
-				e.pendingMemoHits += w.pendingMemoHits
-				e.pendingMemoMisses += w.pendingMemoMisses
-			}
-		}
-		e.flushObsN(resolved, classes)
-	}()
-	// dets[it][gi] is the detected-lane word of group gi on item it.
-	dets, done := pool.Run(ctx, len(e.g.items), func(it, w int) []uint64 {
-		if evals[w] == nil {
-			evals[w] = e.g.NewEvaluator(e.values)
-		}
-		det := make([]uint64, len(groups))
-		for gi, idx := range groups {
-			det[gi] = evals[w].evalItem(&e.g.items[it], faults, idx, fullMask(len(idx)))
-		}
-		return det
-	})
-	if slices.Contains(done, false) {
-		return nil, ctx.Err()
-	}
-	words := (len(e.g.items) + 63) / 64
-	flat := make([]uint64, len(faults)*words)
-	rows := make([][]uint64, len(faults))
-	for f := range rows {
-		rows[f] = flat[f*words : (f+1)*words : (f+1)*words]
-	}
-	for it, det := range dets {
-		for gi, idx := range groups {
-			for d := det[gi]; d != 0; d &= d - 1 {
-				rows[idx[bits.TrailingZeros64(d)]][it/64] |= 1 << uint(it%64)
-			}
-		}
-	}
-	// Every fault now has its verdict, through its class representative.
-	resolved, classes = len(faults), len(cls.Reps)
-	for i, k := range cls.Of {
-		if r := int(cls.Reps[k]); r != i {
-			copy(rows[i], rows[r])
-		}
-	}
-	return rows, nil
-}
-
-// identity64 is the identity index slice backing the pregrouped fast path.
-var identity64 = func() (id [64]int) {
-	for i := range id {
-		id[i] = i
-	}
-	return id
-}()
-
-// pregrouped reports whether faults already form a single packed group:
-// at most 64 same-kind faults deviating one layer.
-func pregrouped(faults []fault.Fault) bool {
-	if len(faults) == 0 || len(faults) > 64 {
-		return false
-	}
-	kind, layer := faults[0].Kind, sourceLayer(faults[0])
-	for _, f := range faults[1:] {
-		if f.Kind != kind || sourceLayer(f) != layer {
-			return false
-		}
-	}
-	return true
-}
-
 // evalItem evaluates the lanes of one packed group (same kind, same source
 // layer, ≤64 lanes) on one item: lane l is faults[idx[l]], and only the
 // lanes set in lanes are evaluated. It returns the detected-lane word.
@@ -342,7 +146,7 @@ func pregrouped(faults []fault.Fault) bool {
 // memo; primary-output deviations compare spike counts directly; everything
 // else consults the item's shared memo, and the misses share one packed
 // downstream pass whose verdicts are memoized.
-func (e *Evaluator) evalItem(ic *goldenItem, faults []fault.Fault, idx []int, lanes uint64) (detected uint64) {
+func (e *evaluator) evalItem(ic *goldenItem, faults []fault.Fault, idx []int, lanes uint64) (detected uint64) {
 	ps := &e.ps
 	L := e.g.ts.Arch.Layers()
 	var run uint64
@@ -419,7 +223,7 @@ func (e *Evaluator) evalItem(ic *goldenItem, faults []fault.Fault, idx []int, la
 // without touching a float. Output-layer deviations maintain per-lane
 // spike-count differences against the golden counts, with a per-lane
 // monotone overshoot early exit.
-func (e *Evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) uint64 {
+func (e *evaluator) downstreamPacked(ic *goldenItem, runLayer int, run uint64) uint64 {
 	ps := &e.ps
 	arch := e.g.ts.Arch
 	L := arch.Layers()

@@ -53,11 +53,12 @@ func balancedTestSetT(arch snn.Arch, nConfigs, patternsPer int, seed uint64, tim
 var benchDetected int
 
 // BenchmarkKernel isolates the fault-simulation kernel: the Golden (the
-// good-chip traces) is built outside the timed loop, and the cold
-// variants use a fresh evaluator per iteration so every verdict is fully
-// re-simulated (empty memo). scalar walks the universe through the test
-// oracle's Detects; packed runs the same universe through DetectsBatch. The warm variants reuse
-// one evaluator, so they measure the memoized steady state instead.
+// good-chip traces) is built outside the timed loop, and the cold variants
+// flush its memo before each iteration so every verdict is fully
+// re-simulated. scalar walks the universe through the test oracle's
+// Detects; packed runs the same universe through Golden.Detects. The warm
+// variants keep the memo, so they measure the memoized steady state
+// instead.
 //
 // The universe is the threshold-fault kinds (ESF/HSF): their site trains
 // are cheap to derive, so the numbers reflect downstream propagation — the
@@ -72,10 +73,10 @@ func BenchmarkKernel(b *testing.B) {
 	for _, kind := range []fault.Kind{fault.ESF, fault.HSF} {
 		universe = append(universe, fault.Universe(arch, kind)...)
 	}
-	g := NewGolden(ts)
+	g := mustGolden(b, ts)
 
 	// The downstream memo lives on the Golden's items and is shared by every
-	// evaluator, so a truly cold iteration must flush it — otherwise every
+	// campaign, so a truly cold iteration must flush it — otherwise every
 	// iteration after the first measures map lookups, not simulation.
 	flushMemos := func() {
 		for i := range g.items {
@@ -88,7 +89,7 @@ func BenchmarkKernel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			flushMemos()
-			e := newScalarOracle(g.NewEvaluator(values))
+			e := newScalarOracle(g, values)
 			b.StartTimer()
 			n := 0
 			for _, f := range universe {
@@ -104,10 +105,9 @@ func BenchmarkKernel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			flushMemos()
-			e := g.NewEvaluator(values)
 			b.StartTimer()
 			n := 0
-			for _, v := range detectsBatch(b, e, universe) {
+			for _, v := range detects(b, g, values, universe) {
 				if v {
 					n++
 				}
@@ -116,7 +116,7 @@ func BenchmarkKernel(b *testing.B) {
 		}
 	})
 
-	scalarWarm := newScalarOracle(g.NewEvaluator(values))
+	scalarWarm := newScalarOracle(g, values)
 	for _, f := range universe {
 		scalarWarm.Detects(f)
 	}
@@ -132,13 +132,12 @@ func BenchmarkKernel(b *testing.B) {
 			benchDetected = n
 		}
 	})
-	packedWarm := g.NewEvaluator(values)
-	detectsBatch(b, packedWarm, universe)
+	detects(b, g, values, universe)
 	b.Run("packed/warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			n := 0
-			for _, v := range detectsBatch(b, packedWarm, universe) {
+			for _, v := range detects(b, g, values, universe) {
 				if v {
 					n++
 				}
@@ -160,7 +159,7 @@ func BenchmarkNewGolden(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchGolden = NewGolden(ts)
+		benchGolden = mustGolden(b, ts)
 	}
 }
 
@@ -185,7 +184,7 @@ func BenchmarkCollapse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g := NewGolden(gen.Generate(fault.SWF))
+		g := mustGolden(b, gen.Generate(fault.SWF))
 		universe := fault.Universe(arch, fault.SWF)
 		benchCollapse(b, g, universe)
 	})
@@ -194,21 +193,21 @@ func BenchmarkCollapse(b *testing.B) {
 	ts := balancedTestSetT(arch, 2, 4, 7, 16)
 	universe := append(fault.Universe(arch, fault.SWF), fault.Universe(arch, fault.SASF)...)
 	b.Run("random", func(b *testing.B) {
-		benchCollapse(b, NewGolden(ts), universe)
+		benchCollapse(b, mustGolden(b, ts), universe)
 	})
 	b.Run("random-matrix", func(b *testing.B) {
 		values := fault.PaperValues(ts.Params.Theta)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			e := NewGolden(ts).NewEvaluator(values)
+			g := mustGolden(b, ts)
 			b.StartTimer()
-			benchDetected = len(detectsMatrix(b, e, universe))
+			benchDetected = len(detectsMatrix(b, g, values, universe))
 		}
 	})
 }
 
-// benchCollapse times Collapse of universe on g and reports the class
+// benchCollapse times the collapse of universe on g and reports the class
 // count.
 func benchCollapse(b *testing.B, g *Golden, universe []fault.Fault) {
 	g.collapseIndex() // built once per Golden, not per call
@@ -216,7 +215,7 @@ func benchCollapse(b *testing.B, g *Golden, universe []fault.Fault) {
 	b.ResetTimer()
 	var classes int
 	for i := 0; i < b.N; i++ {
-		classes = len(g.Collapse(universe).Reps)
+		classes = len(g.collapse(universe).reps)
 	}
 	b.ReportMetric(float64(classes), "classes")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(universe)), "ns/fault")

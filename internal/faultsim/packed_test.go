@@ -1,8 +1,8 @@
 package faultsim
 
 import (
-	"context"
 	"math/bits"
+	"runtime"
 	"testing"
 
 	"neurotest/internal/fault"
@@ -73,18 +73,15 @@ func fullUniverse(arch snn.Arch) []fault.Fault {
 
 // assertPackedAgrees runs the whole universe through both packed drivers,
 // the scalar oracle and brute-force simulation and fails on any verdict
-// disagreement: per fault for DetectsBatch, per (fault, item) for
+// disagreement: per fault for Detects, per (fault, item) for
 // DetectsMatrix. The oracle runs on its own Golden, so it never reads a
 // verdict the packed kernel memoized.
 func assertPackedAgrees(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) {
 	t.Helper()
-	scalar := newScalarOracle(NewGolden(ts).NewEvaluator(values))
-	packed := NewGolden(ts).NewEvaluator(values)
-	got := detectsBatch(t, packed, universe)
-	if len(got) != len(universe) {
-		t.Fatalf("DetectsBatch returned %d verdicts for %d faults", len(got), len(universe))
-	}
-	assertMatrixMatchesOracle(t, detectsMatrix(t, packed, universe), scalar, universe)
+	scalar := newScalarOracle(mustGolden(t, ts), values)
+	packed := mustGolden(t, ts)
+	got := detects(t, packed, values, universe)
+	assertMatrixMatchesOracle(t, detectsMatrix(t, packed, values, universe), scalar, universe)
 	for i, f := range universe {
 		want := scalar.Detects(f)
 		if got[i] != want {
@@ -116,24 +113,23 @@ func TestPackedMatchesScalarAndBrute(t *testing.T) {
 }
 
 // TestPackedSharesMemoWithScalar asserts the two paths speak the same memo:
-// verdicts computed by a scalar evaluator must be served as hits to a
-// packed evaluator over the same Golden, and vice versa.
+// verdicts computed by the scalar oracle must be served as hits to a
+// packed campaign over the same Golden.
 func TestPackedSharesMemoWithScalar(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{5, 4, 3, 2}
 	ts := randomTestSet(arch, 2, 3, 77)
 	universe := fault.Universe(arch, fault.ESF)
 
-	g := NewGolden(ts)
-	scalar := newScalarOracle(g.NewEvaluator(values))
+	g := mustGolden(t, ts)
+	scalar := newScalarOracle(g, values)
 	want := make([]bool, len(universe))
 	for i, f := range universe {
 		want[i] = scalar.Detects(f)
 	}
 
 	before := Snapshot()
-	packed := g.NewEvaluator(values)
-	got := detectsBatch(t, packed, universe)
+	got := detects(t, g, values, universe)
 	d := statsDelta(Snapshot(), before)
 	for i := range universe {
 		if got[i] != want[i] {
@@ -205,7 +201,7 @@ func TestPackedT64Boundary(t *testing.T) {
 		var ts *pattern.TestSet
 		for seed := uint64(0); seed < 200; seed++ {
 			cand := randomTestSetT(arch, 1, 1, seed, snn.MaxTimesteps, true)
-			g := NewGolden(cand)
+			g := mustGolden(t, cand)
 			ic := &g.items[0]
 			out63 := false
 			for _, train := range ic.trace.X[len(arch)-1] {
@@ -216,7 +212,7 @@ func TestPackedT64Boundary(t *testing.T) {
 			if !out63 {
 				continue
 			}
-			e := g.NewEvaluator(values)
+			e := g.newEvaluator(values)
 			dev63 := false
 			for _, f := range universe {
 				layer, index, train, ok := e.faultSite(ic, f)
@@ -247,7 +243,7 @@ func TestPackedT64Boundary(t *testing.T) {
 
 // TestInertTrainSkipsMemo pins the inert-train shortcut: a fault whose
 // reintegrated train equals the recorded golden train is behaviourally
-// inert on that item, so the evaluator must report false WITHOUT running or
+// inert on that item, so the drivers must report false WITHOUT running or
 // memoizing a no-op downstream propagation. The unshortcut path would
 // record one memo miss per (fault, item); the shortcut records none.
 func TestInertTrainSkipsMemo(t *testing.T) {
@@ -277,10 +273,11 @@ func TestInertTrainSkipsMemo(t *testing.T) {
 		t.Fatal("fixture broken: no boundary-0 SWF faults")
 	}
 
-	eng := NewGolden(ts).NewEvaluator(values)
+	g := mustGolden(t, ts)
+	eng := g.newEvaluator(values)
 	// Precondition: the faults are NOT value-inert (ω̂ differs from the
 	// programmed weight), their trains just happen to match the golden.
-	ic := &eng.g.items[0]
+	ic := &g.items[0]
 	for _, f := range hidden {
 		layer, index, train, ok := eng.faultSite(ic, f)
 		if !ok {
@@ -291,8 +288,8 @@ func TestInertTrainSkipsMemo(t *testing.T) {
 		}
 	}
 
-	scalarVerdicts := detectsEach(newScalarOracle(eng), hidden)
-	packedVerdicts := detectsBatch(t, eng, hidden)
+	scalarVerdicts := detectsEach(newScalarOracle(g, values), hidden)
+	packedVerdicts := detects(t, g, values, hidden)
 	for i, f := range hidden {
 		if scalarVerdicts[i] {
 			t.Errorf("scalar: %v detected despite an inert train", f)
@@ -308,14 +305,14 @@ func TestInertTrainSkipsMemo(t *testing.T) {
 	// The shortcut's observable contract: no downstream pass ran, nothing
 	// was memoized.
 	before := Snapshot()
-	fresh := NewGolden(ts).NewEvaluator(values)
-	freshOracle := newScalarOracle(fresh)
+	fresh := mustGolden(t, ts)
+	freshOracle := newScalarOracle(fresh, values)
 	for _, f := range hidden {
 		if freshOracle.Detects(f) {
 			t.Errorf("%v detected on fresh engine", f)
 		}
 	}
-	detectsBatch(t, fresh.g.NewEvaluator(values), hidden)
+	detects(t, fresh, values, hidden)
 	d := statsDelta(Snapshot(), before)
 	if d.MemoMisses != 0 || d.MemoHits != 0 {
 		t.Errorf("inert trains touched the memo: hits=%d misses=%d (want 0, 0)", d.MemoHits, d.MemoMisses)
@@ -334,90 +331,87 @@ func detectsEach(o *scalarOracle, faults []fault.Fault) []bool {
 	return out
 }
 
-// TestBatchFlushesObs mirrors TestMatrixFlushesObs for the batch entry
-// points: one DetectsBatch call over a one-item set must flush the
-// evaluator-local memo statistics, count every fault exactly once, and
-// publish the same memo traffic as the equivalent fault-at-a-time scan.
+// TestBatchFlushesObs mirrors TestMatrixFlushesObs for the coverage
+// driver: one Detects call over a one-item set counts every fault exactly
+// once and, at one worker, where the groups run in order, publishes the
+// same memo traffic as the equivalent fault-at-a-time scan. Above one
+// worker the groups share the item's memo shard, so only the sum of hits
+// and misses is fixed.
 func TestBatchFlushesObs(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{4, 3, 2}
 	ts := randomTestSet(arch, 1, 1, 11)
 	universe := fault.Universe(arch, fault.SWF)
 
-	e1 := NewGolden(ts).NewEvaluator(values)
+	// The workload fault-at-a-time on a fresh Golden.
 	before := Snapshot()
-	detectsBatch(t, e1, universe)
-	batch := statsDelta(Snapshot(), before)
-	if e1.pendingMemoHits != 0 || e1.pendingMemoMisses != 0 {
-		t.Errorf("pending stats not flushed: hits=%d misses=%d",
-			e1.pendingMemoHits, e1.pendingMemoMisses)
-	}
-	if batch.FaultsSimulated != int64(len(universe)) {
-		t.Errorf("faults simulated = %d, want %d (every fault of the batch)",
-			batch.FaultsSimulated, len(universe))
-	}
-
-	// The same workload fault-at-a-time on a fresh engine: identical work,
-	// so the published memo statistics must agree.
-	e2 := newScalarOracle(NewGolden(ts).NewEvaluator(values))
-	before = Snapshot()
-	detectsEach(e2, universe)
+	detectsEach(newScalarOracle(mustGolden(t, ts), values), universe)
 	scan := statsDelta(Snapshot(), before)
-	if batch.MemoHits != scan.MemoHits || batch.MemoMisses != scan.MemoMisses {
-		t.Errorf("batch published hits=%d misses=%d; scan published hits=%d misses=%d",
-			batch.MemoHits, batch.MemoMisses, scan.MemoHits, scan.MemoMisses)
-	}
-	if batch.FaultsSimulated != scan.FaultsSimulated {
-		t.Errorf("faults simulated: batch %d != scan %d", batch.FaultsSimulated, scan.FaultsSimulated)
+
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		before = Snapshot()
+		detects(t, mustGolden(t, ts), values, universe)
+		batch := statsDelta(Snapshot(), before)
+		runtime.GOMAXPROCS(prev)
+		if batch.FaultsSimulated != int64(len(universe)) || batch.FaultsSimulated != scan.FaultsSimulated {
+			t.Errorf("%d procs: faults simulated = %d, scan %d, want %d (every fault of the call)",
+				procs, batch.FaultsSimulated, scan.FaultsSimulated, len(universe))
+		}
+		if batch.MemoHits+batch.MemoMisses != scan.MemoHits+scan.MemoMisses {
+			t.Errorf("%d procs: %d memo lookups; scan %d", procs, batch.MemoHits+batch.MemoMisses, scan.MemoHits+scan.MemoMisses)
+		}
+		if procs == 1 && (batch.MemoHits != scan.MemoHits || batch.MemoMisses != scan.MemoMisses) {
+			t.Errorf("batch published hits=%d misses=%d; scan published hits=%d misses=%d",
+				batch.MemoHits, batch.MemoMisses, scan.MemoHits, scan.MemoMisses)
+		}
 	}
 
-	// Coverage and a second batch call route through the batch path and
-	// flush too.
-	e3 := NewGolden(ts).NewEvaluator(values)
+	// A second call on a warm Golden flushes too.
+	g := mustGolden(t, ts)
+	detects(t, g, values, universe)
 	before = Snapshot()
-	if _, err := e3.Coverage(context.Background(), universe); err != nil {
-		t.Fatal(err)
-	}
-	undetected(t, e3, universe)
-	cov := statsDelta(Snapshot(), before)
-	if e3.pendingMemoHits != 0 || e3.pendingMemoMisses != 0 {
-		t.Errorf("Coverage/DetectsBatch left pending stats: hits=%d misses=%d",
-			e3.pendingMemoHits, e3.pendingMemoMisses)
-	}
-	if want := int64(2 * len(universe)); cov.FaultsSimulated != want {
-		t.Errorf("faults simulated = %d, want %d (two batch calls)", cov.FaultsSimulated, want)
+	undetected(t, g, values, universe)
+	if d := statsDelta(Snapshot(), before); d.FaultsSimulated != int64(len(universe)) || d.MemoMisses != 0 {
+		t.Errorf("warm call: faults simulated = %d, memo misses %d; want %d and 0", d.FaultsSimulated, d.MemoMisses, len(universe))
 	}
 }
 
-// TestCoverageBatchMatchesScalarCount cross-checks the counting APIs, both
-// derived from DetectsBatch, against the oracle on a larger mixed universe.
+// TestCoverageBatchMatchesScalarCount cross-checks the counting helpers,
+// both derived from Detects, against the oracle on a larger mixed
+// universe.
 func TestCoverageBatchMatchesScalarCount(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{5, 4, 3, 2}
 	ts := randomTestSet(arch, 2, 3, 41)
 	universe := fullUniverse(arch)
 
-	g := NewGolden(ts)
-	scalar := newScalarOracle(NewGolden(ts).NewEvaluator(values))
+	g := mustGolden(t, ts)
+	scalar := newScalarOracle(mustGolden(t, ts), values)
 	n := 0
 	for _, f := range universe {
 		if scalar.Detects(f) {
 			n++
 		}
 	}
-	ctx := context.Background()
-	if got, err := g.NewEvaluator(values).Coverage(ctx, universe); err != nil || got != n {
-		t.Errorf("Coverage = %d (err %v), scalar count = %d", got, err, n)
+	got := 0
+	for _, det := range detects(t, g, values, universe) {
+		if det {
+			got++
+		}
 	}
-	if missed := undetected(t, g.NewEvaluator(values), universe); len(missed) != len(universe)-n {
+	if got != n {
+		t.Errorf("Detects finds %d, scalar count = %d", got, n)
+	}
+	if missed := undetected(t, g, values, universe); len(missed) != len(universe)-n {
 		t.Errorf("Undetected = %d faults, want %d", len(missed), len(universe)-n)
 	}
 }
 
 // FuzzPackedEquivalence fuzzes the packed-vs-scalar-vs-brute agreement over
 // random seeds, window lengths (including the 64-timestep boundary), input
-// modes and weight shapes, per fault for DetectsBatch and per (fault, item)
-// for DetectsMatrix. Uniform-weight configurations make the drivers'
+// modes and weight shapes, per fault for Detects and per (fault, item) for
+// DetectsMatrix. Uniform-weight configurations make the drivers'
 // fault collapsing form classes; random weights almost never do.
 func FuzzPackedEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(5), false, false)
@@ -435,10 +429,10 @@ func FuzzPackedEquivalence(f *testing.F) {
 			ts = uniformTestSetT(arch, 2, 2, seed, T, hold)
 		}
 		universe := shuffled(fullUniverse(arch), seed)
-		scalar := newScalarOracle(NewGolden(ts).NewEvaluator(values))
-		packed := NewGolden(ts).NewEvaluator(values)
-		got := detectsBatch(t, packed, universe)
-		assertMatrixMatchesOracle(t, detectsMatrix(t, packed, universe), scalar, universe)
+		scalar := newScalarOracle(mustGolden(t, ts), values)
+		packed := mustGolden(t, ts)
+		got := detects(t, packed, values, universe)
+		assertMatrixMatchesOracle(t, detectsMatrix(t, packed, values, universe), scalar, universe)
 		for i, flt := range universe {
 			want := scalar.Detects(flt)
 			if got[i] != want {
@@ -457,13 +451,13 @@ func TestPackedNASFInputLayer(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{4, 3, 2}
 	ts := randomTestSet(arch, 2, 3, 55)
-	g := NewGolden(ts)
-	scalar := newScalarOracle(g.NewEvaluator(values))
+	g := mustGolden(t, ts)
+	scalar := newScalarOracle(g, values)
 	var universe []fault.Fault
 	for i := 0; i < arch[0]; i++ {
 		universe = append(universe, fault.NewNeuronFault(fault.NASF, snn.NeuronID{Layer: 0, Index: i}))
 	}
-	got := detectsBatch(t, g.NewEvaluator(values), universe)
+	got := detects(t, g, values, universe)
 	for i, f := range universe {
 		if want := scalar.Detects(f); got[i] != want {
 			t.Errorf("%v: packed=%v scalar=%v", f, got[i], want)

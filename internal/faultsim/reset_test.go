@@ -42,9 +42,8 @@ func TestBruteForceEquivalenceResetSubtract(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		arch := snn.Arch{5, 4, 3, 2}
 		ts := randomTestSetMode(arch, 2, 3, 200+seed, snn.ResetSubtract)
-		eng := NewGolden(ts).NewEvaluator(values)
 		universe := fullUniverse(arch)
-		for i, got := range detectsBatch(t, eng, universe) {
+		for i, got := range detects(t, mustGolden(t, ts), values, universe) {
 			if want := bruteForce(ts, values, universe[i]); got != want {
 				t.Fatalf("seed %d %v: engine=%v brute=%v", seed, universe[i], got, want)
 			}
@@ -77,9 +76,8 @@ func TestBruteForceEquivalenceHeldPatterns(t *testing.T) {
 		for i := range ts.Items {
 			ts.Items[i].Hold = true
 		}
-		eng := NewGolden(ts).NewEvaluator(values)
 		universe := fullUniverse(arch)
-		for i, got := range detectsBatch(t, eng, universe) {
+		for i, got := range detects(t, mustGolden(t, ts), values, universe) {
 			if want := bruteForceMode(ts, values, universe[i]); got != want {
 				t.Fatalf("seed %d %v (held): engine=%v brute=%v", seed, universe[i], got, want)
 			}

@@ -189,16 +189,23 @@ func (ts *TestSet) InputSum(it Item) []float64 {
 	return sum
 }
 
-// Validate checks internal consistency (indices, widths, windows). A test
-// set freshly produced by a generator always validates; the check guards
-// deserialized data.
+// Validate checks internal consistency (indices, widths, weight shapes,
+// windows). A test set freshly produced by a generator always validates;
+// the check guards deserialized data, and faultsim.NewGolden runs it on
+// every set it simulates.
 func (ts *TestSet) Validate() error {
 	if err := ts.Arch.Validate(); err != nil {
 		return err
 	}
 	for ci, cfg := range ts.Configs {
+		if cfg == nil {
+			return fmt.Errorf("pattern: config %d is nil", ci)
+		}
 		if !cfg.Arch.Equal(ts.Arch) {
 			return fmt.Errorf("pattern: config %d architecture %v, want %v", ci, cfg.Arch, ts.Arch)
+		}
+		if err := ts.Arch.CheckWeights(cfg.W); err != nil {
+			return fmt.Errorf("pattern: config %d: %w", ci, err)
 		}
 	}
 	for i, it := range ts.Items {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -60,6 +62,80 @@ func TestMeasureCoverageContextPreCancelled(t *testing.T) {
 	}
 	if got := res.Detected + len(res.Undetected) + len(res.Errors); got != 0 {
 		t.Fatalf("pre-cancelled campaign evaluated %d faults, want 0", got)
+	}
+}
+
+// cancelAfter is a context that reports cancellation from the (n+1)-th
+// call of its Err on. At one worker a coverage campaign checks its context
+// at fixed points, so the cut falls at a fixed point of the campaign.
+type cancelAfter struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func newCancelAfter(n int) *cancelAfter {
+	return &cancelAfter{Context: context.Background(), n: int64(n)}
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMeasureCoverageContextMidCancel cuts a one-worker campaign, with
+// faults outside the chip mixed in, at every point where it checks its
+// context, until a cut no longer stops it. Each cut campaign returns
+// ctx.Err() with Total counting every fault, every rejected fault in
+// Errors, and exactly the faults that got a verdict from the Golden's
+// Detects under the same cut tallied: its detected faults as Detected, its
+// undetected ones, in input order, as Undetected.
+func TestMeasureCoverageContextMidCancel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ate, universe, _ := suiteFor(t, snn.Arch{8, 6, 4})
+	values := fault.Values{ESFTheta: 0.4, HSFTheta: 0.6, SWFOmega: 0.2}
+	bad := outsideFaults(ate.ts.Arch)
+	faults := append(append(append([]fault.Fault{}, bad[:6]...), universe...), bad[6:]...)
+	golden, err := ate.goldens.get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := ate.MeasureCoverage(faults, values)
+	if full.Detected == 0 || len(full.Undetected) == 0 || len(full.Errors) != len(bad) {
+		t.Fatalf("fixture broken: uncut campaign %v with %d errors", full, len(full.Errors))
+	}
+	for n, verdicts := 0, 0; verdicts < len(universe); n++ {
+		if n > 10000 {
+			t.Fatalf("%d cuts left faults without a verdict", n)
+		}
+		v, _ := golden.Detects(newCancelAfter(n), values, faults)
+		var want CoverageResult
+		for i, f := range faults {
+			if det, ok := v.Detected(i); det {
+				want.Detected++
+			} else if ok {
+				want.Undetected = append(want.Undetected, f)
+			}
+		}
+		verdicts = want.Detected + len(want.Undetected)
+		res, err := ate.MeasureCoverageContext(newCancelAfter(n), faults, values)
+		if verdicts < len(universe) && !errors.Is(err, context.Canceled) {
+			t.Fatalf("cut at %d: %d of %d faults got a verdict, error %v", n, verdicts, len(universe), err)
+		}
+		if res.Total != len(faults) || res.Detected != want.Detected || !slices.Equal(res.Undetected, want.Undetected) {
+			t.Fatalf("cut at %d: tallied %v, Detects under the cut reached %d detected and %d undetected",
+				n, res, want.Detected, len(want.Undetected))
+		}
+		if len(res.Errors) != len(bad) {
+			t.Fatalf("cut at %d: %d errors for %d faults outside the chip", n, len(res.Errors), len(bad))
+		}
+		for k, f := range bad {
+			if !namesRejection(res.Errors[k], f, ate.ts.Arch) {
+				t.Errorf("cut at %d: error %d does not name %v: %v", n, k, f, res.Errors[k])
+			}
+		}
 	}
 }
 

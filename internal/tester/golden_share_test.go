@@ -1,6 +1,7 @@
 package tester
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -150,9 +151,8 @@ func TestConcurrentToleranceCampaignsShareGolden(t *testing.T) {
 }
 
 // TestGoldenBuildFailureIsCampaignError: an item whose pattern does not fit
-// the input layer makes the golden build panic while tracing it on the
-// pool. The panic reaches the ATE's recover on the campaign's goroutine, so
-// MeasureCoverage reports the build failure in Errors instead of crashing.
+// the input layer fails the golden build's validation, so MeasureCoverage
+// reports the build failure in Errors instead of crashing.
 func TestGoldenBuildFailureIsCampaignError(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
@@ -164,5 +164,33 @@ func TestGoldenBuildFailureIsCampaignError(t *testing.T) {
 	}
 	if res.Total != len(universe) || res.Detected != 0 || len(res.Undetected) != 0 {
 		t.Errorf("a campaign without goldens tallied %v", res)
+	}
+}
+
+// TestMisshapedSetIsCampaignError: a configuration whose boundary 1 is one
+// weight short — configuration 0 of a generated suite, which once panicked
+// out of MeasureCoverage from the packed kernel — fails the golden build's
+// validation. MeasureCoverage reports that error once, naming the
+// configuration, and DetectsMatrix returns it.
+func TestMisshapedSetIsCampaignError(t *testing.T) {
+	arch := snn.Arch{6, 5, 4}
+	g, merged := smallSuite(t, arch, core.NoVariation())
+	cfg := merged.Configs[0].Clone()
+	cfg.W[1] = cfg.W[1][:len(cfg.W[1])-1]
+	merged.Configs[0] = cfg
+	var universe []fault.Fault
+	for _, kind := range fault.Kinds() {
+		universe = append(universe, fault.Universe(arch, kind)...)
+	}
+	ate := New(merged, nil)
+	res := ate.MeasureCoverage(universe, g.Options().Values)
+	if len(res.Errors) != 1 || !strings.Contains(res.Errors[0].Error(), "building golden traces") || !strings.Contains(res.Errors[0].Error(), "config 0") {
+		t.Fatalf("errors = %v, want the one golden-build failure naming config 0", res.Errors)
+	}
+	if res.Total != len(universe) || res.Detected != 0 || len(res.Undetected) != 0 {
+		t.Errorf("a campaign without goldens tallied %v", res)
+	}
+	if rows, err := ate.DetectsMatrix(context.Background(), universe, g.Options().Values); rows != nil || err != res.Errors[0] {
+		t.Errorf("DetectsMatrix = (%v, %v), want the same build error", rows, err)
 	}
 }

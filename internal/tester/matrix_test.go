@@ -56,7 +56,11 @@ func TestDetectsMatrixMatchesFreshGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		want, err := faultsim.NewGolden(quant.Program(merged, c.scheme)).NewEvaluator(values).DetectsMatrix(context.Background(), universe)
+		fresh, err := faultsim.NewGolden(quant.Program(merged, c.scheme))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.DetectsMatrix(context.Background(), values, universe)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,8 +7,8 @@ import (
 )
 
 // Package-level instruments, registered once in the process-wide obs
-// default registry. Campaign entry points and the worker pool observe into
-// them; every instrument method is nil-safe and the registration is lazy,
+// default registry. Campaign entry points and the chip campaigns' pool
+// runs observe into them; every instrument method is nil-safe and the registration is lazy,
 // so library users who never scrape pay one sync.Once check per campaign.
 var (
 	obsOnce sync.Once
@@ -16,7 +16,7 @@ var (
 	coverageCampaignSeconds *obs.Histogram // MeasureCoverageContext wall time
 	sessionsCampaignSeconds *obs.Histogram // MeasureSessionsAtContext wall time
 	chipsCampaignSeconds    *obs.Histogram // reliableChips (escape/overkill) wall time
-	poolItemSeconds         *obs.Histogram // one pooled evaluation (fault or chip)
+	poolItemSeconds         *obs.Histogram // one pooled chip run
 	sessionSeconds          *obs.Histogram // one session: any chip of any chip campaign, RunChip or RunChipSession
 
 	sessionOutcomes map[Outcome]*obs.Counter
@@ -37,7 +37,7 @@ func ensureObs() {
 		sessionsCampaignSeconds = campaign("sessions")
 		chipsCampaignSeconds = campaign("chips")
 		poolItemSeconds = r.Histogram("tester_pool_item_seconds",
-			"latency of one pooled evaluation (a fault detection or a chip run)", nil)
+			"latency of one pooled chip run of a sessions, escape or overkill campaign", nil)
 		sessionSeconds = r.Histogram("tester_session_seconds",
 			"latency of one chip test session", nil)
 		sessionOutcomes = map[Outcome]*obs.Counter{
@@ -50,7 +50,7 @@ func ensureObs() {
 		sessionDrops = r.Counter("tester_session_dropped_reads_total",
 			"readouts lost to the flaky channel")
 		poolEvaluations = r.Counter("tester_pool_evaluations_total",
-			"pooled evaluations run across all campaigns")
+			"pooled chip runs across all sessions, escape and overkill campaigns")
 	})
 }
 

@@ -383,11 +383,15 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 //
 // Each chip runs under a span carrying its verdict; distinct names (by
 // global chip index) give scheduling-independent span IDs under the
-// concurrent pool. Workers stop claiming chips once ctx is cancelled, and
-// Chips counts only the sessions run.
+// concurrent pool. Each run is observed into the tester's pool
+// instruments: its latency into tester_pool_item_seconds and one count
+// into tester_pool_evaluations_total. Workers stop claiming chips once ctx
+// is cancelled, and Chips counts only the sessions run.
 func (a *ATE) measureChips(ctx context.Context, idx []int, chip func(d *die, i, w int) (SessionReport, error)) SessionStats {
+	ensureObs()
 	dies := make([]*die, pool.Workers(len(idx)))
-	results, done := pool.Run(ctx, len(idx), timed(func(k, w int) SessionStats {
+	results, done := pool.Run(ctx, len(idx), func(k, w int) SessionStats {
+		timer := obs.StartTimer()
 		i := idx[k]
 		if dies[w] == nil {
 			dies[w] = a.newDie()
@@ -403,8 +407,10 @@ func (a *ATE) measureChips(ctx context.Context, idx []int, chip func(d *die, i, 
 			local.add(rep)
 			span.SetAttr("outcome", rep.Outcome.String())
 		}
+		timer.ObserveElapsed(poolItemSeconds)
+		poolEvaluations.Inc()
 		return local
-	}))
+	})
 	var st SessionStats
 	for k, r := range results {
 		if done[k] {

@@ -323,11 +323,11 @@ func TestMeasureCoveragePanicPerFaultUnderCollapse(t *testing.T) {
 	mixed = append(mixed, universe[7:]...)
 	mixed = append(mixed, bogus)
 
-	if cls := faultsim.NewGolden(merged).Collapse(universe); len(cls.Reps) >= len(universe) {
-		t.Fatalf("fixture broken: %d SWF faults form %d classes", len(universe), len(cls.Reps))
-	}
-
+	before := faultsim.Snapshot()
 	res := ate.MeasureCoverage(mixed, g.Options().Values)
+	if classes := faultsim.Snapshot().Classes - before.Classes; classes >= int64(len(universe)) {
+		t.Fatalf("fixture broken: %d SWF faults form %d classes", len(universe), classes)
+	}
 	if len(res.Errors) != 2 {
 		t.Fatalf("errors = %v, want one per bogus copy", res.Errors)
 	}

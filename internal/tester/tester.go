@@ -16,7 +16,6 @@ import (
 	"neurotest/internal/faultsim"
 	"neurotest/internal/obs"
 	"neurotest/internal/pattern"
-	"neurotest/internal/pool"
 	"neurotest/internal/quant"
 	"neurotest/internal/snn"
 	"neurotest/internal/stats"
@@ -54,9 +53,9 @@ type ATE struct {
 }
 
 // goldenShare memoizes one faultsim.Golden of its test set behind an ATE
-// and all of its tolerance clones. A build panic (e.g. a pattern that does
-// not fit the input layer) is captured once and surfaced as an error by
-// every campaign instead of crashing the caller.
+// and all of its tolerance clones. A test set the build rejects
+// (faultsim.NewGolden validates it) leaves the share with that error, which
+// every campaign surfaces instead of crashing the caller.
 type goldenShare struct {
 	ts   *pattern.TestSet
 	once sync.Once
@@ -67,12 +66,9 @@ type goldenShare struct {
 // get returns the memoized Golden, building it on first use.
 func (s *goldenShare) get() (*faultsim.Golden, error) {
 	s.once.Do(func() {
-		defer func() {
-			if p := recover(); p != nil {
-				s.err = fmt.Errorf("tester: building golden traces: %v", p)
-			}
-		}()
-		s.g = faultsim.NewGolden(s.ts)
+		if s.g, s.err = faultsim.NewGolden(s.ts); s.err != nil {
+			s.err = fmt.Errorf("tester: building golden traces: %w", s.err)
+		}
 	})
 	return s.g, s.err
 }
@@ -232,10 +228,10 @@ func (a *ATE) TestSet() *pattern.TestSet { return a.ts }
 func (a *ATE) Golden(i int) snn.Result {
 	g, err := a.expected.get()
 	if err != nil {
-		// The lazy build fails when an item cannot be simulated (a pattern
-		// that does not fit the input layer, say). Coverage reports the
-		// build failure as its error; chip campaigns re-panic it on their
-		// caller.
+		// The lazy build fails when the test set does not validate (a
+		// pattern that does not fit the input layer, say). Coverage reports
+		// the build failure as its error; chip campaigns re-panic it on
+		// their caller.
 		//lint:ignore no-panic the build failure of a malformed test set reaches every reader of goldens
 		panic(err)
 	}
@@ -434,17 +430,14 @@ func rejectFault(f fault.Fault, arch snn.Arch) error {
 // program over faults and reports coverage. Variation plays no role here —
 // coverage is a property of the deterministic design, per Tables 5/6.
 //
-// Faults are first collapsed into exact equivalence classes over one
-// shared, memoized faultsim.Golden (good-chip traces are simulated once per
-// test program, no matter how many workers run or how many campaigns reuse
-// the ATE). A fault that is not a fault of the chip (fault.Fault.In) is
-// rejected into CoverageResult.Errors before anything is simulated. The
-// other class representatives are evaluated in parallel, each worker with
-// a cheap evaluator of its own, and each verdict is broadcast to its
-// class; downstream memo hits cross workers through the Golden's sharded
-// memo. The result is identical to the serial evaluation regardless of
-// scheduling. A panic while simulating an admitted fault is a simulator
-// bug and re-panics on the caller's goroutine.
+// The campaign is one faultsim.Golden.Detects call on the program's shared,
+// memoized Golden (good-chip traces are simulated once per test program,
+// no matter how many campaigns reuse the ATE), which collapses the faults
+// into exact equivalence classes and fault-simulates one representative per
+// class on the worker pool. A fault that is not a fault of the chip
+// (fault.Fault.In) is never simulated: it is rejected into
+// CoverageResult.Errors. The result is identical to the serial evaluation
+// regardless of scheduling, and tallied in input order.
 func (a *ATE) MeasureCoverage(faults []fault.Fault, values fault.Values) CoverageResult {
 	//lint:ignore unchecked-error context.Background() never cancels, and cancellation is the only error MeasureCoverageContext returns
 	res, _ := a.MeasureCoverageContext(context.Background(), faults, values)
@@ -452,12 +445,11 @@ func (a *ATE) MeasureCoverage(faults []fault.Fault, values fault.Values) Coverag
 }
 
 // MeasureCoverageContext is MeasureCoverage with cooperative cancellation:
-// workers stop claiming faults once ctx is cancelled, and the incremental
-// engines abort their item scans between items. On cancellation it returns
-// ctx.Err() together with the partial result — Total still counts every
-// requested fault and Errors every rejected one, but only faults whose
-// class representative was evaluated before the cancellation appear as
-// Detected or Undetected.
+// workers stop claiming fault groups once ctx is cancelled, and a group's
+// item scan stops between items. On cancellation it returns ctx.Err()
+// together with the partial result — Total still counts every requested
+// fault and Errors every rejected one, but only faults whose class reached
+// a verdict before the cancellation appear as Detected or Undetected.
 func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, values fault.Values) (CoverageResult, error) {
 	res := CoverageResult{Total: len(faults)}
 	if len(faults) == 0 {
@@ -469,103 +461,34 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 	ctx, span := obs.StartSpan(ctx, "fault-simulate")
 	span.SetAttr("faults", strconv.Itoa(len(faults)))
 	defer span.End()
-	golden, gerr := a.goldens.get()
-	if gerr != nil {
+	golden, err := a.goldens.get()
+	if err != nil {
 		// Without goldens no fault can be evaluated; surface the build
 		// failure once rather than crashing or erroring per fault.
-		res.Errors = append(res.Errors, gerr)
+		res.Errors = append(res.Errors, err)
 		return res, ctx.Err()
 	}
-	// Collapse first: faults of one exact equivalence class get identical
-	// verdicts, so the pool evaluates one representative per class and the
-	// verdicts are broadcast to the members below.
-	cls := golden.Collapse(faults)
-	span.SetAttr("classes", strconv.Itoa(len(cls.Reps)))
-	// A fault that is not a fault of the chip never joins a class
-	// (collapse.go), so it represents itself: checking the representatives
-	// rejects every such fault before anything is simulated.
-	arch := a.ts.Arch
-	admitted, rejected := cls.Reps, 0
-	for _, i := range cls.Reps {
-		if !faults[i].In(arch) {
-			rejected++
+	verdicts, err := golden.Detects(ctx, values, faults)
+	span.SetAttr("classes", strconv.Itoa(verdicts.Classes()))
+	// A fault without a verdict is either outside the chip or in a class
+	// the cancellation cut short.
+	for i := range faults {
+		switch det, ok := verdicts.Detected(i); {
+		case det:
+			res.Detected++
+		case ok:
+			res.Undetected = append(res.Undetected, faults[i])
+		case !faults[i].In(a.ts.Arch):
+			res.Errors = append(res.Errors, rejectFault(faults[i], a.ts.Arch))
 		}
 	}
-	if rejected > 0 {
-		admitted = make([]int32, 0, len(cls.Reps)-rejected)
-		for _, i := range cls.Reps {
-			if faults[i].In(arch) {
-				admitted = append(admitted, i)
-			}
-		}
-	}
-	reps := faults // when nothing collapses and nothing is rejected, the faults represent themselves
-	if len(admitted) < len(faults) {
-		reps = make([]fault.Fault, len(admitted))
-		for k, i := range admitted {
-			reps[k] = faults[i]
-		}
-	}
-	// The pool claims representatives in packed groups (same kind, same
-	// deviated layer, ≤64 per group): each group runs one bit-parallel
-	// downstream pass through the packed kernel.
-	groups := faultsim.PackGroups(reps)
-	evals := make([]*faultsim.Evaluator, pool.Workers(len(groups)))
-	verdicts, done := pool.Run(ctx, len(groups), timed(func(gi, w int) []bool {
-		idx := groups[gi]
-		sub := make([]fault.Fault, len(idx))
-		for k, i := range idx {
-			sub[k] = reps[i]
-		}
-		if evals[w] == nil {
-			evals[w] = golden.NewEvaluator(values)
-		}
-		det, err := evals[w].DetectsBatch(ctx, sub)
-		if err != nil {
-			return nil // cancelled mid-group: none of this group's verdicts count
-		}
-		return det
-	}))
-	// Scatter the group verdicts to their classes.
-	detected := make([]bool, len(cls.Reps))
-	evaluated := make([]bool, len(cls.Reps))
-	for gi, det := range verdicts {
-		if !done[gi] || det == nil {
-			continue // never claimed, or aborted mid-scan, because of cancellation
-		}
-		for k, r := range groups[gi] {
-			c := cls.Of[admitted[r]]
-			evaluated[c] = true
-			detected[c] = det[k]
-		}
-	}
-	// Broadcast each class's outcome to its members in input order, so
-	// Detected, Undetected and Errors aggregate as if every fault had been
-	// evaluated on its own.
-	broadcast := 0
-	for i, c := range cls.Of {
-		switch {
-		case evaluated[c]:
-			if int(cls.Reps[c]) != i {
-				broadcast++
-			}
-			if detected[c] {
-				res.Detected++
-			} else {
-				res.Undetected = append(res.Undetected, faults[i])
-			}
-		case rejected > 0 && !faults[i].In(arch):
-			res.Errors = append(res.Errors, rejectFault(faults[i], arch))
-		}
-	}
-	faultsim.CountBroadcast(broadcast)
 	span.SetAttr("detected", strconv.Itoa(res.Detected))
-	return res, ctx.Err()
+	return res, err
 }
 
 // DetectsMatrix fault-simulates every fault on every item of the program
 // as the chip is programmed, over the Golden coverage reads, and returns
-// faultsim.Evaluator.DetectsMatrix's bitset rows: item i detects faults[f]
+// faultsim.Golden.DetectsMatrix's bitset rows: item i detects faults[f]
 // when bit i%64 of rows[f][i/64] is set. Rows count any deviation whatever
 // the ATE's tolerance, as Observe's do. A fault that is not a fault of the
 // chip (fault.Fault.In) fails the call with an error naming it, and a
@@ -583,7 +506,7 @@ func (a *ATE) DetectsMatrix(ctx context.Context, faults []fault.Fault, values fa
 	if err != nil {
 		return nil, err
 	}
-	return golden.NewEvaluator(values).DetectsMatrix(ctx, faults)
+	return golden.DetectsMatrix(ctx, values, faults)
 }
 
 // MeasureOverkill simulates nChips good chips under weight variation and
@@ -650,20 +573,6 @@ func identityIndices(n int) []int {
 // decorrelation, independent of which worker runs the chip.
 func chipSeed(seed uint64, i int) uint64 {
 	return (seed + 0x9E3779B97F4A7C15*uint64(i+1)) ^ 0xD1B54A32D192ED03
-}
-
-// timed wraps a campaign task so that each run of it is observed into
-// the tester's pool instruments: its latency into tester_pool_item_seconds
-// and one count into tester_pool_evaluations_total.
-func timed[T any](fn func(i, w int) T) func(i, w int) T {
-	ensureObs()
-	return func(i, w int) T {
-		t := obs.StartTimer()
-		v := fn(i, w)
-		t.ObserveElapsed(poolItemSeconds)
-		poolEvaluations.Inc()
-		return v
-	}
 }
 
 // SampleFaults returns a deterministic stratified sample of at most max

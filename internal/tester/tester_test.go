@@ -108,11 +108,11 @@ func TestMeasureCoverageBroadcastMatchesChips(t *testing.T) {
 		faults[i] = universe[p]
 	}
 	ate := New(merged, nil)
-	if cls := faultsim.NewGolden(merged).Collapse(faults); len(cls.Reps) >= len(faults) {
-		t.Fatalf("fixture broken: %d faults form %d classes", len(faults), len(cls.Reps))
-	}
-
+	before := faultsim.Snapshot()
 	res := ate.MeasureCoverage(faults, values)
+	if classes := faultsim.Snapshot().Classes - before.Classes; classes >= int64(len(faults)) {
+		t.Fatalf("fixture broken: %d faults form %d classes", len(faults), classes)
+	}
 	var want []fault.Fault
 	for _, f := range faults {
 		if ate.RunChip(f.Modifiers(values)).Passed {
@@ -246,11 +246,12 @@ func TestCoverageSpanReportsClasses(t *testing.T) {
 	faults := fault.Universe(arch, fault.SASF)
 	rec := obs.NewRecorder(0)
 	ctx, root := obs.StartTrace(context.Background(), rec, obs.TraceID("classes"), "coverage")
+	before := faultsim.Snapshot()
 	if _, err := New(merged, nil).MeasureCoverageContext(ctx, faults, g.Options().Values); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
-	classes := len(faultsim.NewGolden(merged).Collapse(faults).Reps)
+	classes := int(faultsim.Snapshot().Classes - before.Classes)
 	if classes >= len(faults) {
 		t.Fatalf("fixture broken: %d faults form %d classes", len(faults), classes)
 	}
@@ -270,21 +271,23 @@ func TestCoverageSpanReportsClasses(t *testing.T) {
 	t.Fatal("no fault-simulate span recorded")
 }
 
-// TestCoverageCountsBroadcastFaults: a campaign's pool evaluates class
-// representatives only, yet faults simulated still counts every fault,
-// and fault classes one per representative.
+// TestCoverageCountsBroadcastFaults: a campaign evaluates class
+// representatives only, yet faults simulated still counts every fault, and
+// fault classes one per representative: one per post neuron for the SWF
+// universe of the generated SWF program, whose configurations give every
+// synapse into a neuron the same weight and presynaptic train.
 func TestCoverageCountsBroadcastFaults(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
-	g, merged := smallSuite(t, arch, core.NoVariation())
+	g, _ := smallSuite(t, arch, core.NoVariation())
 	faults := fault.Universe(arch, fault.SWF)
-	classes := len(faultsim.NewGolden(merged).Collapse(faults).Reps)
+	classes := arch[1] + arch[2]
 	before := faultsim.Snapshot()
-	New(merged, nil).MeasureCoverage(faults, g.Options().Values)
+	New(g.Generate(fault.SWF), nil).MeasureCoverage(faults, g.Options().Values)
 	after := faultsim.Snapshot()
 	if d := after.FaultsSimulated - before.FaultsSimulated; d != int64(len(faults)) {
 		t.Errorf("faults simulated = %d, want %d", d, len(faults))
 	}
-	if d := after.Classes - before.Classes; d != int64(classes) || classes >= len(faults) {
+	if d := after.Classes - before.Classes; d != int64(classes) {
 		t.Errorf("classes = %d, want %d (of %d faults)", d, classes, len(faults))
 	}
 }
