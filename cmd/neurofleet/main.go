@@ -70,9 +70,8 @@ type legResult struct {
 	P50Ms         float64 `json:"p50_ms"`
 	P95Ms         float64 `json:"p95_ms"`
 	P99Ms         float64 `json:"p99_ms"`
-	// Two-tier cache evidence, summed over the leg's worker nodes.
+	// Suites generated, summed over the leg's worker nodes.
 	SuiteGenerations int64 `json:"suite_generations"`
-	CachePeerHits    int64 `json:"cache_peer_hits"`
 }
 
 // benchReport is the JSON written to -out (and always to stdout).
@@ -197,8 +196,8 @@ func (n *node) close() {
 	n.srv.Close()
 }
 
-// startNode listens first and builds the server after, so peer URLs can be
-// assigned before any daemon starts (the worker ring references itself).
+// startNode listens first and builds the server after, so every worker URL
+// is known before the coordinator that lists them starts.
 func startNode(cfg service.Config, ln net.Listener) *node {
 	s := service.New(cfg)
 	hs := &http.Server{Handler: s.Handler()}
@@ -228,7 +227,6 @@ func runLeg(o options, arch []int, n int) (legResult, error) {
 		cfg.Workers = o.nodeWorkers
 		cfg.QueueCapacity = o.nodeQueue
 		cfg.HWDwell = o.dwell
-		cfg.Peers = strings.Join(otherURLs(urls, i), ",")
 		workers[i] = startNode(cfg, ln)
 	}
 	cln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -300,21 +298,9 @@ func runLeg(o options, arch []int, n int) (legResult, error) {
 		res.ThroughputCPS = float64(len(merged)) / wall.Seconds()
 	}
 	for _, w := range workers {
-		snap := w.srv.Metrics().Snapshot()
-		res.SuiteGenerations += snap["suite_generations"]
-		res.CachePeerHits += snap["cache_peer_hits"]
+		res.SuiteGenerations += w.srv.Metrics().SuiteGenerations.Load()
 	}
 	return res, nil
-}
-
-func otherURLs(urls []string, self int) []string {
-	out := make([]string, 0, len(urls)-1)
-	for i, u := range urls {
-		if i != self {
-			out = append(out, u)
-		}
-	}
-	return out
 }
 
 func parseArch(s string) ([]int, error) {

@@ -23,11 +23,11 @@
 //	GET    /healthz            queue depth, busy workers, peer reachability
 //	GET    /metrics            expvar-style counters (Prometheus text)
 //
-// With -peers, cache misses try a peer fetch by content key before
-// rebuilding. With -coordinator, campaign submissions are sharded across
-// the peer ring by consistent hashing and merged bit-identically to a
-// single-node run (DESIGN.md §14). -hw-dwell charges each campaign a
-// simulated fixture-occupancy time, for floor-throughput experiments.
+// With -peers, /healthz probes the listed peers. With -coordinator,
+// campaign submissions are sharded across the peer ring by consistent
+// hashing and merged bit-identically to a single-node run (DESIGN.md §14).
+// -hw-dwell charges each campaign a simulated fixture-occupancy time, for
+// floor-throughput experiments.
 //
 // `neurotest serve` launches the same daemon with the same flags.
 package main

@@ -13,9 +13,9 @@ import (
 )
 
 // Client talks to one worker node over its public HTTP API. It submits
-// shard jobs, streams their NDJSON progress to completion, probes health
-// and fetches cached artifacts — exactly the endpoints any external client
-// uses, so a worker cannot tell a coordinator from a human with curl.
+// shard jobs, streams their NDJSON progress to completion and probes
+// health — exactly the endpoints any external client uses, so a worker
+// cannot tell a coordinator from a human with curl.
 type Client struct {
 	// Base is the worker's base URL, e.g. "http://10.0.0.7:8419".
 	Base string
@@ -29,8 +29,10 @@ type Client struct {
 	stream *http.Client
 }
 
-// NewClient builds a client for one worker with the given options.
+// NewClient builds a client for one worker with the given options and
+// registers the package instruments its retries count into.
 func NewClient(base string, o Options) *Client {
+	ensureObs()
 	o = o.withDefaults()
 	return &Client{
 		Base:         base,
@@ -59,26 +61,6 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 		return h, fmt.Errorf("cluster: %s/healthz: %s", c.Base, resp.Status)
 	}
 	return h, json.NewDecoder(resp.Body).Decode(&h)
-}
-
-// FetchArtifact downloads a resident artifact by its content key via
-// GET /v1/artifacts/{key} — the peer tier of the two-tier cache. A 404
-// (peer never built it, or evicted) is an error; the caller falls through
-// to the next peer or builds locally.
-func (c *Client) FetchArtifact(ctx context.Context, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/artifacts/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.ctl.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s has no artifact %s: %s", c.Base, key, resp.Status)
-	}
-	return io.ReadAll(resp.Body)
 }
 
 // RunJob submits payload to path on the worker (expecting the service's

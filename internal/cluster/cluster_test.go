@@ -226,8 +226,8 @@ func TestCoordinatorAllWorkersDead(t *testing.T) {
 func TestClientRetries503Backpressure(t *testing.T) {
 	w := newFakeWorker(t, "w0")
 	w.fail503.Store(3)
-	ensureObs()
 	c := NewClient(w.srv.URL, testOptions())
+	retries := obsShardBusyRetries.Value()
 	var events int
 	res, err := c.RunJob(t.Context(), "/v1/shards/test", Shard{Request: json.RawMessage(`{}`), Index: []int{1, 2}}, func(json.RawMessage) { events++ })
 	if err != nil {
@@ -239,6 +239,10 @@ func TestClientRetries503Backpressure(t *testing.T) {
 	}
 	if len(echo.Index) != 2 || events != 1 {
 		t.Errorf("echo %+v, %d events forwarded", echo, events)
+	}
+	// A client used with no coordinator still counts its retries.
+	if got := obsShardBusyRetries.Value() - retries; got != 3 {
+		t.Errorf("cluster_shard_busy_retries_total rose by %d, want 3", got)
 	}
 }
 
@@ -262,7 +266,6 @@ func TestClientCancelledContext(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	ensureObs()
 	c := NewClient(srv.URL, testOptions())
 	ctx, cancel := context.WithTimeout(t.Context(), 50*time.Millisecond)
 	defer cancel()

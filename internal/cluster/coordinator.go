@@ -70,7 +70,6 @@ func (c *Coordinator) Assign(keys []string) [][]int {
 // worker jobs are best-effort cancelled (DELETE) so the floor stops
 // burning tester time on an abandoned campaign.
 func (c *Coordinator) Run(ctx context.Context, path string, request json.RawMessage, keys []string, publish func(any)) ([]ShardResult, error) {
-	ensureObs()
 	timer := obs.StartTimer()
 	defer func() { timer.ObserveElapsed(obsFanOutSeconds) }()
 

@@ -40,9 +40,9 @@ type Ring struct {
 	points []ringPoint
 }
 
-// NewRing builds a ring over nodes (in the given order; the order defines
-// failover precedence for Candidates). An empty node list yields a ring
-// whose Owner always returns -1.
+// NewRing builds a ring over nodes, in the given order: Owner returns an
+// index into it. An empty node list yields a ring whose Owner always
+// returns -1.
 func NewRing(nodes []string) *Ring {
 	r := &Ring{nodes: append([]string(nil), nodes...)}
 	for n, name := range r.nodes {
@@ -73,32 +73,6 @@ func (r *Ring) Owner(key string) int {
 		i = 0 // wrap: the ring is circular
 	}
 	return r.points[i].node
-}
-
-// Candidates returns every node index in failover order for key: the owner
-// first, then the remaining nodes walking clockwise around the ring from
-// the owner's point (deduplicated). A shard whose owner is unreachable is
-// retried on Candidates[1], then Candidates[2], … — the same deterministic
-// order on every coordinator.
-func (r *Ring) Candidates(key string) []int {
-	if len(r.points) == 0 {
-		return nil
-	}
-	h := hash64(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if start == len(r.points) {
-		start = 0
-	}
-	out := make([]int, 0, len(r.nodes))
-	seen := make([]bool, len(r.nodes))
-	for i := 0; i < len(r.points) && len(out) < len(r.nodes); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
 }
 
 // hash64 is the ring's position function: the first 8 bytes of SHA-256,

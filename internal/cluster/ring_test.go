@@ -45,34 +45,10 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-func TestRingCandidates(t *testing.T) {
-	nodes := []string{"http://w0:1", "http://w1:1", "http://w2:1", "http://w3:1"}
-	r := NewRing(nodes)
-	for _, k := range ringKeys(200) {
-		cand := r.Candidates(k)
-		if len(cand) != len(nodes) {
-			t.Fatalf("Candidates(%q) = %v, want all %d nodes", k, cand, len(nodes))
-		}
-		if cand[0] != r.Owner(k) {
-			t.Fatalf("Candidates(%q)[0] = %d, want owner %d", k, cand[0], r.Owner(k))
-		}
-		seen := make(map[int]bool)
-		for _, n := range cand {
-			if n < 0 || n >= len(nodes) || seen[n] {
-				t.Fatalf("Candidates(%q) = %v: invalid or duplicate node", k, cand)
-			}
-			seen[n] = true
-		}
-	}
-}
-
 func TestRingEmptyAndSingle(t *testing.T) {
 	empty := NewRing(nil)
 	if got := empty.Owner("anything"); got != -1 {
 		t.Errorf("empty ring Owner = %d, want -1", got)
-	}
-	if got := empty.Candidates("anything"); got != nil {
-		t.Errorf("empty ring Candidates = %v, want nil", got)
 	}
 
 	one := NewRing([]string{"http://solo:1"})

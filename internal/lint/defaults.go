@@ -108,7 +108,7 @@ func UncheckedErrorExemptions() []string {
 }
 
 // DefaultClosables are the resource types the resource-close check
-// tracks: HTTP response bodies (the cluster client's peer-fetch and
+// tracks: HTTP response bodies (the cluster client's job-submit and
 // job-stream connections leak pooled sockets when left open) and files
 // (every unflushed result writer in the cmds).
 func DefaultClosables() []ClosableType {

@@ -144,7 +144,7 @@ func ReadJSON(r io.Reader) (*TestSet, error) {
 
 // Binary format:
 //
-//	magic "NTS1" | u32 nameLen | name bytes
+//	magic "NTS3" | u32 nameLen | name bytes
 //	u32 L | u32 arch[L]
 //	f64 theta | f64 leak | f64 wmax | u32 resetMode
 //	u32 nConfigs | per config: per boundary: f64 weights (flat)
@@ -156,6 +156,26 @@ func ReadJSON(r io.Reader) (*TestSet, error) {
 // All integers little-endian.
 var binaryMagic = [4]byte{'N', 'T', 'S', '3'}
 
+// BinarySize returns the length of the image WriteBinary writes for ts,
+// computed from the set's shape without encoding it.
+func BinarySize(ts *TestSet) int {
+	// magic, name, layer count and widths, three f64 params, reset mode,
+	// config count, item count
+	n := len(binaryMagic) + 4 + len(ts.Name) + 4 + 4*len(ts.Arch) + 3*8 + 4 + 4 + 4
+	for _, cfg := range ts.Configs {
+		for _, w := range cfg.W {
+			n += 8 * len(w)
+		}
+	}
+	nBytes := (ts.Arch.Inputs() + 7) / 8
+	for _, it := range ts.Items {
+		// label length and label, config index, timesteps, repeat, flags,
+		// packed pattern
+		n += 4 + len(it.Label) + 4*4 + nBytes
+	}
+	return n
+}
+
 // WriteBinary encodes ts in the compact binary format.
 func WriteBinary(w io.Writer, ts *TestSet) error {
 	bw := bufio.NewWriter(w)
@@ -164,10 +184,19 @@ func WriteBinary(w io.Writer, ts *TestSet) error {
 	}
 	// bufio.Writer errors are sticky: every Write after the first failure
 	// is a no-op returning the same error, and the final Flush reports it.
-	//lint:ignore unchecked-error bufio write errors are sticky; the final Flush reports the first failure
-	writeU32 := func(v int) { binary.Write(bw, binary.LittleEndian, uint32(v)) }
-	//lint:ignore unchecked-error bufio write errors are sticky; the final Flush reports the first failure
-	writeF64 := func(v float64) { binary.Write(bw, binary.LittleEndian, math.Float64bits(v)) }
+	// Every value passes through one reused 8-byte word instead of a
+	// binary.Write call each: a 4-layer merged suite holds 2 M weights.
+	var word [8]byte
+	writeU32 := func(v int) {
+		binary.LittleEndian.PutUint32(word[:4], uint32(v))
+		//lint:ignore unchecked-error bufio write errors are sticky; the final Flush reports the first failure
+		bw.Write(word[:4])
+	}
+	writeF64 := func(v float64) {
+		binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+		//lint:ignore unchecked-error bufio write errors are sticky; the final Flush reports the first failure
+		bw.Write(word[:])
+	}
 
 	writeU32(len(ts.Name))
 	//lint:ignore unchecked-error bufio write errors are sticky; the final Flush reports the first failure
@@ -225,21 +254,22 @@ func ReadBinary(r io.Reader) (*TestSet, error) {
 	if magic != binaryMagic {
 		return nil, fmt.Errorf("pattern: bad magic %q", magic)
 	}
+	// Every value passes through one 8-byte word, zeroed by a failed read
+	// so that a truncated value reads as 0.
 	var firstErr error
-	readU32 := func() int {
-		var v uint32
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil && firstErr == nil {
-			firstErr = err
+	var word [8]byte
+	read := func(n int) []byte {
+		b := word[:n]
+		if _, err := io.ReadFull(br, b); err != nil {
+			clear(b)
+			if firstErr == nil {
+				firstErr = err
+			}
 		}
-		return int(v)
+		return b
 	}
-	readF64 := func() float64 {
-		var v uint64
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		return math.Float64frombits(v)
-	}
+	readU32 := func() int { return int(binary.LittleEndian.Uint32(read(4))) }
+	readF64 := func() float64 { return math.Float64frombits(binary.LittleEndian.Uint64(read(8))) }
 	readStr := func(n int) string {
 		if n < 0 || n > 1<<20 {
 			if firstErr == nil {

@@ -46,7 +46,8 @@ func serveSuite(f *testing.F, ts *httptest.Server, body string) []byte {
 // FuzzServedSuites fuzzes the binary decoder from seeds captured off real
 // service responses: single-kind suites for both paper models and the full
 // merged program for a small family. The invariant matches FuzzReadBinary —
-// whatever decodes must validate and re-encode byte-identically.
+// whatever decodes must validate and re-encode to an image of BinarySize
+// bytes that decodes again.
 func FuzzServedSuites(f *testing.F) {
 	cfg := service.DefaultConfig()
 	cfg.Workers = 1
@@ -83,6 +84,9 @@ func FuzzServedSuites(f *testing.F) {
 		var out bytes.Buffer
 		if werr := pattern.WriteBinary(&out, ts); werr != nil {
 			t.Fatalf("re-encode failed: %v", werr)
+		}
+		if n := pattern.BinarySize(ts); n != out.Len() {
+			t.Fatalf("BinarySize %d, re-encoded %d bytes", n, out.Len())
 		}
 		reread, rerr := pattern.ReadBinary(bytes.NewReader(out.Bytes()))
 		if rerr != nil {

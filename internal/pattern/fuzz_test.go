@@ -37,6 +37,9 @@ func FuzzReadBinary(f *testing.F) {
 		if werr := WriteBinary(&out, ts); werr != nil {
 			t.Fatalf("re-encode failed: %v", werr)
 		}
+		if n := BinarySize(ts); n != out.Len() {
+			t.Fatalf("BinarySize %d, re-encoded %d bytes", n, out.Len())
+		}
 	})
 }
 

@@ -212,7 +212,7 @@ func TestCodecRoundTripQuick(t *testing.T) {
 		var got *TestSet
 		var err error
 		if binary {
-			if err = WriteBinary(&buf, ts); err != nil {
+			if err = WriteBinary(&buf, ts); err != nil || BinarySize(ts) != buf.Len() {
 				return false
 			}
 			got, err = ReadBinary(&buf)
@@ -229,6 +229,38 @@ func TestCodecRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBinarySizeMatchesEncoder pins BinarySize to the length WriteBinary
+// writes, on sets with an empty name, empty labels, no configurations or
+// items, and input widths that fill whole pattern bytes and that do not.
+func TestBinarySizeMatchesEncoder(t *testing.T) {
+	check := func(ts *TestSet) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, ts); err != nil {
+			t.Fatal(err)
+		}
+		if got := BinarySize(ts); got != buf.Len() {
+			t.Errorf("%q on %v with %d configs and %d items: BinarySize %d, encoded %d bytes",
+				ts.Name, ts.Arch, len(ts.Configs), len(ts.Items), got, buf.Len())
+		}
+	}
+	params := snn.DefaultParams()
+	for _, inputs := range []int{1, 8, 9, 576} {
+		arch := snn.Arch{inputs, 3, 2}
+		for _, name := range []string{"", "proposed"} {
+			ts := NewTestSet(name, arch, params)
+			check(ts)
+			ci := ts.AddConfig(snn.New(arch, params))
+			for _, label := range []string{"", "HSF L2 grp0"} {
+				pat := snn.NewPattern(inputs)
+				pat[inputs-1] = true
+				ts.AddItem(Item{Label: label, ConfigIndex: ci, Pattern: pat, Timesteps: 2, Hold: label == ""})
+				check(ts)
+			}
+		}
 	}
 }
 

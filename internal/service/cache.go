@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -92,8 +91,9 @@ func (s SuiteSpec) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// build generates the suite and encodes it with the binary codec — the
-// expensive computation the cache and singleflight exist to amortize.
+// build generates the suite, the computation the cache and singleflight
+// exist to amortize. It encodes nothing: a download encodes the suite it
+// serves.
 func (s SuiteSpec) build() (*Artifact, error) {
 	model := s.Model()
 	g, err := model.Generator(s.regime())
@@ -106,18 +106,11 @@ func (s SuiteSpec) build() (*Artifact, error) {
 	} else {
 		ts = g.Generate(s.Kind)
 	}
-	var buf bytes.Buffer
-	if err := pattern.WriteBinary(&buf, ts); err != nil {
-		return nil, err
-	}
-	return s.artifact(ts, buf.Bytes()), nil
+	return s.artifact(ts), nil
 }
 
-// artifact wraps a decoded test set and its encoded bytes into the cache's
-// unit of storage. Shared by the local build path and the peer-fetch path,
-// so a suite fetched from a cluster peer is indistinguishable from a
-// locally generated one — same summary, same lazily memoized ATE.
-func (s SuiteSpec) artifact(ts *pattern.TestSet, encoded []byte) *Artifact {
+// artifact wraps a generated test set into the cache's unit of storage.
+func (s SuiteSpec) artifact(ts *pattern.TestSet) *Artifact {
 	key := s.Key()
 	return &Artifact{
 		Key: key,
@@ -131,15 +124,15 @@ func (s SuiteSpec) artifact(ts *pattern.TestSet, encoded []byte) *Artifact {
 			Configs:    ts.NumConfigs(),
 			Patterns:   ts.NumPatterns(),
 			TestLength: ts.TestLength(),
-			SizeBytes:  len(encoded),
+			SizeBytes:  pattern.BinarySize(ts),
 		},
-		Bytes: encoded,
-		ts:    ts,
-		spec:  s,
+		ts:   ts,
+		spec: s,
 	}
 }
 
-// SuiteSummary is the JSON shape describing a cached artifact.
+// SuiteSummary is the JSON shape describing a cached artifact. SizeBytes
+// is the length of its binary-codec image, the body of a download.
 type SuiteSummary struct {
 	Key        string `json:"key"`
 	Name       string `json:"name"`
@@ -153,14 +146,14 @@ type SuiteSummary struct {
 	SizeBytes  int    `json:"size_bytes"`
 }
 
-// Artifact is one cached computation: the binary-encoded suite plus the
-// decoded test set and (lazily) the ATE whose golden traces campaigns
-// reuse. Artifacts are immutable after construction except for the
-// memoized ATE, which is built once under ateOnce.
+// Artifact is one cached computation: the generated test set and (lazily)
+// the ATE whose golden traces campaigns reuse. A download encodes the set
+// on request; the cache keeps no encoded copy. Artifacts are immutable
+// after construction except for the memoized ATE, which is built once
+// under ateOnce.
 type Artifact struct {
 	Key     string
 	Summary SuiteSummary
-	Bytes   []byte
 
 	ts   *pattern.TestSet
 	spec SuiteSpec
@@ -202,12 +195,6 @@ type Cache struct {
 	lru      *list.List               // front = most recently used
 	flight   map[string]*flight
 	metrics  *Metrics
-
-	// peerFetch, when set, is the second cache tier: on a local miss the
-	// cache asks the cluster peers for the encoded suite by content key
-	// before paying for a rebuild. It runs inside the singleflight, so a
-	// stampede of identical requests costs at most one peer round-trip.
-	peerFetch func(key string) ([]byte, error)
 }
 
 // flight is one in-progress computation that concurrent identical requests
@@ -228,8 +215,6 @@ const (
 	SourceHit
 	// SourceDedup: folded into another request's in-flight computation.
 	SourceDedup
-	// SourcePeer: fetched pre-built from a cluster peer's cache.
-	SourcePeer
 )
 
 // String renders the source for response JSON.
@@ -239,16 +224,15 @@ func (s Source) String() string {
 		return "hit"
 	case SourceDedup:
 		return "dedup"
-	case SourcePeer:
-		return "peer"
 	default:
 		return "miss"
 	}
 }
 
 // NewCache returns a cache bounded to roughly maxBytes of encoded suite
-// bytes (decoded sets and golden traces ride along uncounted; the encoded
-// size dominates and tracks both). maxBytes <= 0 means unbounded.
+// bytes: each entry counts its binary-codec size (pattern.BinarySize),
+// which tracks the generated set it holds, and golden traces ride along
+// uncounted. maxBytes <= 0 means unbounded.
 func NewCache(maxBytes int64, m *Metrics) *Cache {
 	return &Cache{
 		maxBytes: maxBytes,
@@ -281,18 +265,11 @@ func (c *Cache) Suite(spec SuiteSpec) (*Artifact, Source, error) {
 	c.flight[key] = f
 	c.mu.Unlock()
 	c.metrics.CacheMisses.Add(1)
+	c.metrics.SuiteGenerations.Add(1)
 
-	src := SourceMiss
-	art, err := c.fromPeer(spec, key)
-	if art != nil {
-		src = SourcePeer
-		c.metrics.CachePeerHits.Add(1)
-	} else {
-		c.metrics.SuiteGenerations.Add(1)
-		timer := obs.StartTimer()
-		art, err = spec.build()
-		timer.ObserveElapsed(c.metrics.ArtifactBuildSeconds)
-	}
+	timer := obs.StartTimer()
+	art, err := spec.build()
+	timer.ObserveElapsed(c.metrics.ArtifactBuildSeconds)
 	if art != nil {
 		art.metrics = c.metrics
 	}
@@ -305,39 +282,7 @@ func (c *Cache) Suite(spec SuiteSpec) (*Artifact, Source, error) {
 	c.mu.Unlock()
 	f.art, f.err = art, err
 	close(f.done)
-	return art, src, err
-}
-
-// fromPeer is the second cache tier: fetch the encoded suite by content key
-// from the worker ring and decode it, validating that the bytes really are
-// a structurally sound test set for the requested spec before trusting
-// them. Any failure (no peers, 404s, corrupt bytes, spec mismatch) returns
-// (nil, nil): peer fetch is an optimization, never a correctness
-// dependency, so the caller falls through to a local build.
-func (c *Cache) fromPeer(spec SuiteSpec, key string) (*Artifact, error) {
-	if c.peerFetch == nil {
-		return nil, nil
-	}
-	raw, err := c.peerFetch(key)
-	if err != nil {
-		c.metrics.PeerFetchFailures.Add(1)
-		return nil, nil
-	}
-	ts, err := pattern.ReadBinary(bytes.NewReader(raw))
-	if err != nil {
-		c.metrics.PeerFetchFailures.Add(1)
-		return nil, nil
-	}
-	if err := ts.Validate(); err != nil || !ts.Arch.Equal(spec.Arch) {
-		c.metrics.PeerFetchFailures.Add(1)
-		return nil, nil
-	}
-	return spec.artifact(ts, raw), nil
-}
-
-// SetPeerFetch installs the peer tier (nil disables). Call before serving.
-func (c *Cache) SetPeerFetch(fetch func(key string) ([]byte, error)) {
-	c.peerFetch = fetch
+	return art, SourceMiss, err
 }
 
 // Lookup returns the resident artifact with the given key, or nil. It
@@ -354,7 +299,8 @@ func (c *Cache) Lookup(key string) *Artifact {
 	return el.Value.(*Artifact)
 }
 
-// Stats returns the resident entry count and encoded byte total.
+// Stats returns the resident entry count and the total binary-codec size
+// of the resident suites.
 func (c *Cache) Stats() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -374,13 +320,13 @@ func (c *Cache) insertLocked(key string, art *Artifact) {
 	}
 	el := c.lru.PushFront(art)
 	c.entries[key] = el
-	c.bytes += int64(len(art.Bytes))
+	c.bytes += int64(art.Summary.SizeBytes)
 	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 1 {
 		oldest := c.lru.Back()
 		victim := oldest.Value.(*Artifact)
 		c.lru.Remove(oldest)
 		delete(c.entries, victim.Key)
-		c.bytes -= int64(len(victim.Bytes))
+		c.bytes -= int64(victim.Summary.SizeBytes)
 		c.metrics.CacheEvictions.Add(1)
 	}
 }

@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
 	"neurotest/internal/fault"
+	"neurotest/internal/pattern"
 	"neurotest/internal/quant"
 	"neurotest/internal/snn"
 )
@@ -55,8 +57,39 @@ func TestCacheDeterministicBytes(t *testing.T) {
 	if a1.Key != a2.Key {
 		t.Errorf("keys differ: %s vs %s", a1.Key, a2.Key)
 	}
-	if !bytes.Equal(a1.Bytes, a2.Bytes) {
+	var b1, b2 bytes.Buffer
+	if err := pattern.WriteBinary(&b1, a1.ts); err != nil {
+		t.Fatal(err)
+	}
+	if err := pattern.WriteBinary(&b2, a2.ts); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Error("independently built artifacts are not byte-identical")
+	}
+	if b1.Len() != a1.Summary.SizeBytes {
+		t.Errorf("image is %d bytes, summary says %d", b1.Len(), a1.Summary.SizeBytes)
+	}
+}
+
+// TestCacheMissEncodesNothing: a miss on the paper's merged 4-layer program
+// (a 16.2 MB image) generates and keeps the test set, and allocates less
+// than the image a download encodes, so the miss builds no encoded copy.
+func TestCacheMissEncodesNothing(t *testing.T) {
+	spec := SuiteSpec{Arch: snn.Arch{576, 256, 32, 10}, KindAll: true}
+	c := NewCache(0, &Metrics{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	art, src, err := c.Suite(spec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src != SourceMiss {
+		t.Fatalf("source = %v, want miss", src)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(art.Summary.SizeBytes) {
+		t.Errorf("miss allocated %d bytes, not less than its %d-byte image", alloc, art.Summary.SizeBytes)
 	}
 }
 
@@ -127,7 +160,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget fits one artifact of this size but not two.
-	c := NewCache(int64(len(nasf.Bytes))+16, m)
+	c := NewCache(int64(nasf.Summary.SizeBytes)+16, m)
 	if _, _, err := c.Suite(specFor(fault.NASF)); err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +179,8 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Error("newest entry was evicted")
 	}
 	entries, size := c.Stats()
-	if entries != 1 || size != int64(len(hsf.Bytes)) {
-		t.Errorf("stats = (%d entries, %d bytes), want (1, %d)", entries, size, len(hsf.Bytes))
+	if entries != 1 || size != int64(hsf.Summary.SizeBytes) {
+		t.Errorf("stats = (%d entries, %d bytes), want (1, %d)", entries, size, hsf.Summary.SizeBytes)
 	}
 }
 

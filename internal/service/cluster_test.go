@@ -152,63 +152,6 @@ func TestWorkerKilledMidCampaign(t *testing.T) {
 	}
 }
 
-// TestPeerArtifactCacheTier: a node whose peer already built a suite fetches
-// the bytes instead of regenerating, and a node behind a garbage peer falls
-// back to a local build.
-func TestPeerArtifactCacheTier(t *testing.T) {
-	// Worker A builds the artifact.
-	sa, tsa := newTestServer(t, testConfig())
-	var genA generateResponse
-	postJSON(t, tsa.URL+"/v1/generate", `{"arch":[12,8,4]}`, &genA)
-	if genA.Source != "miss" {
-		t.Fatalf("A's first generate source = %q, want miss", genA.Source)
-	}
-
-	// Worker B peers with A: same request arrives pre-built.
-	cfgB := testConfig()
-	cfgB.Peers = tsa.URL
-	sb, tsb := newTestServer(t, cfgB)
-	var genB generateResponse
-	postJSON(t, tsb.URL+"/v1/generate", `{"arch":[12,8,4]}`, &genB)
-	if genB.Source != "peer" || !genB.Cached {
-		t.Fatalf("B's generate source = %q cached=%v, want peer fetch", genB.Source, genB.Cached)
-	}
-	if genB.Key != genA.Key {
-		t.Errorf("peer-fetched key %q != built key %q", genB.Key, genA.Key)
-	}
-	snapB := sb.Metrics().Snapshot()
-	if snapB["cache_peer_hits"] != 1 || snapB["suite_generations"] != 0 {
-		t.Errorf("B metrics: peer_hits=%d generations=%d, want 1 and 0",
-			snapB["cache_peer_hits"], snapB["suite_generations"])
-	}
-	// The fetched bytes are the peer's bytes.
-	artA, artB := sa.cache.Lookup(genA.Key), sb.cache.Lookup(genB.Key)
-	if artA == nil || artB == nil || string(artA.Bytes) != string(artB.Bytes) {
-		t.Error("peer-fetched artifact bytes differ from the origin's")
-	}
-
-	// Worker C peers with a garbage server: the peer tier fails closed into
-	// a local build.
-	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		w.Write([]byte("not a test set"))
-	}))
-	defer garbage.Close()
-	cfgC := testConfig()
-	cfgC.Peers = garbage.URL
-	sc, tsc := newTestServer(t, cfgC)
-	var genC generateResponse
-	postJSON(t, tsc.URL+"/v1/generate", `{"arch":[12,8,4]}`, &genC)
-	if genC.Source != "miss" || genC.Key != genA.Key {
-		t.Fatalf("C's generate source = %q key match=%v, want local-build miss", genC.Source, genC.Key == genA.Key)
-	}
-	snapC := sc.Metrics().Snapshot()
-	if snapC["peer_fetch_failures"] != 1 || snapC["suite_generations"] != 1 {
-		t.Errorf("C metrics: fetch_failures=%d generations=%d, want 1 and 1",
-			snapC["peer_fetch_failures"], snapC["suite_generations"])
-	}
-}
-
 // TestHealthzCluster checks the enriched health body: saturation gauges on
 // every node, per-peer reachability on cluster nodes, and the shallow form
 // peers use to probe each other.

@@ -28,8 +28,8 @@ type Config struct {
 	// Workers is the number of concurrent campaign jobs (each job's
 	// campaign additionally parallelizes internally over GOMAXPROCS).
 	Workers int
-	// CacheBytes bounds the artifact cache by encoded suite bytes
-	// (<= 0 = unbounded).
+	// CacheBytes bounds the artifact cache by the binary-codec size of the
+	// suites it holds (<= 0 = unbounded).
 	CacheBytes int64
 	// MaxWeights rejects generation requests whose architecture implies
 	// more than this many weights per configuration, keeping one artifact
@@ -50,8 +50,8 @@ type Config struct {
 	Coordinator bool
 	// Peers is the comma-separated list of peer base URLs (e.g.
 	// "http://w1:7823,http://w2:7823"). On a coordinator it is the worker
-	// ring campaigns shard across; on a worker it is the ring the two-tier
-	// artifact cache peer-fetches from before rebuilding.
+	// ring campaigns shard across. On any node, /healthz probes every peer
+	// listed; that sweep is all a worker's peers are for.
 	Peers string
 	// HWDwell simulates the physical tester fixture time every campaign job
 	// spends on the equipment (probe contact, thermal settle) before its
@@ -99,7 +99,7 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.TraceFile, "trace", c.TraceFile, "file receiving buffered spans as NDJSON on shutdown (empty disables)")
 	fs.IntVar(&c.TraceBuffer, "trace-buffer", c.TraceBuffer, "span ring-buffer capacity (<=0 uses the default)")
 	fs.BoolVar(&c.Coordinator, "coordinator", c.Coordinator, "run as cluster coordinator: shard campaigns across -peers instead of running them locally")
-	fs.StringVar(&c.Peers, "peers", c.Peers, "comma-separated peer base URLs (coordinator: the worker ring; worker: artifact-cache peers)")
+	fs.StringVar(&c.Peers, "peers", c.Peers, "comma-separated peer base URLs (coordinator: the worker ring; any node: probed by /healthz)")
 	fs.DurationVar(&c.HWDwell, "hw-dwell", c.HWDwell, "simulated physical tester fixture time per campaign job (0 disables)")
 }
 

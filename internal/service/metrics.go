@@ -24,8 +24,6 @@ type Metrics struct {
 	SingleflightDedups atomic.Int64 // concurrent identical requests folded into one computation
 	SuiteGenerations   atomic.Int64 // generation computations actually run
 	GoldenBuilds       atomic.Int64 // artifact ATE constructions (artifact-cache misses)
-	CachePeerHits      atomic.Int64 // artifacts fetched from a peer instead of rebuilt
-	PeerFetchFailures  atomic.Int64 // peer artifact fetches that failed (fell back to build)
 
 	// Job lifecycle.
 	JobsSubmitted atomic.Int64
@@ -40,7 +38,7 @@ type Metrics struct {
 
 	// Latency histograms (nil until register is called; Observe on nil
 	// histograms is a no-op).
-	ArtifactBuildSeconds *obs.Histogram // suite generation + encoding, miss path
+	ArtifactBuildSeconds *obs.Histogram // suite generation, miss path
 	QueueWaitSeconds     *obs.Histogram // job submit → start
 	JobRunSeconds        *obs.Histogram // job start → finish
 }
@@ -55,8 +53,6 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"singleflight_dedups": m.SingleflightDedups.Load(),
 		"suite_generations":   m.SuiteGenerations.Load(),
 		"golden_builds":       m.GoldenBuilds.Load(),
-		"cache_peer_hits":     m.CachePeerHits.Load(),
-		"peer_fetch_failures": m.PeerFetchFailures.Load(),
 		"jobs_submitted":      m.JobsSubmitted.Load(),
 		"jobs_rejected":       m.JobsRejected.Load(),
 		"jobs_done":           m.JobsDone.Load(),
@@ -82,8 +78,6 @@ func (m *Metrics) register(r *obs.Registry) {
 	r.CounterFunc("neurotestd_singleflight_dedups_total", "identical concurrent requests folded into one computation", view(&m.SingleflightDedups))
 	r.CounterFunc("neurotestd_suite_generations_total", "suite generation computations actually run", view(&m.SuiteGenerations))
 	r.CounterFunc("neurotestd_golden_builds_total", "artifact ATE constructions, one per artifact-cache miss; faultsim_golden_builds_total counts golden simulations", view(&m.GoldenBuilds))
-	r.CounterFunc("neurotestd_cache_peer_hits_total", "artifacts fetched from a cluster peer instead of rebuilt", view(&m.CachePeerHits))
-	r.CounterFunc("neurotestd_peer_fetch_failures_total", "peer artifact fetches that failed and fell back to a local build", view(&m.PeerFetchFailures))
 	r.CounterFunc("neurotestd_jobs_submitted_total", "campaign jobs accepted into the queue", view(&m.JobsSubmitted))
 	r.CounterFunc("neurotestd_jobs_rejected_total", "campaign jobs refused with 503 backpressure", view(&m.JobsRejected))
 	r.CounterFunc("neurotestd_jobs_finished_total", "campaign jobs by terminal state",
@@ -96,7 +90,7 @@ func (m *Metrics) register(r *obs.Registry) {
 	r.GaugeFunc("neurotestd_workers_busy", "workers currently running a job", view(&m.WorkersBusy))
 
 	m.ArtifactBuildSeconds = r.Histogram("neurotestd_artifact_build_seconds",
-		"suite generation and encoding latency on cache misses", nil)
+		"suite generation latency on cache misses", nil)
 	m.QueueWaitSeconds = r.Histogram("neurotestd_queue_wait_seconds",
 		"campaign job latency from submit to start", nil)
 	m.JobRunSeconds = r.Histogram("neurotestd_job_run_seconds",

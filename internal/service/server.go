@@ -28,6 +28,7 @@ import (
 	"neurotest/internal/fault"
 	"neurotest/internal/obs"
 	"neurotest/internal/online"
+	"neurotest/internal/pattern"
 	"neurotest/internal/quant"
 	"neurotest/internal/repair"
 	"neurotest/internal/snn"
@@ -51,10 +52,9 @@ type Server struct {
 	started  time.Time
 
 	// Cluster role (nil/empty on a standalone node): coord shards campaigns
-	// across the ring in coordinator mode; peerRing/peerClients back the
-	// artifact cache's peer tier and the healthz reachability sweep.
+	// across the ring in coordinator mode; peerClients back the healthz
+	// reachability sweep.
 	coord       *cluster.Coordinator
-	peerRing    *cluster.Ring
 	peerClients []*cluster.Client
 }
 
@@ -87,7 +87,7 @@ func New(cfg Config) *Server {
 func (s *Server) registerGauges() {
 	s.registry.GaugeFunc("neurotestd_cache_entries", "resident artifact cache entries",
 		func() float64 { entries, _ := s.cache.Stats(); return float64(entries) })
-	s.registry.GaugeFunc("neurotestd_cache_bytes", "encoded bytes held by the artifact cache",
+	s.registry.GaugeFunc("neurotestd_cache_bytes", "binary-codec size of the suites the artifact cache holds; they are encoded per download",
 		func() float64 { _, bytes := s.cache.Stats(); return float64(bytes) })
 	s.registry.GaugeFunc("neurotestd_queue_depth", "campaign jobs waiting in the queue",
 		func() float64 { return float64(s.queue.Depth()) })
@@ -465,9 +465,10 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("ETag", `"`+art.Key+`"`)
-	w.Header().Set("Content-Length", fmt.Sprint(len(art.Bytes)))
+	w.Header().Set("Content-Length", fmt.Sprint(art.Summary.SizeBytes))
 	w.WriteHeader(http.StatusOK)
-	w.Write(art.Bytes)
+	//lint:ignore unchecked-error a failed download write means the client is gone; the response writer is the only error channel
+	pattern.WriteBinary(w, art.ts)
 }
 
 // monitorChipSeed decorrelates per-chip field episodes; the odd multiplier

@@ -132,6 +132,10 @@ func TestServiceEndToEnd(t *testing.T) {
 	if err != nil || aresp.StatusCode != http.StatusOK {
 		t.Fatalf("artifact fetch: HTTP %d, %v", aresp.StatusCode, err)
 	}
+	if aresp.ContentLength != int64(gen.SizeBytes) || len(blob) != gen.SizeBytes {
+		t.Errorf("Content-Length %d, size_bytes %d, body %d bytes: want all equal",
+			aresp.ContentLength, gen.SizeBytes, len(blob))
+	}
 	set, err := pattern.ReadBinary(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatalf("served artifact does not decode: %v", err)
