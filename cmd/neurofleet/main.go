@@ -70,7 +70,7 @@ type legResult struct {
 	P50Ms         float64 `json:"p50_ms"`
 	P95Ms         float64 `json:"p95_ms"`
 	P99Ms         float64 `json:"p99_ms"`
-	// Suites generated, summed over the leg's worker nodes.
+	// Suites generated (cache misses), summed over the leg's worker nodes.
 	SuiteGenerations int64 `json:"suite_generations"`
 }
 
@@ -298,7 +298,7 @@ func runLeg(o options, arch []int, n int) (legResult, error) {
 		res.ThroughputCPS = float64(len(merged)) / wall.Seconds()
 	}
 	for _, w := range workers {
-		res.SuiteGenerations += w.srv.Metrics().SuiteGenerations.Load()
+		res.SuiteGenerations += w.srv.Metrics().CacheMisses.Load()
 	}
 	return res, nil
 }

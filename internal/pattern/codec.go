@@ -178,29 +178,36 @@ func BinarySize(ts *TestSet) int {
 
 // WriteBinary encodes ts in the compact binary format.
 func WriteBinary(w io.Writer, ts *TestSet) error {
-	bw := bufio.NewWriter(w)
+	// neurotestd encodes a suite per download, so the buffer is large enough
+	// to send a 16-23 MB image in a few hundred writes rather than thousands.
+	bw := bufio.NewWriterSize(w, 64<<10)
 	if _, err := bw.Write(binaryMagic[:]); err != nil {
 		return err
 	}
 	// bufio.Writer errors are sticky: every Write after the first failure
 	// is a no-op returning the same error, and the final Flush reports it.
-	// Every value passes through one reused 8-byte word instead of a
-	// binary.Write call each: a 4-layer merged suite holds 2 M weights.
+	write := func(b []byte) {
+		//lint:ignore unchecked-error bufio write errors are sticky; the final Flush reports the first failure
+		bw.Write(b)
+	}
+	// Scalars pass through one reused 8-byte word; the weights (2 M in a
+	// 4-layer merged suite) are encoded a chunk at a time.
 	var word [8]byte
 	writeU32 := func(v int) {
 		binary.LittleEndian.PutUint32(word[:4], uint32(v))
-		//lint:ignore unchecked-error bufio write errors are sticky; the final Flush reports the first failure
-		bw.Write(word[:4])
+		write(word[:4])
 	}
 	writeF64 := func(v float64) {
 		binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+		write(word[:])
+	}
+	writeStr := func(s string) {
+		writeU32(len(s))
 		//lint:ignore unchecked-error bufio write errors are sticky; the final Flush reports the first failure
-		bw.Write(word[:])
+		bw.WriteString(s)
 	}
 
-	writeU32(len(ts.Name))
-	//lint:ignore unchecked-error bufio write errors are sticky; the final Flush reports the first failure
-	bw.WriteString(ts.Name)
+	writeStr(ts.Name)
 	writeU32(ts.Arch.Layers())
 	for _, n := range ts.Arch {
 		writeU32(n)
@@ -210,19 +217,23 @@ func WriteBinary(w io.Writer, ts *TestSet) error {
 	writeF64(ts.Params.WMax)
 	writeU32(int(ts.Params.Reset))
 	writeU32(len(ts.Configs))
+	var chunk [4096]byte
 	for _, cfg := range ts.Configs {
-		for b := range cfg.W {
-			for _, v := range cfg.W[b] {
-				writeF64(v)
+		for _, ws := range cfg.W {
+			for len(ws) > 0 {
+				n := min(len(ws), len(chunk)/8)
+				for i, v := range ws[:n] {
+					binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(v))
+				}
+				write(chunk[:8*n])
+				ws = ws[n:]
 			}
 		}
 	}
 	writeU32(len(ts.Items))
-	nBytes := (ts.Arch.Inputs() + 7) / 8
+	packed := make([]byte, (ts.Arch.Inputs()+7)/8)
 	for _, it := range ts.Items {
-		writeU32(len(it.Label))
-		//lint:ignore unchecked-error bufio write errors are sticky; the final Flush reports the first failure
-		bw.WriteString(it.Label)
+		writeStr(it.Label)
 		writeU32(it.ConfigIndex)
 		writeU32(it.Timesteps)
 		writeU32(it.Repeat)
@@ -231,14 +242,13 @@ func WriteBinary(w io.Writer, ts *TestSet) error {
 			flags |= 1
 		}
 		writeU32(flags)
-		packed := make([]byte, nBytes)
+		clear(packed)
 		for i, v := range it.Pattern {
 			if v {
 				packed[i/8] |= 1 << uint(i%8)
 			}
 		}
-		//lint:ignore unchecked-error bufio write errors are sticky; the final Flush reports the first failure
-		bw.Write(packed)
+		write(packed)
 	}
 	return bw.Flush()
 }

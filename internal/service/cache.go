@@ -265,7 +265,6 @@ func (c *Cache) Suite(spec SuiteSpec) (*Artifact, Source, error) {
 	c.flight[key] = f
 	c.mu.Unlock()
 	c.metrics.CacheMisses.Add(1)
-	c.metrics.SuiteGenerations.Add(1)
 
 	timer := obs.StartTimer()
 	art, err := spec.build()

@@ -111,8 +111,8 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	if again != first {
 		t.Error("repeat request did not return the resident artifact")
 	}
-	if gen := m.SuiteGenerations.Load(); gen != 1 {
-		t.Errorf("suite_generations = %d, want 1", gen)
+	if gen := m.CacheMisses.Load(); gen != 1 {
+		t.Errorf("cache_misses = %d, want 1", gen)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 	wg.Wait()
 
-	if gen := m.SuiteGenerations.Load(); gen != 1 {
-		t.Fatalf("suite_generations = %d, want exactly 1 for %d racing requests", gen, n)
+	if gen := m.CacheMisses.Load(); gen != 1 {
+		t.Fatalf("cache_misses = %d, want exactly 1 for %d racing requests", gen, n)
 	}
 	if folded := m.CacheHits.Load() + m.SingleflightDedups.Load(); folded != n-1 {
 		t.Errorf("hits+dedups = %d, want %d", folded, n-1)

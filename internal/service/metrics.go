@@ -22,7 +22,6 @@ type Metrics struct {
 	CacheMisses        atomic.Int64 // suite had to be computed
 	CacheEvictions     atomic.Int64 // entries dropped by the LRU bound
 	SingleflightDedups atomic.Int64 // concurrent identical requests folded into one computation
-	SuiteGenerations   atomic.Int64 // generation computations actually run
 	GoldenBuilds       atomic.Int64 // artifact ATE constructions (artifact-cache misses)
 
 	// Job lifecycle.
@@ -51,7 +50,6 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"cache_misses":        m.CacheMisses.Load(),
 		"cache_evictions":     m.CacheEvictions.Load(),
 		"singleflight_dedups": m.SingleflightDedups.Load(),
-		"suite_generations":   m.SuiteGenerations.Load(),
 		"golden_builds":       m.GoldenBuilds.Load(),
 		"jobs_submitted":      m.JobsSubmitted.Load(),
 		"jobs_rejected":       m.JobsRejected.Load(),
@@ -76,7 +74,6 @@ func (m *Metrics) register(r *obs.Registry) {
 	r.CounterFunc("neurotestd_cache_misses_total", "suites that had to be computed", view(&m.CacheMisses))
 	r.CounterFunc("neurotestd_cache_evictions_total", "artifacts dropped by the LRU byte bound", view(&m.CacheEvictions))
 	r.CounterFunc("neurotestd_singleflight_dedups_total", "identical concurrent requests folded into one computation", view(&m.SingleflightDedups))
-	r.CounterFunc("neurotestd_suite_generations_total", "suite generation computations actually run", view(&m.SuiteGenerations))
 	r.CounterFunc("neurotestd_golden_builds_total", "artifact ATE constructions, one per artifact-cache miss; faultsim_golden_builds_total counts golden simulations", view(&m.GoldenBuilds))
 	r.CounterFunc("neurotestd_jobs_submitted_total", "campaign jobs accepted into the queue", view(&m.JobsSubmitted))
 	r.CounterFunc("neurotestd_jobs_rejected_total", "campaign jobs refused with 503 backpressure", view(&m.JobsRejected))

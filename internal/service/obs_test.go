@@ -145,9 +145,9 @@ func TestMetricsJSONCompat(t *testing.T) {
 			t.Errorf("JSON snapshot missing pre-registry key %q: %v", key, snap)
 		}
 	}
-	if snap["jobs_done"] != 1 || snap["suite_generations"] != 1 {
-		t.Errorf("campaign accounting: jobs_done=%d suite_generations=%d",
-			snap["jobs_done"], snap["suite_generations"])
+	if snap["jobs_done"] != 1 || snap["cache_misses"] != 1 {
+		t.Errorf("campaign accounting: jobs_done=%d cache_misses=%d",
+			snap["jobs_done"], snap["cache_misses"])
 	}
 }
 

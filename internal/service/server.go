@@ -467,6 +467,9 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("ETag", `"`+art.Key+`"`)
 	w.Header().Set("Content-Length", fmt.Sprint(art.Summary.SizeBytes))
 	w.WriteHeader(http.StatusOK)
+	if r.Method == http.MethodHead {
+		return // the GET route also serves HEAD, whose body net/http discards
+	}
 	//lint:ignore unchecked-error a failed download write means the client is gone; the response writer is the only error channel
 	pattern.WriteBinary(w, art.ts)
 }

@@ -107,7 +107,7 @@ func resultField(t *testing.T, st JobStatus, field string) any {
 }
 
 func TestServiceEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
+	srv, ts := newTestServer(t, testConfig())
 
 	// Generate a suite: first time is a miss.
 	var gen generateResponse
@@ -166,6 +166,17 @@ func TestServiceEndToEnd(t *testing.T) {
 	if !bytes.Equal(blob, blob2) {
 		t.Error("artifact bytes changed between identical requests")
 	}
+	// HEAD sends the download's headers and no body: the handler returns
+	// before encoding, so the recorder, which keeps whatever is written,
+	// stays empty.
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodHead, gen.Href, nil))
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != fmt.Sprint(gen.SizeBytes) ||
+		rec.Header().Get("ETag") != aresp.Header.Get("ETag") || rec.Body.Len() != 0 {
+		t.Errorf("HEAD %s: HTTP %d, Content-Length %q, ETag %q, %d body bytes; want 200, %d, %q, none",
+			gen.Href, rec.Code, rec.Header().Get("Content-Length"), rec.Header().Get("ETag"), rec.Body.Len(),
+			gen.SizeBytes, aresp.Header.Get("ETag"))
+	}
 
 	// Submit a coverage campaign and poll it to completion.
 	var job JobStatus
@@ -197,9 +208,9 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 	var metrics map[string]int64
 	getJSON(t, ts.URL+"/metrics?format=json", &metrics)
-	if metrics["cache_hits"] < 1 || metrics["suite_generations"] != 2 || metrics["jobs_done"] != 1 {
-		t.Errorf("metrics after e2e: hits=%d generations=%d done=%d (want >=1, 2, 1)",
-			metrics["cache_hits"], metrics["suite_generations"], metrics["jobs_done"])
+	if metrics["cache_hits"] < 1 || metrics["cache_misses"] != 2 || metrics["jobs_done"] != 1 {
+		t.Errorf("metrics after e2e: hits=%d misses=%d done=%d (want >=1, 2, 1)",
+			metrics["cache_hits"], metrics["cache_misses"], metrics["jobs_done"])
 	}
 	if metrics["cache_entries"] != 2 || metrics["queue_capacity"] != 8 {
 		t.Errorf("metrics gauges: entries=%d capacity=%d", metrics["cache_entries"], metrics["queue_capacity"])
@@ -279,8 +290,8 @@ func TestServiceSingleflightOverHTTP(t *testing.T) {
 	}
 	var metrics map[string]int64
 	getJSON(t, ts.URL+"/metrics?format=json", &metrics)
-	if metrics["suite_generations"] != 1 {
-		t.Errorf("suite_generations = %d, want 1 for %d racing requests", metrics["suite_generations"], n)
+	if metrics["cache_misses"] != 1 {
+		t.Errorf("cache_misses = %d, want 1 for %d racing requests", metrics["cache_misses"], n)
 	}
 	if folded := metrics["cache_hits"] + metrics["singleflight_dedups"]; folded != n-1 {
 		t.Errorf("hits+dedups = %d, want %d", folded, n-1)
